@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
   WcetAnalyzer analyzer(sys.kernel().image(), AnalysisOptions{});
   const std::vector<Cycles> bounds = analyzer.PerBlockBounds();
   std::printf("hottest kernel blocks (observed vs per-block all-miss bound):\n");
-  profiler.PrintHotBlocks(sys.kernel().image().prog, 12, &bounds, std::cout);
+  profiler.PrintTopBlocks(sys.kernel().image().prog, 12, &bounds, std::cout);
 
   std::printf("\nself-checks:\n");
   bool ok = CheckEntryExitPairing(log.events());

@@ -228,8 +228,6 @@ std::vector<std::uint8_t> StateSerializer::SerializeSystem(const System& sys) {
     w.U64(c.stats_.accesses);
     w.U64(c.stats_.hits);
     w.U64(c.stats_.misses);
-    // ref_lines_ is a derived mirror of tags_, rebuilt on decode; writing it
-    // would make the payload depend on the host's benchmark-reference mode.
   };
   write_cache(m.l1i_);
   write_cache(m.l1d_);
@@ -253,7 +251,6 @@ std::vector<std::uint8_t> StateSerializer::SerializeSystem(const System& sys) {
 
   w.U64(m.timer_.period_);
   w.U64(m.timer_.next_fire_);
-  w.Bool(m.timer_.always_due_);
   // deadline_ is derived; RecomputeDeadline() restores it on decode.
 
   // --- kernel scalar state ---
@@ -541,9 +538,6 @@ std::unique_ptr<System> StateSerializer::DeserializeSystem(const std::uint8_t* d
       c.stats_.accesses = r.U64();
       c.stats_.hits = r.U64();
       c.stats_.misses = r.U64();
-      if (!c.ref_lines_.empty()) {
-        c.SyncRefMirror();  // the host is in reference mode: rebuild the mirror
-      }
     };
     read_cache(m.l1i_);
     read_cache(m.l1d_);
@@ -573,14 +567,13 @@ std::unique_ptr<System> StateSerializer::DeserializeSystem(const std::uint8_t* d
 
     m.timer_.period_ = r.U64();
     m.timer_.next_fire_ = r.U64();
-    m.timer_.always_due_ = r.Bool();
     m.timer_.RecomputeDeadline();
 
     // --- kernel ---
     auto kernel = std::make_unique<Kernel>(kc, machine.get());
     Kernel& k = *kernel;
     k.exec_.set_charge_mode(
-        static_cast<Executor::ChargeMode>(CheckedEnum(r.U8(), 3, "ChargeMode")));
+        static_cast<Executor::ChargeMode>(CheckedEnum(r.U8(), 1, "ChargeMode")));
     k.alloc_next_ = r.U64();
     k.bitmap_l1_ = r.U32();
     for (std::uint32_t& b : k.bitmap_l2_) {
@@ -894,19 +887,24 @@ std::uint64_t StateSerializer::KernelImageDigest(const KernelConfig& config) {
   const Program& prog = image->prog;
   w.U64(prog.num_blocks());
   w.U64(prog.text_bytes());
-  for (std::size_t i = 0; i < prog.num_blocks(); ++i) {
-    const HotBlock& h = prog.hot(static_cast<BlockId>(i));
-    w.U64(h.branch_pc);
-    w.U64(h.ifetch_first_line);
-    w.U32(h.ifetch_line_count);
-    w.U32(h.instr_count);
-    w.U32(h.raw_cycles);
-    w.U32(static_cast<std::uint32_t>(h.succ0));
-    w.U32(static_cast<std::uint32_t>(h.succ1));
-    w.U8(h.nsuccs);
-    w.U8(static_cast<std::uint8_t>(h.branch));
-    w.Bool(h.is_return);
-    w.Bool(h.is_preemption_point);
+  for (BlockId id = 0; id < prog.num_blocks(); ++id) {
+    const Block& b = prog.block(id);
+    w.U64(b.address);
+    w.U32(b.instr_count);
+    w.U32(b.raw_cycles);
+    w.U32(static_cast<std::uint32_t>(b.static_accesses.size()));
+    for (const StaticAccess& a : b.static_accesses) {
+      w.U64(prog.ResolveStatic(b, a));
+      w.Bool(a.write);
+    }
+    w.U32(static_cast<std::uint32_t>(b.succs.size()));
+    for (const BlockId s : b.succs) {
+      w.U32(s);
+    }
+    w.U32(b.callee);
+    w.U8(static_cast<std::uint8_t>(b.branch));
+    w.Bool(b.is_return);
+    w.Bool(b.is_preemption_point);
   }
   return Fnv1a64(w.bytes().data(), w.bytes().size());
 }

@@ -40,7 +40,7 @@ class StateSerializer {
 
   // Version stamped into every payload; bumped on any layout change so a
   // stale journal or checkpoint image fails loudly with kBadVersion.
-  static constexpr std::uint32_t kSystemImageVersion = 1;
+  static constexpr std::uint32_t kSystemImageVersion = 2;
 
   // Raw (unframed) payload. Throws std::logic_error if the executor is
   // mid-path (checkpoints exist between kernel entries only).
@@ -56,9 +56,10 @@ class StateSerializer {
 
   // Digest identifying the kernel-image/analysis context a campaign result
   // depends on: FNV-1a64 over the serialized KernelConfig and every laid-out
-  // block of its kernel image (costs, CFG edges, preemption points). Editing
-  // src/kernel/image.cc or flipping a config switch changes the digest, so
-  // journaled results from the old kernel are never replayed against the new.
+  // Block of its kernel image (address, costs, resolved static accesses, CFG
+  // edges, preemption points). Editing src/kernel/image.cc or flipping a
+  // config switch changes the digest, so journaled results from the old
+  // kernel are never replayed against the new.
   static std::uint64_t KernelImageDigest(const KernelConfig& config);
 
   // LatencyHistogram payload helpers (sparse bucket encoding), shared by the

@@ -1,12 +1,14 @@
 #include "src/hw/branch_predictor.h"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace pmk {
 
 BranchPredictor::BranchPredictor(const BranchPredictorConfig& config)
     : config_(config), btb_(config.btb_entries) {
-  assert(config_.btb_entries > 0);
+  if (config_.btb_entries == 0) {
+    throw std::invalid_argument("BranchPredictorConfig: btb_entries must be >= 1");
+  }
 }
 
 void BranchPredictor::Reset() {
@@ -14,19 +16,6 @@ void BranchPredictor::Reset() {
     e = Entry{};
   }
   mispredicts_ = 0;
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-Cycles BranchPredictor::OnBranchReference(Addr pc, BranchKind kind, bool taken) {
-  if (kind == BranchKind::kNone) {
-    return 0;
-  }
-  if (!config_.enabled) {
-    return config_.disabled_cost;
-  }
-  return OnBranchEnabled(pc, kind, taken);
 }
 
 Cycles BranchPredictor::OnBranchEnabled(Addr pc, BranchKind kind, bool taken) {

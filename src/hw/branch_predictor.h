@@ -37,6 +37,8 @@ struct BranchPredictorConfig {
 
 class BranchPredictor {
  public:
+  // Throws std::invalid_argument when |config| has no BTB entries: every
+  // lookup indexes the BTB modulo its size.
   explicit BranchPredictor(const BranchPredictorConfig& config);
 
   // Records the outcome of the branch terminating the block at |pc| and
@@ -66,10 +68,6 @@ class BranchPredictor {
     }
     return OnBranchEnabledAt(slot, pc, kind, taken);
   }
-
-  // Benchmark reference path: identical outcome to OnBranch but out of line,
-  // the seed's per-branch call cost.
-  Cycles OnBranchReference(Addr pc, BranchKind kind, bool taken);
 
   void Reset();
 

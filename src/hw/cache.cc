@@ -5,8 +5,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "src/hw/hotpath.h"
-
 namespace pmk {
 
 void CacheConfig::Validate() const {
@@ -50,45 +48,6 @@ Cache::Cache(const CacheConfig& config)
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(config_.line_bytes));
   tag_shift_ = line_shift_ + static_cast<std::uint32_t>(std::countr_zero(num_sets_));
   set_mask_ = num_sets_ - 1;
-  if (hotpath::ReferenceMode()) {
-    ref_lines_.resize(tags_.size());
-  }
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-bool Cache::AccessReference(Addr addr) {
-  // Mirrors the seed implementation byte-for-byte in behaviour and in host
-  // cost: set and tag come from divisions by runtime values (the compiler
-  // cannot reduce them to shifts), the lookup walks the array-of-structs
-  // {tag, valid} mirror the seed stored lines in, and the whole thing runs
-  // out of line. State changes land in both the mirror and the flat tag
-  // array so every other entry point sees them. Keep in sync with
-  // AccessLine(); hotpath_equivalence_test cross-checks the two.
-  if (ref_lines_.empty()) {
-    SyncRefMirror();
-  }
-  stats_.accesses++;
-  const std::uint32_t set = static_cast<std::uint32_t>((addr / config_.line_bytes) & (num_sets_ - 1));
-  const Addr tag = addr / config_.line_bytes / num_sets_;
-  const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    if (ref_lines_[base + w].valid && ref_lines_[base + w].tag == tag) {
-      stats_.hits++;
-      return true;
-    }
-  }
-  stats_.misses++;
-  if ((locked_ways_ & all_ways_mask_) == all_ways_mask_) {
-    return false;
-  }
-  const std::uint32_t victim = PickVictim<0>(set);
-  ref_lines_[base + victim].tag = tag;
-  ref_lines_[base + victim].valid = true;
-  tags_[base + victim] = NarrowTag(tag);
-  gen_++;
-  return false;
 }
 
 void Cache::InstallLine(Addr addr, std::uint32_t way) {
@@ -96,9 +55,6 @@ void Cache::InstallLine(Addr addr, std::uint32_t way) {
   const std::size_t idx = static_cast<std::size_t>(SetIndexOf(addr)) * ways_ + way;
   tags_[idx] = NarrowTag(TagOf(addr));
   gen_++;
-  if (!ref_lines_.empty()) {
-    ref_lines_[idx] = {TagOf(addr), true};
-  }
 }
 
 void Cache::LockWay(std::uint32_t way) {
@@ -113,7 +69,6 @@ void Cache::UnlockWay(std::uint32_t way) {
 
 void Cache::InvalidateAll() {
   std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-  std::fill(ref_lines_.begin(), ref_lines_.end(), RefLine{});
   gen_++;
 }
 
@@ -135,22 +90,9 @@ void Cache::Pollute(Addr garbage_base, double fraction) {
       const Addr addr = garbage_base +
                         (static_cast<Addr>(w) * num_sets_ + set) * config_.line_bytes;
       tags_[base + w] = NarrowTag(TagOf(addr));
-      if (!ref_lines_.empty()) {
-        ref_lines_[base + w] = {TagOf(addr), true};
-      }
     }
   }
   gen_++;
-}
-
-void Cache::SyncRefMirror() {
-  // Builds the seed-layout mirror from the flat tag array; used when
-  // AccessReference is first called on a cache constructed outside reference
-  // mode (equivalence tests exercise this).
-  ref_lines_.resize(tags_.size());
-  for (std::size_t i = 0; i < tags_.size(); ++i) {
-    ref_lines_[i] = tags_[i] == kInvalidTag ? RefLine{} : RefLine{tags_[i], true};
-  }
 }
 
 std::uint32_t Cache::PickVictimFallback() {

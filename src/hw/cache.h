@@ -200,16 +200,6 @@ class Cache {
     return false;
   }
 
-  // Benchmark reference path: the seed implementation's per-access cost
-  // profile — an out-of-line call whose set/tag arithmetic divides by the
-  // runtime line size and set count instead of using the precomputed shifts,
-  // and whose lookups walk the seed's array-of-structs {tag, valid} line
-  // array (ref_lines_) rather than the flat tag array. State transitions and
-  // statistics are identical to Access(); only the host-side cost differs.
-  // bench_sim_hotpath uses this as the pre-optimisation baseline and
-  // self-checks output equality.
-  bool AccessReference(Addr addr);
-
   // Loads |addr|'s line into way |way| and marks it resident, regardless of
   // locking. Used to pre-load lines that will then be pinned.
   void InstallLine(Addr addr, std::uint32_t way);
@@ -352,10 +342,6 @@ class Cache {
   // Degenerate cases (all-locked assertion, LFSR exhaustion): out of line.
   std::uint32_t PickVictimFallback();
 
-  // Populates ref_lines_ from tags_ (first AccessReference on a cache built
-  // outside reference mode).
-  void SyncRefMirror();
-
   CacheConfig config_;
   std::uint32_t num_sets_;
   std::uint32_t ways_;
@@ -371,15 +357,6 @@ class Cache {
   // Flat line array: num_sets * ways 32-bit tags, way-major within a set
   // (index = set * ways + way). Invalid lines hold kInvalidTag.
   std::vector<std::uint32_t> tags_;
-  // Seed-layout mirror for AccessReference: the pre-optimisation
-  // array-of-structs line array. Sized only when the process is in reference
-  // mode (empty otherwise, so clones copy nothing); every cold mutator that
-  // touches tags_ keeps it in sync.
-  struct RefLine {
-    Addr tag = 0;
-    bool valid = false;
-  };
-  std::vector<RefLine> ref_lines_;
   std::vector<std::uint32_t> rr_next_;  // per-set round-robin pointer
   std::uint32_t locked_ways_ = 0;       // bitmask of locked ways
   std::uint64_t lfsr_ = 0xACE1u;        // pseudo-random replacement state

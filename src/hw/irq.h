@@ -124,28 +124,15 @@ class IntervalTimer {
   // original's (the one pointer a memberwise Machine copy would get wrong).
   void RebindController(InterruptController* ic) { ic_ = ic; }
 
-  // Benchmark reference mode: forces next_deadline() to 0 so every Advance
-  // consults Tick(), reproducing the seed's tick-every-advance behaviour.
-  // Observable timer semantics are unchanged either way; bench_sim_hotpath
-  // uses this as the pre-optimisation baseline.
-  void set_reference_tick_mode(bool on) {
-    always_due_ = on;
-    RecomputeDeadline();
-  }
-  bool reference_tick_mode() const { return always_due_; }
-
  private:
   friend class engine::StateSerializer;
 
-  void RecomputeDeadline() {
-    deadline_ = always_due_ ? 0 : (period_ == 0 ? kNever : next_fire_);
-  }
+  void RecomputeDeadline() { deadline_ = period_ == 0 ? kNever : next_fire_; }
 
   InterruptController* ic_;
   Cycles period_;
   Cycles next_fire_ = 0;
   Cycles deadline_ = 0;
-  bool always_due_ = false;
 };
 
 }  // namespace pmk

@@ -3,22 +3,13 @@
 #include <cassert>
 #include <vector>
 
-#include "src/hw/hotpath.h"
-
 namespace pmk {
 
 namespace {
-constexpr std::uint32_t kInstrBytes = 4;
 // Garbage address bases far above the 128 MiB of modelled RAM.
 constexpr Addr kPolluteBaseI = 0x4000'0000;
 constexpr Addr kPolluteBaseD = 0x5000'0000;
 constexpr Addr kPolluteBaseL2 = 0x6000'0000;
-
-#if defined(__GNUC__) || defined(__clang__)
-#define PMK_NOINLINE __attribute__((noinline))
-#else
-#define PMK_NOINLINE
-#endif
 }  // namespace
 
 Machine::Machine(const MachineConfig& config)
@@ -27,11 +18,7 @@ Machine::Machine(const MachineConfig& config)
       l1d_(config.l1d),
       l2_(config.l2),
       bpred_(config.bpred),
-      timer_(&irq_, config.timer_period) {
-  if (hotpath::ReferenceMode()) {
-    timer_.set_reference_tick_mode(true);
-  }
-}
+      timer_(&irq_, config.timer_period) {}
 
 Machine::Machine(const Machine& other)
     : config_(other.config_),
@@ -45,57 +32,6 @@ Machine::Machine(const Machine& other)
       counters_(other.counters_) {
   timer_.RebindController(&irq_);
   irq_.set_trace_sink(nullptr);
-}
-
-PMK_NOINLINE Cycles Machine::MissPenaltyReference(Addr addr) {
-  Cycles penalty;
-  if (!config_.l2_enabled) {
-    penalty = config_.memory.mem_latency_l2_off;
-  } else {
-    counters_.l2_accesses++;
-    if (l2_.AccessReference(addr)) {
-      penalty = config_.memory.l2_hit_latency;
-    } else {
-      counters_.l2_misses++;
-      penalty = config_.memory.mem_latency_l2_on;
-    }
-  }
-  counters_.mem_stall_cycles += penalty;
-  return penalty;
-}
-
-// Reference entries replicate the seed's per-execution cost profile: line
-// bounds recomputed with divisions, the cache indexed through the out-of-line
-// division-based AccessReference, and the result charged via an out-of-line
-// Advance that ticks the timer unconditionally (the per-instance reference
-// tick mode forces the deadline to 0 so the inline Advance's check always
-// takes the Tick branch). Keep charging in sync with InstrFetchLines and
-// DataAccess; hotpath_equivalence_test cross-checks them.
-PMK_NOINLINE void Machine::InstrFetchReference(Addr addr, std::uint32_t n_instr) {
-  const std::uint32_t line = config_.l1i.line_bytes;
-  Cycles cost = n_instr;  // 1 cycle per instruction, pipelined.
-  counters_.instructions += n_instr;
-  const Addr first_line = addr / line;
-  const Addr last_line = (addr + static_cast<Addr>(n_instr) * kInstrBytes - 1) / line;
-  for (Addr l = first_line; l <= last_line; ++l) {
-    counters_.l1i_accesses++;
-    if (!l1i_.AccessReference(l * line)) {
-      counters_.l1i_misses++;
-      cost += MissPenaltyReference(l * line);
-    }
-  }
-  Advance(cost);
-}
-
-PMK_NOINLINE void Machine::DataAccessReference(Addr addr, bool write) {
-  (void)write;  // write-allocate: same penalty either way
-  Cycles cost = config_.memory.load_use_stall;  // pipeline result latency
-  counters_.l1d_accesses++;
-  if (!l1d_.AccessReference(addr)) {
-    counters_.l1d_misses++;
-    cost += MissPenaltyReference(addr);
-  }
-  Advance(cost);
 }
 
 void Machine::DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride, bool write,
@@ -180,16 +116,6 @@ void Machine::DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride
       l2_.AddStats(l2_acc, l2_miss);
     }
   }
-  Advance(cost);
-}
-
-PMK_NOINLINE void Machine::BranchReference(Addr pc, BranchKind kind, bool taken) {
-  if (kind != BranchKind::kNone) {
-    counters_.branches++;
-  }
-  const std::uint64_t mp_before = bpred_.mispredicts();
-  const Cycles cost = bpred_.OnBranchReference(pc, kind, taken);
-  counters_.branch_mispredicts += bpred_.mispredicts() - mp_before;
   Advance(cost);
 }
 

@@ -6,12 +6,12 @@
 // through this class; it is the single source of truth for the cycle counter
 // (the analogue of the ARM1136 PMU cycle counter the paper measures with).
 //
-// The cost-charging entries (InstrFetch/InstrFetchLines/DataAccess/RawCycles)
-// are defined inline: they are the simulator's innermost loop and every
-// modelled cycle of every experiment passes through them. Advance() only
-// consults the interval timer when the cycle counter actually crosses its
-// cached deadline — assertion cycles are identical to ticking on every
-// advance (docs/performance.md).
+// The cost-charging entries (InstrFetch/DataAccess/Branch/RawCycles and the
+// batched twins the compiled executor uses) are defined inline: they are the
+// simulator's innermost loop and every modelled cycle of every experiment
+// passes through them. Advance() only consults the interval timer when the
+// cycle counter actually crosses its cached deadline — assertion cycles are
+// identical to ticking on every advance (docs/performance.md).
 
 #ifndef SRC_HW_MACHINE_H_
 #define SRC_HW_MACHINE_H_
@@ -75,28 +75,16 @@ class Machine {
   // Fetches and executes |n_instr| sequential 4-byte instructions starting at
   // |addr|: 1 cycle per instruction plus I-cache refill penalties.
   void InstrFetch(Addr addr, std::uint32_t n_instr) {
-    const std::uint32_t line = config_.l1i.line_bytes;
-    const Addr first_line = addr / line;
+    const Addr line = config_.l1i.line_bytes;
     const Addr last_line = (addr + static_cast<Addr>(n_instr) * 4 - 1) / line;
-    InstrFetchLines(first_line * line, static_cast<std::uint32_t>(last_line - first_line + 1),
-                    n_instr);
-  }
-
-  // Prepared-span variant: the caller already decomposed the fetch into
-  // |n_lines| consecutive I-cache lines starting at |first_line_addr| (the
-  // kir Program precomputes each block's span at Layout() time). Identical
-  // charging to InstrFetch.
-  void InstrFetchLines(Addr first_line_addr, std::uint32_t n_lines, std::uint32_t n_instr) {
     Cycles cost = n_instr;  // 1 cycle per instruction, pipelined.
     counters_.instructions += n_instr;
-    Addr line_addr = first_line_addr;
-    for (std::uint32_t l = 0; l < n_lines; ++l) {
+    for (Addr l = addr / line; l <= last_line; ++l) {
       counters_.l1i_accesses++;
-      if (!l1i_.Access(line_addr)) {
+      if (!l1i_.Access(l * line)) {
         counters_.l1i_misses++;
-        cost += MissPenalty(line_addr);
+        cost += MissPenalty(l * line);
       }
-      line_addr += config_.l1i.line_bytes;
     }
     Advance(cost);
   }
@@ -114,15 +102,6 @@ class Machine {
     Advance(cost);
   }
 
-  // Benchmark reference entries: identical charging to InstrFetch/DataAccess
-  // but through the seed's cost profile — out-of-line calls, division-based
-  // cache indexing (Cache::AccessReference), per-line address arithmetic
-  // recomputed per execution. bench_sim_hotpath drives these as the
-  // pre-optimisation baseline; combine with
-  // timer().set_reference_tick_mode(true) for the full seed hot path.
-  void InstrFetchReference(Addr addr, std::uint32_t n_instr);
-  void DataAccessReference(Addr addr, bool write);
-
   // Branch terminating the block at |pc| with actual direction |taken|.
   // Inline: one per block transition, and with the predictor disabled (the
   // paper's measurement configuration) the cost is a constant.
@@ -135,10 +114,6 @@ class Machine {
     counters_.branch_mispredicts += bpred_.mispredicts() - mp_before;
     Advance(cost);
   }
-
-  // Seed cost profile of Branch: out of line, through the out-of-line
-  // BranchPredictor::OnBranchReference. Identical state transitions.
-  void BranchReference(Addr pc, BranchKind kind, bool taken);
 
   // Branch with the BTB slot precomputed (slot == pc % btb_entries); the
   // compiled executor backend folds the modulo at Program::CompiledFor time.
@@ -355,15 +330,10 @@ class Machine {
     return penalty;
   }
 
-  // Seed cost profile of the same computation: out of line, with the L2
-  // lookup going through the division-based Cache::AccessReference. Identical
-  // counter and cache state transitions.
-  Cycles MissPenaltyReference(Addr addr);
-
   // Advances the cycle counter. The timer is only consulted when the counter
   // crosses its cached deadline (IntervalTimer::next_deadline): in between,
-  // Tick() would be a no-op, so assertion cycles are exactly those of the
-  // tick-every-advance scheme the seed used.
+  // Tick() would be a no-op, so assertion cycles are exactly those of ticking
+  // on every advance.
   void Advance(Cycles n) {
     now_ += n;
     if (now_ >= timer_.next_deadline()) {

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "src/hw/hotpath.h"
 #include "src/kernel/error.h"
 #include "src/obs/trace_sink.h"
 
@@ -15,23 +14,12 @@ constexpr Addr kUserMemBase = 0x0100'0000;
 constexpr Addr kUserMemEnd = 0x0800'0000;  // 128 MiB board
 
 Addr AlignUp(Addr a, Addr align) { return (a + align - 1) & ~(align - 1); }
-
-// The seed implementation built the kernel image per Kernel; the process-wide
-// SharedKernelImage cache is one of the measured optimisations, so the
-// reference baseline keeps the per-instance build (identical bytes either
-// way — image construction is deterministic in the config).
-std::shared_ptr<const KernelImage> AcquireImage(const KernelConfig& config) {
-  if (hotpath::ReferenceMode()) {
-    return BuildKernelImage(config);
-  }
-  return SharedKernelImage(config);
-}
 }  // namespace
 
 Kernel::Kernel(const KernelConfig& config, Machine* machine)
     : config_(config),
       machine_(machine),
-      image_(AcquireImage(config)),
+      image_(SharedKernelImage(config)),
       exec_(&image_->prog, machine),
       alloc_next_(kUserMemBase) {
   // The idle thread is not an allocated kernel object; it exists from boot.

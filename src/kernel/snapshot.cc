@@ -97,9 +97,8 @@ Kernel::Kernel(CloneTag, const Kernel& other, Machine* machine)
       asid_pool_(other.asid_pool_),
       irq_latencies_(other.irq_latencies_),
       fastpath_hits_(other.fastpath_hits_) {
-  // The fresh executor picked its charge mode from the global reference flag;
-  // a clone must replay on the same path as its source regardless of when the
-  // flag was flipped.
+  // The fresh executor starts on the compiled path; a clone replays on the
+  // same charge path as its source (an oracle run stays an oracle run).
   exec_.set_charge_mode(other.exec_.charge_mode());
 }
 

@@ -42,8 +42,8 @@ struct StaticAccess {
 };
 
 // A static access with its address already resolved (frame or symbol base
-// plus offset folded in at Program::Layout() time). The executor's prepared
-// charge path iterates these instead of re-resolving per execution.
+// plus offset folded in at Program::Layout() time). The compiled executor
+// backend lowers these into its charge streams.
 struct PreparedAccess {
   Addr addr = 0;
   bool write = false;
@@ -147,15 +147,12 @@ struct Block {
   // --- Precomputed execution data, assigned by Program::Layout(). ---
   // Blocks must not be structurally mutated (instr_count, static_accesses,
   // addresses) after Layout(); post-layout mutation of analysis-only metadata
-  // (loop bounds, path flags) is fine.
+  // (loop bounds, path flags) is fine. Only the compiled executor backend
+  // (Program::CompiledFor) reads these; the interpreter oracle recomputes
+  // them from the fields above on every execution, so the two cross-check.
 
   // Address of the block's final (branching) instruction.
   Addr branch_pc = 0;
-
-  // I-fetch footprint as consecutive Program::kPreparedLineBytes-sized lines:
-  // first line address (line-aligned) and line count.
-  Addr ifetch_first_line = 0;
-  std::uint32_t ifetch_line_count = 0;
 
   // static_accesses with absolute addresses resolved (same order).
   std::vector<PreparedAccess> prepared_accesses;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 
 #include "src/kir/compiled_dispatch.h"
 #include "src/kir/program.h"
@@ -36,20 +35,6 @@ CompiledSpec CompiledSpec::Of(const MachineConfig& mc) {
 bool CompiledSpec::Matches(const MachineConfig& mc) const {
   return SameGeometry(l1i, mc.l1i) && SameGeometry(l1d, mc.l1d) && SameGeometry(l2, mc.l2) &&
          load_use_stall == mc.memory.load_use_stall && btb_entries == mc.bpred.btb_entries;
-}
-
-bool CompiledProgram::Compilable(const MachineConfig& mc) {
-  if (mc.bpred.btb_entries == 0) {
-    return false;
-  }
-  try {
-    mc.l1i.Validate();
-    mc.l1d.Validate();
-    mc.l2.Validate();
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-  return true;
 }
 
 CompiledProgram::CompiledProgram(const Program& p, const MachineConfig& mc)
@@ -123,20 +108,9 @@ CompiledProgram::CompiledProgram(const Program& p, const MachineConfig& mc)
     ops_.push_back(end);
 
     CompiledBlock& cb = blocks_[id];
-    const HotBlock& h = p.hot(id);
-    cb.branch_pc = h.branch_pc;
-    cb.btb_index = static_cast<std::uint32_t>(h.branch_pc % spec_.btb_entries);
-    cb.max_dynamic_accesses = h.max_dynamic_accesses;
-    cb.callee = h.callee;
-    cb.callee_entry = h.callee_entry;
-    cb.succ0 = h.succ0;
-    cb.succ1 = h.succ1;
-    cb.nsuccs = h.nsuccs;
-    cb.branch = h.branch;
-    cb.is_return = h.is_return;
-    cb.is_preemption_point = h.is_preemption_point;
-    cb.has_cond_semantics = h.has_cond_semantics;
-    cb.cond = h.cond;
+    cb.branch_pc = b.branch_pc;
+    cb.btb_index = static_cast<std::uint32_t>(b.branch_pc % spec_.btb_entries);
+    cb.edges = p.EdgesOf(id);
   }
   // The kILine-free twin streams for the executor's I-fetch memo: identical
   // op sequence minus the I-line probes; the kEnd op is shared by value so

@@ -22,9 +22,9 @@
 // block (Machine::ApplyChargeDelta, Cache::AddStats), and the whole block
 // advances the cycle counter once; docs/performance.md walks through why
 // every observable (timer assertion times, fault hooks, trace windows,
-// counter totals, cache state) is bit-identical to the interpreter's
-// per-access charging. hotpath_equivalence_test and the bench_sim_hotpath
-// digest gate enforce the identity.
+// counter totals, cache state) is bit-identical to the interpreter oracle's
+// per-access charging (Executor::ChargeMode::kInterpreted).
+// hotpath_equivalence_test enforces the identity.
 
 #ifndef SRC_KIR_COMPILED_H_
 #define SRC_KIR_COMPILED_H_
@@ -34,11 +34,9 @@
 #include <vector>
 
 #include "src/hw/machine.h"
-#include "src/kir/block.h"
+#include "src/kir/program.h"
 
 namespace pmk {
-
-class Program;
 
 // The specialisation key: every machine parameter folded into the streams.
 // Parameters consulted at run time through the live Machine (l2_enabled,
@@ -90,9 +88,9 @@ struct CompiledOp {
   } u = {};
 };
 
-// Per-block record: the CFG-validation fields the executor needs on every
-// transition (a mirror of HotBlock, so AtCompiled touches one contiguous
-// record) plus the block's charge stream and folded BTB index.
+// Per-block record: the block's charge stream, folded BTB index and the
+// CFG facts the executor validates every transition against, in one
+// contiguous record.
 struct CompiledBlock {
   const CompiledOp* ops = nullptr;  // into CompiledProgram::ops_
   // The same stream with every kILine op removed. The executor runs this
@@ -103,28 +101,14 @@ struct CompiledBlock {
   const CompiledOp* hit_ops = nullptr;
   Addr branch_pc = 0;
   std::uint32_t btb_index = 0;  // branch_pc % btb_entries
-  std::uint32_t max_dynamic_accesses = 0;
-  FuncId callee = kNoFunc;
-  BlockId callee_entry = kNoBlock;
-  BlockId succ0 = kNoBlock;
-  BlockId succ1 = kNoBlock;
-  std::uint8_t nsuccs = 0;
-  BranchKind branch = BranchKind::kNone;
-  bool is_return = false;
-  bool is_preemption_point = false;
-  bool has_cond_semantics = false;
-  BranchCond cond;
+  BlockEdges edges;
 };
 
 class CompiledProgram {
  public:
-  // True when |mc|'s cache geometry is modellable (CacheConfig::Validate) and
-  // a specialisation can therefore be built. The executor falls back to the
-  // interpreter when this is false.
-  static bool Compilable(const MachineConfig& mc);
-
-  // Lowers |p| (which must be laid out) for |mc|'s geometry. Prefer
-  // Program::CompiledFor, which caches one instance per distinct geometry.
+  // Lowers |p| (which must be laid out) for |mc|'s geometry. Every geometry
+  // a Machine accepts lowers. Prefer Program::CompiledFor, which caches one
+  // instance per distinct geometry.
   CompiledProgram(const Program& p, const MachineConfig& mc);
 
   bool Matches(const MachineConfig& mc) const { return spec_.Matches(mc); }

@@ -55,17 +55,15 @@ std::uint64_t DigestLoops(const Block& b) {
   return h;
 }
 
-std::uint64_t DigestCost(const Block& b) {
+std::uint64_t DigestCost(const Program& prog, const Block& b) {
   std::uint64_t h = kFnv64Offset;
   h = ChainU64(h, b.address);
   h = ChainU64(h, b.instr_count);
   h = ChainU64(h, b.raw_cycles);
   h = ChainU64(h, b.max_dynamic_accesses);
-  h = ChainU64(h, b.ifetch_first_line);
-  h = ChainU64(h, b.ifetch_line_count);
-  h = ChainU64(h, b.prepared_accesses.size());
-  for (const PreparedAccess& a : b.prepared_accesses) {
-    h = ChainU64(h, a.addr);
+  h = ChainU64(h, b.static_accesses.size());
+  for (const StaticAccess& a : b.static_accesses) {
+    h = ChainU64(h, prog.ResolveStatic(b, a));
     h = ChainU64(h, a.write ? 1 : 0);
   }
   return h;
@@ -85,7 +83,7 @@ BlockStageDigests ComputeBlockDigests(const Program& prog, BlockId id) {
   BlockStageDigests d;
   d.stage[static_cast<std::size_t>(DigestStage::kStructure)] = DigestStructure(prog, b);
   d.stage[static_cast<std::size_t>(DigestStage::kLoops)] = DigestLoops(b);
-  d.stage[static_cast<std::size_t>(DigestStage::kCost)] = DigestCost(b);
+  d.stage[static_cast<std::size_t>(DigestStage::kCost)] = DigestCost(prog, b);
   d.stage[static_cast<std::size_t>(DigestStage::kIpet)] = DigestIpet(b);
   return d;
 }

@@ -1,8 +1,8 @@
 #include "src/kir/executor.h"
 
 #include <cassert>
+#include <optional>
 
-#include "src/hw/hotpath.h"
 #include "src/kir/compiled.h"
 #include "src/kir/compiled_dispatch.h"
 #include "src/obs/metrics.h"
@@ -11,6 +11,8 @@
 namespace pmk {
 
 namespace {
+
+constexpr Addr kInstrBytes = 4;
 
 std::int64_t EvalCmpSide(const std::array<std::int64_t, Executor::kNumRegs>& regs,
                          const BranchCond& c) {
@@ -46,50 +48,26 @@ std::uint16_t CondRegMask(const BranchCond& c) {
 }  // namespace
 
 Executor::Executor(const Program* program, Machine* machine)
-    : program_(program), machine_(machine) {
+    : program_(program),
+      machine_(machine),
+      compiled_(program->CompiledFor(machine->config())),
+      iline_gen_(compiled_->num_blocks(), 0) {
   assert(program_->laid_out());
-  if (hotpath::ReferenceMode()) {
-    charge_mode_ = ChargeMode::kReference;
-  } else if (hotpath::CompiledMode() && CompiledProgram::Compilable(machine_->config())) {
-    compiled_ = program_->CompiledFor(machine_->config());
-    iline_gen_.assign(compiled_->num_blocks(), 0);
-    charge_mode_ = ChargeMode::kCompiled;
-  } else if (machine_->config().l1i.line_bytes == Program::kPreparedLineBytes) {
-    charge_mode_ = ChargeMode::kPrepared;
-  } else {
-    charge_mode_ = ChargeMode::kGeneric;
-  }
   CountChargeMode(charge_mode_);
 }
 
 void Executor::CountChargeMode(ChargeMode mode) {
-  // One static handle per mode: labeled-counter registration is idempotent
-  // and the handles live for the process (metrics.h).
-  switch (mode) {
-    case ChargeMode::kPrepared: {
-      static const obs::Counter c(
-          obs::ObsLabeled("sim.exec.charge_mode", "mode", "prepared").c_str());
-      c.Inc();
-      break;
-    }
-    case ChargeMode::kGeneric: {
-      static const obs::Counter c(
-          obs::ObsLabeled("sim.exec.charge_mode", "mode", "generic").c_str());
-      c.Inc();
-      break;
-    }
-    case ChargeMode::kReference: {
-      static const obs::Counter c(
-          obs::ObsLabeled("sim.exec.charge_mode", "mode", "reference").c_str());
-      c.Inc();
-      break;
-    }
-    case ChargeMode::kCompiled: {
-      static const obs::Counter c(
-          obs::ObsLabeled("sim.exec.charge_mode", "mode", "compiled").c_str());
-      c.Inc();
-      break;
-    }
+  // One static handle per mode, registered on first use so a mode never
+  // selected exports no row: labeled-counter registration is idempotent and
+  // the handles live for the process (metrics.h).
+  if (mode == ChargeMode::kCompiled) {
+    static const obs::Counter c(
+        obs::ObsLabeled("sim.exec.charge_mode", "mode", "compiled").c_str());
+    c.Inc();
+  } else {
+    static const obs::Counter c(
+        obs::ObsLabeled("sim.exec.charge_mode", "mode", "interpreted").c_str());
+    c.Inc();
   }
 }
 
@@ -102,32 +80,8 @@ void Executor::FlushBlocksCharged() {
 }
 
 void Executor::set_charge_mode(ChargeMode mode) {
-  if (mode == ChargeMode::kPrepared &&
-      machine_->config().l1i.line_bytes != Program::kPreparedLineBytes) {
-    throw ExecError("set_charge_mode(kPrepared): machine L1I line size is " +
-                    std::to_string(machine_->config().l1i.line_bytes) +
-                    " bytes but the prepared I-fetch spans assume Program::kPreparedLineBytes = " +
-                    std::to_string(Program::kPreparedLineBytes) +
-                    " bytes; use kGeneric or kCompiled for this geometry");
-  }
-  if (mode == ChargeMode::kCompiled) {
-    if (!CompiledProgram::Compilable(machine_->config())) {
-      throw ExecError("set_charge_mode(kCompiled): machine geometry is not compilable (L1I " +
-                      std::to_string(machine_->config().l1i.line_bytes) + "B lines, L1D " +
-                      std::to_string(machine_->config().l1d.line_bytes) + "B, L2 " +
-                      std::to_string(machine_->config().l2.line_bytes) + "B, " +
-                      std::to_string(machine_->config().bpred.btb_entries) + " BTB entries)");
-    }
-    compiled_ = program_->CompiledFor(machine_->config());
-    iline_gen_.assign(compiled_->num_blocks(), 0);
-  }
   charge_mode_ = mode;
-  // AtCompiled maintains only cur_/cur_cblock_; switching to an interpreter
-  // mode mid-path must rebuild the Block/HotBlock views its At body reads.
-  if (cur_ != kNoBlock) {
-    cur_block_ = &program_->block(cur_);
-    cur_hot_ = &program_->hot(cur_);
-  }
+  cur_cblock_ = cur_ != kNoBlock ? &compiled_->block(cur_) : nullptr;
   CountChargeMode(mode);
 }
 
@@ -149,8 +103,6 @@ void Executor::Begin(FuncId entry_func) {
   in_path_ = true;
   entry_func_ = entry_func;
   cur_ = kNoBlock;
-  cur_block_ = nullptr;
-  cur_hot_ = nullptr;
   cur_cblock_ = nullptr;
   dyn_count_ = 0;
   call_stack_.clear();
@@ -190,82 +142,148 @@ void Executor::CloseBlockWindow() {
   sink_->OnEvent(e);
 }
 
-void Executor::LeaveCurrent() {
-  if (cur_ == kNoBlock) {
-    return;
+Executor::EdgeBranch Executor::TakeEdge(const BlockEdges* p, BlockId bid) {
+  if (p == nullptr) {
+    const BlockId expect = program_->function(entry_func_).entry;
+    if (bid != expect) {
+      Fail("path must start at entry block " + program_->block(expect).name + ", got " +
+           program_->block(bid).name);
+    }
+    return {};
   }
-  const Block& p = program_->block(cur_);
-  if (dyn_count_ > p.max_dynamic_accesses) {
-    Fail("block " + p.name + " exceeded its dynamic-access budget: " +
-         std::to_string(dyn_count_) + " > " + std::to_string(p.max_dynamic_accesses));
+  if (dyn_count_ > p->max_dynamic_accesses) {
+    FailDynBudget();
   }
   dyn_count_ = 0;
-}
-
-void Executor::ChargeBranch(Addr pc, BranchKind kind, bool taken) {
-  if (charge_mode_ == ChargeMode::kReference) {
-    machine_->BranchReference(pc, kind, taken);
-  } else {
-    machine_->Branch(pc, kind, taken);
-  }
-}
-
-void Executor::ChargeBlockPrepared(const HotBlock& h) {
-  machine_->InstrFetchLines(h.ifetch_first_line, h.ifetch_line_count, h.instr_count);
-  const PreparedAccess* pa = program_->prepared_pool() + h.prepared_begin;
-  for (std::uint32_t i = 0; i < h.prepared_count; ++i) {
-    machine_->DataAccess(pa[i].addr, pa[i].write);
-  }
-  if (h.raw_cycles != 0) {
-    machine_->RawCycles(h.raw_cycles);
-  }
-  const RegOp* ro = program_->regop_pool() + h.regop_begin;
-  for (std::uint32_t i = 0; i < h.regop_count; ++i) {
-    const RegOp& op = ro[i];
-    switch (op.kind) {
-      case RegOp::Kind::kConst:
-        regs_[op.dst] = op.imm;
-        break;
-      case RegOp::Kind::kAdd:
-        regs_[op.dst] += op.imm;
-        break;
-      case RegOp::Kind::kMovReg:
-        regs_[op.dst] = regs_[op.src];
-        break;
+  if (p->callee != kNoFunc) {
+    // Call edge.
+    if (bid != p->callee_entry) {
+      Fail("call block " + program_->block(cur_).name + " must enter " +
+           program_->function(p->callee).name + ", got " + program_->block(bid).name);
     }
-    written_ |= static_cast<std::uint16_t>(1u << op.dst);
+    Frame f;
+    f.resume = p->succ0;
+    f.regs = regs_;
+    f.written = written_;
+    call_stack_.push_back(f);
+    written_ = 0;  // callee starts with no semantically-known registers
+    return {BranchKind::kDirect, true};
   }
+  if (p->is_return) {
+    // Return edge.
+    if (call_stack_.empty()) {
+      Fail("return from " + program_->block(cur_).name +
+           " with empty call stack; expected End()");
+    }
+    const Frame f = call_stack_.back();
+    call_stack_.pop_back();
+    if (bid != f.resume) {
+      Fail("return to " + program_->block(bid).name + " but resume block is " +
+           program_->block(f.resume).name);
+    }
+    regs_ = f.regs;
+    written_ = f.written;
+    return {BranchKind::kReturn, true};
+  }
+  // Intra-function edge. succ1 is kNoBlock for single-successor blocks, which
+  // no real block id equals, so two compares cover both arities.
+  if (bid != p->succ0 && bid != p->succ1) {
+    Fail("edge " + program_->block(cur_).name + " -> " + program_->block(bid).name +
+         " not in CFG");
+  }
+  if (p->nsuccs == 2) {
+    const bool taken = (bid == p->succ1);
+    // Cross-check semantic conditions where declared and where all involved
+    // registers hold known values.
+    if (p->cond.HasSemantics() && (written_ & CondRegMask(p->cond)) == CondRegMask(p->cond)) {
+      const bool predicted = EvalCond(regs_, p->cond);
+      if (p->cond.one_sided) {
+        // Guard semantics: the condition must hold whenever the taken edge
+        // is followed; early exit on the not-taken edge is allowed.
+        if (taken && !predicted) {
+          Fail("guard condition of " + program_->block(cur_).name + " violated on taken edge");
+        }
+      } else if (predicted != taken) {
+        Fail("semantic branch condition of " + program_->block(cur_).name +
+             " disagrees with executed direction");
+      }
+    }
+    return {BranchKind::kConditional, taken};
+  }
+  if (p->branch == BranchKind::kDirect) {
+    return {BranchKind::kDirect, true};
+  }
+  return {};  // single-successor fall-through: no branch cost
 }
 
-void Executor::ChargeBlock(const Block& b) {
-  switch (charge_mode_) {
-    case ChargeMode::kPrepared:
-      machine_->InstrFetchLines(b.ifetch_first_line, b.ifetch_line_count, b.instr_count);
-      for (const PreparedAccess& a : b.prepared_accesses) {
-        machine_->DataAccess(a.addr, a.write);
-      }
-      break;
-    case ChargeMode::kGeneric:
-      machine_->InstrFetch(b.address, b.instr_count);
-      for (const StaticAccess& a : b.static_accesses) {
-        machine_->DataAccess(program_->ResolveStatic(b, a), a.write);
-      }
-      break;
-    case ChargeMode::kReference:
-      machine_->InstrFetchReference(b.address, b.instr_count);
-      for (const StaticAccess& a : b.static_accesses) {
-        machine_->DataAccessReference(program_->ResolveStatic(b, a), a.write);
-      }
-      break;
-    case ChargeMode::kCompiled:
-      // Unreachable: compiled mode charges through AtCompiled's stream.
-      assert(false);
-      break;
+void Executor::Enter(BlockId bid, const BlockEdges* prev, bool is_preemption_point) {
+  if (plain_path_) {
+    cur_ = bid;
+    blocks_pending_++;
+    return;
+  }
+  if (sink_ != nullptr && prev != nullptr) {
+    // The branch terminating the previous block has already been charged, so
+    // the closing window attributes it (plus any Touch costs) to that block.
+    CloseBlockWindow();
+    if (prev->is_preemption_point && prev->nsuccs == 2 && bid == prev->succ1) {
+      TraceEvent e;
+      e.kind = TraceEventKind::kPreemptPointTaken;
+      e.cycle = machine_->Now();
+      e.name = program_->block(cur_).name.c_str();
+      e.id = cur_;
+      sink_->OnEvent(e);
+    }
+  }
+  cur_ = bid;
+  if (recording_) {
+    trace_.blocks.push_back(bid);
+  }
+  if (sink_ != nullptr) {
+    if (is_preemption_point) {
+      TraceEvent e;
+      e.kind = TraceEventKind::kPreemptPointHit;
+      e.cycle = machine_->Now();
+      e.name = program_->block(bid).name.c_str();
+      e.id = bid;
+      sink_->OnEvent(e);
+    }
+    OpenBlockWindow();
+  }
+  if (fault_hook_ != nullptr) {
+    fault_hook_->OnBlock(bid, is_preemption_point);
+  }
+  blocks_pending_++;
+}
+
+void Executor::AtInterpreted(BlockId bid) {
+  // The oracle reads only the Block descriptors and recomputes everything the
+  // compiled backend folds at CompiledFor/Layout() time, so a mis-lowered
+  // stream, a stale I-line memo or a mis-tallied batch shows up as a
+  // divergence between the two modes.
+  if (!in_path_) {
+    Fail("At() outside a kernel path");
+  }
+  const Block& b = program_->block(bid);
+  std::optional<BlockEdges> prev;
+  if (cur_ != kNoBlock) {
+    prev = program_->EdgesOf(cur_);
+  }
+  const EdgeBranch br = TakeEdge(prev ? &*prev : nullptr, bid);
+  if (br.kind != BranchKind::kNone) {
+    const Block& p = program_->block(cur_);
+    machine_->Branch(p.address + (static_cast<Addr>(p.instr_count) - 1) * kInstrBytes, br.kind,
+                     br.taken);
+  }
+  Enter(bid, prev ? &*prev : nullptr, b.is_preemption_point);
+
+  machine_->InstrFetch(b.address, b.instr_count);
+  for (const StaticAccess& a : b.static_accesses) {
+    machine_->DataAccess(program_->ResolveStatic(b, a), a.write);
   }
   if (b.raw_cycles != 0) {
     machine_->RawCycles(b.raw_cycles);
   }
-  // Interpret the register ops attached to this block.
   for (const RegOp& op : b.reg_ops) {
     switch (op.kind) {
       case RegOp::Kind::kConst:
@@ -279,131 +297,6 @@ void Executor::ChargeBlock(const Block& b) {
         break;
     }
     written_ |= static_cast<std::uint16_t>(1u << op.dst);
-  }
-}
-
-void Executor::AtInterpreted(BlockId bid) {
-  // Inner-loop discipline: the hot path below reads only the flat HotBlock
-  // table (program_->hot) — the full Block (strings, per-block vectors) is
-  // touched solely on error paths and behind the sink_/recording_ gates.
-  if (charge_mode_ == ChargeMode::kReference) {
-    AtReference(bid);
-    return;
-  }
-  if (!in_path_) {
-    Fail("At() outside a kernel path");
-  }
-  const HotBlock& h = program_->hot(bid);
-
-  if (cur_ == kNoBlock) {
-    const BlockId expect = program_->function(entry_func_).entry;
-    if (bid != expect) {
-      Fail("path must start at entry block " + program_->block(expect).name + ", got " +
-           program_->block(bid).name);
-    }
-  } else {
-    const HotBlock& p = *cur_hot_;
-    if (dyn_count_ > p.max_dynamic_accesses) {
-      FailDynBudget();
-    }
-    dyn_count_ = 0;
-    if (p.callee != kNoFunc) {
-      // Call edge.
-      if (bid != p.callee_entry) {
-        Fail("call block " + cur_block_->name + " must enter " +
-             program_->function(p.callee).name + ", got " + program_->block(bid).name);
-      }
-      ChargeBranch(p.branch_pc, BranchKind::kDirect, true);
-      Frame f;
-      f.resume = p.succ0;
-      f.regs = regs_;
-      f.written = written_;
-      call_stack_.push_back(f);
-      written_ = 0;  // callee starts with no semantically-known registers
-    } else if (p.is_return) {
-      // Return edge.
-      if (call_stack_.empty()) {
-        Fail("return from " + cur_block_->name + " with empty call stack; expected End()");
-      }
-      const Frame f = call_stack_.back();
-      call_stack_.pop_back();
-      if (bid != f.resume) {
-        Fail("return to " + program_->block(bid).name + " but resume block is " +
-             program_->block(f.resume).name);
-      }
-      ChargeBranch(p.branch_pc, BranchKind::kReturn, true);
-      regs_ = f.regs;
-      written_ = f.written;
-    } else {
-      // Intra-function edge. succ1 is kNoBlock for single-successor blocks,
-      // which no real block id equals, so two compares cover both arities.
-      if (bid != p.succ0 && bid != p.succ1) {
-        Fail("edge " + cur_block_->name + " -> " + program_->block(bid).name + " not in CFG");
-      }
-      if (p.nsuccs == 2) {
-        const bool taken = (bid == p.succ1);
-        // Cross-check semantic conditions where declared and where all
-        // involved registers hold known values.
-        if (p.has_cond_semantics && (written_ & CondRegMask(p.cond)) == CondRegMask(p.cond)) {
-          const bool predicted = EvalCond(regs_, p.cond);
-          if (p.cond.one_sided) {
-            // Guard semantics: the condition must hold whenever the taken
-            // edge is followed; early exit on the not-taken edge is allowed.
-            if (taken && !predicted) {
-              Fail("guard condition of " + cur_block_->name + " violated on taken edge");
-            }
-          } else if (predicted != taken) {
-            Fail("semantic branch condition of " + cur_block_->name +
-                 " disagrees with executed direction");
-          }
-        }
-        ChargeBranch(p.branch_pc, BranchKind::kConditional, taken);
-      } else if (p.branch == BranchKind::kDirect) {
-        ChargeBranch(p.branch_pc, BranchKind::kDirect, true);
-      }
-      // Single-successor fall-through: no branch cost.
-    }
-  }
-
-  if (sink_ != nullptr && cur_ != kNoBlock) {
-    // The branch terminating the previous block has been charged above, so
-    // the closing window attributes it (plus any Touch costs) to that block.
-    CloseBlockWindow();
-    const HotBlock& prev = *cur_hot_;
-    if (prev.is_preemption_point && prev.nsuccs == 2 && bid == prev.succ1) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kPreemptPointTaken;
-      e.cycle = machine_->Now();
-      e.name = cur_block_->name.c_str();
-      e.id = cur_;
-      sink_->OnEvent(e);
-    }
-  }
-  cur_ = bid;
-  cur_block_ = &program_->block(bid);
-  cur_hot_ = &h;
-  if (recording_) {
-    trace_.blocks.push_back(bid);
-  }
-  if (sink_ != nullptr) {
-    if (h.is_preemption_point) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kPreemptPointHit;
-      e.cycle = machine_->Now();
-      e.name = cur_block_->name.c_str();
-      e.id = bid;
-      sink_->OnEvent(e);
-    }
-    OpenBlockWindow();
-  }
-  if (fault_hook_ != nullptr) {
-    fault_hook_->OnBlock(bid, h.is_preemption_point);
-  }
-  blocks_pending_++;
-  if (charge_mode_ == ChargeMode::kPrepared) {
-    ChargeBlockPrepared(h);
-  } else {
-    ChargeBlock(*cur_block_);
   }
 }
 
@@ -555,11 +448,6 @@ op_end:
 }
 
 void Executor::AtCompiled(BlockId bid) {
-  // Mirror of At(): identical validation outcomes, error messages, hook and
-  // sink timing, and modelled state transitions — only the record read for
-  // edge checks (CompiledBlock) and the charging implementation (the block's
-  // precompiled stream) differ. Keep the three in sync; the equivalence test
-  // and the bench digest gate cross-check them.
   if (!in_path_) {
     Fail("At() outside a kernel path");
   }
@@ -568,132 +456,17 @@ void Executor::AtCompiled(BlockId bid) {
   // End); sink block windows need boundary-exact counters, so a sink forces
   // the eager per-block flush.
   Machine::PathTally* const tally = sink_ == nullptr ? &tally_ : nullptr;
-
-  if (cur_ == kNoBlock) {
-    const BlockId expect = program_->function(entry_func_).entry;
-    if (bid != expect) {
-      Fail("path must start at entry block " + program_->block(expect).name + ", got " +
-           program_->block(bid).name);
-    }
-  } else {
-    const CompiledBlock& p = *cur_cblock_;
-    if (dyn_count_ > p.max_dynamic_accesses) {
-      FailDynBudget();
-    }
-    dyn_count_ = 0;
-    if (p.callee != kNoFunc) {
-      // Call edge.
-      if (bid != p.callee_entry) {
-        Fail("call block " + program_->block(cur_).name + " must enter " +
-             program_->function(p.callee).name + ", got " + program_->block(bid).name);
-      }
-      if (tally != nullptr) {
-        machine_->BranchSlotTallied(p.btb_index, p.branch_pc, BranchKind::kDirect, true, *tally);
-      } else {
-        machine_->BranchSlot(p.btb_index, p.branch_pc, BranchKind::kDirect, true);
-      }
-      Frame f;
-      f.resume = p.succ0;
-      f.regs = regs_;
-      f.written = written_;
-      call_stack_.push_back(f);
-      written_ = 0;  // callee starts with no semantically-known registers
-    } else if (p.is_return) {
-      // Return edge.
-      if (call_stack_.empty()) {
-        Fail("return from " + program_->block(cur_).name +
-             " with empty call stack; expected End()");
-      }
-      const Frame f = call_stack_.back();
-      call_stack_.pop_back();
-      if (bid != f.resume) {
-        Fail("return to " + program_->block(bid).name + " but resume block is " +
-             program_->block(f.resume).name);
-      }
-      if (tally != nullptr) {
-        machine_->BranchSlotTallied(p.btb_index, p.branch_pc, BranchKind::kReturn, true, *tally);
-      } else {
-        machine_->BranchSlot(p.btb_index, p.branch_pc, BranchKind::kReturn, true);
-      }
-      regs_ = f.regs;
-      written_ = f.written;
+  const CompiledBlock* const prev = cur_ != kNoBlock ? cur_cblock_ : nullptr;
+  const EdgeBranch br = TakeEdge(prev != nullptr ? &prev->edges : nullptr, bid);
+  if (br.kind != BranchKind::kNone) {
+    if (tally != nullptr) {
+      machine_->BranchSlotTallied(prev->btb_index, prev->branch_pc, br.kind, br.taken, *tally);
     } else {
-      // Intra-function edge. succ1 is kNoBlock for single-successor blocks,
-      // which no real block id equals, so two compares cover both arities.
-      if (bid != p.succ0 && bid != p.succ1) {
-        Fail("edge " + program_->block(cur_).name + " -> " + program_->block(bid).name +
-             " not in CFG");
-      }
-      if (p.nsuccs == 2) {
-        const bool taken = (bid == p.succ1);
-        if (p.has_cond_semantics && (written_ & CondRegMask(p.cond)) == CondRegMask(p.cond)) {
-          const bool predicted = EvalCond(regs_, p.cond);
-          if (p.cond.one_sided) {
-            if (taken && !predicted) {
-              Fail("guard condition of " + program_->block(cur_).name + " violated on taken edge");
-            }
-          } else if (predicted != taken) {
-            Fail("semantic branch condition of " + program_->block(cur_).name +
-                 " disagrees with executed direction");
-          }
-        }
-        if (tally != nullptr) {
-          machine_->BranchSlotTallied(p.btb_index, p.branch_pc, BranchKind::kConditional, taken,
-                                      *tally);
-        } else {
-          machine_->BranchSlot(p.btb_index, p.branch_pc, BranchKind::kConditional, taken);
-        }
-      } else if (p.branch == BranchKind::kDirect) {
-        if (tally != nullptr) {
-          machine_->BranchSlotTallied(p.btb_index, p.branch_pc, BranchKind::kDirect, true,
-                                      *tally);
-        } else {
-          machine_->BranchSlot(p.btb_index, p.branch_pc, BranchKind::kDirect, true);
-        }
-      }
-      // Single-successor fall-through: no branch cost.
+      machine_->BranchSlot(prev->btb_index, prev->branch_pc, br.kind, br.taken);
     }
   }
-
-  if (sink_ != nullptr && cur_ != kNoBlock) {
-    // The branch terminating the previous block has been charged above, so
-    // the closing window attributes it (plus any Touch costs) to that block.
-    CloseBlockWindow();
-    const CompiledBlock& prev = *cur_cblock_;
-    if (prev.is_preemption_point && prev.nsuccs == 2 && bid == prev.succ1) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kPreemptPointTaken;
-      e.cycle = machine_->Now();
-      e.name = program_->block(cur_).name.c_str();
-      e.id = cur_;
-      sink_->OnEvent(e);
-    }
-  }
-  // The hot path maintains only cur_ and cur_cblock_; the Block/HotBlock
-  // views (error messages, sink events, End()) are recomputed on demand from
-  // cur_ — two stores per block saved on the innermost loop.
-  cur_ = bid;
+  Enter(bid, prev != nullptr ? &prev->edges : nullptr, cb.edges.is_preemption_point);
   cur_cblock_ = &cb;
-  if (!plain_path_) {
-    if (recording_) {
-      trace_.blocks.push_back(bid);
-    }
-    if (sink_ != nullptr) {
-      if (cb.is_preemption_point) {
-        TraceEvent e;
-        e.kind = TraceEventKind::kPreemptPointHit;
-        e.cycle = machine_->Now();
-        e.name = program_->block(bid).name.c_str();
-        e.id = bid;
-        sink_->OnEvent(e);
-      }
-      OpenBlockWindow();
-    }
-    if (fault_hook_ != nullptr) {
-      fault_hook_->OnBlock(bid, cb.is_preemption_point);
-    }
-  }
-  blocks_pending_++;
   // I-fetch memo: if this block's I-lines all hit the last time it ran and
   // the L1I's line state has not changed since (Cache::Gen — hits mutate
   // nothing, so only installs elsewhere can evict them), skip the I-line
@@ -721,128 +494,6 @@ void Executor::AtCompiled(BlockId bid) {
   }
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-void Executor::AtReference(BlockId bid) {
-  // Seed cost profile of At(): every edge check reads the full Block structs
-  // (array-of-large-structs indexing, heap-allocated successor vectors), the
-  // branch PC is recomputed from address/instr_count per edge, the budget
-  // check goes through the out-of-line LeaveCurrent(), and block costs are
-  // charged via the division-based reference machine entries (ChargeBlock in
-  // kReference mode). Validation outcomes, hook invocations and all modelled
-  // state transitions are identical to At(); only the host-side cost
-  // differs. hotpath_equivalence_test cross-checks the two.
-  if (!in_path_) {
-    Fail("At() outside a kernel path");
-  }
-  const Block& b = program_->block(bid);
-
-  if (cur_ == kNoBlock) {
-    const BlockId expect = program_->function(entry_func_).entry;
-    if (bid != expect) {
-      Fail("path must start at entry block " + program_->block(expect).name + ", got " + b.name);
-    }
-  } else {
-    const Block& p = program_->block(cur_);
-    LeaveCurrent();
-    if (p.callee != kNoFunc) {
-      // Call edge.
-      if (bid != program_->function(p.callee).entry) {
-        Fail("call block " + p.name + " must enter " + program_->function(p.callee).name +
-             ", got " + b.name);
-      }
-      const Addr branch_pc = p.address + (static_cast<Addr>(p.instr_count) - 1) * 4;
-      machine_->BranchReference(branch_pc, BranchKind::kDirect, true);
-      Frame f;
-      f.resume = p.succs[0];
-      f.regs = regs_;
-      f.written = written_;
-      call_stack_.push_back(f);
-      written_ = 0;  // callee starts with no semantically-known registers
-    } else if (p.is_return) {
-      // Return edge.
-      if (call_stack_.empty()) {
-        Fail("return from " + p.name + " with empty call stack; expected End()");
-      }
-      const Frame f = call_stack_.back();
-      call_stack_.pop_back();
-      if (bid != f.resume) {
-        Fail("return to " + b.name + " but resume block is " + program_->block(f.resume).name);
-      }
-      const Addr branch_pc = p.address + (static_cast<Addr>(p.instr_count) - 1) * 4;
-      machine_->BranchReference(branch_pc, BranchKind::kReturn, true);
-      regs_ = f.regs;
-      written_ = f.written;
-    } else {
-      // Intra-function edge.
-      bool found = false;
-      for (BlockId s : p.succs) {
-        if (s == bid) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        Fail("edge " + p.name + " -> " + b.name + " not in CFG");
-      }
-      const Addr branch_pc = p.address + (static_cast<Addr>(p.instr_count) - 1) * 4;
-      if (p.succs.size() == 2) {
-        const bool taken = (bid == p.succs[1]);
-        if (p.cond.HasSemantics() && (written_ & CondRegMask(p.cond)) == CondRegMask(p.cond)) {
-          const bool predicted = EvalCond(regs_, p.cond);
-          if (p.cond.one_sided) {
-            if (taken && !predicted) {
-              Fail("guard condition of " + p.name + " violated on taken edge");
-            }
-          } else if (predicted != taken) {
-            Fail("semantic branch condition of " + p.name + " disagrees with executed direction");
-          }
-        }
-        machine_->BranchReference(branch_pc, BranchKind::kConditional, taken);
-      } else if (p.branch == BranchKind::kDirect) {
-        machine_->BranchReference(branch_pc, BranchKind::kDirect, true);
-      }
-      // Single-successor fall-through: no branch cost.
-    }
-  }
-
-  if (sink_ != nullptr && cur_ != kNoBlock) {
-    CloseBlockWindow();
-    const Block& prev = *cur_block_;
-    if (prev.is_preemption_point && prev.succs.size() == 2 && bid == prev.succs[1]) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kPreemptPointTaken;
-      e.cycle = machine_->Now();
-      e.name = prev.name.c_str();
-      e.id = cur_;
-      sink_->OnEvent(e);
-    }
-  }
-  cur_ = bid;
-  cur_block_ = &b;
-  cur_hot_ = &program_->hot(bid);
-  if (recording_) {
-    trace_.blocks.push_back(bid);
-  }
-  if (sink_ != nullptr) {
-    if (b.is_preemption_point) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kPreemptPointHit;
-      e.cycle = machine_->Now();
-      e.name = b.name.c_str();
-      e.id = bid;
-      sink_->OnEvent(e);
-    }
-    OpenBlockWindow();
-  }
-  if (fault_hook_ != nullptr) {
-    fault_hook_->OnBlock(bid, b.is_preemption_point);
-  }
-  blocks_pending_++;
-  ChargeBlock(b);
-}
-
 void Executor::FailTouchOutsideBlock() const { Fail("Touch() outside a block"); }
 
 void Executor::FailDynBudget() const {
@@ -851,42 +502,16 @@ void Executor::FailDynBudget() const {
        std::to_string(dyn_count_) + " > " + std::to_string(b.max_dynamic_accesses));
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((noinline))
-#endif
-void Executor::TouchReference(Addr addr, bool write) {
-  if (!in_path_ || cur_ == kNoBlock) {
-    FailTouchOutsideBlock();
-  }
-  dyn_count_++;
-  machine_->DataAccessReference(addr, write);
-}
-
 void Executor::SetReg(std::uint8_t reg, std::int64_t value) {
   if (!in_path_ || cur_ == kNoBlock) {
     Fail("SetReg() outside a block");
   }
   // Validate against any loop-input declaration in the current function.
-  if (charge_mode_ == ChargeMode::kReference) {
-    // Seed cost profile: re-walk every block of the function per injection.
-    // Validation outcomes are identical to the flattened table below.
-    const Function& f = program_->function(program_->block(cur_).func);
-    for (BlockId bid : f.blocks) {
-      for (const LoopInput& in : program_->block(bid).loop_inputs) {
-        if (in.reg == reg && (value < in.min || value > in.max)) {
-          Fail("SetReg r" + std::to_string(reg) + "=" + std::to_string(value) +
-               " outside declared loop-input range [" + std::to_string(in.min) + "," +
-               std::to_string(in.max) + "] of " + program_->block(bid).name);
-        }
-      }
-    }
-  } else {
-    for (const LoopInputDecl& in : program_->loop_inputs_of(program_->block(cur_).func)) {
-      if (in.reg == reg && (value < in.min || value > in.max)) {
-        Fail("SetReg r" + std::to_string(reg) + "=" + std::to_string(value) +
-             " outside declared loop-input range [" + std::to_string(in.min) + "," +
-             std::to_string(in.max) + "] of " + program_->block(in.block).name);
-      }
+  for (const LoopInputDecl& in : program_->loop_inputs_of(program_->block(cur_).func)) {
+    if (in.reg == reg && (value < in.min || value > in.max)) {
+      Fail("SetReg r" + std::to_string(reg) + "=" + std::to_string(value) +
+           " outside declared loop-input range [" + std::to_string(in.min) + "," +
+           std::to_string(in.max) + "] of " + program_->block(in.block).name);
     }
   }
   regs_[reg] = value;
@@ -907,7 +532,10 @@ void Executor::End() {
   if (!call_stack_.empty()) {
     Fail("End() with non-empty call stack");
   }
-  LeaveCurrent();
+  if (dyn_count_ > p.max_dynamic_accesses) {
+    FailDynBudget();
+  }
+  dyn_count_ = 0;
   if (sink_ != nullptr) {
     CloseBlockWindow();
     TraceEvent e;
@@ -919,7 +547,6 @@ void Executor::End() {
   }
   in_path_ = false;
   cur_ = kNoBlock;
-  cur_block_ = nullptr;
   cur_cblock_ = nullptr;
   if (recording_) {
     trace_.end_cycle = machine_->Now();

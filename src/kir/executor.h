@@ -54,52 +54,44 @@ class Executor {
  public:
   static constexpr std::size_t kNumRegs = 16;
 
-  // How block costs are charged to the machine. All modes produce
-  // bit-identical modelled results (cycles, counters, cache state, traces);
-  // they differ only in host-side cost. hotpath_equivalence_test verifies the
-  // bit-identity.
+  // How block costs are charged to the machine. Both modes produce
+  // bit-identical modelled results (cycles, counters, cache state, traces,
+  // validation outcomes); hotpath_equivalence_test enforces the identity.
   enum class ChargeMode : std::uint8_t {
-    // Interpreter: iterate the Layout()-precomputed I-fetch spans and
-    // resolved static access addresses. Requires the machine's L1I line size
-    // to match Program::kPreparedLineBytes; selected when it does and the
-    // compiled backend is off (hotpath::SetCompiledMode(false)).
-    kPrepared,
-    // Interpreter fallback: recompute spans and resolve static accesses per
-    // execution. Selected for non-standard cache geometry with the compiled
-    // backend off or uncompilable geometry.
-    kGeneric,
-    // Benchmark baseline: generic arithmetic through the out-of-line
-    // division-based reference entries (Machine::InstrFetchReference /
-    // DataAccessReference). Selected at construction when
-    // pmk::hotpath::ReferenceMode() is on.
-    kReference,
-    // Compiled threaded-code backend (src/kir/compiled.h): one indirect jump
-    // into the block's precompiled charge stream, cache geometry and BTB
-    // indices constant-folded per machine specialisation. The default.
+    // Production path: the compiled threaded-code backend
+    // (src/kir/compiled.h). One indirect jump into the block's precompiled
+    // charge stream, with cache geometry and BTB indices constant-folded per
+    // machine specialisation, an I-fetch memo, path-deferred counters
+    // (Machine::PathTally) and batched TouchRun (Machine::DataAccessRun).
+    // The default.
     kCompiled,
+    // Oracle: a plain interpreter over the Block descriptors. It recomputes
+    // branch PCs, I-fetch spans and static addresses from the Block on every
+    // execution, charges through the per-access Machine::InstrFetch /
+    // DataAccess / Branch entries (TouchRun as one DataAccess per element)
+    // and reads nothing Program::Layout() precomputed, so every compiled-path
+    // shortcut is checked against plain per-access charging.
+    kInterpreted,
   };
 
   Executor(const Program* program, Machine* machine);
 
   ChargeMode charge_mode() const { return charge_mode_; }
 
-  // Switches the charging implementation. Validates the mode against the
-  // machine: kPrepared requires the L1I line size to match
-  // Program::kPreparedLineBytes (a mismatch would silently mischarge I-fetch
-  // spans), and kCompiled requires a compilable geometry; either violation
-  // throws ExecError naming the geometry. Selecting kCompiled (re)binds the
-  // program's specialisation for this machine.
+  // Selects the charging implementation; the only way to select the oracle.
+  // Allowed within a kernel path. Kernel::Clone and engine::StateSerializer
+  // carry the mode over to the copy.
   void set_charge_mode(ChargeMode mode);
 
   // Starts a kernel path at |entry_func|'s entry block.
   void Begin(FuncId entry_func);
 
-  // Announces execution of block |b| (charges fetch, static accesses, branch
-  // from the previous block, raw cycles; interprets register ops). Inline
+  // Announces execution of block |b|: validates the CFG edge from the
+  // current block, charges the branch ending it, then |b|'s fetch, static
+  // accesses and raw cycles, and interprets its register ops. Inline
   // dispatch: the compiled backend is the default mode and this is called
   // once per block, so the common case pays one predicted compare and a tail
-  // call into AtCompiled. Reference mode goes through the out-of-line
-  // AtReference twin that replicates the seed implementation's per-edge cost.
+  // call into AtCompiled.
   void At(BlockId b) {
     if (charge_mode_ == ChargeMode::kCompiled) {
       AtCompiled(b);
@@ -112,10 +104,6 @@ class Executor {
   // object-clearing loops issue one Touch per modelled line, so this is the
   // single hottest call site in long campaigns.
   void Touch(Addr addr, bool write = false) {
-    if (charge_mode_ == ChargeMode::kReference) {
-      TouchReference(addr, write);  // seed call depth: out-of-line end to end
-      return;
-    }
     if (!in_path_ || cur_ == kNoBlock) {
       FailTouchOutsideBlock();
     }
@@ -130,26 +118,23 @@ class Executor {
   // |count| dynamically-addressed accesses at base, base+stride, ... within
   // the current block, charged as one batch (Machine::DataAccessRun): the
   // kernel's object-clearing loops issue one call per chunk instead of one
-  // Touch per modelled line. Bit-identical to the equivalent Touch loop; in
-  // reference mode the loop is replayed per element to preserve the seed
-  // cost profile.
+  // Touch per modelled line. Bit-identical to the equivalent Touch loop,
+  // which the oracle runs instead.
   void TouchRun(Addr base, std::uint32_t count, std::uint32_t stride, bool write = false) {
     if (count == 0) {
-      return;
-    }
-    if (charge_mode_ == ChargeMode::kReference) {
-      for (std::uint32_t i = 0; i < count; ++i) {
-        TouchReference(base + static_cast<Addr>(i) * stride, write);
-      }
       return;
     }
     if (!in_path_ || cur_ == kNoBlock) {
       FailTouchOutsideBlock();
     }
     dyn_count_ += count;
-    machine_->DataAccessRun(
-        base, count, stride, write,
-        charge_mode_ == ChargeMode::kCompiled && sink_ == nullptr ? &tally_ : nullptr);
+    if (charge_mode_ == ChargeMode::kInterpreted) {
+      for (std::uint32_t i = 0; i < count; ++i) {
+        machine_->DataAccess(base + static_cast<Addr>(i) * stride, write);
+      }
+      return;
+    }
+    machine_->DataAccessRun(base, count, stride, write, sink_ == nullptr ? &tally_ : nullptr);
   }
 
   // Injects a runtime value into register |reg| (a loop input). Validated
@@ -200,13 +185,23 @@ class Executor {
   Machine& machine() { return *machine_; }
 
  private:
-  void LeaveCurrent();
-  void ChargeBlock(const Block& b);
-  // Prepared-mode charge path over the flat HotBlock table and pools.
-  void ChargeBlockPrepared(const HotBlock& h);
-  // Charges the branch ending the previous block via the fast inline
-  // Machine::Branch, or via the out-of-line reference twin in reference mode.
-  void ChargeBranch(Addr pc, BranchKind kind, bool taken);
+  // The branch ending the block being left, as TakeEdge resolved it; kNone
+  // for a fall-through, which charges nothing.
+  struct EdgeBranch {
+    BranchKind kind = BranchKind::kNone;
+    bool taken = false;
+  };
+  // Validates the transition into |bid| from the current block, whose CFG
+  // facts are |p| (null at path start: |bid| must be the entry block):
+  // dynamic-access budget, call/return/successor edge and declared branch
+  // semantics. Applies the edge's call-stack and register effects and
+  // returns the branch to charge; throws ExecError on any divergence. Shared
+  // by both charge modes, which charge the branch each their own way.
+  EdgeBranch TakeEdge(const BlockEdges* p, BlockId bid);
+  // Makes |bid| current and runs the attached observers (sink block windows
+  // and preemption-point events, trace recording, fault hook). |prev| is the
+  // CFG record of the block being left, null at path start.
+  void Enter(BlockId bid, const BlockEdges* prev, bool is_preemption_point);
   // Emits the kBlockCost event for the block being left (cycles and misses
   // accumulated since OpenBlockWindow) and re-snapshots the counters.
   void CloseBlockWindow();
@@ -214,24 +209,16 @@ class Executor {
   [[noreturn]] void Fail(const std::string& msg) const;
   [[noreturn]] void FailTouchOutsideBlock() const;
   [[noreturn]] void FailDynBudget() const;
-  // Reference-mode Touch body: replicates the seed's out-of-line
-  // Touch -> DataAccess call chain so the benchmark baseline pays the
-  // pre-optimisation call depth.
-  void TouchReference(Addr addr, bool write);
-  // Reference-mode At body: the seed's per-edge cost profile — full Block
-  // struct lookups, heap successor-vector walks, per-edge branch-PC
-  // recomputation — with identical validation, hooks and state transitions.
-  void AtReference(BlockId bid);
-  // Interpreter At body (kPrepared/kGeneric, and the kReference re-dispatch).
+  // Oracle At body (kInterpreted): edge facts, branch PC, I-fetch span and
+  // static addresses regathered from the Block on every execution.
   void AtInterpreted(BlockId bid);
-  // Compiled-mode At body: identical validation, hooks and state transitions
-  // to At(), with edge checks over the CompiledBlock record and block costs
+  // Compiled At body: edge facts from the CompiledBlock record, block costs
   // charged through the block's precompiled stream (CompiledProgram::Run).
   void AtCompiled(BlockId bid);
   // Flushes the deferred path tally (compiled mode, no sink) into the
   // machine's counters and cache stats. Called at End(), before throwing
-  // from Fail(), and when a sink attaches mid-path. Harmless no-op sums in
-  // the eager modes, where the tally stays zero.
+  // from Fail(), and when a sink attaches mid-path. A harmless no-op sum
+  // when charging is eager, where the tally stays zero.
   void FlushPathTally() const {
     machine_->ApplyPathTally(tally_);
     tally_ = Machine::PathTally{};
@@ -254,11 +241,11 @@ class Executor {
 
   const Program* program_;
   Machine* machine_;
-  ChargeMode charge_mode_;
+  ChargeMode charge_mode_ = ChargeMode::kCompiled;
 
-  // Compiled-backend specialisation for machine_'s geometry; bound at
-  // construction / set_charge_mode(kCompiled), null in other modes.
-  const CompiledProgram* compiled_ = nullptr;
+  // Compiled-backend specialisation for machine_'s geometry, bound at
+  // construction.
+  const CompiledProgram* compiled_;
   // I-fetch memo, one slot per block: the machine's L1I line-state generation
   // (Cache::Gen) at the last run in which the block's I-lines all hit, or 0.
   // While the generation is unchanged the lines are still resident and the
@@ -267,9 +254,9 @@ class Executor {
 
   bool in_path_ = false;
   BlockId cur_ = kNoBlock;
-  const Block* cur_block_ = nullptr;   // &program_->block(cur_), cached
-  const HotBlock* cur_hot_ = nullptr;  // &program_->hot(cur_), cached
-  const CompiledBlock* cur_cblock_ = nullptr;  // &compiled_->block(cur_), cached
+  // &compiled_->block(cur_), cached for AtCompiled; the oracle leaves it alone
+  // and set_charge_mode re-derives it.
+  const CompiledBlock* cur_cblock_ = nullptr;
   FuncId entry_func_ = kNoFunc;
   std::uint32_t dyn_count_ = 0;
   std::uint64_t blocks_pending_ = 0;  // blocks charged since the last flush

@@ -137,64 +137,16 @@ void Program::Layout() {
   }
   laid_out_ = true;
 
-  // Precompute per-block execution data now that all addresses are final:
-  // the branch PC, the I-fetch line span (for kPreparedLineBytes-sized
-  // lines) and the resolved addresses of all static accesses. The executor's
-  // hot path iterates these instead of redoing the arithmetic per execution.
+  // Precompute the compiled backend's per-block inputs now that all
+  // addresses are final: the branch PC and the resolved addresses of all
+  // static accesses.
   for (Block& b : blocks_) {
     b.branch_pc = b.address + (static_cast<Addr>(b.instr_count) - 1) * kInstrBytes;
-    const Addr first = b.address / kPreparedLineBytes;
-    const Addr last =
-        (b.address + static_cast<Addr>(b.instr_count) * kInstrBytes - 1) / kPreparedLineBytes;
-    b.ifetch_first_line = first * kPreparedLineBytes;
-    b.ifetch_line_count = static_cast<std::uint32_t>(last - first + 1);
     b.prepared_accesses.clear();
     b.prepared_accesses.reserve(b.static_accesses.size());
     for (const StaticAccess& a : b.static_accesses) {
       b.prepared_accesses.push_back({ResolveStatic(b, a), a.write});
     }
-  }
-
-  // Flatten the execution-relevant fields into the hot-block table and the
-  // shared pools (see HotBlock in program.h).
-  hot_blocks_.clear();
-  hot_blocks_.reserve(blocks_.size());
-  prepared_pool_.clear();
-  regop_pool_.clear();
-  std::size_t n_prepared = 0;
-  std::size_t n_regops = 0;
-  for (const Block& b : blocks_) {
-    n_prepared += b.prepared_accesses.size();
-    n_regops += b.reg_ops.size();
-  }
-  prepared_pool_.reserve(n_prepared);
-  regop_pool_.reserve(n_regops);
-  for (const Block& b : blocks_) {
-    HotBlock h;
-    h.branch_pc = b.branch_pc;
-    h.ifetch_first_line = b.ifetch_first_line;
-    h.ifetch_line_count = b.ifetch_line_count;
-    h.instr_count = b.instr_count;
-    h.raw_cycles = b.raw_cycles;
-    h.max_dynamic_accesses = b.max_dynamic_accesses;
-    h.prepared_begin = static_cast<std::uint32_t>(prepared_pool_.size());
-    h.prepared_count = static_cast<std::uint32_t>(b.prepared_accesses.size());
-    prepared_pool_.insert(prepared_pool_.end(), b.prepared_accesses.begin(),
-                          b.prepared_accesses.end());
-    h.regop_begin = static_cast<std::uint32_t>(regop_pool_.size());
-    h.regop_count = static_cast<std::uint32_t>(b.reg_ops.size());
-    regop_pool_.insert(regop_pool_.end(), b.reg_ops.begin(), b.reg_ops.end());
-    h.callee = b.callee;
-    h.callee_entry = b.callee != kNoFunc ? funcs_[b.callee].entry : kNoBlock;
-    h.succ0 = b.succs.empty() ? kNoBlock : b.succs[0];
-    h.succ1 = b.succs.size() == 2 ? b.succs[1] : kNoBlock;
-    h.nsuccs = static_cast<std::uint8_t>(b.succs.size());
-    h.branch = b.branch;
-    h.is_return = b.is_return;
-    h.is_preemption_point = b.is_preemption_point;
-    h.has_cond_semantics = b.cond.HasSemantics();
-    h.cond = b.cond;
-    hot_blocks_.push_back(h);
   }
 
   // Flatten loop-input declarations per function for O(declared inputs)
@@ -214,6 +166,22 @@ void Program::RebuildLoopInputs() const {
     }
   }
   loop_inputs_stale_ = false;
+}
+
+BlockEdges Program::EdgesOf(BlockId id) const {
+  const Block& b = blocks_[id];
+  BlockEdges e;
+  e.max_dynamic_accesses = b.max_dynamic_accesses;
+  e.callee = b.callee;
+  e.callee_entry = b.callee != kNoFunc ? funcs_[b.callee].entry : kNoBlock;
+  e.succ0 = b.succs.empty() ? kNoBlock : b.succs[0];
+  e.succ1 = b.succs.size() == 2 ? b.succs[1] : kNoBlock;
+  e.nsuccs = static_cast<std::uint8_t>(b.succs.size());
+  e.branch = b.branch;
+  e.is_return = b.is_return;
+  e.is_preemption_point = b.is_preemption_point;
+  e.cond = b.cond;
+  return e;
 }
 
 Addr Program::ResolveStatic(const Block& b, const StaticAccess& a) const {

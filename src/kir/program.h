@@ -26,32 +26,21 @@ struct CompiledCache;
 std::shared_ptr<CompiledCache> NewCompiledCache();
 }  // namespace detail
 
-// Compact per-block execution descriptor, one flat array entry per Block,
-// built by Program::Layout(). The executor's inner loop reads only this
-// (plus the shared prepared-access / reg-op pools), so advancing a block
-// touches one or two contiguous cache lines instead of chasing the vectors
-// inside the full Block. Snapshotted at Layout() time: structural block
-// fields must not change afterwards (Block documents the same contract).
-struct HotBlock {
-  Addr branch_pc = 0;
-  Addr ifetch_first_line = 0;
-  std::uint32_t ifetch_line_count = 0;
-  std::uint32_t instr_count = 0;
-  std::uint32_t raw_cycles = 0;
+// The CFG facts of one block that the executor validates each transition
+// out of it against (Executor::At): edges, call/return shape, dynamic-access
+// budget and branch semantics. Program::EdgesOf gathers them from the Block;
+// the compiled backend snapshots them per block (CompiledBlock::edges) and
+// the interpreter oracle regathers them on every transition.
+struct BlockEdges {
   std::uint32_t max_dynamic_accesses = 0;
-  std::uint32_t prepared_begin = 0;  // into Program::prepared_pool()
-  std::uint32_t prepared_count = 0;
-  std::uint32_t regop_begin = 0;  // into Program::regop_pool()
-  std::uint32_t regop_count = 0;
   FuncId callee = kNoFunc;
-  BlockId callee_entry = kNoBlock;  // funcs_[callee].entry, prefetched
+  BlockId callee_entry = kNoBlock;  // entry block of |callee|
   BlockId succ0 = kNoBlock;         // fall-through / not-taken edge
   BlockId succ1 = kNoBlock;         // taken edge (two-successor blocks)
   std::uint8_t nsuccs = 0;
   BranchKind branch = BranchKind::kNone;
   bool is_return = false;
   bool is_preemption_point = false;
-  bool has_cond_semantics = false;
   BranchCond cond;
 };
 
@@ -73,13 +62,6 @@ class Program {
   static constexpr Addr kTextBase = 0x0010'0000;
   static constexpr Addr kDataBase = 0x0020'0000;
   static constexpr Addr kStackTop = 0x0030'0000;  // grows down
-
-  // Cache-line size assumed by the per-block precomputed I-fetch spans
-  // (Block::ifetch_first_line / ifetch_line_count). Matches the 32-byte lines
-  // of the modelled ARM1136/i.MX31 caches; the executor falls back to its
-  // generic (bit-identical) charge path if a machine is configured with a
-  // different L1I line size.
-  static constexpr std::uint32_t kPreparedLineBytes = 32;
 
   FuncId AddFunction(std::string_view name, std::uint32_t frame_bytes = 32);
   SymId AddSymbol(std::string_view name, std::uint32_t size);
@@ -110,10 +92,8 @@ class Program {
     return blocks_[id];
   }
 
-  // Hot-path views (valid after Layout()).
-  const HotBlock& hot(BlockId id) const { return hot_blocks_[id]; }
-  const PreparedAccess* prepared_pool() const { return prepared_pool_.data(); }
-  const RegOp* regop_pool() const { return regop_pool_.data(); }
+  // |id|'s CFG facts, gathered from the Block and its callee's Function.
+  BlockEdges EdgesOf(BlockId id) const;
   // All loop-input declarations of |f|, in block order (valid after Layout()).
   const std::vector<LoopInputDecl>& loop_inputs_of(FuncId f) const {
     if (loop_inputs_stale_) {
@@ -157,9 +137,6 @@ class Program {
   std::vector<Function> funcs_;
   std::vector<Block> blocks_;
   std::vector<DataSymbol> syms_;
-  std::vector<HotBlock> hot_blocks_;
-  std::vector<PreparedAccess> prepared_pool_;
-  std::vector<RegOp> regop_pool_;
   // Flattened loop-input declarations, indexed by FuncId; rebuilt lazily when
   // a post-layout mutable_block() may have changed the declarations.
   mutable std::vector<std::vector<LoopInputDecl>> func_loop_inputs_;

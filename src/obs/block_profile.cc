@@ -55,7 +55,7 @@ std::vector<BlockStats> BlockProfiler::Ranked() const {
   return out;
 }
 
-void BlockProfiler::PrintHotBlocks(const Program& program, std::size_t top_n,
+void BlockProfiler::PrintTopBlocks(const Program& program, std::size_t top_n,
                                    const std::vector<Cycles>* bounds, std::ostream& os) const {
   const std::vector<BlockStats> ranked = Ranked();
   char buf[256];

@@ -47,7 +47,7 @@ class BlockProfiler : public TraceSink {
   // Prints the top |top_n| blocks: execs, total/max cycles, misses, and —
   // when |bounds| (indexed by BlockId) is given — the per-execution WCET
   // ceiling and the max/bound ratio.
-  void PrintHotBlocks(const Program& program, std::size_t top_n,
+  void PrintTopBlocks(const Program& program, std::size_t top_n,
                       const std::vector<Cycles>* bounds, std::ostream& os) const;
 
   // True iff every profiled block's max per-execution cost is within its

@@ -1,5 +1,9 @@
 #include "src/wcet/analysis.h"
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 #include "src/obs/metrics.h"
 #include "src/wcet/refmode.h"
 
@@ -33,6 +37,20 @@ obs::Timer& CostTimer() {
 obs::Timer& IpetTimer() {
   static obs::Timer t("wcet.stage.ipet_nanos");
   return t;
+}
+
+const char* SolveStatusName(SolveStatus s) {
+  switch (s) {
+    case SolveStatus::kOptimal:
+      return "optimal";
+    case SolveStatus::kInfeasible:
+      return "infeasible";
+    case SolveStatus::kUnbounded:
+      return "unbounded";
+    case SolveStatus::kIterationLimit:
+      return "at the iteration limit";
+  }
+  return "?";
 }
 
 }  // namespace
@@ -188,13 +206,25 @@ std::vector<Cycles> WcetAnalyzer::PerBlockBounds() const {
 }
 
 Cycles WcetAnalyzer::InterruptResponseBound() const {
+  const EntryResult r[] = {Analyze(EntryPoint::kSyscall), Analyze(EntryPoint::kUndefined),
+                           Analyze(EntryPoint::kPageFault), Analyze(EntryPoint::kInterrupt)};
+  return ResponseBoundOf({&r[0], &r[1], &r[2], &r[3]});
+}
+
+Cycles ResponseBoundOf(const std::array<const EntryResult*, 4>& by_entry) {
+  for (std::size_t i = 0; i < by_entry.size(); ++i) {
+    if (by_entry[i]->status != SolveStatus::kOptimal) {
+      throw std::runtime_error(
+          std::string("interrupt response bound: the ") +
+          EntryPointName(static_cast<EntryPoint>(i)) + " entry is " +
+          SolveStatusName(by_entry[i]->status) + ", not optimal, so it bounds nothing");
+    }
+  }
   Cycles longest = 0;
   for (EntryPoint e : {EntryPoint::kSyscall, EntryPoint::kUndefined, EntryPoint::kPageFault}) {
-    const EntryResult r = Analyze(e);
-    longest = std::max(longest, r.wcet);
+    longest = std::max(longest, by_entry[static_cast<std::size_t>(e)]->wcet);
   }
-  const EntryResult irq = Analyze(EntryPoint::kInterrupt);
-  return longest + irq.wcet;
+  return longest + by_entry[static_cast<std::size_t>(EntryPoint::kInterrupt)]->wcet;
 }
 
 }  // namespace pmk

@@ -55,6 +55,14 @@ struct EntryResult {
   Trace worst_trace;
 };
 
+// The worst-case interrupt response time (paper Section 6) from the four
+// entries' results, indexed by EntryPoint: the longest of the syscall,
+// undefined-instruction and page-fault paths plus the interrupt path. Throws
+// std::runtime_error naming the first entry whose status is not kOptimal —
+// its wcet bounds nothing, so no sum that counts it is returned. Every
+// analyzer and the query service compute the bound through this one sum.
+Cycles ResponseBoundOf(const std::array<const EntryResult*, 4>& by_entry);
+
 // Analysis driver for one (kernel image, options) pair.
 //
 // The expensive intermediate state — the block-level cost-model cache and,
@@ -76,7 +84,8 @@ class WcetAnalyzer {
   Cycles EvaluateTrace(const Trace& trace) const;
 
   // Worst-case interrupt response time: WCET(longest entry) + WCET(interrupt
-  // path) (paper Section 6).
+  // path) (paper Section 6). Throws if any entry is not optimal
+  // (ResponseBoundOf).
   Cycles InterruptResponseBound() const;
 
   // Unconditional per-block cost ceilings (all non-pinned accesses miss),

@@ -430,43 +430,39 @@ class RevisedSimplex {
   }
 
   // Warm start from a parent basis; positions beyond |warm| are filled with
-  // the slacks of the trailing (newly appended) rows.
+  // the slacks of the trailing (newly appended) rows. A warm start may only
+  // speed a solve up, never change its status: every path that does not end
+  // optimal re-solves cold, and the cold verdict stands. (Phase 2 never
+  // prices artificials and its ratio test skips rows the entering column
+  // only grows, so a zero-valued basic artificial imported with the basis
+  // can let it follow a ray of a relaxed equality row and report a spurious
+  // kUnbounded.)
   SolveResult SolveWarm(const std::vector<BasisToken>& warm) {
     if (!ImportBasis(warm)) {
-      ResetBasis();
-      return Solve();
+      return SolveCold();
     }
     SetPhase(2);
-    bool need_cold = false;
-    const SolveStatus dual = DualIterate(need_cold);
-    if (need_cold) {
-      ResetBasis();
-      return Solve();
-    }
-    if (dual == SolveStatus::kInfeasible) {
-      return Fail(SolveStatus::kInfeasible);
-    }
-    if (dual != SolveStatus::kOptimal) {
-      return Fail(dual);
-    }
-    // Primal clean-up: usually zero pivots, but restores optimality if the
-    // imported basis was not dual feasible to machine precision.
-    const SolveStatus st = Iterate();
-    if (st != SolveStatus::kOptimal) {
-      return Fail(st);
+    // Dual repair, then a primal clean-up: usually zero pivots, but restores
+    // optimality if the imported basis was not dual feasible to machine
+    // precision.
+    if (DualIterate() != SolveStatus::kOptimal || Iterate() != SolveStatus::kOptimal) {
+      return SolveCold();
     }
     // A basic artificial that ended positive means the repaired point is not
-    // feasible for the original rows (phase 2 never prices artificials, so
-    // neither loop above is obliged to remove one). Rare — the import guard
-    // rejects positive artificials up front — but if repair drove one
-    // positive, discard the warm path entirely.
+    // feasible for the original rows (neither loop above is obliged to remove
+    // one). Rare — the import guard rejects positive artificials up front —
+    // but if repair drove one positive, discard the warm path entirely.
     for (std::uint32_t p = 0; p < m_; ++p) {
       if (basis_[p] >= art_base_ && beta_[p] > kEps) {
-        ResetBasis();
-        return Solve();
+        return SolveCold();
       }
     }
     return Extract();
+  }
+
+  SolveResult SolveCold() {
+    ResetBasis();
+    return Solve();
   }
 
   std::vector<BasisToken> ExportBasis() const {
@@ -1102,13 +1098,13 @@ class RevisedSimplex {
 
   // Dual simplex: drives negative basic values out while keeping phase-2
   // reduced costs nonnegative. Used only to repair warm-started bases, so any
-  // numerical surprise requests a cold solve instead of fighting through.
-  SolveStatus DualIterate(bool& need_cold) {
+  // numerical surprise ends the loop non-optimal and the caller solves cold
+  // instead of fighting through.
+  SolveStatus DualIterate() {
     std::uint64_t pivots = 0;
     for (;;) {
       if (++pivots > kMaxPivots) {
         pivots_total_ += pivots;
-        need_cold = true;
         return SolveStatus::kIterationLimit;
       }
       std::int64_t p = -1;
@@ -1166,7 +1162,6 @@ class RevisedSimplex {
       FtranColumn(static_cast<std::uint32_t>(enter), w_);
       if (std::abs(w_[static_cast<std::uint32_t>(p)]) < 1e-11) {
         pivots_total_ += pivots;
-        need_cold = true;
         return SolveStatus::kIterationLimit;
       }
       PivotStep(static_cast<std::uint32_t>(p), static_cast<std::uint32_t>(enter));

@@ -101,9 +101,10 @@ class IlpWarmStart {
 // basis: the stored basis is re-imported against the new instance (rows may
 // have been patched in place or LE rows appended at the end), refactorised,
 // repaired to primal feasibility by a bounded dual-simplex loop, then
-// cleaned up by the primal. Any import or numerical trouble falls back
-// deterministically to a cold solve — the result is always identical to
-// SolveIlp on the same instance. On an optimal solve the root basis is
+// cleaned up by the primal. Import or numerical trouble, and any warm
+// relaxation (root or branch-and-bound child) that does not end optimal,
+// fall back deterministically to a cold solve — the result is always
+// identical to SolveIlp on the same instance. On an optimal solve the root basis is
 // stored back into |warm| for the next call. Under
 // pmk::wcet::SetReferenceMode the dense twin runs instead and |warm| is
 // left untouched.

@@ -182,11 +182,11 @@ const EntryResult& IncrementalWcetAnalyzer::Analyze(EntryPoint entry) {
 }
 
 Cycles IncrementalWcetAnalyzer::InterruptResponseBound() {
-  Cycles longest = 0;
-  for (EntryPoint e : {EntryPoint::kSyscall, EntryPoint::kUndefined, EntryPoint::kPageFault}) {
-    longest = std::max(longest, Analyze(e).wcet);
+  std::array<const EntryResult*, 4> by_entry;
+  for (std::size_t i = 0; i < by_entry.size(); ++i) {
+    by_entry[i] = &Analyze(static_cast<EntryPoint>(i));
   }
-  return longest + Analyze(EntryPoint::kInterrupt).wcet;
+  return ResponseBoundOf(by_entry);
 }
 
 std::vector<Cycles> IncrementalWcetAnalyzer::PerBlockBounds() const {

@@ -54,8 +54,8 @@ class IncrementalWcetAnalyzer {
   // Analyze/NotifyBlockEdited call.
   const EntryResult& Analyze(EntryPoint entry);
 
-  // Worst-case interrupt response time (same formula as WcetAnalyzer):
-  // max WCET over the non-interrupt entries + the interrupt path's WCET.
+  // Worst-case interrupt response time, through the same ResponseBoundOf
+  // sum as WcetAnalyzer (throws if any entry is not optimal).
   Cycles InterruptResponseBound();
 
   // Unconditional per-block cost ceilings, from the immutable block-level

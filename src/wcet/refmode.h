@@ -1,5 +1,4 @@
-// Process-wide reference-mode switch for the WCET analysis pipeline,
-// mirroring pmk::hotpath::SetReferenceMode for the simulator hot path.
+// Process-wide reference-mode switch for the WCET analysis pipeline.
 //
 // Reference mode selects the pre-optimisation twin of every layer that was
 // overhauled for host speed:

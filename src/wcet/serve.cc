@@ -1,6 +1,6 @@
 #include "src/wcet/serve.h"
 
-#include <algorithm>
+#include <array>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -128,14 +128,13 @@ std::vector<std::uint8_t> WcetService::HandleOrThrow(const std::vector<std::uint
         }
         if (all_fresh) {
           SharedHitCounter().Inc();
-          Cycles longest = 0;
-          for (EntryPoint e :
-               {EntryPoint::kSyscall, EntryPoint::kUndefined, EntryPoint::kPageFault}) {
-            longest = std::max(longest, analyzer_.Cached(e).wcet);
+          std::array<const EntryResult*, kNumEntryPoints> by_entry;
+          for (std::size_t i = 0; i < kNumEntryPoints; ++i) {
+            by_entry[i] = &analyzer_.Cached(static_cast<EntryPoint>(i));
           }
           engine::WireWriter w;
           w.U8(kReplyOk);
-          w.U64(longest + analyzer_.Cached(EntryPoint::kInterrupt).wcet);
+          w.U64(ResponseBoundOf(by_entry));
           return w.Take();
         }
       }

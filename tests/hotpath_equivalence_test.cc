@@ -1,60 +1,32 @@
-// Differential tests for the hot-path overhaul: the SoA shift/mask cache, the
-// precomputed executor charge path and the cached timer deadline must produce
-// bit-identical modelled results to the seed implementation. The seed cache
-// (array-of-structures, division-based indexing) is reimplemented here
-// independently and every optimised component is cross-checked against it (or
-// against the retained reference entry points) under randomized op streams
-// and whole-kernel workloads.
+// Differential tests for the simulator's fast paths. The SoA shift/mask
+// cache is cross-checked against an independent reimplementation of the seed
+// cache (SeedModelCache below), and the compiled executor backend against the
+// interpreter oracle (Executor::ChargeMode::kInterpreted), under randomized
+// op streams and whole-kernel workloads on 32- and 64-byte lines. The oracle
+// re-derives everything the compiler folds from the Block descriptors, so a
+// deliberately mis-lowered access must make the comparison fail.
 
 #include <cstdint>
+#include <memory>
 #include <random>
-#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/engine/serialize.h"
 #include "src/fault/campaign.h"
 #include "src/fault/scenario.h"
 #include "src/hw/cache.h"
-#include "src/hw/hotpath.h"
 #include "src/hw/machine.h"
+#include "src/kir/compiled.h"
 #include "src/kir/executor.h"
 #include "src/sim/workload.h"
 
 namespace pmk {
 namespace {
 
-// Restores the process-wide reference-mode flag on scope exit so a failing
-// assertion cannot leak reference mode into later tests.
-class ReferenceModeGuard {
- public:
-  explicit ReferenceModeGuard(bool on) : prev_(hotpath::ReferenceMode()) {
-    hotpath::SetReferenceMode(on);
-  }
-  ~ReferenceModeGuard() { hotpath::SetReferenceMode(prev_); }
-  ReferenceModeGuard(const ReferenceModeGuard&) = delete;
-  ReferenceModeGuard& operator=(const ReferenceModeGuard&) = delete;
-
- private:
-  bool prev_;
-};
-
-// Restores the process-wide compiled-backend flag on scope exit. Constructed
-// with false, it forces newly built Executors onto the record-walking
-// interpreter (kPrepared/kGeneric) instead of the compiled threaded-code
-// backend.
-class CompiledModeGuard {
- public:
-  explicit CompiledModeGuard(bool on) : prev_(hotpath::CompiledMode()) {
-    hotpath::SetCompiledMode(on);
-  }
-  ~CompiledModeGuard() { hotpath::SetCompiledMode(prev_); }
-  CompiledModeGuard(const CompiledModeGuard&) = delete;
-  CompiledModeGuard& operator=(const CompiledModeGuard&) = delete;
-
- private:
-  bool prev_;
-};
+constexpr Executor::ChargeMode kCompiled = Executor::ChargeMode::kCompiled;
+constexpr Executor::ChargeMode kInterpreted = Executor::ChargeMode::kInterpreted;
 
 // Independent reimplementation of the pre-overhaul cache: array-of-structures
 // line storage and division-based set/tag arithmetic. Kept deliberately naive
@@ -285,25 +257,6 @@ TEST_P(CacheEquivalenceTest, RandomStreamMatchesSeedModel) {
   ExpectStatsEq(opt.stats(), seed.stats());
 }
 
-// AccessReference (the retained division-based benchmark baseline) must be
-// state-identical to the shift/mask Access on the same stream.
-TEST_P(CacheEquivalenceTest, AccessReferenceMatchesAccess) {
-  CacheConfig cfg{.name = "ref", .size_bytes = 16 * 1024, .ways = 4, .line_bytes = 32,
-                  .policy = GetParam()};
-  Cache fast(cfg);
-  Cache ref(cfg);
-
-  std::mt19937_64 rng(7);
-  const std::vector<Addr> stream = MakeAddressStream(rng, 20000);
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    ASSERT_EQ(fast.Access(stream[i]), ref.AccessReference(stream[i])) << "access #" << i;
-  }
-  ExpectStatsEq(fast.stats(), ref.stats());
-  for (std::size_t i = 0; i < stream.size(); i += 13) {
-    ASSERT_EQ(fast.Contains(stream[i]), ref.Contains(stream[i]));
-  }
-}
-
 // The split AccessLine(set, tag) entry must be exactly Access(addr) when fed
 // the decomposed address, and the decomposition must match the seed's
 // division arithmetic.
@@ -410,37 +363,90 @@ TEST(CacheEquivalence, LfsrDeterminismAcrossMachineCopies) {
   }
 }
 
-// --- Whole-stack equivalence: reference vs optimised execution ---
+// --- Whole-stack equivalence: compiled backend vs interpreter oracle ---
 
 struct KernelRunOutcome {
   Cycles now = 0;
   HwCounters counters;
-  CacheStats l1i, l1d;
+  CacheStats l1i, l1d, l2;
   std::vector<Cycles> irq_latencies;
   std::uint32_t preemptions = 0;
 };
 
+KernelRunOutcome Snapshot(const Machine& m) {
+  KernelRunOutcome out;
+  out.now = m.Now();
+  out.counters = m.counters();
+  out.l1i = m.l1i().stats();
+  out.l1d = m.l1d().stats();
+  out.l2 = m.l2().stats();
+  return out;
+}
+
+// The comparison every compiled-vs-oracle test makes: final cycle, every PMU
+// counter, every cache's statistics and the interrupt latencies. Names the
+// first field that differs.
+::testing::AssertionResult OutcomesMatch(const KernelRunOutcome& a, const KernelRunOutcome& b) {
+  const std::pair<const char*, bool> fields[] = {
+      {"now", a.now == b.now},
+      {"preemptions", a.preemptions == b.preemptions},
+      {"irq_latencies", a.irq_latencies == b.irq_latencies},
+      {"instructions", a.counters.instructions == b.counters.instructions},
+      {"l1i_accesses", a.counters.l1i_accesses == b.counters.l1i_accesses},
+      {"l1i_misses", a.counters.l1i_misses == b.counters.l1i_misses},
+      {"l1d_accesses", a.counters.l1d_accesses == b.counters.l1d_accesses},
+      {"l1d_misses", a.counters.l1d_misses == b.counters.l1d_misses},
+      {"l2_accesses", a.counters.l2_accesses == b.counters.l2_accesses},
+      {"l2_misses", a.counters.l2_misses == b.counters.l2_misses},
+      {"branches", a.counters.branches == b.counters.branches},
+      {"branch_mispredicts", a.counters.branch_mispredicts == b.counters.branch_mispredicts},
+      {"mem_stall_cycles", a.counters.mem_stall_cycles == b.counters.mem_stall_cycles},
+      {"l1i stats", a.l1i.accesses == b.l1i.accesses && a.l1i.misses == b.l1i.misses},
+      {"l1d stats", a.l1d.accesses == b.l1d.accesses && a.l1d.misses == b.l1d.misses},
+      {"l2 stats", a.l2.accesses == b.l2.accesses && a.l2.misses == b.l2.misses},
+  };
+  for (const auto& [name, same] : fields) {
+    if (!same) {
+      return ::testing::AssertionFailure() << name << " differs (cycles " << a.now << " vs "
+                                           << b.now << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 // A campaign-shaped workload: the attacker retypes large frames under a
 // periodic timer, the operation preempts, restarts and completes, and the
-// real-time thread's interrupt latencies are recorded. The machine geometry
-// is a parameter so the same digest can be compared across charge modes on
-// non-default cache configurations.
-KernelRunOutcome RunTimerPreemptWorkload(const MachineConfig& mc = EvalMachine(true)) {
-  System sys(KernelConfig::After(), mc);
+// real-time thread's interrupt latencies are recorded. Threads are named by
+// TCB base address so the steps can run on a clone or a decoded copy.
+struct PreemptWorld {
+  std::uint32_t timer_cptr = 0;
+  std::uint32_t ut_cptr = 0;
+  Addr rt_task = 0;
+  Addr attacker = 0;
+};
+
+PreemptWorld BootPreemptWorld(System& sys) {
+  PreemptWorld w;
   EndpointObj* timer_ep = nullptr;
-  const std::uint32_t timer_cptr = sys.AddEndpoint(&timer_ep);
+  w.timer_cptr = sys.AddEndpoint(&timer_ep);
   TcbObj* rt_task = sys.AddThread(250);
   sys.kernel().DirectBindIrq(InterruptController::kTimerLine, timer_ep);
   sys.kernel().DirectBlockOnRecv(rt_task, timer_ep);
-
-  const std::uint32_t ut_cptr = sys.AddUntyped(21);
+  w.ut_cptr = sys.AddUntyped(21);
   TcbObj* attacker = sys.AddThread(20);
   sys.kernel().DirectSetCurrent(attacker);
+  w.rt_task = rt_task->base;
+  w.attacker = attacker->base;
+  return w;
+}
 
-  KernelRunOutcome out;
+KernelRunOutcome RunPreemptSteps(System& sys, const PreemptWorld& w) {
+  TcbObj* rt_task = sys.kernel().objects().Get<TcbObj>(w.rt_task);
+  TcbObj* attacker = sys.kernel().objects().Get<TcbObj>(w.attacker);
   sys.machine().timer().set_period(20'000);
   sys.machine().timer().Restart(sys.machine().Now());
 
+  std::uint32_t preemptions = 0;
   std::uint32_t dest = 40;
   for (int step = 0; step < 60; ++step) {
     if (sys.machine().irq().AnyPending() && sys.kernel().current() != rt_task) {
@@ -448,7 +454,7 @@ KernelRunOutcome RunTimerPreemptWorkload(const MachineConfig& mc = EvalMachine(t
     }
     if (sys.kernel().current() == rt_task) {
       sys.machine().RawCycles(200);
-      sys.kernel().Syscall(SysOp::kRecv, timer_cptr, SyscallArgs{});
+      sys.kernel().Syscall(SysOp::kRecv, w.timer_cptr, SyscallArgs{});
       sys.machine().irq().Unmask(InterruptController::kTimerLine);
       if (sys.kernel().current() == sys.kernel().idle()) {
         sys.kernel().DirectSetCurrent(attacker);
@@ -460,9 +466,9 @@ KernelRunOutcome RunTimerPreemptWorkload(const MachineConfig& mc = EvalMachine(t
     args.obj_type = ObjType::kFrame;
     args.obj_bits = 16;
     args.dest_index = dest;
-    const KernelExit e = sys.kernel().Syscall(SysOp::kCall, ut_cptr, args);
+    const KernelExit e = sys.kernel().Syscall(SysOp::kCall, w.ut_cptr, args);
     if (e == KernelExit::kPreempted) {
-      out.preemptions++;
+      preemptions++;
     } else if (attacker->last_error == KError::kOk) {
       dest++;
     }
@@ -472,219 +478,211 @@ KernelRunOutcome RunTimerPreemptWorkload(const MachineConfig& mc = EvalMachine(t
     sys.machine().RawCycles(500);
   }
   sys.machine().timer().set_period(0);
-
-  out.now = sys.machine().Now();
-  out.counters = sys.machine().counters();
-  out.l1i = sys.machine().l1i().stats();
-  out.l1d = sys.machine().l1d().stats();
+  KernelRunOutcome out = Snapshot(sys.machine());
   out.irq_latencies = sys.kernel().irq_latencies();
+  out.preemptions = preemptions;
   return out;
 }
 
-void ExpectOutcomesEq(const KernelRunOutcome& a, const KernelRunOutcome& b) {
-  EXPECT_EQ(a.now, b.now);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.irq_latencies, b.irq_latencies);
-  EXPECT_EQ(a.counters.instructions, b.counters.instructions);
-  EXPECT_EQ(a.counters.l1i_accesses, b.counters.l1i_accesses);
-  EXPECT_EQ(a.counters.l1i_misses, b.counters.l1i_misses);
-  EXPECT_EQ(a.counters.l1d_accesses, b.counters.l1d_accesses);
-  EXPECT_EQ(a.counters.l1d_misses, b.counters.l1d_misses);
-  EXPECT_EQ(a.counters.l2_accesses, b.counters.l2_accesses);
-  EXPECT_EQ(a.counters.l2_misses, b.counters.l2_misses);
-  EXPECT_EQ(a.counters.branches, b.counters.branches);
-  EXPECT_EQ(a.counters.branch_mispredicts, b.counters.branch_mispredicts);
-  EXPECT_EQ(a.counters.mem_stall_cycles, b.counters.mem_stall_cycles);
-  ExpectStatsEq(a.l1i, b.l1i);
-  ExpectStatsEq(a.l1d, b.l1d);
+KernelRunOutcome RunTimerPreemptWorkload(const MachineConfig& mc, Executor::ChargeMode mode) {
+  System sys(KernelConfig::After(), mc);
+  sys.kernel().exec().set_charge_mode(mode);
+  const PreemptWorld w = BootPreemptWorld(sys);
+  return RunPreemptSteps(sys, w);
 }
 
-// The full kernel workload must be bit-identical between the optimised
-// (compiled, the default) execution and the seed-profile reference execution:
-// same final cycle, same PMU counters, same cache statistics, same interrupt
-// latencies.
-TEST(ExecutorEquivalence, ReferenceModeIsBitIdentical) {
-  const KernelRunOutcome fast = RunTimerPreemptWorkload();
-  KernelRunOutcome ref;
-  {
-    ReferenceModeGuard guard(true);
-    ref = RunTimerPreemptWorkload();
-  }
-  EXPECT_FALSE(fast.irq_latencies.empty());
-  EXPECT_GT(fast.preemptions, 0u);
-  ExpectOutcomesEq(fast, ref);
-}
-
-// The compiled threaded-code backend must be the default on standard geometry
-// and must match the record-walking interpreter digest-for-digest on the full
-// preempting workload.
-TEST(ExecutorEquivalence, CompiledBackendMatchesInterpreter) {
-  {
-    System sys(KernelConfig::After(), EvalMachine(true));
-    ASSERT_EQ(sys.kernel().exec().charge_mode(), Executor::ChargeMode::kCompiled);
-  }
-  const KernelRunOutcome compiled = RunTimerPreemptWorkload();
-  KernelRunOutcome interp;
-  {
-    CompiledModeGuard guard(false);
-    System sys(KernelConfig::After(), EvalMachine(true));
-    ASSERT_EQ(sys.kernel().exec().charge_mode(), Executor::ChargeMode::kPrepared);
-    interp = RunTimerPreemptWorkload();
-  }
-  EXPECT_GT(compiled.preemptions, 0u);
-  ExpectOutcomesEq(compiled, interp);
-}
-
-// The generic (per-execution resolution) charge path must also match the
-// prepared path; it is the interpreter fallback for non-32-byte L1I lines.
-TEST(ExecutorEquivalence, GenericChargeModeIsBitIdentical) {
-  CompiledModeGuard guard(false);  // exercise the interpreter modes
-  System prepared(KernelConfig::After(), EvalMachine(false));
-  System generic(KernelConfig::After(), EvalMachine(false));
-  ASSERT_EQ(prepared.kernel().exec().charge_mode(), Executor::ChargeMode::kPrepared);
-  generic.kernel().exec().set_charge_mode(Executor::ChargeMode::kGeneric);
-
-  for (System* sys : {&prepared, &generic}) {
-    System::WorstIpc w = sys->BuildWorstCaseIpc();
-    sys->kernel().DirectSetCurrent(w.caller);
-    sys->kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args);
-  }
-  EXPECT_EQ(prepared.machine().Now(), generic.machine().Now());
-  EXPECT_EQ(prepared.machine().counters().l1i_accesses,
-            generic.machine().counters().l1i_accesses);
-  EXPECT_EQ(prepared.machine().counters().l1i_misses,
-            generic.machine().counters().l1i_misses);
-  EXPECT_EQ(prepared.machine().counters().l1d_misses,
-            generic.machine().counters().l1d_misses);
-}
-
-// A machine with 64-byte lines throughout (a non-kPreparedLineBytes geometry)
-// must select kGeneric with the compiled backend off and kCompiled with it
-// on, and both must reproduce the reference digest end-to-end on the full
-// preempting workload: same final cycle, PMU counters, cache statistics and
-// interrupt latencies.
-TEST(ExecutorEquivalence, WideLineGeometryMatchesReferenceEndToEnd) {
+MachineConfig WideLines() {
   MachineConfig mc = EvalMachine(true);
   mc.l1i.line_bytes = 64;
   mc.l1d.line_bytes = 64;
   mc.l2.line_bytes = 64;
-
-  KernelRunOutcome ref;
-  {
-    ReferenceModeGuard guard(true);
-    ref = RunTimerPreemptWorkload(mc);
-  }
-  EXPECT_FALSE(ref.irq_latencies.empty());
-  EXPECT_GT(ref.preemptions, 0u);
-
-  KernelRunOutcome generic;
-  {
-    CompiledModeGuard guard(false);
-    System probe(KernelConfig::After(), mc);
-    ASSERT_EQ(probe.kernel().exec().charge_mode(), Executor::ChargeMode::kGeneric);
-    generic = RunTimerPreemptWorkload(mc);
-  }
-  ExpectOutcomesEq(generic, ref);
-
-  {
-    System probe(KernelConfig::After(), mc);
-    ASSERT_EQ(probe.kernel().exec().charge_mode(), Executor::ChargeMode::kCompiled);
-  }
-  const KernelRunOutcome compiled = RunTimerPreemptWorkload(mc);
-  ExpectOutcomesEq(compiled, ref);
+  return mc;
 }
 
-// Forcing kPrepared onto a machine whose L1I line size disagrees with the
-// Layout()-time spans must be rejected loudly — a silent acceptance would
-// mischarge every I-fetch in the run. The error names both geometries; the
-// modes that do handle the geometry still switch cleanly.
-TEST(ExecutorEquivalence, SetChargeModePreparedRejectsLineMismatch) {
-  MachineConfig mc = EvalMachine(false);
-  mc.l1i.line_bytes = 64;
-  System sys(KernelConfig::After(), mc);
-
-  try {
-    sys.kernel().exec().set_charge_mode(Executor::ChargeMode::kPrepared);
-    FAIL() << "set_charge_mode(kPrepared) accepted a 64-byte-line machine";
-  } catch (const ExecError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("64"), std::string::npos) << what;
-    EXPECT_NE(what.find("kPreparedLineBytes"), std::string::npos) << what;
-  }
-
-  // The rejection must leave the executor usable on a supported mode.
-  sys.kernel().exec().set_charge_mode(Executor::ChargeMode::kGeneric);
-  EXPECT_EQ(sys.kernel().exec().charge_mode(), Executor::ChargeMode::kGeneric);
-  sys.kernel().exec().set_charge_mode(Executor::ChargeMode::kCompiled);
-  EXPECT_EQ(sys.kernel().exec().charge_mode(), Executor::ChargeMode::kCompiled);
-
-  // On matching geometry kPrepared is accepted.
-  System std_sys(KernelConfig::After(), EvalMachine(false));
-  std_sys.kernel().exec().set_charge_mode(Executor::ChargeMode::kPrepared);
-  EXPECT_EQ(std_sys.kernel().exec().charge_mode(), Executor::ChargeMode::kPrepared);
+// The full preempting workload on the paper's 32-byte-line machine (L2 on)
+// must be bit-identical between the compiled backend and the oracle: same
+// final cycle, PMU counters, cache statistics and interrupt latencies.
+TEST(ExecutorEquivalence, ReferenceModeIsBitIdentical) {
+  const KernelRunOutcome compiled = RunTimerPreemptWorkload(EvalMachine(true), kCompiled);
+  const KernelRunOutcome oracle = RunTimerPreemptWorkload(EvalMachine(true), kInterpreted);
+  EXPECT_FALSE(compiled.irq_latencies.empty());
+  EXPECT_GT(compiled.preemptions, 0u);
+  EXPECT_TRUE(OutcomesMatch(compiled, oracle));
 }
 
-// Clones inherit the source executor's charge mode, not the current global
-// flag: a checkpoint forked before a mode flip must keep replaying on the
-// path it was built with.
+// The compiled backend is the default, and it matches the oracle on the
+// geometries its folding specialises on: the branch predictor on (BTB slots
+// folded per block) and pseudo-random replacement, at 32- and 64-byte lines.
+TEST(ExecutorEquivalence, CompiledBackendMatchesInterpreter) {
+  {
+    System sys(KernelConfig::After(), EvalMachine(true));
+    ASSERT_EQ(sys.kernel().exec().charge_mode(), kCompiled);
+  }
+  for (MachineConfig mc : {EvalMachine(true, true), WideLines()}) {
+    mc.bpred.enabled = true;
+    mc.l1i.policy = ReplacementPolicy::kPseudoRandom;
+    mc.l1d.policy = ReplacementPolicy::kPseudoRandom;
+    const KernelRunOutcome compiled = RunTimerPreemptWorkload(mc, kCompiled);
+    EXPECT_GT(compiled.counters.branch_mispredicts, 0u);
+    EXPECT_TRUE(OutcomesMatch(compiled, RunTimerPreemptWorkload(mc, kInterpreted)))
+        << mc.l1i.line_bytes << "-byte lines";
+  }
+}
+
+// The worst-case IPC (long fastpath-ineligible path, L2 off) must match too,
+// at 32- and 64-byte lines.
+TEST(ExecutorEquivalence, GenericChargeModeIsBitIdentical) {
+  for (const MachineConfig& mc : {EvalMachine(false), WideLines()}) {
+    KernelRunOutcome out[2];
+    for (const Executor::ChargeMode mode : {kCompiled, kInterpreted}) {
+      System sys(KernelConfig::After(), mc);
+      sys.kernel().exec().set_charge_mode(mode);
+      System::WorstIpc w = sys.BuildWorstCaseIpc();
+      sys.kernel().DirectSetCurrent(w.caller);
+      sys.kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args);
+      out[mode == kCompiled ? 0 : 1] = Snapshot(sys.machine());
+    }
+    EXPECT_GT(out[0].counters.l1d_misses, 0u);
+    EXPECT_TRUE(OutcomesMatch(out[0], out[1])) << mc.l1i.line_bytes << "-byte lines";
+  }
+}
+
+// A machine with 64-byte lines throughout must reproduce the oracle end to
+// end on the full preempting workload.
+TEST(ExecutorEquivalence, WideLineGeometryMatchesReferenceEndToEnd) {
+  const KernelRunOutcome compiled = RunTimerPreemptWorkload(WideLines(), kCompiled);
+  const KernelRunOutcome oracle = RunTimerPreemptWorkload(WideLines(), kInterpreted);
+  EXPECT_FALSE(oracle.irq_latencies.empty());
+  EXPECT_GT(oracle.preemptions, 0u);
+  EXPECT_TRUE(OutcomesMatch(compiled, oracle));
+}
+
+// A clone and a serialize round trip keep the source executor's charge mode,
+// and each copy replays the workload identically in both modes.
 TEST(ExecutorEquivalence, CloneInheritsChargeMode) {
-  std::unique_ptr<System> ref_sys;
-  {
-    ReferenceModeGuard guard(true);
-    ref_sys = std::make_unique<System>(KernelConfig::After(), EvalMachine(false));
+  KernelRunOutcome cloned[2];
+  KernelRunOutcome decoded[2];
+  for (const Executor::ChargeMode mode : {kCompiled, kInterpreted}) {
+    System sys(KernelConfig::After(), EvalMachine(true));
+    sys.kernel().exec().set_charge_mode(mode);
+    const PreemptWorld w = BootPreemptWorld(sys);
+    const std::unique_ptr<System> clone = sys.Clone();
+    const std::unique_ptr<System> copy = engine::StateSerializer::DeserializeSystem(
+        engine::StateSerializer::SerializeSystem(sys));
+    ASSERT_EQ(clone->kernel().exec().charge_mode(), mode);
+    ASSERT_EQ(copy->kernel().exec().charge_mode(), mode);
+    const int i = mode == kCompiled ? 0 : 1;
+    cloned[i] = RunPreemptSteps(*clone, w);
+    decoded[i] = RunPreemptSteps(*copy, w);
+    EXPECT_TRUE(OutcomesMatch(cloned[i], RunPreemptSteps(sys, w)));
   }
-  ASSERT_EQ(ref_sys->kernel().exec().charge_mode(), Executor::ChargeMode::kReference);
-  const std::unique_ptr<System> clone = ref_sys->Clone();
-  EXPECT_EQ(clone->kernel().exec().charge_mode(), Executor::ChargeMode::kReference);
+  EXPECT_GT(cloned[0].preemptions, 0u);
+  EXPECT_TRUE(OutcomesMatch(cloned[0], cloned[1]));
+  EXPECT_TRUE(OutcomesMatch(decoded[0], decoded[1]));
+  EXPECT_TRUE(OutcomesMatch(cloned[0], decoded[0]));
 }
 
-// An exhaustive IRQ sweep — dry run plus one injected run per preemption
-// boundary — must report identical results in both modes.
+// An exhaustive IRQ sweep of every canonical operation — dry run plus one
+// injected run per preemption boundary — must report identical results on
+// systems switched to the oracle.
 TEST(ExecutorEquivalence, IrqSweepIsBitIdentical) {
-  SweepOptions opts;
-  const SweepResult fast = ExhaustiveIrqSweep(MakeRetypeCase(), opts);
-  SweepResult ref;
-  {
-    ReferenceModeGuard guard(true);
-    ref = ExhaustiveIrqSweep(MakeRetypeCase(), opts);
-  }
-  ASSERT_EQ(fast.preempt_points, ref.preempt_points);
-  ASSERT_EQ(fast.runs.size(), ref.runs.size());
-  EXPECT_EQ(fast.dry_run.max_irq_latency, ref.dry_run.max_irq_latency);
-  for (std::size_t i = 0; i < fast.runs.size(); ++i) {
-    EXPECT_EQ(fast.runs[i].plan, ref.runs[i].plan);
-    EXPECT_EQ(fast.runs[i].completed, ref.runs[i].completed);
-    EXPECT_EQ(fast.runs[i].restarts, ref.runs[i].restarts);
-    EXPECT_EQ(fast.runs[i].preempt_points, ref.runs[i].preempt_points);
-    EXPECT_EQ(fast.runs[i].max_irq_latency, ref.runs[i].max_irq_latency);
+  const SweepOptions opts;
+  for (const auto& [name, factory] : CanonicalOps()) {
+    const OpFactory oracle = [factory = factory] {
+      OpInstance inst = factory();
+      inst.sys->kernel().exec().set_charge_mode(kInterpreted);
+      return inst;
+    };
+    const SweepResult fast = ExhaustiveIrqSweep(factory, opts);
+    const SweepResult ref = ExhaustiveIrqSweep(oracle, opts);
+    ASSERT_GT(fast.preempt_points, 0u) << name;
+    ASSERT_EQ(fast.preempt_points, ref.preempt_points) << name;
+    ASSERT_EQ(fast.runs.size(), ref.runs.size()) << name;
+    EXPECT_EQ(fast.dry_run.max_irq_latency, ref.dry_run.max_irq_latency) << name;
+    for (std::size_t i = 0; i < fast.runs.size(); ++i) {
+      const RunRecord& a = fast.runs[i];
+      const RunRecord& b = ref.runs[i];
+      EXPECT_TRUE(a.ok()) << name << " run " << i << ": " << a.detail;
+      EXPECT_EQ(a.plan, b.plan) << name;
+      EXPECT_EQ(a.ok(), b.ok()) << name << " run " << i;
+      EXPECT_EQ(a.restarts, b.restarts) << name << " run " << i;
+      EXPECT_EQ(a.preempt_points, b.preempt_points) << name << " run " << i;
+      EXPECT_EQ(a.max_irq_latency, b.max_irq_latency) << name << " run " << i;
+      EXPECT_EQ(a.irq_hist.Count(), b.irq_hist.Count()) << name << " run " << i;
+      EXPECT_EQ(a.irq_hist.Sum(), b.irq_hist.Sum()) << name << " run " << i;
+    }
   }
 }
 
-// Campaign CSVs are the repository's strongest determinism artefact: the
-// seeded campaign must emit byte-identical CSV in both modes.
-TEST(ExecutorEquivalence, CampaignCsvIsByteIdentical) {
-  CampaignConfig cc;
-  cc.seed = 42;
-  cc.random_runs = 4;
-  cc.storm_runs = 1;
-  cc.hostile_runs = 16;
-  cc.spurious_runs = 4;
+// A private two-block program whose blocks load the same global word: the
+// second load hits the line the first one brought in.
+std::unique_ptr<Program> MakeTwoLoadProgram() {
+  auto p = std::make_unique<Program>();
+  const SymId word = p->AddSymbol("word", 8);
+  const FuncId f = p->AddFunction("entry");
+  Block load;
+  load.instr_count = 6;
+  load.static_accesses = {{StaticAccess::Region::kGlobal, word, 0, false}};
+  load.name = "first";
+  const BlockId first = p->AddBlock(f, load);
+  load.name = "second";
+  load.is_return = true;
+  const BlockId second = p->AddBlock(f, load);
+  p->AddEdge(first, second);
+  p->Layout();
+  return p;
+}
 
-  std::ostringstream fast_csv;
-  RunCampaign(cc).WriteCsv(fast_csv);
+// Runs the two-block path, switching to |second| between the blocks.
+KernelRunOutcome RunTwoLoads(const Program& p, Executor::ChargeMode first,
+                             Executor::ChargeMode second) {
+  Machine m(EvalMachine(true));
+  Executor ex(&p, &m);
+  ex.set_charge_mode(first);
+  ex.Begin(0);
+  ex.At(0);
+  ex.set_charge_mode(second);
+  ex.At(1);
+  ex.End();
+  return Snapshot(m);
+}
 
-  std::ostringstream ref_csv;
-  {
-    ReferenceModeGuard guard(true);
-    RunCampaign(cc).WriteCsv(ref_csv);
-  }
-  EXPECT_EQ(fast_csv.str(), ref_csv.str());
+// The oracle has teeth: mis-lower one static access by corrupting the
+// Layout() data only the compiler reads (Block::prepared_accesses) before
+// the first CompiledFor. The compiled stream then loads the wrong line while
+// the oracle still resolves the declared access, and the comparison fails.
+// The faithful program matches in every mode, switched mid-path too.
+TEST(ExecutorEquivalence, OracleCatchesMisloweredAccess) {
+  const std::unique_ptr<Program> faithful = MakeTwoLoadProgram();
+  const KernelRunOutcome want = RunTwoLoads(*faithful, kInterpreted, kInterpreted);
+  EXPECT_TRUE(OutcomesMatch(RunTwoLoads(*faithful, kCompiled, kCompiled), want));
+  EXPECT_TRUE(OutcomesMatch(RunTwoLoads(*faithful, kCompiled, kInterpreted), want));
+  EXPECT_TRUE(OutcomesMatch(RunTwoLoads(*faithful, kInterpreted, kCompiled), want));
+
+  const std::unique_ptr<Program> mislowered = MakeTwoLoadProgram();
+  mislowered->mutable_block(1).prepared_accesses[0].addr += 64;  // the next line
+  const KernelRunOutcome compiled = RunTwoLoads(*mislowered, kCompiled, kCompiled);
+  const KernelRunOutcome oracle = RunTwoLoads(*mislowered, kInterpreted, kInterpreted);
+  EXPECT_FALSE(OutcomesMatch(compiled, oracle));
+  EXPECT_EQ(compiled.counters.l1d_misses, 2u);
+  EXPECT_EQ(oracle.counters.l1d_misses, 1u);
+}
+
+// The dispatch strategy the compiled runner was built with follows the
+// PMK_FORCE_SWITCH_DISPATCH build option.
+TEST(CompiledDispatch, NameMatchesBuildConfiguration) {
+#if defined(PMK_FORCE_SWITCH_DISPATCH) || !(defined(__GNUC__) || defined(__clang__))
+  EXPECT_STREQ(CompiledProgram::DispatchName(), "switch");
+#else
+  EXPECT_STREQ(CompiledProgram::DispatchName(), "computed-goto");
+#endif
 }
 
 // --- Timer deadline regression ---
 
 // The deadline-gated Advance must assert the timer line at exactly the same
-// cycles as the seed's tick-every-advance scheme, across irregular advance
+// cycles as ticking on every advance — the oracle machine calls the public
+// IntervalTimer::Tick(now) after every step — across irregular advance
 // sizes, multi-period jumps, mid-run set_period/Restart pokes and period-0
 // disablement.
 TEST(TimerDeadline, AssertionCyclesMatchTickEveryAdvance) {
@@ -692,17 +690,15 @@ TEST(TimerDeadline, AssertionCyclesMatchTickEveryAdvance) {
   mc.timer_period = 1000;
   Machine fast(mc);
   Machine ref(mc);
-  ref.timer().set_reference_tick_mode(true);
-  ASSERT_EQ(ref.timer().next_deadline(), 0u);
 
   fast.timer().Restart(0);
   ref.timer().Restart(0);
-  ASSERT_EQ(ref.timer().next_deadline(), 0u);  // reference mode survives pokes
 
   std::mt19937_64 rng(5);
   auto step = [&](Cycles n) {
     fast.RawCycles(n);
     ref.RawCycles(n);
+    ref.timer().Tick(ref.Now());
     ASSERT_EQ(fast.irq().IsPending(InterruptController::kTimerLine),
               ref.irq().IsPending(InterruptController::kTimerLine));
     if (fast.irq().IsPending(InterruptController::kTimerLine)) {

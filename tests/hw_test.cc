@@ -172,6 +172,24 @@ TEST(BranchPredictorTest, EnabledLearnsBias) {
   EXPECT_EQ(bp.OnBranch(0x100, BranchKind::kConditional, false), cfg.mispredict);
 }
 
+// An empty BTB is rejected at construction, enabled or not: every lookup
+// indexes it modulo its size, and so does the compiled executor's folded
+// BTB slot. A Machine built on such a config throws the same way.
+TEST(BranchPredictorTest, ZeroBtbEntriesThrow) {
+  BranchPredictorConfig cfg;
+  cfg.btb_entries = 0;
+  EXPECT_THROW(BranchPredictor{cfg}, std::invalid_argument);
+  cfg.enabled = true;
+  EXPECT_THROW(BranchPredictor{cfg}, std::invalid_argument);
+  MachineConfig mc;
+  mc.bpred = cfg;
+  EXPECT_THROW(Machine{mc}, std::invalid_argument);
+  cfg.btb_entries = 1;
+  BranchPredictor one(cfg);
+  EXPECT_EQ(one.OnBranch(0x104, BranchKind::kDirect, true), cfg.mispredict);
+  EXPECT_EQ(one.OnBranch(0x104, BranchKind::kDirect, true), cfg.correct_taken);
+}
+
 TEST(BranchPredictorTest, DisabledCostCanBeBelowMispredict) {
   // Paper Section 5.1: disabling the predictor makes all branches a constant
   // 5 cycles, below the 7-cycle mispredict.

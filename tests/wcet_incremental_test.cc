@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -206,6 +207,48 @@ TEST_P(RandomEditScriptTest, IncrementalIdenticalToColdAfterEveryEdit) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomEditScriptTest, ::testing::Values(0u, 1u, 2u, 3u));
 
+BlockId FindBlock(const Program& prog, const std::string& name) {
+  for (BlockId id = 0; id < prog.num_blocks(); ++id) {
+    if (prog.block(id).name == name) {
+      return id;
+    }
+  }
+  ADD_FAILURE() << "no block " << name;
+  return kNoBlock;
+}
+
+// A warm-started simplex may only speed a solve up, never change its status.
+// Two preemption-point toggles leave a stored basis whose warm restart of the
+// next solve's root relaxation ends kUnbounded; that solve must still return
+// the cold verdict — the syscall entry optimal at 64,016 cycles and a
+// response bound of 69,326, not an unbounded entry summed as 0.
+TEST(IncrementalWcet, WarmStartNeverChangesSolveStatus) {
+  const auto image = BuildKernelImage(KernelConfig::After());
+  Program& prog = image->prog;
+  const AnalysisOptions opts;
+  IncrementalWcetAnalyzer inc(*image, opts);
+  const BlockId preempt = FindBlock(prog, "eca.preempt");
+  const BlockId deq = FindBlock(prog, "eca.deq");
+  ASSERT_EQ(prog.block(deq).absolute_exec_bound, 256u);
+  for (int round = 0; round < 2; ++round) {
+    for (const bool on : {false, true}) {
+      prog.mutable_block(preempt).is_preemption_point = on;
+      inc.NotifyBlockEdited(preempt);
+      inc.InterruptResponseBound();
+    }
+  }
+  prog.mutable_block(deq).absolute_exec_bound = 259;
+  inc.NotifyBlockEdited(deq);
+
+  const WcetAnalyzer cold(*image, opts);
+  const EntryResult want = cold.Analyze(EntryPoint::kSyscall);
+  ASSERT_EQ(want.status, SolveStatus::kOptimal);
+  EXPECT_EQ(want.wcet, 64'016u);
+  ExpectResultsIdentical(inc.Analyze(EntryPoint::kSyscall), want);
+  EXPECT_EQ(cold.InterruptResponseBound(), 69'326u);
+  EXPECT_EQ(inc.InterruptResponseBound(), cold.InterruptResponseBound());
+}
+
 TEST(IncrementalWcet, WarmStartsAfterMetadataEdits) {
   const auto image = BuildKernelImage(KernelConfig::After());
   Program& prog = image->prog;
@@ -256,6 +299,59 @@ Cycles ParseBound(const std::vector<std::uint8_t>& reply) {
   WireReader r(reply);
   EXPECT_EQ(r.U8(), 0);
   return r.U64();
+}
+
+// The refusal every response-bound query gives when an entry is not optimal.
+void ExpectRefusal(const std::string& what) {
+  EXPECT_NE(what.find("the System call entry is unbounded, not optimal"), std::string::npos)
+      << what;
+}
+
+// A response bound never counts an entry that is not optimal as 0 cycles.
+// Clearing choose.lz_deq's absolute bound on the Before image leaves every
+// entry unbounded: both analyzers throw, and the service answers an error on
+// its exclusive (miss) and shared (all-cached) paths alike.
+TEST(ResponseBound, RefusesEntriesThatAreNotOptimal) {
+  const auto image = BuildKernelImage(KernelConfig::Before());
+  const BlockId lz = FindBlock(image->prog, "choose.lz_deq");
+  ASSERT_GT(image->prog.block(lz).absolute_exec_bound, 0u);
+  image->prog.mutable_block(lz).absolute_exec_bound = 0;
+  const AnalysisOptions opts;
+
+  const WcetAnalyzer cold(*image, opts);
+  for (EntryPoint e : kAllEntries) {
+    EXPECT_EQ(cold.Analyze(e).status, SolveStatus::kUnbounded);
+  }
+  try {
+    cold.InterruptResponseBound();
+    ADD_FAILURE() << "WcetAnalyzer summed unbounded entries";
+  } catch (const std::runtime_error& e) {
+    ExpectRefusal(e.what());
+  }
+  IncrementalWcetAnalyzer inc(*image, opts);
+  try {
+    inc.InterruptResponseBound();
+    ADD_FAILURE() << "IncrementalWcetAnalyzer summed unbounded entries";
+  } catch (const std::runtime_error& e) {
+    ExpectRefusal(e.what());
+  }
+
+  WcetService service(BuildKernelImage(KernelConfig::Before()), opts);
+  ASSERT_GT(ParseBound(service.Handle(ResponseBoundRequest())), 0u);
+  service.Handle(EditRequest(lz, EditField::kAbsoluteExecBound, 0));
+  const auto shared_hits = [] {
+    return obs::MetricsRegistry::Get().Snapshot().CounterValue("wcet.serve.shared_hit");
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::uint64_t hits = shared_hits();
+    const std::vector<std::uint8_t> reply = service.Handle(ResponseBoundRequest());
+    WireReader r(reply);
+    EXPECT_EQ(r.U8(), 1) << "pass " << pass;  // error reply
+    ExpectRefusal(r.Str());
+    // Pass 0 re-derives every entry under the exclusive lock; pass 1 finds
+    // them all cached.
+    EXPECT_EQ(shared_hits() - hits, pass == 0 ? 0u : 1u);
+  }
 }
 
 TEST(WcetService, AnswersMatchDirectAnalyzer) {
