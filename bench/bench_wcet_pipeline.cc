@@ -1,17 +1,17 @@
 // bench_wcet_pipeline — WCET analysis pipeline benchmark with self-check.
 //
 // Runs the repository's WCET experiment drivers twice: once through the
-// retained reference pipeline (pmk::wcet::SetReferenceMode — the seed's dense
-// two-phase tableau simplex, cold-started branch-and-bound, unmemoized
-// analyzers that re-derive the inlined graph / loop bounds / abstract-cache
-// fixpoint on every call, and fresh-boot-per-run observed-worst recreation)
-// and once through the optimised pipeline (sparse revised simplex with an
-// eta-file basis, warm-started B&B, call_once-memoized per-entry analysis
-// state, shared block-level cost caches, and checkpoint-forked measurement
+// WCET oracle (tests/wcet_oracle.h: WcetOracle's dense two-phase tableau
+// simplex, cold-started branch-and-bound, simulated loop bounds and
+// re-derivation of the inlined graph / loop bounds / abstract-cache fixpoint
+// on every call, plus fresh-boot-per-run observed-worst recreation) and once
+// through the production pipeline (WcetAnalyzer: sparse revised simplex with
+// an eta-file basis, warm-started B&B, digest-keyed per-entry stage caches,
+// a shared block-level cost cache, and checkpoint-forked measurement
 // systems). Both passes must produce bit-identical WCET bounds, solve
 // statuses, worst traces and observed maxima — the benchmark digests every
 // observable output and FAILS (nonzero exit) on any mismatch, and separately
-// verifies the optimised fan-out digests are identical at --jobs 1, 2 and 4.
+// verifies the production fan-out digests are identical at --jobs 1, 2 and 4.
 // The speedup numbers are informational; only the self-checks gate.
 //
 //   $ bench_wcet_pipeline [--quick] [--json=BENCH_wcet.json] [--csv]
@@ -19,7 +19,7 @@
 // Writes BENCH_wcet.json (before/after seconds, speedup, runs/sec,
 // self-check verdict) unless --json= overrides the path.
 //
-// Timing convention: reference and optimised repetitions are interleaved
+// Timing convention: oracle and production repetitions are interleaved
 // (ref, opt, ref, opt, ...) so ambient host load disturbs both paths alike,
 // each repetition is timed individually, and the reported speedup is the
 // ratio of best (minimum) repetition times. Both paths are deterministic and
@@ -29,25 +29,25 @@
 // Workload shapes:
 //   table2-wcet         one full Table 2 driver execution per repetition
 //                       (3 analyzers x 4 entries + 128 observed-worst runs);
-//                       reference boots a fresh system per observed run, the
-//                       optimised path forks checkpoints.
-//   fig8-overestimation one Figure 8 grid per repetition; the reference
-//                       path boots and analyzes each of the 8 combinations
-//                       cold (the seed driver shape), the optimised path
-//                       serves the grid from persistent warm state — two
-//                       pre-booted checkpoints and two memoized analyzers
-//                       held across repetitions (the steady-state shape a
-//                       long experiment campaign is in).
+//                       the oracle pass boots a fresh system per observed
+//                       run, the production pass forks checkpoints.
+//   fig8-overestimation one Figure 8 grid per repetition; the oracle pass
+//                       boots and analyzes each of the 8 combinations cold
+//                       (the seed driver shape), the production pass serves
+//                       the grid from persistent warm state — two pre-booted
+//                       checkpoints and two analyzers held across
+//                       repetitions (the steady-state shape a long
+//                       experiment campaign is in).
 //   table1-pinning      one Table 1 driver execution per repetition
 //                       (2 analyzers x 4 entries, fresh per repetition).
 //   response-sweep      interrupt-response bounds + per-block ceilings for
 //                       4 analysis configurations, fresh per repetition.
 //   incremental-edit    16 single-block metadata edits, re-querying the
-//                       interrupt-response bound after each; the reference
-//                       path re-analyzes cold per edit, the optimised path
-//                       holds one IncrementalWcetAnalyzer whose content
-//                       digests confine re-derivation to the dirtied stages
-//                       (gated: must be >= 10x the cold path).
+//                       interrupt-response bound after each; the oracle pass
+//                       re-analyzes cold per edit, the production pass holds
+//                       one WcetAnalyzer whose content digests confine
+//                       re-derivation to the dirtied stages (gated: must be
+//                       >= 10x the oracle pass).
 
 #include <algorithm>
 #include <chrono>
@@ -67,8 +67,8 @@
 #include "src/sim/report.h"
 #include "src/sim/workload.h"
 #include "src/wcet/analysis.h"
-#include "src/wcet/incremental.h"
-#include "src/wcet/refmode.h"
+#include "src/wcet/serve.h"
+#include "tests/wcet_oracle.h"
 
 namespace pmk {
 namespace {
@@ -83,7 +83,7 @@ using pmk::FnvU64;
 
 constexpr std::uint64_t kFnvBasis = pmk::kFnv64Offset;
 
-// Job count used by the optimised path's analysis fan-outs. 1 during timed
+// Job count used by the production pass's analysis fan-outs. 1 during timed
 // repetitions (the speedups here are algorithmic, not thread-level); the
 // jobs-consistency self-check below re-runs the digests at 2 and 4.
 unsigned g_opt_jobs = 1;
@@ -276,23 +276,24 @@ Cycles ObservedWorstFork(EntryPoint entry, const KernelConfig& kc, bool l2,
   return worst;
 }
 
-void RepTable2(Measurement& m) {
-  const bool reference = wcet::ReferenceMode();
+// One Table 2 repetition with |Analyzer| (WcetOracle on the oracle pass).
+template <typename Analyzer>
+void Table2With(Measurement& m, bool oracle) {
   const auto before = BuildKernelImage(KernelConfig::Before());
   const auto after = BuildKernelImage(KernelConfig::After());
   AnalysisOptions ao_off;
   AnalysisOptions ao_on;
   ao_on.l2_enabled = true;
-  const WcetAnalyzer before_off(*before, ao_off);
-  const WcetAnalyzer after_off(*after, ao_off);
-  const WcetAnalyzer after_on(*after, ao_on);
+  const Analyzer before_off(*before, ao_off);
+  const Analyzer after_off(*after, ao_off);
+  const Analyzer after_on(*after, ao_on);
 
   struct EntryRow {
     EntryResult b_off, a_off, a_on;
     Cycles o_off = 0, o_on = 0;
   };
   std::vector<EntryRow> rows;
-  if (reference) {
+  if (oracle) {
     // Seed driver shape: serial entry loop, fresh boot per observed run.
     for (const EntryPoint entry : kEntries) {
       EntryRow r;
@@ -335,12 +336,20 @@ void RepTable2(Measurement& m) {
     m.modelled_cycles += r.o_off + r.o_on;
   }
   // Footer: improvement factor + worst-case interrupt response. The repeat
-  // Analyze calls are memoized hits on the optimised path and full
-  // re-derivations on the reference path, exactly as in the drivers.
+  // Analyze calls are cache hits on the production pass and full
+  // re-derivations on the oracle pass, exactly as in the drivers.
   m.digest = FnvU64(m.digest, before_off.Analyze(EntryPoint::kSyscall).wcet);
   m.digest = FnvU64(m.digest, after_off.Analyze(EntryPoint::kSyscall).wcet);
   m.digest = FnvU64(m.digest, longest_after_off + irq_after_off);
   m.digest = FnvU64(m.digest, longest_after_on + irq_after_on);
+}
+
+void RepTable2(Measurement& m, bool oracle) {
+  if (oracle) {
+    Table2With<WcetOracle>(m, true);
+  } else {
+    Table2With<WcetAnalyzer>(m, false);
+  }
 }
 
 // --- Workload 2: fig8-overestimation --------------------------------------
@@ -404,14 +413,13 @@ Cycles RunPathObserved(EntryPoint entry, System& sys, Trace* trace) {
   return 0;
 }
 
-// Persistent warm state for the optimised figure-8 path, built once on
-// first use (while reference mode is off) and held across repetitions — the
-// steady-state shape of a long experiment campaign. Each of the 8 grid
-// combinations is staged as a checkpoint frozen immediately before the timed
-// kernel entry: scenario construction and cache pollution are deterministic
-// and execute no kernel blocks, so a fork that starts recording and runs the
-// timed entry reproduces the fresh-boot path's observed cycles and trace bit
-// for bit.
+// Persistent warm state for the production figure-8 pass, built once on
+// first use and held across repetitions — the steady-state shape of a long
+// experiment campaign. Each of the 8 grid combinations is staged as a
+// checkpoint frozen immediately before the timed kernel entry: scenario
+// construction and cache pollution are deterministic and execute no kernel
+// blocks, so a fork that starts recording and runs the timed entry
+// reproduces the fresh-boot path's observed cycles and trace bit for bit.
 struct Fig8Warm {
   struct Stage {
     std::unique_ptr<System> base;
@@ -479,11 +487,10 @@ Fig8Warm& WarmFig8() {
   return warm;
 }
 
-void RepFig8(Measurement& m) {
-  const bool reference = wcet::ReferenceMode();
-  if (reference) {
-    // Seed driver shape: boot a fresh system and construct a fresh analyzer
-    // for every combination (and re-derive everything inside it per call).
+void RepFig8(Measurement& m, bool oracle) {
+  if (oracle) {
+    // Seed driver shape: boot a fresh system and construct a fresh oracle
+    // for every combination.
     for (const EntryPoint entry : kEntries) {
       for (const bool l2 : {true, false}) {
         System sys(KernelConfig::After(), EvalMachine(l2));
@@ -491,7 +498,7 @@ void RepFig8(Measurement& m) {
         const Cycles observed = RunPathObserved(entry, sys, &trace);
         AnalysisOptions ao;
         ao.l2_enabled = l2;
-        const WcetAnalyzer an(sys.kernel().image(), ao);
+        const WcetOracle an(sys.kernel().image(), ao);
         m.digest = FnvU64(m.digest, observed);
         m.digest = FnvU64(m.digest, an.EvaluateTrace(trace));
       }
@@ -538,19 +545,23 @@ void RepFig8(Measurement& m) {
 
 // --- Workload 3: table1-pinning -------------------------------------------
 // One Table 1 driver execution: computed WCET with and without L1 cache
-// pinning for all four entry points. Same code on both paths — the mode is
-// sampled inside the analyzers and the solver.
+// pinning for all four entry points.
 
-void RepTable1(Measurement& m) {
+void RepTable1(Measurement& m, bool oracle) {
   const auto img = BuildKernelImage(KernelConfig::After());
   AnalysisOptions plain;
   AnalysisOptions pinned;
   pinned.cache_pinning = true;
-  const WcetAnalyzer a0(*img, plain);
-  const WcetAnalyzer a1(*img, pinned);
-  for (const EntryPoint entry : kEntries) {
-    m.digest = DigestEntryResult(m.digest, a0.Analyze(entry));
-    m.digest = DigestEntryResult(m.digest, a1.Analyze(entry));
+  const auto digest = [&](const auto& a0, const auto& a1) {
+    for (const EntryPoint entry : kEntries) {
+      m.digest = DigestEntryResult(m.digest, a0.Analyze(entry));
+      m.digest = DigestEntryResult(m.digest, a1.Analyze(entry));
+    }
+  };
+  if (oracle) {
+    digest(WcetOracle(*img, plain), WcetOracle(*img, pinned));
+  } else {
+    digest(WcetAnalyzer(*img, plain), WcetAnalyzer(*img, pinned));
   }
 }
 
@@ -559,17 +570,23 @@ void RepTable1(Measurement& m) {
 // ceilings across the four analysis configurations of interest (default,
 // pinning, L2, L2+pinning).
 
-void RepResponseSweep(Measurement& m) {
+void RepResponseSweep(Measurement& m, bool oracle) {
   const auto img = BuildKernelImage(KernelConfig::After());
+  const auto digest = [&](const auto& an) {
+    m.digest = FnvU64(m.digest, an.InterruptResponseBound());
+    const std::vector<Cycles> bounds = an.PerBlockBounds();
+    m.digest = Fnv1a(m.digest, bounds.data(), bounds.size() * sizeof(Cycles));
+  };
   for (const bool l2 : {false, true}) {
     for (const bool pin : {false, true}) {
       AnalysisOptions ao;
       ao.l2_enabled = l2;
       ao.cache_pinning = pin;
-      const WcetAnalyzer an(*img, ao);
-      m.digest = FnvU64(m.digest, an.InterruptResponseBound());
-      const std::vector<Cycles> bounds = an.PerBlockBounds();
-      m.digest = Fnv1a(m.digest, bounds.data(), bounds.size() * sizeof(Cycles));
+      if (oracle) {
+        digest(WcetOracle(*img, ao));
+      } else {
+        digest(WcetAnalyzer(*img, ao));
+      }
     }
   }
 }
@@ -580,35 +597,38 @@ void RepResponseSweep(Measurement& m) {
 // preemption-point toggles), re-querying InterruptResponseBound after each
 // and then reverting before the next — the "what if" probing an engineer
 // does against a resident daemon, where each question is one perturbation of
-// the committed kernel. The reference shape re-analyzes cold per edit (a
-// fresh analyzer re-derives graphs, bounds, costs and the full ILP); the
-// optimised shape keeps one IncrementalWcetAnalyzer resident — content
-// digests confine re-derivation to the stages an edit touched and the
-// simplex warm-restarts from the previous basis. Both shapes walk the same
-// apply/query/revert script, so the per-edit bounds digest identically
-// across both paths and every repetition re-enters a pristine image.
+// the committed kernel. The oracle pass re-analyzes cold per edit (a fresh
+// oracle re-derives graphs, bounds, costs and the full ILP); the production
+// pass keeps one WcetAnalyzer resident — content digests confine
+// re-derivation to the stages an edit touched and the simplex warm-restarts
+// from the previous basis. Both passes walk the same apply/query/revert
+// script, so the per-edit bounds digest identically across both and every
+// repetition re-enters a pristine image.
 
 constexpr int kEditStepsPerRep = 16;
 
 struct BenchEdit {
   BlockId block = 0;
-  std::uint8_t field = 0;  // 1=annotation, 2=absolute bound, 3=preemption
+  wcet::EditField field = wcet::EditField::kLoopBoundAnnotation;
   std::uint32_t value = 0;
   std::uint32_t revert = 0;
 };
 
 std::vector<BenchEdit> BuildBenchEditScript(const Program& prog, int n) {
+  using wcet::EditField;
   std::vector<BenchEdit> candidates;
   for (BlockId id = 0; id < prog.num_blocks(); ++id) {
     const Block& b = prog.block(id);
     if (b.loop_bound_annotation > 0) {
-      candidates.push_back({id, 1, b.loop_bound_annotation + 1, b.loop_bound_annotation});
+      candidates.push_back({id, EditField::kLoopBoundAnnotation, b.loop_bound_annotation + 1,
+                            b.loop_bound_annotation});
     }
     if (b.absolute_exec_bound > 0) {
-      candidates.push_back({id, 2, b.absolute_exec_bound + 1, b.absolute_exec_bound});
+      candidates.push_back({id, EditField::kAbsoluteExecBound, b.absolute_exec_bound + 1,
+                            b.absolute_exec_bound});
     }
     if (b.is_preemption_point) {
-      candidates.push_back({id, 3, 0, 1});
+      candidates.push_back({id, EditField::kIsPreemptionPoint, 0, 1});
     }
   }
   std::vector<BenchEdit> script;
@@ -618,33 +638,17 @@ std::vector<BenchEdit> BuildBenchEditScript(const Program& prog, int n) {
   return script;
 }
 
-void ApplyBenchEdit(Program& prog, const BenchEdit& e, bool revert) {
-  Block& b = prog.mutable_block(e.block);
-  const std::uint32_t v = revert ? e.revert : e.value;
-  switch (e.field) {
-    case 1:
-      b.loop_bound_annotation = v;
-      break;
-    case 2:
-      b.absolute_exec_bound = v;
-      break;
-    default:
-      b.is_preemption_point = v != 0;
-      break;
-  }
-}
-
-// Persistent optimised-path state: the resident analyzer a long-lived daemon
-// holds across edit sessions. The script reverts at repetition end, so the
-// image always re-enters a repetition in its pristine state.
+// Persistent production-pass state: the resident analyzer a long-lived
+// daemon holds across edit sessions. The script reverts at repetition end,
+// so the image always re-enters a repetition in its pristine state.
 struct IncrementalWarm {
   std::unique_ptr<KernelImage> image;
-  std::unique_ptr<IncrementalWcetAnalyzer> analyzer;
+  std::unique_ptr<WcetAnalyzer> analyzer;
   std::vector<BenchEdit> script;
 
   IncrementalWarm() {
     image = BuildKernelImage(KernelConfig::After());
-    analyzer = std::make_unique<IncrementalWcetAnalyzer>(*image, AnalysisOptions{});
+    analyzer = std::make_unique<WcetAnalyzer>(*image, AnalysisOptions{});
     script = BuildBenchEditScript(image->prog, kEditStepsPerRep);
   }
 };
@@ -654,50 +658,45 @@ IncrementalWarm& WarmIncremental() {
   return warm;
 }
 
-void RepIncrementalEdit(Measurement& m) {
-  if (wcet::ReferenceMode()) {
-    // Cold shape: every probe pays a fresh analyzer that re-derives the
-    // whole pipeline for all four entries.
+void RepIncrementalEdit(Measurement& m, bool oracle) {
+  if (oracle) {
+    // Cold shape: every probe pays a fresh oracle that re-derives the whole
+    // pipeline for all four entries.
     const auto image = BuildKernelImage(KernelConfig::After());
     const std::vector<BenchEdit> script = BuildBenchEditScript(image->prog, kEditStepsPerRep);
     for (const BenchEdit& e : script) {
-      ApplyBenchEdit(image->prog, e, /*revert=*/false);
-      {
-        const WcetAnalyzer cold(*image, AnalysisOptions{});
-        m.digest = FnvU64(m.digest, cold.InterruptResponseBound());
-      }
-      ApplyBenchEdit(image->prog, e, /*revert=*/true);
+      wcet::ApplyEdit(image->prog, e.block, e.field, e.value);
+      m.digest = FnvU64(m.digest, WcetOracle(*image, AnalysisOptions{}).InterruptResponseBound());
+      wcet::ApplyEdit(image->prog, e.block, e.field, e.revert);
     }
     return;
   }
   IncrementalWarm& warm = WarmIncremental();
   for (const BenchEdit& e : warm.script) {
-    ApplyBenchEdit(warm.image->prog, e, /*revert=*/false);
+    wcet::ApplyEdit(warm.image->prog, e.block, e.field, e.value);
     warm.analyzer->NotifyBlockEdited(e.block);
     m.digest = FnvU64(m.digest, warm.analyzer->InterruptResponseBound());
-    ApplyBenchEdit(warm.image->prog, e, /*revert=*/true);
+    wcet::ApplyEdit(warm.image->prog, e.block, e.field, e.revert);
     warm.analyzer->NotifyBlockEdited(e.block);
   }
 }
 
-// Runs |reps| reference/optimised repetition pairs, interleaved so ambient
-// host load disturbs both paths alike, and times each repetition
-// individually. The digest chains per mode across repetitions, so mode
-// switching between repetitions cannot mask a divergence.
+// Runs |reps| oracle/production repetition pairs, interleaved so ambient
+// host load disturbs both passes alike, and times each repetition
+// individually. The digest chains per pass across repetitions, so
+// alternating between them cannot mask a divergence.
 WorkloadResult RunWorkload(const std::string& name, std::uint32_t reps,
-                           void (*rep)(Measurement&)) {
+                           void (*rep)(Measurement&, bool)) {
   WorkloadResult r;
   r.name = name;
   r.runs = reps;
   for (std::uint32_t i = 0; i < reps; ++i) {
-    wcet::SetReferenceMode(true);
     auto t0 = std::chrono::steady_clock::now();
-    rep(r.reference);
+    rep(r.reference, /*oracle=*/true);
     r.reference.RecordRep(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
-    wcet::SetReferenceMode(false);
     t0 = std::chrono::steady_clock::now();
-    rep(r.optimized);
+    rep(r.optimized, /*oracle=*/false);
     r.optimized.RecordRep(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
   }
@@ -707,12 +706,11 @@ WorkloadResult RunWorkload(const std::string& name, std::uint32_t reps,
   return r;
 }
 
-// One optimised-path repetition at a given fan-out width, digest only.
-std::uint64_t OptDigestAtJobs(void (*rep)(Measurement&), unsigned jobs) {
+// One production-pass repetition at a given fan-out width, digest only.
+std::uint64_t OptDigestAtJobs(void (*rep)(Measurement&, bool), unsigned jobs) {
   g_opt_jobs = jobs;
-  wcet::SetReferenceMode(false);
   Measurement m;
-  rep(m);
+  rep(m, /*oracle=*/false);
   g_opt_jobs = 1;
   return m.digest;
 }
@@ -759,8 +757,8 @@ int main(int argc, char** argv) {
     json_path = "BENCH_wcet.json";
   }
 
-  std::printf("WCET pipeline benchmark: reference (dense simplex, unmemoized analysis,\n");
-  std::printf("fresh-boot measurement) vs optimised (sparse revised simplex, memoized\n");
+  std::printf("WCET pipeline benchmark: oracle (dense simplex, re-derived analysis,\n");
+  std::printf("fresh-boot measurement) vs production (sparse revised simplex, digest-keyed\n");
   std::printf("analysis caches, checkpoint-forked measurement).\n");
   std::printf("Mode: %s\n\n", quick ? "quick (CI smoke)" : "full");
 
@@ -796,7 +794,7 @@ int main(int argc, char** argv) {
     all_identical = all_identical && r.identical();
   }
 
-  // The optimised fan-outs must be byte-identical at any --jobs width: one
+  // The production fan-outs must be byte-identical at any --jobs width: one
   // repetition of each fanned-out workload, digested at jobs 1, 2 and 4.
   bool jobs_consistent = true;
   for (const auto rep : {RepTable2, RepFig8}) {
@@ -809,7 +807,7 @@ int main(int argc, char** argv) {
               jobs_consistent ? "identical" : "MISMATCH");
 
   // The incremental engine's acceptance gate: re-querying after a one-block
-  // edit must be at least 10x faster than cold per-edit re-analysis (it is
+  // edit must be at least 10x faster than a cold per-edit oracle run (it is
   // typically far more), with digest-identical bounds (checked above).
   bool incremental_fast_enough = true;
   for (const WorkloadResult& r : results) {
@@ -827,7 +825,7 @@ int main(int argc, char** argv) {
   bench::ExportMetricsJson(flags.metrics_json);
 
   if (!all_identical || !jobs_consistent || !incremental_fast_enough) {
-    std::printf("SELF-CHECK FAILED: reference and optimised outputs differ.\n");
+    std::printf("SELF-CHECK FAILED: oracle and production outputs differ.\n");
     return 1;
   }
   std::printf("Self-check passed: all WCET bounds, statuses, traces and observed\n");

@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   // job pool: each combination forks its System from one of two pre-booted
   // checkpoints (per L2 setting) instead of rebooting and rebuilding the
   // kernel image, replays its path, and evaluates the forced-path bound
-  // against a shared per-L2 analyzer (memoization is call_once-protected).
+  // against a shared per-L2 analyzer (its queries are thread-safe).
   // Forks replay cycle-identically to the system they were frozen from, and
   // rows are collected in ordinal order, so the output is byte-identical to
   // the boot-per-combination loop for any --jobs count.

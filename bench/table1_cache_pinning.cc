@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
   }
 
   // Both ablation arms of all four entry points fan out over the job pool.
-  // The two analyzers are shared across workers (their memoization is
-  // call_once-protected) and rows are collected in ordinal order, so the
-  // output is byte-identical for any --jobs count.
+  // The two analyzers are shared across workers (their per-entry caches are
+  // locked) and rows are collected in ordinal order, so the output is
+  // byte-identical for any --jobs count.
   const std::vector<EntryPoint> entries = {EntryPoint::kSyscall, EntryPoint::kUndefined,
                                            EntryPoint::kPageFault, EntryPoint::kInterrupt};
   struct Row {

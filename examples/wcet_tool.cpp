@@ -4,7 +4,7 @@
 // entry point of a chosen kernel configuration, prints the loop-bound
 // statistics and the worst-case interrupt response time (paper Section 6).
 //
-// Daemon mode (--serve=SOCK) keeps an IncrementalWcetAnalyzer resident
+// Daemon mode (--serve=SOCK) keeps a WcetAnalyzer resident
 // behind an AF_UNIX socket speaking the framed kWcetQuery/kWcetReply
 // protocol (src/wcet/serve.h): clients re-query bounds after edits without
 // paying a cold re-analysis. --connect=SOCK prints the same report from the
@@ -40,7 +40,6 @@
 #include "src/engine/job_pool.h"
 #include "src/engine/wire.h"
 #include "src/wcet/analysis.h"
-#include "src/wcet/incremental.h"
 #include "src/wcet/serve.h"
 
 namespace {
@@ -305,22 +304,6 @@ std::vector<DemoEdit> BuildEditScript(const pmk::Program& prog, int n) {
   return script;
 }
 
-void ApplyEdit(pmk::Program& prog, const DemoEdit& e, bool revert) {
-  pmk::Block& b = prog.mutable_block(e.block);
-  const std::uint64_t v = revert ? e.revert : e.value;
-  switch (e.field) {
-    case EditField::kLoopBoundAnnotation:
-      b.loop_bound_annotation = static_cast<std::uint32_t>(v);
-      break;
-    case EditField::kAbsoluteExecBound:
-      b.absolute_exec_bound = static_cast<std::uint32_t>(v);
-      break;
-    case EditField::kIsPreemptionPoint:
-      b.is_preemption_point = v != 0;
-      break;
-  }
-}
-
 // Replays the edit script, checking every incremental answer against a cold
 // fresh analyzer on an identically-edited mirror image. |conn| directs the
 // incremental side at a daemon; null runs it in-process.
@@ -330,21 +313,22 @@ int RunEditDemo(const pmk::KernelConfig& kc, const pmk::AnalysisOptions& opts, i
   // incremental analyzer on a second image so the two never share state.
   const auto mirror = pmk::BuildKernelImage(kc);
   auto local_image = conn ? nullptr : pmk::BuildKernelImage(kc);
-  std::unique_ptr<pmk::IncrementalWcetAnalyzer> local;
+  std::unique_ptr<pmk::WcetAnalyzer> local;
   if (!conn) {
-    local = std::make_unique<pmk::IncrementalWcetAnalyzer>(*local_image, opts);
+    local = std::make_unique<pmk::WcetAnalyzer>(*local_image, opts);
   }
   const auto incremental_bound = [&]() -> pmk::Cycles {
     return conn ? conn->ResponseBound() : local->InterruptResponseBound();
   };
   const auto apply = [&](const DemoEdit& e, bool revert) {
+    const std::uint64_t value = revert ? e.revert : e.value;
     if (conn) {
-      conn->Edit(e.block, e.field, revert ? e.revert : e.value);
+      conn->Edit(e.block, e.field, value);
     } else {
-      ApplyEdit(local_image->prog, e, revert);
+      pmk::wcet::ApplyEdit(local_image->prog, e.block, e.field, value);
       local->NotifyBlockEdited(e.block);
     }
-    ApplyEdit(mirror->prog, e, revert);
+    pmk::wcet::ApplyEdit(mirror->prog, e.block, e.field, value);
   };
 
   const pmk::Cycles baseline = incremental_bound();

@@ -1,6 +1,6 @@
 // Content digests of laid-out kernel IR blocks.
 //
-// The incremental WCET engine (src/wcet/incremental.h) keys every analysis
+// The WCET analyzer (src/wcet/analysis.h) keys every analysis
 // stage on WHAT the blocks say, not on which analyzer object derived it.
 // Each block gets four chained FNV-1a digests, one per field subset a
 // pipeline stage consumes:

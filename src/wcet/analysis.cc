@@ -5,15 +5,15 @@
 #include <string>
 
 #include "src/obs/metrics.h"
-#include "src/wcet/refmode.h"
 
 namespace pmk {
 
 namespace {
 
-// Analyzer telemetry: memoization effectiveness plus per-stage wall time.
-// Pure observers — the analysis result is a function of (image, options)
-// regardless of what gets counted.
+// Analyzer telemetry: whole-entry cache hits (wcet.memo.*), per-stage
+// re-derivation wall time (wcet.stage.*) and per-stage cache hits
+// (wcet.inc.*). Pure observers — the analysis result is a function of
+// (image content, options) regardless of what gets counted.
 obs::Counter& MemoHitCounter() {
   static obs::Counter c("wcet.memo.hit");
   return c;
@@ -37,6 +37,48 @@ obs::Timer& CostTimer() {
 obs::Timer& IpetTimer() {
   static obs::Timer t("wcet.stage.ipet_nanos");
   return t;
+}
+// Per-stage cache effectiveness plus invalidation/patch telemetry.
+// Warm-vs-cold simplex counts live in src/wcet/ilp.cc (wcet.inc.simplex.*).
+obs::Counter& GraphHit() {
+  static obs::Counter c("wcet.inc.graph.hit");
+  return c;
+}
+obs::Counter& GraphMiss() {
+  static obs::Counter c("wcet.inc.graph.miss");
+  return c;
+}
+obs::Counter& LoopHit() {
+  static obs::Counter c("wcet.inc.loopbound.hit");
+  return c;
+}
+obs::Counter& LoopMiss() {
+  static obs::Counter c("wcet.inc.loopbound.miss");
+  return c;
+}
+obs::Counter& CostHit() {
+  static obs::Counter c("wcet.inc.cost.hit");
+  return c;
+}
+obs::Counter& CostMiss() {
+  static obs::Counter c("wcet.inc.cost.miss");
+  return c;
+}
+obs::Counter& IpetHit() {
+  static obs::Counter c("wcet.inc.ipet.hit");
+  return c;
+}
+obs::Counter& IpetMiss() {
+  static obs::Counter c("wcet.inc.ipet.miss");
+  return c;
+}
+obs::Counter& InvalidatedEntries() {
+  static obs::Counter c("wcet.inc.invalidated");
+  return c;
+}
+obs::Counter& RowsPatched() {
+  static obs::Counter c("wcet.inc.rows_patched");
+  return c;
 }
 
 const char* SolveStatusName(SolveStatus s) {
@@ -80,13 +122,11 @@ CostModelOptions BuildCostModelOptions(const KernelImage& image, const AnalysisO
     cost_opts.l2_pinned_hi = Program::kStackTop;
   }
   if (options.cache_pinning) {
-    const std::size_t capacity = (4096 / cost_opts.line_bytes) * options.pin_ways;
+    // One 4 KiB way of each L1 is locked.
+    const std::size_t capacity = 4096 / cost_opts.line_bytes;
     const PinnedLines pins = SelectPinnedLines(image, cost_opts.line_bytes, capacity);
     cost_opts.pinned_ilines.insert(pins.ilines.begin(), pins.ilines.end());
     cost_opts.pinned_dlines.insert(pins.dlines.begin(), pins.dlines.end());
-    // The locked region shrinks the cache available to everything else: the
-    // direct-mapped approximation loses the locked ways.
-    cost_opts.way_bytes = 4096;  // unchanged: one way is already the model
   }
   return cost_opts;
 }
@@ -106,101 +146,115 @@ FuncId AnalysisEntryFunc(const KernelImage& image, EntryPoint e) {
 }
 
 WcetAnalyzer::WcetAnalyzer(const KernelImage& image, const AnalysisOptions& options)
-    : image_(&image), opts_(options) {
-  cost_opts_ = BuildCostModelOptions(image, options);
-  memoize_ = !wcet::ReferenceMode();
+    : image_(&image),
+      opts_(options),
+      block_cache_(image.prog, BuildCostModelOptions(image, options)),
+      digests_(image.prog) {
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const FuncId fn = AnalysisEntryFunc(image, static_cast<EntryPoint>(i));
+    closure_blocks_[i] = ClosureBlocks(image.prog, CallClosure(image.prog, fn));
+  }
 }
 
-FuncId WcetAnalyzer::EntryFunc(EntryPoint e) const { return AnalysisEntryFunc(*image_, e); }
-
-const CostModelCache& WcetAnalyzer::BlockCache() const {
-  std::call_once(block_cache_once_, [&] {
-    block_cache_ = std::make_unique<CostModelCache>(image_->prog, cost_opts_);
-  });
-  return *block_cache_;
-}
-
-EntryResult WcetAnalyzer::AnalyzeUncached(EntryPoint entry) const {
-  EntryResult res;
-  res.entry = entry;
-
-  std::unique_ptr<InlinedGraph> graph;
-  {
-    const auto scope = GraphTimer().Measure();
-    graph = std::make_unique<InlinedGraph>(image_->prog, EntryFunc(entry));
-  }
-  res.nodes = graph->nodes().size();
-  res.edges = graph->edges().size();
-
-  std::vector<LoopBoundResult> bounds;
-  {
-    const auto scope = LoopBoundTimer().Measure();
-    bounds = ComputeLoopBounds(*graph);
-  }
-  for (const LoopBoundResult& b : bounds) {
-    if (b.source == LoopBoundResult::Source::kComputed) {
-      res.loops_bounded_auto++;
-    } else if (b.source != LoopBoundResult::Source::kUnknown) {
-      res.loops_bounded_annot++;
-    }
-  }
-
-  CostResult costs;
-  {
-    const auto scope = CostTimer().Measure();
-    costs = memoize_ ? ComputeNodeCosts(*graph, BlockCache())
-                     : ComputeNodeCosts(*graph, cost_opts_);
-  }
-
-  IpetOptions iopts;
-  iopts.irq_pending = opts_.irq_pending;
-  const auto ipet_scope = IpetTimer().Measure();
-  const IpetResult ipet = RunIpet(*graph, costs, iopts, opts_.constraints);
-  res.status = ipet.status;
-  if (ipet.status == SolveStatus::kOptimal) {
-    res.wcet = ipet.wcet;
-    res.micros = ClockSpec{}.ToMicros(ipet.wcet);
-    res.worst_trace = ExtractWorstTrace(*graph, ipet);
-  }
-  return res;
+WcetAnalyzer::StageKeys WcetAnalyzer::ComputeKeys(std::size_t entry_idx) const {
+  const std::vector<BlockId>& blocks = closure_blocks_[entry_idx];
+  StageKeys k;
+  k.graph = digests_.Chain(blocks, DigestStage::kStructure);
+  k.loops = digests_.Chain(blocks, DigestStage::kLoops, k.graph);
+  k.cost = digests_.Chain(blocks, DigestStage::kCost, k.loops);
+  k.ipet = digests_.Chain(blocks, DigestStage::kIpet, k.cost);
+  return k;
 }
 
 EntryResult WcetAnalyzer::Analyze(EntryPoint entry) const {
-  if (!memoize_) {
-    MemoMissCounter().Inc();
-    return AnalyzeUncached(entry);
+  const std::size_t i = static_cast<std::size_t>(entry);
+  const StageKeys keys = ComputeKeys(i);
+  EntryCache& ec = entries_[i];
+  const std::lock_guard<std::mutex> lock(ec.mu);
+  const bool graph_hit = ec.valid && ec.keys.graph == keys.graph;
+  const bool loop_hit = graph_hit && ec.keys.loops == keys.loops;
+  const bool cost_hit = loop_hit && ec.keys.cost == keys.cost;
+  const bool ipet_hit = cost_hit && ec.keys.ipet == keys.ipet;
+  (graph_hit ? GraphHit() : GraphMiss()).Inc();
+  (loop_hit ? LoopHit() : LoopMiss()).Inc();
+  (cost_hit ? CostHit() : CostMiss()).Inc();
+  (ipet_hit ? IpetHit() : IpetMiss()).Inc();
+  (ipet_hit ? MemoHitCounter() : MemoMissCounter()).Inc();
+  if (ipet_hit) {
+    return ec.result;
   }
-  EntryState& st = entries_[static_cast<std::size_t>(entry)];
-  if (st.ready.load(std::memory_order_acquire)) {
-    MemoHitCounter().Inc();
+
+  EntryResult& res = ec.result;
+  if (!graph_hit) {
+    const auto scope = GraphTimer().Measure();
+    ec.graph = std::make_unique<InlinedGraph>(image_->prog, AnalysisEntryFunc(*image_, entry));
+    res.entry = entry;
+    res.nodes = ec.graph->nodes().size();
+    res.edges = ec.graph->edges().size();
+  }
+  if (!loop_hit) {
+    const auto scope = LoopBoundTimer().Measure();
+    res.loops_bounded_auto = 0;
+    res.loops_bounded_annot = 0;
+    for (const LoopBoundResult& b : ComputeLoopBounds(*ec.graph)) {
+      if (b.source == LoopBoundResult::Source::kComputed) {
+        res.loops_bounded_auto++;
+      } else if (b.source != LoopBoundResult::Source::kUnknown) {
+        res.loops_bounded_annot++;
+      }
+    }
+  }
+  if (!cost_hit) {
+    // First-miss edge extras depend on the loop bounds, so a loop-stage move
+    // re-runs the costs too.
+    const auto scope = CostTimer().Measure();
+    ec.costs = ComputeNodeCosts(*ec.graph, block_cache_);
+  }
+
+  const auto scope = IpetTimer().Measure();
+  const IpetOptions iopts{opts_.irq_pending};
+  if (!graph_hit) {
+    // A different edge set makes any stored basis meaningless.
+    ec.prog = BuildIpetProgram(*ec.graph, ec.costs, iopts, opts_.constraints);
+    ec.warm.Reset();
   } else {
-    MemoMissCounter().Inc();
+    // Re-emit only the dirtied row families in place; the solve restarts
+    // warm. Absolute-exec bounds feed both the loop stage and the exec rows,
+    // so the extra families are re-emitted on every move (unchanged rows
+    // splice back as themselves).
+    std::size_t patched = 0;
+    if (!cost_hit) {
+      PatchIpetObjective(*ec.graph, ec.costs, ec.prog);
+    }
+    if (!loop_hit) {
+      patched += PatchIpetLoopRows(*ec.graph, ec.prog, &ec.warm);
+    }
+    patched += PatchIpetExtraRows(*ec.graph, iopts, ec.prog, &ec.warm);
+    RowsPatched().Inc(patched);
   }
-  std::call_once(st.once, [&] {
-    st.result = std::make_unique<EntryResult>(AnalyzeUncached(entry));
-    st.ready.store(true, std::memory_order_release);
-  });
-  return *st.result;
+  const IpetResult ipet = SolveIpetProgramWarm(*ec.graph, ec.prog, ec.warm);
+  res.status = ipet.status;
+  res.wcet = 0;
+  res.micros = 0;
+  res.worst_trace = Trace{};
+  if (ipet.status == SolveStatus::kOptimal) {
+    res.wcet = ipet.wcet;
+    res.micros = ClockSpec{}.ToMicros(ipet.wcet);
+    res.worst_trace = ExtractWorstTrace(*ec.graph, ipet);
+  }
+  ec.keys = keys;
+  ec.valid = true;
+  return res;
 }
 
 Cycles WcetAnalyzer::EvaluateTrace(const Trace& trace) const {
-  if (!memoize_) {
-    return EvaluateTraceCost(image_->prog, trace, cost_opts_);
-  }
-  return EvaluateTraceCost(BlockCache(), trace);
+  return EvaluateTraceCost(block_cache_, trace);
 }
 
 std::vector<Cycles> WcetAnalyzer::PerBlockBounds() const {
   std::vector<Cycles> bounds(image_->prog.num_blocks(), 0);
-  if (memoize_) {
-    const CostModelCache& cache = BlockCache();
-    for (BlockId id = 0; id < bounds.size(); ++id) {
-      bounds[id] = cache.worst_case(id);
-    }
-    return bounds;
-  }
   for (BlockId id = 0; id < bounds.size(); ++id) {
-    bounds[id] = BlockWorstCaseCost(image_->prog, id, cost_opts_);
+    bounds[id] = block_cache_.worst_case(id);
   }
   return bounds;
 }
@@ -209,6 +263,22 @@ Cycles WcetAnalyzer::InterruptResponseBound() const {
   const EntryResult r[] = {Analyze(EntryPoint::kSyscall), Analyze(EntryPoint::kUndefined),
                            Analyze(EntryPoint::kPageFault), Analyze(EntryPoint::kInterrupt)};
   return ResponseBoundOf({&r[0], &r[1], &r[2], &r[3]});
+}
+
+bool WcetAnalyzer::NotifyBlockEdited(BlockId block) {
+  if (!digests_.Refresh(block)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const EntryCache& ec = entries_[i];
+    // Only entries whose call closure contains the block can go stale.
+    const std::vector<BlockId>& blocks = closure_blocks_[i];
+    if (ec.valid && std::find(blocks.begin(), blocks.end(), block) != blocks.end() &&
+        ComputeKeys(i).ipet != ec.keys.ipet) {
+      InvalidatedEntries().Inc();
+    }
+  }
+  return true;
 }
 
 Cycles ResponseBoundOf(const std::array<const EntryResult*, 4>& by_entry) {

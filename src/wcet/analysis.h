@@ -9,13 +9,13 @@
 #define SRC_WCET_ANALYSIS_H_
 
 #include <array>
-#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "src/kernel/image.h"
+#include "src/kir/digest.h"
 #include "src/wcet/cost.h"
 #include "src/wcet/ipet.h"
 #include "src/wcet/loopbound.h"
@@ -27,7 +27,6 @@ struct AnalysisOptions {
   bool irq_pending = true;         // interrupt-latency mode
   bool cache_pinning = false;      // Section 4: L1 way-locking
   bool l2_kernel_pinning = false;  // Sections 6.4/8: whole kernel in the L2
-  std::uint32_t pin_ways = 1;      // 1/4 of each 4-way L1
   std::vector<ManualConstraint> constraints;
 };
 
@@ -36,8 +35,8 @@ enum class EntryPoint : std::uint8_t { kSyscall, kUndefined, kPageFault, kInterr
 const char* EntryPointName(EntryPoint e);
 
 // Derives the cost-model configuration (L2, pinning, locked line sets) that
-// |options| implies for |image|. Shared by WcetAnalyzer and
-// IncrementalWcetAnalyzer so both derive identical cost models.
+// |options| implies for |image|. Cache pinning locks one way (1/4) of each
+// 4-way L1.
 CostModelOptions BuildCostModelOptions(const KernelImage& image, const AnalysisOptions& options);
 
 // The entry function of |e| in |image| (kernel exception vector).
@@ -59,20 +58,35 @@ struct EntryResult {
 // entries' results, indexed by EntryPoint: the longest of the syscall,
 // undefined-instruction and page-fault paths plus the interrupt path. Throws
 // std::runtime_error naming the first entry whose status is not kOptimal —
-// its wcet bounds nothing, so no sum that counts it is returned. Every
-// analyzer and the query service compute the bound through this one sum.
+// its wcet bounds nothing, so no sum that counts it is returned. The
+// analyzer and the test oracle compute the bound through this one sum.
 Cycles ResponseBoundOf(const std::array<const EntryResult*, 4>& by_entry);
 
 // Analysis driver for one (kernel image, options) pair.
 //
-// The expensive intermediate state — the block-level cost-model cache and,
-// per entry point, the inlined graph / loop bounds / abstract-cache fixpoint
-// / IPET solution — is derived once on first use and memoized, shared by
-// Analyze, EvaluateTrace, InterruptResponseBound and PerBlockBounds.
-// Memoization is thread-safe (std::call_once per cache), so one analyzer may
-// be driven concurrently from engine::RunJobs workers. Analyzers constructed
-// while pmk::wcet::ReferenceMode() is on skip all memoization and re-derive
-// everything per call, reproducing the seed cost profile for benchmarking.
+// Every pipeline stage of an entry point is cached under a chained FNV
+// digest of the block content that stage consumes (src/kir/digest.h), over
+// the entry's call closure:
+//
+//   graph key = chain(structure digests)
+//   loop  key = chain(loop digests, seeded by the graph key)
+//   cost  key = chain(cost digests, seeded by the loop key)
+//   ipet  key = chain(ipet digests, seeded by the cost key)
+//
+// A query re-derives only the stages below the first key that moved: the
+// first query of an entry derives everything; after NotifyBlockEdited, a
+// loop-bound annotation edit re-runs loop bounds + node costs and patches
+// the dirtied ILP rows in place, and a preemption-point toggle patches only
+// the preemption/exec row families. The ILP solve warm-restarts from the
+// entry's previous optimal basis (SolveIlpWarm) and falls back to a cold
+// solve deterministically, so every answer is bit-identical to a fresh
+// analyzer over the same image (and to the test oracle, tests/wcet_oracle.h).
+// The block-level cost-model cache is built once, at construction.
+//
+// Thread-safety: the const queries may run concurrently. Each entry's cache
+// has its own mutex, so queries on different entries re-derive in parallel
+// and racing queries on one entry derive it once. NotifyBlockEdited (and
+// the Program::mutable_block edit it follows) needs exclusive access.
 class WcetAnalyzer {
  public:
   WcetAnalyzer(const KernelImage& image, const AnalysisOptions& options);
@@ -90,32 +104,43 @@ class WcetAnalyzer {
 
   // Unconditional per-block cost ceilings (all non-pinned accesses miss),
   // indexed by BlockId. Valid for any cache state; the block profiler checks
-  // observed per-execution costs against these.
+  // observed per-execution costs against these. Supported edits never change
+  // block cost content, so this is constant for the analyzer's lifetime.
   std::vector<Cycles> PerBlockBounds() const;
 
-  const CostModelOptions& cost_options() const { return cost_opts_; }
+  // Tells the analyzer |block|'s content may have changed (after a
+  // Program::mutable_block edit). Recomputes the block's digests; entries
+  // whose keys moved re-derive the affected stages on their next query.
+  // Returns true if any digest actually moved.
+  bool NotifyBlockEdited(BlockId block);
 
  private:
-  struct EntryState {
-    std::once_flag once;
-    std::unique_ptr<EntryResult> result;
-    // Set (release) after |result| is populated; lets the memo-hit telemetry
-    // probe the cache state without racing the call_once writer.
-    std::atomic<bool> ready{false};
+  struct StageKeys {
+    std::uint64_t graph = 0;
+    std::uint64_t loops = 0;
+    std::uint64_t cost = 0;
+    std::uint64_t ipet = 0;
   };
 
-  FuncId EntryFunc(EntryPoint e) const;
-  EntryResult AnalyzeUncached(EntryPoint entry) const;
-  const CostModelCache& BlockCache() const;
+  struct EntryCache {
+    std::mutex mu;
+    bool valid = false;  // every stage below derived at least once
+    StageKeys keys;
+    std::unique_ptr<InlinedGraph> graph;
+    CostResult costs;
+    IpetProgram prog;
+    IlpWarmStart warm;
+    EntryResult result;
+  };
+
+  StageKeys ComputeKeys(std::size_t entry_idx) const;
 
   const KernelImage* image_;
   AnalysisOptions opts_;
-  CostModelOptions cost_opts_;
-  bool memoize_ = true;  // false when constructed in reference mode
-
-  mutable std::array<EntryState, 4> entries_;
-  mutable std::once_flag block_cache_once_;
-  mutable std::unique_ptr<CostModelCache> block_cache_;
+  CostModelCache block_cache_;
+  ProgramDigests digests_;
+  std::array<std::vector<BlockId>, 4> closure_blocks_;
+  mutable std::array<EntryCache, 4> entries_;
 };
 
 }  // namespace pmk

@@ -1,62 +1,12 @@
 #include "src/wcet/cost.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <set>
 #include <stdexcept>
 
-#include "src/wcet/refmode.h"
-
 namespace pmk {
 
-namespace {
-
-constexpr Addr kUnknownLine = static_cast<Addr>(-1);
-
-// Abstract direct-mapped must-cache: per set, the line guaranteed resident.
-class MustCache {
- public:
-  MustCache(std::uint32_t way_bytes, std::uint32_t line_bytes)
-      : line_bytes_(line_bytes), sets_(way_bytes / line_bytes, kUnknownLine) {}
-
-  // Returns true if the access is a guaranteed hit; installs the line.
-  bool Access(Addr addr) {
-    const Addr line = addr / line_bytes_ * line_bytes_;
-    const std::uint32_t s = static_cast<std::uint32_t>((line / line_bytes_) % sets_.size());
-    const bool hit = sets_[s] == line;
-    sets_[s] = line;
-    return hit;
-  }
-
-  void JoinWith(const MustCache& other) {
-    for (std::size_t i = 0; i < sets_.size(); ++i) {
-      if (sets_[i] != other.sets_[i]) {
-        sets_[i] = kUnknownLine;
-      }
-    }
-  }
-
-  bool operator==(const MustCache& other) const { return sets_ == other.sets_; }
-
- private:
-  std::uint32_t line_bytes_;
-  std::vector<Addr> sets_;
-};
-
-struct AbstractState {
-  MustCache icache;
-  MustCache dcache;
-  bool reachable = false;
-
-  AbstractState(std::uint32_t way, std::uint32_t line) : icache(way, line), dcache(way, line) {}
-
-  bool operator==(const AbstractState& o) const {
-    return reachable == o.reachable && icache == o.icache && dcache == o.dcache;
-  }
-};
-
-// Enumerates the statically-known lines a block touches.
 void CollectAccesses(const Program& p, const Block& b, const CostModelOptions& opts,
                      std::vector<LineAccess>& out) {
   const Addr first = b.address / opts.line_bytes;
@@ -75,7 +25,6 @@ bool IsPinned(const CostModelOptions& opts, const LineAccess& a) {
                        : opts.pinned_dlines.count(a.line) != 0;
 }
 
-// Fixed (cache-independent) cost of one block execution.
 Cycles BaseCost(const Block& b, const CostModelOptions& opts) {
   Cycles cost = b.instr_count + b.raw_cycles;
   // Every data access pays the pipeline's load-result latency; dynamic
@@ -90,195 +39,6 @@ Cycles BaseCost(const Block& b, const CostModelOptions& opts) {
   }
   return cost;
 }
-
-// Reference twin of ComputeNodeCosts: the seed implementation's cost profile,
-// kept verbatim for ReferenceMode() benchmarking and equivalence tests —
-// whole-graph passes iterated to convergence (every node recomputed every
-// pass) and per-node access collection with no shared block cache. The
-// transfer function and join are identical to the worklist version, so both
-// reach the same unique fixpoint and produce equal CostResults.
-CostResult ComputeNodeCostsReference(const InlinedGraph& g, const CostModelOptions& opts) {
-  const Program& p = g.program();
-  const std::vector<NodeId> order = g.QuasiTopoOrder();
-  const std::uint32_t num_sets = opts.way_bytes / opts.line_bytes;
-
-  // ---- Must-cache fixpoint ----
-  std::vector<AbstractState> in_states(g.nodes().size(),
-                                       AbstractState(opts.way_bytes, opts.line_bytes));
-  std::vector<AbstractState> out_states(g.nodes().size(),
-                                        AbstractState(opts.way_bytes, opts.line_bytes));
-  const auto apply = [&](const Block& b, AbstractState& st) {
-    std::vector<LineAccess> acc;
-    CollectAccesses(p, b, opts, acc);
-    for (const LineAccess& a : acc) {
-      if (IsPinned(opts, a)) {
-        continue;
-      }
-      (a.instruction ? st.icache : st.dcache).Access(a.line);
-    }
-  };
-
-  // Run to convergence: stopping early on a still-changing state would leave
-  // stale must-information (an UNDER-estimate of misses, i.e. unsound).
-  constexpr int kMaxPasses = 1000;
-  int pass = 0;
-  for (; pass < kMaxPasses; ++pass) {
-    bool changed = false;
-    for (NodeId n : order) {
-      AbstractState st(opts.way_bytes, opts.line_bytes);
-      bool first = true;
-      for (EdgeId eid : g.nodes()[n].in) {
-        const InlinedEdge& e = g.edges()[eid];
-        const AbstractState* pred = nullptr;
-        AbstractState cold(opts.way_bytes, opts.line_bytes);
-        if (e.from == kNoNode) {
-          cold.reachable = true;  // kernel entry: cold caches
-          pred = &cold;
-        } else if (out_states[e.from].reachable) {
-          pred = &out_states[e.from];
-        } else {
-          continue;
-        }
-        if (first) {
-          st = *pred;
-          first = false;
-        } else {
-          st.icache.JoinWith(pred->icache);
-          st.dcache.JoinWith(pred->dcache);
-        }
-      }
-      if (first) {
-        continue;  // unreachable so far
-      }
-      st.reachable = true;
-      if (!(in_states[n] == st)) {
-        in_states[n] = st;
-        changed = true;
-      }
-      AbstractState out = st;
-      apply(g.BlockOf(n), out);
-      if (!(out_states[n] == out)) {
-        out_states[n] = out;
-        changed = true;
-      }
-    }
-    if (!changed) {
-      break;
-    }
-  }
-  if (pass == kMaxPasses) {
-    throw std::logic_error("must-cache analysis failed to converge");
-  }
-
-  // ---- Loop membership: containing loops per node, outermost first ----
-  std::vector<std::vector<int>> containing(g.nodes().size());
-  {
-    std::vector<std::size_t> by_size(g.loops().size());
-    for (std::size_t i = 0; i < by_size.size(); ++i) {
-      by_size[i] = i;
-    }
-    std::sort(by_size.begin(), by_size.end(), [&](std::size_t a, std::size_t b) {
-      return g.loops()[a].body.size() > g.loops()[b].body.size();
-    });
-    for (std::size_t li : by_size) {
-      for (NodeId n : g.loops()[li].body) {
-        containing[n].push_back(static_cast<int>(li));
-      }
-    }
-  }
-
-  // ---- Persistence ----
-  std::vector<std::map<std::uint32_t, Addr>> iset_line(g.loops().size());
-  std::vector<std::map<std::uint32_t, Addr>> dset_line(g.loops().size());
-  constexpr Addr kConflict = static_cast<Addr>(-2);
-  for (NodeId n = 0; n < g.nodes().size(); ++n) {
-    if (containing[n].empty()) {
-      continue;
-    }
-    std::vector<LineAccess> acc;
-    CollectAccesses(p, g.BlockOf(n), opts, acc);
-    for (int lj : containing[n]) {
-      for (const LineAccess& a : acc) {
-        if (IsPinned(opts, a)) {
-          continue;
-        }
-        const std::uint32_t set = static_cast<std::uint32_t>((a.line / opts.line_bytes) % num_sets);
-        auto& m = (a.instruction ? iset_line : dset_line)[lj];
-        auto [it, inserted] = m.emplace(set, a.line);
-        if (!inserted && it->second != a.line) {
-          it->second = kConflict;
-        }
-      }
-    }
-  }
-  const auto persistent_in = [&](int li, const LineAccess& a) {
-    const std::uint32_t set = static_cast<std::uint32_t>((a.line / opts.line_bytes) % num_sets);
-    const auto& m = (a.instruction ? iset_line : dset_line)[li];
-    const auto it = m.find(set);
-    return it != m.end() && it->second == a.line;
-  };
-  const auto persistence_loop = [&](NodeId n, const LineAccess& a) -> int {
-    for (int li : containing[n]) {  // outermost first
-      if (persistent_in(li, a)) {
-        return li;
-      }
-    }
-    return -1;
-  };
-
-  // ---- Per-node costs + per-loop first-miss charges ----
-  CostResult res;
-  res.node_costs.assign(g.nodes().size(), 0);
-  res.edge_extras.assign(g.edges().size(), 0);
-  std::vector<std::set<Addr>> loop_first_i(g.loops().size());
-  std::vector<std::set<Addr>> loop_first_d(g.loops().size());
-
-  for (NodeId n = 0; n < g.nodes().size(); ++n) {
-    if (!in_states[n].reachable) {
-      continue;
-    }
-    const Block& b = g.BlockOf(n);
-    Cycles cost = BaseCost(b, opts);
-    AbstractState st = in_states[n];
-    std::vector<LineAccess> acc;
-    CollectAccesses(p, b, opts, acc);
-    for (const LineAccess& a : acc) {
-      if (IsPinned(opts, a)) {
-        continue;
-      }
-      const bool hit = (a.instruction ? st.icache : st.dcache).Access(a.line);
-      if (hit) {
-        continue;
-      }
-      const int li = persistence_loop(n, a);
-      if (li >= 0) {
-        (a.instruction ? loop_first_i : loop_first_d)[li].insert(a.line);
-      } else {
-        cost += opts.MissPenaltyFor(a.line);
-      }
-    }
-    res.node_costs[n] = cost;
-  }
-
-  for (std::size_t li = 0; li < g.loops().size(); ++li) {
-    Cycles extra = 0;
-    for (Addr line : loop_first_i[li]) {
-      extra += opts.MissPenaltyFor(line);
-    }
-    for (Addr line : loop_first_d[li]) {
-      extra += opts.MissPenaltyFor(line);
-    }
-    if (extra == 0) {
-      continue;
-    }
-    for (EdgeId e : g.loops()[li].entries) {
-      res.edge_extras[e] += extra;
-    }
-  }
-  return res;
-}
-
-}  // namespace
 
 CostModelCache::CostModelCache(const Program& program, const CostModelOptions& opts)
     : program_(&program), opts_(opts) {
@@ -493,26 +253,6 @@ CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelCache& cache) 
   return res;
 }
 
-CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelOptions& opts) {
-  if (wcet::ReferenceMode()) {
-    return ComputeNodeCostsReference(g, opts);
-  }
-  return ComputeNodeCosts(g, CostModelCache(g.program(), opts));
-}
-
-Cycles BlockWorstCaseCost(const Program& p, BlockId id, const CostModelOptions& opts) {
-  const Block& b = p.block(id);
-  Cycles total = BaseCost(b, opts);
-  std::vector<LineAccess> acc;
-  CollectAccesses(p, b, opts, acc);
-  for (const LineAccess& a : acc) {
-    if (!IsPinned(opts, a)) {
-      total += opts.MissPenaltyFor(a.line);
-    }
-  }
-  return total;
-}
-
 Cycles EvaluateTraceCost(const CostModelCache& cache, const Trace& trace) {
   const CostModelOptions& opts = cache.options();
   AbstractState st(opts.way_bytes, opts.line_bytes);
@@ -526,31 +266,6 @@ Cycles EvaluateTraceCost(const CostModelCache& cache, const Trace& trace) {
     }
   }
   return total;
-}
-
-Cycles EvaluateTraceCost(const Program& p, const Trace& trace, const CostModelOptions& opts) {
-  if (wcet::ReferenceMode()) {
-    // Reference twin: the seed evaluator's per-block access collection, with
-    // the pin filter applied on every block visit instead of once up front.
-    AbstractState st(opts.way_bytes, opts.line_bytes);
-    Cycles total = 0;
-    for (BlockId bid : trace.blocks) {
-      const Block& b = p.block(bid);
-      total += BaseCost(b, opts);
-      std::vector<LineAccess> acc;
-      CollectAccesses(p, b, opts, acc);
-      for (const LineAccess& a : acc) {
-        if (IsPinned(opts, a)) {
-          continue;
-        }
-        if (!(a.instruction ? st.icache : st.dcache).Access(a.line)) {
-          total += opts.MissPenaltyFor(a.line);
-        }
-      }
-    }
-    return total;
-  }
-  return EvaluateTraceCost(CostModelCache(p, opts), trace);
 }
 
 }  // namespace pmk

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/hw/cycles.h"
@@ -90,6 +91,62 @@ struct LineAccess {
   bool instruction = false;
 };
 
+// Enumerates the statically-known lines a block touches, pinned ones included.
+void CollectAccesses(const Program& p, const Block& b, const CostModelOptions& opts,
+                     std::vector<LineAccess>& out);
+
+// Whether |a| is a way-locked line (always a hit).
+bool IsPinned(const CostModelOptions& opts, const LineAccess& a);
+
+// Fixed (cache-independent) cost of one block execution.
+Cycles BaseCost(const Block& b, const CostModelOptions& opts);
+
+// ---- The must-cache domain, shared by every pass over abstract caches ----
+
+// Abstract direct-mapped must-cache: per set, the line guaranteed resident.
+class MustCache {
+ public:
+  static constexpr Addr kUnknownLine = static_cast<Addr>(-1);
+
+  MustCache(std::uint32_t way_bytes, std::uint32_t line_bytes)
+      : line_bytes_(line_bytes), sets_(way_bytes / line_bytes, kUnknownLine) {}
+
+  // Returns true if the access is a guaranteed hit; installs the line.
+  bool Access(Addr addr) {
+    const Addr line = addr / line_bytes_ * line_bytes_;
+    const std::uint32_t s = static_cast<std::uint32_t>((line / line_bytes_) % sets_.size());
+    const bool hit = sets_[s] == line;
+    sets_[s] = line;
+    return hit;
+  }
+
+  void JoinWith(const MustCache& other) {
+    for (std::size_t i = 0; i < sets_.size(); ++i) {
+      if (sets_[i] != other.sets_[i]) {
+        sets_[i] = kUnknownLine;
+      }
+    }
+  }
+
+  bool operator==(const MustCache& other) const { return sets_ == other.sets_; }
+
+ private:
+  std::uint32_t line_bytes_;
+  std::vector<Addr> sets_;
+};
+
+struct AbstractState {
+  MustCache icache;
+  MustCache dcache;
+  bool reachable = false;
+
+  AbstractState(std::uint32_t way, std::uint32_t line) : icache(way, line), dcache(way, line) {}
+
+  bool operator==(const AbstractState& o) const {
+    return reachable == o.reachable && icache == o.icache && dcache == o.dcache;
+  }
+};
+
 // Per-block cost-model state derived once from (program, options) and shared
 // by every analysis pass: the statically-known line accesses of each block
 // with way-locked (pinned) lines already filtered out, the cache-independent
@@ -105,7 +162,12 @@ class CostModelCache {
   const LineAccess* accesses_begin(BlockId id) const { return pool_.data() + start_[id]; }
   const LineAccess* accesses_end(BlockId id) const { return pool_.data() + start_[id + 1]; }
   Cycles base_cost(BlockId id) const { return base_[id]; }
-  // BlockWorstCaseCost, precomputed.
+  // Unconditional per-execution ceiling: every non-pinned access is assumed
+  // to miss. Unlike must-cache node costs (which depend on the abstract cache
+  // state reaching the node), this bound holds for ANY concrete cache state,
+  // so profiled per-execution block costs can be checked against it
+  // directly. Sound for the default (branch predictor disabled) machine
+  // configuration, where a branch always charges opts.branch_cost.
   Cycles worst_case(BlockId id) const { return worst_[id]; }
 
  private:
@@ -127,22 +189,11 @@ struct CostResult {
 // Loop bounds must already be attached (ComputeLoopBounds) so innermost-loop
 // membership is known.
 CostResult ComputeNodeCosts(const InlinedGraph& graph, const CostModelCache& cache);
-CostResult ComputeNodeCosts(const InlinedGraph& graph, const CostModelOptions& opts);
 
 // Conservative cost of one concrete executed path (block sequence), using
 // the same cost model without joins. Used to force the analysis onto a
 // measured path (paper Sections 5.4 and 6.2).
 Cycles EvaluateTraceCost(const CostModelCache& cache, const Trace& trace);
-Cycles EvaluateTraceCost(const Program& program, const Trace& trace,
-                         const CostModelOptions& opts);
-
-// Unconditional per-execution ceiling for one block: every non-pinned access
-// is assumed to miss. Unlike must-cache node costs (which depend on the
-// abstract cache state reaching the node), this bound holds for ANY concrete
-// cache state, so profiled per-execution block costs can be checked against
-// it directly. Sound for the default (branch predictor disabled) machine
-// configuration, where a branch always charges opts.branch_cost.
-Cycles BlockWorstCaseCost(const Program& program, BlockId id, const CostModelOptions& opts);
 
 }  // namespace pmk
 

@@ -1,14 +1,12 @@
 #include "src/wcet/ilp.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 #include <utility>
 
 #include "src/obs/metrics.h"
-#include "src/wcet/refmode.h"
 
 namespace pmk {
 
@@ -128,261 +126,12 @@ obs::Counter& IncColdSolveCounter() {
 }
 
 // ---------------------------------------------------------------------------
-// Dense two-phase simplex over a row-major tableau.
-//
-// This is the reference twin (pmk::wcet::SetReferenceMode): the seed solver,
-// kept verbatim apart from the pivot counter, so equivalence tests and the
-// bench can re-solve every instance both ways and assert identical results.
-class Simplex {
- public:
-  explicit Simplex(const LinearProgram& lp) : lp_(lp) {}
-
-  SolveResult Solve() {
-    Build();
-    // Phase 1: minimize the sum of artificial variables.
-    if (num_artificial_ > 0) {
-      SetPhase1Objective();
-      const SolveStatus st = Iterate();
-      if (st != SolveStatus::kOptimal) {
-        return {st == SolveStatus::kUnbounded ? SolveStatus::kInfeasible : st, 0, {}, pivots_total_};
-      }
-      // Phase 1 maximizes -(sum of artificials); feasible iff that optimum
-      // is (numerically) zero.
-      if (Objective() < -kEps * (1 + static_cast<double>(m_))) {
-        return {SolveStatus::kInfeasible, 0, {}, pivots_total_};
-      }
-      DriveOutArtificials();
-    }
-    // Phase 2: maximize the real objective.
-    SetPhase2Objective();
-    const SolveStatus st = Iterate();
-    if (st != SolveStatus::kOptimal) {
-      return {st, 0, {}, pivots_total_};
-    }
-    SolveResult res;
-    res.status = SolveStatus::kOptimal;
-    res.objective = Objective();
-    res.x.assign(lp_.num_vars, 0.0);
-    for (std::uint32_t r = 0; r < m_; ++r) {
-      if (basis_[r] < lp_.num_vars) {
-        res.x[basis_[r]] = Rhs(r);
-      }
-    }
-    res.pivots = pivots_total_;
-    return res;
-  }
-
- private:
-  double& At(std::uint32_t r, std::uint32_t c) { return tab_[static_cast<std::size_t>(r) * stride_ + c]; }
-  double Rhs(std::uint32_t r) { return At(r, n_ - 1); }
-  double Objective() { return At(m_, n_ - 1); }
-
-  void Build() {
-    m_ = static_cast<std::uint32_t>(lp_.rows.size());
-    // Columns: structural vars, then one slack/surplus per <= / >= row, then
-    // artificials, then RHS. Normalize rhs >= 0 first.
-    std::vector<int> slack_col(m_, -1);
-    std::vector<int> art_col(m_, -1);
-    std::vector<int> sign(m_, 1);
-    std::uint32_t extra = 0;
-    for (std::uint32_t r = 0; r < m_; ++r) {
-      const LinearProgram::Row& row = lp_.rows[r];
-      const bool neg = row.rhs < 0;
-      sign[r] = neg ? -1 : 1;
-      if (row.type == LinearProgram::RowType::kLe) {
-        // <= with rhs>=0: slack basic. Negated (>=): surplus + artificial.
-        slack_col[r] = static_cast<int>(lp_.num_vars + extra++);
-        if (neg) {
-          art_col[r] = -2;  // assigned below
-        }
-      } else {
-        art_col[r] = -2;
-      }
-    }
-    std::uint32_t art_base = lp_.num_vars + extra;
-    num_artificial_ = 0;
-    for (std::uint32_t r = 0; r < m_; ++r) {
-      if (art_col[r] == -2) {
-        art_col[r] = static_cast<int>(art_base + num_artificial_++);
-      }
-    }
-    n_ = art_base + num_artificial_ + 1;  // + RHS column
-    stride_ = n_;
-    tab_.assign(static_cast<std::size_t>(m_ + 1) * stride_, 0.0);
-    basis_.assign(m_, 0);
-
-    for (std::uint32_t r = 0; r < m_; ++r) {
-      const LinearProgram::Row& row = lp_.rows[r];
-      const double s = sign[r];
-      for (std::size_t k = 0; k < row.idx.size(); ++k) {
-        At(r, row.idx[k]) += s * row.val[k];
-      }
-      At(r, n_ - 1) = s * row.rhs;
-      if (slack_col[r] >= 0) {
-        // Slack sign: original <= keeps +1; negated <= (now >=) gets -1.
-        At(r, static_cast<std::uint32_t>(slack_col[r])) = (s > 0) ? 1.0 : -1.0;
-      }
-      if (art_col[r] >= 0) {
-        At(r, static_cast<std::uint32_t>(art_col[r])) = 1.0;
-        basis_[r] = static_cast<std::uint32_t>(art_col[r]);
-      } else {
-        basis_[r] = static_cast<std::uint32_t>(slack_col[r]);
-      }
-    }
-    art_base_ = art_base;
-  }
-
-  void SetPhase1Objective() {
-    // Minimize sum of artificials == maximize -(sum): objective row holds
-    // reduced costs for maximization with Objective() = -value.
-    for (std::uint32_t c = 0; c < n_; ++c) {
-      At(m_, c) = 0.0;
-    }
-    for (std::uint32_t a = 0; a < num_artificial_; ++a) {
-      At(m_, art_base_ + a) = 1.0;
-    }
-    // Price out basic artificials.
-    for (std::uint32_t r = 0; r < m_; ++r) {
-      if (basis_[r] >= art_base_) {
-        for (std::uint32_t c = 0; c < n_; ++c) {
-          At(m_, c) -= At(r, c);
-        }
-      }
-    }
-  }
-
-  void SetPhase2Objective() {
-    for (std::uint32_t c = 0; c < n_; ++c) {
-      At(m_, c) = 0.0;
-    }
-    for (std::uint32_t v = 0; v < lp_.num_vars; ++v) {
-      At(m_, v) = -lp_.objective[v];  // maximize
-    }
-    // Forbid artificial re-entry by leaving their reduced costs at 0 but
-    // never selecting them as entering columns (handled in Iterate).
-    // Price out the current basis.
-    for (std::uint32_t r = 0; r < m_; ++r) {
-      const double coef = At(m_, basis_[r]);
-      if (std::abs(coef) > kEps) {
-        for (std::uint32_t c = 0; c < n_; ++c) {
-          At(m_, c) -= coef * At(r, c);
-        }
-      }
-    }
-    phase2_ = true;
-  }
-
-  void DriveOutArtificials() {
-    for (std::uint32_t r = 0; r < m_; ++r) {
-      if (basis_[r] < art_base_) {
-        continue;
-      }
-      // Pivot on any non-artificial column with a nonzero entry.
-      for (std::uint32_t c = 0; c < art_base_; ++c) {
-        if (std::abs(At(r, c)) > 1e-6) {
-          Pivot(r, c);
-          break;
-        }
-      }
-      // If none exists the row is redundant (all-zero); leave it.
-    }
-  }
-
-  SolveStatus Iterate() {
-    std::uint64_t pivots = 0;
-    for (;;) {
-      if (++pivots > kMaxPivots) {
-        pivots_total_ += pivots;
-        return SolveStatus::kIterationLimit;
-      }
-      // Entering column: most negative reduced cost (Dantzig); switch to
-      // Bland's rule late to guarantee termination.
-      const std::uint32_t limit = phase2_ ? art_base_ : n_ - 1;
-      std::int64_t enter = -1;
-      if (pivots < kMaxPivots / 2) {
-        double best = -kEps;
-        for (std::uint32_t c = 0; c < limit; ++c) {
-          if (At(m_, c) < best) {
-            best = At(m_, c);
-            enter = c;
-          }
-        }
-      } else {
-        for (std::uint32_t c = 0; c < limit; ++c) {
-          if (At(m_, c) < -kEps) {
-            enter = c;
-            break;
-          }
-        }
-      }
-      if (enter < 0) {
-        pivots_total_ += pivots;
-        return SolveStatus::kOptimal;
-      }
-      // Leaving row: ratio test (Bland tie-break on basis index).
-      std::int64_t leave = -1;
-      double best_ratio = std::numeric_limits<double>::infinity();
-      for (std::uint32_t r = 0; r < m_; ++r) {
-        const double a = At(r, static_cast<std::uint32_t>(enter));
-        if (a > kEps) {
-          const double ratio = Rhs(r) / a;
-          if (ratio < best_ratio - kEps ||
-              (ratio < best_ratio + kEps && leave >= 0 && basis_[r] < basis_[leave])) {
-            best_ratio = ratio;
-            leave = r;
-          }
-        }
-      }
-      if (leave < 0) {
-        pivots_total_ += pivots;
-        return SolveStatus::kUnbounded;
-      }
-      Pivot(static_cast<std::uint32_t>(leave), static_cast<std::uint32_t>(enter));
-    }
-  }
-
-  void Pivot(std::uint32_t pr, std::uint32_t pc) {
-    const double pv = At(pr, pc);
-    assert(std::abs(pv) > 1e-12);
-    const double inv = 1.0 / pv;
-    for (std::uint32_t c = 0; c < n_; ++c) {
-      At(pr, c) *= inv;
-    }
-    At(pr, pc) = 1.0;
-    for (std::uint32_t r = 0; r <= m_; ++r) {
-      if (r == pr) {
-        continue;
-      }
-      const double f = At(r, pc);
-      if (std::abs(f) < 1e-12) {
-        continue;
-      }
-      for (std::uint32_t c = 0; c < n_; ++c) {
-        At(r, c) -= f * At(pr, c);
-      }
-      At(r, pc) = 0.0;
-    }
-    basis_[pr] = pc;
-  }
-
-  const LinearProgram& lp_;
-  std::vector<double> tab_;
-  std::vector<std::uint32_t> basis_;
-  std::uint32_t m_ = 0;
-  std::uint32_t n_ = 0;
-  std::uint32_t stride_ = 0;
-  std::uint32_t art_base_ = 0;
-  std::uint32_t num_artificial_ = 0;
-  std::uint64_t pivots_total_ = 0;
-  bool phase2_ = false;
-};
-
-// ---------------------------------------------------------------------------
 // Sparse revised simplex.
 //
 // Same column layout, rhs normalization, pivot rules, tolerances, phase
-// structure and status mapping as the dense tableau above, so both paths walk
-// the same vertex sequence (fp ties aside); only the linear algebra differs.
+// structure and status mapping as the dense tableau of the test oracle
+// (tests/wcet_oracle.h), so both walk the same vertex sequence (fp ties
+// aside); only the linear algebra differs.
 // The constraint matrix is stored once in CSR (pricing sweeps) and CSC
 // (FTRAN of entering columns); the basis inverse is a product-form eta file
 // refreshed by periodic refactorisation: a greedy sparse Gaussian elimination
@@ -1285,12 +1034,7 @@ class RevisedSimplex {
 }  // namespace
 
 SolveResult SolveLp(const LinearProgram& lp) {
-  SolveResult res;
-  if (wcet::ReferenceMode()) {
-    res = Simplex(lp).Solve();
-  } else {
-    res = RevisedSimplex(lp).Solve();
-  }
+  const SolveResult res = RevisedSimplex(lp).Solve();
   LpSolveCounter().Inc();
   PivotCounter().Inc(res.pivots);
   return res;
@@ -1304,16 +1048,15 @@ namespace {
 SolveResult SolveIlpImpl(const LinearProgram& lp, std::uint32_t max_nodes,
                          const std::vector<BasisToken>* root_warm,
                          std::vector<BasisToken>* root_basis_out) {
-  // Branch and bound, depth-first, best-incumbent pruning. The node order,
-  // branching variable choice and pruning thresholds are shared between the
-  // sparse and reference solver paths so truncation behaviour is identical.
-  const bool reference = wcet::ReferenceMode();
+  // Branch and bound, depth-first, best-incumbent pruning. The oracle's cold
+  // branch-and-bound uses the same node order, branching variable choice and
+  // pruning thresholds, so truncation behaviour is identical.
   struct Node {
     std::vector<LinearProgram::Row> extra;
-    std::vector<BasisToken> warm;  // parent's optimal basis (sparse path)
+    std::vector<BasisToken> warm;  // parent's optimal basis
   };
   std::vector<Node> stack{Node{}};
-  if (!reference && root_warm != nullptr && !root_warm->empty()) {
+  if (root_warm != nullptr && !root_warm->empty()) {
     stack.back().warm = *root_warm;
   }
   SolveResult best;
@@ -1332,25 +1075,16 @@ SolveResult SolveIlpImpl(const LinearProgram& lp, std::uint32_t max_nodes,
     stack.pop_back();
     BbNodeCounter().Inc();
 
-    SolveResult rel;
+    RevisedSimplex rs(lp, &node.extra);
+    if (!node.warm.empty()) {
+      BbWarmStartCounter().Inc();
+    }
+    SolveResult rel = node.warm.empty() ? rs.Solve() : rs.SolveWarm(node.warm);
     std::vector<BasisToken> basis_out;
-    if (reference) {
-      LinearProgram sub = lp;
-      for (const auto& row : node.extra) {
-        sub.AddRow(row);
-      }
-      rel = Simplex(sub).Solve();
-    } else {
-      RevisedSimplex rs(lp, &node.extra);
-      if (!node.warm.empty()) {
-        BbWarmStartCounter().Inc();
-      }
-      rel = node.warm.empty() ? rs.Solve() : rs.SolveWarm(node.warm);
-      if (rel.status == SolveStatus::kOptimal) {
-        basis_out = rs.ExportBasis();
-        if (explored == 1 && root_basis_out != nullptr) {
-          *root_basis_out = basis_out;
-        }
+    if (rel.status == SolveStatus::kOptimal) {
+      basis_out = rs.ExportBasis();
+      if (explored == 1 && root_basis_out != nullptr) {
+        *root_basis_out = basis_out;
       }
     }
     pivots_total += rel.pivots;
@@ -1420,11 +1154,6 @@ SolveResult SolveIlp(const LinearProgram& lp, std::uint32_t max_nodes) {
 }
 
 SolveResult SolveIlpWarm(const LinearProgram& lp, IlpWarmStart& warm, std::uint32_t max_nodes) {
-  if (wcet::ReferenceMode()) {
-    // The dense twin neither consumes nor produces bases; leave |warm| as-is
-    // so the reference path stays byte-for-byte the seed solver.
-    return SolveIlpImpl(lp, max_nodes, nullptr, nullptr);
-  }
   const bool warmed = warm.valid();
   if (warmed) {
     IncWarmSolveCounter().Inc();

@@ -1,13 +1,12 @@
 // Exact integer-linear-programming solver for IPET (paper Section 5.2).
 //
 // Chronos emits an ILP that is handed to an off-the-shelf solver; we build
-// that solver too. The production path is a sparse revised simplex (CSR/CSC
-// constraint matrix, product-form eta-file basis inverse with periodic
-// refactorisation, warm-started branch-and-bound); a dense two-phase tableau
-// twin is retained behind pmk::wcet::SetReferenceMode and both paths must
-// agree exactly on status, bounds and solutions. IPET instances are
-// network-flow shaped, so the relaxation is almost always integral and
-// branching is a rarely-exercised safety net.
+// that solver too: a sparse revised simplex (CSR/CSC constraint matrix,
+// product-form eta-file basis inverse with periodic refactorisation,
+// warm-started branch-and-bound). The test oracle's dense two-phase tableau
+// (tests/wcet_oracle.h) must agree with it exactly on status, bounds and
+// solutions. IPET instances are network-flow shaped, so the relaxation is
+// almost always integral and branching is a rarely-exercised safety net.
 
 #ifndef SRC_WCET_ILP_H_
 #define SRC_WCET_ILP_H_
@@ -105,9 +104,7 @@ class IlpWarmStart {
 // relaxation (root or branch-and-bound child) that does not end optimal,
 // fall back deterministically to a cold solve — the result is always
 // identical to SolveIlp on the same instance. On an optimal solve the root basis is
-// stored back into |warm| for the next call. Under
-// pmk::wcet::SetReferenceMode the dense twin runs instead and |warm| is
-// left untouched.
+// stored back into |warm| for the next call.
 SolveResult SolveIlpWarm(const LinearProgram& lp, IlpWarmStart& warm,
                          std::uint32_t max_nodes = 10'000);
 

@@ -258,6 +258,9 @@ std::size_t SpliceRows(LinearProgram& lp, std::uint32_t begin, std::uint32_t end
   return changed;
 }
 
+
+}  // namespace
+
 IpetResult ExtractIpetResult(const InlinedGraph& g, const SolveResult& sol) {
   IpetResult res;
   res.status = sol.status;
@@ -277,8 +280,6 @@ IpetResult ExtractIpetResult(const InlinedGraph& g, const SolveResult& sol) {
   }
   return res;
 }
-
-}  // namespace
 
 IpetProgram BuildIpetProgram(const InlinedGraph& g, const CostResult& costs,
                              const IpetOptions& options,

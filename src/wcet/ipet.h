@@ -1,10 +1,10 @@
 // Implicit path enumeration (IPET): encodes the inlined CFG, loop bounds and
 // manual path constraints as an ILP whose optimum is the WCET (Section 5.2).
 //
-// Construction and solving are split so the incremental engine
-// (src/wcet/incremental.h) can keep one IpetProgram alive across kernel-IR
-// edits: row families whose inputs did not change are reused structurally,
-// only the dirtied families are re-emitted (PatchIpet*), and the solve is
+// Construction and solving are split so WcetAnalyzer (src/wcet/analysis.h)
+// can keep one IpetProgram per entry alive across kernel-IR edits: row
+// families whose inputs did not change are reused structurally, only the
+// dirtied families are re-emitted (PatchIpet*), and the solve is
 // warm-restarted from the previous optimal basis (SolveIpetProgramWarm).
 // RunIpet remains the one-shot wrapper: build everything, solve cold.
 
@@ -87,7 +87,10 @@ std::size_t PatchIpetLoopRows(const InlinedGraph& graph, IpetProgram& prog,
 std::size_t PatchIpetExtraRows(const InlinedGraph& graph, const IpetOptions& options,
                                IpetProgram& prog, IlpWarmStart* warm = nullptr);
 
-// Solves a built program cold (reference/sparse per pmk::wcet mode).
+// Reads the edge and node counts of an ILP solution of |graph|'s program.
+IpetResult ExtractIpetResult(const InlinedGraph& graph, const SolveResult& solution);
+
+// Solves a built program cold.
 IpetResult SolveIpetProgram(const InlinedGraph& graph, const IpetProgram& prog);
 
 // Solves warm-restarting from |warm| (see SolveIlpWarm): bit-identical to

@@ -6,8 +6,6 @@
 #include <limits>
 #include <optional>
 
-#include "src/wcet/refmode.h"
-
 namespace pmk {
 
 namespace {
@@ -141,60 +139,8 @@ bool EvalCond(const BranchCond& c, std::int64_t v) {
   return false;
 }
 
-// Simulates repeating |cycle| starting with reg=init; returns the number of
-// head executions before the cycle becomes inconsistent with the guard, or
-// nullopt if it exceeds the cap (unbounded as far as the search can tell).
-std::optional<std::uint32_t> SimulateCycle(const InlinedGraph& g, const InlinedLoop& loop,
-                                           std::uint8_t reg, std::int64_t init,
-                                           const std::vector<EdgeId>& cycle) {
-  const std::uint32_t inst = g.nodes()[loop.head].instance;
-  std::int64_t v = init;
-  std::uint32_t count = 0;
-  NodeId cur = loop.head;
-  while (count < kMaxIterations) {
-    count++;  // the head (and cycle) executes
-    bool exited = false;
-    for (EdgeId eid : cycle) {
-      const InlinedEdge& e = g.edges()[eid];
-      if (e.from != cur) {
-        return std::nullopt;  // malformed cycle: refuse to bound
-      }
-      const Block& b = g.BlockOf(e.from);
-      // Apply this block's register ops (same stack frame only).
-      if (g.nodes()[e.from].instance == inst) {
-        for (const RegOp& op : b.reg_ops) {
-          if (op.dst != reg) {
-            continue;
-          }
-          switch (op.kind) {
-            case RegOp::Kind::kConst:
-              v = op.imm;
-              break;
-            case RegOp::Kind::kAdd:
-              v += op.imm;
-              break;
-            case RegOp::Kind::kMovReg:
-              return std::nullopt;  // untracked source: give up
-          }
-        }
-        if (b.cond.HasSemantics() && b.cond.lhs == reg && b.cond.rhs_is_imm) {
-          if (!EdgeAllowed(g, b, eid, EvalCond(b.cond, v))) {
-            exited = true;
-            break;
-          }
-        }
-      }
-      cur = e.to;
-    }
-    if (exited) {
-      return count;
-    }
-    assert(cur == loop.head);
-  }
-  return std::nullopt;
-}
 
-// Closed-form twin of SimulateCycle for the common shape: every tracked-reg
+// Closed form of SimulateCycle for the common shape: every tracked-reg
 // update in the cycle is a constant add (no kConst reset, no kMovReg) and
 // every guard compares the register against an immediate with kGe/kLt. The
 // register at the start of iteration c is then init + (c-1)*D (D = net add
@@ -296,7 +242,66 @@ std::optional<std::optional<std::uint32_t>> ClosedFormCycleCount(
 
 }  // namespace
 
-std::vector<LoopBoundResult> ComputeLoopBounds(InlinedGraph& graph) {
+std::optional<std::uint32_t> SimulateCycle(const InlinedGraph& g, const InlinedLoop& loop,
+                                           std::uint8_t reg, std::int64_t init,
+                                           const std::vector<EdgeId>& cycle) {
+  const std::uint32_t inst = g.nodes()[loop.head].instance;
+  std::int64_t v = init;
+  std::uint32_t count = 0;
+  NodeId cur = loop.head;
+  while (count < kMaxIterations) {
+    count++;  // the head (and cycle) executes
+    bool exited = false;
+    for (EdgeId eid : cycle) {
+      const InlinedEdge& e = g.edges()[eid];
+      if (e.from != cur) {
+        return std::nullopt;  // malformed cycle: refuse to bound
+      }
+      const Block& b = g.BlockOf(e.from);
+      // Apply this block's register ops (same stack frame only).
+      if (g.nodes()[e.from].instance == inst) {
+        for (const RegOp& op : b.reg_ops) {
+          if (op.dst != reg) {
+            continue;
+          }
+          switch (op.kind) {
+            case RegOp::Kind::kConst:
+              v = op.imm;
+              break;
+            case RegOp::Kind::kAdd:
+              v += op.imm;
+              break;
+            case RegOp::Kind::kMovReg:
+              return std::nullopt;  // untracked source: give up
+          }
+        }
+        if (b.cond.HasSemantics() && b.cond.lhs == reg && b.cond.rhs_is_imm) {
+          if (!EdgeAllowed(g, b, eid, EvalCond(b.cond, v))) {
+            exited = true;
+            break;
+          }
+        }
+      }
+      cur = e.to;
+    }
+    if (exited) {
+      return count;
+    }
+    assert(cur == loop.head);
+  }
+  return std::nullopt;
+}
+
+std::optional<std::uint32_t> CountCycle(const InlinedGraph& g, const InlinedLoop& loop,
+                                        std::uint8_t reg, std::int64_t init,
+                                        const std::vector<EdgeId>& cycle) {
+  if (const auto fast = ClosedFormCycleCount(g, loop, reg, init, cycle)) {
+    return *fast;
+  }
+  return SimulateCycle(g, loop, reg, init, cycle);
+}
+
+std::vector<LoopBoundResult> ComputeLoopBounds(InlinedGraph& graph, CycleCounter count) {
   std::vector<LoopBoundResult> results;
   results.reserve(graph.loops().size());
   for (InlinedLoop& loop : graph.mutable_loops()) {
@@ -311,20 +316,8 @@ std::vector<LoopBoundResult> ComputeLoopBounds(InlinedGraph& graph) {
         EnumerateCycles(graph, loop, cycles);
         std::optional<std::uint32_t> worst;
         bool all_ok = !cycles.empty();
-        const bool reference = wcet::ReferenceMode();
         for (const auto& cyc : cycles) {
-          std::optional<std::uint32_t> n;
-          bool have_n = false;
-          if (!reference) {
-            const auto fast = ClosedFormCycleCount(graph, loop, *reg, *init, cyc);
-            if (fast.has_value()) {
-              n = *fast;
-              have_n = true;
-            }
-          }
-          if (!have_n) {
-            n = SimulateCycle(graph, loop, *reg, *init, cyc);
-          }
+          const std::optional<std::uint32_t> n = count(graph, loop, *reg, *init, cyc);
           if (!n.has_value()) {
             all_ok = false;
             break;

@@ -1,7 +1,8 @@
 #include "src/wcet/serve.h"
 
-#include <array>
+#include <cstdint>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -18,10 +19,6 @@ constexpr std::size_t kNumEntryPoints = 4;
 
 obs::Counter& RequestCounter() {
   static obs::Counter c("wcet.serve.requests");
-  return c;
-}
-obs::Counter& SharedHitCounter() {
-  static obs::Counter c("wcet.serve.shared_hit");
   return c;
 }
 obs::Counter& EditCounter() {
@@ -42,6 +39,34 @@ std::vector<std::uint8_t> ErrorReply(const std::string& message) {
 }
 
 }  // namespace
+
+void ApplyEdit(Program& prog, BlockId block, EditField field, std::uint64_t value) {
+  if (block >= prog.num_blocks()) {
+    throw std::invalid_argument("block id " + std::to_string(block) + " out of range");
+  }
+  const bool bound = field == EditField::kLoopBoundAnnotation ||
+                     field == EditField::kAbsoluteExecBound;
+  if (!bound && field != EditField::kIsPreemptionPoint) {
+    throw std::invalid_argument("unknown edit field " +
+                                std::to_string(static_cast<unsigned>(field)));
+  }
+  if (bound && value > UINT32_MAX) {
+    throw std::invalid_argument("edit value " + std::to_string(value) +
+                                " does not fit a 32-bit bound");
+  }
+  Block& b = prog.mutable_block(block);
+  switch (field) {
+    case EditField::kLoopBoundAnnotation:
+      b.loop_bound_annotation = static_cast<std::uint32_t>(value);
+      break;
+    case EditField::kAbsoluteExecBound:
+      b.absolute_exec_bound = static_cast<std::uint32_t>(value);
+      break;
+    case EditField::kIsPreemptionPoint:
+      b.is_preemption_point = value != 0;
+      break;
+  }
+}
 
 WcetService::WcetService(std::unique_ptr<KernelImage> image, const AnalysisOptions& options)
     : image_(std::move(image)), analyzer_(*image_, options) {}
@@ -102,43 +127,14 @@ std::vector<std::uint8_t> WcetService::HandleOrThrow(const std::vector<std::uint
       if (raw >= kNumEntryPoints) {
         return ErrorReply("unknown entry point " + std::to_string(raw));
       }
-      const auto entry = static_cast<EntryPoint>(raw);
       std::vector<std::uint8_t> reply;
-      {
-        std::shared_lock<std::shared_mutex> lk(mu_);
-        if (analyzer_.Fresh(entry)) {
-          SharedHitCounter().Inc();
-          WriteAnalyzeReply(analyzer_.Cached(entry), reply);
-          return reply;
-        }
-      }
-      // Miss: re-derive under the exclusive lock. Analyze re-probes its
-      // digest keys, so losing a race to another upgrader is just a hit.
-      std::unique_lock<std::shared_mutex> lk(mu_);
-      WriteAnalyzeReply(analyzer_.Analyze(entry), reply);
+      std::shared_lock<std::shared_mutex> lk(mu_);
+      WriteAnalyzeReply(analyzer_.Analyze(static_cast<EntryPoint>(raw)), reply);
       return reply;
     }
     case ServeOp::kResponseBound: {
       r.ExpectEnd("response-bound request");
-      {
-        std::shared_lock<std::shared_mutex> lk(mu_);
-        bool all_fresh = true;
-        for (std::size_t i = 0; i < kNumEntryPoints; ++i) {
-          all_fresh = all_fresh && analyzer_.Fresh(static_cast<EntryPoint>(i));
-        }
-        if (all_fresh) {
-          SharedHitCounter().Inc();
-          std::array<const EntryResult*, kNumEntryPoints> by_entry;
-          for (std::size_t i = 0; i < kNumEntryPoints; ++i) {
-            by_entry[i] = &analyzer_.Cached(static_cast<EntryPoint>(i));
-          }
-          engine::WireWriter w;
-          w.U8(kReplyOk);
-          w.U64(ResponseBoundOf(by_entry));
-          return w.Take();
-        }
-      }
-      std::unique_lock<std::shared_mutex> lk(mu_);
+      std::shared_lock<std::shared_mutex> lk(mu_);
       engine::WireWriter w;
       w.U8(kReplyOk);
       w.U64(analyzer_.InterruptResponseBound());
@@ -146,8 +142,6 @@ std::vector<std::uint8_t> WcetService::HandleOrThrow(const std::vector<std::uint
     }
     case ServeOp::kPerBlockBounds: {
       r.ExpectEnd("per-block-bounds request");
-      // Block-level ceilings come from the immutable cost cache: read-only
-      // under any lock state, so the shared lock suffices even mid-edit.
       std::shared_lock<std::shared_mutex> lk(mu_);
       const std::vector<Cycles> bounds = analyzer_.PerBlockBounds();
       engine::WireWriter w;
@@ -165,23 +159,10 @@ std::vector<std::uint8_t> WcetService::HandleOrThrow(const std::vector<std::uint
       r.ExpectEnd("edit request");
       EditCounter().Inc();
       std::unique_lock<std::shared_mutex> lk(mu_);
-      if (block >= image_->prog.num_blocks()) {
-        return ErrorReply("block id " + std::to_string(block) + " out of range");
-      }
-      Block& b = image_->prog.mutable_block(block);
-      switch (field) {
-        case EditField::kLoopBoundAnnotation:
-          b.loop_bound_annotation = static_cast<std::uint32_t>(value);
-          break;
-        case EditField::kAbsoluteExecBound:
-          b.absolute_exec_bound = static_cast<std::uint32_t>(value);
-          break;
-        case EditField::kIsPreemptionPoint:
-          b.is_preemption_point = value != 0;
-          break;
-        default:
-          return ErrorReply("unknown edit field " +
-                            std::to_string(static_cast<unsigned>(field)));
+      try {
+        ApplyEdit(image_->prog, block, field, value);
+      } catch (const std::invalid_argument& e) {
+        return ErrorReply(e.what());
       }
       const bool moved = analyzer_.NotifyBlockEdited(block);
       engine::WireWriter w;

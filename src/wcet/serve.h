@@ -1,7 +1,7 @@
 // Persistent WCET query service: the daemon core behind wcet_tool --serve.
 //
-// A WcetService owns one mutable kernel image plus an IncrementalWcetAnalyzer
-// over it and answers framed requests (engine::FrameType::kWcetQuery /
+// A WcetService owns one mutable kernel image plus a WcetAnalyzer over it
+// and answers framed requests (engine::FrameType::kWcetQuery /
 // kWcetReply, src/engine/wire.h) from many concurrent clients: Analyze one
 // entry point, InterruptResponseBound, PerBlockBounds, Ping, Shutdown — and
 // the edit-notification path (kEdit) that mutates one block's analysis
@@ -9,12 +9,11 @@
 // moved. Transport is the caller's problem: examples/wcet_tool.cpp runs
 // Handle() behind an AF_UNIX socket, tests call it in-process.
 //
-// Lock discipline over IncrementalWcetAnalyzer's thread-safety contract:
-// queries take the shared lock and probe Fresh(); only on a miss do they
-// upgrade to the exclusive lock and re-derive (Analyze re-checks, so a racing
-// upgrade just hits the refreshed cache). Edits always take the exclusive
-// lock. Answers are byte-identical to a one-shot wcet_tool run on the edited
-// image — wcet_incremental_test and the CI wcet-serve job diff exactly that.
+// Lock discipline over WcetAnalyzer's thread-safety contract: queries take
+// the shared lock and call the analyzer directly (its per-entry locks
+// serialise re-derivation of one entry); edits take the exclusive lock.
+// Answers are byte-identical to a one-shot wcet_tool run on the edited image
+// — wcet_incremental_test and the CI wcet-serve job diff exactly that.
 //
 // Request payload: [op u8][operands...]; reply: [status u8][body...] with
 // status 0 = ok (body is op-specific) and 1 = error (body is a Str message).
@@ -31,7 +30,7 @@
 #include <vector>
 
 #include "src/kernel/image.h"
-#include "src/wcet/incremental.h"
+#include "src/wcet/analysis.h"
 
 namespace pmk::wcet {
 
@@ -52,6 +51,13 @@ enum class EditField : std::uint8_t {
   kAbsoluteExecBound = 2,
   kIsPreemptionPoint = 3,
 };
+
+// Sets |field| of |block| in |prog| to |value| — the one way a kEdit (or
+// any other client edit) reaches a block. Throws std::invalid_argument, and
+// leaves |prog| untouched, when the block is out of range, the field is
+// unknown, or a bound value does not fit the field's 32 bits. A
+// preemption-point edit sets the flag iff |value| is nonzero.
+void ApplyEdit(Program& prog, BlockId block, EditField field, std::uint64_t value);
 
 // Reply body of ServeOp::kAnalyze, mirroring EntryResult's scalar fields
 // (the trace itself stays server-side; clients get its length).
@@ -89,7 +95,7 @@ class WcetService {
   void WriteAnalyzeReply(const EntryResult& res, std::vector<std::uint8_t>& out);
 
   std::unique_ptr<KernelImage> image_;
-  IncrementalWcetAnalyzer analyzer_;
+  WcetAnalyzer analyzer_;
   std::shared_mutex mu_;
   std::atomic<bool> shutdown_{false};
 };

@@ -35,7 +35,7 @@ TEST(CostModelSynthTest, StraightLineCostIsExact) {
   InlinedGraph g2(s2.prog, s2.fn);
   ComputeLoopBounds(g2);
   CostModelOptions opts;
-  const CostResult costs = ComputeNodeCosts(g2, opts);
+  const CostResult costs = ComputeNodeCosts(g2, CostModelCache(g2.program(), opts));
   // 8 instr + 1 cold I-line miss (60) + return branch (5).
   EXPECT_EQ(costs.node_costs[g2.entry_node()], 8u + 60u + 5u);
 }
@@ -57,7 +57,7 @@ TEST(CostModelSynthTest, SecondBlockInSameLineHits) {
   InlinedGraph g(s.prog, s.fn);
   ComputeLoopBounds(g);
   CostModelOptions opts;
-  const CostResult costs = ComputeNodeCosts(g, opts);
+  const CostResult costs = ComputeNodeCosts(g, CostModelCache(g.program(), opts));
   // Block a: 2 instr + one line miss. Block b: same line, must-hit: only
   // 2 instr + return branch.
   EXPECT_EQ(costs.node_costs[0], 2u + 60u);
@@ -129,7 +129,7 @@ TEST(LoopBoundSynthTest, IpetUsesTheBound) {
   InlinedGraph g(s.prog, s.fn);
   ComputeLoopBounds(g);
   CostModelOptions copts;
-  const CostResult costs = ComputeNodeCosts(g, copts);
+  const CostResult costs = ComputeNodeCosts(g, CostModelCache(g.program(), copts));
   IpetOptions iopts;
   const IpetResult r = RunIpet(g, costs, iopts, {});
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
@@ -142,7 +142,7 @@ TEST(PersistenceSynthTest, LoopBodyLinesChargedOnce) {
   InlinedGraph g(s.prog, s.fn);
   ComputeLoopBounds(g);
   CostModelOptions copts;
-  const CostResult costs = ComputeNodeCosts(g, copts);
+  const CostResult costs = ComputeNodeCosts(g, CostModelCache(g.program(), copts));
   IpetOptions iopts;
   const IpetResult r = RunIpet(g, costs, iopts, {});
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
@@ -194,7 +194,7 @@ TEST(PersistenceSynthTest, ConflictingLinesStayPerIteration) {
   InlinedGraph g(s.prog, s.fn);
   ComputeLoopBounds(g);
   CostModelOptions copts;
-  const CostResult costs = ComputeNodeCosts(g, copts);
+  const CostResult costs = ComputeNodeCosts(g, CostModelCache(g.program(), copts));
   // The head pays both conflicting data misses on every execution.
   EXPECT_GE(costs.node_costs[head], 4u + 2 * 60u);
 }
@@ -204,7 +204,7 @@ TEST(TraceCostSynthTest, MatchesIpetOnTheOnlyPath) {
   InlinedGraph g(s.prog, s.fn);
   ComputeLoopBounds(g);
   CostModelOptions copts;
-  const CostResult costs = ComputeNodeCosts(g, copts);
+  const CostResult costs = ComputeNodeCosts(g, CostModelCache(g.program(), copts));
   IpetOptions iopts;
   const IpetResult r = RunIpet(g, costs, iopts, {});
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
@@ -214,7 +214,7 @@ TEST(TraceCostSynthTest, MatchesIpetOnTheOnlyPath) {
     t.blocks.push_back(s.loop);
   }
   t.blocks.push_back(s.exit);
-  EXPECT_EQ(EvaluateTraceCost(s.prog, t, copts), r.wcet);
+  EXPECT_EQ(EvaluateTraceCost(CostModelCache(s.prog, copts), t), r.wcet);
 }
 
 TEST(CostModelSynthTest, L2PinnedRegionCapsAtL2Latency) {
@@ -229,7 +229,7 @@ TEST(CostModelSynthTest, L2PinnedRegionCapsAtL2Latency) {
   opts.l2_kernel_pinned = true;
   opts.l2_pinned_lo = Program::kTextBase;
   opts.l2_pinned_hi = Program::kTextBase + 4096;
-  const CostResult costs = ComputeNodeCosts(g, opts);
+  const CostResult costs = ComputeNodeCosts(g, CostModelCache(g.program(), opts));
   // 8 instr + one L2-hit miss (26) + return branch (5).
   EXPECT_EQ(costs.node_costs[g.entry_node()], 8u + 26u + 5u);
 }

@@ -1,20 +1,21 @@
 // Stress tests for the ILP solver: adversarial LP geometry (Klee-Minty,
 // degenerate/cycling instances), infeasible and unbounded detection, and
 // randomized network-flow instances asserting the sparse revised simplex and
-// the dense reference tableau agree exactly on status, objective and solution
-// vector. Branch-and-bound truncation (max_nodes) must also be deterministic
-// and mode-independent, since BENCH_wcet relies on bit-identical results from
-// both solver paths.
+// the oracle's dense tableau (tests/wcet_oracle.h) agree exactly on status,
+// objective and solution vector. Branch-and-bound truncation (max_nodes) must
+// also be deterministic and identical in both, since bench_wcet_pipeline
+// relies on bit-identical results from both solvers.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/sim/rng.h"
 #include "src/wcet/ilp.h"
-#include "src/wcet/refmode.h"
+#include "tests/wcet_oracle.h"
 
 namespace pmk {
 namespace {
@@ -28,19 +29,9 @@ LinearProgram::Row Le(std::vector<std::uint32_t> idx, std::vector<double> val, d
   return r;
 }
 
-LinearProgram::Row Eq(std::vector<std::uint32_t> idx, std::vector<double> val, double rhs) {
-  LinearProgram::Row r = Le(std::move(idx), std::move(val), rhs);
-  r.type = LinearProgram::RowType::kEq;
-  return r;
-}
-
-// Runs |solve| under both solver paths and checks status/objective/x agree.
-template <typename Fn>
-std::pair<SolveResult, SolveResult> SolveBothModes(Fn solve) {
-  wcet::SetReferenceMode(true);
-  const SolveResult dense = solve();
-  wcet::SetReferenceMode(false);
-  const SolveResult sparse = solve();
+// Checks the dense oracle's and the sparse solver's answers to one instance
+// agree on status, objective and x; returns them as a pair.
+std::pair<SolveResult, SolveResult> Agree(SolveResult dense, SolveResult sparse) {
   EXPECT_EQ(dense.status, sparse.status);
   EXPECT_NEAR(dense.objective, sparse.objective, 1e-6 * (1.0 + std::abs(dense.objective)));
   EXPECT_EQ(dense.x.size(), sparse.x.size());
@@ -50,15 +41,10 @@ std::pair<SolveResult, SolveResult> SolveBothModes(Fn solve) {
           << "x[" << i << "]";
     }
   }
-  return {dense, sparse};
+  return {std::move(dense), std::move(sparse)};
 }
 
-class SimplexStressTest : public ::testing::Test {
- protected:
-  void TearDown() override { wcet::SetReferenceMode(false); }
-};
-
-TEST_F(SimplexStressTest, KleeMintyCubeSolvesExactly) {
+TEST(SimplexStressTest, KleeMintyCubeSolvesExactly) {
   // Klee-Minty cube, the worst case for Dantzig pricing:
   //   max sum_j 2^(n-j) x_j
   //   s.t. 2 * sum_{j<i} 2^(i-j) x_j + x_i <= 5^i
@@ -84,18 +70,18 @@ TEST_F(SimplexStressTest, KleeMintyCubeSolvesExactly) {
     row.rhs = rhs;
     lp.AddRow(std::move(row));
   }
-  const auto [dense, sparse] = SolveBothModes([&] { return SolveLp(lp); });
+  const auto [dense, sparse] = Agree(oracle::SolveLp(lp), SolveLp(lp));
   ASSERT_EQ(dense.status, SolveStatus::kOptimal);
   EXPECT_NEAR(dense.objective, 244140625.0, 1e-3);  // 5^12
   EXPECT_NEAR(dense.x[n - 1], 244140625.0, 1e-3);
   // The adversarial geometry must cost real pivot work (one pivot per
   // variable would mean the instance degenerated into a trivial one), yet
-  // both paths must still terminate well inside the iteration budget.
+  // both solvers must still terminate well inside the iteration budget.
   EXPECT_GE(dense.pivots, n);
   EXPECT_GE(sparse.pivots, n);
 }
 
-TEST_F(SimplexStressTest, BealeCyclingInstanceTerminates) {
+TEST(SimplexStressTest, BealeCyclingInstanceTerminates) {
   // Beale's classic example cycles forever under textbook Dantzig pricing
   // with arbitrary tie-breaking; the Bland fallback must break the cycle.
   // Optimum: x = (1/25, 0, 1, 0), objective 1/20.
@@ -107,13 +93,13 @@ TEST_F(SimplexStressTest, BealeCyclingInstanceTerminates) {
   lp.AddRow(Le({0, 1, 2, 3}, {0.25, -60.0, -1.0 / 25.0, 9.0}, 0.0));
   lp.AddRow(Le({0, 1, 2, 3}, {0.5, -90.0, -1.0 / 50.0, 3.0}, 0.0));
   lp.AddRow(Le({2}, {1.0}, 1.0));
-  const auto [dense, sparse] = SolveBothModes([&] { return SolveLp(lp); });
+  const auto [dense, sparse] = Agree(oracle::SolveLp(lp), SolveLp(lp));
   ASSERT_EQ(dense.status, SolveStatus::kOptimal);
   EXPECT_NEAR(dense.objective, 0.05, 1e-6);
   EXPECT_NEAR(sparse.objective, 0.05, 1e-6);
 }
 
-TEST_F(SimplexStressTest, HighlyDegenerateVertexSolves) {
+TEST(SimplexStressTest, HighlyDegenerateVertexSolves) {
   // Many redundant constraints active at the optimum: every pivot at the
   // degenerate vertex makes zero progress, so the anti-cycling tie-breaks do
   // the work. max x+y s.t. k copies of scaled (x + y <= 10).
@@ -124,47 +110,47 @@ TEST_F(SimplexStressTest, HighlyDegenerateVertexSolves) {
     lp.AddRow(Le({0, 1}, {static_cast<double>(k), static_cast<double>(k)}, 10.0 * k));
   }
   lp.AddRow(Le({0}, {1.0}, 4.0));
-  const auto [dense, sparse] = SolveBothModes([&] { return SolveLp(lp); });
+  const auto [dense, sparse] = Agree(oracle::SolveLp(lp), SolveLp(lp));
   ASSERT_EQ(dense.status, SolveStatus::kOptimal);
   EXPECT_NEAR(dense.objective, 10.0, 1e-6);
 }
 
-TEST_F(SimplexStressTest, InfeasibleDetectedInBothModes) {
+TEST(SimplexStressTest, InfeasibleDetectedInBothModes) {
   // x0 <= 1 together with -x0 <= -2 (i.e. x0 >= 2).
   LinearProgram lp;
   lp.AddVar(1.0);
   lp.AddRow(Le({0}, {1.0}, 1.0));
   lp.AddRow(Le({0}, {-1.0}, -2.0));
-  const auto [dense, sparse] = SolveBothModes([&] { return SolveLp(lp); });
+  const auto [dense, sparse] = Agree(oracle::SolveLp(lp), SolveLp(lp));
   EXPECT_EQ(dense.status, SolveStatus::kInfeasible);
   EXPECT_EQ(sparse.status, SolveStatus::kInfeasible);
 
   // And through branch-and-bound as well.
-  const auto [di, si] = SolveBothModes([&] { return SolveIlp(lp); });
+  const auto [di, si] = Agree(oracle::SolveIlp(lp), SolveIlp(lp));
   EXPECT_EQ(di.status, SolveStatus::kInfeasible);
   EXPECT_EQ(si.status, SolveStatus::kInfeasible);
 }
 
-TEST_F(SimplexStressTest, UnboundedDetectedInBothModes) {
+TEST(SimplexStressTest, UnboundedDetectedInBothModes) {
   // max x0 with only x0 - x1 <= 1: push x1 up and x0 follows forever.
   LinearProgram lp;
   lp.AddVar(1.0);
   lp.AddVar(0.0);
   lp.AddRow(Le({0, 1}, {1.0, -1.0}, 1.0));
-  const auto [dense, sparse] = SolveBothModes([&] { return SolveLp(lp); });
+  const auto [dense, sparse] = Agree(oracle::SolveLp(lp), SolveLp(lp));
   EXPECT_EQ(dense.status, SolveStatus::kUnbounded);
   EXPECT_EQ(sparse.status, SolveStatus::kUnbounded);
 }
 
-TEST_F(SimplexStressTest, FractionalRelaxationBranches) {
+TEST(SimplexStressTest, FractionalRelaxationBranches) {
   // max x + y s.t. 2x + 2y <= 3: relaxation peaks at 1.5, the ILP at 1.
   LinearProgram lp;
   lp.AddVar(1.0);
   lp.AddVar(1.0);
   lp.AddRow(Le({0, 1}, {2.0, 2.0}, 3.0));
-  const auto [relax_d, relax_s] = SolveBothModes([&] { return SolveLp(lp); });
+  const auto [relax_d, relax_s] = Agree(oracle::SolveLp(lp), SolveLp(lp));
   EXPECT_NEAR(relax_d.objective, 1.5, 1e-6);
-  const auto [ilp_d, ilp_s] = SolveBothModes([&] { return SolveIlp(lp); });
+  const auto [ilp_d, ilp_s] = Agree(oracle::SolveIlp(lp), SolveIlp(lp));
   ASSERT_EQ(ilp_d.status, SolveStatus::kOptimal);
   EXPECT_NEAR(ilp_d.objective, 1.0, 1e-6);
   EXPECT_NEAR(ilp_s.objective, 1.0, 1e-6);
@@ -173,10 +159,10 @@ TEST_F(SimplexStressTest, FractionalRelaxationBranches) {
   }
 }
 
-TEST_F(SimplexStressTest, MaxNodesTruncationIsDeterministic) {
+TEST(SimplexStressTest, MaxNodesTruncationIsDeterministic) {
   // A knapsack-flavoured instance whose relaxation is fractional at several
   // branch-and-bound depths. Truncating the node budget must yield the same
-  // status and incumbent from both solver paths at every budget, because the
+  // status and incumbent from both solvers at every budget, because the
   // node ordering and branching variable choice are shared — this pins the
   // explored-node order, not just the converged answer.
   LinearProgram lp;
@@ -194,7 +180,7 @@ TEST_F(SimplexStressTest, MaxNodesTruncationIsDeterministic) {
 
   std::vector<double> objectives;
   for (std::uint32_t budget = 1; budget <= 16; ++budget) {
-    const auto [dense, sparse] = SolveBothModes([&] { return SolveIlp(lp, budget); });
+    const auto [dense, sparse] = Agree(oracle::SolveIlp(lp, budget), SolveIlp(lp, budget));
     objectives.push_back(dense.objective);
   }
   // The full solve (large budget) must reach the true optimum: items 1+2+3
@@ -214,7 +200,7 @@ TEST_F(SimplexStressTest, MaxNodesTruncationIsDeterministic) {
       best = v;
     }
   }
-  const auto [full_d, full_s] = SolveBothModes([&] { return SolveIlp(lp); });
+  const auto [full_d, full_s] = Agree(oracle::SolveIlp(lp), SolveIlp(lp));
   ASSERT_EQ(full_d.status, SolveStatus::kOptimal);
   EXPECT_NEAR(full_d.objective, best, 1e-6);
   // Incumbent quality is monotone in the node budget.
@@ -280,17 +266,17 @@ LinearProgram RandomNetworkLp(SplitMix64& rng, std::uint32_t width) {
   return lp;
 }
 
-TEST_F(SimplexStressTest, RandomizedNetworkFlowsMatchAcrossModes) {
+TEST(SimplexStressTest, RandomizedNetworkFlowsMatchAcrossModes) {
   SplitMix64 rng(0x5eed5eedULL);
   for (int trial = 0; trial < 24; ++trial) {
     SplitMix64 stream = rng.Split(static_cast<std::uint64_t>(trial));
     const std::uint32_t width = 2 + static_cast<std::uint32_t>(stream.Below(3));
     const LinearProgram lp = RandomNetworkLp(stream, width);
-    const auto [dense, sparse] = SolveBothModes([&] { return SolveLp(lp); });
+    const auto [dense, sparse] = Agree(oracle::SolveLp(lp), SolveLp(lp));
     ASSERT_EQ(dense.status, SolveStatus::kOptimal) << "trial " << trial;
     // Integral data over a network matrix: branch-and-bound must agree with
-    // itself across modes too, and can only tighten the relaxation.
-    const auto [ilp_d, ilp_s] = SolveBothModes([&] { return SolveIlp(lp); });
+    // the oracle too, and can only tighten the relaxation.
+    const auto [ilp_d, ilp_s] = Agree(oracle::SolveIlp(lp), SolveIlp(lp));
     ASSERT_EQ(ilp_d.status, SolveStatus::kOptimal) << "trial " << trial;
     EXPECT_LE(ilp_d.objective, dense.objective + 1e-6) << "trial " << trial;
   }

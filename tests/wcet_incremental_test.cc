@@ -1,15 +1,16 @@
-// Incremental WCET engine: bit-identity against cold re-analysis, digest
+// Incremental re-analysis: a resident WcetAnalyzer told about edits through
+// NotifyBlockEdited against a fresh cold analyzer and the oracle, digest
 // stage precision, warm-started simplex bookkeeping, and the query-daemon
 // core under concurrent queries and edits.
 //
-// The load-bearing property is the PR-5-style identity gate: after ANY
-// sequence of supported post-layout edits (loop-bound annotations, absolute
-// execution bounds, preemption-point toggles), every answer the incremental
-// analyzer gives must be bit-identical to a fresh cold WcetAnalyzer over the
-// same edited image — randomized edit scripts probe that across both kernel
-// configurations. The service tests double as the TSan workload for the
-// shared/exclusive lock discipline (ctest -R WcetIncremental under
-// -fsanitize=thread in CI).
+// The load-bearing property is the identity gate: after ANY sequence of
+// supported post-layout edits (loop-bound annotations, absolute execution
+// bounds, preemption-point toggles), every answer the resident analyzer
+// gives must be bit-identical to a fresh cold WcetAnalyzer over the same
+// edited image, and to WcetOracle — randomized edit scripts probe that
+// across both kernel configurations. The service tests double as the TSan
+// workload for the shared/exclusive lock discipline (ctest -R
+// "WcetService|IncrementalWcet" under -fsanitize=thread in CI).
 
 #include <atomic>
 #include <cstdint>
@@ -25,8 +26,8 @@
 #include "src/kir/digest.h"
 #include "src/obs/metrics.h"
 #include "src/wcet/analysis.h"
-#include "src/wcet/incremental.h"
 #include "src/wcet/serve.h"
+#include "tests/wcet_oracle.h"
 
 namespace pmk {
 namespace {
@@ -69,30 +70,8 @@ Edit RandomEdit(const Program& prog, std::mt19937& rng) {
   return candidates[rng() % candidates.size()];
 }
 
-void ApplyEdit(Program& prog, const Edit& e) {
-  Block& b = prog.mutable_block(e.block);
-  switch (e.field) {
-    case EditField::kLoopBoundAnnotation:
-      b.loop_bound_annotation = static_cast<std::uint32_t>(e.value);
-      break;
-    case EditField::kAbsoluteExecBound:
-      b.absolute_exec_bound = static_cast<std::uint32_t>(e.value);
-      break;
-    case EditField::kIsPreemptionPoint:
-      b.is_preemption_point = e.value != 0;
-      break;
-  }
-}
-
-void ExpectResultsIdentical(const EntryResult& inc, const EntryResult& cold) {
-  EXPECT_EQ(inc.status, cold.status);
-  EXPECT_EQ(inc.wcet, cold.wcet);
-  EXPECT_EQ(inc.micros, cold.micros);
-  EXPECT_EQ(inc.nodes, cold.nodes);
-  EXPECT_EQ(inc.edges, cold.edges);
-  EXPECT_EQ(inc.loops_bounded_auto, cold.loops_bounded_auto);
-  EXPECT_EQ(inc.loops_bounded_annot, cold.loops_bounded_annot);
-  EXPECT_EQ(inc.worst_trace.blocks, cold.worst_trace.blocks);
+std::uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Get().Snapshot().CounterValue(name);
 }
 
 // ------------------------------------------------------------ digest stages
@@ -160,48 +139,52 @@ TEST(BlockDigests, RefreshReportsChange) {
 TEST(IncrementalWcet, MatchesColdAnalyzerOnFreshImage) {
   const auto image = BuildKernelImage(KernelConfig::After());
   const AnalysisOptions opts;
-  IncrementalWcetAnalyzer inc(*image, opts);
-  const WcetAnalyzer cold(*image, opts);
-  for (EntryPoint e : kAllEntries) {
-    ExpectResultsIdentical(inc.Analyze(e), cold.Analyze(e));
-  }
-  EXPECT_EQ(inc.InterruptResponseBound(), cold.InterruptResponseBound());
-  EXPECT_EQ(inc.PerBlockBounds(), cold.PerBlockBounds());
+  const WcetAnalyzer an(*image, opts);
+  const WcetOracle oracle(*image, opts);
+  EXPECT_EQ(DiffFromOracle(an, oracle), "");
+  EXPECT_EQ(an.InterruptResponseBound(), oracle.InterruptResponseBound());
+  EXPECT_EQ(an.PerBlockBounds(), oracle.PerBlockBounds());
 }
 
 TEST(IncrementalWcet, RepeatQueriesArePureHits) {
   const auto image = BuildKernelImage(KernelConfig::After());
-  IncrementalWcetAnalyzer inc(*image, AnalysisOptions{});
-  const Cycles first = inc.InterruptResponseBound();
-  for (EntryPoint e : kAllEntries) {
-    EXPECT_TRUE(inc.Fresh(e));
-  }
-  EXPECT_EQ(inc.InterruptResponseBound(), first);
+  const WcetAnalyzer an(*image, AnalysisOptions{});
+  const Cycles first = an.InterruptResponseBound();
+  const std::uint64_t hits = CounterValue("wcet.memo.hit");
+  const std::uint64_t misses = CounterValue("wcet.memo.miss");
+  EXPECT_EQ(an.InterruptResponseBound(), first);
+  EXPECT_EQ(CounterValue("wcet.memo.hit") - hits, 4u);
+  EXPECT_EQ(CounterValue("wcet.memo.miss"), misses);
 }
 
 class RandomEditScriptTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(RandomEditScriptTest, IncrementalIdenticalToColdAfterEveryEdit) {
   // Both kernel configurations, alternating by seed; 24 cumulative edits per
-  // script, cold-checked after every one.
+  // script, cold-checked after every one and oracle-checked after every
+  // eighth.
   const KernelConfig kc =
       (GetParam() % 2 == 0) ? KernelConfig::After() : KernelConfig::Before();
   const auto image = BuildKernelImage(kc);
   Program& prog = image->prog;
   AnalysisOptions opts;
-  IncrementalWcetAnalyzer inc(*image, opts);
-  inc.InterruptResponseBound();  // prime the caches
+  WcetAnalyzer resident(*image, opts);
+  resident.InterruptResponseBound();  // prime the caches
 
   std::mt19937 rng(GetParam() * 7919 + 17);
   for (int step = 0; step < 24; ++step) {
     const Edit e = RandomEdit(prog, rng);
-    ApplyEdit(prog, e);
-    inc.NotifyBlockEdited(e.block);
+    wcet::ApplyEdit(prog, e.block, e.field, e.value);
+    resident.NotifyBlockEdited(e.block);
     const WcetAnalyzer cold(*image, opts);
     for (EntryPoint entry : kAllEntries) {
-      ExpectResultsIdentical(inc.Analyze(entry), cold.Analyze(entry));
+      EXPECT_EQ(DiffEntryResults(cold.Analyze(entry), resident.Analyze(entry)), "")
+          << "step " << step << ", " << EntryPointName(entry);
     }
-    EXPECT_EQ(inc.InterruptResponseBound(), cold.InterruptResponseBound());
+    EXPECT_EQ(resident.InterruptResponseBound(), cold.InterruptResponseBound());
+    if (step % 8 == 7) {
+      EXPECT_EQ(DiffFromOracle(resident, WcetOracle(*image, opts)), "") << "step " << step;
+    }
   }
 }
 
@@ -226,46 +209,74 @@ TEST(IncrementalWcet, WarmStartNeverChangesSolveStatus) {
   const auto image = BuildKernelImage(KernelConfig::After());
   Program& prog = image->prog;
   const AnalysisOptions opts;
-  IncrementalWcetAnalyzer inc(*image, opts);
+  WcetAnalyzer resident(*image, opts);
   const BlockId preempt = FindBlock(prog, "eca.preempt");
   const BlockId deq = FindBlock(prog, "eca.deq");
   ASSERT_EQ(prog.block(deq).absolute_exec_bound, 256u);
   for (int round = 0; round < 2; ++round) {
     for (const bool on : {false, true}) {
       prog.mutable_block(preempt).is_preemption_point = on;
-      inc.NotifyBlockEdited(preempt);
-      inc.InterruptResponseBound();
+      resident.NotifyBlockEdited(preempt);
+      resident.InterruptResponseBound();
     }
   }
   prog.mutable_block(deq).absolute_exec_bound = 259;
-  inc.NotifyBlockEdited(deq);
+  resident.NotifyBlockEdited(deq);
 
   const WcetAnalyzer cold(*image, opts);
   const EntryResult want = cold.Analyze(EntryPoint::kSyscall);
   ASSERT_EQ(want.status, SolveStatus::kOptimal);
   EXPECT_EQ(want.wcet, 64'016u);
-  ExpectResultsIdentical(inc.Analyze(EntryPoint::kSyscall), want);
+  EXPECT_EQ(DiffEntryResults(want, resident.Analyze(EntryPoint::kSyscall)), "");
   EXPECT_EQ(cold.InterruptResponseBound(), 69'326u);
-  EXPECT_EQ(inc.InterruptResponseBound(), cold.InterruptResponseBound());
+  EXPECT_EQ(resident.InterruptResponseBound(), cold.InterruptResponseBound());
+}
+
+// Annotation edits move the loop-bound rows only of loops the bounded search
+// cannot bound, and the shipped kernels have none. With urt.more's loop-input
+// range removed, the Before kernel's retype clear loop falls back to its
+// annotation, so each annotation edit re-patches the loop rows in place
+// (PatchIpetLoopRows) and moves the syscall bound; the resident analyzer
+// must still match the oracle after every edit.
+TEST(IncrementalWcet, AnnotationBoundedLoopMatchesOracle) {
+  const auto image = BuildKernelImage(KernelConfig::Before());
+  Program& prog = image->prog;
+  const AnalysisOptions opts;
+  WcetAnalyzer resident(*image, opts);
+  const EntryResult computed = resident.Analyze(EntryPoint::kSyscall);
+
+  const BlockId more = FindBlock(prog, "urt.more");
+  prog.mutable_block(more).loop_inputs.clear();
+  resident.NotifyBlockEdited(more);
+  const EntryResult annotated = resident.Analyze(EntryPoint::kSyscall);
+  EXPECT_EQ(annotated.loops_bounded_annot, computed.loops_bounded_annot + 1);
+  EXPECT_EQ(DiffFromOracle(resident, WcetOracle(*image, opts)), "");
+
+  const std::uint32_t annot = prog.block(more).loop_bound_annotation;
+  for (const std::uint32_t v : {annot + 3, annot / 2, annot}) {
+    wcet::ApplyEdit(prog, more, EditField::kLoopBoundAnnotation, v);
+    resident.NotifyBlockEdited(more);
+    const Cycles wcet = resident.Analyze(EntryPoint::kSyscall).wcet;
+    EXPECT_EQ(wcet == annotated.wcet, v == annot) << "annotation " << v;
+    EXPECT_EQ(DiffFromOracle(resident, WcetOracle(*image, opts)), "") << "annotation " << v;
+  }
 }
 
 TEST(IncrementalWcet, WarmStartsAfterMetadataEdits) {
   const auto image = BuildKernelImage(KernelConfig::After());
   Program& prog = image->prog;
-  IncrementalWcetAnalyzer inc(*image, AnalysisOptions{});
-  inc.InterruptResponseBound();
+  WcetAnalyzer resident(*image, AnalysisOptions{});
+  resident.InterruptResponseBound();
 
-  const std::uint64_t warm_before =
-      obs::MetricsRegistry::Get().Snapshot().CounterValue("wcet.inc.simplex.warm");
+  const std::uint64_t warm_before = CounterValue("wcet.inc.simplex.warm");
   std::mt19937 rng(42);
   for (int step = 0; step < 8; ++step) {
     const Edit e = RandomEdit(prog, rng);
-    ApplyEdit(prog, e);
-    inc.NotifyBlockEdited(e.block);
-    inc.InterruptResponseBound();
+    wcet::ApplyEdit(prog, e.block, e.field, e.value);
+    resident.NotifyBlockEdited(e.block);
+    resident.InterruptResponseBound();
   }
-  const std::uint64_t warm_after =
-      obs::MetricsRegistry::Get().Snapshot().CounterValue("wcet.inc.simplex.warm");
+  const std::uint64_t warm_after = CounterValue("wcet.inc.simplex.warm");
   // Metadata-only edits keep a valid stored basis, so at least some of the
   // re-solves must have started warm.
   EXPECT_GT(warm_after, warm_before);
@@ -309,8 +320,9 @@ void ExpectRefusal(const std::string& what) {
 
 // A response bound never counts an entry that is not optimal as 0 cycles.
 // Clearing choose.lz_deq's absolute bound on the Before image leaves every
-// entry unbounded: both analyzers throw, and the service answers an error on
-// its exclusive (miss) and shared (all-cached) paths alike.
+// entry unbounded: the analyzer and the oracle throw, and the service
+// answers an error both when it re-derives every entry and when it finds
+// them all cached.
 TEST(ResponseBound, RefusesEntriesThatAreNotOptimal) {
   const auto image = BuildKernelImage(KernelConfig::Before());
   const BlockId lz = FindBlock(image->prog, "choose.lz_deq");
@@ -328,10 +340,9 @@ TEST(ResponseBound, RefusesEntriesThatAreNotOptimal) {
   } catch (const std::runtime_error& e) {
     ExpectRefusal(e.what());
   }
-  IncrementalWcetAnalyzer inc(*image, opts);
   try {
-    inc.InterruptResponseBound();
-    ADD_FAILURE() << "IncrementalWcetAnalyzer summed unbounded entries";
+    WcetOracle(*image, opts).InterruptResponseBound();
+    ADD_FAILURE() << "WcetOracle summed unbounded entries";
   } catch (const std::runtime_error& e) {
     ExpectRefusal(e.what());
   }
@@ -339,18 +350,16 @@ TEST(ResponseBound, RefusesEntriesThatAreNotOptimal) {
   WcetService service(BuildKernelImage(KernelConfig::Before()), opts);
   ASSERT_GT(ParseBound(service.Handle(ResponseBoundRequest())), 0u);
   service.Handle(EditRequest(lz, EditField::kAbsoluteExecBound, 0));
-  const auto shared_hits = [] {
-    return obs::MetricsRegistry::Get().Snapshot().CounterValue("wcet.serve.shared_hit");
-  };
   for (int pass = 0; pass < 2; ++pass) {
-    const std::uint64_t hits = shared_hits();
+    const std::uint64_t hits = CounterValue("wcet.memo.hit");
+    const std::uint64_t misses = CounterValue("wcet.memo.miss");
     const std::vector<std::uint8_t> reply = service.Handle(ResponseBoundRequest());
     WireReader r(reply);
     EXPECT_EQ(r.U8(), 1) << "pass " << pass;  // error reply
     ExpectRefusal(r.Str());
-    // Pass 0 re-derives every entry under the exclusive lock; pass 1 finds
-    // them all cached.
-    EXPECT_EQ(shared_hits() - hits, pass == 0 ? 0u : 1u);
+    // Pass 0 re-derives every entry; pass 1 finds them all cached.
+    EXPECT_EQ(CounterValue("wcet.memo.hit") - hits, pass == 0 ? 0u : 4u) << "pass " << pass;
+    EXPECT_EQ(CounterValue("wcet.memo.miss") - misses, pass == 0 ? 4u : 0u) << "pass " << pass;
   }
 }
 
@@ -415,10 +424,31 @@ TEST(WcetService, MalformedRequestsAnswerErrorsNotCrashes) {
     EXPECT_EQ(r.U8(), 1) << "request should have been rejected";
     EXPECT_FALSE(r.Str().empty());
   }
-  // Out-of-range block id in a well-formed edit.
-  const auto reply = service.Handle(EditRequest(0xFFFFFF, EditField::kLoopBoundAnnotation, 1));
-  WireReader r(reply);
-  EXPECT_EQ(r.U8(), 1);
+  // Well-formed edits the service must refuse: an out-of-range block id, an
+  // unknown field, and bounds that do not fit 32 bits. The first annotated
+  // loop head carries 512, so 2^32 + 515 would otherwise be stored as 515.
+  const Cycles baseline = ParseBound(service.Handle(ResponseBoundRequest()));
+  const auto mirror = BuildKernelImage(KernelConfig::After());
+  BlockId annot = kNoBlock;
+  for (BlockId id = 0; id < mirror->prog.num_blocks() && annot == kNoBlock; ++id) {
+    if (mirror->prog.block(id).loop_bound_annotation > 0) {
+      annot = id;
+    }
+  }
+  ASSERT_NE(annot, kNoBlock);
+  ASSERT_EQ(mirror->prog.block(annot).loop_bound_annotation, 512u);
+  const std::uint64_t wrapped = (std::uint64_t{1} << 32) + 515;
+  for (const auto& request :
+       {EditRequest(0xFFFFFF, EditField::kLoopBoundAnnotation, 1),
+        EditRequest(annot, static_cast<EditField>(9), 1),
+        EditRequest(annot, EditField::kLoopBoundAnnotation, wrapped),
+        EditRequest(annot, EditField::kAbsoluteExecBound, wrapped)}) {
+    const auto reply = service.Handle(request);
+    WireReader r(reply);
+    EXPECT_EQ(r.U8(), 1) << "edit should have been rejected";
+    EXPECT_FALSE(r.Str().empty());
+  }
+  EXPECT_EQ(ParseBound(service.Handle(ResponseBoundRequest())), baseline);
 
   // The service still answers normal queries afterwards.
   const auto ok = WcetService::ParseAnalyzeReply(service.Handle(AnalyzeRequest(EntryPoint::kSyscall)));

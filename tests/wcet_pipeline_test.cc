@@ -123,7 +123,7 @@ TEST(CostModelTest, MustAnalysisMakesRepeatsCheap) {
   InlinedGraph g(img->prog, img->b.irq.fn);
   ComputeLoopBounds(g);
   CostModelOptions opts;
-  const CostResult costs = ComputeNodeCosts(g, opts);
+  const CostResult costs = ComputeNodeCosts(g, CostModelCache(g.program(), opts));
   // Every reachable node has nonzero cost; entry has cold-cache misses.
   Cycles entry_cost = 0;
   for (const InlinedNode& n : g.nodes()) {
@@ -142,8 +142,8 @@ TEST(CostModelTest, L2RaisesMissPenalty) {
   CostModelOptions off;
   CostModelOptions on;
   on.l2_enabled = true;
-  const CostResult c_off = ComputeNodeCosts(g, off);
-  const CostResult c_on = ComputeNodeCosts(g, on);
+  const CostResult c_off = ComputeNodeCosts(g, CostModelCache(g.program(), off));
+  const CostResult c_on = ComputeNodeCosts(g, CostModelCache(g.program(), on));
   Cycles total_off = 0;
   Cycles total_on = 0;
   for (std::size_t i = 0; i < c_off.node_costs.size(); ++i) {
@@ -158,11 +158,11 @@ TEST(CostModelTest, PinnedLinesCostNothing) {
   InlinedGraph g(img->prog, img->b.irq.fn);
   ComputeLoopBounds(g);
   CostModelOptions opts;
-  const CostResult base = ComputeNodeCosts(g, opts);
+  const CostResult base = ComputeNodeCosts(g, CostModelCache(g.program(), opts));
   const PinnedLines pins = SelectPinnedLines(*img, opts.line_bytes, 128);
   opts.pinned_ilines.insert(pins.ilines.begin(), pins.ilines.end());
   opts.pinned_dlines.insert(pins.dlines.begin(), pins.dlines.end());
-  const CostResult pinned = ComputeNodeCosts(g, opts);
+  const CostResult pinned = ComputeNodeCosts(g, CostModelCache(g.program(), opts));
   Cycles tb = 0;
   Cycles tp = 0;
   for (std::size_t i = 0; i < base.node_costs.size(); ++i) {
@@ -177,7 +177,7 @@ TEST(IpetTest, WorstTraceIsConsistentWithWcet) {
   InlinedGraph g(img->prog, img->b.irq.fn);
   ComputeLoopBounds(g);
   CostModelOptions copts;
-  const CostResult costs = ComputeNodeCosts(g, copts);
+  const CostResult costs = ComputeNodeCosts(g, CostModelCache(g.program(), copts));
   IpetOptions iopts;
   const IpetResult r = RunIpet(g, costs, iopts, {});
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
@@ -186,7 +186,7 @@ TEST(IpetTest, WorstTraceIsConsistentWithWcet) {
   EXPECT_EQ(trace.blocks.front(), img->b.irq.save);
   // Evaluating the extracted worst path under the same model cannot exceed
   // the ILP bound (it replays one feasible flow).
-  EXPECT_LE(EvaluateTraceCost(img->prog, trace, copts), r.wcet);
+  EXPECT_LE(EvaluateTraceCost(CostModelCache(img->prog, copts), trace), r.wcet);
 }
 
 TEST(IpetTest, LatencyModeCutsPreemptibleLoops) {
@@ -196,7 +196,7 @@ TEST(IpetTest, LatencyModeCutsPreemptibleLoops) {
   InlinedGraph g(img->prog, img->b.sys.fn);
   ComputeLoopBounds(g);
   CostModelOptions copts;
-  const CostResult costs = ComputeNodeCosts(g, copts);
+  const CostResult costs = ComputeNodeCosts(g, CostModelCache(g.program(), copts));
   IpetOptions latency;
   latency.irq_pending = true;
   IpetOptions functional;
@@ -217,7 +217,7 @@ TEST(IpetTest, ManualConsistentConstraintTightensBound) {
   InlinedGraph g(img->prog, img->b.sys.fn);
   ComputeLoopBounds(g);
   CostModelOptions copts;
-  const CostResult costs = ComputeNodeCosts(g, copts);
+  const CostResult costs = ComputeNodeCosts(g, CostModelCache(g.program(), copts));
   IpetOptions iopts;
   const IpetResult base = RunIpet(g, costs, iopts, {});
   ASSERT_EQ(base.status, SolveStatus::kOptimal);
@@ -238,7 +238,7 @@ TEST(IpetTest, ExecutesNConstraintCapsBlock) {
   InlinedGraph g(img->prog, img->b.sys.fn);
   ComputeLoopBounds(g);
   CostModelOptions copts;
-  const CostResult costs = ComputeNodeCosts(g, copts);
+  const CostResult costs = ComputeNodeCosts(g, CostModelCache(g.program(), copts));
   IpetOptions iopts;
   std::vector<ManualConstraint> cons;
   ManualConstraint mc;
