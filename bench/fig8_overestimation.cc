@@ -49,16 +49,7 @@ PathRun RunPath(EntryPoint entry, System& sys) {
     }
     case EntryPoint::kPageFault:
     case EntryPoint::kUndefined: {
-      EndpointObj* ep = nullptr;
-      sys.AddEndpoint(&ep);
-      TcbObj* pager = sys.AddThread(150);
-      TcbObj* task = sys.AddThread(10);
-      Cap ep_cap;
-      ep_cap.type = ObjType::kEndpoint;
-      ep_cap.obj = ep->base;
-      task->fault_handler_cptr = sys.BuildDeepCapSpace(task, ep_cap, 32);
-      sys.kernel().DirectBlockOnRecv(pager, ep);
-      sys.kernel().DirectSetCurrent(task);
+      sys.BuildFaultHandlerScenario();
       sys.machine().PolluteCaches();
       const Cycles t1 = sys.machine().Now();
       if (entry == EntryPoint::kPageFault) {
@@ -71,13 +62,7 @@ PathRun RunPath(EntryPoint entry, System& sys) {
       return out;
     }
     case EntryPoint::kInterrupt: {
-      EndpointObj* ep = nullptr;
-      sys.AddEndpoint(&ep);
-      TcbObj* handler = sys.AddThread(200);
-      TcbObj* task = sys.AddThread(10);
-      sys.kernel().DirectBindIrq(0, ep);
-      sys.kernel().DirectBlockOnRecv(handler, ep);
-      sys.kernel().DirectSetCurrent(task);
+      sys.BuildIrqHandlerScenario();
       sys.machine().PolluteCaches();
       sys.machine().irq().Assert(0, sys.machine().Now());
       const Cycles t1 = sys.machine().Now();

@@ -49,16 +49,7 @@ Cycles Observe(EntryPoint entry, bool l2, bool bpred) {
     case EntryPoint::kPageFault:
     case EntryPoint::kUndefined: {
       System sys(kc, mc);
-      EndpointObj* ep = nullptr;
-      const std::uint32_t pager_cptr = sys.AddEndpoint(&ep);
-      TcbObj* pager = sys.AddThread(150);
-      TcbObj* task = sys.AddThread(10);
-      Cap ep_cap;
-      ep_cap.type = ObjType::kEndpoint;
-      ep_cap.obj = ep->base;
-      task->fault_handler_cptr = sys.BuildDeepCapSpace(task, ep_cap, 32);
-      sys.kernel().DirectBlockOnRecv(pager, ep);
-      sys.kernel().DirectSetCurrent(task);
+      const System::FaultHandler f = sys.BuildFaultHandlerScenario();
       for (int run = -1; run < kRuns; ++run) {
         sys.machine().PolluteCaches();
         const Cycles t0 = sys.machine().Now();
@@ -71,8 +62,8 @@ Cycles Observe(EntryPoint entry, bool l2, bool bpred) {
           worst = std::max(worst, sys.machine().Now() - t0);
         }
         // The pager handles the fault and waits again; the task resumes.
-        sys.kernel().Syscall(SysOp::kReplyRecv, pager_cptr, SyscallArgs{});
-        sys.kernel().DirectSetCurrent(task);
+        sys.kernel().Syscall(SysOp::kReplyRecv, f.ep_cptr, SyscallArgs{});
+        sys.kernel().DirectSetCurrent(f.task);
       }
       break;
     }

@@ -53,16 +53,7 @@ Cycles ObservedWorst(EntryPoint entry, const KernelConfig& kc, bool l2,
     case EntryPoint::kPageFault:
     case EntryPoint::kUndefined: {
       System base(kc, EvalMachine(l2));
-      EndpointObj* ep = nullptr;
-      base.AddEndpoint(&ep);
-      TcbObj* pager = base.AddThread(150);
-      TcbObj* task = base.AddThread(10);
-      Cap ep_cap;
-      ep_cap.type = ObjType::kEndpoint;
-      ep_cap.obj = ep->base;
-      task->fault_handler_cptr = base.BuildDeepCapSpace(task, ep_cap, 32);
-      base.kernel().DirectBlockOnRecv(pager, ep);
-      base.kernel().DirectSetCurrent(task);
+      base.BuildFaultHandlerScenario();
       const engine::SystemCheckpoint ck(base);
       for (std::uint32_t r = 0; r < runs; ++r) {
         const std::unique_ptr<System> sys = ck.Fork();
@@ -84,13 +75,7 @@ Cycles ObservedWorst(EntryPoint entry, const KernelConfig& kc, bool l2,
       if (!l2) {
         base.AttachTraceSink(&bench::GlobalTrace());  // representative modelled run
       }
-      EndpointObj* ep = nullptr;
-      base.AddEndpoint(&ep);
-      TcbObj* handler = base.AddThread(200);
-      TcbObj* task = base.AddThread(10);
-      base.kernel().DirectBindIrq(0, ep);
-      base.kernel().DirectBlockOnRecv(handler, ep);
-      base.kernel().DirectSetCurrent(task);
+      base.BuildIrqHandlerScenario();
       const engine::SystemCheckpoint ck(base);
       for (std::uint32_t r = 0; r < runs; ++r) {
         const std::unique_ptr<System> sys = ck.Fork();

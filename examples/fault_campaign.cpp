@@ -9,8 +9,7 @@
 //
 // Usage:
 //   fault_campaign [--seed=N] [--jobs=N] [--csv[=path]] [--quick]
-//                  [--demo-shrink] [--bench-parallel[=path]]
-//                  [--metrics-json=F] [--progress] [--no-telemetry]
+//                  [--demo-shrink] [--metrics-json=F] [--progress] [--no-telemetry]
 //                  [--shards=N] [--journal=DIR] [--resume]
 //                  [--shard-transport=fork|serial] [--shard-timeout-ms=N]
 //                  [--shard-max-attempts=N] [--poison=ORDINAL]
@@ -33,24 +32,17 @@
 // The report for a fixed seed is byte-identical across runs AND across
 // --jobs values: pipe --csv output to a file and diff it to audit
 // reproducibility (CI diffs --jobs=1 against --jobs=4).
-//
-// --bench-parallel measures the campaign engine: for each exhaustive sweep
-// scenario it times the boot-per-run serial baseline against the
-// checkpoint-fork engine at --jobs workers, verifies the outputs are
-// identical, and writes BENCH_parallel.json.
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 
 #include "src/engine/journal.h"
 
 #include "bench/bench_util.h"
-#include "src/engine/parallel_bench.h"
 #include "src/fault/campaign.h"
 #include "src/obs/tail_observatory.h"
 #include "src/sim/report.h"
@@ -98,116 +90,6 @@ int DemoShrink() {
   return re.ok() ? 1 : 0;
 }
 
-// One shard of a large campaign: a system with substantial resident state
-// (30 endpoints with 50 queued senders each) whose common prefix every run
-// shares, plus a victim endpoint whose deletion is the swept operation. This
-// is the configuration the checkpoint engine exists for — boot builds ~1500
-// threads once, each sweep run forks it instead of rebuilding.
-OpFactory MakeShardBootCase() {
-  return [] {
-    OpInstance inst;
-    inst.sys = std::make_unique<System>(KernelConfig::After(), EvalMachine(false));
-    System& sys = *inst.sys;
-    for (int e = 0; e < 30; ++e) {
-      EndpointObj* ep = nullptr;
-      sys.AddEndpoint(&ep);
-      sys.QueueSenders(ep, 50, {1, 2, 3});
-    }
-    EndpointObj* victim = nullptr;
-    const std::uint32_t victim_cptr = sys.AddEndpoint(&victim);
-    sys.QueueSenders(victim, 48, {7});
-    inst.actor = sys.AddThread(50);
-    sys.kernel().DirectSetCurrent(inst.actor);
-
-    Cap root_cap;
-    root_cap.type = ObjType::kCNode;
-    root_cap.obj = sys.root()->base;
-    inst.op = SysOp::kCall;
-    inst.cptr = sys.AddCap(root_cap);
-    inst.args.label = InvLabel::kCNodeDelete;
-    inst.args.arg0 = victim_cptr & 0xFF;
-
-    const Addr victim_base = victim->base;
-    inst.check_done = [victim_base](System& s) {
-      if (s.kernel().objects().Get<EndpointObj>(victim_base) != nullptr) {
-        throw std::logic_error("shard-boot: victim endpoint survived deletion");
-      }
-    };
-    return inst;
-  };
-}
-
-// Everything a sweep observed, in a stable text form, for byte-identity
-// comparison between the baseline and engine paths.
-std::string SweepSignature(const SweepResult& res) {
-  std::ostringstream os;
-  const auto rec = [&os](const RunRecord& r) {
-    os << r.plan << '|' << r.completed << r.invariant_violation << r.exec_error << r.kernel_error
-       << r.restart_overrun << '|' << r.restarts << '|' << r.actions_fired << '|'
-       << r.lines_asserted << '|' << r.preempt_points << '|' << r.max_irq_latency << '|'
-       << r.detail << '\n';
-  };
-  os << res.preempt_points << '\n';
-  rec(res.dry_run);
-  for (const RunRecord& r : res.runs) {
-    rec(r);
-  }
-  return os.str();
-}
-
-int BenchParallel(unsigned jobs, const std::string& path) {
-  struct BenchCase {
-    std::string name;
-    OpFactory factory;
-  };
-  std::vector<BenchCase> cases;
-  for (auto& [name, factory] : CanonicalOps()) {
-    cases.push_back({name, factory});
-  }
-  cases.push_back({"shard-boot", MakeShardBootCase()});
-
-  std::vector<engine::ParallelBenchResult> rows;
-  engine::ParallelBenchResult total;
-  total.name = "exhaustive-sweep/total";
-  total.jobs = jobs;
-  total.identical = true;
-  for (const BenchCase& c : cases) {
-    SweepOptions baseline_opts;  // boot-per-run, serial
-    SweepOptions engine_opts;
-    engine_opts.checkpoint = true;
-    engine_opts.jobs = jobs;
-
-    SweepResult baseline_res;
-    SweepResult engine_res;
-    engine::ParallelBenchResult r;
-    r.name = "exhaustive-sweep/" + c.name;
-    r.jobs = jobs;
-    r.baseline_seconds =
-        engine::TimeSeconds([&] { baseline_res = ExhaustiveIrqSweep(c.factory, baseline_opts); });
-    r.engine_seconds =
-        engine::TimeSeconds([&] { engine_res = ExhaustiveIrqSweep(c.factory, engine_opts); });
-    r.runs = 1 + baseline_res.runs.size();
-    r.identical = SweepSignature(baseline_res) == SweepSignature(engine_res) &&
-                  baseline_res.AllOk() && engine_res.AllOk();
-    std::printf("  %-28s %4zu runs: baseline %.3fs, engine %.3fs -> %.2fx%s\n", r.name.c_str(),
-                r.runs, r.baseline_seconds, r.engine_seconds, r.Speedup(),
-                r.identical ? "" : "  OUTPUT MISMATCH");
-    total.runs += r.runs;
-    total.baseline_seconds += r.baseline_seconds;
-    total.engine_seconds += r.engine_seconds;
-    total.identical = total.identical && r.identical;
-    rows.push_back(std::move(r));
-  }
-  rows.push_back(total);
-  std::printf("  %-28s %4zu runs: baseline %.3fs, engine %.3fs -> %.2fx\n", total.name.c_str(),
-              total.runs, total.baseline_seconds, total.engine_seconds, total.Speedup());
-
-  std::ofstream f(path);
-  engine::WriteParallelBenchJson(f, rows);
-  std::printf("wrote %s\n", path.c_str());
-  return total.identical ? 0 : 1;
-}
-
 int Main(int argc, char** argv) {
   const bench::CommonFlags flags = bench::ParseCommonFlags(argc, argv);
   CampaignConfig cfg;
@@ -218,13 +100,6 @@ int Main(int argc, char** argv) {
   const std::string jobs_str = FlagValue(argc, argv, "--jobs=");
   if (!jobs_str.empty()) {
     cfg.jobs = flags.jobs;
-  }
-  if (HasFlag(argc, argv, "--bench-parallel") || !FlagValue(argc, argv, "--bench-parallel=").empty()) {
-    std::string path = FlagValue(argc, argv, "--bench-parallel=");
-    if (path.empty()) {
-      path = "BENCH_parallel.json";
-    }
-    return BenchParallel(cfg.jobs > 1 ? cfg.jobs : 4, path);
   }
   if (HasFlag(argc, argv, "--quick")) {
     cfg.random_runs = 8;

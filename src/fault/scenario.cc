@@ -227,7 +227,8 @@ SweepResult ExhaustiveIrqSweep(const OpFactory& factory, const SweepOptions& opt
   };
 
   if (!opts.checkpoint) {
-    // Legacy path: boot a fresh system per run (the BENCH_parallel baseline).
+    // Boot a fresh system per run: the reference path EngineSweepTest holds
+    // the checkpointed sweep to, and the one any factory supports.
     res.dry_run = RunWithPlan(factory, InjectionPlan{}, opts);
     res.preempt_points = res.dry_run.preempt_points;
     res.runs.reserve(res.preempt_points);

@@ -84,7 +84,8 @@ struct SweepOptions {
   unsigned jobs = 1;                // worker threads for the sweep's runs
   // Boot once + fork every run off the frozen image. Opt-in: requires a
   // fork-safe factory (see ScenarioCheckpoint). Off, the sweep boots a
-  // fresh system per run, which any factory supports.
+  // fresh system per run, which any factory supports; tests use it as the
+  // reference the checkpointed sweep must match.
   bool checkpoint = false;
 };
 

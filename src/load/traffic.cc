@@ -430,56 +430,4 @@ void FeedObservatory(const TrafficReport& report, obs::TailObservatory& observat
   }
 }
 
-void WriteTrafficBenchJson(const TrafficReport& report, Cycles bound, double wall_seconds,
-                           std::ostream& os) {
-  os << "{\n  \"benchmarks\": [\n";
-  // Group points by shape, preserving scenario order within each shape.
-  std::vector<std::string> shapes;
-  for (const TrafficResult& r : report.results) {
-    bool seen = false;
-    for (const std::string& s : shapes) {
-      seen = seen || s == r.shape;
-    }
-    if (!seen) {
-      shapes.push_back(r.shape);
-    }
-  }
-  for (std::size_t si = 0; si < shapes.size(); ++si) {
-    os << "    {\n      \"name\": \"traffic/" << shapes[si] << "\",\n";
-    os << "      \"seed\": " << report.seed << ",\n";
-    os << "      \"bound_cycles\": " << bound << ",\n";
-    if (wall_seconds >= 0) {
-      char wbuf[64];
-      std::snprintf(wbuf, sizeof(wbuf), "      \"sweep_wall_seconds\": %.6f,\n",
-                    wall_seconds);
-      os << wbuf;
-    }
-    os << "      \"points\": [\n";
-    bool first = true;
-    for (const TrafficResult& r : report.results) {
-      if (r.shape != shapes[si]) {
-        continue;
-      }
-      const LatencyHistogram::Summary s = r.irq_hist.Summarize();
-      char buf[512];
-      std::snprintf(buf, sizeof(buf),
-                    "%s        {\"frame_gap\": %llu, \"offered\": %llu, \"dropped\": %llu, "
-                    "\"processed\": %llu, \"served\": %llu, \"irq_p50\": %llu, "
-                    "\"irq_p99\": %llu, \"irq_max\": %llu}",
-                    first ? "" : ",\n", static_cast<unsigned long long>(r.frame_gap),
-                    static_cast<unsigned long long>(r.frames_offered),
-                    static_cast<unsigned long long>(r.frames_dropped),
-                    static_cast<unsigned long long>(r.frames_processed),
-                    static_cast<unsigned long long>(r.requests_served),
-                    static_cast<unsigned long long>(s.p50),
-                    static_cast<unsigned long long>(s.p99),
-                    static_cast<unsigned long long>(s.max));
-      os << buf;
-      first = false;
-    }
-    os << "\n      ]\n    }" << (si + 1 < shapes.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-}
-
 }  // namespace pmk::load

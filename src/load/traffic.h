@@ -128,12 +128,6 @@ void WriteTrafficCsv(const TrafficReport& report, std::ostream& os);
 void FeedObservatory(const TrafficReport& report, obs::TailObservatory& observatory,
                      const std::string& config_label);
 
-// Offered-load vs tail-latency trajectory in the BENCH_*.json house format.
-// |bound| annotates each point with the analyzed interrupt-response bound;
-// |wall_seconds| (optional, <0 to omit) records sweep wall time.
-void WriteTrafficBenchJson(const TrafficReport& report, Cycles bound, double wall_seconds,
-                           std::ostream& os);
-
 }  // namespace pmk::load
 
 #endif  // SRC_LOAD_TRAFFIC_H_

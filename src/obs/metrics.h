@@ -25,9 +25,10 @@
 // ObsLabeled("fault.runs", "mode", "storm") -> "fault.runs{mode=storm}".
 //
 // Telemetry is ON by default (the instrumentation sits at run/solve
-// granularity, not per modelled cycle — see BENCH_obs.json for the <3%
-// hot-path overhead budget); MetricsRegistry::SetEnabled(false) turns every
-// record site into a single relaxed load.
+// granularity, not per modelled cycle — perfbench's obs.registry_overhead
+// measures what leaving it on costs, per workload);
+// MetricsRegistry::SetEnabled(false) turns every record site into a single
+// relaxed load.
 
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_

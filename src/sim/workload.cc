@@ -165,4 +165,29 @@ System::WorstIpc System::BuildWorstCaseIpc() {
   return w;
 }
 
+System::FaultHandler System::BuildFaultHandlerScenario() {
+  FaultHandler f;
+  EndpointObj* ep = nullptr;
+  f.ep_cptr = AddEndpoint(&ep);
+  TcbObj* pager = AddThread(/*prio=*/150);
+  f.task = AddThread(/*prio=*/10);
+  Cap ep_cap;
+  ep_cap.type = ObjType::kEndpoint;
+  ep_cap.obj = ep->base;
+  f.task->fault_handler_cptr = BuildDeepCapSpace(f.task, ep_cap, 32);
+  kernel_->DirectBlockOnRecv(pager, ep);
+  kernel_->DirectSetCurrent(f.task);
+  return f;
+}
+
+void System::BuildIrqHandlerScenario() {
+  EndpointObj* ep = nullptr;
+  AddEndpoint(&ep);
+  TcbObj* handler = AddThread(/*prio=*/200);
+  TcbObj* task = AddThread(/*prio=*/10);
+  kernel_->DirectBindIrq(0, ep);
+  kernel_->DirectBlockOnRecv(handler, ep);
+  kernel_->DirectSetCurrent(task);
+}
+
 }  // namespace pmk

@@ -86,6 +86,21 @@ class System {
   };
   WorstIpc BuildWorstCaseIpc();
 
+  // The fault measurement scenario (Table 2, Figures 8 and 9): a pager at
+  // priority 150 waiting on an endpoint, and the current task at priority 10
+  // whose fault-handler cap decodes through a 32-level cspace. A page fault
+  // or undefined instruction raised now takes the worst-case fault IPC.
+  struct FaultHandler {
+    TcbObj* task = nullptr;
+    std::uint32_t ep_cptr = 0;  // root-CNode cptr, for the pager's ReplyRecv
+  };
+  FaultHandler BuildFaultHandlerScenario();
+
+  // The interrupt measurement scenario (Table 2, Figure 8): IRQ 0 bound to an
+  // endpoint that a handler at priority 200 waits on, with a task at
+  // priority 10 current. Asserting IRQ 0 now delivers to the handler.
+  void BuildIrqHandlerScenario();
+
   // A large untyped region plus a root cap for it; returns the cptr.
   std::uint32_t AddUntyped(std::uint8_t size_bits, UntypedObj** out = nullptr);
 

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/engine/job_pool.h"
@@ -101,17 +104,61 @@ std::string Signature(const SweepResult& res) {
   return os.str();
 }
 
+// One shard of a large campaign: a system with substantial resident state
+// (30 endpoints with 50 queued senders each) whose common prefix every run
+// shares, plus a victim endpoint whose deletion is the swept operation. It is
+// the one case whose checkpoint forks a large heap: boot builds ~1500
+// threads once, and each sweep run forks it instead of rebuilding.
+OpFactory MakeShardBootCase() {
+  return [] {
+    OpInstance inst;
+    inst.sys = std::make_unique<System>(KernelConfig::After(), EvalMachine(false));
+    System& sys = *inst.sys;
+    for (int e = 0; e < 30; ++e) {
+      EndpointObj* ep = nullptr;
+      sys.AddEndpoint(&ep);
+      sys.QueueSenders(ep, 50, {1, 2, 3});
+    }
+    EndpointObj* victim = nullptr;
+    const std::uint32_t victim_cptr = sys.AddEndpoint(&victim);
+    sys.QueueSenders(victim, 48, {7});
+    inst.actor = sys.AddThread(50);
+    sys.kernel().DirectSetCurrent(inst.actor);
+
+    Cap root_cap;
+    root_cap.type = ObjType::kCNode;
+    root_cap.obj = sys.root()->base;
+    inst.op = SysOp::kCall;
+    inst.cptr = sys.AddCap(root_cap);
+    inst.args.label = InvLabel::kCNodeDelete;
+    inst.args.arg0 = victim_cptr & 0xFF;
+
+    const Addr victim_base = victim->base;
+    inst.check_done = [victim_base](System& s) {
+      if (s.kernel().objects().Get<EndpointObj>(victim_base) != nullptr) {
+        throw std::logic_error("shard-boot: victim endpoint survived deletion");
+      }
+    };
+    return inst;
+  };
+}
+
 TEST(EngineSweepTest, CheckpointedSweepMatchesBootPerRunAtAnyJobCount) {
-  for (const auto& [name, factory] : CanonicalOps()) {
+  std::vector<std::pair<std::string, OpFactory>> cases = CanonicalOps();
+  cases.emplace_back("shard-boot", MakeShardBootCase());
+  for (const auto& [name, factory] : cases) {
     SCOPED_TRACE(name);
     const SweepOptions baseline;  // boot-per-run, serial
-    const std::string expected = Signature(ExhaustiveIrqSweep(factory, baseline));
+    const SweepResult reference = ExhaustiveIrqSweep(factory, baseline);
+    EXPECT_TRUE(reference.AllOk());
+    const std::string expected = Signature(reference);
     for (const unsigned jobs : {1u, 4u}) {
       SweepOptions engine_opts;
       engine_opts.checkpoint = true;
       engine_opts.jobs = jobs;
-      EXPECT_EQ(expected, Signature(ExhaustiveIrqSweep(factory, engine_opts)))
-          << "jobs=" << jobs;
+      const SweepResult forked = ExhaustiveIrqSweep(factory, engine_opts);
+      EXPECT_TRUE(forked.AllOk()) << "jobs=" << jobs;
+      EXPECT_EQ(expected, Signature(forked)) << "jobs=" << jobs;
     }
   }
 }

@@ -3,8 +3,8 @@
 // randomized network-flow instances asserting the sparse revised simplex and
 // the oracle's dense tableau (tests/wcet_oracle.h) agree exactly on status,
 // objective and solution vector. Branch-and-bound truncation (max_nodes) must
-// also be deterministic and identical in both, since bench_wcet_pipeline
-// relies on bit-identical results from both solvers.
+// also be deterministic and identical in both, since the analyzer-vs-oracle
+// tests rely on bit-identical results from both solvers.
 
 #include <gtest/gtest.h>
 

@@ -12,8 +12,10 @@
 // workload for the shared/exclusive lock discipline (ctest -R
 // "WcetService|IncrementalWcet" under -fsanitize=thread in CI).
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
@@ -280,6 +282,72 @@ TEST(IncrementalWcet, WarmStartsAfterMetadataEdits) {
   // Metadata-only edits keep a valid stored basis, so at least some of the
   // re-solves must have started warm.
   EXPECT_GT(warm_after, warm_before);
+}
+
+// The wcet.inc.* counters of one query's stage re-derivations, in the order
+// EditRederivesOnlyTheStagesItMoved lists its expected moves.
+constexpr const char* kStageCounters[] = {
+    "wcet.inc.graph.miss",   "wcet.inc.loopbound.miss", "wcet.inc.cost.miss",
+    "wcet.inc.ipet.miss",    "wcet.inc.rows_patched",   "wcet.inc.simplex.cold",
+    "wcet.inc.simplex.warm"};
+using StageCounts = std::array<std::uint64_t, std::size(kStageCounters)>;
+
+StageCounts ReadStageCounters() {
+  StageCounts counts{};
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = CounterValue(kStageCounters[i]);
+  }
+  return counts;
+}
+
+// An edit re-derives only the stages whose digests it moved, only in the
+// entry whose closure holds the block, and re-solves warm. Each edit kind's
+// re-query moves the stage counters by an exact amount, so a stage that
+// re-runs needlessly (say the cost fixpoint on a preemption toggle, which
+// moves only IPET rows) fails here, where timing would only make it slower.
+TEST(IncrementalWcet, EditRederivesOnlyTheStagesItMoved) {
+  const auto image = BuildKernelImage(KernelConfig::After());
+  Program& prog = image->prog;
+  WcetAnalyzer resident(*image, AnalysisOptions{});
+  const Cycles pristine = resident.InterruptResponseBound();
+
+  const BlockId more = FindBlock(prog, "urt.more");
+  const BlockId preempt = FindBlock(prog, "ptd.preempt");
+  const BlockId deq = FindBlock(prog, "eca.deq");
+  ASSERT_TRUE(prog.block(preempt).is_preemption_point);
+  struct Case {
+    const char* what;
+    BlockId block;
+    EditField field;
+    std::uint64_t value;
+    std::uint64_t revert;
+    // graph, loop bound, cost and IPET misses, rows patched, cold and warm
+    // simplex solves: the kStageCounters moves of the re-query.
+    StageCounts moves;
+  };
+  const std::uint32_t annot = prog.block(more).loop_bound_annotation;
+  const std::uint32_t bound = prog.block(deq).absolute_exec_bound;
+  const Case cases[] = {
+      {"urt.more annotation +1", more, EditField::kLoopBoundAnnotation, annot + 1u, annot,
+       {0, 1, 1, 1, 0, 0, 1}},
+      {"ptd.preempt off", preempt, EditField::kIsPreemptionPoint, 0, 1, {0, 0, 0, 1, 8, 0, 1}},
+      {"eca.deq bound +1", deq, EditField::kAbsoluteExecBound, bound + 1u, bound,
+       {0, 1, 1, 1, 1, 0, 1}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    wcet::ApplyEdit(prog, c.block, c.field, c.value);
+    ASSERT_TRUE(resident.NotifyBlockEdited(c.block));
+    const StageCounts before = ReadStageCounters();
+    resident.InterruptResponseBound();
+    const StageCounts after = ReadStageCounters();
+    for (std::size_t i = 0; i < c.moves.size(); ++i) {
+      EXPECT_EQ(after[i] - before[i], c.moves[i]) << kStageCounters[i];
+    }
+    wcet::ApplyEdit(prog, c.block, c.field, c.revert);
+    resident.NotifyBlockEdited(c.block);
+    EXPECT_EQ(resident.InterruptResponseBound(), pristine);
+  }
 }
 
 // ------------------------------------------------------------- service core

@@ -2,7 +2,7 @@
 //
 // The slow, plain twin of every layer the production analyzer
 // (src/wcet/analysis.h) optimises, kept out of the production libraries:
-// only the WCET tests and bench_wcet_pipeline link it. It holds
+// only the WCET tests link it. It holds
 //
 //   - a dense two-phase tableau simplex with its own cold branch-and-bound
 //     (same node order, branching variable and pruning as SolveIlp);

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "src/sim/latency.h"
 #include "src/wcet/analysis.h"
+#include "tests/wcet_oracle.h"
 
 namespace pmk {
 namespace {
@@ -158,26 +160,71 @@ INSTANTIATE_TEST_SUITE_P(Variants, SoundnessTest,
                                            Variant{false, true, false}),
                          VariantName);
 
-TEST(ForcedPathTest, TraceEvaluationBoundsObservedRun) {
-  // Section 6.2: force the analysis onto the measured path; the computed
-  // path cost must bound the hardware-model observation.
-  for (const bool l2 : {false, true}) {
-    System sys(KernelConfig::After(), EvalMachine(l2));
-    auto w = sys.BuildWorstCaseIpc();
-    sys.machine().PolluteCaches();
-    sys.kernel().exec().StartRecording();
-    const Cycles t0 = sys.machine().Now();
-    sys.kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args);
-    const Cycles observed = sys.machine().Now() - t0;
-    const Trace trace = sys.kernel().exec().StopRecording();
+constexpr EntryPoint kAllEntries[] = {EntryPoint::kSyscall, EntryPoint::kUndefined,
+                                      EntryPoint::kPageFault, EntryPoint::kInterrupt};
 
-    AnalysisOptions ao;
-    ao.l2_enabled = l2;
-    WcetAnalyzer an(sys.kernel().image(), ao);
-    const Cycles forced = an.EvaluateTrace(trace);
-    const Cycles wcet = an.Analyze(EntryPoint::kSyscall).wcet;
-    EXPECT_LE(observed, forced) << "conservative path model must bound the run";
-    EXPECT_LE(forced, wcet) << "the WCET bounds every path";
+struct RecordedPath {
+  Cycles observed = 0;
+  Trace trace;
+};
+
+// Figure 8's measurement of one entry: caches polluted, the entry's scenario
+// staged while recording, caches polluted again, then one timed kernel entry.
+RecordedPath RecordPath(EntryPoint entry, System& sys) {
+  sys.machine().PolluteCaches();
+  sys.kernel().exec().StartRecording();
+  System::WorstIpc ipc;
+  if (entry == EntryPoint::kSyscall) {
+    ipc = sys.BuildWorstCaseIpc();
+  } else if (entry == EntryPoint::kInterrupt) {
+    sys.BuildIrqHandlerScenario();
+  } else {
+    sys.BuildFaultHandlerScenario();
+  }
+  sys.machine().PolluteCaches();
+  if (entry == EntryPoint::kInterrupt) {
+    sys.machine().irq().Assert(0, sys.machine().Now());
+  }
+  const Cycles t0 = sys.machine().Now();
+  switch (entry) {
+    case EntryPoint::kSyscall:
+      sys.kernel().Syscall(SysOp::kCall, ipc.ep_cptr, ipc.args);
+      break;
+    case EntryPoint::kUndefined:
+      sys.kernel().RaiseUndefined();
+      break;
+    case EntryPoint::kPageFault:
+      sys.kernel().RaisePageFault();
+      break;
+    case EntryPoint::kInterrupt:
+      sys.kernel().HandleIrqEntry();
+      break;
+  }
+  RecordedPath out;
+  out.observed = sys.machine().Now() - t0;
+  out.trace = sys.kernel().exec().StopRecording();
+  return out;
+}
+
+TEST(ForcedPathTest, TraceEvaluationBoundsObservedRun) {
+  // Section 6.2 / Figure 8: force the analysis onto each entry's measured
+  // path. The computed path cost must bound the hardware-model observation,
+  // the WCET must bound the path, and the production evaluation must equal
+  // the oracle's. No recorded path is its entry's worst trace, so this is
+  // the only check of trace evaluation off the worst-case paths.
+  for (const EntryPoint entry : kAllEntries) {
+    for (const bool l2 : {false, true}) {
+      SCOPED_TRACE(std::string(EntryPointName(entry)) + (l2 ? ", L2 on" : ", L2 off"));
+      System sys(KernelConfig::After(), EvalMachine(l2));
+      const RecordedPath run = RecordPath(entry, sys);
+      AnalysisOptions ao;
+      ao.l2_enabled = l2;
+      const WcetAnalyzer an(sys.kernel().image(), ao);
+      const Cycles forced = an.EvaluateTrace(run.trace);
+      EXPECT_LE(run.observed, forced) << "conservative path model must bound the run";
+      EXPECT_LE(forced, an.Analyze(entry).wcet) << "the WCET bounds every path";
+      EXPECT_EQ(forced, WcetOracle(sys.kernel().image(), ao).EvaluateTrace(run.trace));
+    }
   }
 }
 
@@ -186,18 +233,12 @@ TEST(ForcedPathTest, OverestimationGrowsWithL2) {
   double ratio[2] = {0, 0};
   for (const bool l2 : {false, true}) {
     System sys(KernelConfig::After(), EvalMachine(l2));
-    auto w = sys.BuildWorstCaseIpc();
-    sys.machine().PolluteCaches();
-    sys.kernel().exec().StartRecording();
-    const Cycles t0 = sys.machine().Now();
-    sys.kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args);
-    const Cycles observed = sys.machine().Now() - t0;
-    const Trace trace = sys.kernel().exec().StopRecording();
+    const RecordedPath run = RecordPath(EntryPoint::kSyscall, sys);
     AnalysisOptions ao;
     ao.l2_enabled = l2;
     WcetAnalyzer an(sys.kernel().image(), ao);
     ratio[l2 ? 1 : 0] =
-        static_cast<double>(an.EvaluateTrace(trace)) / static_cast<double>(observed);
+        static_cast<double>(an.EvaluateTrace(run.trace)) / static_cast<double>(run.observed);
   }
   EXPECT_GT(ratio[0], 1.0);
   EXPECT_GT(ratio[1], ratio[0]);
