@@ -10,17 +10,17 @@
 // Usage:
 //   fault_campaign [--seed=N] [--jobs=N] [--csv[=path]] [--quick]
 //                  [--demo-shrink] [--metrics-json=F] [--progress] [--no-telemetry]
-//                  [--shards=N] [--journal=DIR] [--resume]
-//                  [--shard-transport=fork|serial] [--shard-timeout-ms=N]
+//                  [--shards=N] [--journal=DIR] [--resume] [--shard-timeout-ms=N]
 //                  [--shard-max-attempts=N] [--poison=ORDINAL]
 //                  [--chaos-kill-shard=N] [--chaos-kill-after=N]
 //
 // Sharding: --shards=N forks N supervised worker processes (engine shard
 // supervisor: watchdog timeouts, bounded retries with backoff, quarantine of
-// poison runs). --journal=DIR persists each completed run to a crash-safe
-// journal; with --resume an existing journal is reused so a campaign killed
-// mid-flight re-executes only missing runs (without --resume the journal is
-// cleared first). The CSV on stdout is byte-identical for any --shards value
+// poison runs); workers inherit the booted checkpoints through fork().
+// --journal=DIR persists each completed run to a crash-safe journal; with
+// --resume an existing journal is reused so a campaign killed mid-flight
+// re-executes only missing runs (without --resume the journal is cleared
+// first). The CSV on stdout is byte-identical for any --shards value
 // and across resumes; supervision stats go to stderr. The chaos/poison flags
 // are CI hooks that deliberately kill a worker or abort one run.
 //
@@ -122,9 +122,6 @@ int Main(int argc, char** argv) {
     std::error_code ec;
     std::filesystem::remove(
         std::filesystem::path(cfg.journal_dir) / engine::ResultJournal::kFileName, ec);
-  }
-  if (FlagValue(argc, argv, "--shard-transport=") == "serial") {
-    cfg.shard_serial_images = true;
   }
   const std::string timeout_str = FlagValue(argc, argv, "--shard-timeout-ms=");
   if (!timeout_str.empty()) {

@@ -14,13 +14,8 @@
 #ifndef SRC_ENGINE_CHECKPOINT_H_
 #define SRC_ENGINE_CHECKPOINT_H_
 
-#include <cstdint>
 #include <memory>
-#include <utility>
-#include <vector>
 
-#include "src/engine/serialize.h"
-#include "src/engine/wire.h"
 #include "src/obs/metrics.h"
 #include "src/sim/workload.h"
 
@@ -33,36 +28,6 @@ class SystemCheckpoint {
   explicit SystemCheckpoint(const System& sys) : frozen_(sys.Clone()) {
     static obs::Counter freezes("engine.checkpoint.freezes");
     freezes.Inc();
-  }
-
-  // Adopts an already-built System as the frozen image (deserialized shard
-  // transport, test fixtures). |frozen| must not be mid-kernel-entry.
-  explicit SystemCheckpoint(std::unique_ptr<System> frozen) : frozen_(std::move(frozen)) {
-    static obs::Counter adoptions("engine.checkpoint.adoptions");
-    adoptions.Inc();
-  }
-
-  // Framed, checksummed byte image of the frozen System (FrameType
-  // kSystemImage wrapping a StateSerializer payload), suitable for a pipe,
-  // a journal, or a file. Deserialize() inverts it; corrupt bytes throw
-  // WireError. The round trip is canonical: Serialize() of the deserialized
-  // checkpoint reproduces the same bytes.
-  std::vector<std::uint8_t> Serialize() const {
-    static obs::Timer ser_nanos("engine.checkpoint.serialize_nanos");
-    const auto scope = ser_nanos.Measure();
-    std::vector<std::uint8_t> out;
-    AppendFrame(out, FrameType::kSystemImage, StateSerializer::SerializeSystem(*frozen_));
-    return out;
-  }
-
-  static SystemCheckpoint Deserialize(const std::uint8_t* data, std::size_t n) {
-    static obs::Timer de_nanos("engine.checkpoint.deserialize_nanos");
-    const auto scope = de_nanos.Measure();
-    const std::vector<std::uint8_t> payload = DecodeWholeFrame(data, n, FrameType::kSystemImage);
-    return SystemCheckpoint(StateSerializer::DeserializeSystem(payload));
-  }
-  static SystemCheckpoint Deserialize(const std::vector<std::uint8_t>& bytes) {
-    return Deserialize(bytes.data(), bytes.size());
   }
 
   // An independent System that replays cycle-for-cycle identically to the

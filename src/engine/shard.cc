@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <utility>
 
 #include "src/engine/job_pool.h"
@@ -95,9 +96,6 @@ bool WriteAll(int fd, const std::vector<std::uint8_t>& bytes) {
   g_in_worker = true;
   ::signal(SIGPIPE, SIG_IGN);  // a dead supervisor surfaces as EPIPE, not SIGPIPE
   try {
-    if (opts.prepare_worker) {
-      opts.prepare_worker();
-    }
     std::mutex pipe_mu;
     bool write_failed = false;
     RunJobs(ordinals.size(), opts.jobs_per_shard, [&](std::size_t k) {
@@ -120,8 +118,7 @@ bool WriteAll(int fd, const std::vector<std::uint8_t>& bytes) {
     }
     WriteAll(write_fd, EncodeDone(static_cast<std::uint32_t>(ordinals.size())));
   } catch (...) {
-    // A throwing task (or checkpoint deserialization failure in
-    // prepare_worker) is a worker death: the supervisor blames the in-flight
+    // A throwing task is a worker death: the supervisor blames the in-flight
     // ordinals and retries/quarantines them. No unwinding past fork().
     ::_exit(2);
   }
@@ -673,11 +670,42 @@ bool ShardOutcome::AllCompleted() const {
   return true;
 }
 
+ShardStats ShardOutcome::Stats() const {
+  ShardStats s;
+  s.sharded = sharded;
+  s.tasks = payloads.size();
+  s.journal_hits = journal_hits;
+  s.retries = retries;
+  s.timeouts = timeouts;
+  s.worker_deaths = worker_deaths;
+  s.workers_spawned = workers_spawned;
+  s.quarantined = quarantined.size();
+  s.failed = failed.size();
+  s.used_fallback = used_fallback;
+  s.resumed = resumed;
+  return s;
+}
+
+std::string ShardStats::Summary() const {
+  std::ostringstream os;
+  os << "shard supervisor: tasks=" << tasks << " journal_hits=" << journal_hits
+     << " retries=" << retries << " timeouts=" << timeouts << " worker_deaths=" << worker_deaths
+     << " workers=" << workers_spawned << " quarantined=" << quarantined << " failed=" << failed;
+  if (used_fallback) {
+    os << " fallback";
+  }
+  if (resumed) {
+    os << " resumed";
+  }
+  return os.str();
+}
+
 ShardSupervisor::ShardSupervisor(std::vector<ShardTask> tasks, ShardOptions options)
     : tasks_(std::move(tasks)), opts_(std::move(options)) {}
 
 ShardOutcome ShardSupervisor::Run() {
   ShardOutcome out;
+  out.sharded = opts_.shards > 0;
   ShardRun run(tasks_, opts_, out);
   run.Execute();
   std::sort(out.quarantined.begin(), out.quarantined.end());

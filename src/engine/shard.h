@@ -76,16 +76,31 @@ struct ShardOptions {
   std::uint64_t journal_digest = 0;
   std::uint64_t seed = 0;
 
-  // Runs once inside each forked worker before any task (e.g. deserializing
-  // checkpoints shipped as bytes instead of relying on copy-on-write
-  // inheritance). Not invoked on the in-process path.
-  std::function<void()> prepare_worker;
-
   // Chaos hooks (tests / CI): once worker |chaos_kill_shard| has delivered
   // |chaos_kill_after_results| results, the supervisor SIGKILLs it — a
   // deterministic stand-in for an external kill. One-shot; -1 disables.
   std::int32_t chaos_kill_shard = -1;
   std::uint32_t chaos_kill_after_results = 0;
+};
+
+// Supervision statistics of one run, as the drivers report them. They vary
+// with parallelism and resume, so they never reach a golden.
+struct ShardStats {
+  bool sharded = false;  // ran under fork supervision (shards > 0)
+  std::uint64_t tasks = 0;
+  std::uint64_t journal_hits = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t timeouts = 0;
+  std::uint64_t worker_deaths = 0;
+  std::uint64_t workers_spawned = 0;
+  std::uint64_t quarantined = 0;
+  std::uint64_t failed = 0;
+  bool used_fallback = false;
+  bool resumed = false;
+
+  // One line: "shard supervisor: tasks=N journal_hits=N ... [fallback]
+  // [resumed]".
+  std::string Summary() const;
 };
 
 struct ShardOutcome {
@@ -104,10 +119,12 @@ struct ShardOutcome {
   std::uint64_t timeouts = 0;       // watchdog kills
   std::uint64_t worker_deaths = 0;  // involuntary worker exits (kill, crash)
   std::uint64_t workers_spawned = 0;
+  bool sharded = false;        // ran under fork supervision (shards > 0)
   bool used_fallback = false;  // degraded to in-process execution
   bool resumed = false;        // journal pre-populated at least one result
 
   bool AllCompleted() const;
+  ShardStats Stats() const;
 };
 
 class ShardSupervisor {

@@ -3,6 +3,8 @@
 #include <array>
 #include <cstring>
 
+#include "src/obs/histogram.h"
+
 namespace pmk::engine {
 
 const char* WireFaultName(WireFault f) {
@@ -15,8 +17,6 @@ const char* WireFaultName(WireFault f) {
       return "BadLength";
     case WireFault::kBadChecksum:
       return "BadChecksum";
-    case WireFault::kBadVersion:
-      return "BadVersion";
     case WireFault::kBadValue:
       return "BadValue";
   }
@@ -149,6 +149,64 @@ void WireReader::ExpectEnd(const char* what) const {
   }
 }
 
+// ---------------------------------------------------------------- histogram
+
+void WriteHistogram(WireWriter& w, const LatencyHistogram& h) {
+  w.U64(h.count_);
+  w.U64(h.min_);
+  w.U64(h.max_);
+  w.F64(h.sum_);
+  std::uint32_t n = 0;
+  for (const std::uint64_t b : h.buckets_) {
+    if (b != 0) {
+      n++;
+    }
+  }
+  w.U32(n);
+  for (std::uint32_t i = 0; i < h.buckets_.size(); ++i) {
+    if (h.buckets_[i] != 0) {
+      w.U32(i);
+      w.U64(h.buckets_[i]);
+    }
+  }
+}
+
+LatencyHistogram ReadHistogram(WireReader& r) {
+  // Far above any bucket index a 64-bit value maps to; rejects a corrupt
+  // index before it becomes a huge allocation.
+  constexpr std::uint32_t kMaxBucketIndex = 1u << 26;
+  constexpr std::size_t kBucketEntryBytes = 12;  // u32 index + u64 count
+  LatencyHistogram h;
+  h.count_ = r.U64();
+  h.min_ = r.U64();
+  h.max_ = r.U64();
+  h.sum_ = r.F64();
+  const std::uint32_t n = r.U32();
+  if (static_cast<std::uint64_t>(n) * kBucketEntryBytes > r.remaining()) {
+    throw WireError(WireFault::kTruncated, "histogram bucket count exceeds remaining payload");
+  }
+  std::uint64_t total = 0;
+  for (std::uint32_t k = 0; k < n; ++k) {
+    const std::uint32_t index = r.U32();
+    const std::uint64_t count = r.U64();
+    if (index > kMaxBucketIndex || count == 0) {
+      throw WireError(WireFault::kBadValue, "histogram bucket entry invalid");
+    }
+    if (index >= h.buckets_.size()) {
+      h.buckets_.resize(index + 1);
+    }
+    if (h.buckets_[index] != 0) {
+      throw WireError(WireFault::kBadValue, "histogram bucket index repeated");
+    }
+    h.buckets_[index] = count;
+    total += count;
+  }
+  if (total != h.count_) {
+    throw WireError(WireFault::kBadValue, "histogram bucket sum disagrees with count");
+  }
+  return h;
+}
+
 // ---------------------------------------------------------------- framing
 
 void AppendFrame(std::vector<std::uint8_t>& out, FrameType type, const std::uint8_t* payload,
@@ -186,7 +244,7 @@ std::optional<Frame> DecodeFrame(const std::uint8_t* data, std::size_t n) {
   if (len > kMaxFramePayload) {
     throw WireError(WireFault::kBadLength, "frame payload over size cap");
   }
-  if (type < static_cast<std::uint8_t>(FrameType::kSystemImage) ||
+  if (type < static_cast<std::uint8_t>(FrameType::kJournalHeader) ||
       type > static_cast<std::uint8_t>(FrameType::kWcetReply)) {
     throw WireError(WireFault::kBadValue, "unknown frame type");
   }
@@ -202,21 +260,6 @@ std::optional<Frame> DecodeFrame(const std::uint8_t* data, std::size_t n) {
   f.payload.assign(payload, payload + len);
   f.encoded_size = kFrameHeaderBytes + len;
   return f;
-}
-
-std::vector<std::uint8_t> DecodeWholeFrame(const std::uint8_t* data, std::size_t n,
-                                           FrameType want) {
-  std::optional<Frame> f = DecodeFrame(data, n);
-  if (!f.has_value()) {
-    throw WireError(WireFault::kTruncated, "incomplete frame");
-  }
-  if (f->encoded_size != n) {
-    throw WireError(WireFault::kBadLength, "trailing bytes after frame");
-  }
-  if (f->type != want) {
-    throw WireError(WireFault::kBadValue, "unexpected frame type");
-  }
-  return std::move(f->payload);
 }
 
 }  // namespace pmk::engine

@@ -1,8 +1,8 @@
 // Framed, checksummed binary records for the shard engine.
 //
-// One encoding serves three consumers: the worker-to-supervisor result pipe,
-// the on-disk result journal, and serialized SystemCheckpoint images. Every
-// record travels inside a frame —
+// One encoding serves two consumers: the worker-to-supervisor result pipe
+// and the on-disk result journal (the WCET daemon's socket reuses the same
+// frames). Every record travels inside a frame —
 //
 //   [magic u32 "PMKF"] [type u8] [payload_len u32] [crc32(payload) u32] [payload]
 //
@@ -29,14 +29,17 @@
 
 #include "src/base/digest.h"
 
-namespace pmk::engine {
+namespace pmk {
+
+class LatencyHistogram;
+
+namespace engine {
 
 enum class WireFault : std::uint8_t {
   kTruncated,    // fewer bytes than the structure requires
   kBadMagic,     // frame does not start with "PMKF"
   kBadLength,    // a declared length exceeds its container
   kBadChecksum,  // payload CRC mismatch
-  kBadVersion,   // format version this build does not speak
   kBadValue,     // structurally valid bytes with an impossible value
 };
 
@@ -125,6 +128,13 @@ class WireReader {
   std::size_t pos_ = 0;
 };
 
+// Sparse LatencyHistogram codec: count, min, max, sum, then only the
+// non-zero buckets as (index, count) pairs. Journals and the result pipe
+// store these bytes, so the layout is fixed. ReadHistogram throws WireError
+// on a truncated record or on buckets that disagree with the count.
+void WriteHistogram(WireWriter& w, const LatencyHistogram& h);
+LatencyHistogram ReadHistogram(WireReader& r);
+
 // ---------------------------------------------------------------- framing
 
 inline constexpr std::uint32_t kFrameMagic = 0x464B4D50u;  // "PMKF" little-endian
@@ -133,9 +143,9 @@ inline constexpr std::size_t kFrameHeaderBytes = 13;       // magic + type + len
 // a reader into allocating gigabytes before the CRC check runs.
 inline constexpr std::uint32_t kMaxFramePayload = 256u * 1024 * 1024;
 
-// Frame types shared by the pipe protocol, journal and checkpoint images.
+// Frame types shared by the pipe protocol, the journal and the WCET daemon.
+// The numbers are on disk (journals carry them); 1 is retired.
 enum class FrameType : std::uint8_t {
-  kSystemImage = 1,    // serialized SystemCheckpoint
   kJournalHeader = 2,  // journal file preamble (version + context digest)
   kJournalEntry = 3,   // one journaled result: key + payload
   kTaskStart = 4,      // worker -> supervisor: run |ordinal| is in flight
@@ -146,7 +156,7 @@ enum class FrameType : std::uint8_t {
 };
 
 struct Frame {
-  FrameType type = FrameType::kSystemImage;
+  FrameType type = FrameType::kJournalHeader;
   std::vector<std::uint8_t> payload;
   std::size_t encoded_size = 0;  // header + payload bytes consumed
 };
@@ -164,11 +174,7 @@ inline void AppendFrame(std::vector<std::uint8_t>& out, FrameType type,
 // magic, oversize length, failed CRC).
 std::optional<Frame> DecodeFrame(const std::uint8_t* data, std::size_t n);
 
-// Decodes a complete buffer that must contain exactly one frame of |want|'s
-// type: truncation, trailing bytes and type mismatches all throw.
-std::vector<std::uint8_t> DecodeWholeFrame(const std::uint8_t* data, std::size_t n,
-                                           FrameType want);
-
-}  // namespace pmk::engine
+}  // namespace engine
+}  // namespace pmk
 
 #endif  // SRC_ENGINE_WIRE_H_

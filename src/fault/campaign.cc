@@ -10,10 +10,10 @@
 #include "src/engine/checkpoint.h"
 #include "src/engine/job_pool.h"
 #include "src/engine/journal.h"
-#include "src/engine/serialize.h"
 #include "src/engine/shard.h"
 #include "src/engine/wire.h"
 #include "src/kernel/error.h"
+#include "src/kernel/image.h"
 #include "src/obs/metrics.h"
 #include "src/sim/latency.h"
 #include "src/sim/rng.h"
@@ -65,77 +65,28 @@ struct CampaignTask {
 };
 
 // Per-operation scenario state shared by that op's task closures. The
-// checkpoint is built lazily — a fully-journaled resume never boots at all —
-// and under serial-image transport shard workers rebuild it from the
-// serialized frozen image instead of inheriting the parent's memory.
+// checkpoint is built lazily, so a fully-journaled resume never boots at all.
+// Forked shard workers inherit it through fork()'s copy-on-write memory.
 class ScenarioBank {
  public:
   ScenarioBank(std::string name, OpFactory factory)
       : name_(std::move(name)), factory_(std::move(factory)) {}
 
-  // Serializes the frozen image now (boots if needed) so workers can
-  // deserialize instead of relying on copy-on-write inheritance.
-  void EnableSerialTransport() {
-    image_ = std::make_shared<const std::vector<std::uint8_t>>(Direct().SerializeFrozen());
-  }
-
   const ScenarioCheckpoint& Get() const {
-    if (image_ != nullptr && engine::ShardSupervisor::InWorker()) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (from_image_ == nullptr) {
-        from_image_ = std::make_shared<const ScenarioCheckpoint>(factory_, *image_);
-      }
-      return *from_image_;
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (ckpt_ == nullptr) {
+      ckpt_ = std::make_shared<const ScenarioCheckpoint>(factory_);
     }
-    return Direct();
+    return *ckpt_;
   }
 
   const std::string& name() const { return name_; }
 
  private:
-  const ScenarioCheckpoint& Direct() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (direct_ == nullptr) {
-      direct_ = std::make_shared<const ScenarioCheckpoint>(factory_);
-    }
-    return *direct_;
-  }
-
   std::string name_;
   OpFactory factory_;
-  std::shared_ptr<const std::vector<std::uint8_t>> image_;
   mutable std::mutex mu_;
-  mutable std::shared_ptr<const ScenarioCheckpoint> direct_;
-  mutable std::shared_ptr<const ScenarioCheckpoint> from_image_;
-};
-
-// Same, for a bare system checkpoint (the hostile mode's shared fixture).
-class SystemBank {
- public:
-  explicit SystemBank(const System& sys)
-      : direct_(std::make_shared<const engine::SystemCheckpoint>(sys)) {}
-
-  void EnableSerialTransport() {
-    image_ = std::make_shared<const std::vector<std::uint8_t>>(direct_->Serialize());
-  }
-
-  const engine::SystemCheckpoint& Get() const {
-    if (image_ != nullptr && engine::ShardSupervisor::InWorker()) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (from_image_ == nullptr) {
-        from_image_ = std::make_shared<const engine::SystemCheckpoint>(
-            engine::SystemCheckpoint::Deserialize(*image_));
-      }
-      return *from_image_;
-    }
-    return *direct_;
-  }
-
- private:
-  std::shared_ptr<const engine::SystemCheckpoint> direct_;
-  std::shared_ptr<const std::vector<std::uint8_t>> image_;
-  mutable std::mutex mu_;
-  mutable std::shared_ptr<const engine::SystemCheckpoint> from_image_;
+  mutable std::shared_ptr<const ScenarioCheckpoint> ckpt_;
 };
 
 // Plan-time journal peek: lets the builders skip work whose only purpose is
@@ -194,17 +145,13 @@ struct BuildState {
   std::vector<std::shared_ptr<ScenarioBank>> banks;
   std::map<std::string, std::uint64_t> pp_by_op;  // boundary counts, once known
 
-  std::shared_ptr<ScenarioBank> Bank(const std::string& name, const OpFactory& factory,
-                                     bool serial_images) {
+  std::shared_ptr<ScenarioBank> Bank(const std::string& name, const OpFactory& factory) {
     for (const auto& b : banks) {
       if (b->name() == name) {
         return b;
       }
     }
     auto bank = std::make_shared<ScenarioBank>(name, factory);
-    if (serial_images) {
-      bank->EnableSerialTransport();
-    }
     banks.push_back(bank);
     return bank;
   }
@@ -215,7 +162,7 @@ void BuildExhaustive(const CampaignConfig& cfg, const PlanPeek& peek, BuildState
   opts.checkpoint = true;
   opts.jobs = cfg.jobs;
   for (const auto& [name, factory] : CanonicalOps()) {
-    auto bank = bs.Bank(name, factory, cfg.shard_serial_images);
+    auto bank = bs.Bank(name, factory);
     const std::string dry_op = name + "/dry";
     const std::string dry_plan = InjectionPlan{}.ToString();
 
@@ -254,7 +201,7 @@ void BuildExhaustive(const CampaignConfig& cfg, const PlanPeek& peek, BuildState
 void BuildRandom(const CampaignConfig& cfg, BuildState& bs) {
   SplitMix64 rng(cfg.seed ^ 0xA5A5'0001ull);
   for (const auto& [name, factory] : CanonicalOps()) {
-    auto bank = bs.Bank(name, factory, cfg.shard_serial_images);
+    auto bank = bs.Bank(name, factory);
     // Boundary count: pinned by the exhaustive dry run when that mode ran,
     // else measured here with an uninjected run (the historical draw).
     std::uint64_t pp = 0;
@@ -388,10 +335,7 @@ void BuildHostile(const CampaignConfig& cfg, BuildState& bs) {
   // fork, so runs are independent (a malformed input that somehow mutated
   // state could never leak into the next run) and free to execute on any
   // worker thread or shard. The actors are re-resolved per fork by base.
-  auto bank = std::make_shared<SystemBank>(sys);
-  if (cfg.shard_serial_images) {
-    bank->EnableSerialTransport();
-  }
+  const auto bank = std::make_shared<const engine::SystemCheckpoint>(sys);
   const Addr actor_base = actor->base;
   const Addr deep_actor_base = deep_actor->base;
 
@@ -472,7 +416,7 @@ void BuildHostile(const CampaignConfig& cfg, BuildState& bs) {
            res.mode = "hostile";
            res.op = hc.kind;
            res.plan = "h#" + std::to_string(run);
-           std::unique_ptr<System> fork = bank->Get().Fork();
+           std::unique_ptr<System> fork = bank->Fork();
            TcbObj* run_actor =
                fork->kernel().objects().Get<TcbObj>(hc.deep ? deep_actor_base : actor_base);
            fork->kernel().DirectSetCurrent(run_actor);
@@ -627,20 +571,6 @@ std::string CampaignReport::Summary() const {
   return os.str();
 }
 
-std::string CampaignShardStats::Summary() const {
-  std::ostringstream os;
-  os << "shard supervisor: tasks=" << tasks << " journal_hits=" << journal_hits
-     << " retries=" << retries << " timeouts=" << timeouts << " worker_deaths=" << worker_deaths
-     << " workers=" << workers_spawned << " quarantined=" << quarantined << " failed=" << failed;
-  if (used_fallback) {
-    os << " fallback";
-  }
-  if (resumed) {
-    os << " resumed";
-  }
-  return os.str();
-}
-
 std::vector<std::uint8_t> EncodeScenarioResult(const ScenarioResult& r) {
   engine::WireWriter w;
   w.Str(r.mode);
@@ -651,7 +581,7 @@ std::vector<std::uint8_t> EncodeScenarioResult(const ScenarioResult& r) {
   w.U64(r.preempt_points);
   w.U64(r.spurious_acks);
   w.U64(r.coalesced);
-  engine::StateSerializer::WriteHistogram(w, r.irq_hist);
+  engine::WriteHistogram(w, r.irq_hist);
   w.Str(r.detail);
   return w.Take();
 }
@@ -667,7 +597,7 @@ ScenarioResult DecodeScenarioResult(const std::vector<std::uint8_t>& bytes) {
   r.preempt_points = rd.U64();
   r.spurious_acks = rd.U64();
   r.coalesced = rd.U64();
-  r.irq_hist = engine::StateSerializer::ReadHistogram(rd);
+  r.irq_hist = engine::ReadHistogram(rd);
   r.detail = rd.Str();
   rd.ExpectEnd("scenario result");
   return r;
@@ -675,7 +605,7 @@ ScenarioResult DecodeScenarioResult(const std::vector<std::uint8_t>& bytes) {
 
 std::uint64_t CampaignContextDigest(const CampaignConfig& config) {
   engine::WireWriter w;
-  w.U64(engine::StateSerializer::KernelImageDigest(KernelConfig::After()));
+  w.U64(KernelImageDigest(KernelConfig::After()));
   w.Bool(config.exhaustive);
   w.U32(config.random_runs);
   w.U32(config.storm_runs);
@@ -795,17 +725,7 @@ CampaignReport RunCampaign(const CampaignConfig& config) {
     report.results.push_back(r);
   }
 
-  report.shard.sharded = config.shards > 0;
-  report.shard.tasks = tasks.size();
-  report.shard.journal_hits = out.journal_hits;
-  report.shard.retries = out.retries;
-  report.shard.timeouts = out.timeouts;
-  report.shard.worker_deaths = out.worker_deaths;
-  report.shard.workers_spawned = out.workers_spawned;
-  report.shard.quarantined = out.quarantined.size();
-  report.shard.failed = out.failed.size();
-  report.shard.used_fallback = out.used_fallback;
-  report.shard.resumed = out.resumed;
+  report.shard = out.Stats();
 
   // Telemetry + observatory feed: both consume the assembled report, after
   // every deterministic byte of it is fixed.

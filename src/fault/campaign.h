@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/engine/shard.h"
 #include "src/fault/scenario.h"
 #include "src/obs/tail_observatory.h"
 
@@ -64,12 +65,6 @@ struct CampaignConfig {
   std::uint32_t shard_max_attempts = 2;
   std::uint32_t shard_backoff_ms = 50;
 
-  // Ship scenario state to workers as serialized SystemCheckpoint images
-  // (engine::StateSerializer) instead of relying on fork()'s copy-on-write
-  // memory: each worker deserializes the frozen system before forking runs
-  // off it. Slower; exercises the full wire path end-to-end.
-  bool shard_serial_images = false;
-
   // Chaos/test hooks. poison_ordinal: that run ordinal calls abort() when
   // executing inside a shard worker (never in-process) — the supervisor must
   // quarantine it and complete every other run. chaos_kill_*: forwarded to
@@ -103,28 +98,10 @@ struct ScenarioResult {
   std::string detail;
 };
 
-// Supervision outcome of a sharded campaign (all zero on the historical
-// in-process path without a journal). Not part of the CSV.
-struct CampaignShardStats {
-  bool sharded = false;
-  std::uint64_t tasks = 0;
-  std::uint64_t journal_hits = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t worker_deaths = 0;
-  std::uint64_t workers_spawned = 0;
-  std::uint64_t quarantined = 0;
-  std::uint64_t failed = 0;
-  bool used_fallback = false;
-  bool resumed = false;
-
-  std::string Summary() const;
-};
-
 struct CampaignReport {
   std::uint64_t seed = 0;
   std::vector<ScenarioResult> results;
-  CampaignShardStats shard;
+  engine::ShardStats shard;  // supervision outcome; not part of the CSV
 
   std::uint64_t failures() const;
   // Stable CSV: header + one row per scenario, in execution order.

@@ -56,21 +56,6 @@ ScenarioCheckpoint::ScenarioCheckpoint(const OpFactory& factory) : templ_(factor
   templ_.actor = nullptr;   // dangling once sys is gone; re-resolved per fork
 }
 
-ScenarioCheckpoint::ScenarioCheckpoint(const OpFactory& factory,
-                                       const std::vector<std::uint8_t>& image)
-    : templ_(factory()) {
-  if (templ_.actor != nullptr) {
-    actor_base_ = templ_.actor->base;
-  }
-  // The factory's freshly-booted system provided the template (and the actor
-  // base); the frozen image the forks replay from is the deserialized one.
-  ckpt_ = std::make_unique<engine::SystemCheckpoint>(engine::SystemCheckpoint::Deserialize(image));
-  templ_.sys.reset();
-  templ_.actor = nullptr;
-}
-
-std::vector<std::uint8_t> ScenarioCheckpoint::SerializeFrozen() const { return ckpt_->Serialize(); }
-
 OpInstance ScenarioCheckpoint::Fork() const {
   OpInstance inst;
   inst.sys = ckpt_->Fork();

@@ -60,16 +60,6 @@ class ScenarioCheckpoint {
  public:
   explicit ScenarioCheckpoint(const OpFactory& factory);
 
-  // Rebuilds the scenario around a pre-serialized system image (shard
-  // transport): |factory| supplies the operation template — op, args and the
-  // shared callbacks, which cannot cross a process boundary as bytes — while
-  // the frozen system comes from |image| (SystemCheckpoint::Serialize of a
-  // checkpoint built from the same factory). Corrupt images throw WireError.
-  ScenarioCheckpoint(const OpFactory& factory, const std::vector<std::uint8_t>& image);
-
-  // Serialized frozen image, the input to the constructor above.
-  std::vector<std::uint8_t> SerializeFrozen() const;
-
   OpInstance Fork() const;
 
  private:

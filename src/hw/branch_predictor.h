@@ -75,8 +75,6 @@ class BranchPredictor {
   std::uint64_t mispredicts() const { return mispredicts_; }
 
  private:
-  friend class engine::StateSerializer;
-
   // BTB/counter update for the predictor-enabled configuration.
   Cycles OnBranchEnabled(Addr pc, BranchKind kind, bool taken);
 

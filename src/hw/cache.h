@@ -34,10 +34,6 @@
 
 namespace pmk {
 
-namespace engine {
-class StateSerializer;  // full-state (de)serialization, src/engine/serialize.h
-}
-
 using Addr = std::uint64_t;
 
 enum class ReplacementPolicy {
@@ -237,8 +233,6 @@ class Cache {
   Addr TagOf(Addr addr) const { return addr >> tag_shift_; }
 
  private:
-  friend class engine::StateSerializer;
-
   // True if |tag| is resident in the |ways|-tag group at |base|. The 4- and
   // 8-way groups (the two modelled geometries) are compared whole with SSE2
   // — 16-byte loads, no data-dependent way-index branches. Tags are unique

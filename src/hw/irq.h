@@ -17,10 +17,6 @@
 
 namespace pmk {
 
-namespace engine {
-class StateSerializer;  // full-state (de)serialization, src/engine/serialize.h
-}
-
 class TraceSink;
 
 class InterruptController {
@@ -68,8 +64,6 @@ class InterruptController {
   TraceSink* trace_sink() const { return sink_; }
 
  private:
-  friend class engine::StateSerializer;
-
   // Pending and mask state as 32-bit registers (bit i = line i), mirroring
   // the AVIC's INTSRCH/INTMSKH register layout; AnyPending()/PendingLine()
   // reduce to one mask-and-test / count-trailing-zeros.
@@ -125,8 +119,6 @@ class IntervalTimer {
   void RebindController(InterruptController* ic) { ic_ = ic; }
 
  private:
-  friend class engine::StateSerializer;
-
   void RecomputeDeadline() { deadline_ = period_ == 0 ? kNever : next_fire_; }
 
   InterruptController* ic_;

@@ -308,8 +308,6 @@ class Machine {
   void ResetStats();
 
  private:
-  friend class engine::StateSerializer;
-
   // Refill penalty for a line missing in an L1 cache. Inline: streaming
   // workloads (object clears, cache-polluted campaign runs) miss on nearly
   // every access, so this sits on the hot path alongside Access().

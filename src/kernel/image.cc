@@ -4,9 +4,12 @@
 #include <cassert>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <vector>
 
+#include "src/base/digest.h"
 #include "src/kernel/objects.h"
+#include "src/kir/digest.h"
 
 namespace pmk {
 
@@ -1317,6 +1320,40 @@ std::shared_ptr<const KernelImage> SharedKernelImage(const KernelConfig& config)
   std::shared_ptr<const KernelImage> img = BuildKernelImage(config);
   cache->push_back(img);
   return img;
+}
+
+std::uint64_t KernelImageDigest(const KernelConfig& config) {
+  const std::uint64_t fields[] = {
+      static_cast<std::uint64_t>(config.scheduler),
+      config.scheduler_bitmap,
+      static_cast<std::uint64_t>(config.vspace),
+      config.preemptible_clearing,
+      config.preemptible_deletion,
+      config.preemptible_badged_abort,
+      config.ipc_fastpath,
+      config.cache_pinning,
+      config.preemptible_send_receive,
+      config.clear_chunk_bytes,
+      config.kernel_timer_line,
+      config.timeslice_ticks,
+      config.max_ep_queue,
+      config.max_lazy_stale,
+      config.max_revoke_descendants,
+      config.max_asid_pools,
+      config.max_object_bits,
+  };
+  std::uint64_t h = kFnv64Offset;
+  for (const std::uint64_t f : fields) {
+    h = FnvU64(h, f);
+  }
+  const Program& prog = SharedKernelImage(config)->prog;
+  const ProgramDigests digests(prog);
+  std::vector<BlockId> blocks(prog.num_blocks());
+  std::iota(blocks.begin(), blocks.end(), BlockId{0});
+  for (std::size_t s = 0; s < kNumDigestStages; ++s) {
+    h = digests.Chain(blocks, static_cast<DigestStage>(s), h);
+  }
+  return h;
 }
 
 }  // namespace pmk

@@ -17,6 +17,7 @@
 #ifndef SRC_KERNEL_IMAGE_H_
 #define SRC_KERNEL_IMAGE_H_
 
+#include <cstdint>
 #include <memory>
 
 #include "src/kernel/config.h"
@@ -527,6 +528,13 @@ std::unique_ptr<KernelImage> BuildKernelImage(const KernelConfig& config);
 // per run). Thread-safe; the handful of distinct configs a process ever
 // uses stay cached until exit.
 std::shared_ptr<const KernelImage> SharedKernelImage(const KernelConfig& config);
+
+// Content digest of the kernel a modelled result depends on: every
+// KernelConfig field, chained with each block's kir stage digests
+// (src/kir/digest.h) over all of SharedKernelImage(config). Editing
+// BuildKernelImage or flipping a config switch changes it, so a result
+// journal keyed on it is never replayed against a different kernel.
+std::uint64_t KernelImageDigest(const KernelConfig& config);
 
 // Selects the I- and D-cache lines pinned by the Section 4 configuration:
 // the interrupt-delivery path's code plus hot globals and the top of the

@@ -38,10 +38,6 @@
 
 namespace pmk {
 
-namespace engine {
-class StateSerializer;  // full-state (de)serialization, src/engine/serialize.h
-}
-
 struct SyscallArgs {
   std::uint32_t msg_len = 0;
   std::array<std::uint32_t, KernelConfig::kMaxExtraCaps> extra_caps{};
@@ -169,7 +165,6 @@ class Kernel {
 
  private:
   friend class KernelTestPeer;
-  friend class engine::StateSerializer;
 
   // Clone constructor (snapshot.cc): shares |other|'s immutable image and
   // copies all scalar state; the object heap is deep-copied by Clone().

@@ -79,8 +79,8 @@ class Executor {
   ChargeMode charge_mode() const { return charge_mode_; }
 
   // Selects the charging implementation; the only way to select the oracle.
-  // Allowed within a kernel path. Kernel::Clone and engine::StateSerializer
-  // carry the mode over to the copy.
+  // Allowed within a kernel path. Kernel::Clone carries the mode over to the
+  // copy.
   void set_charge_mode(ChargeMode mode);
 
   // Starts a kernel path at |entry_func|'s entry block.

@@ -6,10 +6,9 @@
 #include <stdexcept>
 
 #include "src/engine/checkpoint.h"
-#include "src/engine/job_pool.h"
-#include "src/engine/serialize.h"
 #include "src/engine/shard.h"
 #include "src/engine/wire.h"
+#include "src/kernel/image.h"
 #include "src/load/source.h"
 #include "src/obs/metrics.h"
 #include "src/sim/latency.h"
@@ -35,6 +34,14 @@ std::vector<ScenarioSpec> BuildGrid(const TrafficOptions& opts) {
     }
   }
   return grid;
+}
+
+// Journal key of one scenario: stable across processes and sessions.
+std::string ScenarioKey(const ScenarioSpec& scen) {
+  char key[128];
+  std::snprintf(key, sizeof(key), "traffic|%s|%u|%llu", ArrivalShapeName(scen.shape),
+                scen.load_point, static_cast<unsigned long long>(scen.frame_gap));
+  return key;
 }
 
 // Kernel-side world shared by every scenario: fleet + driver thread + NIC
@@ -202,16 +209,27 @@ TrafficResult RunScenario(const engine::SystemCheckpoint& cp, const BootInfo& bo
   return res;
 }
 
+// Journal context: the kernel image plus every TrafficOptions field that
+// changes a result. Parallelism and supervision knobs are left out.
 std::uint64_t TrafficContextDigest(const TrafficOptions& opts) {
   engine::WireWriter w;
-  w.U64(engine::StateSerializer::KernelImageDigest(KernelConfig::After()));
+  w.U64(KernelImageDigest(KernelConfig::After()));
   w.U64(opts.seed);
   w.U32(opts.clients);
   w.U32(opts.servers);
+  w.U8(opts.client_prio);
+  w.U8(opts.server_prio);
+  w.U8(opts.driver_prio);
+  w.U32(opts.nic_line);
   w.U32(opts.ring_capacity);
+  w.U64(opts.driver.isr_cost);
+  w.U64(opts.driver.per_frame_cost);
+  w.U32(opts.driver.len_cost_shift);
+  w.U32(opts.driver.batch_budget);
   w.U64(opts.run_cycles);
   w.U64(opts.timer_period);
   w.U64(opts.compute_slice);
+  w.U64(opts.client_think);
   for (const ArrivalShape s : opts.shapes) {
     w.U8(static_cast<std::uint8_t>(s));
   }
@@ -229,8 +247,8 @@ std::vector<std::uint8_t> EncodeTrafficResult(const TrafficResult& r) {
   w.Str(r.shape);
   w.U32(r.load_point);
   w.U64(r.frame_gap);
-  engine::StateSerializer::WriteHistogram(w, r.irq_hist);
-  engine::StateSerializer::WriteHistogram(w, r.frame_delay);
+  engine::WriteHistogram(w, r.irq_hist);
+  engine::WriteHistogram(w, r.frame_delay);
   w.U64(r.frames_offered);
   w.U64(r.frames_dropped);
   w.U64(r.frames_processed);
@@ -249,8 +267,8 @@ TrafficResult DecodeTrafficResult(const std::vector<std::uint8_t>& bytes) {
   r.shape = rd.Str();
   r.load_point = rd.U32();
   r.frame_gap = rd.U64();
-  r.irq_hist = engine::StateSerializer::ReadHistogram(rd);
-  r.frame_delay = engine::StateSerializer::ReadHistogram(rd);
+  r.irq_hist = engine::ReadHistogram(rd);
+  r.frame_delay = engine::ReadHistogram(rd);
   r.frames_offered = rd.U64();
   r.frames_dropped = rd.U64();
   r.frames_processed = rd.U64();
@@ -286,50 +304,31 @@ TrafficReport RunTrafficSweep(const TrafficOptions& opts) {
     cp = std::make_unique<engine::SystemCheckpoint>(base);
   }
 
-  if (opts.shards == 0) {
-    report.results = engine::ParallelMap<TrafficResult>(
-        grid.size(), opts.jobs,
-        [&](std::size_t i) { return RunScenario(*cp, boot, opts, grid[i], i); });
-  } else {
-    const std::uint64_t digest = TrafficContextDigest(opts);
-    engine::ShardOptions sopts;
-    sopts.shards = opts.shards;
-    sopts.jobs_per_shard = opts.jobs;
-    sopts.task_timeout_ms = opts.shard_timeout_ms;
-    sopts.max_attempts = opts.shard_max_attempts;
-    sopts.journal_dir = opts.journal_dir;
-    sopts.journal_digest = digest;
-    sopts.seed = opts.seed;
-    std::vector<engine::ShardTask> tasks;
-    tasks.reserve(grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      const ScenarioSpec& scen = grid[i];
-      char key[128];
-      std::snprintf(key, sizeof(key), "traffic|%s|%u|%llu", ArrivalShapeName(scen.shape),
-                    scen.load_point, static_cast<unsigned long long>(scen.frame_gap));
-      tasks.push_back({key, [&cp, &boot, &opts, scen, i] {
-                         return EncodeTrafficResult(RunScenario(*cp, boot, opts, scen, i));
-                       }});
-    }
-    const engine::ShardOutcome out = engine::ShardSupervisor(std::move(tasks), sopts).Run();
-    report.results.reserve(grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (!out.completed[i]) {
-        throw std::runtime_error("traffic: scenario failed supervised execution: " +
-                                 std::string(ArrivalShapeName(grid[i].shape)));
-      }
-      report.results.push_back(DecodeTrafficResult(out.payloads[i]));
-    }
-    report.shard.sharded = true;
-    report.shard.tasks = grid.size();
-    report.shard.journal_hits = out.journal_hits;
-    report.shard.retries = out.retries;
-    report.shard.timeouts = out.timeouts;
-    report.shard.worker_deaths = out.worker_deaths;
-    report.shard.workers_spawned = out.workers_spawned;
-    report.shard.used_fallback = out.used_fallback;
-    report.shard.resumed = out.resumed;
+  engine::ShardOptions sopts;
+  sopts.shards = opts.shards;
+  sopts.jobs_per_shard = opts.jobs;
+  sopts.task_timeout_ms = opts.shard_timeout_ms;
+  sopts.max_attempts = opts.shard_max_attempts;
+  sopts.journal_dir = opts.journal_dir;
+  sopts.journal_digest = TrafficContextDigest(opts);
+  sopts.seed = opts.seed;
+  std::vector<engine::ShardTask> tasks;
+  tasks.reserve(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const ScenarioSpec& scen = grid[i];
+    tasks.push_back({ScenarioKey(scen), [&cp, &boot, &opts, scen, i] {
+                       return EncodeTrafficResult(RunScenario(*cp, boot, opts, scen, i));
+                     }});
   }
+  const engine::ShardOutcome out = engine::ShardSupervisor(std::move(tasks), sopts).Run();
+  report.results.reserve(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (!out.completed[i]) {
+      throw std::runtime_error("traffic: scenario failed: " + ScenarioKey(grid[i]));
+    }
+    report.results.push_back(DecodeTrafficResult(out.payloads[i]));
+  }
+  report.shard = out.Stats();
 
   // Telemetry feed — observer only, after every deterministic byte is fixed.
   std::uint64_t offered = 0, dropped = 0, processed = 0, served = 0;

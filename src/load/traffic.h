@@ -9,11 +9,12 @@
 // throughput/goodput/drop/coalesce counters, and are byte-identical for a
 // given seed at ANY parallelism:
 //
-//   - scenarios fan out over engine::RunJobs threads (--jobs), inputs a pure
-//     function of the scenario ordinal (SplitMix64::Split(ordinal));
-//   - or over engine::ShardSupervisor worker processes (--shards), results
-//     travelling as wire-encoded TrafficResult records, collected in ordinal
-//     order either way.
+//   - every scenario is an engine::ShardSupervisor task whose inputs are a
+//     pure function of the scenario ordinal (SplitMix64::Split(ordinal));
+//   - tasks fan out over job threads in-process (--jobs) or over forked
+//     worker processes (--shards), travel as wire-encoded TrafficResult
+//     records and are collected in ordinal order either way;
+//   - the optional result journal (--journal) works at any shard count.
 //
 // The boot-once/fork-per-scenario checkpoint pattern is what makes a
 // thousand-client sweep cheap: the fleet is built exactly once.
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "src/engine/shard.h"
 #include "src/load/driver.h"
 #include "src/load/fleet.h"
 #include "src/obs/tail_observatory.h"
@@ -63,7 +65,7 @@ struct TrafficOptions {
   // Parallelism.
   unsigned jobs = 1;        // in-process fan-out threads
   std::uint32_t shards = 0;  // >0: fork-per-shard supervision
-  std::string journal_dir;   // optional crash-safe result journal
+  std::string journal_dir;   // optional crash-safe result journal, any |shards|
   std::uint32_t shard_timeout_ms = 120'000;
   std::uint32_t shard_max_attempts = 2;
 };
@@ -88,33 +90,22 @@ struct TrafficResult {
   std::uint64_t steps = 0;  // total Runner steps completed
 };
 
-// Wire codec for the shard result pipe / journal (StateSerializer histogram
-// encoding inside a WireWriter record). Decode throws WireError on corrupt
-// bytes.
+// Wire codec for the shard result pipe / journal (engine::WriteHistogram's
+// sparse encoding inside a WireWriter record). Decode throws WireError on
+// corrupt bytes.
 std::vector<std::uint8_t> EncodeTrafficResult(const TrafficResult& r);
 TrafficResult DecodeTrafficResult(const std::vector<std::uint8_t>& bytes);
-
-struct TrafficShardStats {
-  bool sharded = false;
-  std::uint64_t tasks = 0;
-  std::uint64_t journal_hits = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t worker_deaths = 0;
-  std::uint64_t workers_spawned = 0;
-  bool used_fallback = false;
-  bool resumed = false;
-};
 
 struct TrafficReport {
   std::uint64_t seed = 0;
   std::vector<TrafficResult> results;  // scenario-ordinal order
-  TrafficShardStats shard;             // supervision outcome; NOT golden-able
+  engine::ShardStats shard;            // supervision outcome; NOT golden-able
 };
 
 // Runs the full sweep. Boots the fleet once, checkpoints, forks per
-// scenario; fan-out per |opts.jobs| / |opts.shards|. Throws on a scenario
-// that fails even quarantined re-execution.
+// scenario; fan-out per |opts.jobs| / |opts.shards|. Throws, naming the
+// scenario's key, on a scenario that fails (in-process, or under supervision
+// even after quarantined re-execution).
 TrafficReport RunTrafficSweep(const TrafficOptions& opts);
 
 // Deterministic renderings (modelled values only — golden-able bytes).

@@ -18,9 +18,15 @@
 
 namespace pmk {
 
+class LatencyHistogram;
+
 namespace engine {
-class StateSerializer;  // full-state (de)serialization, src/engine/serialize.h
-}
+class WireReader;
+class WireWriter;
+// Sparse wire codec, src/engine/wire.h.
+void WriteHistogram(WireWriter& w, const LatencyHistogram& h);
+LatencyHistogram ReadHistogram(WireReader& r);
+}  // namespace engine
 
 class LatencyHistogram {
  public:
@@ -73,7 +79,8 @@ class LatencyHistogram {
   static Cycles BucketUpperBound(std::size_t index);
 
  private:
-  friend class engine::StateSerializer;
+  friend void engine::WriteHistogram(engine::WireWriter& w, const LatencyHistogram& h);
+  friend LatencyHistogram engine::ReadHistogram(engine::WireReader& r);
 
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_ = 0;

@@ -20,10 +20,6 @@ namespace pmk {
 
 class TraceSink;
 
-namespace engine {
-class StateSerializer;  // full-state (de)serialization, src/engine/serialize.h
-}
-
 class System {
  public:
   System(const KernelConfig& kernel_config, const MachineConfig& machine_config);
@@ -108,9 +104,7 @@ class System {
   MachineConfig machine_config;
 
  private:
-  friend class engine::StateSerializer;
-
-  System() = default;  // Clone() and DeserializeSystem() assemble the members
+  System() = default;  // Clone() assembles the members
 
   std::unique_ptr<Machine> machine_;
   std::unique_ptr<Kernel> kernel_;

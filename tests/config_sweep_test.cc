@@ -1,10 +1,11 @@
 // Configuration-sweep tests: every combination of the paper's switches must
 // produce a well-formed kernel image, run the core workloads against the
 // executor's CFG validation, hold its invariants, and yield a solvable,
-// sound WCET analysis.
+// sound WCET analysis. The kernel image digest must tell configs apart.
 
 #include <gtest/gtest.h>
 
+#include "src/kernel/image.h"
 #include "src/sim/latency.h"
 #include "src/wcet/analysis.h"
 
@@ -139,6 +140,22 @@ TEST(DesignInteractionTest, ShadowTablesWithoutPreemptionAreCatastrophic) {
   const auto before = BuildKernelImage(KernelConfig::Before());
   WcetAnalyzer an_before(*before, AnalysisOptions{});
   EXPECT_LT(an_before.Analyze(EntryPoint::kSyscall).wcet, r.wcet / 1'000);
+}
+
+TEST(KernelImageTest, DigestTracksConfig) {
+  const KernelConfig after = KernelConfig::After();
+  const KernelConfig before = KernelConfig::Before();
+  EXPECT_EQ(KernelImageDigest(after), KernelImageDigest(after));
+  EXPECT_NE(KernelImageDigest(after), KernelImageDigest(before));
+
+  KernelConfig tweaked = after;
+  tweaked.ipc_fastpath = !tweaked.ipc_fastpath;
+  EXPECT_NE(KernelImageDigest(after), KernelImageDigest(tweaked));
+
+  // A runtime-only knob leaves the image alone but still moves the digest.
+  KernelConfig slice = after;
+  slice.timeslice_ticks += 1;
+  EXPECT_NE(KernelImageDigest(after), KernelImageDigest(slice));
 }
 
 std::vector<Sweep> AllSweeps() {

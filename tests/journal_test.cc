@@ -1,15 +1,20 @@
-// ResultJournal crash-safety: torn tails, corrupt frames, foreign digests.
+// ResultJournal crash-safety: torn tails, corrupt frames, foreign digests,
+// and exhaustive bit-flip/truncation sweeps over a journaled campaign result.
+// Also the sparse histogram codec the journaled results carry.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/engine/journal.h"
 #include "src/engine/wire.h"
+#include "src/fault/campaign.h"
+#include "src/obs/histogram.h"
 
 namespace pmk::engine {
 namespace {
@@ -44,7 +49,9 @@ class JournalTest : public ::testing::Test {
   void WriteFileBytes(const std::vector<std::uint8_t>& data) const {
     std::FILE* f = std::fopen(JournalPath().c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+    if (!data.empty()) {  // fwrite's buffer may not be null, even for 0 bytes
+      ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+    }
     std::fclose(f);
   }
 
@@ -186,6 +193,98 @@ TEST_F(JournalTest, EmptyPayloadRoundTrips) {
   }
   ResultJournal j(dir_, kDigest);
   EXPECT_EQ(j.Lookup(5), std::vector<std::uint8_t>{});
+}
+
+// A journal holding one wire-encoded campaign row, as the shard supervisor
+// writes it, for the corruption sweeps below.
+struct JournaledRow {
+  std::uint64_t key = 0;
+  std::vector<std::uint8_t> payload;
+  std::size_t headers_end = 0;  // journal header frame + the entry's frame header
+};
+
+JournaledRow JournalOneRow(const std::string& dir) {
+  ScenarioResult r;
+  r.mode = "exhaustive";
+  r.op = "retype";
+  r.plan = "pp@3:l5";
+  r.ok = true;
+  r.restarts = 1;
+  r.preempt_points = 12;
+  r.irq_hist.Record(447);
+  r.irq_hist.Record(560, 3);
+  JournaledRow row;
+  row.key = ResultJournal::Key(kDigest, r.mode + "|" + r.op + "|" + r.plan, 42);
+  row.payload = EncodeScenarioResult(r);
+  ResultJournal j(dir, kDigest);
+  row.headers_end = static_cast<std::size_t>(fs::file_size(j.path())) + kFrameHeaderBytes;
+  j.Append(row.key, row.payload);
+  return row;
+}
+
+TEST_F(JournalTest, EveryBitFlipReturnsOriginalOrNothing) {
+  const JournaledRow row = JournalOneRow(dir_);
+  const std::vector<std::uint8_t> file = FileBytes();
+  ASSERT_GT(file.size(), row.headers_end);
+
+  // Every bit of both frame headers and the journal header's payload, then
+  // a fixed-stride sample of the entry payload's bits (the CRC covers them
+  // all; the stride keeps the sweep quick).
+  std::vector<std::size_t> bits;
+  for (std::size_t b = 0; b < row.headers_end * 8; ++b) {
+    bits.push_back(b);
+  }
+  for (std::size_t b = row.headers_end * 8; b < file.size() * 8; b += 7) {
+    bits.push_back(b);
+  }
+  bits.push_back(file.size() * 8 - 1);
+
+  for (const std::size_t bit : bits) {
+    std::vector<std::uint8_t> corrupt = file;
+    corrupt[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    WriteFileBytes(corrupt);
+    ResultJournal j(dir_, kDigest);
+    const std::optional<std::vector<std::uint8_t>> got = j.Lookup(row.key);
+    EXPECT_TRUE(!got.has_value() || *got == row.payload)
+        << "byte " << bit / 8 << " bit " << bit % 8 << " replayed a different payload";
+  }
+}
+
+TEST_F(JournalTest, EveryTruncationReturnsOriginalOrNothing) {
+  const JournaledRow row = JournalOneRow(dir_);
+  const std::vector<std::uint8_t> file = FileBytes();
+
+  // Sampled prefix lengths, plus the boundary cases around both frames.
+  std::vector<std::size_t> lengths = {0, 1, 4, 5, kFrameHeaderBytes - 1, kFrameHeaderBytes,
+                                      row.headers_end - 1, row.headers_end, file.size() - 1};
+  for (std::size_t len = 0; len < file.size(); len += 5) {
+    lengths.push_back(len);
+  }
+  for (const std::size_t len : lengths) {
+    WriteFileBytes(std::vector<std::uint8_t>(file.begin(), file.begin() + len));
+    ResultJournal j(dir_, kDigest);
+    const std::optional<std::vector<std::uint8_t>> got = j.Lookup(row.key);
+    EXPECT_FALSE(got.has_value()) << "prefix " << len << " replayed a torn entry";
+  }
+  WriteFileBytes(file);
+  EXPECT_EQ(ResultJournal(dir_, kDigest).Lookup(row.key), row.payload);
+}
+
+TEST(WireTest, HistogramRoundTripsSparsely) {
+  LatencyHistogram h;
+  h.Record(1);
+  h.Record(1000, 3);
+  h.Record(123456789);
+  WireWriter w;
+  WriteHistogram(w, h);
+  WireReader r(w.bytes().data(), w.bytes().size());
+  const LatencyHistogram back = ReadHistogram(r);
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(back.count(), h.count());
+  EXPECT_EQ(back.min(), h.min());
+  EXPECT_EQ(back.max(), h.max());
+  EXPECT_EQ(back.Percentile(50), h.Percentile(50));
+  EXPECT_EQ(back.Percentile(99), h.Percentile(99));
 }
 
 }  // namespace

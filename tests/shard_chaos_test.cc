@@ -216,28 +216,12 @@ TEST_F(ShardChaosTest, JournalResumeAfterPartialRun) {
   EXPECT_GE(out.workers_spawned, 1u);
 }
 
-TEST_F(ShardChaosTest, PrepareWorkerRunsInEveryWorker) {
-  ShardOptions opts;
-  opts.shards = 2;
-  bool parent_prepared = false;
-  opts.prepare_worker = [&parent_prepared] { parent_prepared = true; };
-  std::vector<ShardTask> tasks;
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    tasks.push_back({"p|" + std::to_string(i), [i] { return PayloadFor(i); }});
-  }
-  ShardOutcome out = ShardSupervisor(std::move(tasks), opts).Run();
-  EXPECT_TRUE(out.AllCompleted());
-  // prepare_worker runs in forked children only: the parent-side flag must
-  // stay untouched (copy-on-write).
-  EXPECT_FALSE(parent_prepared);
-}
-
 // ---------------------------------------------------------------- campaign
 //
 // End-to-end: the fault campaign's CSV must be byte-identical across the
-// in-process reference, forked shards, a chaos-killed-and-retried run, a
-// journal resume after a simulated supervisor crash, and serial-image
-// transport. Seed 42, quick-sized config.
+// in-process reference, forked shards, a chaos-killed-and-retried run and a
+// journal resume after a simulated supervisor crash. Seed 42, quick-sized
+// config.
 
 pmk::CampaignConfig TestCampaignConfig() {
   pmk::CampaignConfig cfg;
@@ -349,15 +333,6 @@ TEST_F(ShardChaosTest, CampaignPoisonRunIsQuarantinedAndReported) {
   }
   EXPECT_EQ(mismatches, 1u);
   EXPECT_FALSE(static_cast<bool>(std::getline(got, g)));
-}
-
-TEST_F(ShardChaosTest, CampaignSerialImageTransportMatchesGolden) {
-  pmk::CampaignConfig cfg = TestCampaignConfig();
-  cfg.shards = 2;
-  cfg.shard_serial_images = true;
-  const pmk::CampaignReport report = pmk::RunCampaign(cfg);
-  EXPECT_EQ(CampaignCsv(report), GoldenCsv());
-  EXPECT_EQ(report.shard.worker_deaths, 0u);
 }
 
 }  // namespace

@@ -2,11 +2,17 @@
 // (badged caps, fastpath-eligible cspace), the two-phase driver's ack/drain
 // discipline under load, the wire codec, byte-identity of a sweep across
 // --jobs and --shards parallelism (the checkpoint-fork determinism
-// contract), and live enforcement of the analyzed interrupt-response bound.
+// contract), the result journal's resume and key, and live enforcement of
+// the analyzed interrupt-response bound.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/load/fleet.h"
 #include "src/load/traffic.h"
@@ -86,6 +92,24 @@ TEST(ClientFleetTest, ResolveFleetRebindsPointersInAClone) {
   EXPECT_EQ(resolved.fleet_cnode->base, fleet.fleet_cnode->base);
 }
 
+// A fresh journal directory for the running test, removed when it ends.
+class JournalDir {
+ public:
+  JournalDir()
+      : path_((std::filesystem::temp_directory_path() /
+               ("pmk_traffic_" +
+                std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "_" +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name()))
+                  .string()) {
+    std::filesystem::remove_all(path_);
+  }
+  ~JournalDir() { std::filesystem::remove_all(path_); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 TEST(TrafficCodecTest, EncodeDecodeRoundTripsEveryField) {
   TrafficResult r;
   r.shape = "storm";
@@ -137,6 +161,60 @@ TEST(TrafficSweepTest, ByteIdenticalAcrossShardSupervision) {
   EXPECT_TRUE(sharded.shard.sharded);
   EXPECT_EQ(sharded.shard.tasks, 6u);
   EXPECT_EQ(Fingerprint(inproc), Fingerprint(sharded));
+}
+
+TEST(TrafficSweepTest, JournalResumesWithoutShards) {
+  const JournalDir dir;
+  TrafficOptions opts = SmallSweep();
+  opts.journal_dir = dir.path();
+  const TrafficReport first = RunTrafficSweep(opts);
+  EXPECT_EQ(first.shard.journal_hits, 0u);
+
+  const TrafficReport resumed = RunTrafficSweep(opts);
+  EXPECT_FALSE(resumed.shard.sharded);
+  EXPECT_EQ(resumed.shard.tasks, 6u);
+  EXPECT_EQ(resumed.shard.journal_hits, resumed.shard.tasks);
+  EXPECT_TRUE(resumed.shard.resumed);
+  EXPECT_EQ(RenderTrafficTable(resumed), RenderTrafficTable(first));
+  EXPECT_EQ(Fingerprint(resumed), Fingerprint(first));
+}
+
+TEST(TrafficSweepTest, JournalMissesWhenAResultOptionChanges) {
+  const JournalDir dir;
+  TrafficOptions opts = SmallSweep();
+  opts.shards = 1;
+  opts.journal_dir = dir.path();
+  const TrafficReport first = RunTrafficSweep(opts);
+
+  // A resumed journal must not replay rows computed under another think
+  // time: the rerun executes every scenario and matches a fresh sweep.
+  opts.client_think += 300;
+  const TrafficReport rerun = RunTrafficSweep(opts);
+  EXPECT_EQ(rerun.shard.journal_hits, 0u);
+  TrafficOptions fresh = opts;
+  fresh.shards = 0;
+  fresh.journal_dir.clear();
+  EXPECT_EQ(Fingerprint(rerun), Fingerprint(RunTrafficSweep(fresh)));
+  EXPECT_NE(Fingerprint(rerun), Fingerprint(first));
+
+  // Every other result-changing option is part of the journal key too.
+  const std::vector<std::pair<const char*, std::function<void(TrafficOptions&)>>> edits = {
+      {"client_prio", [](TrafficOptions& o) { o.client_prio += 1; }},
+      {"server_prio", [](TrafficOptions& o) { o.server_prio += 1; }},
+      {"driver_prio", [](TrafficOptions& o) { o.driver_prio += 1; }},
+      {"nic_line", [](TrafficOptions& o) { o.nic_line += 1; }},
+      {"driver.isr_cost", [](TrafficOptions& o) { o.driver.isr_cost += 1; }},
+      {"driver.per_frame_cost", [](TrafficOptions& o) { o.driver.per_frame_cost += 1; }},
+      {"driver.len_cost_shift", [](TrafficOptions& o) { o.driver.len_cost_shift += 1; }},
+      {"driver.batch_budget", [](TrafficOptions& o) { o.driver.batch_budget += 1; }},
+  };
+  opts.shards = 0;
+  for (const auto& [name, edit] : edits) {
+    RunTrafficSweep(opts);  // the journal holds |opts|' rows again
+    TrafficOptions changed = opts;
+    edit(changed);
+    EXPECT_EQ(RunTrafficSweep(changed).shard.journal_hits, 0u) << name;
+  }
 }
 
 TEST(TrafficSweepTest, RerunFromSameOptionsReplaysIdentically) {
