@@ -62,6 +62,21 @@ void Cache::LockWay(std::uint32_t way) {
   locked_ways_ |= (1u << way);
 }
 
+void Cache::Pin(std::span<const Addr> lines, std::uint32_t ways) {
+  assert(ways >= 1 && ways < ways_);
+  std::vector<std::uint32_t> used(num_sets_, 0);
+  for (const Addr a : lines) {
+    std::uint32_t& way = used[SetIndexOf(a)];
+    if (way == ways) {
+      throw std::invalid_argument("Cache '" + config_.name + "': pinned lines overflow a set");
+    }
+    InstallLine(a, way++);
+  }
+  for (std::uint32_t w = 0; w < ways; ++w) {
+    LockWay(w);
+  }
+}
+
 void Cache::UnlockWay(std::uint32_t way) {
   assert(way < ways_);
   locked_ways_ &= ~(1u << way);

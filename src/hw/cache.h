@@ -25,6 +25,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -202,8 +203,14 @@ class Cache {
 
   // Excludes |way| from replacement: resident lines in it become pinned.
   void LockWay(std::uint32_t way);
+
   void UnlockWay(std::uint32_t way);
-  std::uint32_t LockedWayMask() const { return locked_ways_; }
+
+  // Pins |lines|: installs each into the next of the low |ways| ways its set
+  // has not filled yet, then locks those ways (1 <= |ways| < ways). Throws
+  // std::invalid_argument if a set gets more than |ways| lines;
+  // SelectPinnedLines (src/kernel/image.h) picks lines that fit.
+  void Pin(std::span<const Addr> lines, std::uint32_t ways);
 
   // Invalidates all lines (locked ways included). Lock bits are retained.
   void InvalidateAll();

@@ -1,8 +1,5 @@
 #include "src/hw/machine.h"
 
-#include <cassert>
-#include <vector>
-
 namespace pmk {
 
 namespace {
@@ -119,62 +116,12 @@ void Machine::DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride
   Advance(cost);
 }
 
-void Machine::PinL1(std::span<const Addr> icache_lines, std::span<const Addr> dcache_lines,
-                    std::uint32_t ways) {
-  assert(ways >= 1 && ways < config_.l1i.ways);
-  // Install lines round-robin across the locked ways, then lock them. A real
-  // ARM1136 does this by restricting the replacement way while touching the
-  // lines; the net state is identical.
-  for (std::size_t i = 0; i < icache_lines.size(); ++i) {
-    l1i_.InstallLine(icache_lines[i], static_cast<std::uint32_t>(i) % ways);
-  }
-  for (std::size_t i = 0; i < dcache_lines.size(); ++i) {
-    l1d_.InstallLine(dcache_lines[i], static_cast<std::uint32_t>(i) % ways);
-  }
-  for (std::uint32_t w = 0; w < ways; ++w) {
-    l1i_.LockWay(w);
-    l1d_.LockWay(w);
-  }
-}
-
-void Machine::UnpinL1() {
-  for (std::uint32_t w = 0; w < config_.l1i.ways; ++w) {
-    l1i_.UnlockWay(w);
-    l1d_.UnlockWay(w);
-  }
-}
-
-std::size_t Machine::PinL2Lines(std::span<const Addr> lines, std::uint32_t ways) {
-  assert(ways >= 1 && ways < config_.l2.ways);
-  std::vector<std::uint32_t> used(config_.l2.NumSets(), 0);
-  std::size_t pinned = 0;
-  for (Addr a : lines) {
-    const std::uint32_t set = l2_.SetIndexOf(a);
-    if (used[set] >= ways) {
-      continue;  // locked ways full for this set
-    }
-    l2_.InstallLine(a, used[set]++);
-    pinned++;
-  }
-  for (std::uint32_t w = 0; w < ways; ++w) {
-    l2_.LockWay(w);
-  }
-  return pinned;
-}
-
 void Machine::PolluteCaches() {
   l1i_.Pollute(kPolluteBaseI);
   l1d_.Pollute(kPolluteBaseD);
   // A realistic polluting test program dirties the 16 KiB L1s completely but
   // only displaces part of the 128 KiB L2 between runs (paper Section 5.4).
   l2_.Pollute(kPolluteBaseL2, 0.5);
-  bpred_.Reset();
-}
-
-void Machine::InvalidateCaches() {
-  l1i_.InvalidateAll();
-  l1d_.InvalidateAll();
-  l2_.InvalidateAll();
   bpred_.Reset();
 }
 

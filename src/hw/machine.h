@@ -17,7 +17,6 @@
 #define SRC_HW_MACHINE_H_
 
 #include <cstdint>
-#include <span>
 
 #include "src/hw/branch_predictor.h"
 #include "src/hw/cache.h"
@@ -28,7 +27,6 @@
 namespace pmk {
 
 struct MachineConfig {
-  ClockSpec clock;
   CacheConfig l1i{.name = "L1I", .size_bytes = 16 * 1024, .ways = 4, .line_bytes = 32};
   CacheConfig l1d{.name = "L1D", .size_bytes = 16 * 1024, .ways = 4, .line_bytes = 32};
   CacheConfig l2{.name = "L2", .size_bytes = 128 * 1024, .ways = 8, .line_bytes = 32};
@@ -39,9 +37,9 @@ struct MachineConfig {
 };
 
 // Monotonic PMU-style event counters. Unlike the per-cache CacheStats these
-// are never reset (PolluteCaches, InvalidateCaches and ResetStats leave them
-// counting), so snapshot/delta measurement (src/obs/pmu.h) stays valid across
-// the cache-polluting runs of Section 5.4.
+// are never reset (PolluteCaches and ResetStats leave them counting), so
+// snapshot/delta measurement (src/obs/pmu.h) stays valid across the
+// cache-polluting runs of Section 5.4.
 struct HwCounters {
   std::uint64_t instructions = 0;
   std::uint64_t l1i_accesses = 0;  // I-cache line lookups
@@ -262,27 +260,11 @@ class Machine {
   void DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride, bool write,
                      PathTally* tally = nullptr);
 
-  // --- Cache pinning (paper Section 4) ---
-
-  // Locks |ways| low ways of both L1 caches and installs the given line
-  // addresses into them. Lines must fit within the locked ways.
-  void PinL1(std::span<const Addr> icache_lines, std::span<const Addr> dcache_lines,
-             std::uint32_t ways);
-  void UnpinL1();
-
-  // Locks the given lines into |ways| ways of the L2 — the paper's "lock the
-  // entire seL4 microkernel into the L2 cache" future-work option (Sections
-  // 4, 6.4, 8). Lines that overflow the locked ways' capacity in their set
-  // are skipped; returns the number of lines actually pinned. Only
-  // meaningful with the L2 enabled.
-  std::size_t PinL2Lines(std::span<const Addr> lines, std::uint32_t ways);
-
   // --- Worst-case measurement support (paper Section 5.4) ---
 
   // Fills all caches with garbage and resets the branch predictor, emulating
   // the cache-polluting test programs used before each measured run.
   void PolluteCaches();
-  void InvalidateCaches();
 
   // --- State access ---
 
@@ -302,7 +284,6 @@ class Machine {
   IntervalTimer& timer() { return timer_; }
   const IntervalTimer& timer() const { return timer_; }
 
-  void set_l2_enabled(bool enabled) { config_.l2_enabled = enabled; }
   bool l2_enabled() const { return config_.l2_enabled; }
 
   void ResetStats();

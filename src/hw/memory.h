@@ -24,13 +24,6 @@ struct MemoryConfig {
   Cycles load_use_stall = 2;
 };
 
-struct MemoryStats {
-  std::uint64_t l2_hits = 0;
-  std::uint64_t mem_accesses = 0;
-
-  void Reset() { *this = MemoryStats{}; }
-};
-
 }  // namespace pmk
 
 #endif  // SRC_HW_MEMORY_H_

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "src/base/digest.h"
@@ -1255,50 +1256,71 @@ std::unique_ptr<KernelImage> BuildKernelImage(const KernelConfig& config) {
   return img;
 }
 
-PinnedLines SelectPinnedLines(const KernelImage& image, std::uint32_t line_bytes,
-                              std::size_t iline_capacity) {
+std::vector<Addr> SelectPinnedLines(const KernelImage& image, PinTarget target,
+                                    const CacheConfig& cache, std::uint32_t ways) {
+  if (ways < 1 || ways >= cache.ways) {
+    throw std::invalid_argument("SelectPinnedLines: " + cache.name + " has no way left unlocked");
+  }
   const Program& p = image.prog;
   const KernelBlocks& kb = image.b;
-  PinnedLines out;
-
-  // The interrupt-delivery path first — irq_entry, handle_interrupt, notify,
-  // attempt_switch, schedule, the scheduler queue operations — then the
-  // commonly-executed IPC machinery (capability decode, send/receive,
-  // transfer), chosen the way the paper selects its 118 lines: from
-  // execution traces of typical and worst-case deliveries. SelectPinnedLines
-  // truncates at the locked ways' capacity, so the order is the priority.
-  std::vector<FuncId> pinned_fns = {kb.irq.fn,   kb.hirq.fn,   kb.ntf.fn, kb.asw.fn,
-                                    kb.sched.fn, kb.choose.fn, kb.enq.fn, kb.deq.fn,
-                                    kb.dec.fn,   kb.xfer.fn,   kb.send.fn, kb.recv.fn,
-                                    kb.reply.fn};
-  if (kb.fast.fn != kNoFunc) {
-    pinned_fns.push_back(kb.fast.fn);
-  }
-  for (FuncId fn : pinned_fns) {
-    for (BlockId bid : p.function(fn).blocks) {
-      for (Addr a : p.BlockLineAddrs(bid, line_bytes)) {
-        if (out.ilines.empty() || out.ilines.back() != a) {
-          out.ilines.push_back(a);
+  const Addr line = cache.line_bytes;
+  std::vector<Addr> candidates;
+  const auto add_range = [&](Addr lo, Addr hi) {
+    for (Addr a = lo / line * line; a < hi; a += line) {
+      candidates.push_back(a);
+    }
+  };
+  switch (target) {
+    case PinTarget::kL1I: {
+      // The interrupt-delivery path first — irq_entry, handle_interrupt,
+      // notify, attempt_switch, schedule, the scheduler queue operations —
+      // then the commonly-executed IPC machinery (capability decode,
+      // send/receive, transfer), chosen the way the paper selects its 118
+      // lines: from execution traces of typical and worst-case deliveries.
+      // The order is the priority when the locked ways run out.
+      std::vector<FuncId> fns = {kb.irq.fn,   kb.hirq.fn,   kb.ntf.fn, kb.asw.fn,
+                                 kb.sched.fn, kb.choose.fn, kb.enq.fn, kb.deq.fn,
+                                 kb.dec.fn,   kb.xfer.fn,   kb.send.fn, kb.recv.fn,
+                                 kb.reply.fn};
+      if (kb.fast.fn != kNoFunc) {
+        fns.push_back(kb.fast.fn);
+      }
+      for (FuncId fn : fns) {
+        for (BlockId bid : p.function(fn).blocks) {
+          const Block& b = p.block(bid);
+          add_range(b.address, b.address + static_cast<Addr>(b.instr_count) * 4);
         }
       }
+      break;
+    }
+    case PinTarget::kL1D: {
+      add_range(Program::kStackTop - 256, Program::kStackTop);
+      for (SymId sym : {image.syms.cur_thread, image.syms.sched_action, image.syms.bitmap_l1,
+                        image.syms.bitmap_l2, image.syms.irq_state, image.syms.irq_bindings}) {
+        const DataSymbol& d = p.symbol(sym);
+        add_range(d.address, d.address + d.size);
+      }
+      break;
+    }
+    case PinTarget::kL2: {
+      // Everything the kernel touches with statically-known addresses.
+      add_range(Program::kTextBase, Program::kTextBase + p.text_bytes());
+      if (p.num_symbols() != 0) {
+        const DataSymbol& last = p.symbol(static_cast<SymId>(p.num_symbols() - 1));
+        add_range(Program::kDataBase, last.address + last.size);
+      }
+      add_range(Program::kStackTop - 4096, Program::kStackTop);
+      break;
     }
   }
-  if (out.ilines.size() > iline_capacity) {
-    out.ilines.resize(iline_capacity);
-  }
-
-  // First 256 bytes of the kernel stack.
-  for (Addr a = Program::kStackTop - 256; a < Program::kStackTop; a += line_bytes) {
-    out.dlines.push_back(a);
-  }
-  // Hot globals.
-  const SymId hot[] = {image.syms.cur_thread, image.syms.sched_action, image.syms.bitmap_l1,
-                       image.syms.bitmap_l2,  image.syms.irq_state,    image.syms.irq_bindings};
-  for (SymId sym : hot) {
-    const DataSymbol& d = p.symbol(sym);
-    for (Addr a = d.address / line_bytes * line_bytes; a < d.address + d.size;
-         a += line_bytes) {
-      out.dlines.push_back(a);
+  const std::uint32_t sets = cache.NumSets();
+  std::vector<std::uint32_t> used(sets, 0);
+  std::vector<Addr> out;
+  for (const Addr a : candidates) {
+    std::uint32_t& n = used[a / line % sets];
+    if (n < ways && std::find(out.begin(), out.end(), a) == out.end()) {
+      ++n;
+      out.push_back(a);
     }
   }
   return out;

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "src/hw/cache.h"
 #include "src/kernel/config.h"
 #include "src/kir/program.h"
 
@@ -536,16 +537,26 @@ std::shared_ptr<const KernelImage> SharedKernelImage(const KernelConfig& config)
 // journal keyed on it is never replayed against a different kernel.
 std::uint64_t KernelImageDigest(const KernelConfig& config);
 
-// Selects the I- and D-cache lines pinned by the Section 4 configuration:
-// the interrupt-delivery path's code plus hot globals and the top of the
-// kernel stack. Shared by the kernel runtime (which locks them into the
-// modelled caches) and the WCET analyzer (which treats them as always-hit).
-struct PinnedLines {
-  std::vector<Addr> ilines;
-  std::vector<Addr> dlines;
+// The kernel lines a cache can hold in locked ways.
+enum class PinTarget : std::uint8_t {
+  kL1I,  // Section 4: the interrupt-delivery path, then the IPC machinery
+  kL1D,  // Section 4: the top 256 B of the kernel stack and the hot globals
+  kL2,   // Sections 4, 6.4, 8: the whole kernel — text, data and stack
 };
-PinnedLines SelectPinnedLines(const KernelImage& image, std::uint32_t line_bytes,
-                              std::size_t iline_capacity);
+
+// Ways each pinning locks: one of each 4-way L1 (the paper's quarter of the
+// cache) and two of the 8-way L2.
+inline constexpr std::uint32_t kL1PinnedWays = 1;
+inline constexpr std::uint32_t kL2PinnedWays = 2;
+
+// The lines of |target| that |ways| locked ways of |cache| hold: candidates
+// in priority order at |cache|'s line size, without duplicates, dropping
+// each whose set already holds |ways| chosen lines. The kernel locks exactly
+// these (Kernel::ApplyCachePinning, ApplyL2KernelPinning) and the WCET
+// analyzer credits exactly these (BuildCostModelOptions). Throws
+// std::invalid_argument if |ways| leaves no way of |cache| unlocked.
+std::vector<Addr> SelectPinnedLines(const KernelImage& image, PinTarget target,
+                                    const CacheConfig& cache, std::uint32_t ways);
 
 }  // namespace pmk
 

@@ -744,34 +744,19 @@ KernelExit Kernel::RaiseUndefined() {
 
 // ---------- Cache pinning (Section 4) ----------
 
-std::size_t Kernel::ApplyCachePinning(std::uint32_t ways) {
-  const std::uint32_t line = machine_->config().l1i.line_bytes;
-  // Capacity of the locked region: |ways| ways of the I-cache.
-  const std::size_t capacity =
-      (machine_->config().l1i.size_bytes / machine_->config().l1i.ways) * ways / line;
-  const PinnedLines pins = SelectPinnedLines(*image_, line, capacity);
-  machine_->PinL1(pins.ilines, pins.dlines, ways);
-  return pins.ilines.size();
+void Kernel::ApplyCachePinning() {
+  const MachineConfig& mc = machine_->config();
+  machine_->l1i().Pin(SelectPinnedLines(*image_, PinTarget::kL1I, mc.l1i, kL1PinnedWays),
+                      kL1PinnedWays);
+  machine_->l1d().Pin(SelectPinnedLines(*image_, PinTarget::kL1D, mc.l1d, kL1PinnedWays),
+                      kL1PinnedWays);
 }
 
-std::size_t Kernel::ApplyL2KernelPinning(std::uint32_t ways) {
-  const std::uint32_t line = machine_->config().l2.line_bytes;
-  std::vector<Addr> lines;
-  const auto add_range = [&](Addr lo, Addr hi) {
-    for (Addr a = lo / line * line; a < hi; a += line) {
-      lines.push_back(a);
-    }
-  };
-  // Kernel text, data symbols and the kernel stack: everything the kernel
-  // itself touches with statically-known addresses.
-  add_range(Program::kTextBase, Program::kTextBase + image_->prog.text_bytes());
-  if (image_->prog.num_symbols() != 0) {
-    const DataSymbol& last = image_->prog.symbol(
-        static_cast<SymId>(image_->prog.num_symbols() - 1));
-    add_range(Program::kDataBase, last.address + last.size);
-  }
-  add_range(Program::kStackTop - 4096, Program::kStackTop);
-  return machine_->PinL2Lines(lines, ways);
+std::size_t Kernel::ApplyL2KernelPinning() {
+  const std::vector<Addr> lines =
+      SelectPinnedLines(*image_, PinTarget::kL2, machine_->config().l2, kL2PinnedWays);
+  machine_->l2().Pin(lines, kL2PinnedWays);
+  return lines.size();
 }
 
 }  // namespace pmk

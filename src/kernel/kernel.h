@@ -128,15 +128,15 @@ class Kernel {
 
   // ---------- Cache pinning (Section 4) ----------
 
-  // Pins the interrupt-delivery path and hot data into the first |ways| ways
-  // of both L1 caches. Returns the number of I-cache lines pinned.
-  std::size_t ApplyCachePinning(std::uint32_t ways = 1);
+  // Pins the interrupt-delivery path and hot data into kL1PinnedWays ways of
+  // both L1 caches (SelectPinnedLines).
+  void ApplyCachePinning();
 
-  // Locks the ENTIRE kernel (text, data, stack) into |ways| ways of the L2
-  // cache — the paper's future-work option (Sections 4, 6.4, 8): the 36 KiB
+  // Locks the ENTIRE kernel (text, data, stack) into kL2PinnedWays ways of
+  // the L2 cache — the paper's future-work option (Sections 4, 6.4, 8): the
   // kernel fits comfortably into the 128 KiB L2. Requires the L2 enabled.
   // Returns the number of L2 lines pinned.
-  std::size_t ApplyL2KernelPinning(std::uint32_t ways = 2);
+  std::size_t ApplyL2KernelPinning();
 
   // ---------- Invariants (Section 2.2) ----------
 

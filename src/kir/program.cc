@@ -194,18 +194,6 @@ Addr Program::ResolveStatic(const Block& b, const StaticAccess& a) const {
   return syms_[a.symbol].address + a.offset;
 }
 
-std::vector<Addr> Program::BlockLineAddrs(BlockId id, std::uint32_t line_bytes) const {
-  assert(laid_out_);
-  const Block& b = blocks_[id];
-  std::vector<Addr> out;
-  const Addr first = b.address / line_bytes;
-  const Addr last = (b.address + static_cast<Addr>(b.instr_count) * kInstrBytes - 1) / line_bytes;
-  for (Addr l = first; l <= last; ++l) {
-    out.push_back(l * line_bytes);
-  }
-  return out;
-}
-
 FuncId Program::FindFunction(std::string_view name) const {
   for (const Function& f : funcs_) {
     if (f.name == name) {

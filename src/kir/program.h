@@ -121,9 +121,6 @@ class Program {
   // Resolves a static access to its absolute address.
   Addr ResolveStatic(const Block& b, const StaticAccess& a) const;
 
-  // Line addresses of a block's instruction footprint (for cache pinning).
-  std::vector<Addr> BlockLineAddrs(BlockId id, std::uint32_t line_bytes) const;
-
   FuncId FindFunction(std::string_view name) const;
 
  private:

@@ -113,20 +113,17 @@ const char* EntryPointName(EntryPoint e) {
 
 CostModelOptions BuildCostModelOptions(const KernelImage& image, const AnalysisOptions& options) {
   CostModelOptions cost_opts;
-  cost_opts.l2_enabled = options.l2_enabled;
-  if (options.l2_kernel_pinning) {
-    // The whole kernel (text, data, stack) is way-locked into the L2: any
-    // statically-addressed kernel access misses no further than the L2.
-    cost_opts.l2_kernel_pinned = true;
-    cost_opts.l2_pinned_lo = Program::kTextBase;
-    cost_opts.l2_pinned_hi = Program::kStackTop;
-  }
+  MachineConfig& mc = cost_opts.machine;
+  mc.l2_enabled = options.l2_enabled;
   if (options.cache_pinning) {
-    // One 4 KiB way of each L1 is locked.
-    const std::size_t capacity = 4096 / cost_opts.line_bytes;
-    const PinnedLines pins = SelectPinnedLines(image, cost_opts.line_bytes, capacity);
-    cost_opts.pinned_ilines.insert(pins.ilines.begin(), pins.ilines.end());
-    cost_opts.pinned_dlines.insert(pins.dlines.begin(), pins.dlines.end());
+    const std::vector<Addr> i = SelectPinnedLines(image, PinTarget::kL1I, mc.l1i, kL1PinnedWays);
+    const std::vector<Addr> d = SelectPinnedLines(image, PinTarget::kL1D, mc.l1d, kL1PinnedWays);
+    cost_opts.pinned_ilines.insert(i.begin(), i.end());
+    cost_opts.pinned_dlines.insert(d.begin(), d.end());
+  }
+  if (options.l2_kernel_pinning) {
+    const std::vector<Addr> l2 = SelectPinnedLines(image, PinTarget::kL2, mc.l2, kL2PinnedWays);
+    cost_opts.pinned_l2lines.insert(l2.begin(), l2.end());
   }
   return cost_opts;
 }

@@ -34,9 +34,9 @@ struct AnalysisOptions {
 enum class EntryPoint : std::uint8_t { kSyscall, kUndefined, kPageFault, kInterrupt };
 const char* EntryPointName(EntryPoint e);
 
-// Derives the cost-model configuration (L2, pinning, locked line sets) that
-// |options| implies for |image|. Cache pinning locks one way (1/4) of each
-// 4-way L1.
+// Derives the cost-model configuration that |options| implies for |image|:
+// the default machine (MachineConfig{} with options.l2_enabled, the machine
+// every driver runs) and, for each pinning option, the lines the kernel locks.
 CostModelOptions BuildCostModelOptions(const KernelImage& image, const AnalysisOptions& options);
 
 // The entry function of |e| in |image| (kernel exception vector).

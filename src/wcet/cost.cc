@@ -7,16 +7,33 @@
 
 namespace pmk {
 
+void CostModelOptions::Validate() const {
+  machine.l1i.Validate();
+  machine.l1d.Validate();
+  const CacheConfig& i = machine.l1i;
+  const CacheConfig& d = machine.l1d;
+  if (i.line_bytes != d.line_bytes || i.size_bytes / i.ways != d.size_bytes / d.ways) {
+    throw std::invalid_argument("cost model: the L1I and L1D differ in line or way size");
+  }
+  if (!pinned_l2lines.empty() && machine.l2.line_bytes < i.line_bytes) {
+    throw std::invalid_argument("cost model: pinned L2 lines are shorter than an L1 line");
+  }
+}
+
 void CollectAccesses(const Program& p, const Block& b, const CostModelOptions& opts,
                      std::vector<LineAccess>& out) {
-  const Addr first = b.address / opts.line_bytes;
-  const Addr last = (b.address + static_cast<Addr>(b.instr_count) * 4 - 1) / opts.line_bytes;
+  const Addr line = opts.LineBytes();
+  const Addr sets = opts.NumSets();
+  const auto touch = [&](Addr l, bool instruction) {
+    out.push_back({l * line, static_cast<std::uint32_t>(l % sets), instruction});
+  };
+  const Addr first = b.address / line;
+  const Addr last = (b.address + static_cast<Addr>(b.instr_count) * 4 - 1) / line;
   for (Addr l = first; l <= last; ++l) {
-    out.push_back({l * opts.line_bytes, true});
+    touch(l, true);
   }
   for (const StaticAccess& a : b.static_accesses) {
-    const Addr addr = p.ResolveStatic(b, a);
-    out.push_back({addr / opts.line_bytes * opts.line_bytes, false});
+    touch(p.ResolveStatic(b, a) / line, false);
   }
 }
 
@@ -29,19 +46,20 @@ Cycles BaseCost(const Block& b, const CostModelOptions& opts) {
   Cycles cost = b.instr_count + b.raw_cycles;
   // Every data access pays the pipeline's load-result latency; dynamic
   // (statically unknown) addresses additionally miss every time.
-  cost += static_cast<Cycles>(b.static_accesses.size()) * opts.load_use_stall;
-  cost += static_cast<Cycles>(b.max_dynamic_accesses) *
-          (opts.load_use_stall + opts.MissPenalty());
+  const Cycles stall = opts.machine.memory.load_use_stall;
+  cost += static_cast<Cycles>(b.static_accesses.size()) * stall;
+  cost += static_cast<Cycles>(b.max_dynamic_accesses) * (stall + opts.MissPenalty());
   const bool has_branch = b.is_return || b.callee != kNoFunc || b.succs.size() == 2 ||
                           b.branch == BranchKind::kDirect;
   if (has_branch) {
-    cost += opts.branch_cost;
+    cost += opts.BranchCost();
   }
   return cost;
 }
 
 CostModelCache::CostModelCache(const Program& program, const CostModelOptions& opts)
     : program_(&program), opts_(opts) {
+  opts_.Validate();
   const std::size_t n = program.num_blocks();
   start_.assign(n + 1, 0);
   base_.assign(n, 0);
@@ -68,15 +86,15 @@ CostModelCache::CostModelCache(const Program& program, const CostModelOptions& o
 CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelCache& cache) {
   const CostModelOptions& opts = cache.options();
   const std::vector<NodeId>& order = g.QuasiTopoOrder();
-  const std::uint32_t num_sets = opts.way_bytes / opts.line_bytes;
+  const std::uint32_t num_sets = opts.NumSets();
   const std::size_t num_nodes = g.nodes().size();
 
   // ---- Must-cache fixpoint ----
-  std::vector<AbstractState> in_states(num_nodes, AbstractState(opts.way_bytes, opts.line_bytes));
-  std::vector<AbstractState> out_states(num_nodes, AbstractState(opts.way_bytes, opts.line_bytes));
+  std::vector<AbstractState> in_states(num_nodes, AbstractState(num_sets));
+  std::vector<AbstractState> out_states(num_nodes, AbstractState(num_sets));
   const auto apply = [&](BlockId bid, AbstractState& st) {
     for (const LineAccess* a = cache.accesses_begin(bid); a != cache.accesses_end(bid); ++a) {
-      (a->instruction ? st.icache : st.dcache).Access(a->line);
+      (a->instruction ? st.icache : st.dcache).Access(*a);
     }
   };
 
@@ -101,12 +119,12 @@ CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelCache& cache) 
       if (++recomputes > kMaxRecomputes) {
         throw std::logic_error("must-cache analysis failed to converge");
       }
-      AbstractState st(opts.way_bytes, opts.line_bytes);
+      AbstractState st(num_sets);
       bool first = true;
       for (EdgeId eid : g.nodes()[n].in) {
         const InlinedEdge& e = g.edges()[eid];
         const AbstractState* pred = nullptr;
-        AbstractState cold(opts.way_bytes, opts.line_bytes);
+        AbstractState cold(num_sets);
         if (e.from == kNoNode) {
           cold.reachable = true;  // kernel entry: cold caches
           pred = &cold;
@@ -178,9 +196,8 @@ CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelCache& cache) 
     // inner-loop body also constrains persistence of the outer loop.
     for (int lj : containing[n]) {
       for (const LineAccess* a = cache.accesses_begin(bid); a != cache.accesses_end(bid); ++a) {
-        const std::uint32_t set = static_cast<std::uint32_t>((a->line / opts.line_bytes) % num_sets);
         auto& m = (a->instruction ? iset_line : dset_line)[lj];
-        auto [it, inserted] = m.emplace(set, a->line);
+        auto [it, inserted] = m.emplace(a->set, a->line);
         if (!inserted && it->second != a->line) {
           it->second = kConflict;
         }
@@ -188,9 +205,8 @@ CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelCache& cache) 
     }
   }
   const auto persistent_in = [&](int li, const LineAccess& a) {
-    const std::uint32_t set = static_cast<std::uint32_t>((a.line / opts.line_bytes) % num_sets);
     const auto& m = (a.instruction ? iset_line : dset_line)[li];
-    const auto it = m.find(set);
+    const auto it = m.find(a.set);
     return it != m.end() && it->second == a.line;
   };
   // The first-miss charge belongs to the OUTERMOST loop in which the line is
@@ -220,7 +236,7 @@ CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelCache& cache) 
     Cycles cost = cache.base_cost(bid);
     AbstractState st = in_states[n];
     for (const LineAccess* a = cache.accesses_begin(bid); a != cache.accesses_end(bid); ++a) {
-      const bool hit = (a->instruction ? st.icache : st.dcache).Access(a->line);
+      const bool hit = (a->instruction ? st.icache : st.dcache).Access(*a);
       if (hit) {
         continue;
       }
@@ -255,12 +271,12 @@ CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelCache& cache) 
 
 Cycles EvaluateTraceCost(const CostModelCache& cache, const Trace& trace) {
   const CostModelOptions& opts = cache.options();
-  AbstractState st(opts.way_bytes, opts.line_bytes);
+  AbstractState st(opts.NumSets());
   Cycles total = 0;
   for (BlockId bid : trace.blocks) {
     total += cache.base_cost(bid);
     for (const LineAccess* a = cache.accesses_begin(bid); a != cache.accesses_end(bid); ++a) {
-      if (!(a->instruction ? st.icache : st.dcache).Access(a->line)) {
+      if (!(a->instruction ? st.icache : st.dcache).Access(*a)) {
         total += opts.MissPenaltyFor(a->line);
       }
     }

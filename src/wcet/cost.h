@@ -8,9 +8,11 @@
 // that cannot be evicted within a loop as first-miss and charges them on the
 // loop's entry edges (Chronos-style cache analysis). Dynamically-addressed
 // accesses are conservatively charged as misses on every execution. The L2
-// is not modelled beyond its effect on the memory latency (Chronos's address
-// analysis is substituted by the kernel IR's declared access discipline; see
-// DESIGN.md).
+// is not modelled beyond its effect on the memory latency and the lines
+// locked into it (Chronos's address analysis is substituted by the kernel
+// IR's declared access discipline; see DESIGN.md). Every latency, stall,
+// branch cost and cache geometry is read from the MachineConfig the
+// simulator runs (src/hw).
 
 #ifndef SRC_WCET_COST_H_
 #define SRC_WCET_COST_H_
@@ -20,7 +22,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/hw/cycles.h"
+#include "src/hw/machine.h"
 #include "src/kir/trace.h"
 #include "src/wcet/cfg.h"
 
@@ -57,29 +59,42 @@ class PinnedLineSet {
   std::vector<Addr> lines_;
 };
 
+// What the cost model charges: every cost is read from |machine|, the same
+// description the simulator runs (src/hw), and the pinned sets are exactly
+// the lines the kernel locks (SelectPinnedLines, src/kernel/image.h).
 struct CostModelOptions {
-  bool l2_enabled = false;
-  Cycles mem_latency_l2_off = 60;
-  Cycles mem_latency_l2_on = 96;
-  Cycles l2_hit_latency = 26;
-  Cycles load_use_stall = 2;  // ARM1136 load result latency (pipeline model)
-  Cycles branch_cost = 5;     // branch predictor disabled: constant 5 cycles
-  std::uint32_t line_bytes = 32;
-  std::uint32_t way_bytes = 4 * 1024;  // 16 KiB 4-way: one way = 4 KiB
-  PinnedLineSet pinned_ilines;         // way-locked lines: always hit
-  PinnedLineSet pinned_dlines;
+  MachineConfig machine;
+  PinnedLineSet pinned_ilines;   // locked into the L1I: always hit
+  PinnedLineSet pinned_dlines;   // locked into the L1D: always hit
+  PinnedLineSet pinned_l2lines;  // locked into the L2: an L1 miss hits there
 
-  // "Lock the entire kernel into the L2" (paper Sections 4, 6.4, 8): every
-  // statically-addressed access within [l2_pinned_lo, l2_pinned_hi) misses
-  // no further than the L2. Requires l2_enabled.
-  bool l2_kernel_pinned = false;
-  Addr l2_pinned_lo = 0;
-  Addr l2_pinned_hi = 0;
+  // Throws std::invalid_argument for a machine the one-way must-cache cannot
+  // model: an invalid L1 geometry, L1I and L1D line or way sizes that
+  // differ, or pinned L2 lines shorter than an L1 line.
+  void Validate() const;
 
-  Cycles MissPenalty() const { return l2_enabled ? mem_latency_l2_on : mem_latency_l2_off; }
-  Cycles MissPenaltyFor(Addr addr) const {
-    if (l2_kernel_pinned && addr >= l2_pinned_lo && addr < l2_pinned_hi) {
-      return l2_hit_latency;
+  // Both L1s are analyzed as direct-mapped caches of one way's size.
+  std::uint32_t LineBytes() const { return machine.l1i.line_bytes; }
+  std::uint32_t NumSets() const { return machine.l1i.NumSets(); }
+  // The constant cost with the predictor off; its worst outcome with it on.
+  Cycles BranchCost() const {
+    const BranchPredictorConfig& b = machine.bpred;
+    return b.enabled ? std::max({b.mispredict, b.correct_taken, b.correct_not_taken})
+                     : b.disabled_cost;
+  }
+  // Worst-case L1 refill: from memory, or with the L2 on the dearer of an L2
+  // hit and an L2 miss.
+  Cycles MissPenalty() const {
+    const MemoryConfig& m = machine.memory;
+    return machine.l2_enabled ? std::max(m.mem_latency_l2_on, m.l2_hit_latency)
+                              : m.mem_latency_l2_off;
+  }
+  // Refill of the L1 line at |line|: an L2 hit if the enabled L2 holds it
+  // locked.
+  Cycles MissPenaltyFor(Addr line) const {
+    if (!pinned_l2lines.empty() && machine.l2_enabled &&
+        pinned_l2lines.count(line / machine.l2.line_bytes * machine.l2.line_bytes) != 0) {
+      return machine.memory.l2_hit_latency;
     }
     return MissPenalty();
   }
@@ -88,6 +103,7 @@ struct CostModelOptions {
 // One statically-known line touch of a block.
 struct LineAccess {
   Addr line = 0;
+  std::uint32_t set = 0;  // the line's set in one L1 way
   bool instruction = false;
 };
 
@@ -108,15 +124,12 @@ class MustCache {
  public:
   static constexpr Addr kUnknownLine = static_cast<Addr>(-1);
 
-  MustCache(std::uint32_t way_bytes, std::uint32_t line_bytes)
-      : line_bytes_(line_bytes), sets_(way_bytes / line_bytes, kUnknownLine) {}
+  explicit MustCache(std::uint32_t num_sets) : sets_(num_sets, kUnknownLine) {}
 
   // Returns true if the access is a guaranteed hit; installs the line.
-  bool Access(Addr addr) {
-    const Addr line = addr / line_bytes_ * line_bytes_;
-    const std::uint32_t s = static_cast<std::uint32_t>((line / line_bytes_) % sets_.size());
-    const bool hit = sets_[s] == line;
-    sets_[s] = line;
+  bool Access(const LineAccess& a) {
+    const bool hit = sets_[a.set] == a.line;
+    sets_[a.set] = a.line;
     return hit;
   }
 
@@ -131,7 +144,6 @@ class MustCache {
   bool operator==(const MustCache& other) const { return sets_ == other.sets_; }
 
  private:
-  std::uint32_t line_bytes_;
   std::vector<Addr> sets_;
 };
 
@@ -140,7 +152,7 @@ struct AbstractState {
   MustCache dcache;
   bool reachable = false;
 
-  AbstractState(std::uint32_t way, std::uint32_t line) : icache(way, line), dcache(way, line) {}
+  explicit AbstractState(std::uint32_t num_sets) : icache(num_sets), dcache(num_sets) {}
 
   bool operator==(const AbstractState& o) const {
     return reachable == o.reachable && icache == o.icache && dcache == o.dcache;
@@ -154,6 +166,8 @@ struct AbstractState {
 // construction, so it is safe to share across the job pool's threads.
 class CostModelCache {
  public:
+  // Throws std::invalid_argument for a machine |opts| cannot model
+  // (CostModelOptions::Validate).
   CostModelCache(const Program& program, const CostModelOptions& opts);
 
   const Program& program() const { return *program_; }
@@ -166,8 +180,7 @@ class CostModelCache {
   // to miss. Unlike must-cache node costs (which depend on the abstract cache
   // state reaching the node), this bound holds for ANY concrete cache state,
   // so profiled per-execution block costs can be checked against it
-  // directly. Sound for the default (branch predictor disabled) machine
-  // configuration, where a branch always charges opts.branch_cost.
+  // directly: a branch charges at most BranchCost() on any predictor state.
   Cycles worst_case(BlockId id) const { return worst_[id]; }
 
  private:

@@ -225,10 +225,8 @@ TEST(CostModelSynthTest, L2PinnedRegionCapsAtL2Latency) {
   InlinedGraph g(s.prog, s.fn);
   ComputeLoopBounds(g);
   CostModelOptions opts;
-  opts.l2_enabled = true;
-  opts.l2_kernel_pinned = true;
-  opts.l2_pinned_lo = Program::kTextBase;
-  opts.l2_pinned_hi = Program::kTextBase + 4096;
+  opts.machine.l2_enabled = true;
+  opts.pinned_l2lines.insert(Program::kTextBase);  // the block's only line
   const CostResult costs = ComputeNodeCosts(g, CostModelCache(g.program(), opts));
   // 8 instr + one L2-hit miss (26) + return branch (5).
   EXPECT_EQ(costs.node_costs[g.entry_node()], 8u + 26u + 5u);

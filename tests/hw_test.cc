@@ -133,6 +133,18 @@ TEST(CacheTest, PolluteSparesLockedWays) {
   EXPECT_TRUE(c.Contains(0x100));
 }
 
+TEST(CacheTest, PinFillsASetsLockedWaysAndRefusesOverflow) {
+  Cache c(SmallCache(4));
+  const Addr two[] = {0x40, 0x140};  // one set: 8 sets of 32 B lines
+  c.Pin(two, 2);
+  c.Pollute(0x4000'0000);
+  EXPECT_TRUE(c.Contains(0x40));
+  EXPECT_TRUE(c.Contains(0x140));
+  Cache d(SmallCache(4));
+  const Addr three[] = {0x40, 0x140, 0x240};
+  EXPECT_THROW(d.Pin(three, 2), std::invalid_argument);
+}
+
 TEST(CacheTest, InvalidateAllClearsEvenLocked) {
   Cache c(SmallCache(4));
   c.InstallLine(0x100, 0);
@@ -340,7 +352,8 @@ TEST(MachineTest, PinL1MakesLinesFree) {
   Machine m(mc);
   const Addr line = 0x3000;
   const Addr lines[] = {line};
-  m.PinL1(lines, lines, 1);
+  m.l1i().Pin(lines, 1);
+  m.l1d().Pin(lines, 1);
   m.PolluteCaches();
   m.InstrFetch(line, 4);
   EXPECT_EQ(m.Now(), 4u);  // no miss penalty

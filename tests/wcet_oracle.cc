@@ -349,13 +349,12 @@ SolveResult SolveIlp(const LinearProgram& lp, std::uint32_t max_nodes) {
 CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelOptions& opts) {
   const Program& p = g.program();
   const std::vector<NodeId> order = g.QuasiTopoOrder();
-  const std::uint32_t num_sets = opts.way_bytes / opts.line_bytes;
+  const std::uint32_t line_bytes = opts.LineBytes();
+  const std::uint32_t num_sets = opts.NumSets();
 
   // ---- Must-cache fixpoint ----
-  std::vector<AbstractState> in_states(g.nodes().size(),
-                                       AbstractState(opts.way_bytes, opts.line_bytes));
-  std::vector<AbstractState> out_states(g.nodes().size(),
-                                        AbstractState(opts.way_bytes, opts.line_bytes));
+  std::vector<AbstractState> in_states(g.nodes().size(), AbstractState(num_sets));
+  std::vector<AbstractState> out_states(g.nodes().size(), AbstractState(num_sets));
   const auto apply = [&](const Block& b, AbstractState& st) {
     std::vector<LineAccess> acc;
     CollectAccesses(p, b, opts, acc);
@@ -363,7 +362,7 @@ CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelOptions& opts)
       if (IsPinned(opts, a)) {
         continue;
       }
-      (a.instruction ? st.icache : st.dcache).Access(a.line);
+      (a.instruction ? st.icache : st.dcache).Access(a);
     }
   };
 
@@ -374,12 +373,12 @@ CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelOptions& opts)
   for (; pass < kMaxPasses; ++pass) {
     bool changed = false;
     for (NodeId n : order) {
-      AbstractState st(opts.way_bytes, opts.line_bytes);
+      AbstractState st(num_sets);
       bool first = true;
       for (EdgeId eid : g.nodes()[n].in) {
         const InlinedEdge& e = g.edges()[eid];
         const AbstractState* pred = nullptr;
-        AbstractState cold(opts.way_bytes, opts.line_bytes);
+        AbstractState cold(num_sets);
         if (e.from == kNoNode) {
           cold.reachable = true;  // kernel entry: cold caches
           pred = &cold;
@@ -451,7 +450,7 @@ CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelOptions& opts)
         if (IsPinned(opts, a)) {
           continue;
         }
-        const std::uint32_t set = static_cast<std::uint32_t>((a.line / opts.line_bytes) % num_sets);
+        const std::uint32_t set = static_cast<std::uint32_t>((a.line / line_bytes) % num_sets);
         auto& m = (a.instruction ? iset_line : dset_line)[lj];
         auto [it, inserted] = m.emplace(set, a.line);
         if (!inserted && it->second != a.line) {
@@ -461,7 +460,7 @@ CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelOptions& opts)
     }
   }
   const auto persistent_in = [&](int li, const LineAccess& a) {
-    const std::uint32_t set = static_cast<std::uint32_t>((a.line / opts.line_bytes) % num_sets);
+    const std::uint32_t set = static_cast<std::uint32_t>((a.line / line_bytes) % num_sets);
     const auto& m = (a.instruction ? iset_line : dset_line)[li];
     const auto it = m.find(set);
     return it != m.end() && it->second == a.line;
@@ -495,7 +494,7 @@ CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelOptions& opts)
       if (IsPinned(opts, a)) {
         continue;
       }
-      const bool hit = (a.instruction ? st.icache : st.dcache).Access(a.line);
+      const bool hit = (a.instruction ? st.icache : st.dcache).Access(a);
       if (hit) {
         continue;
       }
@@ -562,7 +561,7 @@ Cycles WcetOracle::EvaluateTrace(const Trace& trace) const {
   // The seed evaluator: every block's accesses collected, and the pin
   // filter applied, on every visit.
   const Program& p = image_->prog;
-  AbstractState st(cost_opts_.way_bytes, cost_opts_.line_bytes);
+  AbstractState st(cost_opts_.NumSets());
   Cycles total = 0;
   for (BlockId bid : trace.blocks) {
     const Block& b = p.block(bid);
@@ -570,7 +569,7 @@ Cycles WcetOracle::EvaluateTrace(const Trace& trace) const {
     std::vector<LineAccess> acc;
     CollectAccesses(p, b, cost_opts_, acc);
     for (const LineAccess& a : acc) {
-      if (!IsPinned(cost_opts_, a) && !(a.instruction ? st.icache : st.dcache).Access(a.line)) {
+      if (!IsPinned(cost_opts_, a) && !(a.instruction ? st.icache : st.dcache).Access(a)) {
         total += cost_opts_.MissPenaltyFor(a.line);
       }
     }

@@ -141,7 +141,7 @@ TEST(CostModelTest, L2RaisesMissPenalty) {
   ComputeLoopBounds(g);
   CostModelOptions off;
   CostModelOptions on;
-  on.l2_enabled = true;
+  on.machine.l2_enabled = true;
   const CostResult c_off = ComputeNodeCosts(g, CostModelCache(g.program(), off));
   const CostResult c_on = ComputeNodeCosts(g, CostModelCache(g.program(), on));
   Cycles total_off = 0;
@@ -153,16 +153,50 @@ TEST(CostModelTest, L2RaisesMissPenalty) {
   EXPECT_GT(total_on, total_off);
 }
 
+TEST(CostModelTest, DefaultMachineChargesTheArm1136Constants) {
+  // Every golden rests on these: the analyzed machine is MachineConfig{}.
+  const auto img = BuildKernelImage(KernelConfig::After());
+  for (const bool l2 : {false, true}) {
+    AnalysisOptions ao;
+    ao.l2_enabled = l2;
+    const CostModelOptions c = BuildCostModelOptions(*img, ao);
+    EXPECT_EQ(c.MissPenalty(), l2 ? 96u : 60u);
+    EXPECT_EQ(c.machine.memory.load_use_stall, 2u);
+    EXPECT_EQ(c.BranchCost(), 5u);
+    EXPECT_EQ(c.LineBytes(), 32u);
+    EXPECT_EQ(c.LineBytes() * c.NumSets(), 4096u);  // one 4 KiB way
+  }
+}
+
+TEST(CostModelTest, RefusesMachinesTheOneWayMustCacheCannotModel) {
+  const auto img = BuildKernelImage(KernelConfig::After());
+  CostModelOptions lines;
+  lines.machine.l1d.line_bytes = 64;
+  EXPECT_THROW(CostModelCache(img->prog, lines), std::invalid_argument);
+  CostModelOptions ways;
+  ways.machine.l1d.ways = 2;  // 8 KiB ways against the L1I's 4 KiB
+  EXPECT_THROW(CostModelCache(img->prog, ways), std::invalid_argument);
+  CostModelOptions l2;
+  l2.machine.l2.line_bytes = 16;
+  l2.pinned_l2lines.insert(Program::kTextBase);
+  EXPECT_THROW(CostModelCache(img->prog, l2), std::invalid_argument);
+  // One L1 way cannot be locked and still allocate.
+  CacheConfig direct_mapped = MachineConfig{}.l1i;
+  direct_mapped.ways = 1;
+  direct_mapped.size_bytes = 4096;
+  EXPECT_THROW(SelectPinnedLines(*img, PinTarget::kL1I, direct_mapped, kL1PinnedWays),
+               std::invalid_argument);
+}
+
 TEST(CostModelTest, PinnedLinesCostNothing) {
   const auto img = BuildKernelImage(KernelConfig::After());
   InlinedGraph g(img->prog, img->b.irq.fn);
   ComputeLoopBounds(g);
-  CostModelOptions opts;
-  const CostResult base = ComputeNodeCosts(g, CostModelCache(g.program(), opts));
-  const PinnedLines pins = SelectPinnedLines(*img, opts.line_bytes, 128);
-  opts.pinned_ilines.insert(pins.ilines.begin(), pins.ilines.end());
-  opts.pinned_dlines.insert(pins.dlines.begin(), pins.dlines.end());
-  const CostResult pinned = ComputeNodeCosts(g, CostModelCache(g.program(), opts));
+  const CostResult base = ComputeNodeCosts(g, CostModelCache(g.program(), CostModelOptions{}));
+  AnalysisOptions pin;
+  pin.cache_pinning = true;
+  const CostResult pinned =
+      ComputeNodeCosts(g, CostModelCache(g.program(), BuildCostModelOptions(*img, pin)));
   Cycles tb = 0;
   Cycles tp = 0;
   for (std::size_t i = 0; i < base.node_costs.size(); ++i) {

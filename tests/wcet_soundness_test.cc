@@ -7,6 +7,8 @@
 
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/sim/latency.h"
 #include "src/wcet/analysis.h"
@@ -225,6 +227,96 @@ TEST(ForcedPathTest, TraceEvaluationBoundsObservedRun) {
       EXPECT_LE(forced, an.Analyze(entry).wcet) << "the WCET bounds every path";
       EXPECT_EQ(forced, WcetOracle(sys.kernel().image(), ao).EvaluateTrace(run.trace));
     }
+  }
+}
+
+// Machines around the default, each changing one latency or geometry the
+// cost model reads from MachineConfig.
+std::vector<std::pair<std::string, MachineConfig>> MachineGrid() {
+  std::vector<std::pair<std::string, MachineConfig>> grid;
+  const auto add = [&grid](const char* name, const auto& edit) {
+    MachineConfig mc;
+    edit(mc);
+    grid.emplace_back(name, mc);
+  };
+  const auto l1 = [](MachineConfig& mc, std::uint32_t size, std::uint32_t ways) {
+    for (CacheConfig* c : {&mc.l1i, &mc.l1d}) {
+      c->size_bytes = size;
+      c->ways = ways;
+    }
+  };
+  add("default", [](MachineConfig&) {});
+  add("200-cycle memory", [](MachineConfig& mc) {
+    mc.memory.mem_latency_l2_off = 200;
+    mc.memory.mem_latency_l2_on = 200;
+  });
+  add("120-cycle L2 hit", [](MachineConfig& mc) { mc.memory.l2_hit_latency = 120; });
+  add("4-cycle load-use stall", [](MachineConfig& mc) { mc.memory.load_use_stall = 4; });
+  add("64-byte lines", [](MachineConfig& mc) {
+    mc.l1i.line_bytes = mc.l1d.line_bytes = mc.l2.line_bytes = 64;
+  });
+  add("8 KiB 2-way L1", [&l1](MachineConfig& mc) { l1(mc, 8 * 1024, 2); });
+  add("4 KiB 4-way L1", [&l1](MachineConfig& mc) { l1(mc, 4 * 1024, 4); });
+  add("16 KiB 2-way L1", [&l1](MachineConfig& mc) { l1(mc, 16 * 1024, 2); });
+  add("pseudo-random L1", [](MachineConfig& mc) {
+    mc.l1i.policy = mc.l1d.policy = ReplacementPolicy::kPseudoRandom;
+  });
+  add("predictor on", [](MachineConfig& mc) { mc.bpred.enabled = true; });
+  add("9-cycle branches", [](MachineConfig& mc) { mc.bpred.disabled_cost = 9; });
+  return grid;
+}
+
+TEST(ForcedPathTest, MachineGridBoundsObservedRuns) {
+  // The cost model prices the machine that runs: each Figure 8 path,
+  // observed on a machine around the default, costs no more than its trace
+  // evaluation under a cost model built for that machine.
+  for (const auto& [name, base] : MachineGrid()) {
+    for (const bool l2 : {false, true}) {
+      MachineConfig mc = base;
+      mc.l2_enabled = l2;
+      CostModelOptions copts;
+      copts.machine = mc;
+      for (const EntryPoint entry : kAllEntries) {
+        SCOPED_TRACE(name + ", " + EntryPointName(entry) + (l2 ? ", L2 on" : ", L2 off"));
+        System sys(KernelConfig::After(), mc);
+        const RecordedPath run = RecordPath(entry, sys);
+        const CostModelCache cache(sys.kernel().image().prog, copts);
+        EXPECT_LE(run.observed, EvaluateTraceCost(cache, run.trace));
+      }
+    }
+  }
+}
+
+TEST(PinningTest, AnalyzerCreditsExactlyTheLinesTheKernelLocks) {
+  // Pinned on a fresh machine and then polluted (Section 5.4), each cache
+  // holds exactly the kernel lines it locked. Those must be exactly the
+  // lines the analyzer credits as always-hit (L1) and as L2 hits.
+  for (const bool after : {false, true}) {
+    SCOPED_TRACE(after ? "after" : "before");
+    System sys(after ? KernelConfig::After() : KernelConfig::Before(), EvalMachine(true));
+    sys.kernel().ApplyCachePinning();
+    sys.kernel().ApplyL2KernelPinning();
+    sys.machine().PolluteCaches();
+    AnalysisOptions ao;
+    ao.l2_enabled = true;
+    ao.cache_pinning = true;
+    ao.l2_kernel_pinning = true;
+    const CostModelOptions credited = BuildCostModelOptions(sys.kernel().image(), ao);
+    const auto resident = [](const Cache& c) {
+      std::vector<Addr> lines;
+      for (Addr a = Program::kTextBase; a < Program::kStackTop; a += c.config().line_bytes) {
+        if (c.Contains(a)) {
+          lines.push_back(a);
+        }
+      }
+      return lines;
+    };
+    EXPECT_FALSE(credited.pinned_ilines.empty());
+    EXPECT_FALSE(credited.pinned_dlines.empty());
+    EXPECT_FALSE(credited.pinned_l2lines.empty());
+    EXPECT_EQ(resident(sys.machine().l1i()), credited.pinned_ilines.lines());
+    EXPECT_EQ(resident(sys.machine().l1d()), credited.pinned_dlines.lines());
+    EXPECT_EQ(resident(sys.machine().l2()), credited.pinned_l2lines.lines());
   }
 }
 
