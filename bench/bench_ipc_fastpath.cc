@@ -1,41 +1,37 @@
-// IPC microbenchmarks (Section 6.1): the fastpath vs the slowpath, and the
-// claim that the paper's preemption points leave the fastpath untouched.
-// Uses google-benchmark for host-side throughput; the modelled-cycle numbers
-// (what the paper reports: ~200-250 cycles on the ARM1136) are exported as
-// counters.
-
-#include <benchmark/benchmark.h>
+// Section 6.1: the IPC fastpath against the slowpath, and the paper's claim
+// that the preemption points leave the fastpath untouched. Every figure is
+// the exact modelled cost of one warm call: each case runs once to warm the
+// caches, and the next call is the one reported. The paper measures
+// 200-250 cycles for the fastpath on the ARM1136; the per-block table shows
+// where this model's fastpath cycles go (EXPERIMENTS.md, Section 6.1).
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/obs/chrome_trace.h"
 #include "src/obs/pmu.h"
+#include "src/obs/trace_sink.h"
 #include "src/sim/report.h"
 #include "src/sim/workload.h"
 
 namespace pmk {
 namespace {
 
+// A client Calls a higher-priority server blocked in Recv, and the server's
+// ReplyRecv restores that state, so round trips repeat.
 struct PingPong {
-  explicit PingPong(const KernelConfig& kc) : sys(kc, EvalMachine(false)) {
-    const std::uint32_t c = sys.AddEndpoint(&ep);
-    ep_cptr = c;
-    server = sys.AddThread(60);
-    client = sys.AddThread(10);
+  explicit PingPong(const KernelConfig& kc, bool bpred = false)
+      : sys(kc, EvalMachine(false, bpred)) {
+    ep_cptr = sys.AddEndpoint(&ep);
+    TcbObj* server = sys.AddThread(60);
+    TcbObj* client = sys.AddThread(10);
     sys.kernel().DirectBlockOnRecv(server, ep);
     sys.kernel().DirectSetCurrent(client);
-    // Warm the caches with one round trip.
-    SyscallArgs call;
-    call.msg_len = 2;
-    sys.kernel().Syscall(SysOp::kCall, ep_cptr, call);
-    sys.kernel().Syscall(SysOp::kReplyRecv, ep_cptr, SyscallArgs{});
   }
 
-  // One warm Call + ReplyRecv round trip; returns modelled cycles for the
-  // Call half.
+  // One Call + ReplyRecv round trip; returns the Call's modelled cycles.
   Cycles RoundTrip(std::uint32_t msg_len) {
     SyscallArgs call;
     call.msg_len = msg_len;
@@ -49,89 +45,17 @@ struct PingPong {
   System sys;
   EndpointObj* ep = nullptr;
   std::uint32_t ep_cptr = 0;
-  TcbObj* server = nullptr;
-  TcbObj* client = nullptr;
 };
 
-void BM_FastpathCall(benchmark::State& state) {
-  PingPong pp(KernelConfig::After());
-  Cycles cycles = 0;
-  std::uint64_t n = 0;
-  const PmuSnapshot pmu0 = ReadPmu(pp.sys.machine());
-  for (auto _ : state) {
-    cycles += pp.RoundTrip(2);  // fastpath-eligible
-    n++;
-  }
-  const PmuSnapshot pmu = ReadPmu(pp.sys.machine()) - pmu0;
-  state.counters["modelled_cycles"] =
-      benchmark::Counter(static_cast<double>(cycles) / static_cast<double>(n));
-  state.counters["fastpath_hits"] =
-      benchmark::Counter(static_cast<double>(pp.sys.kernel().fastpath_hits()));
-  const double dn = static_cast<double>(n);
-  state.counters["instr_per_rt"] = benchmark::Counter(static_cast<double>(pmu.instructions) / dn);
-  state.counters["l1i_miss_per_rt"] =
-      benchmark::Counter(static_cast<double>(pmu.l1i_misses) / dn);
-  state.counters["l1d_miss_per_rt"] =
-      benchmark::Counter(static_cast<double>(pmu.l1d_misses) / dn);
-  state.counters["stall_per_rt"] =
-      benchmark::Counter(static_cast<double>(pmu.mem_stall_cycles) / dn);
+Cycles WarmCall(const KernelConfig& kc, std::uint32_t msg_len, bool bpred = false) {
+  PingPong pp(kc, bpred);
+  pp.RoundTrip(msg_len);
+  return pp.RoundTrip(msg_len);
 }
-BENCHMARK(BM_FastpathCall);
 
-void BM_SlowpathCall(benchmark::State& state) {
-  PingPong pp(KernelConfig::After());
-  Cycles cycles = 0;
-  std::uint64_t n = 0;
-  for (auto _ : state) {
-    cycles += pp.RoundTrip(8);  // too long for the fastpath
-    n++;
-  }
-  state.counters["modelled_cycles"] =
-      benchmark::Counter(static_cast<double>(cycles) / static_cast<double>(n));
-}
-BENCHMARK(BM_SlowpathCall);
-
-void BM_FastpathDisabled(benchmark::State& state) {
-  KernelConfig kc = KernelConfig::After();
-  kc.ipc_fastpath = false;
-  PingPong pp(kc);
-  Cycles cycles = 0;
-  std::uint64_t n = 0;
-  for (auto _ : state) {
-    cycles += pp.RoundTrip(2);
-    n++;
-  }
-  state.counters["modelled_cycles"] =
-      benchmark::Counter(static_cast<double>(cycles) / static_cast<double>(n));
-}
-BENCHMARK(BM_FastpathDisabled);
-
-void BM_FastpathUnaffectedByPreemptionPoints(benchmark::State& state) {
-  // Section 6.1: "The fastpath performance is not affected by our preemption
-  // points" — compare fastpath cycles in the before- vs after-kernel.
-  KernelConfig before = KernelConfig::Before();
-  before.scheduler = SchedulerKind::kBenno;  // same IPC path shape
-  before.scheduler_bitmap = true;
-  before.vspace = VSpaceKind::kShadow;
-  PingPong pre(before);
-  PingPong post(KernelConfig::After());
-  Cycles pre_c = 0;
-  Cycles post_c = 0;
-  std::uint64_t n = 0;
-  for (auto _ : state) {
-    pre_c += pre.RoundTrip(2);
-    post_c += post.RoundTrip(2);
-    n++;
-  }
-  state.counters["before_cycles"] =
-      benchmark::Counter(static_cast<double>(pre_c) / static_cast<double>(n));
-  state.counters["after_cycles"] =
-      benchmark::Counter(static_cast<double>(post_c) / static_cast<double>(n));
-}
-BENCHMARK(BM_FastpathUnaffectedByPreemptionPoints);
-
-void BM_DeepDecodeSend(benchmark::State& state) {
-  const std::uint32_t levels = static_cast<std::uint32_t>(state.range(0));
+// A Send through a |levels|-deep cspace, measured on its second run. The
+// first run is the cold decode that fig7_capdecode reports.
+Cycles WarmDeepSend(std::uint32_t levels) {
   System sys(KernelConfig::After(), EvalMachine(false));
   EndpointObj* ep = nullptr;
   sys.AddEndpoint(&ep);
@@ -141,36 +65,123 @@ void BM_DeepDecodeSend(benchmark::State& state) {
   target.type = ObjType::kEndpoint;
   target.obj = ep->base;
   const std::uint32_t cptr = sys.BuildDeepCapSpace(send, target, levels);
-  Cycles cycles = 0;
-  std::uint64_t n = 0;
-  for (auto _ : state) {
+  Cycles cost = 0;
+  for (int run = 0; run < 2; ++run) {
     sys.kernel().DirectBlockOnRecv(recv, ep);
     sys.kernel().DirectSetCurrent(send);
     const Cycles t0 = sys.machine().Now();
-    SyscallArgs args;
-    sys.kernel().Syscall(SysOp::kSend, cptr, args);
-    cycles += sys.machine().Now() - t0;
-    n++;
+    sys.kernel().Syscall(SysOp::kSend, cptr, SyscallArgs{});
+    cost = sys.machine().Now() - t0;
     recv->state = ThreadState::kRunning;
   }
-  state.counters["modelled_cycles"] =
-      benchmark::Counter(static_cast<double>(cycles) / static_cast<double>(n));
+  return cost;
 }
-BENCHMARK(BM_DeepDecodeSend)->Arg(1)->Arg(8)->Arg(32);
 
-// After the google-benchmark runs: one instrumented fastpath round trip with
-// the PMU read around it and (optionally) a Chrome trace of the kernel path.
-// The trace sink charges no modelled cycles, so the modelled_cycles counters
-// above are identical whether or not tracing is requested.
-void ReportObservability(bool csv, const std::string& trace_path) {
-  PingPong pp(KernelConfig::After());
-  ChromeTraceWriter writer(ClockSpec{});
-  if (!trace_path.empty()) {
-    pp.sys.AttachTraceSink(&writer);
+// Reads the PMU at the close of every block of the first kernel entry it
+// sees. An attached sink makes the executor flush counters per block, so
+// each read is exact.
+class BlockPmu : public TraceSink {
+ public:
+  explicit BlockPmu(System& sys) : sys_(sys) {}
+
+  void OnEvent(const TraceEvent& e) override {
+    if (e.kind == TraceEventKind::kKernelEntry && !done_) {
+      last_ = ReadPmu(sys_.machine());
+    } else if (e.kind == TraceEventKind::kKernelExit) {
+      done_ = true;
+    } else if (e.kind == TraceEventKind::kBlockCost && !done_) {
+      const PmuSnapshot now = ReadPmu(sys_.machine());
+      blocks_.push_back({e.id, now - last_});
+      last_ = now;
+    }
   }
+
+  // block, instructions, raw cycles (exception entry/exit, coprocessor
+  // work), data accesses, branches, cycles; then their totals.
+  Table Render() const {
+    Table t({"block", "instructions", "raw", "data accesses", "branches", "cycles"});
+    PmuSnapshot sum;
+    Cycles raw_sum = 0;
+    for (const auto& [id, d] : blocks_) {
+      const Block& b = sys_.kernel().image().prog.block(id);
+      t.AddRow({b.name, Table::Cyc(d.instructions), Table::Cyc(b.raw_cycles),
+                Table::Cyc(d.l1d_accesses), Table::Cyc(d.branches), Table::Cyc(d.cycles)});
+      sum.instructions += d.instructions;
+      sum.l1d_accesses += d.l1d_accesses;
+      sum.branches += d.branches;
+      sum.cycles += d.cycles;
+      raw_sum += b.raw_cycles;
+    }
+    t.AddRow({"total", Table::Cyc(sum.instructions), Table::Cyc(raw_sum),
+              Table::Cyc(sum.l1d_accesses), Table::Cyc(sum.branches), Table::Cyc(sum.cycles)});
+    return t;
+  }
+
+ private:
+  System& sys_;
+  bool done_ = false;
+  PmuSnapshot last_;
+  std::vector<std::pair<BlockId, PmuSnapshot>> blocks_;
+};
+
+}  // namespace
+}  // namespace pmk
+
+int main(int argc, char** argv) {
+  using namespace pmk;
+  const bench::CommonFlags flags = bench::ParseCommonFlags(argc, argv);
+  const bool csv = flags.csv;
+  const auto show = [csv](const char* title, const Table& t) {
+    if (csv) {
+      t.PrintCsv();
+    } else {
+      std::printf("%s\n", title);
+      t.Print();
+    }
+  };
+
+  KernelConfig no_fastpath = KernelConfig::After();
+  no_fastpath.ipc_fastpath = false;
+  KernelConfig before = KernelConfig::Before();
+  before.scheduler = SchedulerKind::kBenno;  // same IPC path shape
+  before.scheduler_bitmap = true;
+  before.vspace = VSpaceKind::kShadow;
+  const Cycles fast = WarmCall(KernelConfig::After(), 2);
+
+  if (!csv) {
+    std::printf("Section 6.1: modelled cycles of one warm IPC\n\n");
+  }
+  Table calls({"Call", "cycles"});
+  calls.AddRow({"fastpath, msg_len 2", Table::Cyc(fast)});
+  calls.AddRow({"fastpath, branch predictor on",
+                 Table::Cyc(WarmCall(KernelConfig::After(), 2, /*bpred=*/true))});
+  calls.AddRow({"slowpath, msg_len 8", Table::Cyc(WarmCall(KernelConfig::After(), 8))});
+  calls.AddRow({"ipc_fastpath off, msg_len 2", Table::Cyc(WarmCall(no_fastpath, 2))});
+  show("Call, fastpath vs slowpath:", calls);
+
+  Table kernels({"kernel", "fastpath cycles"});
+  kernels.AddRow({"before (no preemption points)", Table::Cyc(WarmCall(before, 2))});
+  kernels.AddRow({"after", Table::Cyc(fast)});
+  show("\nfastpath Call with and without the preemption points:", kernels);
+
+  Table sends({"levels", "cycles"});
+  for (const std::uint32_t levels : {1u, 8u, 32u}) {
+    sends.AddRow({std::to_string(levels), Table::Cyc(WarmDeepSend(levels))});
+  }
+  show("\nwarm Send through a deep cspace (cold: fig7_capdecode):", sends);
+
+  // One instrumented fastpath round trip: the PMU read around it, its Call's
+  // blocks in execution order and, with --trace-json, a Chrome trace. Trace
+  // sinks charge no modelled cycles.
+  PingPong pp(KernelConfig::After());
+  pp.RoundTrip(2);
+  BlockPmu call_blocks(pp.sys);
+  MultiSink sinks({&bench::GlobalTrace(), &call_blocks});
+  pp.sys.AttachTraceSink(&sinks);
   const PmuSnapshot pmu0 = ReadPmu(pp.sys.machine());
   const Cycles call_cycles = pp.RoundTrip(2);
   const PmuSnapshot d = ReadPmu(pp.sys.machine()) - pmu0;
+  show("\nwarm fastpath Call, block by block:", call_blocks.Render());
 
   Table t({"metric", "value"});
   t.AddRow({"fastpath_call_cycles", Table::Cyc(call_cycles)});
@@ -180,42 +191,9 @@ void ReportObservability(bool csv, const std::string& trace_path) {
   t.AddRow({"l1d_misses", Table::Cyc(d.l1d_misses)});
   t.AddRow({"branches", Table::Cyc(d.branches)});
   t.AddRow({"mem_stall_cycles", Table::Cyc(d.mem_stall_cycles)});
-  if (csv) {
-    t.PrintCsv();
-  } else {
-    std::printf("\nPMU, one warm fastpath round trip:\n");
-    t.Print();
-  }
-  if (!trace_path.empty()) {
-    if (writer.WriteFile(trace_path)) {
-      std::printf("wrote %s (%zu events)\n", trace_path.c_str(), writer.events().size());
-    } else {
-      std::fprintf(stderr, "failed to write %s\n", trace_path.c_str());
-    }
-  }
-}
+  show("\nPMU, one warm fastpath round trip:", t);
 
-}  // namespace
-}  // namespace pmk
-
-int main(int argc, char** argv) {
-  const pmk::bench::CommonFlags flags = pmk::bench::ParseCommonFlags(argc, argv);
-  // Strip our flags before handing argv to google-benchmark.
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (i > 0 && pmk::bench::IsCommonFlag(argv[i])) {
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  int bargc = static_cast<int>(args.size());
-  benchmark::Initialize(&bargc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(bargc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  pmk::ReportObservability(flags.csv, flags.trace_json);
-  pmk::bench::ExportMetricsJson(flags.metrics_json);
+  bench::WriteTraceJson(bench::GlobalTrace(), flags.trace_json);
+  bench::ExportMetricsJson(flags.metrics_json);
   return 0;
 }

@@ -40,8 +40,8 @@ struct CommonFlags {
 // ignored — drivers keep parsing their own flags from the same argv.
 CommonFlags ParseCommonFlags(int argc, char** argv);
 
-// True if |arg| belongs to the common family (used by the google-benchmark
-// driver to strip our flags before benchmark::Initialize).
+// True if |arg| belongs to the common family. wcet_tool, the only caller,
+// uses it to reject every other unknown flag.
 bool IsCommonFlag(const std::string& arg);
 
 // Writes the process-wide metrics snapshot as JSONL to |path| (no-op when

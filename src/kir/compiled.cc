@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 
-#include "src/kir/compiled_dispatch.h"
 #include "src/kir/program.h"
 #include "src/obs/metrics.h"
 
@@ -137,16 +136,7 @@ CompiledProgram::CompiledProgram(const Program& p, const MachineConfig& mc)
 
 // CompiledProgram::Run is defined in executor.cc, beside its only caller
 // (Executor::AtCompiled), so the compiler can inline the dispatch loop into
-// the per-block hot path. compiled_dispatch.h keeps the strategy selection
-// shared with DispatchName below.
-
-const char* CompiledProgram::DispatchName() {
-#ifdef PMK_COMPUTED_GOTO
-  return "computed-goto";
-#else
-  return "switch";
-#endif
-}
+// the per-block hot path.
 
 // --- Program-side specialisation cache -------------------------------------
 //

@@ -16,11 +16,10 @@
 //     (CompiledBlock::btb_index, consumed by Machine::BranchSlot).
 //
 // The runner (CompiledProgram::Run) executes a stream with computed-goto
-// dispatch on GCC/Clang — one indirect jump per op, no loop bookkeeping — and
-// a portable switch loop elsewhere or under -DPMK_FORCE_SWITCH_DISPATCH. PMU
-// counters and cache statistics are tallied locally and flushed once per
-// block (Machine::ApplyChargeDelta, Cache::AddStats), and the whole block
-// advances the cycle counter once; docs/performance.md walks through why
+// dispatch — one indirect jump per op, no loop bookkeeping. PMU counters and
+// cache statistics are tallied locally and flushed once per block
+// (Machine::ApplyChargeDelta, Cache::AddStats), and the whole block advances
+// the cycle counter once; docs/performance.md walks through why
 // every observable (timer assertion times, fault hooks, trace windows,
 // counter totals, cache state) is bit-identical to the interpreter oracle's
 // per-access charging (Executor::ChargeMode::kInterpreted).
@@ -128,11 +127,6 @@ class CompiledProgram {
   static std::uint32_t Run(const CompiledOp* op, Machine& m,
                            std::array<std::int64_t, 16>& regs, std::uint16_t& written,
                            Machine::PathTally* tally = nullptr);
-
-  // The dispatch strategy Run() was compiled with: "computed-goto" on
-  // GCC/Clang, "switch" elsewhere or under -DPMK_FORCE_SWITCH_DISPATCH=ON.
-  // Benchmarks report it so committed results name their dispatch.
-  static const char* DispatchName();
 
  private:
   CompiledSpec spec_;

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "src/kir/compiled.h"
-#include "src/kir/compiled_dispatch.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_sink.h"
 
@@ -369,8 +368,10 @@ std::uint32_t CompiledProgram::Run(const CompiledOp* op, Machine& m,
     m.ApplyChargeDelta(d);
   };
 
-#ifdef PMK_COMPUTED_GOTO
-  // Label table order must match CompiledOp::Kind declaration order.
+  // Computed-goto dispatch (labels as values, which GCC and Clang, the
+  // supported compilers, provide): each op's handler jumps straight to the
+  // next op's label. Label table order must match CompiledOp::Kind
+  // declaration order.
   static_assert(static_cast<int>(CompiledOp::Kind::kILine) == 0);
   static_assert(static_cast<int>(CompiledOp::Kind::kEnd) == 5);
   static const void* const kDispatch[] = {&&op_iline, &&op_dacc,  &&op_rconst,
@@ -410,41 +411,6 @@ op_end:
   flush(*op);
   return imiss;
 #undef PMK_NEXT
-#else
-  for (;;) {
-    const CompiledOp& o = *op;
-    switch (o.kind) {
-      case CompiledOp::Kind::kILine:
-        if (!l1i.AccessLineNoStats(o.u.mem.l1_set, o.u.mem.l1_tag)) {
-          ++imiss;
-          penalties += miss_penalty(o);
-        }
-        break;
-      case CompiledOp::Kind::kDAcc:
-        if (!l1d.AccessLineNoStats(o.u.mem.l1_set, o.u.mem.l1_tag)) {
-          ++dmiss;
-          penalties += miss_penalty(o);
-        }
-        break;
-      case CompiledOp::Kind::kRegConst:
-        regs[o.dst] = o.u.reg.imm;
-        written |= static_cast<std::uint16_t>(1u << o.dst);
-        break;
-      case CompiledOp::Kind::kRegAdd:
-        regs[o.dst] += o.u.reg.imm;
-        written |= static_cast<std::uint16_t>(1u << o.dst);
-        break;
-      case CompiledOp::Kind::kRegMov:
-        regs[o.dst] = regs[o.src];
-        written |= static_cast<std::uint16_t>(1u << o.dst);
-        break;
-      case CompiledOp::Kind::kEnd:
-        flush(o);
-        return imiss;
-    }
-    ++op;
-  }
-#endif
 }
 
 void Executor::AtCompiled(BlockId bid) {

@@ -660,16 +660,6 @@ TEST(ExecutorEquivalence, OracleCatchesMisloweredAccess) {
   EXPECT_EQ(oracle.counters.l1d_misses, 1u);
 }
 
-// The dispatch strategy the compiled runner was built with follows the
-// PMK_FORCE_SWITCH_DISPATCH build option.
-TEST(CompiledDispatch, NameMatchesBuildConfiguration) {
-#if defined(PMK_FORCE_SWITCH_DISPATCH) || !(defined(__GNUC__) || defined(__clang__))
-  EXPECT_STREQ(CompiledProgram::DispatchName(), "switch");
-#else
-  EXPECT_STREQ(CompiledProgram::DispatchName(), "computed-goto");
-#endif
-}
-
 // --- Timer deadline regression ---
 
 // The deadline-gated Advance must assert the timer line at exactly the same

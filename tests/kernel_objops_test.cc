@@ -20,6 +20,87 @@ std::uint32_t CNodeCptrFor(System& sys) {
   return sys.AddCap(c);
 }
 
+// ablation_preemption's scenarios: the worst observed interrupt response
+// while a periodic timer interrupts one long operation. Each preemption-point
+// family must cut it at least tenfold; the driver prints 14.13x-217.27x.
+
+Cycles RetypeResponse(const KernelConfig& kc) {
+  System sys(kc, EvalMachine(false));
+  TcbObj* t = sys.AddThread(10);
+  const std::uint32_t ut_cptr = sys.AddUntyped(19);
+  sys.kernel().DirectSetCurrent(t);
+  SyscallArgs args;
+  args.label = InvLabel::kUntypedRetype;
+  args.obj_type = ObjType::kFrame;
+  args.obj_bits = 18;
+  args.dest_index = 70;
+  return RunLongOpWithTimer(sys, SysOp::kCall, ut_cptr, args, 9000).max_irq_latency;
+}
+
+Cycles EndpointDeleteResponse(const KernelConfig& kc) {
+  System sys(kc, EvalMachine(false));
+  EndpointObj* ep = nullptr;
+  const std::uint32_t ep_cptr = sys.AddEndpoint(&ep);
+  sys.QueueSenders(ep, 128, {kBadgeNone});
+  TcbObj* t = sys.AddThread(10);
+  sys.kernel().DirectSetCurrent(t);
+  const std::uint32_t root_cptr = CNodeCptrFor(sys);
+  SyscallArgs args;
+  args.label = InvLabel::kCNodeDelete;
+  args.arg0 = ep_cptr & 0xFF;
+  return RunLongOpWithTimer(sys, SysOp::kCall, root_cptr, args, 5000).max_irq_latency;
+}
+
+Cycles BadgedRevokeResponse(const KernelConfig& kc) {
+  System sys(kc, EvalMachine(false));
+  EndpointObj* ep = nullptr;
+  const std::uint32_t ep_cptr = sys.AddEndpoint(&ep);
+  Cap badged = sys.SlotOf(ep_cptr)->cap;
+  badged.badge = 5;
+  const std::uint32_t badged_cptr = sys.AddCap(badged, sys.SlotOf(ep_cptr));
+  sys.QueueSenders(ep, 128, {5, 6});
+  TcbObj* t = sys.AddThread(10);
+  sys.kernel().DirectSetCurrent(t);
+  const std::uint32_t root_cptr = CNodeCptrFor(sys);
+  SyscallArgs args;
+  args.label = InvLabel::kCNodeRevoke;
+  args.arg0 = badged_cptr & 0xFF;
+  return RunLongOpWithTimer(sys, SysOp::kCall, root_cptr, args, 5000).max_irq_latency;
+}
+
+// Deletes an address space of 4 page tables x 32 mapped frames.
+Cycles AddressSpaceDeleteResponse(const KernelConfig& kc) {
+  System sys(kc, EvalMachine(false));
+  TcbObj* t = sys.AddThread(10);
+  PageDirObj* pd = sys.kernel().DirectPageDir();
+  for (int p = 0; p < 4; ++p) {
+    PageTableObj* pt = sys.kernel().DirectPageTable();
+    Cap pt_cap;
+    pt_cap.type = ObjType::kPageTable;
+    pt_cap.obj = pt->base;
+    CapSlot* pt_slot = sys.kernel().DirectCap(sys.root(), 100 + p, pt_cap);
+    sys.kernel().DirectMapPageTable(pd, 16 + p, pt, pt_slot);
+    for (int fi = 0; fi < 32; ++fi) {
+      FrameObj* f = sys.kernel().DirectFrame(12);
+      Cap fc;
+      fc.type = ObjType::kFrame;
+      fc.obj = f->base;
+      CapSlot* fs = sys.kernel().DirectCap(sys.root(), 110 + p * 32 + fi, fc);
+      sys.kernel().DirectMapFrame(pd, (static_cast<Addr>(16 + p) << 20) | (fi << 12), f, fs);
+    }
+  }
+  Cap pd_cap;
+  pd_cap.type = ObjType::kPageDir;
+  pd_cap.obj = pd->base;
+  const std::uint32_t pd_cptr = sys.AddCap(pd_cap);
+  const std::uint32_t root_cptr = CNodeCptrFor(sys);
+  sys.kernel().DirectSetCurrent(t);
+  SyscallArgs args;
+  args.label = InvLabel::kCNodeDelete;
+  args.arg0 = pd_cptr & 0xFF;
+  return RunLongOpWithTimer(sys, SysOp::kCall, root_cptr, args, 5000).max_irq_latency;
+}
+
 TEST(RetypeTest, WatermarkAdvancesAndAligns) {
   System sys(KernelConfig::After(), EvalMachine(false));
   TcbObj* t = sys.AddThread(10);
@@ -152,6 +233,12 @@ TEST(RetypeTest, NonPreemptibleClearIgnoresPendingIrq) {
   EXPECT_EQ(t->last_error, KError::kOk);
 }
 
+TEST(RetypeTest, PreemptibleClearCutsObservedResponseTenfold) {
+  KernelConfig off = KernelConfig::After();
+  off.preemptible_clearing = false;
+  EXPECT_GE(RetypeResponse(off), 10 * RetypeResponse(KernelConfig::After()));
+}
+
 TEST(RetypeTest, PageDirectoryGetsGlobalMappings) {
   for (const VSpaceKind vk : {VSpaceKind::kShadow, VSpaceKind::kAsid}) {
     KernelConfig kc = KernelConfig::After();
@@ -234,6 +321,14 @@ TEST(DeleteTest, PreemptedEndpointDeleteRestartsToCompletion) {
     EXPECT_EQ(s->state, ThreadState::kRestart);
   }
   sys.kernel().CheckInvariants();
+}
+
+TEST(DeleteTest, PreemptibleDeletionCutsObservedResponseTenfold) {
+  KernelConfig off = KernelConfig::After();
+  off.preemptible_deletion = false;
+  EXPECT_GE(EndpointDeleteResponse(off), 10 * EndpointDeleteResponse(KernelConfig::After()));
+  EXPECT_GE(AddressSpaceDeleteResponse(off),
+            10 * AddressSpaceDeleteResponse(KernelConfig::After()));
 }
 
 TEST(DeleteTest, MidDeleteEndpointRefusesNewIpc) {
@@ -327,6 +422,13 @@ TEST(RevokeTest, BadgedRevokeStoresResumeStateAcrossPreemption) {
   EXPECT_FALSE(sys.SlotOf(badged_cptr)->IsNull());
   EXPECT_FALSE(Mdb::HasChildren(sys.SlotOf(badged_cptr)));
   sys.kernel().CheckInvariants();
+}
+
+TEST(RevokeTest, PreemptibleBadgedAbortCutsObservedResponseTenfold) {
+  KernelConfig off = KernelConfig::After();
+  off.preemptible_badged_abort = false;
+  off.preemptible_deletion = false;
+  EXPECT_GE(BadgedRevokeResponse(off), 10 * BadgedRevokeResponse(KernelConfig::After()));
 }
 
 TEST(RevokeTest, NewWaitersAfterAbortStartAreNotScanned) {

@@ -201,6 +201,47 @@ TEST(SchedLazyTest, ChooseThreadDequeuesStaleEntries) {
       << "Benno reschedule should be far cheaper than the lazy dequeue storm";
 }
 
+// ablation_scheduler's reschedule: |stale| threads blocked on an endpoint —
+// still queued under lazy scheduling, off the queue under Benno — and one
+// runnable thread, picked after a polluted-cache Yield.
+Cycles RescheduleCost(const KernelConfig& kc, std::uint32_t stale) {
+  System sys(kc, EvalMachine(false));
+  EndpointObj* ep = nullptr;
+  sys.AddEndpoint(&ep);
+  if (kc.scheduler == SchedulerKind::kLazy) {
+    sys.MakeStaleRunQueue(ep, stale, 20);
+  } else {
+    sys.QueueSenders(ep, stale, {kBadgeNone}, 20);
+  }
+  TcbObj* runnable = sys.AddThread(20);
+  sys.kernel().DirectResume(runnable);
+  TcbObj* cur = sys.AddThread(5);
+  sys.kernel().DirectSetCurrent(cur);
+  sys.machine().PolluteCaches();
+  const Cycles t0 = sys.machine().Now();
+  sys.kernel().Syscall(SysOp::kYield, 0, SyscallArgs{});
+  return sys.machine().Now() - t0;
+}
+
+TEST(SchedLazyTest, RescheduleCostGrowsWithStaleThreadsBennoIsFlat) {
+  // Section 3.1: the lazy reschedule dequeues every stale thread, so its
+  // cost grows with their number; Benno's is the same at 0 and 100. The
+  // lazy kernel is ablation_scheduler's: the after kernel's address spaces
+  // and preemption points, so only the scheduler differs.
+  KernelConfig lazy = Lazy();
+  lazy.vspace = VSpaceKind::kShadow;
+  lazy.preemptible_clearing = true;
+  lazy.preemptible_deletion = true;
+  lazy.preemptible_badged_abort = true;
+  Cycles prev = 0;
+  for (const std::uint32_t n : {0u, 8u, 32u, 64u, 100u}) {
+    const Cycles cost = RescheduleCost(lazy, n);
+    EXPECT_GT(cost, prev) << n << " stale threads";
+    prev = cost;
+  }
+  EXPECT_EQ(RescheduleCost(Benno(), 100), RescheduleCost(Benno(), 0));
+}
+
 TEST(SchedTest, YieldRoundRobinsEqualPriority) {
   System sys(Benno(), EvalMachine(false));
   TcbObj* a = sys.AddThread(10);
