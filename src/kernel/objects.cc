@@ -1,5 +1,6 @@
 #include "src/kernel/objects.h"
 
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -107,8 +108,7 @@ KObject* ObjectTable::Insert(std::unique_ptr<KObject> obj) {
   memo_base_ = kNoMemo;
   memo_obj_ = nullptr;
   const Addr base = obj->base;
-  const std::uint64_t size = obj->SizeBytes();
-  if (base % size != 0) {
+  if (base % obj->SizeBytes() != 0) {
     throw std::logic_error("object misaligned: " + std::string(ObjTypeName(obj->type)) + " at " +
                            std::to_string(base));
   }
@@ -120,26 +120,19 @@ KObject* ObjectTable::Insert(std::unique_ptr<KObject> obj) {
     untypeds_.emplace(base, std::unique_ptr<UntypedObj>(raw));
     return raw;
   }
-  if (Overlaps(base, size)) {
+  // Untyped regions legitimately contain the objects retyped from them, so
+  // only non-untyped objects are checked against one another. Those never
+  // overlap, so the predecessor and the successor are the only candidates.
+  const auto next = objects_.empty() || objects_.rbegin()->first < base
+                        ? objects_.end()
+                        : objects_.lower_bound(base);
+  if ((next != objects_.end() && next->first < obj->End()) ||
+      (next != objects_.begin() && std::prev(next)->second->End() > base)) {
     throw std::logic_error("object overlap: " + std::string(ObjTypeName(obj->type)) + " at " +
                            std::to_string(base));
   }
   KObject* raw = obj.get();
-  objects_.emplace(base, std::move(obj));
-  return raw;
-}
-
-KObject* ObjectTable::InsertUnchecked(std::unique_ptr<KObject> obj) {
-  const Addr base = obj->base;
-  memo_base_ = kNoMemo;
-  memo_obj_ = nullptr;
-  if (obj->type == ObjType::kUntyped) {
-    UntypedObj* raw = static_cast<UntypedObj*>(obj.release());
-    untypeds_.emplace(base, std::unique_ptr<UntypedObj>(raw));
-    return raw;
-  }
-  KObject* raw = obj.get();
-  objects_.emplace(base, std::move(obj));
+  objects_.emplace_hint(next, base, std::move(obj));
   return raw;
 }
 
@@ -172,25 +165,6 @@ KObject* ObjectTable::Find(Addr base) const {
     return memo_obj_;
   }
   return nullptr;
-}
-
-bool ObjectTable::Overlaps(Addr base, std::uint64_t size, Addr ignore) const {
-  // Untyped regions legitimately contain the objects retyped from them, so
-  // overlap checks apply only between non-untyped objects; untyped-vs-untyped
-  // nesting is governed by the derivation tree instead.
-  const Addr end = base + size;
-  for (const auto& [b, obj] : objects_) {
-    if (obj->type == ObjType::kUntyped || b == ignore) {
-      continue;
-    }
-    if (b < end && obj->End() > base) {
-      return true;
-    }
-    if (b >= end) {
-      break;
-    }
-  }
-  return false;
 }
 
 }  // namespace pmk

@@ -236,15 +236,15 @@ std::uint8_t ObjSizeBits(ObjType type, std::uint8_t user_bits, const KernelConfi
 // Untyped regions live in a separate index because the objects retyped from
 // an untyped legitimately share addresses with it (the first child starts at
 // the region base).
+//
+// Insert is the only way in, for boot, retype and Kernel::Clone alike. Since
+// the non-untyped objects never overlap one another, an insert checks just
+// its two address neighbours: O(1) when appending above the highest object
+// (the bump allocator's and Clone's ascending order), O(log n) otherwise.
 class ObjectTable {
  public:
   // Inserts |obj|; aborts (throws std::logic_error) on misalignment/overlap.
   KObject* Insert(std::unique_ptr<KObject> obj);
-
-  // Inserts without the alignment/overlap audit. Only for cloning a table
-  // whose invariants already hold (Kernel::Clone): the audit is O(n) per
-  // object, which would make forking a checkpoint quadratic in heap size.
-  KObject* InsertUnchecked(std::unique_ptr<KObject> obj);
   void Remove(Addr base);
 
   // Finds the non-untyped object at |base|, falling back to an untyped
@@ -263,9 +263,6 @@ class ObjectTable {
   }
 
   std::size_t Count() const { return objects_.size() + untypeds_.size(); }
-
-  // True if [base, base+size) overlaps any existing non-untyped object.
-  bool Overlaps(Addr base, std::uint64_t size, Addr ignore = 0) const;
 
   const std::map<Addr, std::unique_ptr<KObject>>& objects() const { return objects_; }
   const std::map<Addr, std::unique_ptr<UntypedObj>>& untypeds() const { return untypeds_; }

@@ -13,8 +13,6 @@
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -23,58 +21,58 @@ namespace pmk {
 
 namespace {
 
-// old pointer -> its counterpart in the cloned heap. Objects are a sorted
-// flat vector probed by binary search; CapSlots (which live only inside
-// CNode slot arrays) are whole-array ranges resolved by offset arithmetic,
-// so remapping costs no per-slot table entry or allocation — forking a
-// checkpoint is on the hot path of the measurement benches.
+// old pointer -> its counterpart in the cloned heap. TCBs (the only objects
+// other objects point at) are a sorted flat vector probed by binary search;
+// CapSlots (which live only inside CNode slot arrays) are whole-array ranges
+// resolved by offset arithmetic, so remapping costs no per-slot table entry
+// or allocation — forking a checkpoint is on the hot path of the
+// measurement benches.
 class PtrMap {
  public:
-  void AddObj(const void* old_obj, void* new_obj) { objs_.push_back({old_obj, new_obj}); }
+  void AddTcb(const TcbObj* old_tcb, TcbObj* new_tcb) { tcbs_.push_back({old_tcb, new_tcb}); }
   void AddSlotRange(const CapSlot* old_begin, std::size_t n, CapSlot* new_begin) {
     slots_.push_back({old_begin, old_begin + n, new_begin});
   }
   void Seal() {
-    std::sort(objs_.begin(), objs_.end(),
-              [](const ObjEntry& a, const ObjEntry& b) {
-                return std::less<const void*>()(a.old_obj, b.old_obj);
-              });
+    std::sort(tcbs_.begin(), tcbs_.end(), [](const TcbEntry& a, const TcbEntry& b) {
+      return std::less<const TcbObj*>()(a.old_tcb, b.old_tcb);
+    });
     std::sort(slots_.begin(), slots_.end(),
               [](const SlotRange& a, const SlotRange& b) {
                 return std::less<const CapSlot*>()(a.old_begin, b.old_begin);
               });
   }
-  void* FindObj(const void* old_obj, const char* what) const {
-    const auto it = std::partition_point(objs_.begin(), objs_.end(), [&](const ObjEntry& e) {
-      return std::less<const void*>()(e.old_obj, old_obj);
+  TcbObj* FindTcb(const TcbObj* old_tcb) const {
+    const auto it = std::partition_point(tcbs_.begin(), tcbs_.end(), [&](const TcbEntry& e) {
+      return std::less<const TcbObj*>()(e.old_tcb, old_tcb);
     });
-    if (it == objs_.end() || it->old_obj != old_obj) {
-      throw std::logic_error(std::string("Kernel::Clone: dangling ") + what + " pointer");
+    if (it == tcbs_.end() || it->old_tcb != old_tcb) {
+      throw std::logic_error("Kernel::Clone: dangling TCB pointer");
     }
-    return it->new_obj;
+    return it->new_tcb;
   }
-  CapSlot* FindSlot(const CapSlot* old_slot, const char* what) const {
+  CapSlot* FindSlot(const CapSlot* old_slot) const {
     const auto it =
         std::partition_point(slots_.begin(), slots_.end(), [&](const SlotRange& r) {
           return !std::less<const CapSlot*>()(old_slot, r.old_end);
         });
     if (it == slots_.end() || std::less<const CapSlot*>()(old_slot, it->old_begin)) {
-      throw std::logic_error(std::string("Kernel::Clone: dangling ") + what + " pointer");
+      throw std::logic_error("Kernel::Clone: dangling CapSlot pointer");
     }
     return it->new_begin + (old_slot - it->old_begin);
   }
 
  private:
-  struct ObjEntry {
-    const void* old_obj;
-    void* new_obj;
+  struct TcbEntry {
+    const TcbObj* old_tcb;
+    TcbObj* new_tcb;
   };
   struct SlotRange {
     const CapSlot* old_begin;
     const CapSlot* old_end;
     CapSlot* new_begin;
   };
-  std::vector<ObjEntry> objs_;
+  std::vector<TcbEntry> tcbs_;
   std::vector<SlotRange> slots_;
 };
 
@@ -109,49 +107,46 @@ std::unique_ptr<Kernel> Kernel::Clone(Machine* machine) const {
   std::unique_ptr<Kernel> k(new Kernel(CloneTag{}, *this, machine));
 
   // Pass 1: clone every object (pointers still aimed at the old heap) and
-  // record old -> new object identity. The source heap's alignment/overlap
-  // invariants transfer to the clone, so the per-insert audit is skipped.
+  // record old -> new TCB identity. The checked Insert re-verifies alignment
+  // and non-overlap; ascending key order makes each check O(1).
   PtrMap ptr;
-  std::vector<std::pair<const CNodeObj*, CNodeObj*>> cnodes;
   for (const auto& [base, obj] : objs_.objects()) {
-    KObject* copy = k->objs_.InsertUnchecked(obj->CloneObj());
-    ptr.AddObj(obj.get(), copy);
-    if (obj->type == ObjType::kCNode) {
-      cnodes.emplace_back(static_cast<const CNodeObj*>(obj.get()),
-                          static_cast<CNodeObj*>(copy));
+    KObject* copy = k->objs_.Insert(obj->CloneObj());
+    if (obj->type == ObjType::kTcb) {
+      ptr.AddTcb(static_cast<const TcbObj*>(obj.get()), static_cast<TcbObj*>(copy));
+    } else if (obj->type == ObjType::kCNode) {
+      // Slot identity: a slot maps to the same index of the cloned CNode.
+      // (CapSlots live only inside CNode slot arrays.)
+      const auto* old_cn = static_cast<const CNodeObj*>(obj.get());
+      ptr.AddSlotRange(old_cn->slots.data(), old_cn->slots.size(),
+                       static_cast<CNodeObj*>(copy)->slots.data());
     }
   }
   for (const auto& [base, ut] : objs_.untypeds()) {
-    ptr.AddObj(ut.get(), k->objs_.InsertUnchecked(ut->CloneObj()));
+    k->objs_.Insert(ut->CloneObj());
   }
   // The idle thread exists from boot and lives outside the object table.
   k->idle_storage_ = std::make_unique<TcbObj>(*idle_storage_);
   k->idle_ = k->idle_storage_.get();
-  ptr.AddObj(idle_, k->idle_);
-
-  // Pass 2: slot identity — a slot maps to the same index of the cloned
-  // CNode. (CapSlots live only inside CNode slot arrays.)
-  for (const auto& [oc, nc] : cnodes) {
-    ptr.AddSlotRange(oc->slots.data(), oc->slots.size(), nc->slots.data());
-  }
+  ptr.AddTcb(idle_, k->idle_);
   ptr.Seal();
 
-  // Pass 3: remap every intrusive pointer in the cloned heap.
+  // Pass 2: remap every intrusive pointer in the cloned heap, walking the
+  // cloned table itself (untyped regions hold no pointers).
   const auto fix_tcb = [&ptr](TcbObj*& p) {
     if (p != nullptr) {
-      p = static_cast<TcbObj*>(ptr.FindObj(p, "TCB"));
+      p = ptr.FindTcb(p);
     }
   };
   const auto fix_slot = [&ptr](CapSlot*& p) {
     if (p != nullptr) {
-      p = ptr.FindSlot(p, "CapSlot");
+      p = ptr.FindSlot(p);
     }
   };
-  const auto fix_object = [&](const KObject* old_obj) {
-    KObject* copy = static_cast<KObject*>(ptr.FindObj(old_obj, "object"));
+  for (const auto& [base, copy] : k->objs_.objects()) {
     switch (copy->type) {
       case ObjType::kEndpoint: {
-        auto* ep = static_cast<EndpointObj*>(copy);
+        auto* ep = static_cast<EndpointObj*>(copy.get());
         fix_tcb(ep->q_head);
         fix_tcb(ep->q_tail);
         fix_tcb(ep->abort.resume);
@@ -160,7 +155,7 @@ std::unique_ptr<Kernel> Kernel::Clone(Machine* machine) const {
         break;
       }
       case ObjType::kTcb: {
-        auto* t = static_cast<TcbObj*>(copy);
+        auto* t = static_cast<TcbObj*>(copy.get());
         fix_tcb(t->sched_next);
         fix_tcb(t->sched_prev);
         fix_tcb(t->ep_next);
@@ -169,7 +164,7 @@ std::unique_ptr<Kernel> Kernel::Clone(Machine* machine) const {
         break;
       }
       case ObjType::kCNode: {
-        auto* cn = static_cast<CNodeObj*>(copy);
+        auto* cn = static_cast<CNodeObj*>(copy.get());
         for (CapSlot& s : cn->slots) {
           fix_slot(s.mdb_prev);
           fix_slot(s.mdb_next);
@@ -177,28 +172,22 @@ std::unique_ptr<Kernel> Kernel::Clone(Machine* machine) const {
         break;
       }
       case ObjType::kPageTable: {
-        auto* pt = static_cast<PageTableObj*>(copy);
+        auto* pt = static_cast<PageTableObj*>(copy.get());
         for (CapSlot*& s : pt->shadow) {
           fix_slot(s);
         }
         break;
       }
       case ObjType::kPageDir: {
-        auto* pd = static_cast<PageDirObj*>(copy);
+        auto* pd = static_cast<PageDirObj*>(copy.get());
         for (CapSlot*& s : pd->shadow) {
           fix_slot(s);
         }
         break;
       }
       default:
-        break;  // untyped, frame, ASID pool, IRQ handler: address-based only
+        break;  // frame, ASID pool, IRQ handler: address-based only
     }
-  };
-  for (const auto& [base, obj] : objs_.objects()) {
-    fix_object(obj.get());
-  }
-  for (const auto& [base, ut] : objs_.untypeds()) {
-    fix_object(ut.get());
   }
   {
     // Idle's links are normally null (it is never enqueued), but remap them
@@ -210,7 +199,7 @@ std::unique_ptr<Kernel> Kernel::Clone(Machine* machine) const {
     fix_tcb(k->idle_->reply_to);
   }
 
-  // Pass 4: kernel-level roots.
+  // Pass 3: kernel-level roots.
   for (RunQueue& q : k->queues_) {
     fix_tcb(q.head);
     fix_tcb(q.tail);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/sim/workload.h"
 
 namespace pmk {
@@ -32,6 +34,27 @@ struct Rig {
   TcbObj* b = nullptr;
   EndpointObj* ep = nullptr;
 };
+
+// Expects the audit to reject |sys| with a message containing |what|, so a
+// test pins the check it targets rather than any check that happens to fire.
+void ExpectViolation(System& sys, const std::string& what) {
+  try {
+    sys.kernel().CheckInvariants();
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    return;
+  }
+  ADD_FAILURE() << "audit passed; expected a violation: " << what;
+}
+
+// Allocates three 512-byte TCBs back to back and returns the first one on a
+// 1 KiB boundary: grown to 1 KiB it stays aligned but covers the next TCB.
+TcbObj* TcbWithAdjacentSuccessor(System& sys) {
+  TcbObj* t[3] = {sys.AddThread(1), sys.AddThread(1), sys.AddThread(1)};
+  TcbObj* grow = t[0]->base % 1024 == 0 ? t[0] : t[1];
+  EXPECT_EQ(sys.kernel().objects().Find(grow->End()), grow == t[0] ? t[1] : t[2]);
+  return grow;
+}
 
 TEST(InvariantFaultTest, CleanSystemPasses) {
   Rig r;
@@ -182,6 +205,59 @@ TEST(InvariantFaultTest, DetectsBlockedCurrentThread) {
   r.sys.kernel().current()->state = ThreadState::kBlockedOnSend;
   r.sys.kernel().current()->blocked_on = r.ep->base;
   EXPECT_THROW(r.sys.kernel().CheckInvariants(), std::logic_error);
+}
+
+TEST(InvariantFaultTest, DetectsRunQueueCycleAtOnePriority) {
+  Rig r;
+  TcbObj* c = r.sys.AddThread(10);
+  r.sys.kernel().DirectResume(c);  // prio 10 queue: a, c
+  ASSERT_EQ(r.a->sched_next, c);
+  c->sched_next = r.a;  // back to the head: the walk would never end
+  ExpectViolation(r.sys, "run queue back-pointer broken at prio 10");
+}
+
+TEST(InvariantFaultTest, DetectsFlaggedThreadInNoQueue) {
+  Rig r;
+  TcbObj* t = r.sys.AddThread(30);  // inactive, in no queue
+  t->in_run_queue = true;
+  ExpectViolation(r.sys, "in_run_queue flag disagrees with queue membership");
+}
+
+TEST(InvariantFaultTest, DetectsBadgedAbortResumeOutsideQueue) {
+  Rig r;
+  TcbObj* s1 = r.sys.AddThread(10);
+  r.sys.kernel().DirectBlockOnSend(s1, r.ep, 1);
+  r.ep->abort.valid = true;
+  r.ep->abort.badge = 1;
+  r.ep->abort.resume = s1;  // in the queue: a consistent abort
+  EXPECT_NO_THROW(r.sys.kernel().CheckInvariants());
+  r.ep->abort.resume = r.a;  // on the run queue, not this endpoint's
+  ExpectViolation(r.sys, "badged-abort resume pointer not in endpoint queue");
+}
+
+TEST(InvariantFaultTest, DetectsOverlappingObjects) {
+  Rig r;
+  TcbObj* grown = TcbWithAdjacentSuccessor(r.sys);
+  EXPECT_NO_THROW(r.sys.kernel().CheckInvariants());
+  grown->size_bits = 10;  // still aligned, now covers its successor
+  ExpectViolation(r.sys, "object overlaps its predecessor");
+}
+
+TEST(InvariantFaultTest, DetectsMisalignedObject) {
+  Rig r;
+  TcbObj* grown = TcbWithAdjacentSuccessor(r.sys);
+  TcbObj* odd = r.sys.kernel().objects().Get<TcbObj>(grown->End());
+  ASSERT_NE(odd, nullptr);
+  odd->size_bits = 10;  // a 1 KiB object on a 512-byte boundary
+  ExpectViolation(r.sys, "object misaligned");
+}
+
+TEST(InvariantFaultTest, CloneRejectsOverlappingHeap) {
+  // Kernel::Clone re-inserts every object through the checked
+  // ObjectTable::Insert, so a corrupt heap cannot be forked.
+  Rig r;
+  TcbWithAdjacentSuccessor(r.sys)->size_bits = 10;
+  EXPECT_THROW(r.sys.Clone(), std::logic_error);
 }
 
 }  // namespace

@@ -282,6 +282,7 @@ TEST(DeleteTest, FinalEndpointCapDestroysAndAborts) {
   System sys(KernelConfig::After(), EvalMachine(false));
   EndpointObj* ep = nullptr;
   const std::uint32_t ep_cptr = sys.AddEndpoint(&ep);
+  const Addr ep_base = ep->base;  // |ep| is freed by the delete
   auto senders = sys.QueueSenders(ep, 5, {kBadgeNone});
   TcbObj* t = sys.AddThread(10);
   sys.kernel().DirectSetCurrent(t);
@@ -291,7 +292,7 @@ TEST(DeleteTest, FinalEndpointCapDestroysAndAborts) {
   args.label = InvLabel::kCNodeDelete;
   args.arg0 = ep_cptr & 0xFF;
   sys.kernel().Syscall(SysOp::kCall, root_cptr, args);
-  EXPECT_EQ(sys.kernel().objects().Get<EndpointObj>(ep->base), nullptr);
+  EXPECT_EQ(sys.kernel().objects().Get<EndpointObj>(ep_base), nullptr);
   for (TcbObj* s : senders) {
     EXPECT_EQ(s->state, ThreadState::kRestart);
     EXPECT_TRUE(s->in_run_queue);  // restarted threads are runnable
@@ -305,6 +306,7 @@ TEST(DeleteTest, PreemptedEndpointDeleteRestartsToCompletion) {
   System sys(KernelConfig::After(), EvalMachine(false));
   EndpointObj* ep = nullptr;
   const std::uint32_t ep_cptr = sys.AddEndpoint(&ep);
+  const Addr ep_base = ep->base;  // |ep| is freed by the delete
   auto senders = sys.QueueSenders(ep, 64, {kBadgeNone});
   TcbObj* t = sys.AddThread(10);
   sys.kernel().DirectSetCurrent(t);
@@ -315,7 +317,7 @@ TEST(DeleteTest, PreemptedEndpointDeleteRestartsToCompletion) {
   args.arg0 = ep_cptr & 0xFF;
   const LongOpResult res = RunLongOpWithTimer(sys, SysOp::kCall, root_cptr, args, 3000);
   EXPECT_GT(res.preemptions, 2u);
-  EXPECT_EQ(sys.kernel().objects().Get<EndpointObj>(ep->base), nullptr);
+  EXPECT_EQ(sys.kernel().objects().Get<EndpointObj>(ep_base), nullptr);
   EXPECT_TRUE(sys.SlotOf(ep_cptr)->IsNull());
   for (TcbObj* s : senders) {
     EXPECT_EQ(s->state, ThreadState::kRestart);
@@ -582,6 +584,7 @@ TEST(InvariantSweepTest, PreemptedOpsKeepInvariantsAtEveryPoint) {
   System sys(KernelConfig::After(), EvalMachine(false));
   EndpointObj* ep = nullptr;
   const std::uint32_t ep_cptr = sys.AddEndpoint(&ep);
+  const Addr ep_base = ep->base;  // |ep| is freed by the delete
   sys.QueueSenders(ep, 40, {3, 5});
   TcbObj* t = sys.AddThread(10);
   sys.kernel().DirectSetCurrent(t);
@@ -604,7 +607,7 @@ TEST(InvariantSweepTest, PreemptedOpsKeepInvariantsAtEveryPoint) {
   }
   sys.machine().timer().set_period(0);
   EXPECT_GT(preemptions, 3u);
-  EXPECT_EQ(sys.kernel().objects().Get<EndpointObj>(ep->base), nullptr);
+  EXPECT_EQ(sys.kernel().objects().Get<EndpointObj>(ep_base), nullptr);
 }
 
 }  // namespace

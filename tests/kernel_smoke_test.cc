@@ -211,12 +211,13 @@ TEST_P(KernelSmokeTest, EndpointDeleteAbortsQueuedSenders) {
   SyscallArgs args;
   args.label = InvLabel::kCNodeDelete;
   args.arg0 = ep_cptr & 0xFF;
+  const Addr ep_base = ep->base;  // |ep| is freed by the delete
   ASSERT_EQ(sys.kernel().Syscall(SysOp::kCall, root_cptr, args), KernelExit::kDone);
   for (TcbObj* s : senders) {
     EXPECT_EQ(s->state, ThreadState::kRestart);
     EXPECT_EQ(s->last_error, KError::kAborted);
   }
-  EXPECT_EQ(sys.kernel().objects().Get<EndpointObj>(ep->base), nullptr);
+  EXPECT_EQ(sys.kernel().objects().Get<EndpointObj>(ep_base), nullptr);
   sys.kernel().CheckInvariants();
 }
 

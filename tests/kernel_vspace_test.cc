@@ -153,8 +153,9 @@ TEST(AsidTest, PdDeleteIsLazyAndConstantTime) {
   root_cap.type = ObjType::kCNode;
   root_cap.obj = rig.sys.root()->base;
   const std::uint32_t root_cptr = rig.sys.AddCap(root_cap);
+  const Addr pd_base = rig.pd->base;  // |rig.pd| is freed by the delete
   rig.sys.kernel().Syscall(SysOp::kCall, root_cptr, args);
-  EXPECT_EQ(rig.sys.kernel().objects().Get<PageDirObj>(rig.pd->base), nullptr);
+  EXPECT_EQ(rig.sys.kernel().objects().Get<PageDirObj>(pd_base), nullptr);
   // The frame cap still believes it is mapped — the stale, harmless
   // dangling reference of the ASID design.
   EXPECT_TRUE(rig.frame->mapped);
@@ -232,12 +233,13 @@ TEST(AsidTest, PoolDeleteClearsEveryAddressSpace) {
   // Non-preemptible even in the "after" kernel (the design pain point):
   // run it with a pending interrupt and observe it completes regardless.
   sys.machine().irq().Assert(InterruptController::kTimerLine, sys.machine().Now());
+  const Addr pool_base = pool->base;  // |pool| is freed by the delete
   const KernelExit e = sys.kernel().Syscall(SysOp::kCall, root_cptr, args);
   EXPECT_EQ(e, KernelExit::kDone);
   for (PageDirObj* pd : pds) {
     EXPECT_EQ(pd->asid, 0u);
   }
-  EXPECT_EQ(sys.kernel().objects().Get<AsidPoolObj>(pool->base), nullptr);
+  EXPECT_EQ(sys.kernel().objects().Get<AsidPoolObj>(pool_base), nullptr);
 }
 
 // ---------- Shadow-page-table behaviour (Figure 5) ----------
@@ -262,8 +264,9 @@ TEST(ShadowTest, PdDeleteEagerlyClearsFrameCaps) {
   SyscallArgs args;
   args.label = InvLabel::kCNodeDelete;
   args.arg0 = rig.pd_cptr & 0xFF;
+  const Addr pd_base = rig.pd->base;  // |rig.pd| is freed by the delete
   rig.sys.kernel().Syscall(SysOp::kCall, root_cptr, args);
-  EXPECT_EQ(rig.sys.kernel().objects().Get<PageDirObj>(rig.pd->base), nullptr);
+  EXPECT_EQ(rig.sys.kernel().objects().Get<PageDirObj>(pd_base), nullptr);
   // Eager back-pointer update: no dangling reference survives.
   EXPECT_FALSE(rig.frame->mapped);
   EXPECT_EQ(rig.frame->mapped_pd, 0u);
@@ -308,9 +311,10 @@ TEST(ShadowTest, PdDeletePreemptsAndResumesFromLowestMapped) {
   SyscallArgs args;
   args.label = InvLabel::kCNodeDelete;
   args.arg0 = pd_cptr & 0xFF;
+  const Addr pd_base = pd->base;  // |pd| is freed by the delete
   const LongOpResult res = RunLongOpWithTimer(sys, SysOp::kCall, root_cptr, args, 4000);
   EXPECT_GT(res.preemptions, 2u);
-  EXPECT_EQ(sys.kernel().objects().Get<PageDirObj>(pd->base), nullptr);
+  EXPECT_EQ(sys.kernel().objects().Get<PageDirObj>(pd_base), nullptr);
   for (FrameObj* f : frames) {
     EXPECT_FALSE(f->mapped);
   }
@@ -329,8 +333,9 @@ TEST(ShadowTest, PtDeleteUnlinksFromPageDirectory) {
   SyscallArgs args;
   args.label = InvLabel::kCNodeDelete;
   args.arg0 = rig.pt_cptr & 0xFF;
+  const Addr pt_base = rig.pt->base;  // |rig.pt| is freed by the delete
   rig.sys.kernel().Syscall(SysOp::kCall, root_cptr, args);
-  EXPECT_EQ(rig.sys.kernel().objects().Get<PageTableObj>(rig.pt->base), nullptr);
+  EXPECT_EQ(rig.sys.kernel().objects().Get<PageTableObj>(pt_base), nullptr);
   const std::uint32_t pd_index = 0x0040'0000 >> 20;
   EXPECT_EQ(rig.pd->pde[pd_index], 0u);
   EXPECT_FALSE(rig.frame->mapped);

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "src/kernel/cap.h"
 #include "src/sim/workload.h"
 
@@ -152,6 +158,148 @@ TEST(ObjectTableTest, RemoveDistinguishesUntypedFromChild) {
   t.Remove(0x2000);  // removes the non-untyped object first
   EXPECT_EQ(t.Get<EndpointObj>(0x2000), nullptr);
   EXPECT_NE(t.Get<UntypedObj>(0x2000), nullptr);
+}
+
+// An object of |type| spanning [base, base + 2^size_bits). The table reads
+// only these fields (and files untyped regions as UntypedObj), so any other
+// type can ride in a FrameObj.
+std::unique_ptr<KObject> MakeObj(ObjType type, std::uint8_t size_bits, Addr base) {
+  std::unique_ptr<KObject> o;
+  if (type == ObjType::kUntyped) {
+    o = std::make_unique<UntypedObj>();
+  } else {
+    o = std::make_unique<FrameObj>();
+  }
+  o->type = type;
+  o->size_bits = size_bits;
+  o->base = base;
+  return o;
+}
+
+TEST(ObjectTableTest, RejectsObjectCoveringTheNextBase) {
+  ObjectTable t;
+  t.Insert(MakeObj(ObjType::kEndpoint, 4, 0x1100));
+  // Inserted below the endpoint, but its 512 bytes run over the endpoint.
+  EXPECT_THROW(t.Insert(MakeObj(ObjType::kTcb, 9, 0x1000)), std::logic_error);
+  EXPECT_EQ(t.Count(), 1u);
+}
+
+TEST(ObjectTableTest, AcceptsExactAdjacency) {
+  ObjectTable t;
+  t.Insert(MakeObj(ObjType::kTcb, 9, 0x1000));
+  EXPECT_NO_THROW(t.Insert(MakeObj(ObjType::kEndpoint, 4, 0x1200)));  // starts at its end
+  EXPECT_NO_THROW(t.Insert(MakeObj(ObjType::kEndpoint, 4, 0xFF0)));   // ends at its base
+  EXPECT_EQ(t.Count(), 3u);
+}
+
+TEST(ObjectTableTest, RejectsDuplicateBase) {
+  ObjectTable t;
+  t.Insert(MakeObj(ObjType::kTcb, 9, 0x1000));
+  EXPECT_THROW(t.Insert(MakeObj(ObjType::kEndpoint, 4, 0x1000)), std::logic_error);
+  EXPECT_THROW(t.Insert(MakeObj(ObjType::kTcb, 9, 0x1000)), std::logic_error);
+  t.Insert(MakeObj(ObjType::kUntyped, 12, 0x1000));
+  EXPECT_THROW(t.Insert(MakeObj(ObjType::kUntyped, 12, 0x1000)), std::logic_error);
+  EXPECT_EQ(t.Count(), 2u);
+}
+
+TEST(ObjectTableTest, InsertsBelowEveryObject) {
+  ObjectTable t;
+  t.Insert(MakeObj(ObjType::kTcb, 9, 0x4000));
+  t.Insert(MakeObj(ObjType::kTcb, 9, 0x5000));
+  EXPECT_NO_THROW(t.Insert(MakeObj(ObjType::kEndpoint, 4, 0x1000)));
+  // Below every object again, but 16 KiB long: covers all three.
+  EXPECT_THROW(t.Insert(MakeObj(ObjType::kPageDir, 14, 0x0)), std::logic_error);
+  std::vector<Addr> keys;
+  for (const auto& [base, obj] : t.objects()) {
+    keys.push_back(base);
+  }
+  EXPECT_EQ(keys, (std::vector<Addr>{0x1000, 0x4000, 0x5000}));
+  EXPECT_NE(t.Find(0x1000), nullptr);
+}
+
+TEST(ObjectTableTest, UntypedMayContainChildrenInsertedBeforeIt) {
+  ObjectTable t;
+  t.Insert(MakeObj(ObjType::kEndpoint, 4, 0x2000));
+  t.Insert(MakeObj(ObjType::kTcb, 9, 0x2200));
+  EXPECT_NO_THROW(t.Insert(MakeObj(ObjType::kUntyped, 12, 0x2000)));  // around both
+  EXPECT_NO_THROW(t.Insert(MakeObj(ObjType::kUntyped, 10, 0x2400)));  // nested region
+  // Inside a region, children still may not overlap one another.
+  EXPECT_THROW(t.Insert(MakeObj(ObjType::kEndpoint, 4, 0x2300)), std::logic_error);
+  EXPECT_NO_THROW(t.Insert(MakeObj(ObjType::kEndpoint, 4, 0x2400)));
+  EXPECT_EQ(t.Count(), 5u);
+}
+
+// Seeded property: whatever the insertion order, Insert accepts an object
+// exactly when a brute-force scan of the objects accepted so far finds no
+// clash. Non-untyped objects clash when their ranges intersect; untyped
+// regions clash only with another region at the same base.
+TEST(ObjectTableTest, InsertMatchesBruteForceOverlapScan) {
+  struct Candidate {
+    ObjType type;
+    std::uint8_t bits;
+    Addr base;
+    Addr End() const { return base + (Addr{1} << bits); }
+  };
+  constexpr std::array<std::pair<ObjType, std::uint8_t>, 6> kShapes = {{
+      {ObjType::kEndpoint, 4},
+      {ObjType::kTcb, 9},
+      {ObjType::kPageTable, 10},
+      {ObjType::kFrame, 12},
+      {ObjType::kPageDir, 14},
+      {ObjType::kUntyped, 13},
+  }};
+  constexpr Addr kSpan = Addr{1} << 20;
+  enum class Order { kAscending, kDescending, kShuffled };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<Candidate> candidates;
+    for (int i = 0; i < 300; ++i) {
+      const auto [type, bits] = kShapes[rng() % kShapes.size()];
+      candidates.push_back({type, bits, (rng() % (kSpan >> bits)) << bits});
+    }
+    for (const Order order : {Order::kAscending, Order::kDescending, Order::kShuffled}) {
+      std::vector<Candidate> seq = candidates;
+      if (order == Order::kShuffled) {
+        std::shuffle(seq.begin(), seq.end(), rng);
+      } else {
+        std::stable_sort(seq.begin(), seq.end(), [order](const Candidate& a, const Candidate& b) {
+          return order == Order::kAscending ? a.base < b.base : a.base > b.base;
+        });
+      }
+      ObjectTable t;
+      std::vector<Candidate> accepted;
+      std::size_t rejected = 0;
+      for (const Candidate& c : seq) {
+        bool clash = false;
+        for (const Candidate& a : accepted) {
+          const bool untyped = c.type == ObjType::kUntyped || a.type == ObjType::kUntyped;
+          clash = clash || (untyped ? c.type == a.type && c.base == a.base
+                                    : a.base < c.End() && c.base < a.End());
+        }
+        bool threw = false;
+        try {
+          t.Insert(MakeObj(c.type, c.bits, c.base));
+        } catch (const std::logic_error&) {
+          threw = true;
+        }
+        ASSERT_EQ(threw, clash) << "seed " << seed << " order " << static_cast<int>(order)
+                                << ": " << ObjTypeName(c.type) << " at " << c.base;
+        if (clash) {
+          rejected++;
+        } else {
+          accepted.push_back(c);
+        }
+      }
+      EXPECT_EQ(t.Count(), accepted.size());
+      EXPECT_GT(accepted.size(), 50u);  // both outcomes well exercised
+      EXPECT_GT(rejected, 50u);
+      Addr prev_end = 0;
+      for (const auto& [base, obj] : t.objects()) {
+        EXPECT_GE(base, prev_end);
+        prev_end = obj->End();
+      }
+    }
+  }
 }
 
 TEST(UntypedRevokeTest, RevokeResetsWatermark) {
