@@ -15,11 +15,12 @@ void BranchPredictor::Reset() {
   for (Entry& e : btb_) {
     e = Entry{};
   }
-  mispredicts_ = 0;
 }
 
-Cycles BranchPredictor::OnBranchEnabled(Addr pc, BranchKind kind, bool taken) {
-  return OnBranchEnabledAt(static_cast<std::uint32_t>(pc % btb_.size()), pc, kind, taken);
+Cycles BranchPredictor::OnBranchEnabled(Addr pc, BranchKind kind, bool taken,
+                                        std::uint64_t& mispredicts) {
+  return OnBranchEnabledAt(static_cast<std::uint32_t>(pc % btb_.size()), pc, kind, taken,
+                           mispredicts);
 }
 
 }  // namespace pmk

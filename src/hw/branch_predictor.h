@@ -42,45 +42,48 @@ class BranchPredictor {
   explicit BranchPredictor(const BranchPredictorConfig& config);
 
   // Records the outcome of the branch terminating the block at |pc| and
-  // returns its cost in cycles. |taken| reports the actual direction.
-  // Inline: charged on every block transition, and the common
-  // predictor-disabled configuration reduces to two compares.
-  Cycles OnBranch(Addr pc, BranchKind kind, bool taken) {
+  // returns its cost in cycles. |taken| reports the actual direction; a
+  // mispredict is reported by incrementing |mispredicts| (the machine's PMU
+  // counter, or the executor's deferred tally of it). Inline: charged on
+  // every block transition, and the common predictor-disabled configuration
+  // reduces to two compares.
+  Cycles OnBranch(Addr pc, BranchKind kind, bool taken, std::uint64_t& mispredicts) {
     if (kind == BranchKind::kNone) {
       return 0;
     }
     if (!config_.enabled) {
       return config_.disabled_cost;
     }
-    return OnBranchEnabled(pc, kind, taken);
+    return OnBranchEnabled(pc, kind, taken, mispredicts);
   }
 
   // Slot-folded variant for the compiled executor backend: |slot| must equal
   // pc % btb_entries (the compiled stream precomputes it per block at
   // Program::CompiledFor time, removing the modulo from the hot path).
-  // Identical outcome and state transitions to OnBranch(pc, kind, taken).
-  Cycles OnBranchSlot(std::uint32_t slot, Addr pc, BranchKind kind, bool taken) {
+  // Identical outcome and state transitions to OnBranch().
+  Cycles OnBranchSlot(std::uint32_t slot, Addr pc, BranchKind kind, bool taken,
+                      std::uint64_t& mispredicts) {
     if (kind == BranchKind::kNone) {
       return 0;
     }
     if (!config_.enabled) {
       return config_.disabled_cost;
     }
-    return OnBranchEnabledAt(slot, pc, kind, taken);
+    return OnBranchEnabledAt(slot, pc, kind, taken, mispredicts);
   }
 
   void Reset();
 
   const BranchPredictorConfig& config() const { return config_; }
-  std::uint64_t mispredicts() const { return mispredicts_; }
 
  private:
   // BTB/counter update for the predictor-enabled configuration.
-  Cycles OnBranchEnabled(Addr pc, BranchKind kind, bool taken);
+  Cycles OnBranchEnabled(Addr pc, BranchKind kind, bool taken, std::uint64_t& mispredicts);
 
   // Body of the update with the BTB slot already computed. Inline: the
   // compiled executor charges one of these per block transition.
-  Cycles OnBranchEnabledAt(std::uint32_t slot, Addr pc, BranchKind kind, bool taken) {
+  Cycles OnBranchEnabledAt(std::uint32_t slot, Addr pc, BranchKind kind, bool taken,
+                           std::uint64_t& mispredicts) {
     // Unconditional branches and returns hit the BTB / return stack; model
     // them as predicted correctly after first sight.
     Entry& e = btb_[slot];
@@ -91,7 +94,7 @@ class BranchPredictor {
       if (seen) {
         return config_.correct_taken;
       }
-      mispredicts_++;
+      mispredicts++;
       return config_.mispredict;
     }
     // Conditional: 2-bit saturating counter.
@@ -107,7 +110,7 @@ class BranchPredictor {
     if (seen && predicted_taken == taken) {
       cost = taken ? config_.correct_taken : config_.correct_not_taken;
     } else {
-      mispredicts_++;
+      mispredicts++;
       cost = config_.mispredict;
     }
     if (taken && e.counter < 3) {
@@ -126,7 +129,6 @@ class BranchPredictor {
 
   BranchPredictorConfig config_;
   std::vector<Entry> btb_;
-  std::uint64_t mispredicts_ = 0;
 };
 
 }  // namespace pmk

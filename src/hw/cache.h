@@ -19,6 +19,9 @@
 // access in the repository funnels through Access()/AccessLine(); they are
 // defined inline here so the executor's inner loop does not pay a cross-TU
 // call per access.
+//
+// A Cache is pure line state: it reports hit or miss and counts nothing.
+// The machine's HwCounters (src/hw/machine.h) are the one record of events.
 
 #ifndef SRC_HW_CACHE_H_
 #define SRC_HW_CACHE_H_
@@ -58,15 +61,6 @@ struct CacheConfig {
   void Validate() const;
 };
 
-// Statistics counters for one cache instance.
-struct CacheStats {
-  std::uint64_t accesses = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-
-  void Reset() { *this = CacheStats{}; }
-};
-
 class Cache {
  public:
   // Validates |config| (see CacheConfig::Validate) and precomputes the
@@ -78,41 +72,24 @@ class Cache {
   bool Access(Addr addr) { return AccessLine(SetIndexOf(addr), TagOf(addr)); }
 
   // Split entry point for callers that already know the line's set and tag
-  // (e.g. precomputed instruction-fetch spans). Identical state transitions
-  // and statistics to Access(); Access(a) == AccessLine(SetIndexOf(a),
+  // (precomputed compiled-stream probes, Machine::DataAccessRun). Identical
+  // state transitions to Access(); Access(a) == AccessLine(SetIndexOf(a),
   // TagOf(a)) by construction. Dispatches to a way-count-specialised body for
   // the two modelled geometries (4-way L1, 8-way L2) so the compiler unrolls
   // the tag scan.
   bool AccessLine(std::uint32_t set, Addr tag) {
     if (ways_ == 4) {
-      return AccessLineImpl<4, true>(set, tag);
+      return AccessLineImpl<4>(set, tag);
     }
     if (ways_ == 8) {
-      return AccessLineImpl<8, true>(set, tag);
+      return AccessLineImpl<8>(set, tag);
     }
-    return AccessLineImpl<0, true>(set, tag);
+    return AccessLineImpl<0>(set, tag);
   }
 
-  // Stats-deferred lookup for batching callers (Machine::DataAccessRun and
-  // the compiled executor streams, src/kir/compiled.h): identical line-state
-  // transitions to AccessLine(), but CacheStats is left untouched — the
-  // caller tallies accesses/misses locally and flushes once per batch via
-  // AddStats(). Every access increments exactly one of hits/misses, so
-  // AddStats(n, misses) with hits = n - misses reproduces the per-access
-  // counters exactly.
-  bool AccessLineNoStats(std::uint32_t set, Addr tag) {
-    if (ways_ == 4) {
-      return AccessLineImpl<4, false>(set, tag);
-    }
-    if (ways_ == 8) {
-      return AccessLineImpl<8, false>(set, tag);
-    }
-    return AccessLineImpl<0, false>(set, tag);
-  }
-
-  // True when SweepLines() below may replace a per-access AccessLineNoStats
-  // loop: the SSE2 fast-scan geometry (4-way), the round-robin victim fast
-  // path (nothing locked), and the tags fitting one 16-byte group per set.
+  // True when SweepLines() below may replace a per-access AccessLine loop:
+  // the SSE2 fast-scan geometry (4-way), the round-robin victim fast path
+  // (nothing locked), and the tags fitting one 16-byte group per set.
   bool SweepEligible() const {
 #if defined(__SSE2__)
     return ways_ == 4 && locked_ways_ == 0 &&
@@ -126,9 +103,9 @@ class Cache {
   // 2*line, ... — one access per consecutive cache line, the shape of the
   // kernel's object-clearing loops (Machine::DataAccessRun with stride ==
   // line_bytes). State transitions and miss outcomes are identical to the
-  // equivalent AccessLineNoStats loop; stats stay deferred to the caller.
-  // Returns the number of misses and writes their addresses to |missed|
-  // (capacity >= count). Caller must check SweepEligible().
+  // equivalent AccessLine loop. Returns the number of misses and writes
+  // their addresses to |missed| (capacity >= count). Caller must check
+  // SweepEligible().
   //
   // Consecutive lines occupy consecutive sets, so the probe walks the tag
   // array linearly, 16 bytes per access, and the tag is constant until the
@@ -178,13 +155,6 @@ class Cache {
 #endif
   }
 
-  // Batched statistics flush paired with AccessLineNoStats().
-  void AddStats(std::uint64_t accesses, std::uint64_t misses) {
-    stats_.accesses += accesses;
-    stats_.hits += accesses - misses;
-    stats_.misses += misses;
-  }
-
   // Returns true if |addr|'s line is currently resident (no state change).
   bool Contains(Addr addr) const {
     const std::size_t base = static_cast<std::size_t>(SetIndexOf(addr)) * ways_;
@@ -223,8 +193,6 @@ class Cache {
   void Pollute(Addr garbage_base, double fraction = 1.0);
 
   const CacheConfig& config() const { return config_; }
-  const CacheStats& stats() const { return stats_; }
-  void ResetStats() { stats_.Reset(); }
 
   // Line-state generation: incremented whenever any line's residency can
   // change — an allocating miss, InstallLine, InvalidateAll, Pollute, or a
@@ -272,23 +240,13 @@ class Cache {
     return false;
   }
 
-  // Way-count-specialised lookup body; |kWays| == 0 means runtime ways_,
-  // |kStats| == false defers CacheStats to the caller (AccessLineNoStats).
-  template <std::uint32_t kWays, bool kStats>
+  // Way-count-specialised lookup body; |kWays| == 0 means runtime ways_.
+  template <std::uint32_t kWays>
   bool AccessLineImpl(std::uint32_t set, Addr tag) {
     const std::uint32_t ways = kWays != 0 ? kWays : ways_;
-    if constexpr (kStats) {
-      stats_.accesses++;
-    }
     const std::size_t base = static_cast<std::size_t>(set) * ways;
     if (ScanWays<kWays>(base, tag)) {
-      if constexpr (kStats) {
-        stats_.hits++;
-      }
       return true;
-    }
-    if constexpr (kStats) {
-      stats_.misses++;
     }
     // Allocate, unless every way is locked (then the line bypasses the cache).
     if ((locked_ways_ & all_ways_mask_) == all_ways_mask_) {
@@ -362,7 +320,6 @@ class Cache {
   std::uint32_t locked_ways_ = 0;       // bitmask of locked ways
   std::uint64_t lfsr_ = 0xACE1u;        // pseudo-random replacement state
   std::uint64_t gen_ = 1;               // line-state generation, see Gen()
-  CacheStats stats_;
 };
 
 }  // namespace pmk

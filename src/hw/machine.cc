@@ -32,7 +32,7 @@ Machine::Machine(const Machine& other)
 }
 
 void Machine::DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride, bool write,
-                            PathTally* tally) {
+                            HwCounters& tally) {
   (void)write;  // write-allocate: same penalty either way
   Cycles cost = config_.memory.load_use_stall * count;
   std::uint32_t misses = 0;
@@ -44,7 +44,7 @@ void Machine::DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride
   // collecting the missing addresses, then sweep the misses through the L2.
   // The two caches share no state and each still sees its accesses in the
   // same relative order as the interleaved per-access loop, so line contents,
-  // replacement state, statistics and charged cycles are all identical — but
+  // replacement state, counters and charged cycles are all identical — but
   // each sweep walks one tag array with a regular stride. The L1 tag array
   // (8 KiB at the modelled 16 KiB/4-way geometry) lives in the host L1 and
   // needs no prefetching; the L2 sweep prefetches the next set's tag group.
@@ -63,7 +63,7 @@ void Machine::DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride
       addr += static_cast<Addr>(tile) * stride;
     } else {
       for (std::uint32_t i = 0; i < tile; ++i) {
-        if (!l1d_.AccessLineNoStats(l1d_.SetIndexOf(addr), l1d_.TagOf(addr))) {
+        if (!l1d_.AccessLine(l1d_.SetIndexOf(addr), l1d_.TagOf(addr))) {
           missed[n_missed++] = addr;
         }
         addr += stride;
@@ -83,7 +83,7 @@ void Machine::DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride
             l2_.PrefetchSet(l2_.SetIndexOf(missed[i + 1]));
           }
           Cycles penalty;
-          if (l2_.AccessLineNoStats(l2_.SetIndexOf(missed[i]), l2_.TagOf(missed[i]))) {
+          if (l2_.AccessLine(l2_.SetIndexOf(missed[i]), l2_.TagOf(missed[i]))) {
             penalty = config_.memory.l2_hit_latency;
           } else {
             ++l2_miss;
@@ -96,23 +96,11 @@ void Machine::DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride
     }
     remaining -= tile;
   }
-  if (tally != nullptr) {
-    tally->l1d_accesses += count;
-    tally->l1d_misses += misses;
-    tally->l2_accesses += l2_acc;
-    tally->l2_misses += l2_miss;
-    tally->mem_stall_cycles += stall;
-  } else {
-    counters_.l1d_accesses += count;
-    counters_.l1d_misses += misses;
-    counters_.l2_accesses += l2_acc;
-    counters_.l2_misses += l2_miss;
-    counters_.mem_stall_cycles += stall;
-    l1d_.AddStats(count, misses);
-    if (l2_acc != 0) {
-      l2_.AddStats(l2_acc, l2_miss);
-    }
-  }
+  tally.l1d_accesses += count;
+  tally.l1d_misses += misses;
+  tally.l2_accesses += l2_acc;
+  tally.l2_misses += l2_miss;
+  tally.mem_stall_cycles += stall;
   Advance(cost);
 }
 
@@ -123,12 +111,6 @@ void Machine::PolluteCaches() {
   // only displaces part of the 128 KiB L2 between runs (paper Section 5.4).
   l2_.Pollute(kPolluteBaseL2, 0.5);
   bpred_.Reset();
-}
-
-void Machine::ResetStats() {
-  l1i_.ResetStats();
-  l1d_.ResetStats();
-  l2_.ResetStats();
 }
 
 }  // namespace pmk

@@ -7,8 +7,8 @@
 // (the analogue of the ARM1136 PMU cycle counter the paper measures with).
 //
 // The cost-charging entries (InstrFetch/DataAccess/Branch/RawCycles and the
-// batched twins the compiled executor uses) are defined inline: they are the
-// simulator's innermost loop and every modelled cycle of every experiment
+// tallied entries the compiled executor uses) are defined inline: they are
+// the simulator's innermost loop and every modelled cycle of every experiment
 // passes through them. Advance() only consults the interval timer when the
 // cycle counter actually crosses its cached deadline — assertion cycles are
 // identical to ticking on every advance (docs/performance.md).
@@ -36,10 +36,12 @@ struct MachineConfig {
   Cycles timer_period = 0;  // 0 = no periodic timer
 };
 
-// Monotonic PMU-style event counters. Unlike the per-cache CacheStats these
-// are never reset (PolluteCaches and ResetStats leave them counting), so
-// snapshot/delta measurement (src/obs/pmu.h) stays valid across the
-// cache-polluting runs of Section 5.4.
+// Monotonic PMU-style event counters: the machine's one record of charged
+// events (caches count nothing themselves). Never reset — PolluteCaches
+// leaves them counting — so snapshot/delta measurement (src/obs/pmu.h) stays
+// valid across the cache-polluting runs of Section 5.4. The compiled
+// executor also keeps one per kernel path as its deferred tally, which
+// Machine::LandTally adds in.
 struct HwCounters {
   std::uint64_t instructions = 0;
   std::uint64_t l1i_accesses = 0;  // I-cache line lookups
@@ -51,6 +53,34 @@ struct HwCounters {
   std::uint64_t branches = 0;  // charged branch events
   std::uint64_t branch_mispredicts = 0;
   std::uint64_t mem_stall_cycles = 0;  // cycles stalled on cache refills
+
+  HwCounters& operator+=(const HwCounters& o) {
+    instructions += o.instructions;
+    l1i_accesses += o.l1i_accesses;
+    l1i_misses += o.l1i_misses;
+    l1d_accesses += o.l1d_accesses;
+    l1d_misses += o.l1d_misses;
+    l2_accesses += o.l2_accesses;
+    l2_misses += o.l2_misses;
+    branches += o.branches;
+    branch_mispredicts += o.branch_mispredicts;
+    mem_stall_cycles += o.mem_stall_cycles;
+    return *this;
+  }
+  HwCounters& operator-=(const HwCounters& o) {
+    instructions -= o.instructions;
+    l1i_accesses -= o.l1i_accesses;
+    l1i_misses -= o.l1i_misses;
+    l1d_accesses -= o.l1d_accesses;
+    l1d_misses -= o.l1d_misses;
+    l2_accesses -= o.l2_accesses;
+    l2_misses -= o.l2_misses;
+    branches -= o.branches;
+    branch_mispredicts -= o.branch_mispredicts;
+    mem_stall_cycles -= o.mem_stall_cycles;
+    return *this;
+  }
+  bool operator==(const HwCounters&) const = default;
 };
 
 class Machine {
@@ -68,7 +98,9 @@ class Machine {
   Machine(const Machine& other);
   Machine& operator=(const Machine&) = delete;
 
-  // --- Cost-charging interface (used by the kernel IR executor) ---
+  // --- Per-access charging (interpreter oracle, direct hardware probes) ---
+  //
+  // Each entry charges one event and lands it on counters() at once.
 
   // Fetches and executes |n_instr| sequential 4-byte instructions starting at
   // |addr|: 1 cycle per instruction plus I-cache refill penalties.
@@ -81,7 +113,7 @@ class Machine {
       counters_.l1i_accesses++;
       if (!l1i_.Access(l * line)) {
         counters_.l1i_misses++;
-        cost += MissPenalty(l * line);
+        cost += MissPenalty(l * line, counters_);
       }
     }
     Advance(cost);
@@ -89,16 +121,7 @@ class Machine {
 
   // One data access (load or store). The access cycle itself is accounted as
   // part of the instruction; this charges only refill penalties.
-  void DataAccess(Addr addr, bool write) {
-    (void)write;  // write-allocate: same penalty either way
-    Cycles cost = config_.memory.load_use_stall;  // pipeline result latency
-    counters_.l1d_accesses++;
-    if (!l1d_.Access(addr)) {
-      counters_.l1d_misses++;
-      cost += MissPenalty(addr);
-    }
-    Advance(cost);
-  }
+  void DataAccess(Addr addr, bool write) { DataAccess(addr, write, counters_); }
 
   // Branch terminating the block at |pc| with actual direction |taken|.
   // Inline: one per block transition, and with the predictor disabled (the
@@ -107,158 +130,55 @@ class Machine {
     if (kind != BranchKind::kNone) {
       counters_.branches++;
     }
-    const std::uint64_t mp_before = bpred_.mispredicts();
-    const Cycles cost = bpred_.OnBranch(pc, kind, taken);
-    counters_.branch_mispredicts += bpred_.mispredicts() - mp_before;
-    Advance(cost);
-  }
-
-  // Branch with the BTB slot precomputed (slot == pc % btb_entries); the
-  // compiled executor backend folds the modulo at Program::CompiledFor time.
-  // Identical charging and state transitions to Branch().
-  void BranchSlot(std::uint32_t slot, Addr pc, BranchKind kind, bool taken) {
-    if (kind != BranchKind::kNone) {
-      counters_.branches++;
-    }
-    const std::uint64_t mp_before = bpred_.mispredicts();
-    const Cycles cost = bpred_.OnBranchSlot(slot, pc, kind, taken);
-    counters_.branch_mispredicts += bpred_.mispredicts() - mp_before;
-    Advance(cost);
+    Advance(bpred_.OnBranch(pc, kind, taken, counters_.branch_mispredicts));
   }
 
   // Charges |n| raw cycles (e.g. coprocessor operations, TLB maintenance).
   void RawCycles(Cycles n) { Advance(n); }
 
-  // --- Batched charging (compiled executor backend, src/kir/compiled) ---
+  // --- Tallied charging (compiled executor backend, src/kir/compiled.h) ---
+  //
+  // These entries count their events into the caller's |tally| instead of
+  // counters(); the executor keeps one tally per kernel path and lands it
+  // with LandTally() at path end, and at every block boundary while a trace
+  // sink reads the counters. Line state, predictor state and the cycle
+  // counter still change at once, so Now(), timer assertions and preemption
+  // visibility are exact at every block boundary. The counters are
+  // order-independent sums, so a landed tally equals the per-access updates.
 
-  // Accumulated PMU-counter deltas and cycle cost of one charge batch (a
-  // compiled block's stream, or one DataAccessRun). Equivalent, summed, to
-  // the per-access counter updates and Advance() calls of the incremental
-  // entries above: counter totals are order-independent sums, and fusing the
-  // intra-batch Advance() calls is observable nowhere — the interval timer
-  // asserts at its scheduled deadline (IntervalTimer::Tick), not at the
-  // cycle count that crossed it, and all observers (fault hooks, trace
-  // windows, preemption polls) run at batch boundaries.
-  struct ChargeDelta {
-    Cycles cost = 0;
-    std::uint32_t instructions = 0;
-    std::uint32_t l1i_accesses = 0;
-    std::uint32_t l1i_misses = 0;
-    std::uint32_t l1d_accesses = 0;
-    std::uint32_t l1d_misses = 0;
-    std::uint32_t l2_accesses = 0;
-    std::uint32_t l2_misses = 0;
-    std::uint64_t mem_stall = 0;
-  };
-
-  // Applies one batch: counter flush plus a single Advance(). The caller is
-  // responsible for the matching Cache::AddStats() flushes.
-  void ApplyChargeDelta(const ChargeDelta& d) {
-    counters_.instructions += d.instructions;
-    counters_.l1i_accesses += d.l1i_accesses;
-    counters_.l1i_misses += d.l1i_misses;
-    counters_.l1d_accesses += d.l1d_accesses;
-    counters_.l1d_misses += d.l1d_misses;
-    counters_.l2_accesses += d.l2_accesses;
-    counters_.l2_misses += d.l2_misses;
-    counters_.mem_stall_cycles += d.mem_stall;
-    Advance(d.cost);
-  }
-
-  // Deferred path accounting (compiled executor backend): PMU-counter and
-  // cache-statistics deltas accumulated across a whole kernel path and
-  // flushed once at path end (Executor::End) instead of once per block.
-  // Cycle advancement is NOT deferred — every charge entry still calls
-  // Advance() immediately, so Now(), timer assertions and preemption
-  // visibility are exact at every block boundary. Counters and stats are
-  // order-independent sums with no mid-path reader (PMU snapshots are taken
-  // between paths; trace-sink block windows force the eager path), so the
-  // single flush is observationally identical.
-  struct PathTally {
-    std::uint64_t instructions = 0;
-    std::uint64_t l1i_accesses = 0;
-    std::uint64_t l1i_misses = 0;
-    std::uint64_t l1d_accesses = 0;
-    std::uint64_t l1d_misses = 0;
-    std::uint64_t l2_accesses = 0;
-    std::uint64_t l2_misses = 0;
-    std::uint64_t branches = 0;
-    std::uint64_t branch_mispredicts = 0;
-    std::uint64_t mem_stall_cycles = 0;
-  };
-
-  // Flushes one path's accumulated deltas: PMU counters plus the matching
-  // per-cache statistics (the tally's access/miss fields double as the
-  // Cache::AddStats arguments — the charge entries count both from the same
-  // probes).
-  void ApplyPathTally(const PathTally& t) {
-    counters_.instructions += t.instructions;
-    counters_.l1i_accesses += t.l1i_accesses;
-    counters_.l1i_misses += t.l1i_misses;
-    counters_.l1d_accesses += t.l1d_accesses;
-    counters_.l1d_misses += t.l1d_misses;
-    counters_.l2_accesses += t.l2_accesses;
-    counters_.l2_misses += t.l2_misses;
-    counters_.branches += t.branches;
-    counters_.branch_mispredicts += t.branch_mispredicts;
-    counters_.mem_stall_cycles += t.mem_stall_cycles;
-    if (t.l1i_accesses != 0) {
-      l1i_.AddStats(t.l1i_accesses, t.l1i_misses);
-    }
-    if (t.l1d_accesses != 0) {
-      l1d_.AddStats(t.l1d_accesses, t.l1d_misses);
-    }
-    if (t.l2_accesses != 0) {
-      l2_.AddStats(t.l2_accesses, t.l2_misses);
-    }
-  }
-
-  // BranchSlot twin that defers the two counter updates into |t|. Predictor
-  // state (BTB, internal mispredict count) and Advance() stay immediate.
-  void BranchSlotTallied(std::uint32_t slot, Addr pc, BranchKind kind, bool taken,
-                         PathTally& t) {
+  // Branch with the BTB slot precomputed (slot == pc % btb_entries); the
+  // compiled executor backend folds the modulo at Program::CompiledFor time.
+  // Identical charging and state transitions to Branch().
+  void BranchSlot(std::uint32_t slot, Addr pc, BranchKind kind, bool taken, HwCounters& tally) {
     if (kind != BranchKind::kNone) {
-      t.branches++;
+      tally.branches++;
     }
-    const std::uint64_t mp_before = bpred_.mispredicts();
-    const Cycles cost = bpred_.OnBranchSlot(slot, pc, kind, taken);
-    t.branch_mispredicts += bpred_.mispredicts() - mp_before;
-    Advance(cost);
+    Advance(bpred_.OnBranchSlot(slot, pc, kind, taken, tally.branch_mispredicts));
   }
 
-  // DataAccess twin with counters and cache stats deferred into |t|.
-  void DataAccessTallied(Addr addr, bool write, PathTally& t) {
+  // DataAccess() with its events counted into |tally|; the per-access entry
+  // is this with the machine's own counters as the tally.
+  void DataAccess(Addr addr, bool write, HwCounters& tally) {
     (void)write;  // write-allocate: same penalty either way
-    Cycles cost = config_.memory.load_use_stall;
-    t.l1d_accesses++;
-    if (!l1d_.AccessLineNoStats(l1d_.SetIndexOf(addr), l1d_.TagOf(addr))) {
-      t.l1d_misses++;
-      Cycles penalty;
-      if (!config_.l2_enabled) {
-        penalty = config_.memory.mem_latency_l2_off;
-      } else {
-        t.l2_accesses++;
-        if (l2_.AccessLineNoStats(l2_.SetIndexOf(addr), l2_.TagOf(addr))) {
-          penalty = config_.memory.l2_hit_latency;
-        } else {
-          t.l2_misses++;
-          penalty = config_.memory.mem_latency_l2_on;
-        }
-      }
-      t.mem_stall_cycles += penalty;
-      cost += penalty;
+    Cycles cost = config_.memory.load_use_stall;  // pipeline result latency
+    tally.l1d_accesses++;
+    if (!l1d_.Access(addr)) {
+      tally.l1d_misses++;
+      cost += MissPenalty(addr, tally);
     }
     Advance(cost);
   }
 
   // |count| data accesses at base, base+stride, ... — the object-clearing
   // loops of the kernel issue these as one call instead of one DataAccess
-  // per modelled line. Identical modelled state to the per-access loop
-  // (see ChargeDelta above for why the fused Advance is safe). With |tally|
-  // set, counters and cache stats land in the tally instead of the machine
-  // (deferred path accounting above).
+  // per modelled line. Identical modelled state to the per-access loop: the
+  // fused Advance is observable nowhere, because the interval timer asserts
+  // at its scheduled deadline (IntervalTimer::Tick), not at the cycle count
+  // that crossed it, and every observer runs at block boundaries.
   void DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride, bool write,
-                     PathTally* tally = nullptr);
+                     HwCounters& tally);
+
+  void LandTally(const HwCounters& tally) { counters_ += tally; }
 
   // --- Worst-case measurement support (paper Section 5.4) ---
 
@@ -286,26 +206,25 @@ class Machine {
 
   bool l2_enabled() const { return config_.l2_enabled; }
 
-  void ResetStats();
-
  private:
-  // Refill penalty for a line missing in an L1 cache. Inline: streaming
-  // workloads (object clears, cache-polluted campaign runs) miss on nearly
-  // every access, so this sits on the hot path alongside Access().
-  Cycles MissPenalty(Addr addr) {
+  // Refill penalty for a line missing in an L1 cache, counted into |c|.
+  // Inline: streaming workloads (object clears, cache-polluted campaign runs)
+  // miss on nearly every access, so this sits on the hot path alongside
+  // Access().
+  Cycles MissPenalty(Addr addr, HwCounters& c) {
     Cycles penalty;
     if (!config_.l2_enabled) {
       penalty = config_.memory.mem_latency_l2_off;
     } else {
-      counters_.l2_accesses++;
+      c.l2_accesses++;
       if (l2_.Access(addr)) {
         penalty = config_.memory.l2_hit_latency;
       } else {
-        counters_.l2_misses++;
+        c.l2_misses++;
         penalty = config_.memory.mem_latency_l2_on;
       }
     }
-    counters_.mem_stall_cycles += penalty;
+    c.mem_stall_cycles += penalty;
     return penalty;
   }
 

@@ -16,13 +16,13 @@
 //     (CompiledBlock::btb_index, consumed by Machine::BranchSlot).
 //
 // The runner (CompiledProgram::Run) executes a stream with computed-goto
-// dispatch — one indirect jump per op, no loop bookkeeping. PMU counters and
-// cache statistics are tallied locally and flushed once per block
-// (Machine::ApplyChargeDelta, Cache::AddStats), and the whole block advances
-// the cycle counter once; docs/performance.md walks through why
-// every observable (timer assertion times, fault hooks, trace windows,
-// counter totals, cache state) is bit-identical to the interpreter oracle's
-// per-access charging (Executor::ChargeMode::kInterpreted).
+// dispatch — one indirect jump per op, no loop bookkeeping. Event counts
+// stay in locals until the kEnd op adds them to the executor's path tally
+// (an HwCounters, landed on the machine by Executor::LandTally), and the
+// whole block advances the cycle counter once; docs/performance.md walks
+// through why every observable (timer assertion times, fault hooks, trace
+// windows, counter totals, cache state) is bit-identical to the interpreter
+// oracle's per-access charging (Executor::ChargeMode::kInterpreted).
 // hotpath_equivalence_test enforces the identity.
 
 #ifndef SRC_KIR_COMPILED_H_
@@ -62,7 +62,7 @@ struct CompiledOp {
     kRegConst,  // regs[dst] = imm
     kRegAdd,    // regs[dst] += imm
     kRegMov,    // regs[dst] = regs[src]
-    kEnd,       // flush counters, advance base_cost + accumulated penalties
+    kEnd,       // tally counts, advance base_cost + accumulated penalties
   };
 
   Kind kind = Kind::kEnd;
@@ -81,7 +81,7 @@ struct CompiledOp {
     struct {
       std::uint32_t n_lines;     // kILine ops in this stream
       std::uint32_t n_accesses;  // kDAcc ops in this stream
-      std::uint32_t n_instr;     // instruction count (counter flush)
+      std::uint32_t n_instr;     // instruction count (tallied at kEnd)
       Cycles base_cost;          // n_instr + raw_cycles + n_accesses * load_use_stall
     } end;
   } u = {};
@@ -116,17 +116,13 @@ class CompiledProgram {
   std::size_t num_blocks() const { return blocks_.size(); }
 
   // Executes one charge stream against |m|: cache lookups in declaration
-  // order, local counter tally, one flush. Register ops are interpreted into
-  // |regs|/|written| exactly like the interpreter does. With |tally| set the
-  // flush lands in the tally (deferred path accounting, flushed by
-  // Executor::End via Machine::ApplyPathTally); otherwise counters and cache
-  // stats flush eagerly per block (required when a trace sink needs
-  // boundary-exact counters). The cycle Advance is immediate either way.
-  // Returns the number of I-line misses the stream took, so the executor can
-  // arm the hit_ops memo after a fully-hitting run.
+  // order, the block's event counts added to |tally| at kEnd, one cycle
+  // Advance. Register ops are interpreted into |regs|/|written| exactly like
+  // the interpreter does. Returns the number of I-line misses the stream
+  // took, so the executor can arm the hit_ops memo after a fully-hitting run.
   static std::uint32_t Run(const CompiledOp* op, Machine& m,
                            std::array<std::int64_t, 16>& regs, std::uint16_t& written,
-                           Machine::PathTally* tally = nullptr);
+                           HwCounters& tally);
 
  private:
   CompiledSpec spec_;

@@ -84,10 +84,20 @@ void Executor::set_charge_mode(ChargeMode mode) {
   CountChargeMode(mode);
 }
 
+void Executor::set_trace_sink(TraceSink* sink) {
+  sink_ = sink;
+  RefreshPlainPath();
+  if (sink_ != nullptr && cur_ != kNoBlock) {
+    // Attached inside a block: its window starts here, from exact counters.
+    LandTally();
+    OpenBlockWindow();
+  }
+}
+
 void Executor::Fail(const std::string& msg) const {
   // Land any deferred counters before unwinding so post-mortem PMU reads see
   // everything charged up to the failure point.
-  FlushPathTally();
+  LandTally();
   std::string ctx = msg;
   if (cur_ != kNoBlock) {
     ctx += " (current block: " + program_->block(cur_).name + ")";
@@ -107,7 +117,6 @@ void Executor::Begin(FuncId entry_func) {
   call_stack_.clear();
   regs_.fill(0);
   written_ = 0;
-  tally_ = Machine::PathTally{};
   if (recording_) {
     trace_.Clear();
     trace_.start_cycle = machine_->Now();
@@ -129,6 +138,7 @@ void Executor::OpenBlockWindow() {
 }
 
 void Executor::CloseBlockWindow() {
+  LandTally();
   const Block& b = program_->block(cur_);
   TraceEvent e;
   e.kind = TraceEventKind::kBlockCost;
@@ -300,11 +310,11 @@ void Executor::AtInterpreted(BlockId bid) {
 }
 
 // Defined here rather than in compiled.cc so the dispatch loop inlines into
-// AtCompiled, its only caller: the per-block call, the l1i/l1d/l2 reference
-// setup and the tally-pointer test all fold into the surrounding frame.
+// AtCompiled, its only caller: the per-block call and the l1i/l1d/l2
+// reference setup fold into the surrounding frame.
 std::uint32_t CompiledProgram::Run(const CompiledOp* op, Machine& m,
                                    std::array<std::int64_t, 16>& regs, std::uint16_t& written,
-                                   Machine::PathTally* tally) {
+                                   HwCounters& tally) {
   Cache& l1i = m.l1i();
   Cache& l1d = m.l1d();
   Cache& l2 = m.l2();
@@ -318,14 +328,14 @@ std::uint32_t CompiledProgram::Run(const CompiledOp* op, Machine& m,
   std::uint64_t stall = 0;
 
   // The L1-miss path, with the L2 set/tag folded into the op. Mirrors
-  // Machine::MissPenalty with stats deferred to the kEnd flush.
+  // Machine::MissPenalty with the counts kept local until kEnd.
   const auto miss_penalty = [&](const CompiledOp& o) -> Cycles {
     Cycles p;
     if (!l2on) {
       p = mem.mem_latency_l2_off;
     } else {
       ++l2acc;
-      if (l2.AccessLineNoStats(o.u.mem.l2_set, o.u.mem.l2_tag)) {
+      if (l2.AccessLine(o.u.mem.l2_set, o.u.mem.l2_tag)) {
         p = mem.l2_hit_latency;
       } else {
         ++l2miss;
@@ -335,39 +345,6 @@ std::uint32_t CompiledProgram::Run(const CompiledOp* op, Machine& m,
     stall += p;
     return p;
   };
-  const auto flush = [&](const CompiledOp& o) {
-    if (tally != nullptr) {
-      tally->instructions += o.u.end.n_instr;
-      tally->l1i_accesses += o.u.end.n_lines;
-      tally->l1i_misses += imiss;
-      tally->l1d_accesses += o.u.end.n_accesses;
-      tally->l1d_misses += dmiss;
-      tally->l2_accesses += l2acc;
-      tally->l2_misses += l2miss;
-      tally->mem_stall_cycles += stall;
-      m.RawCycles(o.u.end.base_cost + penalties);
-      return;
-    }
-    Machine::ChargeDelta d;
-    d.cost = o.u.end.base_cost + penalties;
-    d.instructions = o.u.end.n_instr;
-    d.l1i_accesses = o.u.end.n_lines;
-    d.l1i_misses = imiss;
-    d.l1d_accesses = o.u.end.n_accesses;
-    d.l1d_misses = dmiss;
-    d.l2_accesses = l2acc;
-    d.l2_misses = l2miss;
-    d.mem_stall = stall;
-    l1i.AddStats(o.u.end.n_lines, imiss);
-    if (o.u.end.n_accesses != 0) {
-      l1d.AddStats(o.u.end.n_accesses, dmiss);
-    }
-    if (l2acc != 0) {
-      l2.AddStats(l2acc, l2miss);
-    }
-    m.ApplyChargeDelta(d);
-  };
-
   // Computed-goto dispatch (labels as values, which GCC and Clang, the
   // supported compilers, provide): each op's handler jumps straight to the
   // next op's label. Label table order must match CompiledOp::Kind
@@ -379,14 +356,14 @@ std::uint32_t CompiledProgram::Run(const CompiledOp* op, Machine& m,
 #define PMK_NEXT() goto* kDispatch[static_cast<std::uint8_t>(op->kind)]
   PMK_NEXT();
 op_iline:
-  if (!l1i.AccessLineNoStats(op->u.mem.l1_set, op->u.mem.l1_tag)) {
+  if (!l1i.AccessLine(op->u.mem.l1_set, op->u.mem.l1_tag)) {
     ++imiss;
     penalties += miss_penalty(*op);
   }
   ++op;
   PMK_NEXT();
 op_dacc:
-  if (!l1d.AccessLineNoStats(op->u.mem.l1_set, op->u.mem.l1_tag)) {
+  if (!l1d.AccessLine(op->u.mem.l1_set, op->u.mem.l1_tag)) {
     ++dmiss;
     penalties += miss_penalty(*op);
   }
@@ -408,7 +385,15 @@ op_rmov:
   ++op;
   PMK_NEXT();
 op_end:
-  flush(*op);
+  tally.instructions += op->u.end.n_instr;
+  tally.l1i_accesses += op->u.end.n_lines;
+  tally.l1i_misses += imiss;
+  tally.l1d_accesses += op->u.end.n_accesses;
+  tally.l1d_misses += dmiss;
+  tally.l2_accesses += l2acc;
+  tally.l2_misses += l2miss;
+  tally.mem_stall_cycles += stall;
+  m.RawCycles(op->u.end.base_cost + penalties);
   return imiss;
 #undef PMK_NEXT
 }
@@ -418,18 +403,10 @@ void Executor::AtCompiled(BlockId bid) {
     Fail("At() outside a kernel path");
   }
   const CompiledBlock& cb = compiled_->block(bid);
-  // Without a sink, counters and cache stats defer into tally_ (flushed at
-  // End); sink block windows need boundary-exact counters, so a sink forces
-  // the eager per-block flush.
-  Machine::PathTally* const tally = sink_ == nullptr ? &tally_ : nullptr;
   const CompiledBlock* const prev = cur_ != kNoBlock ? cur_cblock_ : nullptr;
   const EdgeBranch br = TakeEdge(prev != nullptr ? &prev->edges : nullptr, bid);
   if (br.kind != BranchKind::kNone) {
-    if (tally != nullptr) {
-      machine_->BranchSlotTallied(prev->btb_index, prev->branch_pc, br.kind, br.taken, *tally);
-    } else {
-      machine_->BranchSlot(prev->btb_index, prev->branch_pc, br.kind, br.taken);
-    }
+    machine_->BranchSlot(prev->btb_index, prev->branch_pc, br.kind, br.taken, tally_);
   }
   Enter(bid, prev != nullptr ? &prev->edges : nullptr, cb.edges.is_preemption_point);
   cur_cblock_ = &cb;
@@ -437,23 +414,23 @@ void Executor::AtCompiled(BlockId bid) {
   // the L1I's line state has not changed since (Cache::Gen — hits mutate
   // nothing, so only installs elsewhere can evict them), skip the I-line
   // probes entirely via the kILine-free twin stream. Steady-state loop
-  // bodies reduce to their data accesses and the shared kEnd flush.
+  // bodies reduce to their data accesses and the shared kEnd tally.
   const std::uint64_t l1i_gen = machine_->l1i().Gen();
   if (iline_gen_[bid] == l1i_gen) {
     const CompiledOp* h = cb.hit_ops;
-    if (h->kind == CompiledOp::Kind::kEnd && tally != nullptr) {
+    if (h->kind == CompiledOp::Kind::kEnd) {
       // Common fully-memoised shape: a block with no static accesses and no
       // register ops (data touched via dynamic Touch instead) reduces to its
       // kEnd op. n_accesses is zero by construction (kDAcc ops would
       // otherwise precede the kEnd), so the whole charge is two counter
       // adds and the cycle advance.
-      tally->instructions += h->u.end.n_instr;
-      tally->l1i_accesses += h->u.end.n_lines;
+      tally_.instructions += h->u.end.n_instr;
+      tally_.l1i_accesses += h->u.end.n_lines;
       machine_->RawCycles(h->u.end.base_cost);
     } else {
-      CompiledProgram::Run(h, *machine_, regs_, written_, tally);
+      CompiledProgram::Run(h, *machine_, regs_, written_, tally_);
     }
-  } else if (CompiledProgram::Run(cb.ops, *machine_, regs_, written_, tally) == 0) {
+  } else if (CompiledProgram::Run(cb.ops, *machine_, regs_, written_, tally_) == 0) {
     // Zero I-misses: the run itself did not touch L1I line state, so the
     // generation read above is still current.
     iline_gen_[bid] = l1i_gen;
@@ -517,7 +494,7 @@ void Executor::End() {
   if (recording_) {
     trace_.end_cycle = machine_->Now();
   }
-  FlushPathTally();
+  LandTally();
   FlushBlocksCharged();
 }
 

@@ -126,9 +126,6 @@ void ChromeTraceWriter::Write(std::ostream& os) const {
         p.End();
         break;
       case TraceEventKind::kBlockCost:
-        if (!include_blocks_) {
-          break;
-        }
         p.Begin("X", name, "block", us(e.cycle - e.arg0), 0, kKernelTid);
         p.Field("dur", EventPrinter::Num(us(e.arg0)));
         std::snprintf(buf, sizeof(buf),

@@ -28,10 +28,6 @@ class ChromeTraceWriter : public TraceSink {
  public:
   explicit ChromeTraceWriter(const ClockSpec& clock) : clock_(clock) {}
 
-  // Include per-block "X" events (one per basic-block execution). On by
-  // default; switch off for long runs where only the span structure matters.
-  void set_include_blocks(bool include) { include_blocks_ = include; }
-
   // Event names are interned into writer-owned storage: producers (the kir
   // executor) point them at block-name strings owned by the running System,
   // and a process-wide writer (bench::GlobalTrace) outlives those Systems.
@@ -58,7 +54,6 @@ class ChromeTraceWriter : public TraceSink {
 
  private:
   ClockSpec clock_;
-  bool include_blocks_ = true;
   std::vector<TraceEvent> events_;
   std::set<std::string> names_;  // stable addresses backing events_[i].name
 };

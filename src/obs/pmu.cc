@@ -4,39 +4,6 @@
 
 namespace pmk {
 
-PmuSnapshot PmuSnapshot::operator-(const PmuSnapshot& earlier) const {
-  PmuSnapshot d;
-  d.cycles = cycles - earlier.cycles;
-  d.instructions = instructions - earlier.instructions;
-  d.l1i_accesses = l1i_accesses - earlier.l1i_accesses;
-  d.l1i_misses = l1i_misses - earlier.l1i_misses;
-  d.l1d_accesses = l1d_accesses - earlier.l1d_accesses;
-  d.l1d_misses = l1d_misses - earlier.l1d_misses;
-  d.l2_accesses = l2_accesses - earlier.l2_accesses;
-  d.l2_misses = l2_misses - earlier.l2_misses;
-  d.branches = branches - earlier.branches;
-  d.branch_mispredicts = branch_mispredicts - earlier.branch_mispredicts;
-  d.mem_stall_cycles = mem_stall_cycles - earlier.mem_stall_cycles;
-  return d;
-}
-
-PmuSnapshot ReadPmu(const Machine& machine) {
-  PmuSnapshot s;
-  const HwCounters& c = machine.counters();
-  s.cycles = machine.Now();
-  s.instructions = c.instructions;
-  s.l1i_accesses = c.l1i_accesses;
-  s.l1i_misses = c.l1i_misses;
-  s.l1d_accesses = c.l1d_accesses;
-  s.l1d_misses = c.l1d_misses;
-  s.l2_accesses = c.l2_accesses;
-  s.l2_misses = c.l2_misses;
-  s.branches = c.branches;
-  s.branch_mispredicts = c.branch_mispredicts;
-  s.mem_stall_cycles = c.mem_stall_cycles;
-  return s;
-}
-
 std::string FormatPmuDelta(const PmuSnapshot& d, const ClockSpec& clock) {
   char buf[256];
   std::string out;

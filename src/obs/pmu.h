@@ -20,26 +20,25 @@
 
 namespace pmk {
 
-struct PmuSnapshot {
-  Cycles cycles = 0;                    // CCNT
-  std::uint64_t instructions = 0;       // instructions executed
-  std::uint64_t l1i_accesses = 0;       // I-cache line lookups
-  std::uint64_t l1i_misses = 0;
-  std::uint64_t l1d_accesses = 0;
-  std::uint64_t l1d_misses = 0;
-  std::uint64_t l2_accesses = 0;        // L1-miss refills reaching the L2
-  std::uint64_t l2_misses = 0;
-  std::uint64_t branches = 0;           // charged branch events
-  std::uint64_t branch_mispredicts = 0;
-  std::uint64_t mem_stall_cycles = 0;   // cycles stalled on refills
+// One PMU read: the machine's event counters plus the cycle counter.
+struct PmuSnapshot : HwCounters {
+  Cycles cycles = 0;  // CCNT
 
   // Counter-wise difference (this - earlier).
-  PmuSnapshot operator-(const PmuSnapshot& earlier) const;
+  PmuSnapshot operator-(const PmuSnapshot& earlier) const {
+    PmuSnapshot d = *this;
+    d -= earlier;
+    d.cycles -= earlier.cycles;
+    return d;
+  }
+  bool operator==(const PmuSnapshot&) const = default;
 };
 
 // Reads all counters at once. Purely observational: no state change, no
 // modelled cost.
-PmuSnapshot ReadPmu(const Machine& machine);
+inline PmuSnapshot ReadPmu(const Machine& machine) {
+  return {machine.counters(), machine.Now()};
+}
 
 // Formats a delta as a small human-readable table body: one "name value"
 // line per counter, plus derived CPI and miss ratios.

@@ -172,18 +172,6 @@ TEST(ChromeTraceTest, EscapesSpecialCharactersInNames) {
   EXPECT_TRUE(JsonBalanced(out));
 }
 
-TEST(ChromeTraceTest, IncludeBlocksToggleDropsBlockEvents) {
-  ChromeTraceWriter w(TestClock());
-  w.set_include_blocks(false);
-  w.OnEvent(Ev(TraceEventKind::kKernelEntry, 1, "irq"));
-  w.OnEvent(Ev(TraceEventKind::kBlockCost, 5, "blk", 0, 3, 0, 0));
-  w.OnEvent(Ev(TraceEventKind::kKernelExit, 9, "irq"));
-  std::ostringstream os;
-  w.Write(os);
-  EXPECT_EQ(Count(os.str(), "\"cat\":\"block\""), 0);
-  EXPECT_EQ(Count(os.str(), "\"ph\":\"B\""), 1);
-}
-
 TEST(ChromeTraceTest, RealKernelRunProducesBalancedPairedJson) {
   System sys(KernelConfig::After(), EvalMachine(false));
   EndpointObj* ep = nullptr;

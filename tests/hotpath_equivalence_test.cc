@@ -2,13 +2,15 @@
 // cache is cross-checked against an independent reimplementation of the seed
 // cache (SeedModelCache below), and the compiled executor backend against the
 // interpreter oracle (Executor::ChargeMode::kInterpreted), under randomized
-// op streams and whole-kernel workloads on 32- and 64-byte lines. The oracle
-// re-derives everything the compiler folds from the Block descriptors, so a
-// deliberately mis-lowered access must make the comparison fail.
+// op streams and whole-kernel workloads on 32- and 64-byte lines, traced and
+// untraced. The oracle re-derives everything the compiler folds from the
+// Block descriptors, so a deliberately mis-lowered access must make the
+// comparison fail.
 
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "src/hw/machine.h"
 #include "src/kir/compiled.h"
 #include "src/kir/executor.h"
+#include "src/obs/trace_sink.h"
 #include "src/sim/workload.h"
 
 namespace pmk {
@@ -39,17 +42,14 @@ class SeedModelCache {
         rr_next_(config.NumSets(), 0) {}
 
   bool Access(Addr addr) {
-    stats_.accesses++;
     const std::uint32_t set = SetIndexOf(addr);
     const Addr tag = TagOf(addr);
     for (std::uint32_t w = 0; w < config_.ways; ++w) {
       Line& l = LineAt(set, w);
       if (l.valid && l.tag == tag) {
-        stats_.hits++;
         return true;
       }
     }
-    stats_.misses++;
     const std::uint32_t all = config_.ways >= 32 ? ~0u : ((1u << config_.ways) - 1);
     if ((locked_ways_ & all) == all) {
       return false;
@@ -101,7 +101,6 @@ class SeedModelCache {
     }
   }
 
-  const CacheStats& stats() const { return stats_; }
 
  private:
   struct Line {
@@ -151,7 +150,6 @@ class SeedModelCache {
   std::vector<std::uint32_t> rr_next_;
   std::uint32_t locked_ways_ = 0;
   std::uint64_t lfsr_ = 0xACE1u;
-  CacheStats stats_;
 };
 
 // An address stream mixing tight loops (hits), strided sweeps (conflict
@@ -184,12 +182,6 @@ std::vector<Addr> MakeAddressStream(std::mt19937_64& rng, std::size_t n) {
     }
   }
   return out;
-}
-
-void ExpectStatsEq(const CacheStats& a, const CacheStats& b) {
-  EXPECT_EQ(a.accesses, b.accesses);
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.misses, b.misses);
 }
 
 class CacheEquivalenceTest : public ::testing::TestWithParam<ReplacementPolicy> {};
@@ -253,7 +245,6 @@ TEST_P(CacheEquivalenceTest, RandomStreamMatchesSeedModel) {
     }
     pos += burst;
   }
-  ExpectStatsEq(opt.stats(), seed.stats());
 }
 
 // The split AccessLine(set, tag) entry must be exactly Access(addr) when fed
@@ -273,7 +264,6 @@ TEST_P(CacheEquivalenceTest, AccessLineMatchesAccess) {
     EXPECT_EQ(split.TagOf(a), a / cfg.line_bytes / cfg.NumSets());
     ASSERT_EQ(whole.Access(a), split.AccessLine(split.SetIndexOf(a), split.TagOf(a)));
   }
-  ExpectStatsEq(whole.stats(), split.stats());
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, CacheEquivalenceTest,
@@ -327,10 +317,8 @@ TEST(CacheEquivalence, WayLockingUnderSoaLayout) {
   for (std::uint32_t w = 0; w < cfg.ways; ++w) {
     c.LockWay(w);
   }
-  const CacheStats before = c.stats();
   EXPECT_FALSE(c.Access(0x7777'0000));
   EXPECT_FALSE(c.Contains(0x7777'0000));  // bypassed, not allocated
-  EXPECT_EQ(c.stats().misses, before.misses + 1);
 }
 
 // A copied Machine shares the original's LFSR state: identical access
@@ -355,8 +343,7 @@ TEST(CacheEquivalence, LfsrDeterminismAcrossMachineCopies) {
     b.DataAccess(addr, (addr & 64) != 0);
   }
   EXPECT_EQ(a.Now(), b.Now());
-  EXPECT_EQ(a.counters().l1d_misses, b.counters().l1d_misses);
-  ExpectStatsEq(a.l1d().stats(), b.l1d().stats());
+  EXPECT_EQ(a.counters(), b.counters());
   for (const Addr addr : tail) {
     ASSERT_EQ(a.l1d().Contains(addr), b.l1d().Contains(addr));
   }
@@ -367,7 +354,6 @@ TEST(CacheEquivalence, LfsrDeterminismAcrossMachineCopies) {
 struct KernelRunOutcome {
   Cycles now = 0;
   HwCounters counters;
-  CacheStats l1i, l1d, l2;
   std::vector<Cycles> irq_latencies;
   std::uint32_t preemptions = 0;
 };
@@ -376,15 +362,11 @@ KernelRunOutcome Snapshot(const Machine& m) {
   KernelRunOutcome out;
   out.now = m.Now();
   out.counters = m.counters();
-  out.l1i = m.l1i().stats();
-  out.l1d = m.l1d().stats();
-  out.l2 = m.l2().stats();
   return out;
 }
 
 // The comparison every compiled-vs-oracle test makes: final cycle, every PMU
-// counter, every cache's statistics and the interrupt latencies. Names the
-// first field that differs.
+// counter and the interrupt latencies. Names the first field that differs.
 ::testing::AssertionResult OutcomesMatch(const KernelRunOutcome& a, const KernelRunOutcome& b) {
   const std::pair<const char*, bool> fields[] = {
       {"now", a.now == b.now},
@@ -400,9 +382,6 @@ KernelRunOutcome Snapshot(const Machine& m) {
       {"branches", a.counters.branches == b.counters.branches},
       {"branch_mispredicts", a.counters.branch_mispredicts == b.counters.branch_mispredicts},
       {"mem_stall_cycles", a.counters.mem_stall_cycles == b.counters.mem_stall_cycles},
-      {"l1i stats", a.l1i.accesses == b.l1i.accesses && a.l1i.misses == b.l1i.misses},
-      {"l1d stats", a.l1d.accesses == b.l1d.accesses && a.l1d.misses == b.l1d.misses},
-      {"l2 stats", a.l2.accesses == b.l2.accesses && a.l2.misses == b.l2.misses},
   };
   for (const auto& [name, same] : fields) {
     if (!same) {
@@ -483,11 +462,28 @@ KernelRunOutcome RunPreemptSteps(System& sys, const PreemptWorld& w) {
   return out;
 }
 
-KernelRunOutcome RunTimerPreemptWorkload(const MachineConfig& mc, Executor::ChargeMode mode) {
+// |sink|, when set, is attached to the kernel and the interrupt controller
+// for the measured steps.
+KernelRunOutcome RunTimerPreemptWorkload(const MachineConfig& mc, Executor::ChargeMode mode,
+                                         TraceSink* sink = nullptr) {
   System sys(KernelConfig::After(), mc);
   sys.kernel().exec().set_charge_mode(mode);
   const PreemptWorld w = BootPreemptWorld(sys);
+  sys.AttachTraceSink(sink);
   return RunPreemptSteps(sys, w);
+}
+
+// The worst-case IPC: a long, fastpath-ineligible Call, traced into |sink|
+// when set.
+KernelRunOutcome RunWorstIpc(const MachineConfig& mc, Executor::ChargeMode mode,
+                             TraceSink* sink = nullptr) {
+  System sys(KernelConfig::After(), mc);
+  sys.kernel().exec().set_charge_mode(mode);
+  System::WorstIpc w = sys.BuildWorstCaseIpc();
+  sys.kernel().DirectSetCurrent(w.caller);
+  sys.AttachTraceSink(sink);
+  sys.kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args);
+  return Snapshot(sys.machine());
 }
 
 MachineConfig WideLines() {
@@ -532,17 +528,66 @@ TEST(ExecutorEquivalence, CompiledBackendMatchesInterpreter) {
 // at 32- and 64-byte lines.
 TEST(ExecutorEquivalence, GenericChargeModeIsBitIdentical) {
   for (const MachineConfig& mc : {EvalMachine(false), WideLines()}) {
-    KernelRunOutcome out[2];
-    for (const Executor::ChargeMode mode : {kCompiled, kInterpreted}) {
-      System sys(KernelConfig::After(), mc);
-      sys.kernel().exec().set_charge_mode(mode);
-      System::WorstIpc w = sys.BuildWorstCaseIpc();
-      sys.kernel().DirectSetCurrent(w.caller);
-      sys.kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args);
-      out[mode == kCompiled ? 0 : 1] = Snapshot(sys.machine());
+    const KernelRunOutcome compiled = RunWorstIpc(mc, kCompiled);
+    EXPECT_GT(compiled.counters.l1d_misses, 0u);
+    EXPECT_TRUE(OutcomesMatch(compiled, RunWorstIpc(mc, kInterpreted)))
+        << mc.l1i.line_bytes << "-byte lines";
+  }
+}
+
+// Every field of every event — kind, cycle, id and the three arguments —
+// must agree between two traced runs. Names the first event that differs.
+::testing::AssertionResult EventsMatch(const std::vector<TraceEvent>& a,
+                                       const std::vector<TraceEvent>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << a.size() << " vs " << b.size() << " events";
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const TraceEvent& x = a[i];
+    const TraceEvent& y = b[i];
+    if (x.kind != y.kind || x.cycle != y.cycle || x.id != y.id || x.arg0 != y.arg0 ||
+        x.arg1 != y.arg1 || x.arg2 != y.arg2) {
+      return ::testing::AssertionFailure()
+             << "event " << i << " differs: kind " << static_cast<int>(x.kind) << "/"
+             << static_cast<int>(y.kind) << ", cycle " << x.cycle << "/" << y.cycle
+             << ", args " << x.arg0 << "," << x.arg1 << "," << x.arg2 << "/" << y.arg0 << ","
+             << y.arg1 << "," << y.arg2;
     }
-    EXPECT_GT(out[0].counters.l1d_misses, 0u);
-    EXPECT_TRUE(OutcomesMatch(out[0], out[1])) << mc.l1i.line_bytes << "-byte lines";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// With a sink attached the compiled backend lands its path tally at every
+// block boundary, so each kBlockCost window's miss counts are exact: the
+// traced event stream and the final counters must match the oracle's, event
+// for event, on the timer-preempt workload (L2 on) and the worst-case IPC
+// (L2 off) at 32-byte lines, and on both at 64-byte lines.
+TEST(ExecutorEquivalence, TracedRunMatchesOracle) {
+  using Workload = KernelRunOutcome (*)(const MachineConfig&, Executor::ChargeMode, TraceSink*);
+  const struct {
+    const char* name;
+    Workload run;
+    MachineConfig narrow;
+  } workloads[] = {{"timer-preempt", &RunTimerPreemptWorkload, EvalMachine(true)},
+                   {"worst-case IPC", &RunWorstIpc, EvalMachine(false)}};
+  for (const auto& [name, run, narrow] : workloads) {
+    for (const MachineConfig& mc : {narrow, WideLines()}) {
+      EventLog compiled_log;
+      EventLog oracle_log;
+      const KernelRunOutcome compiled = run(mc, kCompiled, &compiled_log);
+      const KernelRunOutcome oracle = run(mc, kInterpreted, &oracle_log);
+      const std::string where = std::string(name) + ", " + std::to_string(mc.l1i.line_bytes) +
+                                "-byte lines";
+      std::uint64_t window_misses = 0;
+      for (const TraceEvent& e : compiled_log.events()) {
+        if (e.kind == TraceEventKind::kBlockCost) {
+          window_misses += e.arg1 + e.arg2;
+        }
+      }
+      EXPECT_GT(window_misses, 0u) << where;
+      EXPECT_TRUE(EventsMatch(compiled_log.events(), oracle_log.events())) << where;
+      EXPECT_TRUE(OutcomesMatch(compiled, oracle)) << where;
+    }
   }
 }
 

@@ -21,9 +21,6 @@ namespace {
 struct DriveResult {
   Cycles now = 0;
   HwCounters hw;
-  CacheStats l1i;
-  CacheStats l1d;
-  CacheStats l2;
   std::vector<Cycles> irq_latencies;
   std::uint64_t fastpath_hits = 0;
   std::vector<TraceEvent> events;
@@ -65,9 +62,6 @@ DriveResult Drive(OpInstance inst, const InjectionPlan& plan) {
   DriveResult r;
   r.now = sys.machine().Now();
   r.hw = sys.machine().counters();
-  r.l1i = sys.machine().l1i().stats();
-  r.l1d = sys.machine().l1d().stats();
-  r.l2 = sys.machine().l2().stats();
   r.irq_latencies = sys.kernel().irq_latencies();
   r.fastpath_hits = sys.kernel().fastpath_hits();
   r.events = log.events();
@@ -87,15 +81,6 @@ void ExpectIdentical(const DriveResult& fresh, const DriveResult& fork) {
   EXPECT_EQ(fresh.hw.branches, fork.hw.branches);
   EXPECT_EQ(fresh.hw.branch_mispredicts, fork.hw.branch_mispredicts);
   EXPECT_EQ(fresh.hw.mem_stall_cycles, fork.hw.mem_stall_cycles);
-
-  const auto expect_cache = [](const CacheStats& a, const CacheStats& b) {
-    EXPECT_EQ(a.accesses, b.accesses);
-    EXPECT_EQ(a.hits, b.hits);
-    EXPECT_EQ(a.misses, b.misses);
-  };
-  expect_cache(fresh.l1i, fork.l1i);
-  expect_cache(fresh.l1d, fork.l1d);
-  expect_cache(fresh.l2, fork.l2);
 
   EXPECT_EQ(fresh.irq_latencies, fork.irq_latencies);
   EXPECT_EQ(fresh.fastpath_hits, fork.fastpath_hits);
@@ -190,9 +175,6 @@ TEST(SnapshotFidelityTest, CloneAfterPreemptedExitContinuesIdentically) {
       DriveResult r;
       r.now = s.machine().Now();
       r.hw = s.machine().counters();
-      r.l1i = s.machine().l1i().stats();
-      r.l1d = s.machine().l1d().stats();
-      r.l2 = s.machine().l2().stats();
       r.irq_latencies = s.kernel().irq_latencies();
       r.fastpath_hits = s.kernel().fastpath_hits();
       return r;
