@@ -1,6 +1,7 @@
 #include "src/wcet/ilp.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -106,6 +107,12 @@ obs::Counter& RefactorCounter() {
   static obs::Counter c("wcet.simplex.refactorisations");
   return c;
 }
+// Warm-start basis imports whose refactorisation succeeded. Kept apart from
+// wcet.simplex.refactorisations, which counts the pivot loop's periodic ones.
+obs::Counter& ImportCounter() {
+  static obs::Counter c("wcet.simplex.imports");
+  return c;
+}
 obs::Counter& BbNodeCounter() {
   static obs::Counter c("wcet.bb.nodes");
   return c;
@@ -125,6 +132,56 @@ obs::Counter& IncColdSolveCounter() {
   return c;
 }
 
+// A set of row indices visited in ascending order without a sort: one bit per
+// row, plus the range of words that may hold a bit. FTRAN and the
+// refactorisation's numeric pass collect the rows a sparse column fills in
+// one, and visit them in the order a dense 0..m-1 sweep would meet them.
+class RowSet {
+ public:
+  // Empties the set and sizes it for rows 0..m-1.
+  void Reset(std::uint32_t m) {
+    bits_.assign((m + 63) / 64, 0);
+    lo_ = static_cast<std::uint32_t>(bits_.size());
+    hi_ = 0;
+  }
+
+  // Adds |r|; returns false if it was already present.
+  bool Insert(std::uint32_t r) {
+    std::uint64_t& word = bits_[r / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (r % 64);
+    if (word & bit) {
+      return false;
+    }
+    word |= bit;
+    lo_ = std::min(lo_, r / 64);
+    hi_ = std::max(hi_, r / 64 + 1);
+    return true;
+  }
+
+  // Calls visit(r) for every row in the set, in ascending order.
+  template <typename Visit>
+  void ForEach(Visit&& visit) const {
+    for (std::uint32_t i = lo_; i < hi_; ++i) {
+      for (std::uint64_t word = bits_[i]; word != 0; word &= word - 1) {
+        visit(i * 64 + static_cast<std::uint32_t>(std::countr_zero(word)));
+      }
+    }
+  }
+
+  void Clear() {
+    for (std::uint32_t i = lo_; i < hi_; ++i) {
+      bits_[i] = 0;
+    }
+    lo_ = static_cast<std::uint32_t>(bits_.size());
+    hi_ = 0;
+  }
+
+ private:
+  std::vector<std::uint64_t> bits_;
+  std::uint32_t lo_ = 0;  // words [lo_, hi_) may hold bits
+  std::uint32_t hi_ = 0;
+};
+
 // ---------------------------------------------------------------------------
 // Sparse revised simplex.
 //
@@ -132,10 +189,16 @@ obs::Counter& IncColdSolveCounter() {
 // structure and status mapping as the dense tableau of the test oracle
 // (tests/wcet_oracle.h), so both walk the same vertex sequence (fp ties
 // aside); only the linear algebra differs.
-// The constraint matrix is stored once in CSR (pricing sweeps) and CSC
-// (FTRAN of entering columns); the basis inverse is a product-form eta file
-// refreshed by periodic refactorisation: a greedy sparse Gaussian elimination
-// that processes basic columns in ascending-nnz order with partial pivoting.
+// The constraint matrix is stored once in CSR (the columns a row's dual
+// reaches) and CSC (pricing a column, FTRAN of an entering column); the basis
+// inverse is a product-form eta file refreshed by periodic refactorisation
+// (TryRefactorize). A pivot costs what it changed: only the columns on rows
+// whose dual moved are re-priced, and the ratio test and the new eta visit
+// only the rows FTRAN wrote for the entering column. Every value that decides
+// a pivot is bit-identical to what a full pricing, a 0..m-1 ratio scan and a
+// walk of the whole eta list would compute: IPET programs have alternative
+// optima, so the pivot path decides which optimal x (and worst-case trace)
+// comes out.
 // Refactorisation may permute which basis *position* holds which basic
 // variable; that is harmless because every rule that touches positions
 // (ratio-test tie-break, pricing, extraction) keys off the basic variable id,
@@ -331,8 +394,12 @@ class RevisedSimplex {
     nnz_ = static_cast<std::uint64_t>(row_col_.size());
 
     y_.assign(m_, 0.0);
+    y_next_.assign(m_, 0.0);
+    rho_.assign(m_, 0.0);
     w_.assign(m_, 0.0);
+    w_rows_.Reset(m_);
     rc_.assign(ncols_, 0.0);
+    dirty_mark_.assign(ncols_, 0);
     alpha_.assign(ncols_, 0.0);
     c_.assign(ncols_, 0.0);
     ResetBasis();
@@ -362,6 +429,8 @@ class RevisedSimplex {
 
   std::uint64_t EtaNnz() const { return eta_row_.size() + eta_r_.size(); }
 
+  // Installs the phase's costs, which moves every reduced cost: the one
+  // place the solver prices all columns.
   void SetPhase(int phase) {
     std::fill(c_.begin(), c_.end(), 0.0);
     if (phase == 1) {
@@ -374,6 +443,10 @@ class RevisedSimplex {
         c_[v] = lp_.objective[v];
       }
       limit_ = art_base_;  // artificials never re-enter in phase 2
+    }
+    ComputeDuals(y_);
+    for (std::uint32_t c = 0; c < limit_; ++c) {
+      rc_[c] = in_basis_[c] ? 0.0 : PriceColumn(c);
     }
   }
 
@@ -401,14 +474,27 @@ class RevisedSimplex {
     x[r] = t;
   }
 
-  // w = B^-1 A_col (dense output, sparse input).
-  void FtranColumn(std::uint32_t col, std::vector<double>& w) const {
-    std::fill(w.begin(), w.end(), 0.0);
+  // w_ = B^-1 A_col. Each eta does ApplyEta's arithmetic, and the rows it
+  // fills are recorded in w_rows_ as it goes: w_ is zero outside w_rows_, so
+  // the ratio test and the eta build visit those rows, in ascending order,
+  // instead of all m.
+  void FtranColumn(std::uint32_t col) {
+    w_rows_.ForEach([&](std::uint32_t i) { w_[i] = 0.0; });
+    w_rows_.Clear();
     for (std::uint32_t k = col_ptr_[col]; k < col_ptr_[col + 1]; ++k) {
-      w[col_row_[k]] = col_val_[k];
+      w_[col_row_[k]] = col_val_[k];
+      w_rows_.Insert(col_row_[k]);
     }
     for (std::size_t k = 0; k < eta_r_.size(); ++k) {
-      ApplyEta(k, w);
+      const std::uint32_t r = eta_r_[k];
+      const double t = w_[r] / eta_pivot_[k];
+      if (t != 0.0) {
+        for (std::uint32_t i = eta_ptr_[k]; i < eta_ptr_[k + 1]; ++i) {
+          w_rows_.Insert(eta_row_[i]);
+          w_[eta_row_[i]] -= eta_val_[i] * t;
+        }
+      }
+      w_[r] = t;
     }
   }
 
@@ -431,34 +517,62 @@ class RevisedSimplex {
     Btran(y);
   }
 
-  // rc[j] = y . A_j - c_j for all j < limit_, via a CSR row sweep.
-  void PriceAll(const std::vector<double>& y, std::vector<double>& rc) const {
-    for (std::uint32_t c = 0; c < limit_; ++c) {
-      rc[c] = -c_[c];
-    }
-    for (std::uint32_t r = 0; r < m_; ++r) {
-      const double yr = y[r];
-      if (yr == 0.0) {
-        continue;
+  // rc_j = y . A_j - c_j: column j's nonzeros in ascending row order,
+  // zero duals skipped. That is the sequence of additions a CSR sweep over
+  // the rows with nonzero duals makes, so the value is the same to the bit
+  // whichever way the columns are visited.
+  double PriceColumn(std::uint32_t c) const {
+    double rc = -c_[c];
+    for (std::uint32_t k = col_ptr_[c]; k < col_ptr_[c + 1]; ++k) {
+      const double yr = y_[col_row_[k]];
+      if (yr != 0.0) {
+        rc += yr * col_val_[k];
       }
-      for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        const std::uint32_t c = row_col_[k];
-        if (c < limit_) {
-          rc[c] += yr * row_val_[k];
+    }
+    return rc;
+  }
+
+  // Recomputes the duals after a pivot and re-prices only the columns whose
+  // reduced cost can have moved: every column with a nonzero on a row whose
+  // dual changed, and the two columns that swapped basis membership. Basic
+  // columns hold 0, so the entering scans need no basis lookup. A dual that
+  // compares equal contributes the same products as before (zeros of either
+  // sign are skipped), so every other column keeps the exact value a full
+  // pricing would recompute.
+  void Reprice(std::uint32_t entered, std::uint32_t left) {
+    ComputeDuals(y_next_);
+    dirty_.clear();
+    const auto mark = [&](std::uint32_t c) {
+      if (c < limit_ && !dirty_mark_[c]) {
+        dirty_mark_[c] = 1;
+        dirty_.push_back(c);
+      }
+    };
+    for (std::uint32_t r = 0; r < m_; ++r) {
+      if (y_next_[r] != y_[r]) {
+        for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+          mark(row_col_[k]);
         }
       }
+    }
+    mark(entered);
+    mark(left);
+    y_.swap(y_next_);
+    for (const std::uint32_t c : dirty_) {
+      dirty_mark_[c] = 0;
+      rc_[c] = in_basis_[c] ? 0.0 : PriceColumn(c);
     }
   }
 
   void PivotStep(std::uint32_t p, std::uint32_t enter) {
     eta_r_.push_back(p);
     eta_pivot_.push_back(w_[p]);
-    for (std::uint32_t i = 0; i < m_; ++i) {
+    w_rows_.ForEach([&](std::uint32_t i) {
       if (i != p && w_[i] != 0.0) {
         eta_row_.push_back(i);
         eta_val_.push_back(w_[i]);
       }
-    }
+    });
     eta_ptr_.push_back(static_cast<std::uint32_t>(eta_row_.size()));
     in_basis_[basis_[p]] = 0;
     basis_[p] = enter;
@@ -607,9 +721,10 @@ class RevisedSimplex {
     // reachable ones: a min-heap keyed on eta index pops candidates in
     // creation order, seeded from the column's structural rows and extended
     // by the fill an applied eta introduces (Gilbert-Peierls reachability).
-    // An eta whose pivot row only became nonzero via a LATER eta is skipped
-    // (k <= last): in sequential order it saw a zero and never fired, so the
-    // result is bit-identical to walking the whole eta list.
+    // Fill on a row whose eta is at or below the one being applied queues
+    // nothing: in sequential order that eta has had its turn and saw a zero,
+    // so the result is bit-identical to walking the whole eta list, and the
+    // heap pops each queued eta exactly once, in ascending order.
     scratch_r_.clear();
     scratch_pivot_.clear();
     scratch_row_.clear();
@@ -617,89 +732,70 @@ class RevisedSimplex {
     scratch_ptr_.assign(1, 0);
     std::vector<std::uint32_t> new_basis(m_, 0);
     std::vector<std::int64_t> eta_of_row(m_, -1);
+    // Emitting a column's eta clears its rows from the workspace again; a
+    // failed call leaves it dirty, and the next call starts by zeroing it.
     std::vector<double>& w = wrk_w_;
-    std::vector<char>& mask = wrk_mask_;
-    std::vector<std::uint32_t>& touched = wrk_touched_;
+    RowSet& touched = wrk_touched_;
     std::vector<std::uint32_t>& heap = wrk_heap_;
     w.assign(m_, 0.0);
-    mask.assign(m_, 0);
-    touched.clear();
-    touched.reserve(m_);
-    const auto clear_workspace = [&] {
-      for (const std::uint32_t i : touched) {
-        w[i] = 0.0;
-        mask[i] = 0;
-      }
-    };
-    const auto touch = [&](std::uint32_t r) {
-      if (!mask[r]) {
-        mask[r] = 1;
-        touched.push_back(r);
-        if (eta_of_row[r] >= 0) {
-          heap.push_back(static_cast<std::uint32_t>(eta_of_row[r]));
-          std::push_heap(heap.begin(), heap.end(), std::greater<>());
-        }
+    touched.Reset(m_);
+    const auto touch = [&](std::uint32_t r, std::int64_t last) {
+      if (touched.Insert(r) && eta_of_row[r] > last) {
+        heap.push_back(static_cast<std::uint32_t>(eta_of_row[r]));
+        std::push_heap(heap.begin(), heap.end(), std::greater<>());
       }
     };
     for (const std::uint32_t p : order) {
       const std::uint32_t col = basis_[p];
-      touched.clear();
       heap.clear();
       for (std::uint32_t k = col_ptr_[col]; k < col_ptr_[col + 1]; ++k) {
         const std::uint32_t r = col_row_[k];
         w[r] = col_val_[k];
-        touch(r);
+        touch(r, -1);
       }
-      std::int64_t last = -1;
       while (!heap.empty()) {
         std::pop_heap(heap.begin(), heap.end(), std::greater<>());
         const std::uint32_t k = heap.back();
         heap.pop_back();
-        if (static_cast<std::int64_t>(k) <= last) {
-          continue;  // duplicate, or fired out of order: sequentially a no-op
-        }
-        last = static_cast<std::int64_t>(k);
         const std::uint32_t er = scratch_r_[k];
         const double t = w[er] / scratch_pivot_[k];
         if (t == 0.0) {
           continue;
         }
         for (std::uint32_t i = scratch_ptr_[k]; i < scratch_ptr_[k + 1]; ++i) {
-          touch(scratch_row_[i]);
+          touch(scratch_row_[i], k);
           w[scratch_row_[i]] -= scratch_val_[i] * t;
         }
         w[er] = t;
       }
-      std::sort(touched.begin(), touched.end());
       std::int64_t pr = chosen_row[p];
       if (pr < 0) {
         double best = 1e-9;
-        for (const std::uint32_t r : touched) {
+        touched.ForEach([&](std::uint32_t r) {
           if (!row_done[r] && std::abs(w[r]) > best) {
             best = std::abs(w[r]);
             pr = static_cast<std::int64_t>(r);
           }
-        }
+        });
         if (pr < 0) {
-          clear_workspace();
           return false;
         }
         row_done[pr] = 1;
       } else if (std::abs(w[pr]) <= 1e-9) {
-        clear_workspace();
         return false;  // symbolic choice collapsed numerically
       }
       const std::uint32_t er = static_cast<std::uint32_t>(pr);
       const double pivot = w[er];
       const std::size_t off_start = scratch_row_.size();
-      for (const std::uint32_t i : touched) {
+      touched.ForEach([&](std::uint32_t i) {
         if (i != er && w[i] != 0.0) {
           scratch_row_.push_back(i);
           scratch_val_.push_back(w[i]);
         }
-      }
+        w[i] = 0.0;
+      });
+      touched.Clear();
       new_basis[er] = col;
-      clear_workspace();
       if (scratch_row_.size() == off_start && pivot == 1.0) {
         continue;  // exact identity (typical slack pivot): no-op in every
                    // FTRAN/BTRAN application, so don't store it at all
@@ -777,6 +873,7 @@ class RevisedSimplex {
     if (!TryRefactorize()) {
       return false;
     }
+    ImportCounter().Inc();
     // A basic artificial at a POSITIVE value encodes an infeasible point the
     // warm path cannot repair: artificials never re-enter in phase 2 and the
     // dual loop only drives out negative basics. (A negative basic
@@ -799,13 +896,13 @@ class RevisedSimplex {
         pivots_total_ += pivots;
         return SolveStatus::kIterationLimit;
       }
-      ComputeDuals(y_);
-      PriceAll(y_, rc_);
+      // rc_ is current (SetPhase, then Reprice after every pivot) and 0 on
+      // basic columns.
       std::int64_t enter = -1;
       if (pivots < kMaxPivots / 2) {
         double best = -kEps;
         for (std::uint32_t c = 0; c < limit_; ++c) {
-          if (!in_basis_[c] && rc_[c] < best) {
+          if (rc_[c] < best) {
             best = rc_[c];
             enter = c;
           }
@@ -813,7 +910,7 @@ class RevisedSimplex {
       } else {
         // Bland's rule: first improving column, first eligible row below.
         for (std::uint32_t c = 0; c < limit_; ++c) {
-          if (!in_basis_[c] && rc_[c] < -kEps) {
+          if (rc_[c] < -kEps) {
             enter = c;
             break;
           }
@@ -823,10 +920,10 @@ class RevisedSimplex {
         pivots_total_ += pivots;
         return SolveStatus::kOptimal;
       }
-      FtranColumn(static_cast<std::uint32_t>(enter), w_);
+      FtranColumn(static_cast<std::uint32_t>(enter));
       std::int64_t leave = -1;
       double best_ratio = std::numeric_limits<double>::infinity();
-      for (std::uint32_t p = 0; p < m_; ++p) {
+      w_rows_.ForEach([&](std::uint32_t p) {
         const double a = w_[p];
         if (a > kEps) {
           const double ratio = beta_[p] / a;
@@ -836,12 +933,14 @@ class RevisedSimplex {
             leave = p;
           }
         }
-      }
+      });
       if (leave < 0) {
         pivots_total_ += pivots;
         return SolveStatus::kUnbounded;
       }
+      const std::uint32_t left = basis_[leave];
       PivotStep(static_cast<std::uint32_t>(leave), static_cast<std::uint32_t>(enter));
+      Reprice(static_cast<std::uint32_t>(enter), left);
     }
   }
 
@@ -868,17 +967,15 @@ class RevisedSimplex {
         pivots_total_ += pivots;
         return SolveStatus::kOptimal;  // primal feasible
       }
-      ComputeDuals(y_);
-      PriceAll(y_, rc_);
       // alpha = row p of B^-1 A.
-      std::fill(y_.begin(), y_.end(), 0.0);
-      y_[static_cast<std::uint32_t>(p)] = 1.0;
-      Btran(y_);
+      std::fill(rho_.begin(), rho_.end(), 0.0);
+      rho_[static_cast<std::uint32_t>(p)] = 1.0;
+      Btran(rho_);
       for (std::uint32_t c = 0; c < limit_; ++c) {
         alpha_[c] = 0.0;
       }
       for (std::uint32_t r = 0; r < m_; ++r) {
-        const double yr = y_[r];
+        const double yr = rho_[r];
         if (yr == 0.0) {
           continue;
         }
@@ -908,12 +1005,14 @@ class RevisedSimplex {
         pivots_total_ += pivots;
         return SolveStatus::kInfeasible;  // negative basic, no fixing column
       }
-      FtranColumn(static_cast<std::uint32_t>(enter), w_);
+      FtranColumn(static_cast<std::uint32_t>(enter));
       if (std::abs(w_[static_cast<std::uint32_t>(p)]) < 1e-11) {
         pivots_total_ += pivots;
         return SolveStatus::kIterationLimit;
       }
+      const std::uint32_t left = basis_[p];
       PivotStep(static_cast<std::uint32_t>(p), static_cast<std::uint32_t>(enter));
+      Reprice(static_cast<std::uint32_t>(enter), left);
     }
   }
 
@@ -933,14 +1032,14 @@ class RevisedSimplex {
         continue;
       }
       // Tableau row p: alpha_j = (B^-T e_p) . A_j.
-      std::fill(y_.begin(), y_.end(), 0.0);
-      y_[p] = 1.0;
-      Btran(y_);
+      std::fill(rho_.begin(), rho_.end(), 0.0);
+      rho_[p] = 1.0;
+      Btran(rho_);
       for (std::uint32_t c = 0; c < art_base_; ++c) {
         alpha_[c] = 0.0;
       }
       for (std::uint32_t r = 0; r < m_; ++r) {
-        const double yr = y_[r];
+        const double yr = rho_[r];
         if (yr == 0.0) {
           continue;
         }
@@ -955,7 +1054,7 @@ class RevisedSimplex {
         if (in_basis_[c] || std::abs(alpha_[c]) <= 1e-6) {
           continue;
         }
-        FtranColumn(c, w_);
+        FtranColumn(c);
         if (std::abs(w_[p]) < 1e-9) {
           continue;
         }
@@ -1022,12 +1121,22 @@ class RevisedSimplex {
   std::vector<std::uint32_t> scratch_r_, scratch_ptr_, scratch_row_;
   std::vector<double> scratch_pivot_, scratch_val_;
   std::vector<double> wrk_w_;
-  std::vector<char> wrk_mask_;
-  std::vector<std::uint32_t> wrk_touched_, wrk_heap_;
+  RowSet wrk_touched_;
+  std::vector<std::uint32_t> wrk_heap_;
   std::uint32_t pivots_since_factor_ = 0;
 
   std::vector<double> c_;
-  std::vector<double> y_, w_, rc_, alpha_;
+  // Duals and the reduced costs priced from them (rc_ is 0 on basic
+  // columns); y_next_ receives the next duals so Reprice can diff them.
+  std::vector<double> y_, y_next_, rc_;
+  std::vector<std::uint32_t> dirty_;
+  std::vector<char> dirty_mark_;
+  // FTRAN result and the rows it wrote (see FtranColumn).
+  std::vector<double> w_;
+  RowSet w_rows_;
+  // A row of B^-1 (rho_) and of B^-1 A (alpha_), for the dual ratio test and
+  // for driving out artificials.
+  std::vector<double> rho_, alpha_;
   std::uint64_t pivots_total_ = 0;
 };
 
@@ -1164,6 +1273,9 @@ SolveResult SolveIlpWarm(const LinearProgram& lp, IlpWarmStart& warm, std::uint3
   const SolveResult res =
       SolveIlpImpl(lp, max_nodes, warmed ? &warm.impl_->tokens : nullptr, &root_out);
   if (!root_out.empty()) {
+    if (!warm.impl_) {
+      warm.impl_ = std::make_unique<IlpWarmStart::Impl>();  // moved-from: was empty
+    }
     warm.impl_->tokens = std::move(root_out);
   } else {
     warm.Reset();  // root did not reach optimality; a stale basis is useless

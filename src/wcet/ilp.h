@@ -3,9 +3,13 @@
 // Chronos emits an ILP that is handed to an off-the-shelf solver; we build
 // that solver too: a sparse revised simplex (CSR/CSC constraint matrix,
 // product-form eta-file basis inverse with periodic refactorisation,
-// warm-started branch-and-bound). The test oracle's dense two-phase tableau
-// (tests/wcet_oracle.h) must agree with it exactly on status, bounds and
-// solutions. IPET instances are network-flow shaped, so the relaxation is
+// warm-started branch-and-bound) whose pivots re-price only the columns on
+// rows whose dual moved and visit only the rows FTRAN wrote for the entering
+// column. The test oracle's dense two-phase tableau (tests/wcet_oracle.h)
+// must agree with it exactly on status, bounds and solutions, and on an LP
+// relaxation take the same pivots: IPET programs have alternative optima, so
+// the pivot path decides which optimal solution (and worst-case trace) is
+// reported. IPET instances are network-flow shaped, so the relaxation is
 // almost always integral and branching is a rarely-exercised safety net.
 
 #ifndef SRC_WCET_ILP_H_
@@ -65,7 +69,8 @@ SolveResult SolveIlp(const LinearProgram& lp, std::uint32_t max_nodes = 10'000);
 // Opaque carrier for a previous solve's optimal basis (position-independent
 // tokens: structural var / slack-of-row / artificial-of-row). Lets the next
 // SolveIlpWarm of a slightly edited instance restart the sparse revised
-// simplex from where the last one finished instead of solving cold.
+// simplex from where the last one finished instead of solving cold. A
+// moved-from IlpWarmStart holds no basis, like a new one.
 class IlpWarmStart {
  public:
   IlpWarmStart();

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "src/obs/metrics.h"
 #include "src/wcet/ilp.h"
 
 namespace pmk {
@@ -198,6 +201,52 @@ TEST(IlpTest, ModeratelySizedChainSolvesQuickly) {
     expect += i % 7;
   }
   EXPECT_NEAR(r.objective, expect, 1e-5);
+}
+
+TEST(IlpTest, MovedFromWarmStartSolvesCold) {
+  // A moved-from IlpWarmStart holds no basis: the solve runs cold, matches
+  // SolveIlp, and leaves the object holding the new root basis.
+  LinearProgram lp;
+  lp.AddVar(8.0);
+  lp.AddVar(11.0);
+  lp.AddRow(Le({0, 1}, {5.0, 7.0}, 14.0));
+  lp.AddRow(Le({0}, {1.0}, 1.0));
+  lp.AddRow(Le({1}, {1.0}, 1.0));
+  const auto cold_solves = [] {
+    return obs::MetricsRegistry::Get().Snapshot().CounterValue("wcet.inc.simplex.cold");
+  };
+  IlpWarmStart warm;
+  IlpWarmStart taken = std::move(warm);
+  EXPECT_FALSE(warm.valid());
+  const std::uint64_t before = cold_solves();
+  const SolveResult r = SolveIlpWarm(lp, warm);
+  EXPECT_EQ(cold_solves(), before + 1);
+  const SolveResult cold = SolveIlp(lp);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_EQ(r.objective, cold.objective);
+  EXPECT_EQ(r.x, cold.x);
+  EXPECT_TRUE(warm.valid());
+  EXPECT_FALSE(taken.valid());
+}
+
+TEST(IlpTest, WarmRestartCountsOneImport) {
+  // wcet.simplex.imports counts warm-start basis imports that refactorise:
+  // none for a cold solve, one for a warm root that needs no branching.
+  LinearProgram lp;
+  lp.AddVar(3.0);
+  lp.AddVar(5.0);
+  lp.AddRow(Le({0}, {1.0}, 4.0));
+  lp.AddRow(Le({1}, {2.0}, 12.0));
+  lp.AddRow(Le({0, 1}, {3.0, 2.0}, 18.0));
+  const auto imports = [] {
+    return obs::MetricsRegistry::Get().Snapshot().CounterValue("wcet.simplex.imports");
+  };
+  IlpWarmStart warm;
+  const std::uint64_t before = imports();
+  ASSERT_EQ(SolveIlpWarm(lp, warm).status, SolveStatus::kOptimal);
+  EXPECT_EQ(imports(), before);
+  ASSERT_EQ(SolveIlpWarm(lp, warm).status, SolveStatus::kOptimal);
+  EXPECT_EQ(imports(), before + 1);
 }
 
 }  // namespace

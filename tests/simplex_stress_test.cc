@@ -4,17 +4,28 @@
 // the oracle's dense tableau (tests/wcet_oracle.h) agree exactly on status,
 // objective and solution vector. Branch-and-bound truncation (max_nodes) must
 // also be deterministic and identical in both, since the analyzer-vs-oracle
-// tests rely on bit-identical results from both solvers.
+// tests rely on bit-identical results from both solvers. On the kernel's own
+// IPET programs the two must also walk the same pivot path: those programs
+// have alternative optima, so the path decides which optimal x (and hence
+// which worst-case trace) the analysis reports.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/kernel/image.h"
 #include "src/sim/rng.h"
+#include "src/wcet/analysis.h"
+#include "src/wcet/cfg.h"
 #include "src/wcet/ilp.h"
+#include "src/wcet/ipet.h"
+#include "src/wcet/loopbound.h"
 #include "tests/wcet_oracle.h"
 
 namespace pmk {
@@ -280,6 +291,112 @@ TEST(SimplexStressTest, RandomizedNetworkFlowsMatchAcrossModes) {
     ASSERT_EQ(ilp_d.status, SolveStatus::kOptimal) << "trial " << trial;
     EXPECT_LE(ilp_d.objective, dense.objective + 1e-6) << "trial " << trial;
   }
+}
+
+struct KernelIpet {
+  std::string label;
+  LinearProgram lp;
+};
+
+// The IPET program of |entry| as WcetAnalyzer builds it for |opts|.
+LinearProgram KernelIpetLp(const KernelImage& img, const AnalysisOptions& opts, EntryPoint entry) {
+  InlinedGraph graph(img.prog, AnalysisEntryFunc(img, entry));
+  ComputeLoopBounds(graph);
+  const CostResult costs = oracle::ComputeNodeCosts(graph, BuildCostModelOptions(img, opts));
+  return BuildIpetProgram(graph, costs, IpetOptions{opts.irq_pending}, opts.constraints).lp;
+}
+
+// Every kernel IPET program the analysis drivers solve: both kernels, L2
+// off/on, pinning off/on, all four entries.
+std::vector<KernelIpet> KernelIpetPrograms() {
+  std::vector<KernelIpet> out;
+  for (const bool after : {false, true}) {
+    const auto img = BuildKernelImage(after ? KernelConfig::After() : KernelConfig::Before());
+    for (const bool l2 : {false, true}) {
+      for (const bool pin : {false, true}) {
+        AnalysisOptions opts;
+        opts.l2_enabled = l2;
+        opts.cache_pinning = pin;
+        for (const EntryPoint e : {EntryPoint::kSyscall, EntryPoint::kUndefined,
+                                   EntryPoint::kPageFault, EntryPoint::kInterrupt}) {
+          out.push_back({std::string(after ? "after" : "before") + " l2=" + std::to_string(l2) +
+                             " pin=" + std::to_string(pin) + " " + EntryPointName(e),
+                         KernelIpetLp(*img, opts, e)});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SimplexStressTest, KernelIpetRelaxationsWalkTheOraclePath) {
+  // The sparse solver re-prices, ratio-tests and refactorises only what a
+  // pivot changed; every value that decides a pivot must still match the
+  // dense tableau's, so both take the same number of pivots to the same
+  // vertex. Relaxations, not SolveIlp: the sparse branch-and-bound
+  // warm-starts its children, so its pivot counts legitimately differ where
+  // branching happens. x is compared to 1e-12: the before kernel's syscall
+  // relaxation with pinning is fractional, and there the product-form
+  // inverse and the tableau round one coordinate (2/257) 16 ulps apart.
+  const std::vector<KernelIpet> programs = KernelIpetPrograms();
+  ASSERT_EQ(programs.size(), 32u);
+  for (const KernelIpet& k : programs) {
+    SCOPED_TRACE(k.label);
+    const SolveResult dense = oracle::SolveLp(k.lp);
+    const SolveResult sparse = SolveLp(k.lp);
+    ASSERT_EQ(dense.status, SolveStatus::kOptimal);
+    ASSERT_EQ(sparse.status, SolveStatus::kOptimal);
+    EXPECT_EQ(dense.pivots, sparse.pivots);
+    ASSERT_EQ(dense.x.size(), sparse.x.size());
+    for (std::size_t i = 0; i < dense.x.size(); ++i) {
+      EXPECT_NEAR(dense.x[i], sparse.x[i], 1e-12 * (1.0 + std::abs(dense.x[i]))) << "x[" << i << "]";
+    }
+  }
+}
+
+TEST(SimplexStressTest, KernelIpetOptimaAreNotUnique) {
+  // Renumbering the rows and columns of one kernel IPET program reaches the
+  // same optimum at a different vertex: the optimal x is not unique, so the
+  // pivot path is part of the analysis output (worst traces, goldens).
+  const auto img = BuildKernelImage(KernelConfig::After());
+  const LinearProgram lp = KernelIpetLp(*img, AnalysisOptions{}, EntryPoint::kSyscall);
+  // Fisher-Yates on mt19937's raw output, so every standard library draws
+  // the same permutation (std::shuffle's is implementation-defined).
+  std::mt19937 gen(1);
+  const auto shuffle = [&gen](auto& v) {
+    for (std::size_t i = v.size(); i > 1; --i) {
+      std::swap(v[i - 1], v[gen() % i]);
+    }
+  };
+  std::vector<std::uint32_t> col(lp.num_vars);  // col[v] = v's new index
+  std::iota(col.begin(), col.end(), 0u);
+  shuffle(col);
+  std::vector<std::size_t> row_order(lp.rows.size());
+  std::iota(row_order.begin(), row_order.end(), std::size_t{0});
+  shuffle(row_order);
+  LinearProgram perm;
+  perm.num_vars = lp.num_vars;
+  perm.objective.assign(lp.num_vars, 0.0);
+  for (std::uint32_t v = 0; v < lp.num_vars; ++v) {
+    perm.objective[col[v]] = lp.objective[v];
+  }
+  for (const std::size_t r : row_order) {
+    LinearProgram::Row row = lp.rows[r];
+    for (std::uint32_t& i : row.idx) {
+      i = col[i];
+    }
+    perm.AddRow(std::move(row));
+  }
+  const SolveResult base = SolveIlp(lp);
+  const SolveResult moved = SolveIlp(perm);
+  ASSERT_EQ(base.status, SolveStatus::kOptimal);
+  ASSERT_EQ(moved.status, SolveStatus::kOptimal);
+  EXPECT_EQ(base.objective, moved.objective);
+  std::vector<double> moved_back(lp.num_vars);
+  for (std::uint32_t v = 0; v < lp.num_vars; ++v) {
+    moved_back[v] = moved.x[col[v]];
+  }
+  EXPECT_NE(base.x, moved_back);
 }
 
 }  // namespace
