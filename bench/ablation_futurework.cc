@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "src/sim/latency.h"
 #include "src/sim/report.h"
 #include "src/sim/workload.h"
 #include "src/wcet/analysis.h"
@@ -91,8 +92,7 @@ int main(int argc, char** argv) {
     WcetAnalyzer a_on(*img, l2_on);
     WcetAnalyzer a_pin(*img, l2_pinned);
     Table t({"Event handler", "L2 off (us)", "L2 on (us)", "L2 on, kernel pinned (us)"});
-    for (const auto e : {EntryPoint::kSyscall, EntryPoint::kUndefined, EntryPoint::kPageFault,
-                         EntryPoint::kInterrupt}) {
+    for (const EntryPoint e : kEntryPoints) {
       t.AddRow({EntryPointName(e), Table::Us(clk.ToMicros(a_off.Analyze(e).wcet)),
                 Table::Us(clk.ToMicros(a_on.Analyze(e).wcet)),
                 Table::Us(clk.ToMicros(a_pin.Analyze(e).wcet))});
@@ -102,14 +102,10 @@ int main(int argc, char** argv) {
     System sys(KernelConfig::After(), EvalMachine(true));
     sys.AttachTraceSink(&bench::GlobalTrace());  // representative modelled run
     const std::size_t pinned = sys.kernel().ApplyL2KernelPinning();
-    auto w = sys.BuildWorstCaseIpc();
-    sys.machine().PolluteCaches();
-    const Cycles t0 = sys.machine().Now();
-    sys.kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args);
+    const Cycles observed = EntryScenario(sys, EntryPoint::kSyscall).Run().cycles;
     if (!csv) {
       std::printf("\n%zu L2 lines pinned; observed worst-case IPC with kernel-in-L2:"
-                  " %llu cycles\n", pinned,
-                  static_cast<unsigned long long>(sys.machine().Now() - t0));
+                  " %llu cycles\n", pinned, static_cast<unsigned long long>(observed));
     }
   }
 

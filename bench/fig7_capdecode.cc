@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "src/sim/latency.h"
 #include "src/sim/report.h"
 #include "src/sim/workload.h"
 
@@ -72,11 +73,7 @@ int main(int argc, char** argv) {
   // The paper's Section 6.1 worst case: several decodes in one syscall.
   {
     System sys(KernelConfig::After(), EvalMachine(false));
-    auto w = sys.BuildWorstCaseIpc();
-    sys.machine().PolluteCaches();
-    const Cycles t0 = sys.machine().Now();
-    sys.kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args);
-    const Cycles cost = sys.machine().Now() - t0;
+    const Cycles cost = EntryScenario(sys, EntryPoint::kSyscall).Run().cycles;
     std::printf(
         "\nworst-case IPC (full message + %u granted caps, every decode 32 levels):\n"
         "  %llu cycles = %.1f us — %u separate 32-level decodes in one syscall\n",

@@ -12,72 +12,15 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
-#include "src/engine/checkpoint.h"
 #include "src/engine/job_pool.h"
 #include "src/obs/chrome_trace.h"
 #include "src/sim/latency.h"
 #include "src/sim/report.h"
 #include "src/sim/workload.h"
 #include "src/wcet/analysis.h"
-
-namespace pmk {
-namespace {
-
-struct PathRun {
-  Cycles observed = 0;
-  Trace trace;
-  const KernelImage* image = nullptr;
-};
-
-PathRun RunPath(EntryPoint entry, System& sys) {
-  PathRun out;
-  out.image = &sys.kernel().image();
-  sys.machine().PolluteCaches();
-  sys.kernel().exec().StartRecording();
-  const Cycles t0 = sys.machine().Now();
-  switch (entry) {
-    case EntryPoint::kSyscall: {
-      auto w = sys.BuildWorstCaseIpc();
-      sys.machine().PolluteCaches();
-      const Cycles t1 = sys.machine().Now();
-      sys.kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args);
-      out.observed = sys.machine().Now() - t1;
-      out.trace = sys.kernel().exec().StopRecording();
-      return out;
-    }
-    case EntryPoint::kPageFault:
-    case EntryPoint::kUndefined: {
-      sys.BuildFaultHandlerScenario();
-      sys.machine().PolluteCaches();
-      const Cycles t1 = sys.machine().Now();
-      if (entry == EntryPoint::kPageFault) {
-        sys.kernel().RaisePageFault();
-      } else {
-        sys.kernel().RaiseUndefined();
-      }
-      out.observed = sys.machine().Now() - t1;
-      out.trace = sys.kernel().exec().StopRecording();
-      return out;
-    }
-    case EntryPoint::kInterrupt: {
-      sys.BuildIrqHandlerScenario();
-      sys.machine().PolluteCaches();
-      sys.machine().irq().Assert(0, sys.machine().Now());
-      const Cycles t1 = sys.machine().Now();
-      sys.kernel().HandleIrqEntry();
-      out.observed = sys.machine().Now() - t1;
-      out.trace = sys.kernel().exec().StopRecording();
-      return out;
-    }
-  }
-  (void)t0;
-  return out;
-}
-
-}  // namespace
-}  // namespace pmk
 
 int main(int argc, char** argv) {
   using namespace pmk;
@@ -95,29 +38,22 @@ int main(int argc, char** argv) {
   }
 
   // The 8-combination grid (4 entry points x L2 on/off) fans out over the
-  // job pool: each combination forks its System from one of two pre-booted
-  // checkpoints (per L2 setting) instead of rebooting and rebuilding the
-  // kernel image, replays its path, and evaluates the forced-path bound
-  // against a shared per-L2 analyzer (its queries are thread-safe).
-  // Forks replay cycle-identically to the system they were frozen from, and
-  // rows are collected in ordinal order, so the output is byte-identical to
-  // the boot-per-combination loop for any --jobs count.
-  System base_on(KernelConfig::After(), EvalMachine(true));
-  System base_off(KernelConfig::After(), EvalMachine(false));
-  const engine::SystemCheckpoint ck_on(base_on);
-  const engine::SystemCheckpoint ck_off(base_off);
+  // job pool: each combination observes its entry on a fresh System and
+  // evaluates the forced-path bound against a shared per-L2 analyzer (its
+  // queries are thread-safe). Rows are collected in ordinal order, so the
+  // output is byte-identical for any --jobs count.
+  const std::shared_ptr<const KernelImage> image = SharedKernelImage(KernelConfig::After());
   AnalysisOptions ao_on;
   ao_on.l2_enabled = true;
-  const WcetAnalyzer an_on(base_on.kernel().image(), ao_on);
-  const WcetAnalyzer an_off(base_off.kernel().image(), AnalysisOptions{});
+  const WcetAnalyzer an_on(*image, ao_on);
+  const WcetAnalyzer an_off(*image, AnalysisOptions{});
 
   struct Combo {
     EntryPoint entry;
     bool l2;
   };
   std::vector<Combo> combos;
-  for (const auto entry : {EntryPoint::kSyscall, EntryPoint::kUndefined,
-                           EntryPoint::kPageFault, EntryPoint::kInterrupt}) {
+  for (const EntryPoint entry : kEntryPoints) {
     for (const bool l2 : {true, false}) {
       combos.push_back({entry, l2});
     }
@@ -132,20 +68,20 @@ int main(int argc, char** argv) {
   const std::vector<Row> rows = engine::ParallelMap<Row>(
       combos.size(), jobs, [&](std::size_t ordinal) {
         const auto [entry, l2] = combos[ordinal];
-        const std::unique_ptr<System> sys = (l2 ? ck_on : ck_off).Fork();
+        System sys(KernelConfig::After(), EvalMachine(l2));
         ChromeTraceWriter writer(ClockSpec{});
         const bool trace_this = !trace_path.empty() && entry == EntryPoint::kSyscall && !l2;
         if (trace_this) {
-          sys->AttachTraceSink(&writer);
+          sys.AttachTraceSink(&writer);
         }
-        const PathRun run = RunPath(entry, *sys);
+        const EntryScenario::Observation run = EntryScenario(sys, entry).Run();
         if (trace_this && !writer.WriteFile(trace_path)) {
           std::fprintf(stderr, "failed to write %s\n", trace_path.c_str());
         }
         Row row;
         row.name = std::string(EntryPointName(entry)) + (l2 ? " (L2 on)" : " (L2 off)");
-        row.observed = run.observed;
-        row.forced = (l2 ? an_on : an_off).EvaluateTrace(run.trace);
+        row.observed = run.cycles;
+        row.forced = (l2 ? an_on : an_off).EvaluateTrace(run.path);
         row.l2 = l2;
         row.pct =
             (static_cast<double>(row.forced) / static_cast<double>(row.observed) - 1.0) * 100.0;

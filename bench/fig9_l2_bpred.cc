@@ -9,13 +9,13 @@
 // branch predictor helps only marginally (cold predictor, initial
 // mispredictions offset the wins).
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "src/sim/latency.h"
 #include "src/sim/report.h"
 #include "src/sim/workload.h"
-#include "src/wcet/analysis.h"
 
 namespace pmk {
 namespace {
@@ -25,69 +25,18 @@ namespace {
 // L1 caches are fully polluted before every measured run, the 128 KiB L2
 // only partially displaced.
 Cycles Observe(EntryPoint entry, bool l2, bool bpred) {
-  const KernelConfig kc = KernelConfig::After();
-  const MachineConfig mc = EvalMachine(l2, bpred);
   constexpr int kRuns = 8;
+  System sys(KernelConfig::After(), EvalMachine(l2, bpred));
+  if (entry == EntryPoint::kSyscall) {
+    sys.AttachTraceSink(&bench::GlobalTrace());  // representative modelled run
+  }
+  EntryScenario scenario(sys, entry);
+  scenario.Run();
+  scenario.Restore();
   Cycles worst = 0;
-  switch (entry) {
-    case EntryPoint::kSyscall: {
-      System sys(kc, mc);
-      sys.AttachTraceSink(&bench::GlobalTrace());  // representative modelled run
-      auto w = sys.BuildWorstCaseIpc();
-      for (int run = -1; run < kRuns; ++run) {
-        sys.machine().PolluteCaches();
-        const Cycles t0 = sys.machine().Now();
-        sys.kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args);
-        if (run >= 0) {
-          worst = std::max(worst, sys.machine().Now() - t0);
-        }
-        // The receiver replies and re-blocks, restoring the scenario.
-        sys.kernel().Syscall(SysOp::kReplyRecv, w.reply_cptr, SyscallArgs{});
-      }
-      break;
-    }
-    case EntryPoint::kPageFault:
-    case EntryPoint::kUndefined: {
-      System sys(kc, mc);
-      const System::FaultHandler f = sys.BuildFaultHandlerScenario();
-      for (int run = -1; run < kRuns; ++run) {
-        sys.machine().PolluteCaches();
-        const Cycles t0 = sys.machine().Now();
-        if (entry == EntryPoint::kPageFault) {
-          sys.kernel().RaisePageFault();
-        } else {
-          sys.kernel().RaiseUndefined();
-        }
-        if (run >= 0) {
-          worst = std::max(worst, sys.machine().Now() - t0);
-        }
-        // The pager handles the fault and waits again; the task resumes.
-        sys.kernel().Syscall(SysOp::kReplyRecv, f.ep_cptr, SyscallArgs{});
-        sys.kernel().DirectSetCurrent(f.task);
-      }
-      break;
-    }
-    case EntryPoint::kInterrupt: {
-      System sys(kc, mc);
-      EndpointObj* ep = nullptr;
-      sys.AddEndpoint(&ep);
-      TcbObj* handler = sys.AddThread(200);
-      TcbObj* task = sys.AddThread(10);
-      sys.kernel().DirectBindIrq(0, ep);
-      for (int run = -1; run < kRuns; ++run) {
-        sys.kernel().DirectBlockOnRecv(handler, ep);
-        sys.kernel().DirectSetCurrent(task);
-        sys.machine().PolluteCaches();
-        sys.machine().irq().Unmask(0);
-        sys.machine().irq().Assert(0, sys.machine().Now());
-        const Cycles t0 = sys.machine().Now();
-        sys.kernel().HandleIrqEntry();
-        if (run >= 0) {
-          worst = std::max(worst, sys.machine().Now() - t0);
-        }
-      }
-      break;
-    }
+  for (int run = 0; run < kRuns; ++run) {
+    worst = std::max(worst, scenario.Run().cycles);
+    scenario.Restore();
   }
   return worst;
 }
@@ -106,8 +55,7 @@ int main(int argc, char** argv) {
   }
 
   Table t({"Path", "Baseline (cyc)", "L2 on", "B-pred on", "L2+B-pred"});
-  for (const auto entry : {EntryPoint::kSyscall, EntryPoint::kUndefined,
-                           EntryPoint::kPageFault, EntryPoint::kInterrupt}) {
+  for (const EntryPoint entry : kEntryPoints) {
     const Cycles base = Observe(entry, false, false);
     const Cycles l2 = Observe(entry, true, false);
     const Cycles bp = Observe(entry, false, true);

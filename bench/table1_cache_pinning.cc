@@ -47,23 +47,21 @@ int main(int argc, char** argv) {
   // The two analyzers are shared across workers (their per-entry caches are
   // locked) and rows are collected in ordinal order, so the output is
   // byte-identical for any --jobs count.
-  const std::vector<EntryPoint> entries = {EntryPoint::kSyscall, EntryPoint::kUndefined,
-                                           EntryPoint::kPageFault, EntryPoint::kInterrupt};
   struct Row {
     Cycles w0 = 0;
     Cycles w1 = 0;
   };
   const std::vector<Row> rows =
-      engine::ParallelMap<Row>(entries.size(), jobs, [&](std::size_t ordinal) {
-        const EntryPoint entry = entries[ordinal];
+      engine::ParallelMap<Row>(kEntryPoints.size(), jobs, [&](std::size_t ordinal) {
+        const EntryPoint entry = kEntryPoints[ordinal];
         return Row{a0.Analyze(entry).wcet, a1.Analyze(entry).wcet};
       });
 
   Table t({"Event handler", "Without pinning (us)", "With pinning (us)", "% gain"});
-  for (std::size_t i = 0; i < entries.size(); ++i) {
+  for (std::size_t i = 0; i < kEntryPoints.size(); ++i) {
     const Cycles w0 = rows[i].w0;
     const Cycles w1 = rows[i].w1;
-    t.AddRow({EntryPointName(entries[i]), Table::Us(clk.ToMicros(w0)),
+    t.AddRow({EntryPointName(kEntryPoints[i]), Table::Us(clk.ToMicros(w0)),
               Table::Us(clk.ToMicros(w1)),
               Table::Pct(1.0 - static_cast<double>(w1) / static_cast<double>(w0))});
   }

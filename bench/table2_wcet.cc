@@ -13,10 +13,8 @@
 // with L2 — is the reproduced result.
 
 #include <cstdio>
-#include <memory>
 
 #include "bench/bench_util.h"
-#include "src/engine/checkpoint.h"
 #include "src/engine/job_pool.h"
 #include "src/sim/latency.h"
 #include "src/sim/report.h"
@@ -25,66 +23,14 @@
 namespace pmk {
 namespace {
 
-// Best-effort worst-case recreation: polluted caches, max over |runs|
-// executions (paper Section 5.4). One base System carries the scenario;
-// every run measures a checkpoint fork instead of rebooting (and rebuilding
-// the kernel image) from scratch. Forks replay cycle-identically to the
-// system they were frozen from, so the observed maxima match the seed's
-// fresh-boot-per-run loop bit for bit.
-Cycles ObservedWorst(EntryPoint entry, const KernelConfig& kc, bool l2,
-                     std::uint32_t runs = 16) {
-  Cycles worst = 0;
-  MeasureOptions mo;
-  mo.runs = 1;
-  switch (entry) {
-    case EntryPoint::kSyscall: {
-      System base(kc, EvalMachine(l2));
-      const auto w = base.BuildWorstCaseIpc();
-      const engine::SystemCheckpoint ck(base);
-      for (std::uint32_t r = 0; r < runs; ++r) {
-        const std::unique_ptr<System> sys = ck.Fork();
-        worst = std::max(
-            worst, MeasureEntry(
-                       *sys, [&] { sys->kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args); },
-                       {}, mo));
-      }
-      break;
-    }
-    case EntryPoint::kPageFault:
-    case EntryPoint::kUndefined: {
-      System base(kc, EvalMachine(l2));
-      base.BuildFaultHandlerScenario();
-      const engine::SystemCheckpoint ck(base);
-      for (std::uint32_t r = 0; r < runs; ++r) {
-        const std::unique_ptr<System> sys = ck.Fork();
-        worst = std::max(worst, MeasureEntry(
-                                    *sys,
-                                    [&] {
-                                      if (entry == EntryPoint::kPageFault) {
-                                        sys->kernel().RaisePageFault();
-                                      } else {
-                                        sys->kernel().RaiseUndefined();
-                                      }
-                                    },
-                                    {}, mo));
-      }
-      break;
-    }
-    case EntryPoint::kInterrupt: {
-      System base(kc, EvalMachine(l2));
-      if (!l2) {
-        base.AttachTraceSink(&bench::GlobalTrace());  // representative modelled run
-      }
-      base.BuildIrqHandlerScenario();
-      const engine::SystemCheckpoint ck(base);
-      for (std::uint32_t r = 0; r < runs; ++r) {
-        const std::unique_ptr<System> sys = ck.Fork();
-        worst = std::max(worst, MeasureIrqDelivery(*sys, mo));
-      }
-      break;
-    }
+// Table 2's observed column: |entry|'s worst-case scenario on a fresh
+// after-kernel System, one polluted-cache run (paper Section 5.4).
+Cycles Observed(EntryPoint entry, bool l2) {
+  System sys(KernelConfig::After(), EvalMachine(l2));
+  if (entry == EntryPoint::kInterrupt && !l2) {
+    sys.AttachTraceSink(&bench::GlobalTrace());  // representative modelled run
   }
-  return worst;
+  return EntryScenario(sys, entry).Run().cycles;
 }
 
 }  // namespace
@@ -100,7 +46,7 @@ int main(int argc, char** argv) {
   if (!csv) {
     std::printf("Table 2: WCET per kernel entry point, before vs after the paper's changes\n");
     std::printf("(computed = sound bound from the static analysis; observed = best-effort\n");
-    std::printf(" worst-case recreation, max of 16 polluted-cache runs; us @ 532 MHz)\n\n");
+    std::printf(" worst-case recreation, one polluted-cache run; us @ 532 MHz)\n\n");
   }
 
   Table t({"Event handler", "Before;L2 off (us)", "After;L2 off comp", "obs", "ratio",
@@ -121,28 +67,25 @@ int main(int argc, char** argv) {
   Cycles longest_after_on = 0;
   Cycles irq_after_on = 0;
 
-  // The per-entry pipeline — three LP solves plus 32 polluted-cache
-  // measurement boots — is independent across entries: fan it out over the
-  // job pool and collect in entry order, so the table is identical for any
-  // --jobs value.
-  const EntryPoint entries[] = {EntryPoint::kSyscall, EntryPoint::kUndefined,
-                                EntryPoint::kPageFault, EntryPoint::kInterrupt};
+  // The per-entry pipeline — three LP solves plus two observed runs — is
+  // independent across entries: fan it out over the job pool and collect in
+  // entry order, so the table is identical for any --jobs value.
   struct EntryRow {
     Cycles b_off = 0, a_off = 0, a_on = 0, o_off = 0, o_on = 0;
   };
-  const auto rows = engine::ParallelMap<EntryRow>(4, jobs, [&](std::size_t i) {
-    const EntryPoint entry = entries[i];
+  const auto rows = engine::ParallelMap<EntryRow>(kEntryPoints.size(), jobs, [&](std::size_t i) {
+    const EntryPoint entry = kEntryPoints[i];
     EntryRow r;
     r.b_off = before_off.Analyze(entry).wcet;
     r.a_off = after_off.Analyze(entry).wcet;
     r.a_on = after_on.Analyze(entry).wcet;
-    r.o_off = ObservedWorst(entry, KernelConfig::After(), false);
-    r.o_on = ObservedWorst(entry, KernelConfig::After(), true);
+    r.o_off = Observed(entry, false);
+    r.o_on = Observed(entry, true);
     return r;
   });
 
-  for (std::size_t i = 0; i < 4; ++i) {
-    const EntryPoint entry = entries[i];
+  for (std::size_t i = 0; i < kEntryPoints.size(); ++i) {
+    const EntryPoint entry = kEntryPoints[i];
     const Cycles b_off = rows[i].b_off;
     const Cycles a_off = rows[i].a_off;
     const Cycles a_on = rows[i].a_on;

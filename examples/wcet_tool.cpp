@@ -380,15 +380,14 @@ struct EntryRow {
 int PrintReport(const std::vector<EntryRow>& rows, pmk::Cycles response) {
   std::printf("%-24s %12s %10s %8s %8s %6s %6s\n", "Entry point", "WCET (cyc)", "WCET (us)",
               "nodes", "edges", "auto", "annot");
-  const pmk::EntryPoint entries[] = {pmk::EntryPoint::kSyscall, pmk::EntryPoint::kUndefined,
-                                     pmk::EntryPoint::kPageFault, pmk::EntryPoint::kInterrupt};
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const EntryRow& r = rows[i];
+    const char* name = pmk::EntryPointName(pmk::kEntryPoints[i]);
     if (r.status != static_cast<int>(pmk::SolveStatus::kOptimal)) {
-      std::printf("%-24s  solver status %d\n", pmk::EntryPointName(entries[i]), r.status);
+      std::printf("%-24s  solver status %d\n", name, r.status);
       return 1;
     }
-    std::printf("%-24s %12llu %10.1f %8zu %8zu %6zu %6zu\n", pmk::EntryPointName(entries[i]),
+    std::printf("%-24s %12llu %10.1f %8zu %8zu %6zu %6zu\n", name,
                 static_cast<unsigned long long>(r.wcet), r.micros, r.nodes, r.edges, r.loops_auto,
                 r.loops_annot);
   }
@@ -492,8 +491,7 @@ int main(int argc, char** argv) {
                   static_cast<std::size_t>(funcs), static_cast<std::size_t>(blocks),
                   static_cast<unsigned long long>(text));
       std::vector<EntryRow> rows;
-      for (pmk::EntryPoint e : {pmk::EntryPoint::kSyscall, pmk::EntryPoint::kUndefined,
-                                pmk::EntryPoint::kPageFault, pmk::EntryPoint::kInterrupt}) {
+      for (const pmk::EntryPoint e : pmk::kEntryPoints) {
         const pmk::wcet::AnalyzeReply a = conn.Analyze(e);
         rows.push_back({a.wcet, a.micros, static_cast<std::size_t>(a.nodes),
                         static_cast<std::size_t>(a.edges),
@@ -518,19 +516,17 @@ int main(int argc, char** argv) {
   pmk::WcetAnalyzer analyzer(*image, opts);
   // Entry analyses are independent; fan them out and print in entry order
   // (identical output for any --jobs value).
-  const std::vector<pmk::EntryPoint> entries = {
-      pmk::EntryPoint::kSyscall, pmk::EntryPoint::kUndefined, pmk::EntryPoint::kPageFault,
-      pmk::EntryPoint::kInterrupt};
   const auto results = pmk::engine::ParallelMap<pmk::EntryResult>(
-      entries.size(), jobs, [&](std::size_t i) { return analyzer.Analyze(entries[i]); });
+      pmk::kEntryPoints.size(), jobs,
+      [&](std::size_t i) { return analyzer.Analyze(pmk::kEntryPoints[i]); });
   std::vector<EntryRow> rows;
   pmk::Cycles longest = 0;
   pmk::Cycles irq_wcet = 0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
+  for (std::size_t i = 0; i < pmk::kEntryPoints.size(); ++i) {
     const pmk::EntryResult& r = results[i];
     rows.push_back({r.wcet, r.micros, r.nodes, r.edges, r.loops_bounded_auto,
                     r.loops_bounded_annot, static_cast<int>(r.status)});
-    if (entries[i] == pmk::EntryPoint::kInterrupt) {
+    if (pmk::kEntryPoints[i] == pmk::EntryPoint::kInterrupt) {
       irq_wcet = r.wcet;
     } else {
       longest = std::max(longest, r.wcet);

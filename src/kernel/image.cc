@@ -119,6 +119,20 @@ class FB {
 
 }  // namespace
 
+const char* EntryPointName(EntryPoint e) {
+  switch (e) {
+    case EntryPoint::kSyscall:
+      return "System call";
+    case EntryPoint::kUndefined:
+      return "Undefined instruction";
+    case EntryPoint::kPageFault:
+      return "Page fault";
+    case EntryPoint::kInterrupt:
+      return "Interrupt";
+  }
+  return "?";
+}
+
 std::unique_ptr<KernelImage> BuildKernelImage(const KernelConfig& config) {
   auto img = std::make_unique<KernelImage>();
   img->config = config;

@@ -17,6 +17,7 @@
 #ifndef SRC_KERNEL_IMAGE_H_
 #define SRC_KERNEL_IMAGE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -508,6 +509,14 @@ struct KernelBlocks {
     BlockId ret = kNoBlock;
   } pdds;
 };
+
+// The four analyzed kernel entry points (the exception vectors above), in
+// the order every table and figure lists them.
+enum class EntryPoint : std::uint8_t { kSyscall, kUndefined, kPageFault, kInterrupt };
+inline constexpr std::array<EntryPoint, 4> kEntryPoints = {
+    EntryPoint::kSyscall, EntryPoint::kUndefined, EntryPoint::kPageFault,
+    EntryPoint::kInterrupt};
+const char* EntryPointName(EntryPoint e);
 
 struct KernelImage {
   Program prog;

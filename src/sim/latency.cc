@@ -18,45 +18,70 @@ obs::ValueHistogram& IrqResponseHist() {
 
 }  // namespace
 
-Cycles MeasureEntry(System& sys, const std::function<void()>& enter,
-                    const std::function<void()>& reset, const MeasureOptions& opts) {
-  Cycles worst = 0;
-  for (std::uint32_t r = 0; r < std::max<std::uint32_t>(opts.runs, 1); ++r) {
-    if (opts.pollute_caches) {
-      sys.machine().PolluteCaches();
-    }
-    const Cycles t0 = sys.machine().Now();
-    enter();
-    const Cycles d = sys.machine().Now() - t0;
-    worst = std::max(worst, d);
-    if (opts.histogram != nullptr) {
-      opts.histogram->Record(d);
-    }
-    if (reset) {
-      reset();
-    }
+EntryScenario::EntryScenario(System& sys, EntryPoint entry) : sys_(sys), entry_(entry) {
+  switch (entry) {
+    case EntryPoint::kSyscall:
+      ipc_ = sys.BuildWorstCaseIpc();
+      break;
+    case EntryPoint::kUndefined:
+    case EntryPoint::kPageFault:
+      fault_ = sys.BuildFaultHandlerScenario();
+      break;
+    case EntryPoint::kInterrupt:
+      irq_ = sys.BuildIrqHandlerScenario();
+      break;
   }
-  return worst;
 }
 
-Cycles MeasureIrqDelivery(System& sys, const MeasureOptions& opts) {
-  Cycles worst = 0;
-  for (std::uint32_t r = 0; r < std::max<std::uint32_t>(opts.runs, 1); ++r) {
-    if (opts.pollute_caches) {
-      sys.machine().PolluteCaches();
-    }
-    sys.machine().irq().Unmask(InterruptController::kTimerLine);
-    sys.machine().irq().Assert(InterruptController::kTimerLine, sys.machine().Now());
-    const Cycles t0 = sys.machine().Now();
-    sys.kernel().HandleIrqEntry();
-    const Cycles d = sys.machine().Now() - t0;
-    worst = std::max(worst, d);
-    if (opts.histogram != nullptr) {
-      opts.histogram->Record(d);
-    }
-    IrqResponseHist().Record(d);
+EntryScenario::Observation EntryScenario::Run() {
+  Machine& m = sys_.machine();
+  Kernel& k = sys_.kernel();
+  m.PolluteCaches();
+  if (entry_ == EntryPoint::kInterrupt) {
+    // A previous delivery acknowledged and masked the line.
+    m.irq().Unmask(0);
+    m.irq().Assert(0, m.Now());
   }
-  return worst;
+  k.exec().StartRecording();
+  const Cycles t0 = m.Now();
+  switch (entry_) {
+    case EntryPoint::kSyscall:
+      k.Syscall(SysOp::kCall, ipc_.ep_cptr, ipc_.args);
+      break;
+    case EntryPoint::kUndefined:
+      k.RaiseUndefined();
+      break;
+    case EntryPoint::kPageFault:
+      k.RaisePageFault();
+      break;
+    case EntryPoint::kInterrupt:
+      k.HandleIrqEntry();
+      break;
+  }
+  Observation out;
+  out.cycles = m.Now() - t0;
+  out.path = k.exec().StopRecording();
+  return out;
+}
+
+void EntryScenario::Restore() {
+  Kernel& k = sys_.kernel();
+  switch (entry_) {
+    case EntryPoint::kSyscall:
+      // The receiver replies and waits again.
+      k.Syscall(SysOp::kReplyRecv, ipc_.reply_cptr, SyscallArgs{});
+      break;
+    case EntryPoint::kUndefined:
+    case EntryPoint::kPageFault:
+      // The pager handles the fault and waits again; the task resumes.
+      k.Syscall(SysOp::kReplyRecv, fault_.ep_cptr, SyscallArgs{});
+      k.DirectSetCurrent(fault_.task);
+      break;
+    case EntryPoint::kInterrupt:
+      k.DirectBlockOnRecv(irq_.handler, irq_.ep);
+      k.DirectSetCurrent(irq_.task);
+      break;
+  }
 }
 
 LongOpResult RunLongOpWithTimer(System& sys, SysOp op, std::uint32_t cptr,

@@ -1,35 +1,48 @@
-// Measurement helpers: worst-case-search execution timing (paper Section 5.4)
-// and interrupt-response measurement.
+// Measurement helpers: one observed kernel entry (paper Section 5.4) and
+// interrupt response under a periodic timer.
 
 #ifndef SRC_SIM_LATENCY_H_
 #define SRC_SIM_LATENCY_H_
 
 #include <cstdint>
-#include <functional>
 
+#include "src/kernel/image.h"
+#include "src/kir/trace.h"
 #include "src/obs/histogram.h"
 #include "src/sim/workload.h"
 
 namespace pmk {
 
-struct MeasureOptions {
-  bool pollute_caches = true;  // dirty caches before each run (Section 5.4)
-  std::uint32_t runs = 1;      // take the max over this many runs
-  // Optional: record every run's duration, not just the max, so callers can
-  // report the full latency distribution (p50/p90/p99) alongside it.
-  LatencyHistogram* histogram = nullptr;
+// One observed kernel entry, the paper's measurement (Section 5.4): the
+// entry's worst-case scenario, caches polluted, one timed entry. Table 2,
+// Figures 7-9 and the soundness tests observe every entry through this.
+//
+// The constructor stages |entry|'s scenario on |sys|: BuildWorstCaseIpc for
+// the system call, BuildFaultHandlerScenario for the undefined instruction
+// and the page fault, BuildIrqHandlerScenario for the interrupt (IRQ 0
+// asserted at Run). Run() pollutes the caches, raises the entry once and
+// returns its cycles and the block path it took. Restore() undoes the entry
+// (the receiver or pager replies and waits again, the handler waits again)
+// so the next Run() repeats it in place.
+class EntryScenario {
+ public:
+  struct Observation {
+    Cycles cycles = 0;  // kernel entry to kernel exit
+    Trace path;         // the entry's recorded block sequence
+  };
+
+  EntryScenario(System& sys, EntryPoint entry);
+
+  Observation Run();
+  void Restore();
+
+ private:
+  System& sys_;
+  EntryPoint entry_;
+  System::WorstIpc ipc_;
+  System::FaultHandler fault_;
+  System::IrqHandler irq_;
 };
-
-// Times one charged kernel entry under the given options. |enter| performs
-// exactly one kernel entry (e.g. a Syscall call) and is invoked once per run;
-// |reset| (optional) restores the scenario between runs. Returns the maximum
-// observed duration in cycles.
-Cycles MeasureEntry(System& sys, const std::function<void()>& enter,
-                    const std::function<void()>& reset, const MeasureOptions& opts);
-
-// Asserts the timer IRQ and immediately delivers it from userland (the
-// best-case interrupt path); returns the measured response latency.
-Cycles MeasureIrqDelivery(System& sys, const MeasureOptions& opts);
 
 // Runs a (possibly preempted and restarted) long operation to completion:
 // re-issues the syscall while it keeps returning kPreempted, servicing the

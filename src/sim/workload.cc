@@ -180,14 +180,15 @@ System::FaultHandler System::BuildFaultHandlerScenario() {
   return f;
 }
 
-void System::BuildIrqHandlerScenario() {
-  EndpointObj* ep = nullptr;
-  AddEndpoint(&ep);
-  TcbObj* handler = AddThread(/*prio=*/200);
-  TcbObj* task = AddThread(/*prio=*/10);
-  kernel_->DirectBindIrq(0, ep);
-  kernel_->DirectBlockOnRecv(handler, ep);
-  kernel_->DirectSetCurrent(task);
+System::IrqHandler System::BuildIrqHandlerScenario() {
+  IrqHandler h;
+  AddEndpoint(&h.ep);
+  h.handler = AddThread(/*prio=*/200);
+  h.task = AddThread(/*prio=*/10);
+  kernel_->DirectBindIrq(0, h.ep);
+  kernel_->DirectBlockOnRecv(h.handler, h.ep);
+  kernel_->DirectSetCurrent(h.task);
+  return h;
 }
 
 }  // namespace pmk

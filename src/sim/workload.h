@@ -92,10 +92,15 @@ class System {
   };
   FaultHandler BuildFaultHandlerScenario();
 
-  // The interrupt measurement scenario (Table 2, Figure 8): IRQ 0 bound to an
-  // endpoint that a handler at priority 200 waits on, with a task at
-  // priority 10 current. Asserting IRQ 0 now delivers to the handler.
-  void BuildIrqHandlerScenario();
+  // The interrupt measurement scenario (Table 2, Figures 8 and 9): IRQ 0
+  // bound to an endpoint that a handler at priority 200 waits on, with a task
+  // at priority 10 current. Asserting IRQ 0 now delivers to the handler.
+  struct IrqHandler {
+    EndpointObj* ep = nullptr;
+    TcbObj* handler = nullptr;
+    TcbObj* task = nullptr;
+  };
+  IrqHandler BuildIrqHandlerScenario();
 
   // A large untyped region plus a root cap for it; returns the cptr.
   std::uint32_t AddUntyped(std::uint8_t size_bits, UntypedObj** out = nullptr);

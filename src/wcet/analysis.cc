@@ -97,20 +97,6 @@ const char* SolveStatusName(SolveStatus s) {
 
 }  // namespace
 
-const char* EntryPointName(EntryPoint e) {
-  switch (e) {
-    case EntryPoint::kSyscall:
-      return "System call";
-    case EntryPoint::kUndefined:
-      return "Undefined instruction";
-    case EntryPoint::kPageFault:
-      return "Page fault";
-    case EntryPoint::kInterrupt:
-      return "Interrupt";
-  }
-  return "?";
-}
-
 CostModelOptions BuildCostModelOptions(const KernelImage& image, const AnalysisOptions& options) {
   CostModelOptions cost_opts;
   MachineConfig& mc = cost_opts.machine;

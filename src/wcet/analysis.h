@@ -30,10 +30,6 @@ struct AnalysisOptions {
   std::vector<ManualConstraint> constraints;
 };
 
-// The four analyzed kernel entry points.
-enum class EntryPoint : std::uint8_t { kSyscall, kUndefined, kPageFault, kInterrupt };
-const char* EntryPointName(EntryPoint e);
-
 // Derives the cost-model configuration that |options| implies for |image|:
 // the default machine (MachineConfig{} with options.l2_enabled, the machine
 // every driver runs) and, for each pinning option, the lines the kernel locks.

@@ -15,7 +15,6 @@ namespace {
 
 constexpr std::uint8_t kReplyOk = 0;
 constexpr std::uint8_t kReplyError = 1;
-constexpr std::size_t kNumEntryPoints = 4;
 
 obs::Counter& RequestCounter() {
   static obs::Counter c("wcet.serve.requests");
@@ -124,7 +123,7 @@ std::vector<std::uint8_t> WcetService::HandleOrThrow(const std::vector<std::uint
     case ServeOp::kAnalyze: {
       const std::uint8_t raw = r.U8();
       r.ExpectEnd("analyze request");
-      if (raw >= kNumEntryPoints) {
+      if (raw >= kEntryPoints.size()) {
         return ErrorReply("unknown entry point " + std::to_string(raw));
       }
       std::vector<std::uint8_t> reply;

@@ -100,8 +100,7 @@ TEST_P(ConfigSweepTest, AnalysisSolvesAndBoundsObserved) {
   System sys(kc, EvalMachine(false));
   WcetAnalyzer an(sys.kernel().image(), AnalysisOptions{});
   Cycles sys_wcet = 0;
-  for (const auto e : {EntryPoint::kSyscall, EntryPoint::kUndefined, EntryPoint::kPageFault,
-                       EntryPoint::kInterrupt}) {
+  for (const EntryPoint e : kEntryPoints) {
     const EntryResult r = an.Analyze(e);
     ASSERT_EQ(r.status, SolveStatus::kOptimal) << EntryPointName(e);
     ASSERT_GT(r.wcet, 0u);
@@ -109,11 +108,7 @@ TEST_P(ConfigSweepTest, AnalysisSolvesAndBoundsObserved) {
       sys_wcet = r.wcet;
     }
   }
-  auto w = sys.BuildWorstCaseIpc();
-  sys.machine().PolluteCaches();
-  const Cycles t0 = sys.machine().Now();
-  sys.kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args);
-  EXPECT_LE(sys.machine().Now() - t0, sys_wcet);
+  EXPECT_LE(EntryScenario(sys, EntryPoint::kSyscall).Run().cycles, sys_wcet);
 }
 
 TEST(DesignInteractionTest, ShadowTablesWithoutPreemptionAreCatastrophic) {

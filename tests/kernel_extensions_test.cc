@@ -127,11 +127,7 @@ TEST(L2KernelPinningTest, ObservedRunsBoundedByPinnedAnalysis) {
   WcetAnalyzer an(sys.kernel().image(), ao);
   const Cycles bound = an.Analyze(EntryPoint::kSyscall).wcet;
 
-  auto w = sys.BuildWorstCaseIpc();
-  sys.machine().PolluteCaches();
-  const Cycles t0 = sys.machine().Now();
-  sys.kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args);
-  EXPECT_LE(sys.machine().Now() - t0, bound);
+  EXPECT_LE(EntryScenario(sys, EntryPoint::kSyscall).Run().cycles, bound);
 }
 
 TEST(L2KernelPinningTest, PinnedLinesSurvivePollution) {

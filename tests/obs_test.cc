@@ -601,27 +601,5 @@ TEST(BlockProfilerTest, StatsForUnexecutedBlockIsZeroed) {
   EXPECT_EQ(s.total_cycles, 0u);
 }
 
-// --------------------------------------------------- latency.cc integration
-
-TEST(LatencyHistogramIntegrationTest, MeasureIrqDeliveryFillsHistogram) {
-  System sys(KernelConfig::After(), EvalMachine(false));
-  EndpointObj* ep = nullptr;
-  sys.AddEndpoint(&ep);
-  TcbObj* handler = sys.AddThread(200);
-  TcbObj* task = sys.AddThread(10);
-  sys.kernel().DirectBindIrq(0, ep);
-  sys.kernel().DirectBlockOnRecv(handler, ep);
-  sys.kernel().DirectSetCurrent(task);
-
-  LatencyHistogram hist;
-  MeasureOptions mo;
-  mo.runs = 8;
-  mo.histogram = &hist;
-  const Cycles worst = MeasureIrqDelivery(sys, mo);
-  EXPECT_EQ(hist.count(), 8u);
-  EXPECT_EQ(hist.max(), worst);
-  EXPECT_LE(hist.min(), worst);
-}
-
 }  // namespace
 }  // namespace pmk

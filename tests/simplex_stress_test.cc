@@ -317,8 +317,7 @@ std::vector<KernelIpet> KernelIpetPrograms() {
         AnalysisOptions opts;
         opts.l2_enabled = l2;
         opts.cache_pinning = pin;
-        for (const EntryPoint e : {EntryPoint::kSyscall, EntryPoint::kUndefined,
-                                   EntryPoint::kPageFault, EntryPoint::kInterrupt}) {
+        for (const EntryPoint e : kEntryPoints) {
           out.push_back({std::string(after ? "after" : "before") + " l2=" + std::to_string(l2) +
                              " pin=" + std::to_string(pin) + " " + EntryPointName(e),
                          KernelIpetLp(*img, opts, e)});

@@ -25,9 +25,6 @@
 namespace pmk {
 namespace {
 
-constexpr EntryPoint kEntries[] = {EntryPoint::kSyscall, EntryPoint::kUndefined,
-                                   EntryPoint::kPageFault, EntryPoint::kInterrupt};
-
 std::string Label(const AnalysisOptions& opts) {
   return "l2=" + std::to_string(opts.l2_enabled) + " pin=" + std::to_string(opts.cache_pinning) +
          " l2pin=" + std::to_string(opts.l2_kernel_pinning);
@@ -59,7 +56,7 @@ TEST(WcetEquivalenceTest, DerivedQueriesMatchReference) {
     const WcetOracle oracle(*img, opts);
     const WcetAnalyzer an(*img, opts);
     // Forced-path evaluation of every entry's real worst-case trace.
-    for (const EntryPoint e : kEntries) {
+    for (const EntryPoint e : kEntryPoints) {
       const Trace worst = an.Analyze(e).worst_trace;
       ASSERT_FALSE(worst.blocks.empty());
       EXPECT_EQ(oracle.EvaluateTrace(worst), an.EvaluateTrace(worst)) << EntryPointName(e);
@@ -90,7 +87,7 @@ TEST(WcetEquivalenceTest, ConcurrentAnalyzeIsConsistent) {
   const auto img = BuildKernelImage(KernelConfig::After());
   const WcetAnalyzer an(*img, AnalysisOptions{});
   const auto results = engine::ParallelMap<EntryResult>(
-      8, 4, [&](std::size_t i) { return an.Analyze(kEntries[i % 4]); });
+      8, 4, [&](std::size_t i) { return an.Analyze(kEntryPoints[i % kEntryPoints.size()]); });
   for (std::size_t i = 4; i < results.size(); ++i) {
     EXPECT_EQ(DiffEntryResults(results[i - 4], results[i]), "");
   }

@@ -40,9 +40,6 @@ using wcet::EditField;
 using wcet::ServeOp;
 using wcet::WcetService;
 
-constexpr EntryPoint kAllEntries[] = {EntryPoint::kSyscall, EntryPoint::kUndefined,
-                                      EntryPoint::kPageFault, EntryPoint::kInterrupt};
-
 // One randomized supported edit. Drawn from the live block table so scripts
 // stay within the post-layout mutation contract.
 struct Edit {
@@ -179,7 +176,7 @@ TEST_P(RandomEditScriptTest, IncrementalIdenticalToColdAfterEveryEdit) {
     wcet::ApplyEdit(prog, e.block, e.field, e.value);
     resident.NotifyBlockEdited(e.block);
     const WcetAnalyzer cold(*image, opts);
-    for (EntryPoint entry : kAllEntries) {
+    for (EntryPoint entry : kEntryPoints) {
       EXPECT_EQ(DiffEntryResults(cold.Analyze(entry), resident.Analyze(entry)), "")
           << "step " << step << ", " << EntryPointName(entry);
     }
@@ -399,7 +396,7 @@ TEST(ResponseBound, RefusesEntriesThatAreNotOptimal) {
   const AnalysisOptions opts;
 
   const WcetAnalyzer cold(*image, opts);
-  for (EntryPoint e : kAllEntries) {
+  for (EntryPoint e : kEntryPoints) {
     EXPECT_EQ(cold.Analyze(e).status, SolveStatus::kUnbounded);
   }
   try {
@@ -437,7 +434,7 @@ TEST(WcetService, AnswersMatchDirectAnalyzer) {
   const auto image = BuildKernelImage(KernelConfig::After());
   const WcetAnalyzer direct(*image, opts);
 
-  for (EntryPoint e : kAllEntries) {
+  for (EntryPoint e : kEntryPoints) {
     const auto reply = WcetService::ParseAnalyzeReply(service.Handle(AnalyzeRequest(e)));
     const EntryResult want = direct.Analyze(e);
     EXPECT_EQ(reply.status, static_cast<std::uint8_t>(want.status));
@@ -566,7 +563,7 @@ TEST(WcetService, ConcurrentQueriesAndEditsAreRaceFree) {
   for (int t = 0; t < kQueryThreads; ++t) {
     readers.emplace_back([&service, t] {
       for (int q = 0; q < kQueriesPerThread; ++q) {
-        const EntryPoint e = kAllEntries[(t + q) % 4];
+        const EntryPoint e = kEntryPoints[(t + q) % kEntryPoints.size()];
         const auto reply = service.Handle(AnalyzeRequest(e));
         WireReader r(reply);
         ASSERT_EQ(r.U8(), 0);

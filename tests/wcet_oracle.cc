@@ -624,8 +624,7 @@ std::string DiffEntryResults(const EntryResult& want, const EntryResult& got) {
 
 std::string DiffFromOracle(const WcetAnalyzer& analyzer, const WcetOracle& oracle) {
   std::string diff;
-  for (const EntryPoint e : {EntryPoint::kSyscall, EntryPoint::kUndefined,
-                             EntryPoint::kPageFault, EntryPoint::kInterrupt}) {
+  for (const EntryPoint e : kEntryPoints) {
     const std::string d = DiffEntryResults(oracle.Analyze(e), analyzer.Analyze(e));
     if (!d.empty()) {
       diff += std::string(EntryPointName(e)) + ":\n" + d;

@@ -291,8 +291,7 @@ TEST(AnalyzerTest, AllFourEntryPointsSolve) {
     const auto img =
         BuildKernelImage(after ? KernelConfig::After() : KernelConfig::Before());
     WcetAnalyzer an(*img, AnalysisOptions{});
-    for (const auto e : {EntryPoint::kSyscall, EntryPoint::kUndefined,
-                         EntryPoint::kPageFault, EntryPoint::kInterrupt}) {
+    for (const EntryPoint e : kEntryPoints) {
       const EntryResult r = an.Analyze(e);
       EXPECT_EQ(r.status, SolveStatus::kOptimal) << EntryPointName(e);
       EXPECT_GT(r.wcet, 0u);
@@ -320,8 +319,7 @@ TEST(AnalyzerTest, PinningImprovesInterruptPathMost) {
   WcetAnalyzer aq(*img, pinned);
   double best_gain = 0;
   EntryPoint best = EntryPoint::kSyscall;
-  for (const auto e : {EntryPoint::kSyscall, EntryPoint::kUndefined,
-                       EntryPoint::kPageFault, EntryPoint::kInterrupt}) {
+  for (const EntryPoint e : kEntryPoints) {
     const Cycles w0 = ap.Analyze(e).wcet;
     const Cycles w1 = aq.Analyze(e).wcet;
     EXPECT_LE(w1, w0) << EntryPointName(e);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <string>
 #include <utility>
@@ -41,59 +42,25 @@ TEST_P(SoundnessTest, ObservedNeverExceedsComputed) {
   ao.l2_enabled = v.l2;
   ao.cache_pinning = v.pin;
 
-  System sys(kc, mc);
-  if (v.pin) {
-    sys.kernel().ApplyCachePinning();
-  }
-  WcetAnalyzer analyzer(sys.kernel().image(), ao);
+  const std::shared_ptr<const KernelImage> image = SharedKernelImage(kc);
+  WcetAnalyzer analyzer(*image, ao);
   const Cycles sys_wcet = analyzer.Analyze(EntryPoint::kSyscall).wcet;
-  const Cycles irq_wcet = analyzer.Analyze(EntryPoint::kInterrupt).wcet;
-  const Cycles fault_wcet = analyzer.Analyze(EntryPoint::kPageFault).wcet;
 
-  // Scenario 1: the worst-case IPC (Section 6.1).
-  {
-    auto w = sys.BuildWorstCaseIpc();
-    sys.machine().PolluteCaches();
-    const Cycles t0 = sys.machine().Now();
-    ASSERT_EQ(sys.kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args), KernelExit::kDone);
-    const Cycles obs = sys.machine().Now() - t0;
-    EXPECT_LE(obs, sys_wcet) << "worst-case IPC";
+  // Every entry's measured scenario on a fresh System: the observed run is
+  // bounded by its own path's computed cost, and that path by the WCET.
+  for (const EntryPoint entry : kEntryPoints) {
+    SCOPED_TRACE(EntryPointName(entry));
+    System sys(kc, mc);
+    if (v.pin) {
+      sys.kernel().ApplyCachePinning();
+    }
+    const EntryScenario::Observation run = EntryScenario(sys, entry).Run();
+    const Cycles forced = analyzer.EvaluateTrace(run.path);
+    EXPECT_LE(run.cycles, forced) << "conservative path model must bound the run";
+    EXPECT_LE(forced, analyzer.Analyze(entry).wcet) << "the WCET bounds every path";
   }
 
-  // Scenario 2: interrupt delivery into a bound endpoint.
-  {
-    EndpointObj* ep = nullptr;
-    sys.AddEndpoint(&ep);
-    TcbObj* h = sys.AddThread(200);
-    sys.kernel().DirectBlockOnRecv(h, ep);
-    sys.kernel().DirectBindIrq(1, ep);
-    sys.machine().PolluteCaches();
-    sys.machine().irq().Assert(1, sys.machine().Now());
-    const Cycles t0 = sys.machine().Now();
-    sys.kernel().HandleIrqEntry();
-    EXPECT_LE(sys.machine().Now() - t0, irq_wcet) << "interrupt delivery";
-  }
-
-  // Scenario 3: page fault to a deep-cspace handler endpoint.
-  {
-    EndpointObj* ep = nullptr;
-    sys.AddEndpoint(&ep);
-    TcbObj* pager = sys.AddThread(150);
-    sys.kernel().DirectBlockOnRecv(pager, ep);
-    TcbObj* task = sys.AddThread(10);
-    Cap ep_cap;
-    ep_cap.type = ObjType::kEndpoint;
-    ep_cap.obj = ep->base;
-    task->fault_handler_cptr = sys.BuildDeepCapSpace(task, ep_cap, 32);
-    // Decoding the fault handler happens in the faulter's own (deep) cspace.
-    sys.kernel().DirectSetCurrent(task);
-    sys.machine().PolluteCaches();
-    const Cycles t0 = sys.machine().Now();
-    sys.kernel().RaisePageFault();
-    EXPECT_LE(sys.machine().Now() - t0, fault_wcet) << "page fault";
-  }
-
-  // Scenario 4: randomized syscall storm — every entry bounded.
+  // Randomized syscall storm — every entry bounded.
   {
     System storm(kc, mc);
     if (v.pin) {
@@ -162,70 +129,24 @@ INSTANTIATE_TEST_SUITE_P(Variants, SoundnessTest,
                                            Variant{false, true, false}),
                          VariantName);
 
-constexpr EntryPoint kAllEntries[] = {EntryPoint::kSyscall, EntryPoint::kUndefined,
-                                      EntryPoint::kPageFault, EntryPoint::kInterrupt};
-
-struct RecordedPath {
-  Cycles observed = 0;
-  Trace trace;
-};
-
-// Figure 8's measurement of one entry: caches polluted, the entry's scenario
-// staged while recording, caches polluted again, then one timed kernel entry.
-RecordedPath RecordPath(EntryPoint entry, System& sys) {
-  sys.machine().PolluteCaches();
-  sys.kernel().exec().StartRecording();
-  System::WorstIpc ipc;
-  if (entry == EntryPoint::kSyscall) {
-    ipc = sys.BuildWorstCaseIpc();
-  } else if (entry == EntryPoint::kInterrupt) {
-    sys.BuildIrqHandlerScenario();
-  } else {
-    sys.BuildFaultHandlerScenario();
-  }
-  sys.machine().PolluteCaches();
-  if (entry == EntryPoint::kInterrupt) {
-    sys.machine().irq().Assert(0, sys.machine().Now());
-  }
-  const Cycles t0 = sys.machine().Now();
-  switch (entry) {
-    case EntryPoint::kSyscall:
-      sys.kernel().Syscall(SysOp::kCall, ipc.ep_cptr, ipc.args);
-      break;
-    case EntryPoint::kUndefined:
-      sys.kernel().RaiseUndefined();
-      break;
-    case EntryPoint::kPageFault:
-      sys.kernel().RaisePageFault();
-      break;
-    case EntryPoint::kInterrupt:
-      sys.kernel().HandleIrqEntry();
-      break;
-  }
-  RecordedPath out;
-  out.observed = sys.machine().Now() - t0;
-  out.trace = sys.kernel().exec().StopRecording();
-  return out;
-}
-
 TEST(ForcedPathTest, TraceEvaluationBoundsObservedRun) {
   // Section 6.2 / Figure 8: force the analysis onto each entry's measured
   // path. The computed path cost must bound the hardware-model observation,
   // the WCET must bound the path, and the production evaluation must equal
   // the oracle's. No recorded path is its entry's worst trace, so this is
   // the only check of trace evaluation off the worst-case paths.
-  for (const EntryPoint entry : kAllEntries) {
+  for (const EntryPoint entry : kEntryPoints) {
     for (const bool l2 : {false, true}) {
       SCOPED_TRACE(std::string(EntryPointName(entry)) + (l2 ? ", L2 on" : ", L2 off"));
       System sys(KernelConfig::After(), EvalMachine(l2));
-      const RecordedPath run = RecordPath(entry, sys);
+      const EntryScenario::Observation run = EntryScenario(sys, entry).Run();
       AnalysisOptions ao;
       ao.l2_enabled = l2;
       const WcetAnalyzer an(sys.kernel().image(), ao);
-      const Cycles forced = an.EvaluateTrace(run.trace);
-      EXPECT_LE(run.observed, forced) << "conservative path model must bound the run";
+      const Cycles forced = an.EvaluateTrace(run.path);
+      EXPECT_LE(run.cycles, forced) << "conservative path model must bound the run";
       EXPECT_LE(forced, an.Analyze(entry).wcet) << "the WCET bounds every path";
-      EXPECT_EQ(forced, WcetOracle(sys.kernel().image(), ao).EvaluateTrace(run.trace));
+      EXPECT_EQ(forced, WcetOracle(sys.kernel().image(), ao).EvaluateTrace(run.path));
     }
   }
 }
@@ -276,12 +197,12 @@ TEST(ForcedPathTest, MachineGridBoundsObservedRuns) {
       mc.l2_enabled = l2;
       CostModelOptions copts;
       copts.machine = mc;
-      for (const EntryPoint entry : kAllEntries) {
+      for (const EntryPoint entry : kEntryPoints) {
         SCOPED_TRACE(name + ", " + EntryPointName(entry) + (l2 ? ", L2 on" : ", L2 off"));
         System sys(KernelConfig::After(), mc);
-        const RecordedPath run = RecordPath(entry, sys);
+        const EntryScenario::Observation run = EntryScenario(sys, entry).Run();
         const CostModelCache cache(sys.kernel().image().prog, copts);
-        EXPECT_LE(run.observed, EvaluateTraceCost(cache, run.trace));
+        EXPECT_LE(run.cycles, EvaluateTraceCost(cache, run.path));
       }
     }
   }
@@ -325,12 +246,12 @@ TEST(ForcedPathTest, OverestimationGrowsWithL2) {
   double ratio[2] = {0, 0};
   for (const bool l2 : {false, true}) {
     System sys(KernelConfig::After(), EvalMachine(l2));
-    const RecordedPath run = RecordPath(EntryPoint::kSyscall, sys);
+    const EntryScenario::Observation run = EntryScenario(sys, EntryPoint::kSyscall).Run();
     AnalysisOptions ao;
     ao.l2_enabled = l2;
     WcetAnalyzer an(sys.kernel().image(), ao);
     ratio[l2 ? 1 : 0] =
-        static_cast<double>(an.EvaluateTrace(run.trace)) / static_cast<double>(run.observed);
+        static_cast<double>(an.EvaluateTrace(run.path)) / static_cast<double>(run.cycles);
   }
   EXPECT_GT(ratio[0], 1.0);
   EXPECT_GT(ratio[1], ratio[0]);
