@@ -35,11 +35,7 @@ std::vector<CaseRow> CasesFor(const KernelConfig& kc) {
 
 int Main(int argc, char** argv) {
   const bench::CommonFlags flags = bench::ParseCommonFlags(argc, argv);
-  std::uint64_t seed = 1;
-  const std::string seed_str = FlagValue(argc, argv, "--seed=");
-  if (!seed_str.empty()) {
-    seed = std::stoull(seed_str);
-  }
+  const std::uint64_t seed = bench::UnsignedFlag<std::uint64_t>(argc, argv, "--seed=", 1);
 
   Table table({"kernel", "operation", "preempt points", "sweep runs", "all ok", "max restarts",
                "worst irq latency"});
@@ -73,7 +69,7 @@ int Main(int argc, char** argv) {
         InjectionAction a;
         a.trigger = InjectionAction::Trigger::kCycleAtLeast;
         a.at = 200 + rng.Below(800);  // early enough to land inside short ops
-        a.line = opts.line;
+        a.line = SweepOptions::kIrqLine;
         plan.actions.push_back(a);
         const RunRecord r = RunWithPlan(c.factory, plan, opts);
         worst = std::max(worst, r.max_irq_latency);

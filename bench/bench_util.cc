@@ -16,11 +16,9 @@ CommonFlags ParseCommonFlags(int argc, char** argv) {
   f.quick = HasFlag(argc, argv, "--quick");
   f.progress = HasFlag(argc, argv, "--progress");
   f.no_telemetry = HasFlag(argc, argv, "--no-telemetry");
-  if (const std::string j = FlagValue(argc, argv, "--jobs="); !j.empty()) {
-    f.jobs = static_cast<unsigned>(std::strtoul(j.c_str(), nullptr, 10));
-    if (f.jobs == 0) {
-      f.jobs = 1;
-    }
+  f.jobs = UnsignedFlag(argc, argv, "--jobs=", f.jobs);
+  if (f.jobs == 0) {
+    f.jobs = 1;
   }
   f.trace_json = FlagValue(argc, argv, "--trace-json=");
   f.metrics_json = FlagValue(argc, argv, "--metrics-json=");
@@ -28,6 +26,26 @@ CommonFlags ParseCommonFlags(int argc, char** argv) {
   obs::MetricsRegistry::SetEnabled(!f.no_telemetry);
   engine::SetProgress(f.progress);
   return f;
+}
+
+std::uint64_t ParseUnsignedFlag(const std::string& flag, const std::string& value,
+                                std::uint64_t max) {
+  std::uint64_t v = 0;
+  bool ok = !value.empty();
+  for (const char c : value) {
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (c < '0' || c > '9' || v > (max - digit) / 10) {
+      ok = false;
+      break;
+    }
+    v = v * 10 + digit;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "%s%s: expected an unsigned decimal no larger than %llu\n",
+                 flag.c_str(), value.c_str(), static_cast<unsigned long long>(max));
+    std::exit(2);
+  }
+  return v;
 }
 
 bool IsCommonFlag(const std::string& arg) {

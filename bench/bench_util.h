@@ -19,9 +19,12 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "src/obs/chrome_trace.h"
+#include "src/sim/report.h"
 
 namespace pmk::bench {
 
@@ -39,6 +42,25 @@ struct CommonFlags {
 // (MetricsRegistry::SetEnabled, engine::SetProgress). Unknown arguments are
 // ignored — drivers keep parsing their own flags from the same argv.
 CommonFlags ParseCommonFlags(int argc, char** argv);
+
+// Parses |value|, the text after |flag| (e.g. "--seed="), as a plain unsigned
+// decimal no larger than |max|. Anything else — empty, signed, a non-digit, or
+// too large — is a usage error: names the flag on stderr and exits with
+// status 2.
+std::uint64_t ParseUnsignedFlag(const std::string& flag, const std::string& value,
+                                std::uint64_t max);
+
+// The value of |flag| parsed by ParseUnsignedFlag into a T, or |fallback|
+// when the flag is absent or empty.
+template <typename T>
+T UnsignedFlag(int argc, char** argv, const std::string& flag, T fallback) {
+  const std::string value = FlagValue(argc, argv, flag);
+  if (value.empty()) {
+    return fallback;
+  }
+  return static_cast<T>(
+      ParseUnsignedFlag(flag, value, static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
+}
 
 // True if |arg| belongs to the common family. wcet_tool, the only caller,
 // uses it to reject every other unknown flag.

@@ -27,11 +27,8 @@ int main() {
   load::FleetSpec spec;
   spec.clients = 3;
   spec.servers = 1;
-  spec.client_prio = 50;
-  spec.server_prio = 100;
   spec.badge_base = 100;
   spec.mint_via_kernel = true;
-  spec.first_mint_slot = 30;
   spec.resume_threads = false;  // this example drives scheduling by hand
   spec.on_mint = [](std::uint32_t badge, std::uint32_t client, std::uint32_t slot) {
     std::printf("minted badge %u for client %u at slot %u\n", badge, client, slot);

@@ -92,29 +92,14 @@ int DemoShrink() {
 
 int Main(int argc, char** argv) {
   const bench::CommonFlags flags = bench::ParseCommonFlags(argc, argv);
-  CampaignConfig cfg;
-  const std::string seed_str = FlagValue(argc, argv, "--seed=");
-  if (!seed_str.empty()) {
-    cfg.seed = std::stoull(seed_str);
-  }
-  const std::string jobs_str = FlagValue(argc, argv, "--jobs=");
-  if (!jobs_str.empty()) {
-    cfg.jobs = flags.jobs;
-  }
-  if (HasFlag(argc, argv, "--quick")) {
-    cfg.random_runs = 8;
-    cfg.storm_runs = 2;
-    cfg.hostile_runs = 32;
-    cfg.spurious_runs = 4;
-  }
+  CampaignConfig cfg = flags.quick ? CampaignConfig::Quick() : CampaignConfig{};
+  cfg.seed = bench::UnsignedFlag(argc, argv, "--seed=", cfg.seed);
+  cfg.jobs = flags.jobs;
   if (HasFlag(argc, argv, "--demo-shrink")) {
     return DemoShrink();
   }
 
-  const std::string shards_str = FlagValue(argc, argv, "--shards=");
-  if (!shards_str.empty()) {
-    cfg.shards = static_cast<std::uint32_t>(std::stoul(shards_str));
-  }
+  cfg.shards = bench::UnsignedFlag(argc, argv, "--shards=", cfg.shards);
   cfg.journal_dir = FlagValue(argc, argv, "--journal=");
   if (!cfg.journal_dir.empty() && !HasFlag(argc, argv, "--resume")) {
     // Fresh campaign: drop any previous journal so old results cannot be
@@ -123,26 +108,15 @@ int Main(int argc, char** argv) {
     std::filesystem::remove(
         std::filesystem::path(cfg.journal_dir) / engine::ResultJournal::kFileName, ec);
   }
-  const std::string timeout_str = FlagValue(argc, argv, "--shard-timeout-ms=");
-  if (!timeout_str.empty()) {
-    cfg.shard_timeout_ms = static_cast<std::uint32_t>(std::stoul(timeout_str));
-  }
-  const std::string attempts_str = FlagValue(argc, argv, "--shard-max-attempts=");
-  if (!attempts_str.empty()) {
-    cfg.shard_max_attempts = static_cast<std::uint32_t>(std::stoul(attempts_str));
-  }
-  const std::string poison_str = FlagValue(argc, argv, "--poison=");
-  if (!poison_str.empty()) {
-    cfg.poison_ordinal = std::stoll(poison_str);
-  }
-  const std::string chaos_shard_str = FlagValue(argc, argv, "--chaos-kill-shard=");
-  if (!chaos_shard_str.empty()) {
-    cfg.chaos_kill_shard = static_cast<std::int32_t>(std::stol(chaos_shard_str));
-  }
-  const std::string chaos_after_str = FlagValue(argc, argv, "--chaos-kill-after=");
-  if (!chaos_after_str.empty()) {
-    cfg.chaos_kill_after_results = static_cast<std::uint32_t>(std::stoul(chaos_after_str));
-  }
+  cfg.shard_timeout_ms =
+      bench::UnsignedFlag(argc, argv, "--shard-timeout-ms=", cfg.shard_timeout_ms);
+  cfg.shard_max_attempts =
+      bench::UnsignedFlag(argc, argv, "--shard-max-attempts=", cfg.shard_max_attempts);
+  cfg.poison_ordinal = bench::UnsignedFlag(argc, argv, "--poison=", cfg.poison_ordinal);
+  cfg.chaos_kill_shard =
+      bench::UnsignedFlag(argc, argv, "--chaos-kill-shard=", cfg.chaos_kill_shard);
+  cfg.chaos_kill_after_results =
+      bench::UnsignedFlag(argc, argv, "--chaos-kill-after=", cfg.chaos_kill_after_results);
 
   // The campaign runs the canonical operations on the "after" kernel; its
   // observed interrupt-response tails are checked against the WCET
@@ -151,7 +125,7 @@ int Main(int argc, char** argv) {
   {
     const auto img = BuildKernelImage(KernelConfig::After());
     const WcetAnalyzer analyzer(*img, AnalysisOptions{});
-    observatory.SetBound(cfg.config_label, analyzer.InterruptResponseBound());
+    observatory.SetBound("after", analyzer.InterruptResponseBound());
   }
   cfg.observatory = &observatory;
 

@@ -63,10 +63,7 @@ void TimerRetypeThroughSink(obs::TailObservatory& observatory) {
 
 int Main(int argc, char** argv) {
   const bench::CommonFlags flags = bench::ParseCommonFlags(argc, argv);
-  std::uint64_t seed = 42;
-  if (const std::string s = FlagValue(argc, argv, "--seed="); !s.empty()) {
-    seed = std::stoull(s);
-  }
+  const std::uint64_t seed = bench::UnsignedFlag<std::uint64_t>(argc, argv, "--seed=", 42);
 
   obs::TailObservatory observatory;
   const auto img = BuildKernelImage(KernelConfig::After());
@@ -94,16 +91,10 @@ int Main(int argc, char** argv) {
   TimerRetypeThroughSink(observatory);
 
   // 3. All five campaign modes feed the observatory themselves.
-  CampaignConfig cc;
+  CampaignConfig cc = flags.quick ? CampaignConfig::Quick() : CampaignConfig{};
   cc.seed = seed;
   cc.jobs = flags.jobs;
   cc.observatory = &observatory;
-  if (flags.quick) {
-    cc.random_runs = 8;
-    cc.storm_runs = 2;
-    cc.hostile_runs = 32;
-    cc.spurious_runs = 4;
-  }
   const CampaignReport report = RunCampaign(cc);
 
   if (flags.csv) {

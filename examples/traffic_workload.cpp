@@ -43,12 +43,8 @@ int Main(int argc, char** argv) {
 
   load::TrafficOptions opts;
   opts.jobs = flags.jobs;
-  if (const std::string s = FlagValue(argc, argv, "--seed="); !s.empty()) {
-    opts.seed = std::stoull(s);
-  }
-  if (const std::string s = FlagValue(argc, argv, "--shards="); !s.empty()) {
-    opts.shards = static_cast<std::uint32_t>(std::stoul(s));
-  }
+  opts.seed = bench::UnsignedFlag(argc, argv, "--seed=", opts.seed);
+  opts.shards = bench::UnsignedFlag(argc, argv, "--shards=", opts.shards);
   opts.journal_dir = FlagValue(argc, argv, "--journal=");
   if (!opts.journal_dir.empty() && !HasFlag(argc, argv, "--resume")) {
     // Fresh sweep: drop any previous journal so stale results cannot leak in.

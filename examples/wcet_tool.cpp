@@ -31,6 +31,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -435,7 +436,8 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--shutdown=", 11) == 0) {
       shutdown_path = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--edit-demo=", 12) == 0) {
-      edit_demo = std::atoi(argv[i] + 12);
+      edit_demo = static_cast<int>(pmk::bench::ParseUnsignedFlag(
+          "--edit-demo=", argv[i] + 12, std::numeric_limits<int>::max()));
     } else if (pmk::bench::IsCommonFlag(argv[i])) {
       // Already handled by ParseCommonFlags (--jobs=, --metrics-json=, ...).
     } else {

@@ -57,7 +57,6 @@ void MaybeReportProgress(std::size_t done, std::size_t n) {
 }  // namespace
 
 void SetProgress(bool on) { g_progress.store(on, std::memory_order_relaxed); }
-bool ProgressEnabled() { return g_progress.load(std::memory_order_relaxed); }
 
 void RunJobs(std::size_t n, unsigned jobs, const std::function<void(std::size_t)>& fn) {
   if (n == 0) {
@@ -66,7 +65,7 @@ void RunJobs(std::size_t n, unsigned jobs, const std::function<void(std::size_t)
   BatchCounter().Inc();
   QueueDepthGauge().Set(static_cast<std::int64_t>(n));
   const auto batch_scope = BatchTimer().Measure();
-  const bool progress = ProgressEnabled();
+  const bool progress = g_progress.load(std::memory_order_relaxed);
   if (jobs <= 1 || n == 1) {
     // Inline path: no threads, index order. This is the reference execution
     // the parallel path must be observably identical to.

@@ -22,7 +22,6 @@ namespace pmk::engine {
 // only, so stdout goldens and CSV byte-identity are untouched. Off by
 // default.
 void SetProgress(bool on);
-bool ProgressEnabled();
 
 // Invokes fn(i) once for every i in [0, n). With jobs <= 1 (or n <= 1) the
 // calls run inline on the calling thread in index order; otherwise

@@ -30,6 +30,9 @@ namespace pmk::engine {
 
 namespace {
 
+// Ceiling of the respawn backoff after repeated worker deaths.
+constexpr std::uint64_t kBackoffCapMs = 1'000;
+
 bool g_in_worker = false;
 
 std::uint64_t NowMs() {
@@ -404,10 +407,10 @@ class ShardRun {
     M().retries.Inc(remaining.size());
     const std::uint32_t deaths = ++shard_deaths_[w.shard];
     std::uint64_t backoff = opts_.backoff_base_ms;
-    for (std::uint32_t i = 1; i < deaths && backoff < opts_.backoff_cap_ms; ++i) {
+    for (std::uint32_t i = 1; i < deaths && backoff < kBackoffCapMs; ++i) {
       backoff *= 2;
     }
-    backoff = std::min<std::uint64_t>(backoff, opts_.backoff_cap_ms);
+    backoff = std::min<std::uint64_t>(backoff, kBackoffCapMs);
     respawns.push_back({now + backoff, w.shard, std::move(remaining)});
   }
 

@@ -61,14 +61,13 @@ struct ShardOptions {
 
   // Per-run watchdog: a worker with work outstanding that produces no frame
   // for this long is killed and its in-flight runs blamed.
-  std::uint32_t task_timeout_ms = 30'000;
+  std::uint32_t task_timeout_ms = 120'000;
 
   // Attempts per run before quarantine (the quarantine wave grants one more).
   std::uint32_t max_attempts = 2;
 
-  // Respawn backoff after a worker death: base * 2^(deaths-1), capped.
+  // Respawn backoff after a worker death: base * 2^(deaths-1), capped at 1 s.
   std::uint32_t backoff_base_ms = 50;
-  std::uint32_t backoff_cap_ms = 1'000;
 
   // Crash-safe journal directory; empty disables journaling. Results are
   // keyed by ResultJournal::Key(journal_digest, task.key, seed).

@@ -4,12 +4,9 @@
 #include <array>
 #include <cstdlib>
 #include <memory>
-#include <mutex>
 #include <sstream>
 
 #include "src/engine/checkpoint.h"
-#include "src/engine/job_pool.h"
-#include "src/engine/journal.h"
 #include "src/engine/shard.h"
 #include "src/engine/wire.h"
 #include "src/kernel/error.h"
@@ -64,73 +61,35 @@ struct CampaignTask {
   std::string Key() const { return mode + "|" + op + "|" + plan; }
 };
 
-// Per-operation scenario state shared by that op's task closures. The
-// checkpoint is built lazily, so a fully-journaled resume never boots at all.
-// Forked shard workers inherit it through fork()'s copy-on-write memory.
-class ScenarioBank {
- public:
-  ScenarioBank(std::string name, OpFactory factory)
-      : name_(std::move(name)), factory_(std::move(factory)) {}
-
-  const ScenarioCheckpoint& Get() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (ckpt_ == nullptr) {
-      ckpt_ = std::make_shared<const ScenarioCheckpoint>(factory_);
-    }
-    return *ckpt_;
-  }
-
-  const std::string& name() const { return name_; }
-
- private:
-  std::string name_;
-  OpFactory factory_;
-  mutable std::mutex mu_;
-  mutable std::shared_ptr<const ScenarioCheckpoint> ckpt_;
-};
-
-// Plan-time journal peek: lets the builders skip work whose only purpose is
-// feeding later rows (the exhaustive dry run pins the boundary count) when a
-// resumed journal already holds the row.
-class PlanPeek {
- public:
-  PlanPeek(const CampaignConfig& cfg, std::uint64_t digest) : seed_(cfg.seed), digest_(digest) {
-    if (!cfg.journal_dir.empty()) {
-      journal_ = std::make_unique<engine::ResultJournal>(cfg.journal_dir, digest);
-    }
-  }
-
-  std::optional<ScenarioResult> Row(const std::string& mode, const std::string& op,
-                                    const std::string& plan) const {
-    if (journal_ == nullptr) {
-      return std::nullopt;
-    }
-    const auto hit =
-        journal_->Lookup(engine::ResultJournal::Key(digest_, mode + "|" + op + "|" + plan, seed_));
-    if (!hit.has_value()) {
-      return std::nullopt;
-    }
-    try {
-      return DecodeScenarioResult(*hit);
-    } catch (const engine::WireError&) {
-      return std::nullopt;  // corrupt entry: fall back to re-execution
-    }
-  }
-
- private:
-  std::uint64_t seed_;
-  std::uint64_t digest_;
-  std::unique_ptr<engine::ResultJournal> journal_;
-};
-
-InjectionPlan BoundaryPlan(std::uint64_t k, std::uint32_t line) {
+InjectionPlan BoundaryPlan(std::uint64_t k) {
   InjectionPlan plan;
   InjectionAction a;
   a.trigger = InjectionAction::Trigger::kPreemptOrdinal;
   a.at = k;
-  a.line = line;
+  a.line = SweepOptions::kIrqLine;
   plan.actions.push_back(a);
   return plan;
+}
+
+// One canonical operation as its tasks see it: the boot every run of it
+// forks from, and its uninjected dry run, which pins the boundary count the
+// other rows of the op depend on. Forked shard workers inherit the boot
+// through fork()'s copy-on-write memory.
+struct CanonicalRun {
+  std::string name;
+  std::shared_ptr<const ScenarioCheckpoint> ckpt;
+  ScenarioResult dry;  // the exhaustive mode's "<name>/dry" row
+};
+
+std::vector<CanonicalRun> BootCanonicalOps() {
+  std::vector<CanonicalRun> ops;
+  for (const auto& [name, factory] : CanonicalOps()) {
+    auto ckpt = std::make_shared<const ScenarioCheckpoint>(factory);
+    ScenarioResult dry =
+        FromRun("exhaustive", name + "/dry", RunWithInstance(ckpt->Fork(), InjectionPlan{}));
+    ops.push_back({name, std::move(ckpt), std::move(dry)});
+  }
+  return ops;
 }
 
 // ------------------------------------------------------------- builders
@@ -140,78 +99,25 @@ InjectionPlan BoundaryPlan(std::uint64_t k, std::uint32_t line) {
 // time, or per-ordinal child streams), so the assembled CSV is byte-identical
 // to the pre-sharding in-process campaign.
 
-struct BuildState {
-  std::vector<CampaignTask> tasks;
-  std::vector<std::shared_ptr<ScenarioBank>> banks;
-  std::map<std::string, std::uint64_t> pp_by_op;  // boundary counts, once known
-
-  std::shared_ptr<ScenarioBank> Bank(const std::string& name, const OpFactory& factory) {
-    for (const auto& b : banks) {
-      if (b->name() == name) {
-        return b;
-      }
-    }
-    auto bank = std::make_shared<ScenarioBank>(name, factory);
-    banks.push_back(bank);
-    return bank;
-  }
-};
-
-void BuildExhaustive(const CampaignConfig& cfg, const PlanPeek& peek, BuildState& bs) {
-  SweepOptions opts = cfg.sweep;
-  opts.checkpoint = true;
-  opts.jobs = cfg.jobs;
-  for (const auto& [name, factory] : CanonicalOps()) {
-    auto bank = bs.Bank(name, factory);
-    const std::string dry_op = name + "/dry";
-    const std::string dry_plan = InjectionPlan{}.ToString();
-
-    // The dry run pins the boundary count every other row of this op depends
-    // on, so it executes at build time — unless a resumed journal already
-    // holds it, in which case nothing boots here at all.
-    std::shared_ptr<const ScenarioResult> dry;
-    std::uint64_t pp = 0;
-    if (const auto hit = peek.Row("exhaustive", dry_op, dry_plan)) {
-      pp = hit->preempt_points;
-    } else {
-      dry = std::make_shared<const ScenarioResult>(
-          FromRun("exhaustive", dry_op, RunWithInstance(bank->Get().Fork(), InjectionPlan{}, opts)));
-      pp = dry->preempt_points;
-    }
-    bs.pp_by_op[name] = pp;
-
-    bs.tasks.push_back({"exhaustive", dry_op, dry_plan, [dry, bank, opts, dry_op] {
-                          if (dry != nullptr) {
-                            return *dry;  // computed at build time; don't redo the boot
-                          }
-                          return FromRun("exhaustive", dry_op,
-                                         RunWithInstance(bank->Get().Fork(), InjectionPlan{}, opts));
-                        }});
-    for (std::uint64_t k = 0; k < pp; ++k) {
-      InjectionPlan plan = BoundaryPlan(k, opts.line);
+void BuildExhaustive(const std::vector<CanonicalRun>& ops, std::vector<CampaignTask>& tasks) {
+  for (const CanonicalRun& op : ops) {
+    // The dry run already executed at boot; its task hands back that row.
+    tasks.push_back({"exhaustive", op.dry.op, op.dry.plan, [dry = op.dry] { return dry; }});
+    for (std::uint64_t k = 0; k < op.dry.preempt_points; ++k) {
+      InjectionPlan plan = BoundaryPlan(k);
       std::string plan_str = plan.ToString();
-      bs.tasks.push_back({"exhaustive", name, plan_str, [bank, plan, opts, name = name] {
-                            return FromRun("exhaustive", name,
-                                           RunWithInstance(bank->Get().Fork(), plan, opts));
-                          }});
+      tasks.push_back({"exhaustive", op.name, plan_str, [ckpt = op.ckpt, plan, name = op.name] {
+                         return FromRun("exhaustive", name, RunWithInstance(ckpt->Fork(), plan));
+                       }});
     }
   }
 }
 
-void BuildRandom(const CampaignConfig& cfg, BuildState& bs) {
+void BuildRandom(const CampaignConfig& cfg, const std::vector<CanonicalRun>& ops,
+                 std::vector<CampaignTask>& tasks) {
   SplitMix64 rng(cfg.seed ^ 0xA5A5'0001ull);
-  for (const auto& [name, factory] : CanonicalOps()) {
-    auto bank = bs.Bank(name, factory);
-    // Boundary count: pinned by the exhaustive dry run when that mode ran,
-    // else measured here with an uninjected run (the historical draw).
-    std::uint64_t pp = 0;
-    const auto it = bs.pp_by_op.find(name);
-    if (it != bs.pp_by_op.end()) {
-      pp = it->second;
-    } else {
-      pp = RunWithInstance(bank->Get().Fork(), InjectionPlan{}, cfg.sweep).preempt_points;
-      bs.pp_by_op[name] = pp;
-    }
+  for (const CanonicalRun& op : ops) {
+    const std::uint64_t pp = op.dry.preempt_points;
     // Plans are drawn serially before any run executes: the RNG stream is a
     // function of the seed alone, never of run results or thread timing.
     std::vector<InjectionPlan> plans(cfg.random_runs);
@@ -233,10 +139,9 @@ void BuildRandom(const CampaignConfig& cfg, BuildState& bs) {
     }
     for (InjectionPlan& plan : plans) {
       std::string plan_str = plan.ToString();
-      bs.tasks.push_back(
-          {"random", name, plan_str, [bank, plan, sweep = cfg.sweep, name = name] {
-             return FromRun("random", name, RunWithInstance(bank->Get().Fork(), plan, sweep));
-           }});
+      tasks.push_back({"random", op.name, plan_str, [ckpt = op.ckpt, plan, name = op.name] {
+                         return FromRun("random", name, RunWithInstance(ckpt->Fork(), plan));
+                       }});
     }
   }
 }
@@ -307,15 +212,15 @@ ScenarioResult RunStormOrdinal(const SplitMix64& base, std::size_t run) {
   return res;
 }
 
-void BuildStorm(const CampaignConfig& cfg, BuildState& bs) {
+void BuildStorm(const CampaignConfig& cfg, std::vector<CampaignTask>& tasks) {
   const SplitMix64 base(cfg.seed ^ 0xA5A5'0002ull);
   for (std::size_t run = 0; run < cfg.storm_runs; ++run) {
-    bs.tasks.push_back({"storm", "runner", "storm#" + std::to_string(run),
-                        [base, run] { return RunStormOrdinal(base, run); }});
+    tasks.push_back({"storm", "runner", "storm#" + std::to_string(run),
+                     [base, run] { return RunStormOrdinal(base, run); }});
   }
 }
 
-void BuildHostile(const CampaignConfig& cfg, BuildState& bs) {
+void BuildHostile(const CampaignConfig& cfg, std::vector<CampaignTask>& tasks) {
   SplitMix64 rng(cfg.seed ^ 0xA5A5'0003ull);
   System sys(KernelConfig::After(), EvalMachine(false));
   EndpointObj* ep = nullptr;
@@ -409,7 +314,7 @@ void BuildHostile(const CampaignConfig& cfg, BuildState& bs) {
 
   for (std::size_t run = 0; run < cases.size(); ++run) {
     const HostileCase hc = cases[run];
-    bs.tasks.push_back(
+    tasks.push_back(
         {"hostile", hc.kind, "h#" + std::to_string(run),
          [bank, hc, run, actor_base, deep_actor_base] {
            ScenarioResult res;
@@ -506,33 +411,33 @@ ScenarioResult RunSpuriousOrdinal(const SplitMix64& base, std::size_t run) {
   return res;
 }
 
-void BuildSpurious(const CampaignConfig& cfg, BuildState& bs) {
+void BuildSpurious(const CampaignConfig& cfg, std::vector<CampaignTask>& tasks) {
   const SplitMix64 base(cfg.seed ^ 0xA5A5'0004ull);
   for (std::size_t run = 0; run < cfg.spurious_runs; ++run) {
-    bs.tasks.push_back({"spurious", "controller", "sp#" + std::to_string(run),
-                        [base, run] { return RunSpuriousOrdinal(base, run); }});
+    tasks.push_back({"spurious", "controller", "sp#" + std::to_string(run),
+                     [base, run] { return RunSpuriousOrdinal(base, run); }});
   }
 
   // One kernel-level spurious entry: an IRQ kernel entry with nothing
   // pending must take the h.spurious path and leave the kernel consistent.
-  bs.tasks.push_back({"spurious", "kernel-entry", "sp#kernel", [] {
-                        ScenarioResult res;
-                        res.mode = "spurious";
-                        res.op = "kernel-entry";
-                        res.plan = "sp#kernel";
-                        try {
-                          System sys(KernelConfig::After(), EvalMachine(false));
-                          TcbObj* t = sys.AddThread(10);
-                          sys.kernel().DirectSetCurrent(t);
-                          sys.kernel().HandleIrqEntry();
-                          sys.kernel().CheckInvariants();
-                          res.ok = true;
-                        } catch (const std::exception& ex) {
-                          res.ok = false;
-                          res.detail = Sanitize(ex.what());
-                        }
-                        return res;
-                      }});
+  tasks.push_back({"spurious", "kernel-entry", "sp#kernel", [] {
+                     ScenarioResult res;
+                     res.mode = "spurious";
+                     res.op = "kernel-entry";
+                     res.plan = "sp#kernel";
+                     try {
+                       System sys(KernelConfig::After(), EvalMachine(false));
+                       TcbObj* t = sys.AddThread(10);
+                       sys.kernel().DirectSetCurrent(t);
+                       sys.kernel().HandleIrqEntry();
+                       sys.kernel().CheckInvariants();
+                       res.ok = true;
+                     } catch (const std::exception& ex) {
+                       res.ok = false;
+                       res.detail = Sanitize(ex.what());
+                     }
+                     return res;
+                   }});
 }
 
 }  // namespace
@@ -611,12 +516,13 @@ std::uint64_t CampaignContextDigest(const CampaignConfig& config) {
   w.U32(config.storm_runs);
   w.U32(config.hostile_runs);
   w.U32(config.spurious_runs);
-  w.U32(config.sweep.line);
-  w.U32(config.sweep.restart_slack);
   return engine::Fnv1a64(w.bytes().data(), w.bytes().size());
 }
 
 namespace {
+
+// The observatory config label: the campaign runs the "after" kernel.
+constexpr char kObservatoryConfig[] = "after";
 
 // The observatory scenario label for one result row: per-op for the modes
 // that sweep the canonical operations, per-mode for the rest (hostile fans
@@ -638,31 +544,29 @@ std::string ObservatoryScenario(const ScenarioResult& r) {
 CampaignReport RunCampaign(const CampaignConfig& config) {
   CampaignReport report;
   report.seed = config.seed;
-  const std::uint64_t digest = CampaignContextDigest(config);
 
   // Build the complete run list — row order and RNG draws exactly match the
-  // historical in-process campaign. Banks outlive the build via the
-  // shared_ptr copies inside task closures.
-  BuildState bs;
-  {
-    const PlanPeek peek(config, digest);
+  // historical in-process campaign. The canonical boots outlive the build via
+  // the shared_ptr copies inside task closures.
+  std::vector<CampaignTask> tasks;
+  if (config.exhaustive || config.random_runs > 0) {
+    const std::vector<CanonicalRun> ops = BootCanonicalOps();
     if (config.exhaustive) {
-      BuildExhaustive(config, peek, bs);
+      BuildExhaustive(ops, tasks);
     }
     if (config.random_runs > 0) {
-      BuildRandom(config, bs);
-    }
-    if (config.storm_runs > 0) {
-      BuildStorm(config, bs);
-    }
-    if (config.hostile_runs > 0) {
-      BuildHostile(config, bs);
-    }
-    if (config.spurious_runs > 0) {
-      BuildSpurious(config, bs);
+      BuildRandom(config, ops, tasks);
     }
   }
-  std::vector<CampaignTask>& tasks = bs.tasks;
+  if (config.storm_runs > 0) {
+    BuildStorm(config, tasks);
+  }
+  if (config.hostile_runs > 0) {
+    BuildHostile(config, tasks);
+  }
+  if (config.spurious_runs > 0) {
+    BuildSpurious(config, tasks);
+  }
 
   // Poison hook: one designated run aborts when executing inside a shard
   // worker — the supervisor must quarantine exactly that row.
@@ -684,7 +588,7 @@ CampaignReport RunCampaign(const CampaignConfig& config) {
   sopts.max_attempts = config.shard_max_attempts;
   sopts.backoff_base_ms = config.shard_backoff_ms;
   sopts.journal_dir = config.journal_dir;
-  sopts.journal_digest = digest;
+  sopts.journal_digest = CampaignContextDigest(config);
   sopts.seed = config.seed;
   sopts.chaos_kill_shard = config.chaos_kill_shard;
   sopts.chaos_kill_after_results = config.chaos_kill_after_results;
@@ -741,10 +645,10 @@ CampaignReport RunCampaign(const CampaignConfig& config) {
     config.observatory->SetUnenforced("storm");
     for (const ScenarioResult& r : report.results) {
       const std::string scenario = ObservatoryScenario(r);
-      config.observatory->Touch(config.config_label, scenario);
-      config.observatory->RecordHistogram(config.config_label, scenario, r.irq_hist);
-      config.observatory->RecordIrqCounters(config.config_label, scenario,
-                                            r.spurious_acks, r.coalesced);
+      config.observatory->Touch(kObservatoryConfig, scenario);
+      config.observatory->RecordHistogram(kObservatoryConfig, scenario, r.irq_hist);
+      config.observatory->RecordIrqCounters(kObservatoryConfig, scenario, r.spurious_acks,
+                                            r.coalesced);
     }
   }
   return report;

@@ -37,7 +37,6 @@ struct CampaignConfig {
   std::uint32_t storm_runs = 4;
   std::uint32_t hostile_runs = 128;  // hostile syscalls, forked from one system
   std::uint32_t spurious_runs = 16;
-  SweepOptions sweep;
 
   // Worker threads for scenario execution (src/engine job pool). Plans and
   // RNG streams are precomputed serially and results collected in ordinal
@@ -74,13 +73,23 @@ struct CampaignConfig {
   std::uint32_t chaos_kill_after_results = 0;
 
   // Optional interrupt-response tail observatory. When set, every run's IRQ
-  // latency histogram is merged under (config_label, "<mode>[/<op>]") after
-  // the report is assembled — an observer of results already collected, so
+  // latency histogram is merged under ("after", "<mode>[/<op>]") after the
+  // report is assembled — an observer of results already collected, so
   // attaching it cannot change a single CSV byte. Storm-mode rows are marked
   // unenforced: their latencies include device-side masking windows the
   // kernel WCET analysis deliberately excludes.
   obs::TailObservatory* observatory = nullptr;
-  std::string config_label = "after";
+
+  // The CI smoke sizes (--quick) that the fault_campaign and
+  // telemetry_report goldens pin.
+  static CampaignConfig Quick() {
+    CampaignConfig c;
+    c.random_runs = 8;
+    c.storm_runs = 2;
+    c.hostile_runs = 32;
+    c.spurious_runs = 4;
+    return c;
+  }
 };
 
 struct ScenarioResult {

@@ -11,6 +11,10 @@ namespace pmk {
 
 namespace {
 
+// Restarts a run may take beyond its injected lines before the progress
+// audit fails it.
+constexpr std::uint32_t kRestartSlack = 4;
+
 // Fault-layer telemetry (observers only: recorded after the modelled run).
 obs::Counter& RunCounter() {
   static obs::Counter c("fault.runs.executed");
@@ -74,13 +78,12 @@ OpInstance ScenarioCheckpoint::Fork() const {
 }
 
 RunRecord RunWithPlan(const OpFactory& factory, const InjectionPlan& plan,
-                      const SweepOptions& opts,
+                      const SweepOptions& /*opts*/,
                       const std::function<void(System&)>& sabotage) {
-  return RunWithInstance(factory(), plan, opts, sabotage);
+  return RunWithInstance(factory(), plan, sabotage);
 }
 
 RunRecord RunWithInstance(OpInstance inst, const InjectionPlan& plan,
-                          const SweepOptions& opts,
                           const std::function<void(System&)>& sabotage) {
   System& sys = *inst.sys;
 
@@ -93,7 +96,7 @@ RunRecord RunWithInstance(OpInstance inst, const InjectionPlan& plan,
 
   RunRecord rec;
   rec.plan = plan.ToString();
-  const std::uint64_t restart_bound = plan.TotalLines() + opts.restart_slack;
+  const std::uint64_t restart_bound = plan.TotalLines() + kRestartSlack;
 
   for (;;) {
     KernelExit e;
@@ -201,12 +204,12 @@ std::uint32_t SweepResult::MaxRestarts() const {
 
 SweepResult ExhaustiveIrqSweep(const OpFactory& factory, const SweepOptions& opts) {
   SweepResult res;
-  const auto plan_for = [&opts](std::uint64_t k) {
+  const auto plan_for = [](std::uint64_t k) {
     InjectionPlan plan;
     InjectionAction a;
     a.trigger = InjectionAction::Trigger::kPreemptOrdinal;
     a.at = k;
-    a.line = opts.line;
+    a.line = SweepOptions::kIrqLine;
     plan.actions.push_back(a);
     return plan;
   };
@@ -227,11 +230,11 @@ SweepResult ExhaustiveIrqSweep(const OpFactory& factory, const SweepOptions& opt
   // runs start from the identical frozen image — and execute on the job
   // pool, collecting results by ordinal.
   const ScenarioCheckpoint ckpt(factory);
-  res.dry_run = RunWithInstance(ckpt.Fork(), InjectionPlan{}, opts);
+  res.dry_run = RunWithInstance(ckpt.Fork(), InjectionPlan{});
   res.preempt_points = res.dry_run.preempt_points;
   res.runs.resize(res.preempt_points);
   engine::RunJobs(res.preempt_points, opts.jobs, [&](std::size_t k) {
-    res.runs[k] = RunWithInstance(ckpt.Fork(), plan_for(k), opts);
+    res.runs[k] = RunWithInstance(ckpt.Fork(), plan_for(k));
   });
   return res;
 }

@@ -69,9 +69,8 @@ class ScenarioCheckpoint {
 };
 
 struct SweepOptions {
-  std::uint32_t line = 5;           // unbound device line asserted by default
-  std::uint32_t restart_slack = 4;  // allowed restarts beyond injected lines
-  unsigned jobs = 1;                // worker threads for the sweep's runs
+  static constexpr std::uint32_t kIrqLine = 5;  // unbound device line each run asserts
+  unsigned jobs = 1;                            // worker threads for the sweep's runs
   // Boot once + fork every run off the frozen image. Opt-in: requires a
   // fork-safe factory (see ScenarioCheckpoint). Off, the sweep boots a
   // fresh system per run, which any factory supports; tests use it as the
@@ -106,7 +105,8 @@ struct RunRecord {
 // exit (completed or preempted) CheckInvariants() runs; after every preempted
 // exit the plan's lines are re-enabled (the kernel masks serviced unbound
 // lines) and on_preempted fires. |sabotage|, if set, is forwarded to the
-// injector's on_inject hook.
+// injector's on_inject hook. A single run reads none of |opts|; they shape
+// sweeps only.
 RunRecord RunWithPlan(const OpFactory& factory, const InjectionPlan& plan,
                       const SweepOptions& opts,
                       const std::function<void(System&)>& sabotage = nullptr);
@@ -114,7 +114,6 @@ RunRecord RunWithPlan(const OpFactory& factory, const InjectionPlan& plan,
 // Same, but drives an already-built instance (e.g. a checkpoint fork).
 // Consumes |inst|: the run mutates its system beyond reuse.
 RunRecord RunWithInstance(OpInstance inst, const InjectionPlan& plan,
-                          const SweepOptions& opts,
                           const std::function<void(System&)>& sabotage = nullptr);
 
 struct SweepResult {

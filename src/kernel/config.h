@@ -11,7 +11,10 @@
 //    before bookkeeping
 //  - Section 3.6: ASID lookup tables vs. shadow page tables with eager
 //    back-pointers and preemptible address-space deletion
-//  - Section 4:   L1 cache pinning of the interrupt path
+//
+// Section 4's L1 cache pinning is not a kernel switch: the kernel locks its
+// lines with Kernel::ApplyCachePinning and the analysis credits them through
+// AnalysisOptions::cache_pinning.
 
 #ifndef SRC_KERNEL_CONFIG_H_
 #define SRC_KERNEL_CONFIG_H_
@@ -38,7 +41,6 @@ struct KernelConfig {
   bool preemptible_deletion = true;     // endpoint cancel-all, revoke, AS delete
   bool preemptible_badged_abort = true;
   bool ipc_fastpath = true;
-  bool cache_pinning = false;
 
   // Future-work option (Sections 6.1, 8): a preemption point between the
   // send (reply) and receive phases of the atomic send-receive operation,
@@ -57,22 +59,11 @@ struct KernelConfig {
   std::uint32_t kernel_timer_line = kNoKernelTimer;
   std::uint32_t timeslice_ticks = 5;
 
-  // Closed-system bounds assumed by the static analysis for loops that have
-  // no preemption point (the "before" kernel): maximum threads queued on one
-  // endpoint (also a global bound on endpoint-cancellation work, since the
-  // thread population bounds the sum over all queues), maximum threads that
-  // lazy scheduling can leave stranded in the run queues, and maximum
-  // descendants of a revoked capability.
-  std::uint32_t max_ep_queue = 256;
-  std::uint32_t max_lazy_stale = 100;
-  std::uint32_t max_revoke_descendants = 256;
-  std::uint32_t max_asid_pools = 1;  // ASID-pool deletions per kernel path
-
-  // Largest object the kernel will create. ARM supports frames to 16 MiB;
-  // the static analysis of the non-preemptible "before" kernel needs this
-  // closed-system bound to be finite, and 512 KiB calibrates its worst-case
-  // system call to the paper's magnitude (milliseconds at 532 MHz).
-  std::uint32_t max_object_bits = 19;
+  // Largest object the kernel will create (log2 bytes). ARM supports frames
+  // to 16 MiB; the static analysis of the non-preemptible "before" kernel
+  // needs this closed-system bound to be finite, and 512 KiB calibrates its
+  // worst-case system call to the paper's magnitude (milliseconds at 532 MHz).
+  static constexpr std::uint32_t kMaxObjectBits = 19;
 
   // Number of message registers transferred by a full-length IPC.
   static constexpr std::uint32_t kMaxMsgWords = 64;
@@ -92,7 +83,6 @@ struct KernelConfig {
     c.preemptible_clearing = false;
     c.preemptible_deletion = false;
     c.preemptible_badged_abort = false;
-    c.cache_pinning = false;
     return c;
   }
 

@@ -29,6 +29,17 @@ constexpr std::uint8_t kRegChunks = 7;
 constexpr std::uint8_t kRegEp = 8;
 constexpr std::uint8_t kRegRevoke = 9;
 
+// Closed-system bounds assumed by the static analysis for loops that have no
+// preemption point (the "before" kernel): maximum threads queued on one
+// endpoint (also a global bound on endpoint-cancellation work, since the
+// thread population bounds the sum over all queues), maximum threads that
+// lazy scheduling can leave stranded in the run queues, maximum descendants
+// of a revoked capability, and ASID-pool deletions per kernel path.
+constexpr std::uint32_t kMaxEpQueue = 256;
+constexpr std::uint32_t kMaxLazyStale = 100;
+constexpr std::uint32_t kMaxRevokeDescendants = 256;
+constexpr std::uint32_t kMaxAsidPools = 1;
+
 // Fluent helper for declaring one kir function's blocks.
 class FB {
  public:
@@ -159,7 +170,7 @@ std::unique_ptr<KernelImage> BuildKernelImage(const KernelConfig& config) {
   const bool pdel = config.preemptible_deletion;
   const bool pbadge = config.preemptible_badged_abort;
   const std::uint32_t max_chunks =
-      (1u << config.max_object_bits) / config.clear_chunk_bytes;
+      (1u << KernelConfig::kMaxObjectBits) / config.clear_chunk_bytes;
 
   // ---- Function ids (created first so call blocks can reference them) ----
   kb.sys.fn = p.AddFunction("sys_entry", 96);
@@ -296,7 +307,7 @@ std::unique_ptr<KernelImage> BuildKernelImage(const KernelConfig& config) {
       c.lz_head = f.b("lz_head", 4, 1);
       c.lz_runnable = f.b("lz_runnable", 6, 2);
       c.lz_deq = f.b("lz_deq", 9, 3);
-      f.m(c.lz_deq).absolute_exec_bound = config.max_lazy_stale;
+      f.m(c.lz_deq).absolute_exec_bound = kMaxLazyStale;
       f.g(c.lz_deq, s.runqueues, 0, true);
       c.lz_found = f.ret("lz_found", 3);
       c.lz_idle = f.ret("lz_idle", 3);
@@ -560,7 +571,7 @@ std::unique_ptr<KernelImage> BuildKernelImage(const KernelConfig& config) {
       FB f(p, kb.pool_del.fn, "apd");
       auto& a = kb.pool_del;
       a.entry = f.b("entry", 6, 1);
-      f.m(a.entry).absolute_exec_bound = config.max_asid_pools;
+      f.m(a.entry).absolute_exec_bound = kMaxAsidPools;
       f.rconst(a.entry, kRegAsid, AsidPoolObj::kEntries);
       a.loop = f.b("loop", 6, 2);
       f.m(a.loop).raw_cycles = 4;  // per-entry TLB maintenance
@@ -702,12 +713,12 @@ std::unique_ptr<KernelImage> BuildKernelImage(const KernelConfig& config) {
     c.entry = f.b("entry", 8, 2);  // deactivate; r8 = queue length
     c.head = f.b("head", 4, 1);
     f.guard(c.head, kRegEp, /*one_sided=*/false);
-    f.input(c.head, kRegEp, 0, config.max_ep_queue);
+    f.input(c.head, kRegEp, 0, kMaxEpQueue);
     c.deq = f.b("deq", 10, 4);
     f.rdec(c.deq, kRegEp);
     // Closed-system bound: the thread population bounds the total work of
     // endpoint cancellation across a whole path, not just per endpoint.
-    f.m(c.deq).absolute_exec_bound = config.max_ep_queue;
+    f.m(c.deq).absolute_exec_bound = kMaxEpQueue;
     c.enq = f.call("enq", kb.enq.fn);
     c.done = f.b("done", 4, 1);
     c.ret = f.ret("ret", 3, 0);
@@ -736,9 +747,9 @@ std::unique_ptr<KernelImage> BuildKernelImage(const KernelConfig& config) {
     c.setup = f.b("setup", 8, 3);
     c.head = f.b("head", 4, 1);
     f.guard(c.head, kRegEp, /*one_sided=*/false);
-    f.input(c.head, kRegEp, 0, config.max_ep_queue);
+    f.input(c.head, kRegEp, 0, kMaxEpQueue);
     c.check = f.b("check", 8, 3);
-    f.m(c.check).absolute_exec_bound = config.max_ep_queue;  // thread bound
+    f.m(c.check).absolute_exec_bound = kMaxEpQueue;  // thread bound
     c.remove = f.b("remove", 10, 4);
     f.rdec(c.remove, kRegEp);
     c.enq = f.call("enq", kb.enq.fn);
@@ -941,8 +952,8 @@ std::unique_ptr<KernelImage> BuildKernelImage(const KernelConfig& config) {
     r.abort_check = f.b("abort_check", 3, 0);
     r.loop = f.b("loop", 4, 1);
     f.guard(r.loop, kRegRevoke, /*one_sided=*/false);
-    f.input(r.loop, kRegRevoke, 0, config.max_revoke_descendants);
-    f.m(r.loop).loop_bound_annotation = config.max_revoke_descendants;
+    f.input(r.loop, kRegRevoke, 0, kMaxRevokeDescendants);
+    f.m(r.loop).loop_bound_annotation = kMaxRevokeDescendants;
     r.child = f.b("child", 6, 2);
     f.rdec(r.child, kRegRevoke);
     r.del = f.call("del", kb.capdel.fn);
@@ -1367,16 +1378,10 @@ std::uint64_t KernelImageDigest(const KernelConfig& config) {
       config.preemptible_deletion,
       config.preemptible_badged_abort,
       config.ipc_fastpath,
-      config.cache_pinning,
       config.preemptible_send_receive,
       config.clear_chunk_bytes,
       config.kernel_timer_line,
       config.timeslice_ticks,
-      config.max_ep_queue,
-      config.max_lazy_stale,
-      config.max_revoke_descendants,
-      config.max_asid_pools,
-      config.max_object_bits,
   };
   std::uint64_t h = kFnv64Offset;
   for (const std::uint64_t f : fields) {

@@ -97,18 +97,18 @@ OpStatus Kernel::UntypedRetype(CapSlot* ut_slot, const SyscallArgs& args) {
   bool valid = ut != nullptr && retypeable(args.obj_type) && count >= 1 &&
                count <= KernelConfig::kMaxRetypeCount &&
                (args.obj_type != ObjType::kPageDir || count == 1) &&
-               args.obj_bits <= config_.max_object_bits;
+               args.obj_bits <= KernelConfig::kMaxObjectBits;
   std::uint8_t size_bits = 0;
   Addr base = 0;
   std::uint64_t total = 0;
   if (valid) {
     T(ut->base);
     size_bits = ObjSizeBits(args.obj_type, args.obj_bits, config_);
-    valid = size_bits <= config_.max_object_bits;
+    valid = size_bits <= KernelConfig::kMaxObjectBits;
     total = valid ? static_cast<std::uint64_t>(count) << size_bits : 0;
     // The closed-system object-size bound applies to the whole batch, so the
     // clearing loop's analysis bound is count-independent.
-    valid = valid && total <= (std::uint64_t{1} << config_.max_object_bits);
+    valid = valid && total <= (std::uint64_t{1} << KernelConfig::kMaxObjectBits);
     if (valid) {
       base = AlignUp(ut->retype_active ? ut->retype_base : ut->watermark,
                      std::uint64_t{1} << size_bits);

@@ -146,7 +146,6 @@ class Executor {
   void End();
 
   bool InPath() const { return in_path_; }
-  BlockId CurrentBlock() const { return cur_; }
 
   // Trace recording (off by default).
   void StartRecording() {
@@ -174,7 +173,6 @@ class Executor {
     fault_hook_ = hook;
     RefreshPlainPath();
   }
-  FaultHook* fault_hook() const { return fault_hook_; }
 
   const Program& program() const { return *program_; }
   Machine& machine() { return *machine_; }

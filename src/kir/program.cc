@@ -194,13 +194,4 @@ Addr Program::ResolveStatic(const Block& b, const StaticAccess& a) const {
   return syms_[a.symbol].address + a.offset;
 }
 
-FuncId Program::FindFunction(std::string_view name) const {
-  for (const Function& f : funcs_) {
-    if (f.name == name) {
-      return f.id;
-    }
-  }
-  return kNoFunc;
-}
-
 }  // namespace pmk

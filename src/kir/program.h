@@ -121,8 +121,6 @@ class Program {
   // Resolves a static access to its absolute address.
   Addr ResolveStatic(const Block& b, const StaticAccess& a) const;
 
-  FuncId FindFunction(std::string_view name) const;
-
  private:
   std::uint32_t CallDepth(FuncId f, std::vector<int>& state) const;
   // Reflattens func_loop_inputs_ from the Block structs (Layout(), and the

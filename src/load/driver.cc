@@ -2,6 +2,15 @@
 
 namespace pmk::load {
 
+namespace {
+
+constexpr Cycles kIsrCost = 120;            // phase 1: ack bookkeeping ("mark pending")
+constexpr Cycles kPerFrameCost = 800;       // phase 2: deferred per-frame processing
+constexpr std::uint32_t kLenCostShift = 4;  // plus len >> shift cycles per frame
+constexpr std::uint32_t kBatchBudget = 4;   // frames drained between re-acks
+
+}  // namespace
+
 UserStep::Generator TwoPhaseDriver::Program() {
   return [this](System& sys) { return Next(sys); };
 }
@@ -22,8 +31,8 @@ std::optional<UserStep> TwoPhaseDriver::Next(System& sys) {
         // The rest of the minimal ISR: note work pending, hand off to the
         // deferred loop. Kept tiny — everything heavy belongs to phase 2.
         state_ = State::kDrain;
-        batch_left_ = cfg_.batch_budget;
-        return UserStep::Compute(cfg_.isr_cost);
+        batch_left_ = kBatchBudget;
+        return UserStep::Compute(kIsrCost);
       case State::kDrain: {
         if (ring_->Empty()) {
           state_ = State::kRecv;
@@ -40,7 +49,7 @@ std::optional<UserStep> TwoPhaseDriver::Next(System& sys) {
         frames_processed_++;
         const Cycles now = sys.machine().Now();
         frame_delay_.Record(now >= d.enqueued ? now - d.enqueued : 0);
-        return UserStep::Compute(cfg_.per_frame_cost + (d.len >> cfg_.len_cost_shift));
+        return UserStep::Compute(kPerFrameCost + (d.len >> kLenCostShift));
       }
       case State::kRecv:
         // Ring empty and line unmasked: safe to block. A notification that

@@ -8,7 +8,7 @@
 //
 //   Recv returns -> ACK (IrqAck: unmask, so new frames interrupt again)
 //               -> ISR tail (tiny compute: "mark work pending")
-//               -> drain up to batch_budget frames (per-frame deferred cost)
+//               -> drain up to kBatchBudget frames (per-frame deferred cost)
 //               -> ring still non-empty? re-ACK and drain another batch
 //               -> ring empty? block in Recv
 //
@@ -40,19 +40,11 @@ namespace pmk::load {
 class TwoPhaseDriver {
  public:
   struct Config {
-    std::uint32_t ack_cptr = 0;      // IrqHandler cap (driver's cspace)
-    std::uint32_t recv_cptr = 0;     // notification endpoint cap
-    Cycles isr_cost = 120;           // phase 1: ack bookkeeping ("mark pending")
-    Cycles per_frame_cost = 800;     // phase 2: deferred per-frame processing
-    std::uint32_t len_cost_shift = 4;  // plus len >> shift cycles per frame
-    std::uint32_t batch_budget = 4;  // frames drained between re-acks
+    std::uint32_t ack_cptr = 0;   // IrqHandler cap (driver's cspace)
+    std::uint32_t recv_cptr = 0;  // notification endpoint cap
   };
 
-  TwoPhaseDriver(DeviceRing* ring, const Config& cfg) : ring_(ring), cfg_(cfg) {
-    if (cfg_.batch_budget == 0) {
-      cfg_.batch_budget = 1;
-    }
-  }
+  TwoPhaseDriver(DeviceRing* ring, const Config& cfg) : ring_(ring), cfg_(cfg) {}
 
   // The driver program; install with UserStep::Dynamic(driver.Program()).
   // The TwoPhaseDriver must outlive the Runner run.

@@ -18,6 +18,10 @@ const char* ArrivalShapeName(ArrivalShape s) {
 
 namespace {
 
+constexpr std::uint8_t kClientPrio = 50;
+constexpr std::uint8_t kServerPrio = 100;
+constexpr std::uint32_t kFirstMintSlot = 30;  // kernel-mint mode's first root slot
+
 // Smallest radix whose slot count covers |clients| (min 1 bit).
 std::uint8_t FleetRadixBits(std::uint32_t clients) {
   std::uint8_t bits = 1;
@@ -47,7 +51,7 @@ Fleet BuildClientFleet(System& sys, const FleetSpec& spec) {
     fleet.endpoint_addrs.push_back(ep->base);
   }
   for (std::uint32_t s = 0; s < spec.servers; ++s) {
-    TcbObj* t = sys.AddThread(spec.server_prio);
+    TcbObj* t = sys.AddThread(kServerPrio);
     fleet.servers.push_back(t);
     fleet.server_addrs.push_back(t->base);
   }
@@ -64,16 +68,16 @@ Fleet BuildClientFleet(System& sys, const FleetSpec& spec) {
       SyscallArgs mint;
       mint.label = InvLabel::kCNodeMint;
       mint.arg0 = fleet.ep_cptrs[i % spec.servers];
-      mint.dest_index = spec.first_mint_slot + i;
+      mint.dest_index = kFirstMintSlot + i;
       mint.badge = spec.badge_base + i;
       k.Syscall(SysOp::kCall, fleet.root_cptr, mint);
-      fleet.client_cptrs.push_back(spec.first_mint_slot + i);
+      fleet.client_cptrs.push_back(kFirstMintSlot + i);
       if (spec.on_mint) {
-        spec.on_mint(spec.badge_base + i, i, spec.first_mint_slot + i);
+        spec.on_mint(spec.badge_base + i, i, kFirstMintSlot + i);
       }
     }
     for (std::uint32_t i = 0; i < spec.clients; ++i) {
-      TcbObj* t = sys.AddThread(spec.client_prio);
+      TcbObj* t = sys.AddThread(kClientPrio);
       if (spec.resume_threads) {
         k.DirectResume(t);
       }
@@ -97,7 +101,7 @@ Fleet BuildClientFleet(System& sys, const FleetSpec& spec) {
   fleet.fleet_cnode = cn;
   fleet.fleet_cnode_addr = cn->base;
   for (std::uint32_t i = 0; i < spec.clients; ++i) {
-    TcbObj* t = k.DirectTcb(spec.client_prio, cn);
+    TcbObj* t = k.DirectTcb(kClientPrio, cn);
     if (spec.resume_threads) {
       k.DirectResume(t);
     }

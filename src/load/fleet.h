@@ -46,15 +46,12 @@ const char* ArrivalShapeName(ArrivalShape s);
 struct FleetSpec {
   std::uint32_t clients = 1000;
   std::uint32_t servers = 8;  // one endpoint per server thread
-  std::uint8_t client_prio = 50;
-  std::uint8_t server_prio = 100;
   std::uint64_t badge_base = 100;  // client i gets badge badge_base + i
 
-  // Kernel-mint mode: charged kCNodeMint syscalls into root slots
-  // first_mint_slot.. (the badge_server path; requires the root CNode to fit
-  // the fleet). Default: uncharged direct installs into a fleet CNode.
+  // Kernel-mint mode: charged kCNodeMint syscalls into consecutive root
+  // slots (the badge_server path; requires the root CNode to fit the fleet).
+  // Default: uncharged direct installs into a fleet CNode.
   bool mint_via_kernel = false;
-  std::uint32_t first_mint_slot = 30;
 
   // In direct mode, newly created threads are resumed (runnable) so a Runner
   // can schedule the fleet immediately. Kernel-mint mode never resumes —
@@ -79,11 +76,6 @@ struct Fleet {
   std::vector<Addr> server_addrs;
   std::vector<Addr> endpoint_addrs;
   Addr fleet_cnode_addr = 0;
-
-  // Server endpoint serving client i (round-robin partition).
-  std::uint32_t ServerOf(std::uint32_t client) const {
-    return client % static_cast<std::uint32_t>(servers.size());
-  }
 };
 
 // Boots the fleet onto |sys| (objects, caps, badges; threads resumed per

@@ -39,8 +39,6 @@ class FrameSource {
     Cycles mean_gap = 4096;        // mean inter-arrival gap (cycles)
     std::uint32_t burst = 1;       // frames per arrival event (>1 = storm)
     Cycles burst_silence = 0;      // storm: extra silence between bursts
-    std::uint32_t len_min = 64;    // frame length range (bytes)
-    std::uint32_t len_max = 1500;
   };
 
   FrameSource(const Config& cfg, SplitMix64 rng) : cfg_(cfg), rng_(rng) {
@@ -62,8 +60,7 @@ class FrameSource {
       FrameDesc d;
       d.seq = seq_++;
       d.enqueued = next_arrival_;
-      d.len = cfg_.len_min +
-              static_cast<std::uint32_t>(rng_.Below(cfg_.len_max - cfg_.len_min + 1));
+      d.len = kLenMin + static_cast<std::uint32_t>(rng_.Below(kLenMax - kLenMin + 1));
       ring.Push(d);
       ic.Assert(cfg_.line, next_arrival_);
       offered_++;
@@ -75,6 +72,10 @@ class FrameSource {
   Cycles next_arrival() const { return next_arrival_; }
 
  private:
+  // Frame length range (bytes).
+  static constexpr std::uint32_t kLenMin = 64;
+  static constexpr std::uint32_t kLenMax = 1500;
+
   Cycles NextGap() {
     if (cfg_.burst > 1) {
       // Storm: |burst| frames back-to-back, then silence.

@@ -9,6 +9,8 @@
 #include "src/engine/shard.h"
 #include "src/engine/wire.h"
 #include "src/kernel/image.h"
+#include "src/load/driver.h"
+#include "src/load/ring.h"
 #include "src/load/source.h"
 #include "src/obs/metrics.h"
 #include "src/sim/latency.h"
@@ -17,6 +19,15 @@
 namespace pmk::load {
 
 namespace {
+
+// The modelled world every sweep runs in. Sweeps vary only the seed, the
+// fleet size, the load points and the run length.
+constexpr std::uint8_t kDriverPrio = 200;    // drains above everything else
+constexpr std::uint32_t kNicLine = 1;        // line 0 is the timer
+constexpr std::uint32_t kRingCapacity = 64;  // NIC descriptor slots
+constexpr Cycles kTimerPeriod = 8192;        // periodic tick, bounds idle fast-forward
+constexpr Cycles kComputeSlice = 400;        // Runner compute slicing granularity
+constexpr Cycles kClientThink = 200;         // closed-loop think time
 
 // One point in the scenario grid (shape-major, load-minor ordinal order).
 struct ScenarioSpec {
@@ -27,8 +38,8 @@ struct ScenarioSpec {
 
 std::vector<ScenarioSpec> BuildGrid(const TrafficOptions& opts) {
   std::vector<ScenarioSpec> grid;
-  grid.reserve(opts.shapes.size() * opts.load_gaps.size());
-  for (const ArrivalShape shape : opts.shapes) {
+  grid.reserve(TrafficOptions::shapes.size() * opts.load_gaps.size());
+  for (const ArrivalShape shape : TrafficOptions::shapes) {
     for (std::uint32_t li = 0; li < opts.load_gaps.size(); ++li) {
       grid.push_back({shape, li, opts.load_gaps[li]});
     }
@@ -58,22 +69,20 @@ BootInfo BootTrafficWorld(System& sys, const TrafficOptions& opts) {
   FleetSpec fs;
   fs.clients = opts.clients;
   fs.servers = opts.servers;
-  fs.client_prio = opts.client_prio;
-  fs.server_prio = opts.server_prio;
   boot.fleet = BuildClientFleet(sys, fs);
 
   Kernel& k = sys.kernel();
   EndpointObj* irq_ep = nullptr;
   boot.recv_cptr = sys.AddEndpoint(&irq_ep);
-  TcbObj* driver = sys.AddThread(opts.driver_prio);
+  TcbObj* driver = sys.AddThread(kDriverPrio);
   k.DirectResume(driver);
   boot.driver_addr = driver->base;
-  IrqHandlerObj* handler = k.DirectIrqHandler(opts.nic_line);
+  IrqHandlerObj* handler = k.DirectIrqHandler(kNicLine);
   Cap hcap;
   hcap.type = ObjType::kIrqHandler;
   hcap.obj = handler->base;
   boot.ack_cptr = sys.AddCap(hcap);
-  k.DirectBindIrq(opts.nic_line, irq_ep);
+  k.DirectBindIrq(kNicLine, irq_ep);
   k.DirectSetCurrent(driver);
   return boot;
 }
@@ -87,7 +96,7 @@ struct ClientStats {
 // closure; every draw comes from the per-(scenario, client) child stream, so
 // the program is a pure function of (seed, ordinal, i).
 UserStep::Generator ClientProgram(std::uint32_t cptr, ArrivalShape shape, Cycles gap,
-                                  Cycles closed_think, SplitMix64 rng, ClientStats* stats) {
+                                  SplitMix64 rng, ClientStats* stats) {
   struct State {
     SplitMix64 rng;
     bool next_is_call = false;
@@ -95,10 +104,10 @@ UserStep::Generator ClientProgram(std::uint32_t cptr, ArrivalShape shape, Cycles
     explicit State(SplitMix64 r) : rng(r) {}
   };
   auto st = std::make_shared<State>(rng);
-  return [cptr, shape, gap, closed_think, st, stats](System&) -> std::optional<UserStep> {
+  return [cptr, shape, gap, st, stats](System&) -> std::optional<UserStep> {
     if (!st->next_is_call) {
       st->next_is_call = true;
-      Cycles think = closed_think;
+      Cycles think = kClientThink;
       switch (shape) {
         case ArrivalShape::kClosedLoop:
           break;  // fixed short think: re-request as soon as replied
@@ -135,9 +144,9 @@ TrafficResult RunScenario(const engine::SystemCheckpoint& cp, const BootInfo& bo
   // scenario fires 32-frame back-to-back bursts; steady shapes use the
   // jittered open-loop schedule. All draws come from Split(ordinal).
   const SplitMix64 base = SplitMix64(opts.seed).Split(ordinal);
-  DeviceRing ring(opts.ring_capacity);
+  DeviceRing ring(kRingCapacity);
   FrameSource::Config sc;
-  sc.line = opts.nic_line;
+  sc.line = kNicLine;
   sc.mean_gap = scen.frame_gap;
   if (scen.shape == ArrivalShape::kBurstyStorm) {
     sc.burst = 32;
@@ -145,13 +154,10 @@ TrafficResult RunScenario(const engine::SystemCheckpoint& cp, const BootInfo& bo
   }
   FrameSource source(sc, base.Split(0));
 
-  TwoPhaseDriver::Config dc = opts.driver;
-  dc.ack_cptr = boot.ack_cptr;
-  dc.recv_cptr = boot.recv_cptr;
-  TwoPhaseDriver driver(&ring, dc);
+  TwoPhaseDriver driver(&ring, {.ack_cptr = boot.ack_cptr, .recv_cptr = boot.recv_cptr});
 
   Runner runner(sys.get());
-  runner.SetComputeSliceCycles(opts.compute_slice);
+  runner.SetComputeSliceCycles(kComputeSlice);
   runner.SetDisturbance([&](Cycles now) { source.Tick(now, ring, sys->machine().irq()); });
   runner.SetProgram(driver_tcb, {UserStep::Dynamic(driver.Program())});
   for (std::size_t s = 0; s < fleet.servers.size(); ++s) {
@@ -163,7 +169,7 @@ TrafficResult RunScenario(const engine::SystemCheckpoint& cp, const BootInfo& bo
     runner.SetProgram(fleet.clients[i],
                       {UserStep::Dynamic(ClientProgram(
                           fleet.client_cptrs[i], scen.shape, scen.frame_gap,
-                          opts.client_think, base.Split(i + 1), &stats))});
+                          base.Split(i + 1), &stats))});
   }
 
   // Each completed server ReplyRecv after a server's first one delivered a
@@ -181,7 +187,7 @@ TrafficResult RunScenario(const engine::SystemCheckpoint& cp, const BootInfo& bo
     }
   });
 
-  sys->machine().timer().set_period(opts.timer_period);
+  sys->machine().timer().set_period(kTimerPeriod);
   sys->machine().timer().Restart(sys->machine().Now());
   const std::uint64_t steps = runner.Run(opts.run_cycles);
   sys->machine().timer().set_period(0);
@@ -210,29 +216,14 @@ TrafficResult RunScenario(const engine::SystemCheckpoint& cp, const BootInfo& bo
 }
 
 // Journal context: the kernel image plus every TrafficOptions field that
-// changes a result. Parallelism and supervision knobs are left out.
+// changes a result. Parallelism knobs are left out.
 std::uint64_t TrafficContextDigest(const TrafficOptions& opts) {
   engine::WireWriter w;
   w.U64(KernelImageDigest(KernelConfig::After()));
   w.U64(opts.seed);
   w.U32(opts.clients);
   w.U32(opts.servers);
-  w.U8(opts.client_prio);
-  w.U8(opts.server_prio);
-  w.U8(opts.driver_prio);
-  w.U32(opts.nic_line);
-  w.U32(opts.ring_capacity);
-  w.U64(opts.driver.isr_cost);
-  w.U64(opts.driver.per_frame_cost);
-  w.U32(opts.driver.len_cost_shift);
-  w.U32(opts.driver.batch_budget);
   w.U64(opts.run_cycles);
-  w.U64(opts.timer_period);
-  w.U64(opts.compute_slice);
-  w.U64(opts.client_think);
-  for (const ArrivalShape s : opts.shapes) {
-    w.U8(static_cast<std::uint8_t>(s));
-  }
   for (const Cycles g : opts.load_gaps) {
     w.U64(g);
   }
@@ -307,8 +298,6 @@ TrafficReport RunTrafficSweep(const TrafficOptions& opts) {
   engine::ShardOptions sopts;
   sopts.shards = opts.shards;
   sopts.jobs_per_shard = opts.jobs;
-  sopts.task_timeout_ms = opts.shard_timeout_ms;
-  sopts.max_attempts = opts.shard_max_attempts;
   sopts.journal_dir = opts.journal_dir;
   sopts.journal_digest = TrafficContextDigest(opts);
   sopts.seed = opts.seed;

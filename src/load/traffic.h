@@ -22,13 +22,13 @@
 #ifndef SRC_LOAD_TRAFFIC_H_
 #define SRC_LOAD_TRAFFIC_H_
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "src/engine/shard.h"
-#include "src/load/driver.h"
 #include "src/load/fleet.h"
 #include "src/obs/tail_observatory.h"
 
@@ -40,34 +40,21 @@ struct TrafficOptions {
   // Fleet shape.
   std::uint32_t clients = 1000;
   std::uint32_t servers = 8;
-  std::uint8_t client_prio = 50;
-  std::uint8_t server_prio = 100;
-  std::uint8_t driver_prio = 200;  // drains above everything else
-
-  // Device model.
-  std::uint32_t nic_line = 1;  // line 0 is the timer
-  std::uint32_t ring_capacity = 64;
-  TwoPhaseDriver::Config driver;  // ack/recv cptrs are filled by the harness
 
   // Scenario grid: every shape at every offered-load point (device mean
   // inter-frame gap in cycles; smaller = hotter). Client think time scales
   // with the same gap so IPC pressure rises with device pressure.
-  std::vector<ArrivalShape> shapes = {ArrivalShape::kOpenLoop, ArrivalShape::kClosedLoop,
-                                      ArrivalShape::kBurstyStorm};
+  static constexpr std::array<ArrivalShape, 3> shapes = {
+      ArrivalShape::kOpenLoop, ArrivalShape::kClosedLoop, ArrivalShape::kBurstyStorm};
   std::vector<Cycles> load_gaps = {16384, 4096, 1024, 384};
 
-  // Run shape.
+  // Modelled cycles each scenario runs for.
   Cycles run_cycles = 600'000;
-  Cycles timer_period = 8192;     // periodic tick, bounds idle fast-forward
-  Cycles compute_slice = 400;     // Runner compute slicing granularity
-  Cycles client_think = 200;      // closed-loop think time
 
   // Parallelism.
   unsigned jobs = 1;        // in-process fan-out threads
   std::uint32_t shards = 0;  // >0: fork-per-shard supervision
   std::string journal_dir;   // optional crash-safe result journal, any |shards|
-  std::uint32_t shard_timeout_ms = 120'000;
-  std::uint32_t shard_max_attempts = 2;
 };
 
 // One scenario's deterministic outcome (modelled values only).

@@ -312,30 +312,6 @@ void MetricsSnapshot::WriteCsv(std::ostream& os) const {
   }
 }
 
-std::string MetricsSnapshot::FormatText() const {
-  std::string out;
-  char buf[320];
-  for (const MetricRow& r : rows) {
-    switch (r.kind) {
-      case MetricKind::kCounter:
-        std::snprintf(buf, sizeof(buf), "  %-44s %12llu\n", r.name.c_str(),
-                      static_cast<unsigned long long>(r.counter));
-        break;
-      case MetricKind::kGauge:
-        std::snprintf(buf, sizeof(buf), "  %-44s %12lld\n", r.name.c_str(),
-                      static_cast<long long>(r.gauge));
-        break;
-      case MetricKind::kTimer:
-      case MetricKind::kHistogram:
-        std::snprintf(buf, sizeof(buf), "  %-44s %s\n", r.name.c_str(),
-                      r.hist.FormatSummary().c_str());
-        break;
-    }
-    out += buf;
-  }
-  return out;
-}
-
 std::string ObsLabeled(const std::string& name, const std::string& key,
                        const std::string& value) {
   return name + "{" + key + "=" + value + "}";

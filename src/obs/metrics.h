@@ -73,8 +73,6 @@ struct MetricsSnapshot {
   void WriteJsonl(std::ostream& os) const;
   // metric,kind,count,value,min,p50,p90,p99,max,mean
   void WriteCsv(std::ostream& os) const;
-  // Aligned human-readable rendering (the --progress / report footer form).
-  std::string FormatText() const;
 };
 
 class MetricsRegistry {

@@ -147,31 +147,6 @@ void TailObservatory::WriteCsv(std::ostream& os) const {
   }
 }
 
-void TailObservatory::WriteJsonl(std::ostream& os) const {
-  for (const Row& row : Rows()) {
-    const LatencyHistogram::Summary s = row.hist.Summarize();
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"config\":\"%s\",\"scenario\":\"%s\",\"count\":%llu,"
-                  "\"min\":%llu,\"p50\":%llu,\"p90\":%llu,\"p99\":%llu,"
-                  "\"max\":%llu,\"bound\":%llu,\"headroom\":%.4f,"
-                  "\"enforced\":%s,\"exceeded\":%s,"
-                  "\"spurious_acks\":%llu,\"coalesced_asserts\":%llu}\n",
-                  row.config.c_str(), row.scenario.c_str(),
-                  static_cast<unsigned long long>(s.count),
-                  static_cast<unsigned long long>(s.min),
-                  static_cast<unsigned long long>(s.p50),
-                  static_cast<unsigned long long>(s.p90),
-                  static_cast<unsigned long long>(s.p99),
-                  static_cast<unsigned long long>(s.max),
-                  static_cast<unsigned long long>(row.bound), row.headroom(),
-                  row.enforced ? "true" : "false", row.exceeded() ? "true" : "false",
-                  static_cast<unsigned long long>(row.spurious_acks),
-                  static_cast<unsigned long long>(row.coalesced_asserts));
-    os << buf;
-  }
-}
-
 void TailSink::Flush() {
   if (flushed_ || observatory_ == nullptr) {
     return;

@@ -48,7 +48,7 @@ class TailObservatory {
     // Controller-side robustness counters for the scenario (see
     // InterruptController): acks absorbed with no pending line, and asserts
     // coalesced into an already-pending one. Saturating device rings drive
-    // the coalesce count; both are exported to CSV/JSONL (not the table).
+    // the coalesce count; both are exported to CSV (not the table).
     std::uint64_t spurious_acks = 0;
     std::uint64_t coalesced_asserts = 0;
 
@@ -90,8 +90,6 @@ class TailObservatory {
   // config,scenario,count,min,p50,p90,p99,max,bound,headroom,enforced,
   // exceeded,spurious_acks,coalesced_asserts
   void WriteCsv(std::ostream& os) const;
-  // One JSON object per row (same fields as the CSV).
-  void WriteJsonl(std::ostream& os) const;
 
  private:
   struct Key {

@@ -151,7 +151,7 @@ TEST(RetypeTest, TooLargeObjectRejected) {
   SyscallArgs args;
   args.label = InvLabel::kUntypedRetype;
   args.obj_type = ObjType::kFrame;
-  args.obj_bits = 24;  // above max_object_bits
+  args.obj_bits = 24;  // above KernelConfig::kMaxObjectBits
   args.dest_index = 70;
   sys.kernel().Syscall(SysOp::kCall, ut_cptr, args);
   EXPECT_EQ(t->last_error, KError::kInvalidArg);

@@ -224,13 +224,8 @@ TEST_F(ShardChaosTest, JournalResumeAfterPartialRun) {
 // config.
 
 pmk::CampaignConfig TestCampaignConfig() {
-  pmk::CampaignConfig cfg;
+  pmk::CampaignConfig cfg = pmk::CampaignConfig::Quick();
   cfg.seed = 42;
-  cfg.exhaustive = true;
-  cfg.random_runs = 8;
-  cfg.storm_runs = 2;
-  cfg.hostile_runs = 32;
-  cfg.spurious_runs = 4;
   return cfg;
 }
 

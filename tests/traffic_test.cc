@@ -186,9 +186,9 @@ TEST(TrafficSweepTest, JournalMissesWhenAResultOptionChanges) {
   opts.journal_dir = dir.path();
   const TrafficReport first = RunTrafficSweep(opts);
 
-  // A resumed journal must not replay rows computed under another think
-  // time: the rerun executes every scenario and matches a fresh sweep.
-  opts.client_think += 300;
+  // A resumed journal must not replay rows computed under another run
+  // length: the rerun executes every scenario and matches a fresh sweep.
+  opts.run_cycles += 3'000;
   const TrafficReport rerun = RunTrafficSweep(opts);
   EXPECT_EQ(rerun.shard.journal_hits, 0u);
   TrafficOptions fresh = opts;
@@ -199,14 +199,11 @@ TEST(TrafficSweepTest, JournalMissesWhenAResultOptionChanges) {
 
   // Every other result-changing option is part of the journal key too.
   const std::vector<std::pair<const char*, std::function<void(TrafficOptions&)>>> edits = {
-      {"client_prio", [](TrafficOptions& o) { o.client_prio += 1; }},
-      {"server_prio", [](TrafficOptions& o) { o.server_prio += 1; }},
-      {"driver_prio", [](TrafficOptions& o) { o.driver_prio += 1; }},
-      {"nic_line", [](TrafficOptions& o) { o.nic_line += 1; }},
-      {"driver.isr_cost", [](TrafficOptions& o) { o.driver.isr_cost += 1; }},
-      {"driver.per_frame_cost", [](TrafficOptions& o) { o.driver.per_frame_cost += 1; }},
-      {"driver.len_cost_shift", [](TrafficOptions& o) { o.driver.len_cost_shift += 1; }},
-      {"driver.batch_budget", [](TrafficOptions& o) { o.driver.batch_budget += 1; }},
+      {"clients", [](TrafficOptions& o) { o.clients += 1; }},
+      {"servers", [](TrafficOptions& o) { o.servers += 1; }},
+      // An extra load point keeps every existing scenario key but moves the
+      // ordinals, and with them the RNG streams, of the later shapes.
+      {"load_gaps", [](TrafficOptions& o) { o.load_gaps.push_back(256); }},
   };
   opts.shards = 0;
   for (const auto& [name, edit] : edits) {

@@ -111,7 +111,7 @@ TEST(LoopBoundTest, RetypeClearLoopBoundedByChunks) {
   InlinedGraph g(img->prog, img->b.sys.fn);
   ComputeLoopBounds(g);
   const std::uint32_t max_chunks =
-      (1u << KernelConfig::After().max_object_bits) / KernelConfig::After().clear_chunk_bytes;
+      (1u << KernelConfig::kMaxObjectBits) / KernelConfig::After().clear_chunk_bytes;
   // The `more` head executes chunks+1 times per entry.
   EXPECT_EQ(LoopBoundFor(g, img->b.retype.more), max_chunks + 1);
 }

@@ -118,7 +118,7 @@ TEST(WorstTraceTest, BeforeKernelWorstPathIsTheObjectClear) {
     counts[b]++;
   }
   const std::uint32_t max_chunks =
-      (1u << KernelConfig::Before().max_object_bits) / KernelConfig::Before().clear_chunk_bytes;
+      (1u << KernelConfig::kMaxObjectBits) / KernelConfig::Before().clear_chunk_bytes;
   EXPECT_EQ(counts[img->b.retype.clear_chunk], max_chunks);
 }
 
