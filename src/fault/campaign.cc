@@ -61,16 +61,6 @@ struct CampaignTask {
   std::string Key() const { return mode + "|" + op + "|" + plan; }
 };
 
-InjectionPlan BoundaryPlan(std::uint64_t k) {
-  InjectionPlan plan;
-  InjectionAction a;
-  a.trigger = InjectionAction::Trigger::kPreemptOrdinal;
-  a.at = k;
-  a.line = SweepOptions::kIrqLine;
-  plan.actions.push_back(a);
-  return plan;
-}
-
 // One canonical operation as its tasks see it: the boot every run of it
 // forks from, and its uninjected dry run, which pins the boundary count the
 // other rows of the op depend on. Forked shard workers inherit the boot

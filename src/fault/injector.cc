@@ -13,9 +13,11 @@ std::string InjectionPlan::ToString() const {
     }
     s += a.trigger == InjectionAction::Trigger::kPreemptOrdinal ? "pp@" : "cyc@";
     s += std::to_string(a.at);
-    s += ":l" + std::to_string(a.line);
+    s += ":l";
+    s += std::to_string(a.line);
     if (a.burst != 1) {
-      s += "x" + std::to_string(a.burst);
+      s += 'x';
+      s += std::to_string(a.burst);
     }
   }
   return s.empty() ? "none" : s;

@@ -202,18 +202,18 @@ std::uint32_t SweepResult::MaxRestarts() const {
   return m;
 }
 
+InjectionPlan BoundaryPlan(std::uint64_t k) {
+  InjectionPlan plan;
+  InjectionAction a;
+  a.trigger = InjectionAction::Trigger::kPreemptOrdinal;
+  a.at = k;
+  a.line = SweepOptions::kIrqLine;
+  plan.actions.push_back(a);
+  return plan;
+}
+
 SweepResult ExhaustiveIrqSweep(const OpFactory& factory, const SweepOptions& opts) {
   SweepResult res;
-  const auto plan_for = [](std::uint64_t k) {
-    InjectionPlan plan;
-    InjectionAction a;
-    a.trigger = InjectionAction::Trigger::kPreemptOrdinal;
-    a.at = k;
-    a.line = SweepOptions::kIrqLine;
-    plan.actions.push_back(a);
-    return plan;
-  };
-
   if (!opts.checkpoint) {
     // Boot a fresh system per run: the reference path EngineSweepTest holds
     // the checkpointed sweep to, and the one any factory supports.
@@ -221,7 +221,7 @@ SweepResult ExhaustiveIrqSweep(const OpFactory& factory, const SweepOptions& opt
     res.preempt_points = res.dry_run.preempt_points;
     res.runs.reserve(res.preempt_points);
     for (std::uint64_t k = 0; k < res.preempt_points; ++k) {
-      res.runs.push_back(RunWithPlan(factory, plan_for(k), opts));
+      res.runs.push_back(RunWithPlan(factory, BoundaryPlan(k), opts));
     }
     return res;
   }
@@ -234,7 +234,7 @@ SweepResult ExhaustiveIrqSweep(const OpFactory& factory, const SweepOptions& opt
   res.preempt_points = res.dry_run.preempt_points;
   res.runs.resize(res.preempt_points);
   engine::RunJobs(res.preempt_points, opts.jobs, [&](std::size_t k) {
-    res.runs[k] = RunWithInstance(ckpt.Fork(), plan_for(k));
+    res.runs[k] = RunWithInstance(ckpt.Fork(), BoundaryPlan(k));
   });
   return res;
 }

@@ -125,9 +125,14 @@ struct SweepResult {
   std::uint32_t MaxRestarts() const;
 };
 
+// The one-action plan that asserts SweepOptions::kIrqLine at the |k|-th
+// preemption point (0-based) the operation reaches.
+InjectionPlan BoundaryPlan(std::uint64_t k);
+
 // The tentpole sweep: a dry run counts the P preemption-point boundaries the
 // operation crosses, then P independent runs each assert an interrupt at
-// exactly one boundary. Every run audits invariants and restart bounds.
+// exactly one boundary (BoundaryPlan(0) .. BoundaryPlan(P - 1)). Every run
+// audits invariants and restart bounds.
 //
 // With opts.checkpoint the scenario is built once and every run forks from
 // the frozen image; with opts.jobs > 1 the runs execute on a job pool,

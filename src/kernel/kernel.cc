@@ -44,91 +44,56 @@ Addr Kernel::DirectAlloc(std::uint64_t size) {
   return a;
 }
 
+template <typename T>
+T* Kernel::DirectObject(std::uint8_t user_bits) {
+  const std::uint8_t bits = ObjSizeBits(T::kType, user_bits, config_);
+  return static_cast<T*>(
+      CreateObject(T::kType, DirectAlloc(std::uint64_t{1} << bits), bits, user_bits));
+}
+
 UntypedObj* Kernel::DirectUntyped(std::uint8_t size_bits) {
-  auto o = std::make_unique<UntypedObj>();
-  o->type = ObjType::kUntyped;
-  o->size_bits = size_bits;
-  o->base = DirectAlloc(std::uint64_t{1} << size_bits);
-  o->watermark = o->base;
-  return static_cast<UntypedObj*>(objs_.Insert(std::move(o)));
+  return DirectObject<UntypedObj>(size_bits);
 }
 
 CNodeObj* Kernel::DirectCNode(std::uint8_t radix_bits, std::uint8_t guard_bits,
                               std::uint32_t guard_value) {
-  auto o = std::make_unique<CNodeObj>();
-  o->type = ObjType::kCNode;
-  o->radix_bits = radix_bits;
-  o->guard_bits = guard_bits;
-  o->guard_value = guard_value;
-  o->size_bits = ObjSizeBits(ObjType::kCNode, radix_bits, config_);
-  o->base = DirectAlloc(o->SizeBytes());
-  o->slots.resize(o->NumSlots());
-  CNodeObj* cn = static_cast<CNodeObj*>(objs_.Insert(std::move(o)));
-  for (std::uint32_t i = 0; i < cn->NumSlots(); ++i) {
-    cn->slots[i].addr = cn->SlotAddr(i);
-  }
+  auto* cn = DirectObject<CNodeObj>(radix_bits);
+  cn->guard_bits = guard_bits;
+  cn->guard_value = guard_value;
   return cn;
 }
 
 TcbObj* Kernel::DirectTcb(std::uint8_t prio, CNodeObj* cspace) {
-  auto o = std::make_unique<TcbObj>();
-  o->type = ObjType::kTcb;
-  o->size_bits = ObjSizeBits(ObjType::kTcb, 0, config_);
-  o->base = DirectAlloc(o->SizeBytes());
-  o->prio = prio;
-  o->timeslice = config_.timeslice_ticks;
-  o->cspace_root = cspace != nullptr ? cspace->base : 0;
-  return static_cast<TcbObj*>(objs_.Insert(std::move(o)));
+  auto* t = DirectObject<TcbObj>();
+  t->prio = prio;
+  t->cspace_root = cspace != nullptr ? cspace->base : 0;
+  return t;
 }
 
 EndpointObj* Kernel::DirectEndpoint() {
-  auto o = std::make_unique<EndpointObj>();
-  o->type = ObjType::kEndpoint;
-  o->size_bits = ObjSizeBits(ObjType::kEndpoint, 0, config_);
-  o->base = DirectAlloc(o->SizeBytes());
-  return static_cast<EndpointObj*>(objs_.Insert(std::move(o)));
+  return DirectObject<EndpointObj>();
 }
 
 FrameObj* Kernel::DirectFrame(std::uint8_t size_bits) {
-  auto o = std::make_unique<FrameObj>();
-  o->type = ObjType::kFrame;
-  o->size_bits = size_bits;
-  o->base = DirectAlloc(std::uint64_t{1} << size_bits);
-  return static_cast<FrameObj*>(objs_.Insert(std::move(o)));
+  return DirectObject<FrameObj>(size_bits);
 }
 
 PageTableObj* Kernel::DirectPageTable() {
-  auto o = std::make_unique<PageTableObj>();
-  o->type = ObjType::kPageTable;
-  o->size_bits = ObjSizeBits(ObjType::kPageTable, 0, config_);
-  o->base = DirectAlloc(o->SizeBytes());
-  return static_cast<PageTableObj*>(objs_.Insert(std::move(o)));
+  return DirectObject<PageTableObj>();
 }
 
 PageDirObj* Kernel::DirectPageDir() {
-  auto o = std::make_unique<PageDirObj>();
-  o->type = ObjType::kPageDir;
-  o->size_bits = ObjSizeBits(ObjType::kPageDir, 0, config_);
-  o->base = DirectAlloc(o->SizeBytes());
-  o->global_mappings_present = true;
-  return static_cast<PageDirObj*>(objs_.Insert(std::move(o)));
+  return DirectObject<PageDirObj>();
 }
 
 AsidPoolObj* Kernel::DirectAsidPool() {
-  auto o = std::make_unique<AsidPoolObj>();
-  o->type = ObjType::kAsidPool;
-  o->size_bits = ObjSizeBits(ObjType::kAsidPool, 0, config_);
-  o->base = DirectAlloc(o->SizeBytes());
-  return static_cast<AsidPoolObj*>(objs_.Insert(std::move(o)));
+  return DirectObject<AsidPoolObj>();
 }
 
 IrqHandlerObj* Kernel::DirectIrqHandler(std::uint32_t line) {
-  auto o = std::make_unique<IrqHandlerObj>();
-  o->type = ObjType::kIrqHandler;
-  o->size_bits = ObjSizeBits(ObjType::kIrqHandler, 0, config_);
-  o->base = DirectAlloc(o->SizeBytes());
-  o->line = line;
-  return static_cast<IrqHandlerObj*>(objs_.Insert(std::move(o)));
+  auto* h = DirectObject<IrqHandlerObj>();
+  h->line = line;
+  return h;
 }
 
 CapSlot* Kernel::DirectCap(CNodeObj* cn, std::uint32_t index, Cap cap, CapSlot* parent) {

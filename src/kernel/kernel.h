@@ -237,8 +237,14 @@ class Kernel {
   OpStatus EpCancelBadged(EndpointObj* ep, std::uint64_t badge);
   OpStatus TcbInvoke(CapSlot* slot, const SyscallArgs& args);
   OpStatus IrqInvoke(CapSlot* slot, const SyscallArgs& args);
-  std::unique_ptr<KObject> MakeObject(ObjType type, Addr base, std::uint8_t size_bits,
-                                      std::uint8_t user_bits);
+  // Inserts a new |type| object at |base| with its creation-time state (an
+  // untyped's watermark, a CNode's slots, a TCB's timeslice, a page
+  // directory's global mappings); boot and retype alike.
+  KObject* CreateObject(ObjType type, Addr base, std::uint8_t size_bits, std::uint8_t user_bits);
+  // CreateObject at the next free direct-setup address (|user_bits| as for
+  // ObjSizeBits).
+  template <typename T>
+  T* DirectObject(std::uint8_t user_bits = 0);
 
   // ----- address spaces (vspace.cc) -----
   OpStatus FrameMap(CapSlot* frame_slot, const SyscallArgs& args);

@@ -15,10 +15,11 @@
 #define SRC_KERNEL_OBJECTS_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/kernel/config.h"
@@ -53,23 +54,23 @@ struct CapSlot {
   bool IsNull() const { return cap.IsNull(); }
 };
 
+// The common header of every kernel object. Each object struct names its
+// type as kType; ObjectTable constructs, copies and destroys objects as that
+// struct, chosen by |type|, so nothing is deleted through a KObject pointer.
 struct KObject {
   ObjType type = ObjType::kNull;
   Addr base = 0;
   std::uint8_t size_bits = 0;
 
-  virtual ~KObject() = default;
-
-  // Polymorphic value copy (src/engine checkpointing). The copy carries the
-  // original's intrusive pointers (queue links, MDB links, shadow slots)
-  // verbatim; Kernel::Clone remaps them into the cloned heap afterwards.
-  virtual std::unique_ptr<KObject> CloneObj() const = 0;
-
   std::uint64_t SizeBytes() const { return std::uint64_t{1} << size_bits; }
   Addr End() const { return base + SizeBytes(); }
+
+ protected:
+  ~KObject() = default;
 };
 
 struct UntypedObj : KObject {
+  static constexpr ObjType kType = ObjType::kUntyped;
   Addr watermark = 0;  // next free byte within the region (seL4 freeIndex)
 
   // Retype-in-progress state (Section 3.5): clearing happens before any other
@@ -80,11 +81,10 @@ struct UntypedObj : KObject {
   std::uint8_t retype_bits = 0;
   Addr retype_base = 0;
   std::uint64_t cleared_bytes = 0;
-
-  std::unique_ptr<KObject> CloneObj() const override { return std::make_unique<UntypedObj>(*this); }
 };
 
 struct CNodeObj : KObject {
+  static constexpr ObjType kType = ObjType::kCNode;
   std::uint8_t radix_bits = 0;
   std::uint8_t guard_bits = 0;
   std::uint32_t guard_value = 0;
@@ -92,11 +92,10 @@ struct CNodeObj : KObject {
 
   std::uint32_t NumSlots() const { return 1u << radix_bits; }
   Addr SlotAddr(std::uint32_t index) const { return base + static_cast<Addr>(index) * 16; }
-
-  std::unique_ptr<KObject> CloneObj() const override { return std::make_unique<CNodeObj>(*this); }
 };
 
 struct EndpointObj : KObject {
+  static constexpr ObjType kType = ObjType::kEndpoint;
   enum class QState : std::uint8_t { kIdle, kSend, kRecv };
   QState qstate = QState::kIdle;
   TcbObj* q_head = nullptr;
@@ -121,11 +120,10 @@ struct EndpointObj : KObject {
     TcbObj* aborter = nullptr;
   };
   AbortState abort;
-
-  std::unique_ptr<KObject> CloneObj() const override { return std::make_unique<EndpointObj>(*this); }
 };
 
 struct TcbObj : KObject {
+  static constexpr ObjType kType = ObjType::kTcb;
   ThreadState state = ThreadState::kInactive;
   std::uint8_t prio = 0;
   Addr cspace_root = 0;  // CNode
@@ -158,11 +156,10 @@ struct TcbObj : KObject {
 
   // Fault handling.
   std::uint32_t fault_handler_cptr = 0;  // cap address of fault endpoint
-
-  std::unique_ptr<KObject> CloneObj() const override { return std::make_unique<TcbObj>(*this); }
 };
 
 struct PageTableObj : KObject {
+  static constexpr ObjType kType = ObjType::kPageTable;
   static constexpr std::uint32_t kEntries = 256;  // ARMv6: 1 KiB, 256 x 4 B
 
   std::array<Addr, kEntries> pte{};          // frame base or 0
@@ -177,11 +174,10 @@ struct PageTableObj : KObject {
   Addr PteAddr(std::uint32_t i) const { return base + static_cast<Addr>(i) * 4; }
   // Shadow stored adjacent to the table itself (Figure 5).
   Addr ShadowAddr(std::uint32_t i) const { return base + 1024 + static_cast<Addr>(i) * 4; }
-
-  std::unique_ptr<KObject> CloneObj() const override { return std::make_unique<PageTableObj>(*this); }
 };
 
 struct PageDirObj : KObject {
+  static constexpr ObjType kType = ObjType::kPageDir;
   static constexpr std::uint32_t kEntries = 4096;  // ARMv6: 16 KiB, 4096 x 4 B
   // Top 256 entries (256 MiB) are the kernel's global mappings.
   static constexpr std::uint32_t kUserEntries = kEntries - 256;
@@ -197,33 +193,28 @@ struct PageDirObj : KObject {
 
   Addr PdeAddr(std::uint32_t i) const { return base + static_cast<Addr>(i) * 4; }
   Addr ShadowAddr(std::uint32_t i) const { return base + 16 * 1024 + static_cast<Addr>(i) * 4; }
-
-  std::unique_ptr<KObject> CloneObj() const override { return std::make_unique<PageDirObj>(*this); }
 };
 
 struct FrameObj : KObject {
+  static constexpr ObjType kType = ObjType::kFrame;
   bool mapped = false;
   std::uint32_t asid = 0;   // ASID variant
   Addr mapped_pd = 0;       // shadow variant: containing address space
   Addr vaddr = 0;
-
-  std::unique_ptr<KObject> CloneObj() const override { return std::make_unique<FrameObj>(*this); }
 };
 
 struct AsidPoolObj : KObject {
+  static constexpr ObjType kType = ObjType::kAsidPool;
   static constexpr std::uint32_t kEntries = 1024;
   std::array<Addr, kEntries> pd{};  // PageDir base or 0
 
   Addr EntryAddr(std::uint32_t i) const { return base + static_cast<Addr>(i) * 4; }
-
-  std::unique_ptr<KObject> CloneObj() const override { return std::make_unique<AsidPoolObj>(*this); }
 };
 
 struct IrqHandlerObj : KObject {
+  static constexpr ObjType kType = ObjType::kIrqHandler;
   std::uint32_t line = 0;
   Addr notify_ep = 0;  // endpoint notified on interrupt (0 = unbound)
-
-  std::unique_ptr<KObject> CloneObj() const override { return std::make_unique<IrqHandlerObj>(*this); }
 };
 
 // Returns the object's size in bits for allocation/alignment. PT/PD sizes
@@ -233,49 +224,147 @@ std::uint8_t ObjSizeBits(ObjType type, std::uint8_t user_bits, const KernelConfi
 
 // Owns all kernel objects, keyed by base address. Enforces the paper's
 // object-alignment and no-overlap invariants on insertion (Section 2.2).
-// Untyped regions live in a separate index because the objects retyped from
-// an untyped legitimately share addresses with it (the first child starts at
-// the region base).
 //
-// Insert is the only way in, for boot, retype and Kernel::Clone alike. Since
-// the non-untyped objects never overlap one another, an insert checks just
-// its two address neighbours: O(1) when appending above the highest object
-// (the bump allocator's and Clone's ascending order), O(log n) otherwise.
+// Storage follows seL4, where every object is carved from untyped memory:
+// the table constructs its objects in large blocks it owns (a copy fills
+// exactly one), in allocation order, and never moves them, so the raw
+// TcbObj*/CapSlot* links between objects stay valid for the table's
+// lifetime. Remove destroys an object in place; its bytes stay unused until
+// the table is destroyed. The index is a sorted, contiguous array of (base,
+// object) entries, so Find and Get are a binary search. Untyped regions have
+// an index of their own, because the objects retyped from an untyped
+// legitimately share addresses with it (the first child starts at the
+// region base).
+//
+// Insert is the only way in, for boot, retype and CopyFrom alike. Since the
+// non-untyped objects never overlap one another, an insert checks just its
+// two address neighbours: O(1) when appending above the highest object (the
+// bump allocator's and CopyFrom's ascending order), otherwise a binary search
+// plus a shift of the index entries above the new one.
 class ObjectTable {
  public:
-  // Inserts |obj|; aborts (throws std::logic_error) on misalignment/overlap.
-  KObject* Insert(std::unique_ptr<KObject> obj);
+  // An index entry's object: a pointer into the table's storage that reads
+  // like an owning handle (obj->type, obj.get()).
+  template <typename T>
+  class Ref {
+   public:
+    explicit Ref(T* p) : p_(p) {}
+    T* get() const { return p_; }
+    T* operator->() const { return p_; }
+    T& operator*() const { return *p_; }
+
+   private:
+    T* p_;
+  };
+  using Entry = std::pair<Addr, Ref<KObject>>;
+  using UntypedEntry = std::pair<Addr, Ref<UntypedObj>>;
+
+  // Where CopyFrom put the source table's objects. A link into one of the
+  // source's live objects, or into a CNode's slot array, maps to the same
+  // byte of its copy, by offset within a run of objects that sit back to
+  // back in both tables. A source that is itself a copy is a single run.
+  // Any other link (a removed object, another table's object) throws
+  // std::logic_error.
+  class Relocation {
+   public:
+    TcbObj* operator()(const TcbObj* p) const;
+    CapSlot* operator()(const CapSlot* p) const;
+
+   private:
+    friend class ObjectTable;
+    struct Run {
+      const std::byte* from;
+      const std::byte* from_end;
+      std::byte* to;
+    };
+    static std::byte* Map(const std::vector<Run>& runs, const void* p);
+    std::vector<Run> objects_;  // sorted by source address
+    std::vector<Run> slots_;    // one per CNode, sorted by source address
+  };
+
+  ObjectTable() = default;
+  ObjectTable(const ObjectTable&) = delete;
+  ObjectTable& operator=(const ObjectTable&) = delete;
+  ~ObjectTable();
+
+  // Constructs a default |type| object spanning [base, base + 2^size_bits)
+  // and indexes it. Throws std::logic_error on misalignment or overlap,
+  // leaving the table unchanged.
+  KObject* Insert(ObjType type, Addr base, std::uint8_t size_bits);
+
+  // Destroys the non-untyped object at |base|, else the untyped region there.
   void Remove(Addr base);
+
+  // Fills this empty table with copies of |src|'s objects: one block sized to
+  // |src|'s live objects, filled in address order through Insert's checks, so
+  // a corrupt heap cannot be copied. The copies' links still point into
+  // |src|; the returned Relocation maps them.
+  Relocation CopyFrom(const ObjectTable& src);
 
   // Finds the non-untyped object at |base|, falling back to an untyped
   // region starting exactly there.
   KObject* Find(Addr base) const;
 
+  // The object of struct T at |base|, or null. Untyped regions are looked up
+  // only among the regions.
   template <typename T>
   T* Get(Addr base) const {
     if constexpr (std::is_same_v<T, UntypedObj>) {
-      const auto it = untypeds_.find(base);
-      return it == untypeds_.end() ? nullptr : it->second.get();
+      const auto it = LowerBound(untypeds_, base);
+      return it != untypeds_.end() && it->first == base ? it->second.get() : nullptr;
     } else {
       KObject* o = Find(base);
-      return dynamic_cast<T*>(o);
+      return o != nullptr && o->type == T::kType ? static_cast<T*>(o) : nullptr;
     }
   }
 
   std::size_t Count() const { return objects_.size() + untypeds_.size(); }
 
-  const std::map<Addr, std::unique_ptr<KObject>>& objects() const { return objects_; }
-  const std::map<Addr, std::unique_ptr<UntypedObj>>& untypeds() const { return untypeds_; }
+  const std::vector<Entry>& objects() const { return objects_; }
+  const std::vector<UntypedEntry>& untypeds() const { return untypeds_; }
 
  private:
-  std::map<Addr, std::unique_ptr<KObject>> objects_;
-  std::map<Addr, std::unique_ptr<UntypedObj>> untypeds_;
+  struct Block {
+    std::unique_ptr<std::byte[]> bytes;
+    std::size_t size = 0;
+    std::size_t used = 0;
+  };
+
+  // The first entry whose base is not below |base|. Branch-free: which half
+  // a search step takes depends on the key, so a predicted branch would miss
+  // about every other step.
+  template <typename E>
+  static typename std::vector<E>::const_iterator LowerBound(const std::vector<E>& index,
+                                                            Addr base) {
+    if (index.empty()) {
+      return index.end();
+    }
+    const E* first = index.data();
+    for (std::size_t n = index.size(); n > 1;) {
+      const std::size_t half = n / 2;
+      first = first[half].first < base ? first + half : first;
+      n -= half;
+    }
+    return index.begin() + ((first - index.data()) + (first->first < base ? 1 : 0));
+  }
+
+  // Checks |type|'s placement at |base|, then indexes the object |construct|
+  // builds in fresh storage.
+  template <typename Construct>
+  KObject* Place(ObjType type, Addr base, std::uint8_t size_bits, Construct&& construct);
+  void* Allocate(std::size_t bytes);
+  void AddBlock(std::size_t bytes);
+
+  std::vector<Block> blocks_;
+  std::size_t live_bytes_ = 0;  // storage of the indexed objects
+  std::vector<Entry> objects_;
+  std::vector<UntypedEntry> untypeds_;
   // Single-entry lookup memo: syscall decode resolves the same capability
   // object repeatedly (the invoked cap, the IRQ endpoint), so the last
-  // successful Find short-circuits most tree walks. Invalidated by every
+  // successful Find short-circuits most searches. Invalidated by every
   // table mutation; no real object sits at ~0, so it doubles as the empty
-  // sentinel. The table is non-copyable (unique_ptr values), so the cached
-  // pointer can never leak into another table's memo.
+  // sentinel. The table is non-copyable, so the cached pointer can never
+  // leak into another table's memo.
   static constexpr Addr kNoMemo = ~Addr{0};
   mutable Addr memo_base_ = kNoMemo;
   mutable KObject* memo_obj_ = nullptr;

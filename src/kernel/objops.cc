@@ -12,58 +12,31 @@ namespace {
 Addr AlignUp(Addr a, Addr align) { return (a + align - 1) & ~(align - 1); }
 }  // namespace
 
-std::unique_ptr<KObject> Kernel::MakeObject(ObjType type, Addr base, std::uint8_t size_bits,
-                                            std::uint8_t user_bits) {
-  std::unique_ptr<KObject> o;
+KObject* Kernel::CreateObject(ObjType type, Addr base, std::uint8_t size_bits,
+                              std::uint8_t user_bits) {
+  KObject* o = objs_.Insert(type, base, size_bits);
   switch (type) {
-    case ObjType::kUntyped: {
-      auto u = std::make_unique<UntypedObj>();
-      u->watermark = base;
-      o = std::move(u);
+    case ObjType::kUntyped:
+      static_cast<UntypedObj*>(o)->watermark = base;
       break;
-    }
     case ObjType::kCNode: {
-      auto c = std::make_unique<CNodeObj>();
+      auto* c = static_cast<CNodeObj*>(o);
       c->radix_bits = user_bits;
-      c->slots.resize(1u << user_bits);
-      o = std::move(c);
+      c->slots.resize(c->NumSlots());
+      for (std::uint32_t i = 0; i < c->NumSlots(); ++i) {
+        c->slots[i].addr = c->SlotAddr(i);
+      }
       break;
     }
-    case ObjType::kTcb: {
-      auto t = std::make_unique<TcbObj>();
-      t->timeslice = config_.timeslice_ticks;
-      o = std::move(t);
+    case ObjType::kTcb:
+      static_cast<TcbObj*>(o)->timeslice = config_.timeslice_ticks;
       break;
-    }
-    case ObjType::kEndpoint:
-      o = std::make_unique<EndpointObj>();
-      break;
-    case ObjType::kFrame:
-      o = std::make_unique<FrameObj>();
-      break;
-    case ObjType::kPageTable:
-      o = std::make_unique<PageTableObj>();
-      break;
-    case ObjType::kPageDir: {
-      auto d = std::make_unique<PageDirObj>();
-      d->global_mappings_present = true;  // established by the global copy
-      o = std::move(d);
-      break;
-    }
-    case ObjType::kAsidPool:
-      o = std::make_unique<AsidPoolObj>();
+    case ObjType::kPageDir:
+      // Established by the global copy.
+      static_cast<PageDirObj*>(o)->global_mappings_present = true;
       break;
     default:
-      return nullptr;
-  }
-  o->type = type;
-  o->base = base;
-  o->size_bits = size_bits;
-  if (type == ObjType::kCNode) {
-    CNodeObj* c = static_cast<CNodeObj*>(o.get());
-    for (std::uint32_t i = 0; i < c->NumSlots(); ++i) {
-      c->slots[i].addr = c->SlotAddr(i);
-    }
+      break;
   }
   return o;
 }
@@ -229,8 +202,7 @@ OpStatus Kernel::UntypedRetype(CapSlot* ut_slot, const SyscallArgs& args) {
   for (std::uint32_t i = 0; i < count; ++i) {
     x(r.book_loop);
     const Addr obj_base = base + (static_cast<Addr>(i) << size_bits);
-    auto obj = MakeObject(args.obj_type, obj_base, size_bits, args.obj_bits);
-    KObject* raw = objs_.Insert(std::move(obj));
+    KObject* raw = CreateObject(args.obj_type, obj_base, size_bits, args.obj_bits);
     CapSlot* dest = &root->slots[args.dest_index + i];
     T(dest->addr, /*write=*/true);
     T(ut_slot->addr, /*write=*/true);

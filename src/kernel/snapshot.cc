@@ -4,79 +4,18 @@
 // copies the complete mutable kernel state and remaps every intrusive pointer
 // — scheduler queue links, endpoint queue links and badged-abort four-tuples,
 // reply chains, MDB derivation links, page-table shadow back-pointers — into
-// the cloned heap. Identity is structural: a kernel object maps to its
-// clone's object at the same physical base address, and a CapSlot maps to the
-// same slot index of the cloned CNode. Any pointer that fails to resolve
-// throws, so an unremapped field added later surfaces as a loud error in the
-// snapshot-fidelity tests instead of silent cross-heap aliasing.
+// the cloned heap. Identity is structural: a kernel object maps to its copy
+// at the same physical base address, found by its offset in the one block
+// the copy fills, and a CapSlot maps to the same slot index of the cloned
+// CNode. Any pointer that fails to resolve throws, so an unremapped field
+// added later surfaces as a loud error in the snapshot-fidelity tests
+// instead of silent cross-heap aliasing.
 
-#include <algorithm>
-#include <functional>
 #include <stdexcept>
-#include <vector>
 
 #include "src/kernel/kernel.h"
 
 namespace pmk {
-
-namespace {
-
-// old pointer -> its counterpart in the cloned heap. TCBs (the only objects
-// other objects point at) are a sorted flat vector probed by binary search;
-// CapSlots (which live only inside CNode slot arrays) are whole-array ranges
-// resolved by offset arithmetic, so remapping costs no per-slot table entry
-// or allocation — forking a checkpoint is on the hot path of the
-// measurement benches.
-class PtrMap {
- public:
-  void AddTcb(const TcbObj* old_tcb, TcbObj* new_tcb) { tcbs_.push_back({old_tcb, new_tcb}); }
-  void AddSlotRange(const CapSlot* old_begin, std::size_t n, CapSlot* new_begin) {
-    slots_.push_back({old_begin, old_begin + n, new_begin});
-  }
-  void Seal() {
-    std::sort(tcbs_.begin(), tcbs_.end(), [](const TcbEntry& a, const TcbEntry& b) {
-      return std::less<const TcbObj*>()(a.old_tcb, b.old_tcb);
-    });
-    std::sort(slots_.begin(), slots_.end(),
-              [](const SlotRange& a, const SlotRange& b) {
-                return std::less<const CapSlot*>()(a.old_begin, b.old_begin);
-              });
-  }
-  TcbObj* FindTcb(const TcbObj* old_tcb) const {
-    const auto it = std::partition_point(tcbs_.begin(), tcbs_.end(), [&](const TcbEntry& e) {
-      return std::less<const TcbObj*>()(e.old_tcb, old_tcb);
-    });
-    if (it == tcbs_.end() || it->old_tcb != old_tcb) {
-      throw std::logic_error("Kernel::Clone: dangling TCB pointer");
-    }
-    return it->new_tcb;
-  }
-  CapSlot* FindSlot(const CapSlot* old_slot) const {
-    const auto it =
-        std::partition_point(slots_.begin(), slots_.end(), [&](const SlotRange& r) {
-          return !std::less<const CapSlot*>()(old_slot, r.old_end);
-        });
-    if (it == slots_.end() || std::less<const CapSlot*>()(old_slot, it->old_begin)) {
-      throw std::logic_error("Kernel::Clone: dangling CapSlot pointer");
-    }
-    return it->new_begin + (old_slot - it->old_begin);
-  }
-
- private:
-  struct TcbEntry {
-    const TcbObj* old_tcb;
-    TcbObj* new_tcb;
-  };
-  struct SlotRange {
-    const CapSlot* old_begin;
-    const CapSlot* old_end;
-    CapSlot* new_begin;
-  };
-  std::vector<TcbEntry> tcbs_;
-  std::vector<SlotRange> slots_;
-};
-
-}  // namespace
 
 Kernel::Kernel(CloneTag, const Kernel& other, Machine* machine)
     : config_(other.config_),
@@ -106,41 +45,24 @@ std::unique_ptr<Kernel> Kernel::Clone(Machine* machine) const {
   }
   std::unique_ptr<Kernel> k(new Kernel(CloneTag{}, *this, machine));
 
-  // Pass 1: clone every object (pointers still aimed at the old heap) and
-  // record old -> new TCB identity. The checked Insert re-verifies alignment
-  // and non-overlap; ascending key order makes each check O(1).
-  PtrMap ptr;
-  for (const auto& [base, obj] : objs_.objects()) {
-    KObject* copy = k->objs_.Insert(obj->CloneObj());
-    if (obj->type == ObjType::kTcb) {
-      ptr.AddTcb(static_cast<const TcbObj*>(obj.get()), static_cast<TcbObj*>(copy));
-    } else if (obj->type == ObjType::kCNode) {
-      // Slot identity: a slot maps to the same index of the cloned CNode.
-      // (CapSlots live only inside CNode slot arrays.)
-      const auto* old_cn = static_cast<const CNodeObj*>(obj.get());
-      ptr.AddSlotRange(old_cn->slots.data(), old_cn->slots.size(),
-                       static_cast<CNodeObj*>(copy)->slots.data());
-    }
-  }
-  for (const auto& [base, ut] : objs_.untypeds()) {
-    k->objs_.Insert(ut->CloneObj());
-  }
+  // Pass 1: copy every object into one block, in address order (pointers
+  // still aimed at the old heap). The copy re-verifies alignment and
+  // non-overlap; ascending key order makes each check O(1).
+  const ObjectTable::Relocation moved = k->objs_.CopyFrom(objs_);
   // The idle thread exists from boot and lives outside the object table.
   k->idle_storage_ = std::make_unique<TcbObj>(*idle_storage_);
   k->idle_ = k->idle_storage_.get();
-  ptr.AddTcb(idle_, k->idle_);
-  ptr.Seal();
 
   // Pass 2: remap every intrusive pointer in the cloned heap, walking the
   // cloned table itself (untyped regions hold no pointers).
-  const auto fix_tcb = [&ptr](TcbObj*& p) {
+  const auto fix_tcb = [this, &k, &moved](TcbObj*& p) {
     if (p != nullptr) {
-      p = ptr.FindTcb(p);
+      p = p == idle_ ? k->idle_ : moved(p);
     }
   };
-  const auto fix_slot = [&ptr](CapSlot*& p) {
+  const auto fix_slot = [&moved](CapSlot*& p) {
     if (p != nullptr) {
-      p = ptr.FindSlot(p);
+      p = moved(p);
     }
   };
   for (const auto& [base, copy] : k->objs_.objects()) {

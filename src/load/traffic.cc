@@ -87,48 +87,45 @@ BootInfo BootTrafficWorld(System& sys, const TrafficOptions& opts) {
   return boot;
 }
 
-// Per-run aggregate the client generators write into.
-struct ClientStats {
-  std::uint64_t calls = 0;
-};
+// Client i's arrival process. Every draw comes from the per-(scenario,
+// client) child stream, so the program is a pure function of (seed, ordinal,
+// i). A scenario keeps all its clients in one vector and each generator
+// captures one pointer into it, which std::function stores without
+// allocating.
+struct Client {
+  std::uint32_t cptr = 0;
+  ArrivalShape shape = ArrivalShape::kOpenLoop;
+  Cycles gap = 0;
+  SplitMix64 rng;
+  std::uint64_t* calls = nullptr;  // the scenario's total
+  bool next_is_call = false;
+  std::uint32_t burst_pos = 0;
 
-// Builds client i's arrival-process generator. All state lives in the
-// closure; every draw comes from the per-(scenario, client) child stream, so
-// the program is a pure function of (seed, ordinal, i).
-UserStep::Generator ClientProgram(std::uint32_t cptr, ArrivalShape shape, Cycles gap,
-                                  SplitMix64 rng, ClientStats* stats) {
-  struct State {
-    SplitMix64 rng;
-    bool next_is_call = false;
-    std::uint32_t burst_pos = 0;
-    explicit State(SplitMix64 r) : rng(r) {}
-  };
-  auto st = std::make_shared<State>(rng);
-  return [cptr, shape, gap, st, stats](System&) -> std::optional<UserStep> {
-    if (!st->next_is_call) {
-      st->next_is_call = true;
+  std::optional<UserStep> Next() {
+    if (!next_is_call) {
+      next_is_call = true;
       Cycles think = kClientThink;
       switch (shape) {
         case ArrivalShape::kClosedLoop:
           break;  // fixed short think: re-request as soon as replied
         case ArrivalShape::kOpenLoop:
-          think = gap / 2 + st->rng.Below(gap);
+          think = gap / 2 + rng.Below(gap);
           break;
         case ArrivalShape::kBurstyStorm:
           // Eight back-to-back requests, then a long synchronized silence.
-          st->burst_pos = (st->burst_pos + 1) % 8;
-          think = st->burst_pos != 0 ? 50 : gap * 16;
+          burst_pos = (burst_pos + 1) % 8;
+          think = burst_pos != 0 ? 50 : gap * 16;
           break;
       }
       return UserStep::Compute(think);
     }
-    st->next_is_call = false;
-    stats->calls++;
+    next_is_call = false;
+    ++*calls;
     SyscallArgs call;
     call.msg_len = 2;
     return UserStep::Syscall(SysOp::kCall, cptr, call);
-  };
-}
+  }
+};
 
 TrafficResult RunScenario(const engine::SystemCheckpoint& cp, const BootInfo& boot,
                           const TrafficOptions& opts, const ScenarioSpec& scen,
@@ -164,28 +161,18 @@ TrafficResult RunScenario(const engine::SystemCheckpoint& cp, const BootInfo& bo
     runner.SetProgram(fleet.servers[s],
                       {UserStep::Syscall(SysOp::kReplyRecv, fleet.ep_cptrs[s])});
   }
-  ClientStats stats;
+  std::uint64_t client_calls = 0;
+  std::vector<Client> clients;
+  clients.reserve(fleet.clients.size());  // never reallocates: generators point in
   for (std::uint32_t i = 0; i < fleet.clients.size(); ++i) {
+    Client& c = clients.emplace_back(Client{.cptr = fleet.client_cptrs[i],
+                                            .shape = scen.shape,
+                                            .gap = scen.frame_gap,
+                                            .rng = base.Split(i + 1),
+                                            .calls = &client_calls});
     runner.SetProgram(fleet.clients[i],
-                      {UserStep::Dynamic(ClientProgram(
-                          fleet.client_cptrs[i], scen.shape, scen.frame_gap,
-                          base.Split(i + 1), &stats))});
+                      {UserStep::Dynamic([&c](System&) { return c.Next(); })});
   }
-
-  // Each completed server ReplyRecv after a server's first one delivered a
-  // reply to a waiting client — the goodput measure. Counting server-side is
-  // exact even when the replied client is never rescheduled before the run
-  // ends (at 1000+ runnable clients, most aren't).
-  std::map<const TcbObj*, std::uint64_t> server_steps;
-  for (TcbObj* s : fleet.servers) {
-    server_steps[s] = 0;
-  }
-  runner.SetStepHook([&server_steps](TcbObj* t, std::size_t) {
-    auto it = server_steps.find(t);
-    if (it != server_steps.end()) {
-      it->second++;
-    }
-  });
 
   sys->machine().timer().set_period(kTimerPeriod);
   sys->machine().timer().Restart(sys->machine().Now());
@@ -205,8 +192,13 @@ TrafficResult RunScenario(const engine::SystemCheckpoint& cp, const BootInfo& bo
   res.frames_dropped = ring.dropped();
   res.frames_processed = driver.frames_processed();
   res.driver_acks = driver.acks_issued();
-  res.client_calls = stats.calls;
-  for (const auto& [t, n] : server_steps) {
+  res.client_calls = client_calls;
+  // Each completed server ReplyRecv after a server's first one delivered a
+  // reply to a waiting client — the goodput measure. Counting server-side is
+  // exact even when the replied client is never rescheduled before the run
+  // ends (at 1000+ runnable clients, most aren't).
+  for (const TcbObj* s : fleet.servers) {
+    const std::uint64_t n = runner.StepsCompleted(s);
     res.requests_served += n > 0 ? n - 1 : 0;
   }
   res.spurious_acks = sys->machine().irq().spurious_acks();

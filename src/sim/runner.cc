@@ -1,19 +1,46 @@
 #include "src/sim/runner.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "src/obs/trace_sink.h"
 
 namespace pmk {
+
+namespace {
+
+using ProgramIndex = std::vector<std::pair<const TcbObj*, std::uint32_t>>;
+
+ProgramIndex::const_iterator Lookup(const ProgramIndex& index, const TcbObj* t) {
+  return std::lower_bound(index.begin(), index.end(), t,
+                          [](const auto& e, const TcbObj* key) {
+                            return std::less<const TcbObj*>()(e.first, key);
+                          });
+}
+
+}  // namespace
 
 void Runner::SetProgram(TcbObj* t, std::vector<UserStep> program, bool loop) {
   ThreadProgram p;
   p.steps = std::move(program);
   p.loop = loop;
-  programs_[t] = std::move(p);
+  const auto it = Lookup(index_, t);
+  if (it != index_.end() && it->first == t) {
+    programs_[it->second] = std::move(p);
+    return;
+  }
+  index_.insert(it, {t, static_cast<std::uint32_t>(programs_.size())});
+  programs_.push_back(std::move(p));
+}
+
+Runner::ThreadProgram* Runner::Find(const TcbObj* t) {
+  const auto it = Lookup(index_, t);
+  return it != index_.end() && it->first == t ? &programs_[it->second] : nullptr;
 }
 
 std::uint64_t Runner::StepsCompleted(const TcbObj* t) const {
-  const auto it = programs_.find(t);
-  return it == programs_.end() ? 0 : it->second.completed;
+  const auto it = Lookup(index_, t);
+  return it != index_.end() && it->first == t ? programs_[it->second].completed : 0;
 }
 
 void Runner::DeliverIrq() {
@@ -84,13 +111,13 @@ std::uint64_t Runner::Run(Cycles duration) {
       }
       continue;
     }
-    const auto it = programs_.find(cur);
-    if (it == programs_.end()) {
+    ThreadProgram* const prog = Find(cur);
+    if (prog == nullptr) {
       // No program: the thread just burns cycles (best-effort background).
       m.RawCycles(500);
       continue;
     }
-    ThreadProgram& p = it->second;
+    ThreadProgram& p = *prog;
     if (p.pc >= p.steps.size()) {
       if (!p.loop) {
         // Program finished: the thread yields forever.

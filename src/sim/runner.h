@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/sim/workload.h"
@@ -70,8 +71,8 @@ class Runner {
  public:
   explicit Runner(System* sys) : sys_(sys) {}
 
-  // Installs |program| for |t|. When |loop| is set the program restarts from
-  // the beginning after its last step.
+  // Installs |program| for |t|, replacing any program |t| had. When |loop| is
+  // set the program restarts from the beginning after its last step.
   void SetProgram(TcbObj* t, std::vector<UserStep> program, bool loop = true);
 
   // Optional per-step hook, called after each completed step with the thread
@@ -117,6 +118,9 @@ class Runner {
     std::optional<UserStep> dyn_active;  // in-flight sub-step of a kDynamic step
   };
 
+  // |t|'s program, or null.
+  ThreadProgram* Find(const TcbObj* t);
+
   // Delivers a pending interrupt from userland.
   void DeliverIrq();
   // Re-enables serviced lines that have no handler endpoint bound.
@@ -129,7 +133,11 @@ class Runner {
 
   System* sys_;
   Cycles compute_slice_ = 0;  // 0 = atomic compute bursts (historical)
-  std::map<const TcbObj*, ThreadProgram> programs_;
+  // One flat table: the programs in binding order, and an index sorted by
+  // thread pointer into them. The pointer order is only ever searched, never
+  // walked, so no modelled result depends on host addresses.
+  std::vector<ThreadProgram> programs_;
+  std::vector<std::pair<const TcbObj*, std::uint32_t>> index_;
   std::function<void(TcbObj*, std::size_t)> hook_;
   std::function<void(Cycles)> disturbance_;
   TraceSink* sink_ = nullptr;

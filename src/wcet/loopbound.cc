@@ -147,12 +147,13 @@ bool EvalCond(const BranchCond& c, std::int64_t v) {
 // per cycle), each guard's failure condition is a half-line in that linear
 // value, and the first failing iteration is a division instead of a
 // simulation that walks every iteration up to the real loop bound. Returns
-// nullopt when the cycle is outside that shape (caller falls back to the
-// simulation); otherwise the result is exactly SimulateCycle's, including
-// the kMaxIterations unbounded cap.
-std::optional<std::optional<std::uint32_t>> ClosedFormCycleCount(
-    const InlinedGraph& g, const InlinedLoop& loop, std::uint8_t reg, std::int64_t init,
-    const std::vector<EdgeId>& cycle) {
+// the first failing iteration (>= 1; above kMaxIterations when no guard ever
+// fails, which SimulateCycle reports as unbounded), or 0 when the cycle is
+// outside that shape and the caller must fall back to the simulation.
+std::uint64_t ClosedFormFirstFailure(const InlinedGraph& g, const InlinedLoop& loop,
+                                     std::uint8_t reg, std::int64_t init,
+                                     const std::vector<EdgeId>& cycle) {
+  constexpr std::uint64_t kNotClosedForm = 0;
   const std::uint32_t inst = g.nodes()[loop.head].instance;
 
   // Symbolically execute one iteration: accumulate the running add-delta and
@@ -168,7 +169,7 @@ std::optional<std::optional<std::uint32_t>> ClosedFormCycleCount(
   for (const EdgeId eid : cycle) {
     const InlinedEdge& e = g.edges()[eid];
     if (e.from != cur) {
-      return std::nullopt;  // malformed: let the simulation refuse it
+      return kNotClosedForm;  // malformed: let the simulation refuse it
     }
     const Block& b = g.BlockOf(e.from);
     if (g.nodes()[e.from].instance == inst) {
@@ -177,7 +178,7 @@ std::optional<std::optional<std::uint32_t>> ClosedFormCycleCount(
           continue;
         }
         if (op.kind != RegOp::Kind::kAdd) {
-          return std::nullopt;  // kConst reset or untracked kMovReg
+          return kNotClosedForm;  // kConst reset or untracked kMovReg
         }
         delta += op.imm;
       }
@@ -199,7 +200,7 @@ std::optional<std::optional<std::uint32_t>> ClosedFormCycleCount(
               gd.fail_below = !taken;
               break;
             default:
-              return std::nullopt;  // kEq/kNe: not monotone in v
+              return kNotClosedForm;  // kEq/kNe: not monotone in v
           }
           guards.push_back(gd);
         }
@@ -208,7 +209,7 @@ std::optional<std::optional<std::uint32_t>> ClosedFormCycleCount(
     cur = e.to;
   }
   if (cur != loop.head) {
-    return std::nullopt;
+    return kNotClosedForm;
   }
 
   // First iteration c >= 1 at which any guard fails, where the guarded value
@@ -234,10 +235,7 @@ std::optional<std::optional<std::uint32_t>> ClosedFormCycleCount(
     }
     first_fail = std::min(first_fail, c);
   }
-  if (first_fail > kMaxIterations) {
-    return std::optional<std::uint32_t>(std::nullopt);  // simulation cap
-  }
-  return std::optional<std::uint32_t>(static_cast<std::uint32_t>(first_fail));
+  return first_fail;
 }
 
 }  // namespace
@@ -295,10 +293,14 @@ std::optional<std::uint32_t> SimulateCycle(const InlinedGraph& g, const InlinedL
 std::optional<std::uint32_t> CountCycle(const InlinedGraph& g, const InlinedLoop& loop,
                                         std::uint8_t reg, std::int64_t init,
                                         const std::vector<EdgeId>& cycle) {
-  if (const auto fast = ClosedFormCycleCount(g, loop, reg, init, cycle)) {
-    return *fast;
+  const std::uint64_t first_fail = ClosedFormFirstFailure(g, loop, reg, init, cycle);
+  if (first_fail == 0) {
+    return SimulateCycle(g, loop, reg, init, cycle);
   }
-  return SimulateCycle(g, loop, reg, init, cycle);
+  if (first_fail > kMaxIterations) {
+    return std::nullopt;  // the simulation's unbounded cap
+  }
+  return static_cast<std::uint32_t>(first_fail);
 }
 
 std::vector<LoopBoundResult> ComputeLoopBounds(InlinedGraph& graph, CycleCounter count) {

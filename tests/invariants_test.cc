@@ -253,8 +253,8 @@ TEST(InvariantFaultTest, DetectsMisalignedObject) {
 }
 
 TEST(InvariantFaultTest, CloneRejectsOverlappingHeap) {
-  // Kernel::Clone re-inserts every object through the checked
-  // ObjectTable::Insert, so a corrupt heap cannot be forked.
+  // Kernel::Clone copies every object through ObjectTable::Insert's
+  // placement checks, so a corrupt heap cannot be forked.
   Rig r;
   TcbWithAdjacentSuccessor(r.sys)->size_bits = 10;
   EXPECT_THROW(r.sys.Clone(), std::logic_error);

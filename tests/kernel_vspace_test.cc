@@ -168,7 +168,7 @@ TEST(AsidTest, StaleFrameUnmapIsHarmless) {
   // Lazily delete the address space (clear the pool entry directly).
   AsidPoolObj* pool = nullptr;
   for (const auto& [base, obj] : rig.sys.kernel().objects().objects()) {
-    if (auto* p = dynamic_cast<AsidPoolObj*>(obj.get())) {
+    if (auto* p = rig.sys.kernel().objects().Get<AsidPoolObj>(base)) {
       pool = p;
     }
   }
@@ -212,7 +212,7 @@ TEST(AsidTest, PoolDeleteClearsEveryAddressSpace) {
   }
   AsidPoolObj* pool = nullptr;
   for (const auto& [base, obj] : sys.kernel().objects().objects()) {
-    if (auto* p = dynamic_cast<AsidPoolObj*>(obj.get())) {
+    if (auto* p = sys.kernel().objects().Get<AsidPoolObj>(base)) {
       pool = p;
     }
   }

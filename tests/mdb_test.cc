@@ -105,110 +105,89 @@ TEST(MdbTest, WellFormedDetectsBrokenBackPointer) {
 
 TEST(ObjectTableTest, RejectsMisalignedObject) {
   ObjectTable t;
-  auto o = std::make_unique<EndpointObj>();
-  o->type = ObjType::kEndpoint;
-  o->size_bits = 4;
-  o->base = 0x1008;  // not 16-aligned
-  EXPECT_THROW(t.Insert(std::move(o)), std::logic_error);
+  EXPECT_THROW(t.Insert(ObjType::kEndpoint, 0x1008, 4), std::logic_error);  // not 16-aligned
 }
 
 TEST(ObjectTableTest, RejectsOverlap) {
   ObjectTable t;
-  auto a = std::make_unique<TcbObj>();
-  a->type = ObjType::kTcb;
-  a->size_bits = 9;
-  a->base = 0x1000;
-  t.Insert(std::move(a));
-  auto b = std::make_unique<EndpointObj>();
-  b->type = ObjType::kEndpoint;
-  b->size_bits = 4;
-  b->base = 0x1100;  // inside the TCB
-  EXPECT_THROW(t.Insert(std::move(b)), std::logic_error);
+  t.Insert(ObjType::kTcb, 0x1000, 9);
+  EXPECT_THROW(t.Insert(ObjType::kEndpoint, 0x1100, 4), std::logic_error);  // inside the TCB
 }
 
 TEST(ObjectTableTest, UntypedMayContainItsChildren) {
   ObjectTable t;
-  auto ut = std::make_unique<UntypedObj>();
-  ut->type = ObjType::kUntyped;
-  ut->size_bits = 12;
-  ut->base = 0x2000;
-  ut->watermark = 0x2000;
-  t.Insert(std::move(ut));
-  auto child = std::make_unique<EndpointObj>();
-  child->type = ObjType::kEndpoint;
-  child->size_bits = 4;
-  child->base = 0x2000;  // same base as the untyped: legal
-  EXPECT_NO_THROW(t.Insert(std::move(child)));
+  static_cast<UntypedObj*>(t.Insert(ObjType::kUntyped, 0x2000, 12))->watermark = 0x2000;
+  // Same base as the untyped: legal.
+  EXPECT_NO_THROW(t.Insert(ObjType::kEndpoint, 0x2000, 4));
   EXPECT_NE(t.Get<UntypedObj>(0x2000), nullptr);
   EXPECT_NE(t.Get<EndpointObj>(0x2000), nullptr);
 }
 
 TEST(ObjectTableTest, RemoveDistinguishesUntypedFromChild) {
   ObjectTable t;
-  auto ut = std::make_unique<UntypedObj>();
-  ut->type = ObjType::kUntyped;
-  ut->size_bits = 12;
-  ut->base = 0x2000;
-  t.Insert(std::move(ut));
-  auto child = std::make_unique<EndpointObj>();
-  child->type = ObjType::kEndpoint;
-  child->size_bits = 4;
-  child->base = 0x2000;
-  t.Insert(std::move(child));
+  t.Insert(ObjType::kUntyped, 0x2000, 12);
+  t.Insert(ObjType::kEndpoint, 0x2000, 4);
   t.Remove(0x2000);  // removes the non-untyped object first
   EXPECT_EQ(t.Get<EndpointObj>(0x2000), nullptr);
   EXPECT_NE(t.Get<UntypedObj>(0x2000), nullptr);
 }
 
-// An object of |type| spanning [base, base + 2^size_bits). The table reads
-// only these fields (and files untyped regions as UntypedObj), so any other
-// type can ride in a FrameObj.
-std::unique_ptr<KObject> MakeObj(ObjType type, std::uint8_t size_bits, Addr base) {
-  std::unique_ptr<KObject> o;
-  if (type == ObjType::kUntyped) {
-    o = std::make_unique<UntypedObj>();
-  } else {
-    o = std::make_unique<FrameObj>();
-  }
-  o->type = type;
-  o->size_bits = size_bits;
-  o->base = base;
-  return o;
+// Get<T> returns an object only when its stored type is T's: no struct
+// answers for another type's base, and untyped regions answer only
+// Get<UntypedObj>, which sees nothing else.
+TEST(ObjectTableTest, GetReturnsOnlyItsOwnType) {
+  ObjectTable t;
+  t.Insert(ObjType::kEndpoint, 0x1000, 4);
+  t.Insert(ObjType::kTcb, 0x1200, 9);
+  t.Insert(ObjType::kUntyped, 0x4000, 12);
+  t.Insert(ObjType::kFrame, 0x4000, 12);  // retyped at the region's base
+  EXPECT_EQ(t.Get<TcbObj>(0x1000), nullptr);
+  EXPECT_EQ(t.Get<EndpointObj>(0x1200), nullptr);
+  EXPECT_NE(t.Get<EndpointObj>(0x1000), nullptr);
+  EXPECT_NE(t.Get<TcbObj>(0x1200), nullptr);
+  EXPECT_EQ(t.Get<UntypedObj>(0x1000), nullptr);
+  EXPECT_EQ(t.Get<UntypedObj>(0x1200), nullptr);
+  ASSERT_NE(t.Get<UntypedObj>(0x4000), nullptr);
+  EXPECT_EQ(t.Get<UntypedObj>(0x4000)->type, ObjType::kUntyped);
+  EXPECT_EQ(t.Get<FrameObj>(0x4000), t.Find(0x4000));
+  t.Remove(0x4000);  // the frame: now only the region starts there
+  EXPECT_EQ(t.Get<FrameObj>(0x4000), nullptr);
+  EXPECT_NE(t.Get<UntypedObj>(0x4000), nullptr);
 }
 
 TEST(ObjectTableTest, RejectsObjectCoveringTheNextBase) {
   ObjectTable t;
-  t.Insert(MakeObj(ObjType::kEndpoint, 4, 0x1100));
+  t.Insert(ObjType::kEndpoint, 0x1100, 4);
   // Inserted below the endpoint, but its 512 bytes run over the endpoint.
-  EXPECT_THROW(t.Insert(MakeObj(ObjType::kTcb, 9, 0x1000)), std::logic_error);
+  EXPECT_THROW(t.Insert(ObjType::kTcb, 0x1000, 9), std::logic_error);
   EXPECT_EQ(t.Count(), 1u);
 }
 
 TEST(ObjectTableTest, AcceptsExactAdjacency) {
   ObjectTable t;
-  t.Insert(MakeObj(ObjType::kTcb, 9, 0x1000));
-  EXPECT_NO_THROW(t.Insert(MakeObj(ObjType::kEndpoint, 4, 0x1200)));  // starts at its end
-  EXPECT_NO_THROW(t.Insert(MakeObj(ObjType::kEndpoint, 4, 0xFF0)));   // ends at its base
+  t.Insert(ObjType::kTcb, 0x1000, 9);
+  EXPECT_NO_THROW(t.Insert(ObjType::kEndpoint, 0x1200, 4));  // starts at its end
+  EXPECT_NO_THROW(t.Insert(ObjType::kEndpoint, 0xFF0, 4));   // ends at its base
   EXPECT_EQ(t.Count(), 3u);
 }
 
 TEST(ObjectTableTest, RejectsDuplicateBase) {
   ObjectTable t;
-  t.Insert(MakeObj(ObjType::kTcb, 9, 0x1000));
-  EXPECT_THROW(t.Insert(MakeObj(ObjType::kEndpoint, 4, 0x1000)), std::logic_error);
-  EXPECT_THROW(t.Insert(MakeObj(ObjType::kTcb, 9, 0x1000)), std::logic_error);
-  t.Insert(MakeObj(ObjType::kUntyped, 12, 0x1000));
-  EXPECT_THROW(t.Insert(MakeObj(ObjType::kUntyped, 12, 0x1000)), std::logic_error);
+  t.Insert(ObjType::kTcb, 0x1000, 9);
+  EXPECT_THROW(t.Insert(ObjType::kEndpoint, 0x1000, 4), std::logic_error);
+  EXPECT_THROW(t.Insert(ObjType::kTcb, 0x1000, 9), std::logic_error);
+  t.Insert(ObjType::kUntyped, 0x1000, 12);
+  EXPECT_THROW(t.Insert(ObjType::kUntyped, 0x1000, 12), std::logic_error);
   EXPECT_EQ(t.Count(), 2u);
 }
 
 TEST(ObjectTableTest, InsertsBelowEveryObject) {
   ObjectTable t;
-  t.Insert(MakeObj(ObjType::kTcb, 9, 0x4000));
-  t.Insert(MakeObj(ObjType::kTcb, 9, 0x5000));
-  EXPECT_NO_THROW(t.Insert(MakeObj(ObjType::kEndpoint, 4, 0x1000)));
+  t.Insert(ObjType::kTcb, 0x4000, 9);
+  t.Insert(ObjType::kTcb, 0x5000, 9);
+  EXPECT_NO_THROW(t.Insert(ObjType::kEndpoint, 0x1000, 4));
   // Below every object again, but 16 KiB long: covers all three.
-  EXPECT_THROW(t.Insert(MakeObj(ObjType::kPageDir, 14, 0x0)), std::logic_error);
+  EXPECT_THROW(t.Insert(ObjType::kPageDir, 0x0, 14), std::logic_error);
   std::vector<Addr> keys;
   for (const auto& [base, obj] : t.objects()) {
     keys.push_back(base);
@@ -219,13 +198,13 @@ TEST(ObjectTableTest, InsertsBelowEveryObject) {
 
 TEST(ObjectTableTest, UntypedMayContainChildrenInsertedBeforeIt) {
   ObjectTable t;
-  t.Insert(MakeObj(ObjType::kEndpoint, 4, 0x2000));
-  t.Insert(MakeObj(ObjType::kTcb, 9, 0x2200));
-  EXPECT_NO_THROW(t.Insert(MakeObj(ObjType::kUntyped, 12, 0x2000)));  // around both
-  EXPECT_NO_THROW(t.Insert(MakeObj(ObjType::kUntyped, 10, 0x2400)));  // nested region
+  t.Insert(ObjType::kEndpoint, 0x2000, 4);
+  t.Insert(ObjType::kTcb, 0x2200, 9);
+  EXPECT_NO_THROW(t.Insert(ObjType::kUntyped, 0x2000, 12));  // around both
+  EXPECT_NO_THROW(t.Insert(ObjType::kUntyped, 0x2400, 10));  // nested region
   // Inside a region, children still may not overlap one another.
-  EXPECT_THROW(t.Insert(MakeObj(ObjType::kEndpoint, 4, 0x2300)), std::logic_error);
-  EXPECT_NO_THROW(t.Insert(MakeObj(ObjType::kEndpoint, 4, 0x2400)));
+  EXPECT_THROW(t.Insert(ObjType::kEndpoint, 0x2300, 4), std::logic_error);
+  EXPECT_NO_THROW(t.Insert(ObjType::kEndpoint, 0x2400, 4));
   EXPECT_EQ(t.Count(), 5u);
 }
 
@@ -278,7 +257,7 @@ TEST(ObjectTableTest, InsertMatchesBruteForceOverlapScan) {
         }
         bool threw = false;
         try {
-          t.Insert(MakeObj(c.type, c.bits, c.base));
+          t.Insert(c.type, c.base, c.bits);
         } catch (const std::logic_error&) {
           threw = true;
         }

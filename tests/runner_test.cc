@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/sim/runner.h"
 
 namespace pmk {
@@ -122,6 +124,87 @@ TEST(RunnerTest, IdleFastForwardsToTimer) {
   sys.machine().timer().set_period(0);
   EXPECT_GT(r.StepsCompleted(rt), 10u);
   sys.kernel().CheckInvariants();
+}
+
+TEST(RunnerTest, SecondProgramReplacesTheFirst) {
+  System sys(KernelConfig::After(), EvalMachine(false));
+  TcbObj* t = sys.AddThread(10);
+  TcbObj* unprogrammed = sys.AddThread(10);
+  sys.kernel().DirectResume(unprogrammed);
+  sys.kernel().DirectSetCurrent(t);
+  Runner r(&sys);
+  r.SetProgram(t, {UserStep::Compute(100)});
+  r.SetProgram(t, {UserStep::Compute(1'000)}, /*loop=*/false);
+  // One step, then |t| yields to the unprogrammed thread, which only burns
+  // cycles from then on.
+  EXPECT_EQ(r.Run(20'000), 1u);
+  EXPECT_EQ(r.StepsCompleted(t), 1u);
+  EXPECT_EQ(r.StepsCompleted(unprogrammed), 0u);
+}
+
+TEST(RunnerTest, BindingOrderDoesNotChangeTheRun) {
+  // Programs are found by thread pointer; binding the same programs in the
+  // reverse thread order must replay the identical run.
+  struct Outcome {
+    std::uint64_t steps = 0;
+    Cycles now = 0;
+    std::vector<std::uint64_t> per_thread;
+    std::vector<Cycles> irq_latencies;
+    std::uint64_t fastpath_hits = 0;
+  };
+  const auto run = [](bool reverse) {
+    System sys(KernelConfig::After(), EvalMachine(false));
+    EndpointObj* ep = nullptr;
+    const std::uint32_t ep_cptr = sys.AddEndpoint(&ep);
+    std::vector<TcbObj*> threads;
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      threads.push_back(sys.AddThread(60));
+      sys.kernel().DirectBlockOnRecv(threads.back(), ep);
+    }
+    for (std::uint32_t i = 0; i < 6; ++i) {
+      threads.push_back(sys.AddThread(10));
+      if (i > 0) {
+        sys.kernel().DirectResume(threads.back());
+      }
+    }
+    sys.kernel().DirectSetCurrent(threads[2]);
+    sys.machine().timer().set_period(8'000);
+    sys.machine().timer().Restart(sys.machine().Now());
+
+    Runner r(&sys);
+    SyscallArgs call;
+    call.msg_len = 2;
+    std::vector<std::size_t> order(threads.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      order[i] = reverse ? order.size() - 1 - i : i;
+    }
+    for (const std::size_t i : order) {
+      if (i < 2) {
+        r.SetProgram(threads[i], {UserStep::Syscall(SysOp::kReplyRecv, ep_cptr)});
+      } else {
+        r.SetProgram(threads[i], {UserStep::Compute(300 + 170 * i),
+                                  UserStep::Syscall(SysOp::kCall, ep_cptr, call)});
+      }
+    }
+    Outcome out;
+    out.steps = r.Run(400'000);
+    out.now = sys.machine().Now();
+    for (const TcbObj* t : threads) {
+      out.per_thread.push_back(r.StepsCompleted(t));
+    }
+    out.irq_latencies = sys.kernel().irq_latencies();
+    out.fastpath_hits = sys.kernel().fastpath_hits();
+    sys.kernel().CheckInvariants();
+    return out;
+  };
+  const Outcome forward = run(false);
+  const Outcome reverse = run(true);
+  EXPECT_GT(forward.steps, 100u);
+  EXPECT_EQ(forward.steps, reverse.steps);
+  EXPECT_EQ(forward.now, reverse.now);
+  EXPECT_EQ(forward.per_thread, reverse.per_thread);
+  EXPECT_EQ(forward.irq_latencies, reverse.irq_latencies);
+  EXPECT_EQ(forward.fastpath_hits, reverse.fastpath_hits);
 }
 
 }  // namespace

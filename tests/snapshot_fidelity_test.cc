@@ -191,6 +191,70 @@ TEST(SnapshotFidelityTest, CloneRejectsUnknownHeapPointers) {
   TcbObj* foreign = b.sys->AddThread(10);
   a.sys->kernel().DirectSetCurrent(foreign);
   EXPECT_THROW(a.sys->Clone(), std::logic_error);
+
+  // A removed object's bytes stay in the table's storage, but no live object
+  // covers them: a run-queue link to a removed TCB is just as unknown.
+  OpInstance c = MakeEpDeleteCase()();
+  TcbObj* gone = c.sys->AddThread(10);
+  c.sys->kernel().DirectResume(gone);
+  c.sys->kernel().objects().Remove(gone->base);
+  EXPECT_THROW(c.sys->Clone(), std::logic_error);
+}
+
+TEST(SnapshotFidelityTest, ForkOfAHeapOutOfAddressOrderOutlivesItsSource) {
+  // The source's storage is not one address-ordered run: a removed object
+  // leaves a hole, and TCBs retyped from an untyped sit in storage after a
+  // higher-addressed endpoint. The fork must carry every link into its own
+  // storage: with the source destroyed, it runs the operation and audits
+  // clean (under ASan, a link left in the source's storage is a use after
+  // free).
+  OpInstance src = MakeEpDeleteCase()();
+  System& sys = *src.sys;
+  Kernel& k = sys.kernel();
+  const Addr ep_base = sys.root()->slots[src.args.arg0].cap.obj;
+  EndpointObj* ep = k.objects().Get<EndpointObj>(ep_base);
+  ASSERT_NE(ep, nullptr);
+
+  const std::uint32_t ut_cptr = sys.AddUntyped(14);
+  const Addr hole = sys.AddThread(50)->base;
+  const Addr highest = k.DirectEndpoint()->base;
+  k.objects().Remove(hole);
+  SyscallArgs mk;
+  mk.label = InvLabel::kUntypedRetype;
+  mk.obj_type = ObjType::kTcb;
+  mk.obj_count = 4;
+  mk.dest_index = 200;
+  ASSERT_EQ(k.Syscall(SysOp::kCall, ut_cptr, mk), KernelExit::kDone);
+  ASSERT_EQ(src.actor->last_error, KError::kOk);
+  std::vector<Addr> retyped;
+  for (std::uint32_t i = 0; i < mk.obj_count; ++i) {
+    TcbObj* t = k.objects().Get<TcbObj>(sys.root()->slots[mk.dest_index + i].cap.obj);
+    ASSERT_NE(t, nullptr);
+    ASSERT_LT(t->base, highest);
+    t->prio = 10;
+    if (i % 2 == 0) {
+      k.DirectBlockOnSend(t, ep, 3);  // the deleted endpoint's queue
+    } else {
+      k.DirectResume(t);  // the run queue
+    }
+    retyped.push_back(t->base);
+  }
+  k.CheckInvariants();
+
+  const std::unique_ptr<System> fork = sys.Clone();
+  src.sys.reset();
+  Kernel& fk = fork->kernel();
+  while (fk.Syscall(src.op, src.cptr, src.args) == KernelExit::kPreempted) {
+  }
+  fk.CheckInvariants();
+  src.check_done(*fork);
+  EXPECT_EQ(fk.objects().Find(hole), nullptr);
+  for (const Addr base : retyped) {
+    const TcbObj* t = fk.objects().Get<TcbObj>(base);
+    ASSERT_NE(t, nullptr);
+    EXPECT_EQ(t->blocked_on, 0u);  // the deletion cancelled the sends
+    EXPECT_TRUE(t->in_run_queue);
+  }
 }
 
 }  // namespace
