@@ -10,7 +10,7 @@
 // reproduced by the fault engine instead of a timer.
 //
 // Flags: --csv (machine-readable), --seed=N (cycle-offset draw),
-// --jobs=N (checkpoint-fork the sweeps across N workers; same output).
+// --jobs=N (run each sweep's boundary runs on N workers; same output).
 
 #include <cstdio>
 
@@ -40,12 +40,7 @@ int Main(int argc, char** argv) {
   Table table({"kernel", "operation", "preempt points", "sweep runs", "all ok", "max restarts",
                "worst irq latency"});
   SweepOptions opts;
-  if (!FlagValue(argc, argv, "--jobs=").empty()) {
-    // The canonical op factories are fork-safe, so the sweeps can run on the
-    // checkpoint engine; the table is identical for any --jobs value.
-    opts.jobs = flags.jobs;
-    opts.checkpoint = true;
-  }
+  opts.jobs = flags.jobs;  // the table is identical for any --jobs value
   SplitMix64 rng(seed);
 
   const struct {

@@ -78,8 +78,8 @@ Cycles WarmDeepSend(std::uint32_t levels) {
 }
 
 // Reads the PMU at the close of every block of the first kernel entry it
-// sees. An attached sink makes the executor land its counter tally at every
-// block boundary, so each read is exact.
+// sees. The executor counts every event as it charges it, so each read is
+// exact.
 class BlockPmu : public TraceSink {
  public:
   explicit BlockPmu(System& sys) : sys_(sys) {}

@@ -28,12 +28,12 @@ int main() {
   spec.clients = 3;
   spec.servers = 1;
   spec.badge_base = 100;
-  spec.mint_via_kernel = true;
-  spec.resume_threads = false;  // this example drives scheduling by hand
-  spec.on_mint = [](std::uint32_t badge, std::uint32_t client, std::uint32_t slot) {
-    std::printf("minted badge %u for client %u at slot %u\n", badge, client, slot);
-  };
+  spec.mint_via_kernel = true;  // leaves the threads unresumed: scheduled by hand below
   const load::Fleet fleet = load::BuildClientFleet(sys, spec);
+  for (std::uint32_t i = 0; i < spec.clients; ++i) {
+    std::printf("minted badge %u for client %u at slot %u\n",
+                static_cast<unsigned>(spec.badge_base + i), i, fleet.client_cptrs[i]);
+  }
 
   EndpointObj* ep = fleet.endpoints[0];
   const std::uint32_t ep_cptr = fleet.ep_cptrs[0];

@@ -73,10 +73,7 @@ int Main(int argc, char** argv) {
 
   // 1. Exhaustive IRQ sweep of the three canonical operations.
   SweepOptions sweep;
-  if (flags.jobs > 1) {
-    sweep.jobs = flags.jobs;
-    sweep.checkpoint = true;
-  }
+  sweep.jobs = flags.jobs;
   for (const auto& [name, factory] : CanonicalOps()) {
     const std::string scenario = "sweep/" + name;
     observatory.Touch("after", scenario);

@@ -61,23 +61,21 @@ struct CampaignTask {
   std::string Key() const { return mode + "|" + op + "|" + plan; }
 };
 
-// One canonical operation as its tasks see it: the boot every run of it
-// forks from, and its uninjected dry run, which pins the boundary count the
-// other rows of the op depend on. Forked shard workers inherit the boot
-// through fork()'s copy-on-write memory.
+// One canonical operation as its tasks see it: the factory every run of it
+// builds its system with, and its uninjected dry run, which pins the
+// boundary count the other rows of the op depend on.
 struct CanonicalRun {
   std::string name;
-  std::shared_ptr<const ScenarioCheckpoint> ckpt;
+  OpFactory factory;
   ScenarioResult dry;  // the exhaustive mode's "<name>/dry" row
 };
 
-std::vector<CanonicalRun> BootCanonicalOps() {
+std::vector<CanonicalRun> DryRunCanonicalOps() {
   std::vector<CanonicalRun> ops;
-  for (const auto& [name, factory] : CanonicalOps()) {
-    auto ckpt = std::make_shared<const ScenarioCheckpoint>(factory);
+  for (auto& [name, factory] : CanonicalOps()) {
     ScenarioResult dry =
-        FromRun("exhaustive", name + "/dry", RunWithInstance(ckpt->Fork(), InjectionPlan{}));
-    ops.push_back({name, std::move(ckpt), std::move(dry)});
+        FromRun("exhaustive", name + "/dry", RunWithInstance(factory(), InjectionPlan{}));
+    ops.push_back({name, std::move(factory), std::move(dry)});
   }
   return ops;
 }
@@ -96,8 +94,9 @@ void BuildExhaustive(const std::vector<CanonicalRun>& ops, std::vector<CampaignT
     for (std::uint64_t k = 0; k < op.dry.preempt_points; ++k) {
       InjectionPlan plan = BoundaryPlan(k);
       std::string plan_str = plan.ToString();
-      tasks.push_back({"exhaustive", op.name, plan_str, [ckpt = op.ckpt, plan, name = op.name] {
-                         return FromRun("exhaustive", name, RunWithInstance(ckpt->Fork(), plan));
+      tasks.push_back({"exhaustive", op.name, plan_str,
+                       [factory = op.factory, plan, name = op.name] {
+                         return FromRun("exhaustive", name, RunWithInstance(factory(), plan));
                        }});
     }
   }
@@ -129,8 +128,8 @@ void BuildRandom(const CampaignConfig& cfg, const std::vector<CanonicalRun>& ops
     }
     for (InjectionPlan& plan : plans) {
       std::string plan_str = plan.ToString();
-      tasks.push_back({"random", op.name, plan_str, [ckpt = op.ckpt, plan, name = op.name] {
-                         return FromRun("random", name, RunWithInstance(ckpt->Fork(), plan));
+      tasks.push_back({"random", op.name, plan_str, [factory = op.factory, plan, name = op.name] {
+                         return FromRun("random", name, RunWithInstance(factory(), plan));
                        }});
     }
   }
@@ -536,11 +535,10 @@ CampaignReport RunCampaign(const CampaignConfig& config) {
   report.seed = config.seed;
 
   // Build the complete run list — row order and RNG draws exactly match the
-  // historical in-process campaign. The canonical boots outlive the build via
-  // the shared_ptr copies inside task closures.
+  // historical in-process campaign.
   std::vector<CampaignTask> tasks;
   if (config.exhaustive || config.random_runs > 0) {
-    const std::vector<CanonicalRun> ops = BootCanonicalOps();
+    const std::vector<CanonicalRun> ops = DryRunCanonicalOps();
     if (config.exhaustive) {
       BuildExhaustive(ops, tasks);
     }

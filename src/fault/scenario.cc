@@ -214,27 +214,11 @@ InjectionPlan BoundaryPlan(std::uint64_t k) {
 
 SweepResult ExhaustiveIrqSweep(const OpFactory& factory, const SweepOptions& opts) {
   SweepResult res;
-  if (!opts.checkpoint) {
-    // Boot a fresh system per run: the reference path EngineSweepTest holds
-    // the checkpointed sweep to, and the one any factory supports.
-    res.dry_run = RunWithPlan(factory, InjectionPlan{}, opts);
-    res.preempt_points = res.dry_run.preempt_points;
-    res.runs.reserve(res.preempt_points);
-    for (std::uint64_t k = 0; k < res.preempt_points; ++k) {
-      res.runs.push_back(RunWithPlan(factory, BoundaryPlan(k), opts));
-    }
-    return res;
-  }
-
-  // Engine path: boot once, fork every run — including the dry run, so all
-  // runs start from the identical frozen image — and execute on the job
-  // pool, collecting results by ordinal.
-  const ScenarioCheckpoint ckpt(factory);
-  res.dry_run = RunWithInstance(ckpt.Fork(), InjectionPlan{});
+  res.dry_run = RunWithInstance(factory(), InjectionPlan{});
   res.preempt_points = res.dry_run.preempt_points;
   res.runs.resize(res.preempt_points);
   engine::RunJobs(res.preempt_points, opts.jobs, [&](std::size_t k) {
-    res.runs[k] = RunWithInstance(ckpt.Fork(), BoundaryPlan(k));
+    res.runs[k] = RunWithInstance(factory(), BoundaryPlan(k));
   });
   return res;
 }

@@ -47,15 +47,15 @@ using OpFactory = std::function<OpInstance()>;
 // the engine's SystemCheckpoint, and stamps out independent OpInstances on
 // demand. A fork deep-clones the system, re-resolves the actor by its base
 // address in the cloned heap, and shares the on_preempted/check_done
-// callbacks across forks.
+// callbacks across forks. Sweeps and campaigns build every run with its
+// factory instead (a canonical operation builds fresh no slower than it
+// forks); perfbench's kernel probe and SnapshotFidelityTest use this.
 //
 // Requires a FORK-SAFE factory: because the factory runs once and its
 // callbacks are shared, they must address objects via the System& they are
 // handed (capturing base addresses, never object pointers) and must not
-// carry per-run mutable state. The canonical operations below qualify;
-// factories that track identity through captured pointers (some tests do)
-// must stay on the boot-per-run path (SweepOptions::checkpoint = false).
-// Fork() is const and thread-safe; the job pool calls it from worker threads.
+// carry per-run mutable state. The canonical operations below qualify.
+// Fork() is const and thread-safe.
 class ScenarioCheckpoint {
  public:
   explicit ScenarioCheckpoint(const OpFactory& factory);
@@ -71,11 +71,6 @@ class ScenarioCheckpoint {
 struct SweepOptions {
   static constexpr std::uint32_t kIrqLine = 5;  // unbound device line each run asserts
   unsigned jobs = 1;                            // worker threads for the sweep's runs
-  // Boot once + fork every run off the frozen image. Opt-in: requires a
-  // fork-safe factory (see ScenarioCheckpoint). Off, the sweep boots a
-  // fresh system per run, which any factory supports; tests use it as the
-  // reference the checkpointed sweep must match.
-  bool checkpoint = false;
 };
 
 // Outcome of driving one operation under one injection plan.
@@ -132,12 +127,11 @@ InjectionPlan BoundaryPlan(std::uint64_t k);
 // The tentpole sweep: a dry run counts the P preemption-point boundaries the
 // operation crosses, then P independent runs each assert an interrupt at
 // exactly one boundary (BoundaryPlan(0) .. BoundaryPlan(P - 1)). Every run
-// audits invariants and restart bounds.
-//
-// With opts.checkpoint the scenario is built once and every run forks from
-// the frozen image; with opts.jobs > 1 the runs execute on a job pool,
-// collected in ordinal order. Both knobs are invisible in the result: the
-// sweep output is identical for any (checkpoint, jobs) combination.
+// builds its own system with |factory| and audits invariants and restart
+// bounds. The boundary runs execute on a job pool of opts.jobs workers and
+// are collected in ordinal order, so the result is identical for any job
+// count; with more than one worker, |factory| is called from several
+// threads at once.
 SweepResult ExhaustiveIrqSweep(const OpFactory& factory, const SweepOptions& opts);
 
 // Greedy subset minimisation: repeatedly drops actions whose removal keeps

@@ -44,9 +44,8 @@ class BranchPredictor {
   // Records the outcome of the branch terminating the block at |pc| and
   // returns its cost in cycles. |taken| reports the actual direction; a
   // mispredict is reported by incrementing |mispredicts| (the machine's PMU
-  // counter, or the executor's deferred tally of it). Inline: charged on
-  // every block transition, and the common predictor-disabled configuration
-  // reduces to two compares.
+  // counter). Inline: charged on every block transition, and the common
+  // predictor-disabled configuration reduces to two compares.
   Cycles OnBranch(Addr pc, BranchKind kind, bool taken, std::uint64_t& mispredicts) {
     if (kind == BranchKind::kNone) {
       return 0;

@@ -31,8 +31,7 @@ Machine::Machine(const Machine& other)
   irq_.set_trace_sink(nullptr);
 }
 
-void Machine::DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride, bool write,
-                            HwCounters& tally) {
+void Machine::DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride, bool write) {
   (void)write;  // write-allocate: same penalty either way
   Cycles cost = config_.memory.load_use_stall * count;
   std::uint32_t misses = 0;
@@ -96,11 +95,11 @@ void Machine::DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride
     }
     remaining -= tile;
   }
-  tally.l1d_accesses += count;
-  tally.l1d_misses += misses;
-  tally.l2_accesses += l2_acc;
-  tally.l2_misses += l2_miss;
-  tally.mem_stall_cycles += stall;
+  counters_.l1d_accesses += count;
+  counters_.l1d_misses += misses;
+  counters_.l2_accesses += l2_acc;
+  counters_.l2_misses += l2_miss;
+  counters_.mem_stall_cycles += stall;
   Advance(cost);
 }
 

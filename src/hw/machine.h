@@ -7,8 +7,8 @@
 // (the analogue of the ARM1136 PMU cycle counter the paper measures with).
 //
 // The cost-charging entries (InstrFetch/DataAccess/Branch/RawCycles and the
-// tallied entries the compiled executor uses) are defined inline: they are
-// the simulator's innermost loop and every modelled cycle of every experiment
+// shortcuts the compiled executor uses) are defined inline: they are the
+// simulator's innermost loop and every modelled cycle of every experiment
 // passes through them. Advance() only consults the interval timer when the
 // cycle counter actually crosses its cached deadline — assertion cycles are
 // identical to ticking on every advance (docs/performance.md).
@@ -39,9 +39,9 @@ struct MachineConfig {
 // Monotonic PMU-style event counters: the machine's one record of charged
 // events (caches count nothing themselves). Never reset — PolluteCaches
 // leaves them counting — so snapshot/delta measurement (src/obs/pmu.h) stays
-// valid across the cache-polluting runs of Section 5.4. The compiled
-// executor also keeps one per kernel path as its deferred tally, which
-// Machine::LandTally adds in.
+// valid across the cache-polluting runs of Section 5.4. Every charge entry
+// counts its events here as it charges them, so a read between any two
+// charges is exact, mid-path included.
 struct HwCounters {
   std::uint64_t instructions = 0;
   std::uint64_t l1i_accesses = 0;  // I-cache line lookups
@@ -100,7 +100,7 @@ class Machine {
 
   // --- Per-access charging (interpreter oracle, direct hardware probes) ---
   //
-  // Each entry charges one event and lands it on counters() at once.
+  // Each entry charges one event and counts it on counters() at once.
 
   // Fetches and executes |n_instr| sequential 4-byte instructions starting at
   // |addr|: 1 cycle per instruction plus I-cache refill penalties.
@@ -113,7 +113,7 @@ class Machine {
       counters_.l1i_accesses++;
       if (!l1i_.Access(l * line)) {
         counters_.l1i_misses++;
-        cost += MissPenalty(l * line, counters_);
+        cost += MissPenalty(l * line);
       }
     }
     Advance(cost);
@@ -121,7 +121,16 @@ class Machine {
 
   // One data access (load or store). The access cycle itself is accounted as
   // part of the instruction; this charges only refill penalties.
-  void DataAccess(Addr addr, bool write) { DataAccess(addr, write, counters_); }
+  void DataAccess(Addr addr, bool write) {
+    (void)write;  // write-allocate: same penalty either way
+    Cycles cost = config_.memory.load_use_stall;  // pipeline result latency
+    counters_.l1d_accesses++;
+    if (!l1d_.Access(addr)) {
+      counters_.l1d_misses++;
+      cost += MissPenalty(addr);
+    }
+    Advance(cost);
+  }
 
   // Branch terminating the block at |pc| with actual direction |taken|.
   // Inline: one per block transition, and with the predictor disabled (the
@@ -136,37 +145,21 @@ class Machine {
   // Charges |n| raw cycles (e.g. coprocessor operations, TLB maintenance).
   void RawCycles(Cycles n) { Advance(n); }
 
-  // --- Tallied charging (compiled executor backend, src/kir/compiled.h) ---
+  // --- Compiled charging (executor backend, src/kir/compiled.h) ---
   //
-  // These entries count their events into the caller's |tally| instead of
-  // counters(); the executor keeps one tally per kernel path and lands it
-  // with LandTally() at path end, and at every block boundary while a trace
-  // sink reads the counters. Line state, predictor state and the cycle
-  // counter still change at once, so Now(), timer assertions and preemption
-  // visibility are exact at every block boundary. The counters are
-  // order-independent sums, so a landed tally equals the per-access updates.
+  // Shortcuts for work the compiled backend has folded or batched. Each
+  // leaves counters(), line state, predictor state and Now() exactly as the
+  // per-access entries above would, and counts its events as it charges
+  // them.
 
   // Branch with the BTB slot precomputed (slot == pc % btb_entries); the
   // compiled executor backend folds the modulo at Program::CompiledFor time.
   // Identical charging and state transitions to Branch().
-  void BranchSlot(std::uint32_t slot, Addr pc, BranchKind kind, bool taken, HwCounters& tally) {
+  void BranchSlot(std::uint32_t slot, Addr pc, BranchKind kind, bool taken) {
     if (kind != BranchKind::kNone) {
-      tally.branches++;
+      counters_.branches++;
     }
-    Advance(bpred_.OnBranchSlot(slot, pc, kind, taken, tally.branch_mispredicts));
-  }
-
-  // DataAccess() with its events counted into |tally|; the per-access entry
-  // is this with the machine's own counters as the tally.
-  void DataAccess(Addr addr, bool write, HwCounters& tally) {
-    (void)write;  // write-allocate: same penalty either way
-    Cycles cost = config_.memory.load_use_stall;  // pipeline result latency
-    tally.l1d_accesses++;
-    if (!l1d_.Access(addr)) {
-      tally.l1d_misses++;
-      cost += MissPenalty(addr, tally);
-    }
-    Advance(cost);
+    Advance(bpred_.OnBranchSlot(slot, pc, kind, taken, counters_.branch_mispredicts));
   }
 
   // |count| data accesses at base, base+stride, ... — the object-clearing
@@ -175,10 +168,16 @@ class Machine {
   // fused Advance is observable nowhere, because the interval timer asserts
   // at its scheduled deadline (IntervalTimer::Tick), not at the cycle count
   // that crossed it, and every observer runs at block boundaries.
-  void DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride, bool write,
-                     HwCounters& tally);
+  void DataAccessRun(Addr base, std::uint32_t count, std::uint32_t stride, bool write);
 
-  void LandTally(const HwCounters& tally) { counters_ += tally; }
+  // Ends one compiled block (CompiledProgram::Run's kEnd): adds the events
+  // its charge stream summed in locals and advances the block's |cycles| at
+  // once. Nothing observes the machine inside a block, so this equals
+  // charging the stream's events one by one.
+  void ChargeBlock(HwCounters events, Cycles cycles) {
+    counters_ += events;
+    Advance(cycles);
+  }
 
   // --- Worst-case measurement support (paper Section 5.4) ---
 
@@ -207,24 +206,24 @@ class Machine {
   bool l2_enabled() const { return config_.l2_enabled; }
 
  private:
-  // Refill penalty for a line missing in an L1 cache, counted into |c|.
-  // Inline: streaming workloads (object clears, cache-polluted campaign runs)
-  // miss on nearly every access, so this sits on the hot path alongside
-  // Access().
-  Cycles MissPenalty(Addr addr, HwCounters& c) {
+  // Refill penalty for a line missing in an L1 cache, counted on
+  // counters(). Inline: streaming workloads (object clears, cache-polluted
+  // campaign runs) miss on nearly every access, so this sits on the hot path
+  // alongside Access().
+  Cycles MissPenalty(Addr addr) {
     Cycles penalty;
     if (!config_.l2_enabled) {
       penalty = config_.memory.mem_latency_l2_off;
     } else {
-      c.l2_accesses++;
+      counters_.l2_accesses++;
       if (l2_.Access(addr)) {
         penalty = config_.memory.l2_hit_latency;
       } else {
-        c.l2_misses++;
+        counters_.l2_misses++;
         penalty = config_.memory.mem_latency_l2_on;
       }
     }
-    c.mem_stall_cycles += penalty;
+    counters_.mem_stall_cycles += penalty;
     return penalty;
   }
 

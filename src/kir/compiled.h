@@ -17,13 +17,13 @@
 //
 // The runner (CompiledProgram::Run) executes a stream with computed-goto
 // dispatch — one indirect jump per op, no loop bookkeeping. Event counts
-// stay in locals until the kEnd op adds them to the executor's path tally
-// (an HwCounters, landed on the machine by Executor::LandTally), and the
-// whole block advances the cycle counter once; docs/performance.md walks
-// through why every observable (timer assertion times, fault hooks, trace
-// windows, counter totals, cache state) is bit-identical to the interpreter
-// oracle's per-access charging (Executor::ChargeMode::kInterpreted).
-// hotpath_equivalence_test enforces the identity.
+// stay in locals until the kEnd op adds them to the machine's counters and
+// advances the cycle counter once for the whole block (Machine::ChargeBlock);
+// docs/performance.md walks through why every observable (timer assertion
+// times, fault hooks, trace windows, counter reads, cache state) is
+// bit-identical to the interpreter oracle's per-access charging
+// (Executor::ChargeMode::kInterpreted). hotpath_equivalence_test enforces the
+// identity.
 
 #ifndef SRC_KIR_COMPILED_H_
 #define SRC_KIR_COMPILED_H_
@@ -62,7 +62,7 @@ struct CompiledOp {
     kRegConst,  // regs[dst] = imm
     kRegAdd,    // regs[dst] += imm
     kRegMov,    // regs[dst] = regs[src]
-    kEnd,       // tally counts, advance base_cost + accumulated penalties
+    kEnd,       // count events, advance base_cost + accumulated penalties
   };
 
   Kind kind = Kind::kEnd;
@@ -81,7 +81,7 @@ struct CompiledOp {
     struct {
       std::uint32_t n_lines;     // kILine ops in this stream
       std::uint32_t n_accesses;  // kDAcc ops in this stream
-      std::uint32_t n_instr;     // instruction count (tallied at kEnd)
+      std::uint32_t n_instr;     // instruction count (counted at kEnd)
       Cycles base_cost;          // n_instr + raw_cycles + n_accesses * load_use_stall
     } end;
   } u = {};
@@ -96,7 +96,7 @@ struct CompiledBlock {
   // instead of |ops| when its I-fetch memo proves all of the block's lines
   // are still resident (Cache::Gen unchanged since a fully-hitting run):
   // hits mutate no cache state, so skipping them is bit-identical, and the
-  // shared kEnd counts still tally the full n_lines with zero misses.
+  // shared kEnd op still counts the full n_lines with zero misses.
   const CompiledOp* hit_ops = nullptr;
   Addr branch_pc = 0;
   std::uint32_t btb_index = 0;  // branch_pc % btb_entries
@@ -116,13 +116,13 @@ class CompiledProgram {
   std::size_t num_blocks() const { return blocks_.size(); }
 
   // Executes one charge stream against |m|: cache lookups in declaration
-  // order, the block's event counts added to |tally| at kEnd, one cycle
-  // Advance. Register ops are interpreted into |regs|/|written| exactly like
-  // the interpreter does. Returns the number of I-line misses the stream
-  // took, so the executor can arm the hit_ops memo after a fully-hitting run.
+  // order, then at kEnd the block's event counts and cycles in one
+  // Machine::ChargeBlock. Register ops are interpreted into |regs|/|written|
+  // exactly like the interpreter does. Returns the number of I-line misses
+  // the stream took, so the executor can arm the hit_ops memo after a
+  // fully-hitting run.
   static std::uint32_t Run(const CompiledOp* op, Machine& m,
-                           std::array<std::int64_t, 16>& regs, std::uint16_t& written,
-                           HwCounters& tally);
+                           std::array<std::int64_t, 16>& regs, std::uint16_t& written);
 
  private:
   CompiledSpec spec_;

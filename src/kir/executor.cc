@@ -88,16 +88,12 @@ void Executor::set_trace_sink(TraceSink* sink) {
   sink_ = sink;
   RefreshPlainPath();
   if (sink_ != nullptr && cur_ != kNoBlock) {
-    // Attached inside a block: its window starts here, from exact counters.
-    LandTally();
+    // Attached inside a block: its window starts here.
     OpenBlockWindow();
   }
 }
 
 void Executor::Fail(const std::string& msg) const {
-  // Land any deferred counters before unwinding so post-mortem PMU reads see
-  // everything charged up to the failure point.
-  LandTally();
   std::string ctx = msg;
   if (cur_ != kNoBlock) {
     ctx += " (current block: " + program_->block(cur_).name + ")";
@@ -138,7 +134,6 @@ void Executor::OpenBlockWindow() {
 }
 
 void Executor::CloseBlockWindow() {
-  LandTally();
   const Block& b = program_->block(cur_);
   TraceEvent e;
   e.kind = TraceEventKind::kBlockCost;
@@ -268,7 +263,7 @@ void Executor::Enter(BlockId bid, const BlockEdges* prev, bool is_preemption_poi
 void Executor::AtInterpreted(BlockId bid) {
   // The oracle reads only the Block descriptors and recomputes everything the
   // compiled backend folds at CompiledFor/Layout() time, so a mis-lowered
-  // stream, a stale I-line memo or a mis-tallied batch shows up as a
+  // stream, a stale I-line memo or a miscounted batch shows up as a
   // divergence between the two modes.
   if (!in_path_) {
     Fail("At() outside a kernel path");
@@ -313,8 +308,7 @@ void Executor::AtInterpreted(BlockId bid) {
 // AtCompiled, its only caller: the per-block call and the l1i/l1d/l2
 // reference setup fold into the surrounding frame.
 std::uint32_t CompiledProgram::Run(const CompiledOp* op, Machine& m,
-                                   std::array<std::int64_t, 16>& regs, std::uint16_t& written,
-                                   HwCounters& tally) {
+                                   std::array<std::int64_t, 16>& regs, std::uint16_t& written) {
   Cache& l1i = m.l1i();
   Cache& l1d = m.l1d();
   Cache& l2 = m.l2();
@@ -385,15 +379,15 @@ op_rmov:
   ++op;
   PMK_NEXT();
 op_end:
-  tally.instructions += op->u.end.n_instr;
-  tally.l1i_accesses += op->u.end.n_lines;
-  tally.l1i_misses += imiss;
-  tally.l1d_accesses += op->u.end.n_accesses;
-  tally.l1d_misses += dmiss;
-  tally.l2_accesses += l2acc;
-  tally.l2_misses += l2miss;
-  tally.mem_stall_cycles += stall;
-  m.RawCycles(op->u.end.base_cost + penalties);
+  m.ChargeBlock({.instructions = op->u.end.n_instr,
+                 .l1i_accesses = op->u.end.n_lines,
+                 .l1i_misses = imiss,
+                 .l1d_accesses = op->u.end.n_accesses,
+                 .l1d_misses = dmiss,
+                 .l2_accesses = l2acc,
+                 .l2_misses = l2miss,
+                 .mem_stall_cycles = stall},
+                op->u.end.base_cost + penalties);
   return imiss;
 #undef PMK_NEXT
 }
@@ -406,7 +400,7 @@ void Executor::AtCompiled(BlockId bid) {
   const CompiledBlock* const prev = cur_ != kNoBlock ? cur_cblock_ : nullptr;
   const EdgeBranch br = TakeEdge(prev != nullptr ? &prev->edges : nullptr, bid);
   if (br.kind != BranchKind::kNone) {
-    machine_->BranchSlot(prev->btb_index, prev->branch_pc, br.kind, br.taken, tally_);
+    machine_->BranchSlot(prev->btb_index, prev->branch_pc, br.kind, br.taken);
   }
   Enter(bid, prev != nullptr ? &prev->edges : nullptr, cb.edges.is_preemption_point);
   cur_cblock_ = &cb;
@@ -414,7 +408,7 @@ void Executor::AtCompiled(BlockId bid) {
   // the L1I's line state has not changed since (Cache::Gen — hits mutate
   // nothing, so only installs elsewhere can evict them), skip the I-line
   // probes entirely via the kILine-free twin stream. Steady-state loop
-  // bodies reduce to their data accesses and the shared kEnd tally.
+  // bodies reduce to their data accesses and the shared kEnd charge.
   const std::uint64_t l1i_gen = machine_->l1i().Gen();
   if (iline_gen_[bid] == l1i_gen) {
     const CompiledOp* h = cb.hit_ops;
@@ -424,13 +418,12 @@ void Executor::AtCompiled(BlockId bid) {
       // kEnd op. n_accesses is zero by construction (kDAcc ops would
       // otherwise precede the kEnd), so the whole charge is two counter
       // adds and the cycle advance.
-      tally_.instructions += h->u.end.n_instr;
-      tally_.l1i_accesses += h->u.end.n_lines;
-      machine_->RawCycles(h->u.end.base_cost);
+      machine_->ChargeBlock({.instructions = h->u.end.n_instr, .l1i_accesses = h->u.end.n_lines},
+                            h->u.end.base_cost);
     } else {
-      CompiledProgram::Run(h, *machine_, regs_, written_, tally_);
+      CompiledProgram::Run(h, *machine_, regs_, written_);
     }
-  } else if (CompiledProgram::Run(cb.ops, *machine_, regs_, written_, tally_) == 0) {
+  } else if (CompiledProgram::Run(cb.ops, *machine_, regs_, written_) == 0) {
     // Zero I-misses: the run itself did not touch L1I line state, so the
     // generation read above is still current.
     iline_gen_[bid] = l1i_gen;
@@ -494,7 +487,6 @@ void Executor::End() {
   if (recording_) {
     trace_.end_cycle = machine_->Now();
   }
-  LandTally();
   FlushBlocksCharged();
 }
 

@@ -61,8 +61,7 @@ class Executor {
     // Production path: the compiled threaded-code backend
     // (src/kir/compiled.h). One indirect jump into the block's precompiled
     // charge stream, with cache geometry and BTB indices constant-folded per
-    // machine specialisation, an I-fetch memo, one deferred HwCounters tally
-    // per path (see LandTally) and batched TouchRun
+    // machine specialisation, an I-fetch memo and batched TouchRun
     // (Machine::DataAccessRun). The default.
     kCompiled,
     // Oracle: a plain interpreter over the Block descriptors. It recomputes
@@ -108,11 +107,7 @@ class Executor {
       FailTouchOutsideBlock();
     }
     dyn_count_++;
-    if (charge_mode_ == ChargeMode::kCompiled) {
-      machine_->DataAccess(addr, write, tally_);
-    } else {
-      machine_->DataAccess(addr, write);
-    }
+    machine_->DataAccess(addr, write);
   }
 
   // |count| dynamically-addressed accesses at base, base+stride, ... within
@@ -134,7 +129,7 @@ class Executor {
       }
       return;
     }
-    machine_->DataAccessRun(base, count, stride, write, tally_);
+    machine_->DataAccessRun(base, count, stride, write);
   }
 
   // Injects a runtime value into register |reg| (a loop input). Validated
@@ -157,12 +152,10 @@ class Executor {
   // Structured event tracing (src/obs): kernel entry/exit, per-block cycle
   // and cache-miss attribution, preemption-point hit/taken events. A null
   // sink (the default) reduces every instrumentation site to one pointer
-  // test; with or without a sink, no modelled cycles are charged. Sink block
-  // windows read the machine's PMU counters at block boundaries, so while a
-  // sink is attached the deferred tally lands before each window closes. A
-  // sink attached inside a block (from a FaultHook, say) lands the tally and
-  // opens that block's window at once, so the first window starts from
-  // exact counters and covers only what is charged after the attach.
+  // test; with or without a sink, no modelled cycles are charged. A sink
+  // attached inside a block (from a FaultHook, say) opens that block's
+  // window at once, so the first window covers only what is charged after
+  // the attach.
   void set_trace_sink(TraceSink* sink);
   TraceSink* trace_sink() const { return sink_; }
 
@@ -195,8 +188,8 @@ class Executor {
   // and preemption-point events, trace recording, fault hook). |prev| is the
   // CFG record of the block being left, null at path start.
   void Enter(BlockId bid, const BlockEdges* prev, bool is_preemption_point);
-  // Lands the tally, then emits the kBlockCost event for the block being left
-  // (cycles and misses accumulated since OpenBlockWindow).
+  // Emits the kBlockCost event for the block being left (cycles and misses
+  // accumulated since OpenBlockWindow).
   void CloseBlockWindow();
   void OpenBlockWindow();
   [[noreturn]] void Fail(const std::string& msg) const;
@@ -208,14 +201,6 @@ class Executor {
   // Compiled At body: edge facts from the CompiledBlock record, block costs
   // charged through the block's precompiled stream (CompiledProgram::Run).
   void AtCompiled(BlockId bid);
-  // Adds the path's deferred tally to the machine's counters and zeroes it.
-  // Called at End(), before throwing from Fail(), and, while a sink is
-  // attached, at every block boundary. A no-op sum under the oracle, which
-  // charges the machine's counters directly and leaves the tally zero.
-  void LandTally() const {
-    machine_->LandTally(tally_);
-    tally_ = HwCounters{};
-  }
   // Records the sim.exec.charge_mode{mode=...} labeled counter.
   static void CountChargeMode(ChargeMode mode);
   // Recomputes the cached plain_path_ flag (see its declaration).
@@ -253,10 +238,6 @@ class Executor {
   FuncId entry_func_ = kNoFunc;
   std::uint32_t dyn_count_ = 0;
   std::uint64_t blocks_pending_ = 0;  // blocks charged since the last flush
-  // Deferred path accounting (compiled mode): the events charged since the
-  // last LandTally(). Mutable so the [[noreturn]] const Fail() can land it
-  // before throwing.
-  mutable HwCounters tally_;
   std::vector<Frame> call_stack_;
   std::array<std::int64_t, kNumRegs> regs_{};
   std::uint16_t written_ = 0;

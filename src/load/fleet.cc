@@ -72,22 +72,11 @@ Fleet BuildClientFleet(System& sys, const FleetSpec& spec) {
       mint.badge = spec.badge_base + i;
       k.Syscall(SysOp::kCall, fleet.root_cptr, mint);
       fleet.client_cptrs.push_back(kFirstMintSlot + i);
-      if (spec.on_mint) {
-        spec.on_mint(spec.badge_base + i, i, kFirstMintSlot + i);
-      }
     }
     for (std::uint32_t i = 0; i < spec.clients; ++i) {
       TcbObj* t = sys.AddThread(kClientPrio);
-      if (spec.resume_threads) {
-        k.DirectResume(t);
-      }
       fleet.clients.push_back(t);
       fleet.client_addrs.push_back(t->base);
-    }
-    if (spec.resume_threads) {
-      for (TcbObj* s : fleet.servers) {
-        k.DirectResume(s);
-      }
     }
     return fleet;
   }
@@ -102,9 +91,7 @@ Fleet BuildClientFleet(System& sys, const FleetSpec& spec) {
   fleet.fleet_cnode_addr = cn->base;
   for (std::uint32_t i = 0; i < spec.clients; ++i) {
     TcbObj* t = k.DirectTcb(kClientPrio, cn);
-    if (spec.resume_threads) {
-      k.DirectResume(t);
-    }
+    k.DirectResume(t);
     fleet.clients.push_back(t);
     fleet.client_addrs.push_back(t->base);
   }
@@ -115,14 +102,9 @@ Fleet BuildClientFleet(System& sys, const FleetSpec& spec) {
     cap.badge = spec.badge_base + i;
     k.DirectCap(cn, i, cap);
     fleet.client_cptrs.push_back(i);
-    if (spec.on_mint) {
-      spec.on_mint(spec.badge_base + i, i, i);
-    }
   }
-  if (spec.resume_threads) {
-    for (TcbObj* s : fleet.servers) {
-      k.DirectResume(s);
-    }
+  for (TcbObj* s : fleet.servers) {
+    k.DirectResume(s);
   }
   return fleet;
 }

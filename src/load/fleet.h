@@ -20,14 +20,13 @@
 //
 // A Fleet records the base address of every object it created, and
 // ResolveFleet() re-binds those addresses to live pointers inside a forked
-// System clone — the ScenarioCheckpoint pattern: boot one fleet, checkpoint,
+// System clone: boot one fleet, checkpoint it (engine::SystemCheckpoint),
 // fork per load point.
 
 #ifndef SRC_LOAD_FLEET_H_
 #define SRC_LOAD_FLEET_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/sim/workload.h"
@@ -50,16 +49,11 @@ struct FleetSpec {
 
   // Kernel-mint mode: charged kCNodeMint syscalls into consecutive root
   // slots (the badge_server path; requires the root CNode to fit the fleet).
-  // Default: uncharged direct installs into a fleet CNode.
+  // Its threads are left unresumed: badge_server drives scheduling by hand
+  // via DirectSetCurrent. Default: uncharged direct installs into a fleet
+  // CNode, with every thread resumed (runnable) so a Runner can schedule the
+  // fleet at once.
   bool mint_via_kernel = false;
-
-  // In direct mode, newly created threads are resumed (runnable) so a Runner
-  // can schedule the fleet immediately. Kernel-mint mode never resumes —
-  // badge_server drives scheduling by hand via DirectSetCurrent.
-  bool resume_threads = true;
-
-  // Invoked after each badge is installed: (badge, client index, cptr).
-  std::function<void(std::uint64_t, std::uint32_t, std::uint32_t)> on_mint;
 };
 
 struct Fleet {
@@ -78,9 +72,9 @@ struct Fleet {
   Addr fleet_cnode_addr = 0;
 };
 
-// Boots the fleet onto |sys| (objects, caps, badges; threads resumed per
-// spec). Deterministic: the same spec against the same System produces the
-// same object addresses and charged-cycle sequence.
+// Boots the fleet onto |sys| (objects, caps, badges; threads resumed in
+// direct mode). Deterministic: the same spec against the same System
+// produces the same object addresses and charged-cycle sequence.
 Fleet BuildClientFleet(System& sys, const FleetSpec& spec);
 
 // Re-binds |fleet|'s recorded base addresses to the live objects inside

@@ -183,10 +183,8 @@ std::uint64_t Runner::Run(Cycles duration) {
           // same syscall when it next runs. The interrupt was serviced (and
           // its line masked) inside the entry.
           ReenableUnboundLines();
-          p.retry = true;
           break;
         }
-        p.retry = false;
         step_done = true;
         break;
       }

@@ -112,7 +112,6 @@ class Runner {
     std::vector<UserStep> steps;
     bool loop = true;
     std::size_t pc = 0;           // next step
-    bool retry = false;           // re-issue the current syscall (restart)
     std::uint64_t completed = 0;
     Cycles compute_left = 0;      // sliced kCompute: cycles still to burn
     std::optional<UserStep> dyn_active;  // in-flight sub-step of a kDynamic step

@@ -1,10 +1,10 @@
 // Campaign engine: job-pool scheduling and the determinism contract.
 //
 // The engine's promise is that worker count is invisible in every output:
-// RunJobs/ParallelMap collect by ordinal, the sweeps and campaign modes
-// derive each run's inputs purely from its index, and checkpoint forking
-// changes only where the start state comes from. These tests pin the promise
-// at each layer — pool, sweep, campaign — plus the pool's error contract.
+// RunJobs/ParallelMap collect by ordinal, and the sweeps and campaign modes
+// derive each run's inputs purely from its index. These tests pin the
+// promise at each layer — pool, sweep, campaign — plus the pool's error
+// contract.
 
 #include <gtest/gtest.h>
 
@@ -105,10 +105,9 @@ std::string Signature(const SweepResult& res) {
 }
 
 // One shard of a large campaign: a system with substantial resident state
-// (30 endpoints with 50 queued senders each) whose common prefix every run
-// shares, plus a victim endpoint whose deletion is the swept operation. It is
-// the one case whose checkpoint forks a large heap: boot builds ~1500
-// threads once, and each sweep run forks it instead of rebuilding.
+// (30 endpoints with 50 queued senders each, ~1500 threads) whose common
+// prefix every run shares, plus a victim endpoint whose deletion is the
+// swept operation.
 OpFactory MakeShardBootCase() {
   return [] {
     OpInstance inst;
@@ -143,22 +142,20 @@ OpFactory MakeShardBootCase() {
   };
 }
 
-TEST(EngineSweepTest, CheckpointedSweepMatchesBootPerRunAtAnyJobCount) {
+TEST(EngineSweepTest, SweepMatchesSerialAtAnyJobCount) {
   std::vector<std::pair<std::string, OpFactory>> cases = CanonicalOps();
   cases.emplace_back("shard-boot", MakeShardBootCase());
   for (const auto& [name, factory] : cases) {
     SCOPED_TRACE(name);
-    const SweepOptions baseline;  // boot-per-run, serial
-    const SweepResult reference = ExhaustiveIrqSweep(factory, baseline);
+    const SweepResult reference = ExhaustiveIrqSweep(factory, SweepOptions{});
     EXPECT_TRUE(reference.AllOk());
     const std::string expected = Signature(reference);
     for (const unsigned jobs : {1u, 4u}) {
-      SweepOptions engine_opts;
-      engine_opts.checkpoint = true;
-      engine_opts.jobs = jobs;
-      const SweepResult forked = ExhaustiveIrqSweep(factory, engine_opts);
-      EXPECT_TRUE(forked.AllOk()) << "jobs=" << jobs;
-      EXPECT_EQ(expected, Signature(forked)) << "jobs=" << jobs;
+      SweepOptions opts;
+      opts.jobs = jobs;
+      const SweepResult swept = ExhaustiveIrqSweep(factory, opts);
+      EXPECT_TRUE(swept.AllOk()) << "jobs=" << jobs;
+      EXPECT_EQ(expected, Signature(swept)) << "jobs=" << jobs;
     }
   }
 }

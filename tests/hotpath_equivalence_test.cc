@@ -2,10 +2,10 @@
 // cache is cross-checked against an independent reimplementation of the seed
 // cache (SeedModelCache below), and the compiled executor backend against the
 // interpreter oracle (Executor::ChargeMode::kInterpreted), under randomized
-// op streams and whole-kernel workloads on 32- and 64-byte lines, traced and
-// untraced. The oracle re-derives everything the compiler folds from the
-// Block descriptors, so a deliberately mis-lowered access must make the
-// comparison fail.
+// op streams and whole-kernel workloads on 32- and 64-byte lines, traced,
+// untraced and with the PMU read at every block. The oracle re-derives
+// everything the compiler folds from the Block descriptors, so a
+// deliberately mis-lowered access must make the comparison fail.
 
 #include <cstdint>
 #include <memory>
@@ -21,6 +21,7 @@
 #include "src/hw/machine.h"
 #include "src/kir/compiled.h"
 #include "src/kir/executor.h"
+#include "src/obs/pmu.h"
 #include "src/obs/trace_sink.h"
 #include "src/sim/workload.h"
 
@@ -462,26 +463,49 @@ KernelRunOutcome RunPreemptSteps(System& sys, const PreemptWorld& w) {
   return out;
 }
 
-// |sink|, when set, is attached to the kernel and the interrupt controller
-// for the measured steps.
+// A fault hook that reads the PMU at every block the executor enters: what
+// an observer sampling the counters at each block boundary sees.
+class PmuAtEveryBlock : public FaultHook {
+ public:
+  PmuAtEveryBlock(const Machine* machine, std::vector<PmuSnapshot>* reads)
+      : machine_(machine), reads_(reads) {}
+
+  void OnBlock(BlockId, bool) override { reads_->push_back(ReadPmu(*machine_)); }
+
+ private:
+  const Machine* machine_;
+  std::vector<PmuSnapshot>* reads_;
+};
+
+// The measured steps' observers: |sink|, when set, is attached to the kernel
+// and the interrupt controller, and |block_reads|, when set, receives a PMU
+// read at every block boundary.
+struct Observers {
+  TraceSink* sink = nullptr;
+  std::vector<PmuSnapshot>* block_reads = nullptr;
+};
+
 KernelRunOutcome RunTimerPreemptWorkload(const MachineConfig& mc, Executor::ChargeMode mode,
-                                         TraceSink* sink = nullptr) {
+                                         Observers obs = {}) {
   System sys(KernelConfig::After(), mc);
   sys.kernel().exec().set_charge_mode(mode);
   const PreemptWorld w = BootPreemptWorld(sys);
-  sys.AttachTraceSink(sink);
+  sys.AttachTraceSink(obs.sink);
+  PmuAtEveryBlock hook(&sys.machine(), obs.block_reads);
+  sys.kernel().exec().set_fault_hook(obs.block_reads != nullptr ? &hook : nullptr);
   return RunPreemptSteps(sys, w);
 }
 
-// The worst-case IPC: a long, fastpath-ineligible Call, traced into |sink|
-// when set.
+// The worst-case IPC: a long, fastpath-ineligible Call.
 KernelRunOutcome RunWorstIpc(const MachineConfig& mc, Executor::ChargeMode mode,
-                             TraceSink* sink = nullptr) {
+                             Observers obs = {}) {
   System sys(KernelConfig::After(), mc);
   sys.kernel().exec().set_charge_mode(mode);
   System::WorstIpc w = sys.BuildWorstCaseIpc();
   sys.kernel().DirectSetCurrent(w.caller);
-  sys.AttachTraceSink(sink);
+  sys.AttachTraceSink(obs.sink);
+  PmuAtEveryBlock hook(&sys.machine(), obs.block_reads);
+  sys.kernel().exec().set_fault_hook(obs.block_reads != nullptr ? &hook : nullptr);
   sys.kernel().Syscall(SysOp::kCall, w.ep_cptr, w.args);
   return Snapshot(sys.machine());
 }
@@ -557,25 +581,31 @@ TEST(ExecutorEquivalence, GenericChargeModeIsBitIdentical) {
   return ::testing::AssertionSuccess();
 }
 
-// With a sink attached the compiled backend lands its path tally at every
-// block boundary, so each kBlockCost window's miss counts are exact: the
-// traced event stream and the final counters must match the oracle's, event
-// for event, on the timer-preempt workload (L2 on) and the worst-case IPC
-// (L2 off) at 32-byte lines, and on both at 64-byte lines.
+using Workload = KernelRunOutcome (*)(const MachineConfig&, Executor::ChargeMode, Observers);
+
+// The two whole-kernel workloads, each with its paper-configuration machine:
+// the timer-preempt workload with the L2 on, the worst-case IPC with it off.
+struct NamedWorkload {
+  const char* name;
+  Workload run;
+  MachineConfig narrow;
+};
+std::vector<NamedWorkload> KernelWorkloads() {
+  return {{"timer-preempt", &RunTimerPreemptWorkload, EvalMachine(true)},
+          {"worst-case IPC", &RunWorstIpc, EvalMachine(false)}};
+}
+
+// Each kBlockCost window's miss counts come from the machine's counters at
+// block boundaries: the traced event stream and the final counters must
+// match the oracle's, event for event, on both workloads at 32- and 64-byte
+// lines.
 TEST(ExecutorEquivalence, TracedRunMatchesOracle) {
-  using Workload = KernelRunOutcome (*)(const MachineConfig&, Executor::ChargeMode, TraceSink*);
-  const struct {
-    const char* name;
-    Workload run;
-    MachineConfig narrow;
-  } workloads[] = {{"timer-preempt", &RunTimerPreemptWorkload, EvalMachine(true)},
-                   {"worst-case IPC", &RunWorstIpc, EvalMachine(false)}};
-  for (const auto& [name, run, narrow] : workloads) {
+  for (const auto& [name, run, narrow] : KernelWorkloads()) {
     for (const MachineConfig& mc : {narrow, WideLines()}) {
       EventLog compiled_log;
       EventLog oracle_log;
-      const KernelRunOutcome compiled = run(mc, kCompiled, &compiled_log);
-      const KernelRunOutcome oracle = run(mc, kInterpreted, &oracle_log);
+      const KernelRunOutcome compiled = run(mc, kCompiled, {.sink = &compiled_log});
+      const KernelRunOutcome oracle = run(mc, kInterpreted, {.sink = &oracle_log});
       const std::string where = std::string(name) + ", " + std::to_string(mc.l1i.line_bytes) +
                                 "-byte lines";
       std::uint64_t window_misses = 0;
@@ -588,6 +618,31 @@ TEST(ExecutorEquivalence, TracedRunMatchesOracle) {
       EXPECT_TRUE(EventsMatch(compiled_log.events(), oracle_log.events())) << where;
       EXPECT_TRUE(OutcomesMatch(compiled, oracle)) << where;
     }
+  }
+}
+
+// The counters are exact at every block boundary with no sink attached: a
+// fault hook reading the PMU as each block is entered must see the oracle's
+// reads, read for read, on both workloads.
+TEST(ExecutorEquivalence, FaultHookReadsExactCounters) {
+  for (const auto& [name, run, mc] : KernelWorkloads()) {
+    std::vector<PmuSnapshot> compiled;
+    std::vector<PmuSnapshot> oracle;
+    run(mc, kCompiled, {.block_reads = &compiled});
+    run(mc, kInterpreted, {.block_reads = &oracle});
+    ASSERT_FALSE(oracle.empty()) << name;
+    ASSERT_EQ(compiled.size(), oracle.size()) << name;
+    std::size_t differ = 0;
+    std::size_t first = 0;
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+      if (compiled[i] != oracle[i] && differ++ == 0) {
+        first = i;
+      }
+    }
+    EXPECT_EQ(differ, 0u) << name << ": " << differ << " of " << oracle.size()
+                          << " reads differ, the first at read " << first << " (l1i_accesses "
+                          << compiled[first].l1i_accesses << " vs "
+                          << oracle[first].l1i_accesses << ")";
   }
 }
 

@@ -507,9 +507,9 @@ PmuSnapshot CallDelta(Executor::ChargeMode mode) {
 }
 
 TEST(PmuTest, DeltaMatchesPerAccessOracle) {
-  // The compiled backend lands its deferred tally when the path ends, so a
-  // PMU read after the Call sees every event the oracle charged one access
-  // at a time.
+  // The compiled backend counts a block's events when it charges the block,
+  // so a PMU read after the Call sees every event the oracle charged one
+  // access at a time.
   const PmuSnapshot d = CallDelta(Executor::ChargeMode::kCompiled);
   const PmuSnapshot want = CallDelta(Executor::ChargeMode::kInterpreted);
   EXPECT_EQ(d, want);
