@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -107,6 +108,12 @@ obs::Counter& RefactorCounter() {
   static obs::Counter c("wcet.simplex.refactorisations");
   return c;
 }
+// Eta applications in the entering column's FTRANs and in the dual BTRANs
+// (every step of a full walk, the recomputed steps of an incremental one).
+obs::Counter& EtaStepCounter() {
+  static obs::Counter c("wcet.simplex.eta_steps");
+  return c;
+}
 // Warm-start basis imports whose refactorisation succeeded. Kept apart from
 // wcet.simplex.refactorisations, which counts the pivot loop's periodic ones.
 obs::Counter& ImportCounter() {
@@ -132,48 +139,87 @@ obs::Counter& IncColdSolveCounter() {
   return c;
 }
 
-// A set of row indices visited in ascending order without a sort: one bit per
-// row, plus the range of words that may hold a bit. FTRAN and the
-// refactorisation's numeric pass collect the rows a sparse column fills in
-// one, and visit them in the order a dense 0..m-1 sweep would meet them.
-class RowSet {
+// A set of small indices (rows or etas) visited in ascending order without a
+// sort: one bit per index, plus the range of words that may hold a bit.
+// FTRAN and the refactorisation's numeric pass collect the rows a sparse
+// column fills in one, and visit them in the order a dense 0..m-1 sweep
+// would meet them. As a queue it pops its least or greatest member, so a
+// walk that only ever adds indices beyond the one it popped last visits each
+// once, in order: FTRAN and the numeric pass pop etas upwards, the
+// incremental dual BTRAN downwards.
+class IndexSet {
  public:
-  // Empties the set and sizes it for rows 0..m-1.
-  void Reset(std::uint32_t m) {
-    bits_.assign((m + 63) / 64, 0);
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+  // Empties the set and sizes it for indices 0..n-1.
+  void Reset(std::uint32_t n) {
+    bits_.assign((n + 63) / 64, 0);
     lo_ = static_cast<std::uint32_t>(bits_.size());
     hi_ = 0;
   }
 
-  // Adds |r|; returns false if it was already present.
-  bool Insert(std::uint32_t r) {
-    std::uint64_t& word = bits_[r / 64];
-    const std::uint64_t bit = std::uint64_t{1} << (r % 64);
+  // Makes room for indices 0..n-1, keeping the members.
+  void Grow(std::uint32_t n) {
+    if (bits_.size() * 64 < n) {
+      bits_.resize((n + 63) / 64, 0);
+    }
+  }
+
+  // Adds |i|; returns false if it was already present.
+  bool Insert(std::uint32_t i) {
+    std::uint64_t& word = bits_[i / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
     if (word & bit) {
       return false;
     }
     word |= bit;
-    lo_ = std::min(lo_, r / 64);
-    hi_ = std::max(hi_, r / 64 + 1);
+    lo_ = std::min(lo_, i / 64);
+    hi_ = std::max(hi_, i / 64 + 1);
     return true;
   }
 
-  // Calls visit(r) for every row in the set, in ascending order.
+  // Calls visit(i) for every member, in ascending order.
   template <typename Visit>
   void ForEach(Visit&& visit) const {
-    for (std::uint32_t i = lo_; i < hi_; ++i) {
-      for (std::uint64_t word = bits_[i]; word != 0; word &= word - 1) {
-        visit(i * 64 + static_cast<std::uint32_t>(std::countr_zero(word)));
+    for (std::uint32_t w = lo_; w < hi_; ++w) {
+      for (std::uint64_t word = bits_[w]; word != 0; word &= word - 1) {
+        visit(w * 64 + static_cast<std::uint32_t>(std::countr_zero(word)));
       }
     }
   }
 
   void Clear() {
-    for (std::uint32_t i = lo_; i < hi_; ++i) {
-      bits_[i] = 0;
+    for (std::uint32_t w = lo_; w < hi_; ++w) {
+      bits_[w] = 0;
     }
     lo_ = static_cast<std::uint32_t>(bits_.size());
     hi_ = 0;
+  }
+
+  // Removes and returns the least member, or kEmpty.
+  std::uint32_t PopMin() {
+    for (; lo_ < hi_; ++lo_) {
+      std::uint64_t& word = bits_[lo_];
+      if (word != 0) {
+        const std::uint32_t b = static_cast<std::uint32_t>(std::countr_zero(word));
+        word &= word - 1;
+        return lo_ * 64 + b;
+      }
+    }
+    return kEmpty;
+  }
+
+  // Removes and returns the greatest member, or kEmpty.
+  std::uint32_t PopMax() {
+    for (; hi_ > lo_; --hi_) {
+      std::uint64_t& word = bits_[hi_ - 1];
+      if (word != 0) {
+        const std::uint32_t b = 63 - static_cast<std::uint32_t>(std::countl_zero(word));
+        word &= ~(std::uint64_t{1} << b);
+        return (hi_ - 1) * 64 + b;
+      }
+    }
+    return kEmpty;
   }
 
  private:
@@ -181,6 +227,11 @@ class RowSet {
   std::uint32_t lo_ = 0;  // words [lo_, hi_) may hold bits
   std::uint32_t hi_ = 0;
 };
+
+// Bitwise equality: tells -0.0 from +0.0 and matches a NaN with itself.
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 // ---------------------------------------------------------------------------
 // Sparse revised simplex.
@@ -192,13 +243,19 @@ class RowSet {
 // The constraint matrix is stored once in CSR (the columns a row's dual
 // reaches) and CSC (pricing a column, FTRAN of an entering column); the basis
 // inverse is a product-form eta file refreshed by periodic refactorisation
-// (TryRefactorize). A pivot costs what it changed: only the columns on rows
-// whose dual moved are re-priced, and the ratio test and the new eta visit
-// only the rows FTRAN wrote for the entering column. Every value that decides
-// a pivot is bit-identical to what a full pricing, a 0..m-1 ratio scan and a
-// walk of the whole eta list would compute: IPET programs have alternative
-// optima, so the pivot path decides which optimal x (and worst-case trace)
-// comes out.
+// (TryRefactorize). A pivot costs what it changed:
+//  - the entering column comes from a tournament tree over the reduced
+//    costs, replayed only at the columns a pivot re-priced;
+//  - FTRAN applies only the etas its nonzeros reach, found through per-row
+//    eta chains (FtranColumn);
+//  - the duals are updated by an incremental BTRAN that recomputes only the
+//    steps whose inputs changed since the last pivot (UpdateDuals);
+//  - only the columns on rows whose dual moved are re-priced, and the ratio
+//    test and the new eta visit only the rows FTRAN wrote.
+// Every value that decides a pivot is bit-identical to what a Dantzig scan, a
+// full pricing, a 0..m-1 ratio scan and a walk of the whole eta list would
+// compute: IPET programs have alternative optima, so the pivot path decides
+// which optimal x (and worst-case trace) comes out.
 // Refactorisation may permute which basis *position* holds which basic
 // variable; that is harmless because every rule that touches positions
 // (ratio-test tie-break, pricing, extraction) keys off the basic variable id,
@@ -291,6 +348,9 @@ class RevisedSimplex {
     }
     return out;
   }
+
+  // Eta applications so far (see EtaStepCounter).
+  std::uint64_t eta_steps() const { return eta_steps_; }
 
  private:
   const LinearProgram::Row& RowAt(std::uint32_t r) const {
@@ -398,7 +458,8 @@ class RevisedSimplex {
     rho_.assign(m_, 0.0);
     w_.assign(m_, 0.0);
     w_rows_.Reset(m_);
-    rc_.assign(ncols_, 0.0);
+    rc_.assign(ncols_ + 1, 0.0);
+    rc_[ncols_] = std::numeric_limits<double>::quiet_NaN();  // the tree's padding
     dirty_mark_.assign(ncols_, 0);
     alpha_.assign(ncols_, 0.0);
     c_.assign(ncols_, 0.0);
@@ -425,9 +486,39 @@ class RevisedSimplex {
     eta_row_.clear();
     eta_val_.clear();
     eta_ptr_.assign(1, 0);
+    IndexEtas();
   }
 
   std::uint64_t EtaNnz() const { return eta_row_.size() + eta_r_.size(); }
+
+  // The eta file was replaced: rebuilds the per-row eta chains, and drops
+  // the dual slots and their links until the next full BTRAN
+  // (ComputeDuals) and LinkSlots rebuild them.
+  void IndexEtas() {
+    row_first_.assign(m_, kNone);
+    row_last_.assign(m_, kNone);
+    eta_next_.clear();
+    eta_prev_.clear();
+    for (std::uint32_t k = 0; k < eta_r_.size(); ++k) {
+      ChainEta(k);
+    }
+    memo_valid_ = false;
+    linked_ = 0;
+  }
+
+  // Appends eta k to the chain of the etas that pivot on its row. The
+  // refactorisation emits one eta per row; each pivot appends one more.
+  void ChainEta(std::uint32_t k) {
+    const std::uint32_t r = eta_r_[k];
+    eta_prev_.push_back(row_last_[r]);
+    eta_next_.push_back(kNone);
+    if (row_last_[r] == kNone) {
+      row_first_[r] = k;
+    } else {
+      eta_next_[row_last_[r]] = k;
+    }
+    row_last_[r] = k;
+  }
 
   // Installs the phase's costs, which moves every reduced cost: the one
   // place the solver prices all columns.
@@ -447,6 +538,43 @@ class RevisedSimplex {
     ComputeDuals(y_);
     for (std::uint32_t c = 0; c < limit_; ++c) {
       rc_[c] = in_basis_[c] ? 0.0 : PriceColumn(c);
+    }
+    BuildTree();
+  }
+
+  // ---- Entering choice: a tournament tree over rc_[0..limit_) ----
+  // Leaf c holds column c; each inner node holds the winner of its two
+  // children, so the root is the Dantzig scan's choice: the smallest reduced
+  // cost, the lowest column among equals, and never a NaN (the scan's
+  // `rc < best` is false for one). Padding leaves hold column ncols_, whose
+  // rc_ is NaN.
+
+  // |a| covers lower columns than |b|, so it keeps ties.
+  std::uint32_t Winner(std::uint32_t a, std::uint32_t b) const {
+    return (!std::isnan(rc_[b]) && !(rc_[a] <= rc_[b])) ? b : a;
+  }
+
+  void BuildTree() {
+    leaves_ = std::bit_ceil(std::max(limit_, 1u));
+    tree_.resize(2 * static_cast<std::size_t>(leaves_));
+    for (std::uint32_t c = 0; c < leaves_; ++c) {
+      tree_[leaves_ + c] = c < limit_ ? c : ncols_;
+    }
+    for (std::uint32_t i = leaves_; i-- > 1;) {
+      tree_[i] = Winner(tree_[2 * i], tree_[2 * i + 1]);
+    }
+  }
+
+  // Replays the matches on column c's path to the root after rc_[c] moved,
+  // stopping at the first node whose winner is another column and did not
+  // change: no match above it sees a new player or a new value.
+  void UpdateTree(std::uint32_t c) {
+    for (std::uint32_t i = (leaves_ + c) / 2; i >= 1; i /= 2) {
+      const std::uint32_t w = Winner(tree_[2 * i], tree_[2 * i + 1]);
+      if (w == tree_[i] && w != c) {
+        break;
+      }
+      tree_[i] = w;
     }
   }
 
@@ -474,31 +602,54 @@ class RevisedSimplex {
     x[r] = t;
   }
 
-  // w_ = B^-1 A_col. Each eta does ApplyEta's arithmetic, and the rows it
-  // fills are recorded in w_rows_ as it goes: w_ is zero outside w_rows_, so
-  // the ratio test and the eta build visit those rows, in ascending order,
-  // instead of all m.
+  // w_ = B^-1 A_col, applying only the etas whose pivot row is nonzero when
+  // their turn comes (Gilbert-Peierls, as in TryRefactorize's numeric pass).
+  // The first time a row is written, the first eta of its chain after the
+  // writing eta is queued; applying an eta queues the next one of its row.
+  // The queue pops them in eta order, each once. An eta whose row is still
+  // zero at its turn would only write a zero there, so every nonzero is the
+  // one the whole eta list computes. The rows written are recorded in
+  // w_rows_: w_ is zero outside it, so the ratio test and the eta build
+  // visit those rows, in ascending order, instead of all m.
   void FtranColumn(std::uint32_t col) {
     w_rows_.ForEach([&](std::uint32_t i) { w_[i] = 0.0; });
     w_rows_.Clear();
+    queue_.Grow(static_cast<std::uint32_t>(eta_r_.size()));
+    // Row r is written just before eta |from| applies.
+    const auto touch = [&](std::uint32_t r, std::uint32_t from) {
+      if (w_rows_.Insert(r)) {
+        std::uint32_t k = row_first_[r];
+        while (k != kNone && k < from) {
+          k = eta_next_[k];
+        }
+        if (k != kNone) {
+          queue_.Insert(k);
+        }
+      }
+    };
     for (std::uint32_t k = col_ptr_[col]; k < col_ptr_[col + 1]; ++k) {
       w_[col_row_[k]] = col_val_[k];
-      w_rows_.Insert(col_row_[k]);
+      touch(col_row_[k], 0);
     }
-    for (std::size_t k = 0; k < eta_r_.size(); ++k) {
+    for (std::uint32_t k; (k = queue_.PopMin()) != IndexSet::kEmpty;) {
+      ++eta_steps_;
       const std::uint32_t r = eta_r_[k];
       const double t = w_[r] / eta_pivot_[k];
       if (t != 0.0) {
         for (std::uint32_t i = eta_ptr_[k]; i < eta_ptr_[k + 1]; ++i) {
-          w_rows_.Insert(eta_row_[i]);
+          touch(eta_row_[i], k + 1);
           w_[eta_row_[i]] -= eta_val_[i] * t;
         }
       }
       w_[r] = t;
+      if (eta_next_[k] != kNone) {
+        queue_.Insert(eta_next_[k]);
+      }
     }
   }
 
-  // y s.t. y = (B^-1)^T y_in; y is modified in place.
+  // y s.t. y = (B^-1)^T y_in; y is modified in place. Only for a row of
+  // B^-1 (rho_); the duals go through ComputeDuals and UpdateDuals.
   void Btran(std::vector<double>& y) const {
     for (std::size_t k = eta_r_.size(); k-- > 0;) {
       double s = y[eta_r_[k]];
@@ -509,12 +660,118 @@ class RevisedSimplex {
     }
   }
 
-  // y = (B^-1)^T c_B for the active phase costs.
-  void ComputeDuals(std::vector<double>& y) const {
+  // ---- Duals: y = (B^-1)^T c_B, a BTRAN walked from the last eta down ----
+  // Step k reads its pivot row and its off-row rows and writes its pivot
+  // row. Every value the walk reads or writes sits in a slot: slot m + k
+  // holds row eta_r_[k] just above step k (its input c_B, or the output of
+  // the next eta up its chain), and slot r holds row r below all its steps,
+  // its dual. So step k reads slot m + k for its own row and writes the
+  // slot of its row just below it (OutSlot); an off-row entry of step k
+  // that reads row q reads the slot of the last eta below k on q's chain,
+  // or q's dual slot. A slot's number depends only on the etas below it,
+  // so appending an eta renumbers nothing: the new eta's input gets the new
+  // slot, and it writes the slot its row's input held before. The slots are
+  // the memo: after a pivot UpdateDuals recomputes only the steps that read
+  // a changed slot.
+
+  std::uint32_t OutSlot(std::uint32_t k) const {
+    return eta_prev_[k] == kNone ? eta_r_[k] : m_ + eta_prev_[k];
+  }
+
+  // The full walk, recording every slot. Run wherever the eta file or all
+  // the costs changed: SetPhase, and the first pivot after a
+  // refactorisation, an import or DriveOutArtificials.
+  void ComputeDuals(std::vector<double>& y) {
+    slot_.resize(m_ + eta_r_.size());
     for (std::uint32_t p = 0; p < m_; ++p) {
-      y[p] = c_[basis_[p]];
+      y[p] = slot_[row_last_[p] == kNone ? p : m_ + row_last_[p]] = c_[basis_[p]];
     }
-    Btran(y);
+    for (std::uint32_t k = static_cast<std::uint32_t>(eta_r_.size()); k-- > 0;) {
+      double s = y[eta_r_[k]];
+      for (std::uint32_t i = eta_ptr_[k]; i < eta_ptr_[k + 1]; ++i) {
+        s -= eta_val_[i] * y[eta_row_[i]];
+      }
+      y[eta_r_[k]] = slot_[OutSlot(k)] = s / eta_pivot_[k];
+    }
+    eta_steps_ += eta_r_.size();
+    memo_valid_ = true;
+  }
+
+  // Step k of the walk, with ComputeDuals' arithmetic in its order.
+  double BtranStep(std::uint32_t k) const {
+    double s = slot_[m_ + k];
+    for (std::uint32_t i = eta_ptr_[k]; i < eta_ptr_[k + 1]; ++i) {
+      s -= eta_val_[i] * slot_[readers_[i].src];
+    }
+    return s / eta_pivot_[k];
+  }
+
+  // Records, for each off-row entry of the etas not yet linked, the slot
+  // it reads, its eta and the next entry reading the same slot
+  // (readers_), and each slot's first reader (first_reader_). Etas are
+  // linked in order, and row_slot_[q] is the slot row q sits in above the
+  // linked etas: m + the last linked eta on q's chain, or q's dual slot
+  // before the first. Built at the first incremental BTRAN after the eta
+  // file is replaced, so a solve that pivots no more never pays for it;
+  // after that each pivot links its one new eta.
+  void LinkSlots() {
+    if (linked_ == 0) {
+      row_slot_.resize(m_);
+      std::iota(row_slot_.begin(), row_slot_.end(), 0u);
+      first_reader_.assign(m_ + eta_r_.size(), kNone);
+    } else {
+      first_reader_.resize(m_ + eta_r_.size(), kNone);
+    }
+    readers_.resize(eta_row_.size());
+    for (std::uint32_t k = linked_; k < eta_r_.size(); ++k) {
+      for (std::uint32_t i = eta_ptr_[k]; i < eta_ptr_[k + 1]; ++i) {
+        const std::uint32_t slot = row_slot_[eta_row_[i]];
+        readers_[i] = Reader{slot, k, first_reader_[slot]};
+        first_reader_[slot] = i;
+      }
+      row_slot_[eta_r_[k]] = m_ + k;
+    }
+    linked_ = static_cast<std::uint32_t>(eta_r_.size());
+  }
+
+  // Step k wrote a value that differs from the last walk into slot |out|:
+  // queue the steps that read it, off-row or (the next eta down k's row) as
+  // their own row. Without one, |out| is row eta_r_[k]'s dual, which
+  // changed.
+  void Spread(std::uint32_t k, std::uint32_t out) {
+    for (std::uint32_t i = first_reader_[out]; i != kNone; i = readers_[i].next) {
+      queue_.Insert(readers_[i].eta);
+    }
+    if (eta_prev_[k] != kNone) {
+      queue_.Insert(eta_prev_[k]);
+    } else {
+      changed_rows_.push_back(eta_r_[k]);
+    }
+  }
+
+  // The duals after a pivot that appended one eta on row p and changed c_B
+  // at p only. Steps are recomputed in descending order from the queue; a
+  // step none of whose slots differs bitwise from the last walk would
+  // reproduce its stored output and is skipped, and a recomputed step runs
+  // ComputeDuals' subtractions in its order on the same inputs. So the
+  // slots end exactly as a full walk would leave them, and changed_rows_
+  // holds the rows whose dual moved.
+  void UpdateDuals(std::uint32_t p) {
+    LinkSlots();
+    const std::uint32_t top = static_cast<std::uint32_t>(eta_r_.size() - 1);
+    slot_.push_back(c_[basis_[p]]);  // slot m + top: row p's new input
+    changed_rows_.clear();
+    queue_.Grow(top + 1);
+    queue_.Insert(top);
+    for (std::uint32_t k; (k = queue_.PopMax()) != IndexSet::kEmpty;) {
+      ++eta_steps_;
+      const double v = BtranStep(k);
+      const std::uint32_t out = OutSlot(k);
+      if (!SameBits(v, slot_[out])) {
+        slot_[out] = v;
+        Spread(k, out);
+      }
+    }
   }
 
   // rc_j = y . A_j - c_j: column j's nonzeros in ascending row order,
@@ -532,15 +789,15 @@ class RevisedSimplex {
     return rc;
   }
 
-  // Recomputes the duals after a pivot and re-prices only the columns whose
-  // reduced cost can have moved: every column with a nonzero on a row whose
-  // dual changed, and the two columns that swapped basis membership. Basic
-  // columns hold 0, so the entering scans need no basis lookup. A dual that
-  // compares equal contributes the same products as before (zeros of either
-  // sign are skipped), so every other column keeps the exact value a full
-  // pricing would recompute.
-  void Reprice(std::uint32_t entered, std::uint32_t left) {
-    ComputeDuals(y_next_);
+  // Updates the duals after the pivot at row p and re-prices only the
+  // columns whose reduced cost can have moved: every column with a nonzero
+  // on a row whose dual changed, and the two columns that swapped basis
+  // membership. Basic columns hold 0, so the entering scans need no basis
+  // lookup. A dual that compares equal contributes the same products as
+  // before (zeros of either sign are skipped), so every other column keeps
+  // the exact value a full pricing would recompute. The tournament tree
+  // replays only the re-priced columns.
+  void Reprice(std::uint32_t entered, std::uint32_t left, std::uint32_t p) {
     dirty_.clear();
     const auto mark = [&](std::uint32_t c) {
       if (c < limit_ && !dirty_mark_[c]) {
@@ -548,19 +805,35 @@ class RevisedSimplex {
         dirty_.push_back(c);
       }
     };
-    for (std::uint32_t r = 0; r < m_; ++r) {
-      if (y_next_[r] != y_[r]) {
-        for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-          mark(row_col_[k]);
+    const auto mark_row = [&](std::uint32_t r) {
+      for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+        mark(row_col_[k]);
+      }
+    };
+    if (memo_valid_) {
+      UpdateDuals(p);
+      for (const std::uint32_t r : changed_rows_) {
+        const double v = slot_[r];
+        if (v != y_[r]) {
+          mark_row(r);
+        }
+        y_[r] = v;
+      }
+    } else {
+      ComputeDuals(y_next_);
+      for (std::uint32_t r = 0; r < m_; ++r) {
+        if (y_next_[r] != y_[r]) {
+          mark_row(r);
         }
       }
+      y_.swap(y_next_);
     }
     mark(entered);
     mark(left);
-    y_.swap(y_next_);
     for (const std::uint32_t c : dirty_) {
       dirty_mark_[c] = 0;
       rc_[c] = in_basis_[c] ? 0.0 : PriceColumn(c);
+      UpdateTree(c);
     }
   }
 
@@ -574,6 +847,7 @@ class RevisedSimplex {
       }
     });
     eta_ptr_.push_back(static_cast<std::uint32_t>(eta_row_.size()));
+    ChainEta(static_cast<std::uint32_t>(eta_r_.size() - 1));
     in_basis_[basis_[p]] = 0;
     basis_[p] = enter;
     in_basis_[enter] = 1;
@@ -718,13 +992,13 @@ class RevisedSimplex {
 
     // ---- Numeric pass ----
     // Each column is transformed by the etas already emitted, but only the
-    // reachable ones: a min-heap keyed on eta index pops candidates in
-    // creation order, seeded from the column's structural rows and extended
-    // by the fill an applied eta introduces (Gilbert-Peierls reachability).
-    // Fill on a row whose eta is at or below the one being applied queues
-    // nothing: in sequential order that eta has had its turn and saw a zero,
-    // so the result is bit-identical to walking the whole eta list, and the
-    // heap pops each queued eta exactly once, in ascending order.
+    // reachable ones: a queue of eta indices pops candidates in creation
+    // order, seeded from the column's structural rows and extended by the
+    // fill an applied eta introduces (Gilbert-Peierls reachability). Fill on
+    // a row whose eta is at or below the one being applied queues nothing:
+    // in sequential order that eta has had its turn and saw a zero, so the
+    // result is bit-identical to walking the whole eta list, and the queue
+    // pops each queued eta exactly once, in ascending order.
     scratch_r_.clear();
     scratch_pivot_.clear();
     scratch_row_.clear();
@@ -735,28 +1009,23 @@ class RevisedSimplex {
     // Emitting a column's eta clears its rows from the workspace again; a
     // failed call leaves it dirty, and the next call starts by zeroing it.
     std::vector<double>& w = wrk_w_;
-    RowSet& touched = wrk_touched_;
-    std::vector<std::uint32_t>& heap = wrk_heap_;
+    IndexSet& touched = wrk_touched_;
     w.assign(m_, 0.0);
     touched.Reset(m_);
+    queue_.Grow(m_);  // one eta per row at most
     const auto touch = [&](std::uint32_t r, std::int64_t last) {
       if (touched.Insert(r) && eta_of_row[r] > last) {
-        heap.push_back(static_cast<std::uint32_t>(eta_of_row[r]));
-        std::push_heap(heap.begin(), heap.end(), std::greater<>());
+        queue_.Insert(static_cast<std::uint32_t>(eta_of_row[r]));
       }
     };
     for (const std::uint32_t p : order) {
       const std::uint32_t col = basis_[p];
-      heap.clear();
       for (std::uint32_t k = col_ptr_[col]; k < col_ptr_[col + 1]; ++k) {
         const std::uint32_t r = col_row_[k];
         w[r] = col_val_[k];
         touch(r, -1);
       }
-      while (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-        const std::uint32_t k = heap.back();
-        heap.pop_back();
+      for (std::uint32_t k; (k = queue_.PopMin()) != IndexSet::kEmpty;) {
         const std::uint32_t er = scratch_r_[k];
         const double t = w[er] / scratch_pivot_[k];
         if (t == 0.0) {
@@ -815,6 +1084,7 @@ class RevisedSimplex {
     for (std::size_t k = 0; k < eta_r_.size(); ++k) {
       ApplyEta(k, beta_);
     }
+    IndexEtas();
     return true;
   }
 
@@ -896,16 +1166,12 @@ class RevisedSimplex {
         pivots_total_ += pivots;
         return SolveStatus::kIterationLimit;
       }
-      // rc_ is current (SetPhase, then Reprice after every pivot) and 0 on
-      // basic columns.
+      // rc_ and its tree are current (SetPhase, then Reprice after every
+      // pivot) and rc_ is 0 on basic columns.
       std::int64_t enter = -1;
       if (pivots < kMaxPivots / 2) {
-        double best = -kEps;
-        for (std::uint32_t c = 0; c < limit_; ++c) {
-          if (rc_[c] < best) {
-            best = rc_[c];
-            enter = c;
-          }
+        if (rc_[tree_[1]] < -kEps) {
+          enter = tree_[1];  // Dantzig: the most negative, lowest first
         }
       } else {
         // Bland's rule: first improving column, first eligible row below.
@@ -938,9 +1204,10 @@ class RevisedSimplex {
         pivots_total_ += pivots;
         return SolveStatus::kUnbounded;
       }
-      const std::uint32_t left = basis_[leave];
-      PivotStep(static_cast<std::uint32_t>(leave), static_cast<std::uint32_t>(enter));
-      Reprice(static_cast<std::uint32_t>(enter), left);
+      const std::uint32_t row = static_cast<std::uint32_t>(leave);
+      const std::uint32_t left = basis_[row];
+      PivotStep(row, static_cast<std::uint32_t>(enter));
+      Reprice(static_cast<std::uint32_t>(enter), left, row);
     }
   }
 
@@ -1010,9 +1277,10 @@ class RevisedSimplex {
         pivots_total_ += pivots;
         return SolveStatus::kIterationLimit;
       }
-      const std::uint32_t left = basis_[p];
-      PivotStep(static_cast<std::uint32_t>(p), static_cast<std::uint32_t>(enter));
-      Reprice(static_cast<std::uint32_t>(enter), left);
+      const std::uint32_t row = static_cast<std::uint32_t>(p);
+      const std::uint32_t left = basis_[row];
+      PivotStep(row, static_cast<std::uint32_t>(enter));
+      Reprice(static_cast<std::uint32_t>(enter), left, row);
     }
   }
 
@@ -1059,6 +1327,7 @@ class RevisedSimplex {
           continue;
         }
         PivotStep(p, c);
+        memo_valid_ = false;  // c_B moved and no Reprice follows
         break;
       }
       // If no column qualifies the row is redundant; leave the artificial.
@@ -1081,12 +1350,14 @@ class RevisedSimplex {
     return res;
   }
 
-  // Refactorisation cadence: every FTRAN/BTRAN walks the whole eta file, so
-  // per-iteration cost grows with accumulated eta fill. The singleton-peeling
-  // refactorisation rebuilds the file near the basis matrix's own nnz, which
-  // is cheap enough to amortise over a short window; the nnz trigger in
-  // PivotStep is the backstop for unusually dense stretches.
+  // Refactorisation cadence: the etas an FTRAN reaches, and the BTRAN steps
+  // a changed dual spreads to, grow with accumulated eta fill. The
+  // singleton-peeling refactorisation rebuilds the file near the basis
+  // matrix's own nnz, which is cheap enough to amortise over a short window;
+  // the nnz trigger in PivotStep is the backstop for unusually dense
+  // stretches. The cadence is part of the pivot path's rounding.
   static constexpr std::uint32_t kRefactorEvery = 64;
+  static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
   const LinearProgram& lp_;
   const std::vector<LinearProgram::Row>* extra_ = nullptr;
@@ -1121,31 +1392,61 @@ class RevisedSimplex {
   std::vector<std::uint32_t> scratch_r_, scratch_ptr_, scratch_row_;
   std::vector<double> scratch_pivot_, scratch_val_;
   std::vector<double> wrk_w_;
-  RowSet wrk_touched_;
-  std::vector<std::uint32_t> wrk_heap_;
+  IndexSet wrk_touched_;
   std::uint32_t pivots_since_factor_ = 0;
+
+  // Per-row eta chains (see ChainEta): the first and last eta on each row,
+  // and each eta's neighbours on its row; kNone ends a chain.
+  std::vector<std::uint32_t> row_first_, row_last_, eta_next_, eta_prev_;
 
   std::vector<double> c_;
   // Duals and the reduced costs priced from them (rc_ is 0 on basic
-  // columns); y_next_ receives the next duals so Reprice can diff them.
+  // columns); y_next_ receives the duals of a full walk so Reprice can diff
+  // them.
   std::vector<double> y_, y_next_, rc_;
   std::vector<std::uint32_t> dirty_;
   std::vector<char> dirty_mark_;
+  // The dual BTRAN's slots (see ComputeDuals), and whether they describe
+  // the current eta file and costs.
+  std::vector<double> slot_;
+  bool memo_valid_ = false;
+  // What each off-row entry of etas [0, linked_) reads and who reads each
+  // slot (see LinkSlots), then the rows whose dual the last UpdateDuals
+  // changed.
+  struct Reader {
+    std::uint32_t src;   // the slot the entry reads
+    std::uint32_t eta;   // the entry's eta
+    std::uint32_t next;  // the next entry reading slot src, or kNone
+  };
+  std::vector<Reader> readers_;
+  std::vector<std::uint32_t> first_reader_, row_slot_;
+  std::uint32_t linked_ = 0;
+  std::vector<std::uint32_t> changed_rows_;
+  // The eta queue of FtranColumn and TryRefactorize (popped upwards) and of
+  // UpdateDuals (downwards); empty between walks.
+  IndexSet queue_;
+  // Tournament tree over rc_ (see BuildTree): leaves_ leaves from index
+  // leaves_, the root at 1.
+  std::vector<std::uint32_t> tree_;
+  std::uint32_t leaves_ = 1;
   // FTRAN result and the rows it wrote (see FtranColumn).
   std::vector<double> w_;
-  RowSet w_rows_;
+  IndexSet w_rows_;
   // A row of B^-1 (rho_) and of B^-1 A (alpha_), for the dual ratio test and
   // for driving out artificials.
   std::vector<double> rho_, alpha_;
   std::uint64_t pivots_total_ = 0;
+  std::uint64_t eta_steps_ = 0;  // see EtaStepCounter
 };
 
 }  // namespace
 
 SolveResult SolveLp(const LinearProgram& lp) {
-  const SolveResult res = RevisedSimplex(lp).Solve();
+  RevisedSimplex rs(lp);
+  const SolveResult res = rs.Solve();
   LpSolveCounter().Inc();
   PivotCounter().Inc(res.pivots);
+  EtaStepCounter().Inc(rs.eta_steps());
   return res;
 }
 
@@ -1173,6 +1474,7 @@ SolveResult SolveIlpImpl(const LinearProgram& lp, std::uint32_t max_nodes,
   double incumbent = -std::numeric_limits<double>::infinity();
   std::uint32_t explored = 0;
   std::uint64_t pivots_total = 0;
+  std::uint64_t eta_steps = 0;
   bool hit_limit = false;
 
   while (!stack.empty()) {
@@ -1197,9 +1499,10 @@ SolveResult SolveIlpImpl(const LinearProgram& lp, std::uint32_t max_nodes,
       }
     }
     pivots_total += rel.pivots;
+    eta_steps += rs.eta_steps();
     if (rel.status == SolveStatus::kUnbounded) {
-      rel.pivots = pivots_total;
-      return rel;  // the ILP itself is unbounded (missing loop bound)
+      best = std::move(rel);  // the ILP itself is unbounded (missing loop bound)
+      break;
     }
     if (rel.status != SolveStatus::kOptimal || rel.objective <= incumbent + 1e-6) {
       continue;
@@ -1253,6 +1556,7 @@ SolveResult SolveIlpImpl(const LinearProgram& lp, std::uint32_t max_nodes,
   }
   best.pivots = pivots_total;
   PivotCounter().Inc(pivots_total);
+  EtaStepCounter().Inc(eta_steps);
   return best;
 }
 

@@ -3,9 +3,13 @@
 // Chronos emits an ILP that is handed to an off-the-shelf solver; we build
 // that solver too: a sparse revised simplex (CSR/CSC constraint matrix,
 // product-form eta-file basis inverse with periodic refactorisation,
-// warm-started branch-and-bound) whose pivots re-price only the columns on
-// rows whose dual moved and visit only the rows FTRAN wrote for the entering
-// column. The test oracle's dense two-phase tableau (tests/wcet_oracle.h)
+// warm-started branch-and-bound) whose pivots cost what they changed: the
+// entering column comes from a tournament tree replayed at the re-priced
+// columns, FTRAN applies only the etas the entering column reaches, the duals
+// come from an incremental BTRAN that recomputes only the steps whose inputs
+// changed, only the columns on rows whose dual moved are re-priced, and the
+// ratio test visits only the rows FTRAN wrote. The test oracle's dense
+// two-phase tableau (tests/wcet_oracle.h)
 // must agree with it exactly on status, bounds and solutions, and on an LP
 // relaxation take the same pivots: IPET programs have alternative optima, so
 // the pivot path decides which optimal solution (and worst-case trace) is

@@ -203,6 +203,24 @@ TEST(IlpTest, ModeratelySizedChainSolvesQuickly) {
   EXPECT_NEAR(r.objective, expect, 1e-5);
 }
 
+TEST(IlpTest, UnboundedSolveCountsItsPivots) {
+  // max x0 with only x0 - x1 <= 1 (a loop with no bound): x0 enters, then x1
+  // follows a ray. wcet.simplex.pivots counts every pivot of the solve, the
+  // unbounded exit's included.
+  LinearProgram lp;
+  lp.AddVar(1.0);
+  lp.AddVar(0.0);
+  lp.AddRow(Le({0, 1}, {1.0, -1.0}, 1.0));
+  const auto pivots = [] {
+    return obs::MetricsRegistry::Get().Snapshot().CounterValue("wcet.simplex.pivots");
+  };
+  const std::uint64_t before = pivots();
+  const SolveResult r = SolveIlp(lp);
+  ASSERT_EQ(r.status, SolveStatus::kUnbounded);
+  EXPECT_GT(r.pivots, 0u);
+  EXPECT_EQ(pivots(), before + r.pivots);
+}
+
 TEST(IlpTest, MovedFromWarmStartSolvesCold) {
   // A moved-from IlpWarmStart holds no basis: the solve runs cold, matches
   // SolveIlp, and leaves the object holding the new root basis.

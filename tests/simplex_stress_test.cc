@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/kernel/image.h"
+#include "src/obs/metrics.h"
 #include "src/sim/rng.h"
 #include "src/wcet/analysis.h"
 #include "src/wcet/cfg.h"
@@ -38,6 +39,10 @@ LinearProgram::Row Le(std::vector<std::uint32_t> idx, std::vector<double> val, d
   r.rhs = rhs;
   r.type = LinearProgram::RowType::kLe;
   return r;
+}
+
+std::uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Get().Snapshot().CounterValue(name);
 }
 
 // Checks the dense oracle's and the sparse solver's answers to one instance
@@ -277,33 +282,60 @@ LinearProgram RandomNetworkLp(SplitMix64& rng, std::uint32_t width) {
   return lp;
 }
 
+// Solves |lp| with the dense oracle and the sparse solver, as LP and as ILP,
+// and checks they agree.
+void AgreeOnNetworkLp(const LinearProgram& lp) {
+  const auto [dense, sparse] = Agree(oracle::SolveLp(lp), SolveLp(lp));
+  ASSERT_EQ(dense.status, SolveStatus::kOptimal);
+  // Integral data over a network matrix: branch-and-bound must agree with
+  // the oracle too, and can only tighten the relaxation.
+  const auto [ilp_d, ilp_s] = Agree(oracle::SolveIlp(lp), SolveIlp(lp));
+  ASSERT_EQ(ilp_d.status, SolveStatus::kOptimal);
+  EXPECT_LE(ilp_d.objective, dense.objective + 1e-6);
+}
+
 TEST(SimplexStressTest, RandomizedNetworkFlowsMatchAcrossModes) {
   SplitMix64 rng(0x5eed5eedULL);
   for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
     SplitMix64 stream = rng.Split(static_cast<std::uint64_t>(trial));
     const std::uint32_t width = 2 + static_cast<std::uint32_t>(stream.Below(3));
-    const LinearProgram lp = RandomNetworkLp(stream, width);
-    const auto [dense, sparse] = Agree(oracle::SolveLp(lp), SolveLp(lp));
-    ASSERT_EQ(dense.status, SolveStatus::kOptimal) << "trial " << trial;
-    // Integral data over a network matrix: branch-and-bound must agree with
-    // the oracle too, and can only tighten the relaxation.
-    const auto [ilp_d, ilp_s] = Agree(oracle::SolveIlp(lp), SolveIlp(lp));
-    ASSERT_EQ(ilp_d.status, SolveStatus::kOptimal) << "trial " << trial;
-    EXPECT_LE(ilp_d.objective, dense.objective + 1e-6) << "trial " << trial;
+    AgreeOnNetworkLp(RandomNetworkLp(stream, width));
   }
+}
+
+TEST(SimplexStressTest, WideRandomNetworkFlowsCrossRefactorisations) {
+  // Widths 18-25 (342-675 variables) take 60-160 pivots, so solves cross the
+  // 64-pivot refactorisation, which replaces the eta file and rebuilds the
+  // per-row eta chains, the dual BTRAN's memo and its slot links: the
+  // incremental walks must still match the dense tableau after it. The
+  // widths 2-4 above never get there.
+  SplitMix64 rng(0xfac7041dULL);
+  const std::uint64_t refactorisations = CounterValue("wcet.simplex.refactorisations");
+  for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    SplitMix64 stream = rng.Split(static_cast<std::uint64_t>(trial));
+    const std::uint32_t width = 18 + static_cast<std::uint32_t>(stream.Below(8));
+    AgreeOnNetworkLp(RandomNetworkLp(stream, width));
+  }
+  EXPECT_GT(CounterValue("wcet.simplex.refactorisations"), refactorisations);
 }
 
 struct KernelIpet {
   std::string label;
   LinearProgram lp;
+  // The row a one-row edit raises: the first loop-bound row, or the source
+  // row where the entry has no loop (the after kernel's interrupt path).
+  std::uint32_t edit_row = 0;
 };
 
 // The IPET program of |entry| as WcetAnalyzer builds it for |opts|.
-LinearProgram KernelIpetLp(const KernelImage& img, const AnalysisOptions& opts, EntryPoint entry) {
+IpetProgram KernelIpetProgram(const KernelImage& img, const AnalysisOptions& opts,
+                              EntryPoint entry) {
   InlinedGraph graph(img.prog, AnalysisEntryFunc(img, entry));
   ComputeLoopBounds(graph);
   const CostResult costs = oracle::ComputeNodeCosts(graph, BuildCostModelOptions(img, opts));
-  return BuildIpetProgram(graph, costs, IpetOptions{opts.irq_pending}, opts.constraints).lp;
+  return BuildIpetProgram(graph, costs, IpetOptions{opts.irq_pending}, opts.constraints);
 }
 
 // Every kernel IPET program the analysis drivers solve: both kernels, L2
@@ -318,9 +350,11 @@ std::vector<KernelIpet> KernelIpetPrograms() {
         opts.l2_enabled = l2;
         opts.cache_pinning = pin;
         for (const EntryPoint e : kEntryPoints) {
+          IpetProgram prog = KernelIpetProgram(*img, opts, e);
           out.push_back({std::string(after ? "after" : "before") + " l2=" + std::to_string(l2) +
                              " pin=" + std::to_string(pin) + " " + EntryPointName(e),
-                         KernelIpetLp(*img, opts, e)});
+                         std::move(prog.lp),
+                         prog.loops_end > prog.flow_end ? prog.flow_end : prog.flow_end - 1});
         }
       }
     }
@@ -353,12 +387,149 @@ TEST(SimplexStressTest, KernelIpetRelaxationsWalkTheOraclePath) {
   }
 }
 
+// What a solve returned, to the bit: status, pivots, objective and an
+// FNV-1a digest of the bytes of x.
+struct PinnedSolve {
+  SolveStatus status;
+  std::uint64_t pivots;
+  double objective;
+  std::uint64_t x_digest;
+};
+
+std::uint64_t DigestOf(const std::vector<double>& x) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(x.data());
+  for (std::size_t i = 0; i < x.size() * sizeof(double); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+void ExpectPinned(const SolveResult& r, const PinnedSolve& pin) {
+  EXPECT_EQ(r.status, pin.status);
+  EXPECT_EQ(r.pivots, pin.pivots);
+  EXPECT_EQ(r.objective, pin.objective);
+  EXPECT_EQ(DigestOf(r.x), pin.x_digest);
+}
+
+TEST(SimplexStressTest, KernelIpetSolvesKeepTheirPinnedPath) {
+  // Every solve mode of every kernel IPET program, pinned to the bit: a cold
+  // SolveIlp (branch-and-bound children warm-started from their parent's
+  // basis on the before kernel's fractional syscall relaxations, periodic
+  // refactorisations on every syscall program), and a SolveIlpWarm re-solve
+  // after raising one row's rhs by one, which imports and refactorises the
+  // stored basis and repairs it with DualIterate. The dual BTRAN's memo,
+  // the eta chains and the entering tree are rebuilt or carried across each
+  // of those; a pivot that moved anywhere changes the count, the vertex or
+  // both. Recorded from the solver that walked the whole eta file and
+  // scanned every reduced cost at each pivot.
+  constexpr SolveStatus kOpt = SolveStatus::kOptimal;
+  const PinnedSolve pins[][2] = {
+      // before l2=0 pin=0 System call
+      {{kOpt, 603, 1318637, 0xc5d8abc9bdbd5632}, {kOpt, 10, 1318717, 0x91e440d3f3a0a812}},
+      // before l2=0 pin=0 Undefined instruction
+      {{kOpt, 102, 95821, 0xb88bb63e8eda79e3}, {kOpt, 2, 95901, 0x60241d3b88eb4d83}},
+      // before l2=0 pin=0 Page fault
+      {{kOpt, 102, 95943, 0xb88bb63e8eda79e3}, {kOpt, 2, 96023, 0x60241d3b88eb4d83}},
+      // before l2=0 pin=0 Interrupt
+      {{kOpt, 49, 66395, 0x39b9b565399098e9}, {kOpt, 2, 66475, 0xf0398df8000c4a09}},
+      // before l2=0 pin=1 System call
+      {{kOpt, 602, 1316177, 0x96a55ad824c20eb2}, {kOpt, 10, 1316257, 0xffb37fe94c29bb92}},
+      // before l2=0 pin=1 Undefined instruction
+      {{kOpt, 102, 93001, 0xb88bb63e8eda79e3}, {kOpt, 2, 93081, 0x60241d3b88eb4d83}},
+      // before l2=0 pin=1 Page fault
+      {{kOpt, 102, 93123, 0xb88bb63e8eda79e3}, {kOpt, 2, 93203, 0x60241d3b88eb4d83}},
+      // before l2=0 pin=1 Interrupt
+      {{kOpt, 49, 63695, 0x39b9b565399098e9}, {kOpt, 2, 63775, 0xf0398df8000c4a09}},
+      // before l2=1 pin=0 System call
+      {{kOpt, 603, 1989389, 0xc5d8abc9bdbd5632}, {kOpt, 10, 1989505, 0x91e440d3f3a0a812}},
+      // before l2=1 pin=0 Undefined instruction
+      {{kOpt, 102, 144709, 0xb88bb63e8eda79e3}, {kOpt, 2, 144825, 0x60241d3b88eb4d83}},
+      // before l2=1 pin=0 Page fault
+      {{kOpt, 102, 144903, 0xb88bb63e8eda79e3}, {kOpt, 2, 145019, 0x60241d3b88eb4d83}},
+      // before l2=1 pin=0 Interrupt
+      {{kOpt, 49, 100163, 0x39b9b565399098e9}, {kOpt, 2, 100279, 0xf0398df8000c4a09}},
+      // before l2=1 pin=1 System call
+      {{kOpt, 602, 1985453, 0x96a55ad824c20eb2}, {kOpt, 10, 1985569, 0xffb37fe94c29bb92}},
+      // before l2=1 pin=1 Undefined instruction
+      {{kOpt, 102, 140197, 0xb88bb63e8eda79e3}, {kOpt, 2, 140313, 0x60241d3b88eb4d83}},
+      // before l2=1 pin=1 Page fault
+      {{kOpt, 102, 140391, 0xb88bb63e8eda79e3}, {kOpt, 2, 140507, 0x60241d3b88eb4d83}},
+      // before l2=1 pin=1 Interrupt
+      {{kOpt, 49, 95843, 0x39b9b565399098e9}, {kOpt, 2, 95959, 0xf0398df8000c4a09}},
+      // after l2=0 pin=0 System call
+      {{kOpt, 698, 64016, 0xe2dc669e5097c3aa}, {kOpt, 2, 69025, 0xfa968b6f52f7e232}},
+      // after l2=0 pin=0 Undefined instruction
+      {{kOpt, 102, 34736, 0xed22452612f5d1e2}, {kOpt, 2, 39745, 0xa9604dd1e1da3dca}},
+      // after l2=0 pin=0 Page fault
+      {{kOpt, 102, 34858, 0xed22452612f5d1e2}, {kOpt, 2, 39867, 0xa9604dd1e1da3dca}},
+      // after l2=0 pin=0 Interrupt
+      {{kOpt, 47, 5310, 0x756b2bf5d6753438}, {kOpt, 2, 10620, 0x159c734476ed3185}},
+      // after l2=0 pin=1 System call
+      {{kOpt, 695, 58796, 0x22446578311316aa}, {kOpt, 2, 63805, 0x706533c9dee4c432}},
+      // after l2=0 pin=1 Undefined instruction
+      {{kOpt, 102, 31976, 0xed22452612f5d1e2}, {kOpt, 2, 36985, 0xa9604dd1e1da3dca}},
+      // after l2=0 pin=1 Page fault
+      {{kOpt, 102, 32098, 0xed22452612f5d1e2}, {kOpt, 2, 37107, 0xa9604dd1e1da3dca}},
+      // after l2=0 pin=1 Interrupt
+      {{kOpt, 47, 2670, 0x756b2bf5d6753438}, {kOpt, 2, 5340, 0x159c734476ed3185}},
+      // after l2=1 pin=0 System call
+      {{kOpt, 698, 97280, 0xe2dc669e5097c3aa}, {kOpt, 2, 104809, 0xfa968b6f52f7e232}},
+      // after l2=1 pin=0 Undefined instruction
+      {{kOpt, 102, 52736, 0xed22452612f5d1e2}, {kOpt, 2, 60265, 0xa9604dd1e1da3dca}},
+      // after l2=1 pin=0 Page fault
+      {{kOpt, 102, 52930, 0xed22452612f5d1e2}, {kOpt, 2, 60459, 0xa9604dd1e1da3dca}},
+      // after l2=1 pin=0 Interrupt
+      {{kOpt, 47, 8190, 0x756b2bf5d6753438}, {kOpt, 2, 16380, 0x159c734476ed3185}},
+      // after l2=1 pin=1 System call
+      {{kOpt, 695, 88928, 0x22446578311316aa}, {kOpt, 2, 96457, 0x706533c9dee4c432}},
+      // after l2=1 pin=1 Undefined instruction
+      {{kOpt, 102, 48320, 0xed22452612f5d1e2}, {kOpt, 2, 55849, 0xa9604dd1e1da3dca}},
+      // after l2=1 pin=1 Page fault
+      {{kOpt, 102, 48514, 0xed22452612f5d1e2}, {kOpt, 2, 56043, 0xa9604dd1e1da3dca}},
+      // after l2=1 pin=1 Interrupt
+      {{kOpt, 47, 3966, 0x756b2bf5d6753438}, {kOpt, 2, 7932, 0x159c734476ed3185}},
+  };
+  const std::vector<KernelIpet> programs = KernelIpetPrograms();
+  ASSERT_EQ(programs.size(), std::size(pins));
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    const KernelIpet& k = programs[i];
+    SCOPED_TRACE(k.label);
+    ExpectPinned(SolveIlp(k.lp), pins[i][0]);
+    IlpWarmStart warm;
+    ASSERT_EQ(SolveIlpWarm(k.lp, warm).status, SolveStatus::kOptimal);
+    LinearProgram edited = k.lp;
+    edited.rows[k.edit_row].rhs += 1;
+    ExpectPinned(SolveIlpWarm(edited, warm), pins[i][1]);
+  }
+}
+
+TEST(SimplexStressTest, PivotEtaWorkStaysATenthOfTheFullWalk) {
+  // wcet.simplex.eta_steps counts the etas the entering column's FTRANs
+  // apply and the dual BTRAN steps (the full walks after SetPhase and after
+  // each refactorisation, the recomputed steps in between). On the after
+  // kernel's syscall relaxation (698 pivots) a solver that walks the whole
+  // eta file in both directions at every pivot applies 475,285 etas, 680.9
+  // per pivot; following only the etas a pivot reaches or changed applies
+  // 15,208, 21.8 per pivot. Gate: at most a tenth of the full walk.
+  const auto img = BuildKernelImage(KernelConfig::After());
+  const LinearProgram lp = KernelIpetProgram(*img, AnalysisOptions{}, EntryPoint::kSyscall).lp;
+  const std::uint64_t steps = CounterValue("wcet.simplex.eta_steps");
+  const SolveResult r = SolveLp(lp);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  ASSERT_EQ(r.pivots, 698u);
+  const double per_pivot =
+      static_cast<double>(CounterValue("wcet.simplex.eta_steps") - steps) / 698.0;
+  EXPECT_LE(per_pivot, 475'285.0 / 698.0 / 10.0);
+  EXPECT_GT(per_pivot, 0.0);
+}
+
 TEST(SimplexStressTest, KernelIpetOptimaAreNotUnique) {
   // Renumbering the rows and columns of one kernel IPET program reaches the
   // same optimum at a different vertex: the optimal x is not unique, so the
   // pivot path is part of the analysis output (worst traces, goldens).
   const auto img = BuildKernelImage(KernelConfig::After());
-  const LinearProgram lp = KernelIpetLp(*img, AnalysisOptions{}, EntryPoint::kSyscall);
+  const LinearProgram lp = KernelIpetProgram(*img, AnalysisOptions{}, EntryPoint::kSyscall).lp;
   // Fisher-Yates on mt19937's raw output, so every standard library draws
   // the same permutation (std::shuffle's is implementation-defined).
   std::mt19937 gen(1);
