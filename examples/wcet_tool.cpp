@@ -522,19 +522,17 @@ int main(int argc, char** argv) {
       pmk::kEntryPoints.size(), jobs,
       [&](std::size_t i) { return analyzer.Analyze(pmk::kEntryPoints[i]); });
   std::vector<EntryRow> rows;
-  pmk::Cycles longest = 0;
-  pmk::Cycles irq_wcet = 0;
-  for (std::size_t i = 0; i < pmk::kEntryPoints.size(); ++i) {
-    const pmk::EntryResult& r = results[i];
+  bool all_optimal = true;
+  for (const pmk::EntryResult& r : results) {
     rows.push_back({r.wcet, r.micros, r.nodes, r.edges, r.loops_bounded_auto,
                     r.loops_bounded_annot, static_cast<int>(r.status)});
-    if (pmk::kEntryPoints[i] == pmk::EntryPoint::kInterrupt) {
-      irq_wcet = r.wcet;
-    } else {
-      longest = std::max(longest, r.wcet);
-    }
+    all_optimal = all_optimal && r.status == pmk::SolveStatus::kOptimal;
   }
-  const int rc = PrintReport(rows, longest + irq_wcet);
+  // Only optimal entries have a response bound; otherwise PrintReport names
+  // the first entry that is not and fails.
+  const int rc = PrintReport(
+      rows, all_optimal ? pmk::ResponseBoundOf({&results[0], &results[1], &results[2], &results[3]})
+                        : 0);
   if (rc != 0) {
     return rc;
   }

@@ -16,15 +16,12 @@
 #include "src/engine/wire.h"
 #include "src/obs/metrics.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define PMK_SHARD_HAVE_FORK 1
 #include <errno.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace pmk::engine {
 
@@ -72,8 +69,6 @@ std::vector<std::uint8_t> EncodeDone(std::uint32_t n_completed) {
   AppendFrame(frame, FrameType::kWorkerDone, w.bytes());
   return frame;
 }
-
-#if PMK_SHARD_HAVE_FORK
 
 bool WriteAll(int fd, const std::vector<std::uint8_t>& bytes) {
   std::size_t off = 0;
@@ -127,8 +122,6 @@ bool WriteAll(int fd, const std::vector<std::uint8_t>& bytes) {
   }
   ::_exit(0);
 }
-
-#endif  // PMK_SHARD_HAVE_FORK
 
 // ------------------------------------------------------------- supervisor
 
@@ -190,7 +183,6 @@ class ShardRun {
       return;
     }
 
-#if PMK_SHARD_HAVE_FORK
     // Deterministic partition: ordinal % shards. A resumed campaign assigns
     // each surviving run to the same shard it had originally.
     const std::uint32_t shards =
@@ -215,9 +207,6 @@ class ShardRun {
     if (!isolated.empty()) {
       RunWave(isolated, /*allow_retry=*/false);
     }
-#else
-    RunInProcess(missing, /*fallback=*/true);
-#endif
   }
 
  private:
@@ -245,7 +234,7 @@ class ShardRun {
   }
 
   // In-process execution with per-task exception isolation: the reference
-  // path (shards=0) and the degraded path when fork is unavailable. Runs fan
+  // path (shards=0) and the degraded path when fork or pipe fails. Runs fan
   // out over the job pool (jobs_per_shard threads) but results are recorded
   // in ordinal order, preserving byte-identical output. A throwing task is
   // quarantined-and-failed immediately — re-running a deterministic throw in
@@ -286,8 +275,6 @@ class ShardRun {
       }
     }
   }
-
-#if PMK_SHARD_HAVE_FORK
 
   struct Worker {
     pid_t pid = -1;
@@ -651,8 +638,6 @@ class ShardRun {
 
   std::map<std::uint32_t, std::uint32_t> shard_deaths_;
   bool chaos_fired_ = false;
-
-#endif  // PMK_SHARD_HAVE_FORK
 
   const std::vector<ShardTask>& tasks_;
   const ShardOptions& opts_;

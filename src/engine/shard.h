@@ -19,8 +19,8 @@
 //    sink the campaign;
 //  - journals every completed result through an optional ResultJournal, so a
 //    supervisor killed mid-campaign resumes re-executing only missing runs;
-//  - degrades gracefully to in-process execution when fork/pipe setup fails
-//    (or on non-POSIX hosts), with per-task exception isolation.
+//  - degrades gracefully to in-process execution when fork/pipe setup fails,
+//    with per-task exception isolation.
 //
 // Tasks must be deterministic pure functions of their closure state: the
 // supervisor re-executes them freely (retry, resume, quarantine) and relies

@@ -20,10 +20,6 @@ obs::Counter& RunCounter() {
   static obs::Counter c("fault.runs.executed");
   return c;
 }
-obs::Counter& InvariantCheckCounter() {
-  static obs::Counter c("fault.invariant.checks");
-  return c;
-}
 obs::Counter& ShrinkIterCounter() {
   static obs::Counter c("fault.shrink.iterations");
   return c;
@@ -177,7 +173,6 @@ RunRecord RunWithInstance(OpInstance inst, const InjectionPlan& plan,
   }
   sys.kernel().exec().set_fault_hook(nullptr);
   RunCounter().Inc();
-  InvariantCheckCounter().Inc(rec.restarts + 1);  // one audit per kernel exit
   IrqResponseHist().Merge(rec.irq_hist);
   return rec;
 }

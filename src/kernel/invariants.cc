@@ -13,10 +13,18 @@
 #include <stdexcept>
 
 #include "src/kernel/kernel.h"
+#include "src/obs/metrics.h"
 
 namespace pmk {
 
 namespace {
+// Every audit, counted where it runs, whichever driver calls it (an observer
+// only).
+obs::Counter& AuditCounter() {
+  static obs::Counter c("fault.invariant.checks");
+  return c;
+}
+
 [[noreturn]] void Violate(const std::string& what) {
   throw std::logic_error("kernel invariant violated: " + what);
 }
@@ -31,6 +39,7 @@ void CheckPlacement(Addr key, const KObject& obj) {
 }  // namespace
 
 void Kernel::CheckInvariants() const {
+  AuditCounter().Inc();
   // --- The running thread is runnable (or the idle thread) ---
   if (current_ != nullptr && current_ != idle_ &&
       !(current_->state == ThreadState::kRunning || current_->state == ThreadState::kRestart)) {

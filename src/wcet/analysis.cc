@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/obs/metrics.h"
 
@@ -38,7 +39,7 @@ obs::Timer& IpetTimer() {
   static obs::Timer t("wcet.stage.ipet_nanos");
   return t;
 }
-// Per-stage cache effectiveness plus invalidation/patch telemetry.
+// Per-stage cache effectiveness plus invalidation/rebase telemetry.
 // Warm-vs-cold simplex counts live in src/wcet/ilp.cc (wcet.inc.simplex.*).
 obs::Counter& GraphHit() {
   static obs::Counter c("wcet.inc.graph.hit");
@@ -76,6 +77,8 @@ obs::Counter& InvalidatedEntries() {
   static obs::Counter c("wcet.inc.invalidated");
   return c;
 }
+// Rows of an entry's previous program that the rebuilt one no longer holds
+// (IlpWarmStart::Rebase), summed over the rebuilds of a known graph.
 obs::Counter& RowsPatched() {
   static obs::Counter c("wcet.inc.rows_patched");
   return c;
@@ -195,27 +198,18 @@ EntryResult WcetAnalyzer::Analyze(EntryPoint entry) const {
   }
 
   const auto scope = IpetTimer().Measure();
-  const IpetOptions iopts{opts_.irq_pending};
-  if (!graph_hit) {
-    // A different edge set makes any stored basis meaningless.
-    ec.prog = BuildIpetProgram(*ec.graph, ec.costs, iopts, opts_.constraints);
-    ec.warm.Reset();
+  // The program is rebuilt whole. Over the same graph the stored basis
+  // follows the rows by content onto the rebuild; a different edge set makes
+  // it meaningless.
+  IpetProgram lp =
+      BuildIpetProgram(*ec.graph, ec.costs, IpetOptions{opts_.irq_pending}, opts_.constraints);
+  if (graph_hit) {
+    RowsPatched().Inc(ec.warm.Rebase(ec.lp, lp));
   } else {
-    // Re-emit only the dirtied row families in place; the solve restarts
-    // warm. Absolute-exec bounds feed both the loop stage and the exec rows,
-    // so the extra families are re-emitted on every move (unchanged rows
-    // splice back as themselves).
-    std::size_t patched = 0;
-    if (!cost_hit) {
-      PatchIpetObjective(*ec.graph, ec.costs, ec.prog);
-    }
-    if (!loop_hit) {
-      patched += PatchIpetLoopRows(*ec.graph, ec.prog, &ec.warm);
-    }
-    patched += PatchIpetExtraRows(*ec.graph, iopts, ec.prog, &ec.warm);
-    RowsPatched().Inc(patched);
+    ec.warm.Reset();
   }
-  const IpetResult ipet = SolveIpetProgramWarm(*ec.graph, ec.prog, ec.warm);
+  ec.lp = std::move(lp);
+  const IpetResult ipet = SolveIpetProgramWarm(*ec.graph, ec.lp, ec.warm);
   res.status = ipet.status;
   res.wcet = 0;
   res.micros = 0;

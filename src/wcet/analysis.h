@@ -71,10 +71,11 @@ Cycles ResponseBoundOf(const std::array<const EntryResult*, 4>& by_entry);
 //
 // A query re-derives only the stages below the first key that moved: the
 // first query of an entry derives everything; after NotifyBlockEdited, a
-// loop-bound annotation edit re-runs loop bounds + node costs and patches
-// the dirtied ILP rows in place, and a preemption-point toggle patches only
-// the preemption/exec row families. The ILP solve warm-restarts from the
-// entry's previous optimal basis (SolveIlpWarm) and falls back to a cold
+// loop-bound annotation edit re-runs loop bounds + node costs, and a
+// preemption-point toggle only the IPET stage. Any IPET key miss rebuilds
+// the entry's ILP whole; when the graph key hit, the previous optimal basis
+// follows the rows by content onto the rebuild (IlpWarmStart::Rebase), and
+// the solve warm-restarts from it (SolveIlpWarm) and falls back to a cold
 // solve deterministically, so every answer is bit-identical to a fresh
 // analyzer over the same image (and to the test oracle, tests/wcet_oracle.h).
 // The block-level cost-model cache is built once, at construction.
@@ -124,7 +125,7 @@ class WcetAnalyzer {
     StageKeys keys;
     std::unique_ptr<InlinedGraph> graph;
     CostResult costs;
-    IpetProgram prog;
+    IpetProgram lp;  // the program |warm| was solved on
     IlpWarmStart warm;
     EntryResult result;
   };

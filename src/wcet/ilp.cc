@@ -36,58 +36,65 @@ void IlpWarmStart::Reset() {
   }
 }
 
-void IlpWarmStart::RemapRows(const std::vector<std::int32_t>& old_to_new,
-                             std::uint32_t new_count) {
+std::size_t IlpWarmStart::Rebase(const LinearProgram& from, const LinearProgram& to) {
+  // Ordered content match. Rows are content-unique (each pins a distinct
+  // edge, loop or block), so a lookahead hit is a survivor and every row
+  // skipped over is an insertion. An edit usually changes a handful of
+  // rows, and virtual inlining scatters them (one per inlined clone), so
+  // matching row by row keeps every other row's token.
+  const std::uint32_t old_m = from.num_rows();
+  const std::uint32_t new_m = to.num_rows();
+  const auto same = [](const LinearProgram::RowView& a, const LinearProgram::RowView& b) {
+    return a.type == b.type && a.rhs == b.rhs && std::ranges::equal(a.idx, b.idx) &&
+           std::ranges::equal(a.val, b.val);
+  };
+  std::vector<std::int32_t> old_to_new(old_m, -1);
+  std::size_t unmatched = 0;
+  std::uint32_t j = 0;
+  for (std::uint32_t i = 0; i < old_m; ++i) {
+    std::uint32_t jj = j;
+    while (jj < new_m && !same(from.row(i), to.row(jj))) {
+      ++jj;
+    }
+    if (jj < new_m) {
+      old_to_new[i] = static_cast<std::int32_t>(jj);
+      j = jj + 1;
+    } else {
+      ++unmatched;
+    }
+  }
   if (!valid()) {
-    return;
+    return unmatched;
   }
   std::vector<BasisToken>& tokens = impl_->tokens;
-  const std::uint32_t old_m = static_cast<std::uint32_t>(tokens.size());
-  if (old_to_new.size() != old_m) {
-    // The stored basis does not match the instance the mapping was built
-    // against (e.g. it was exported under a different option set).
-    Reset();
-    return;
+  if (tokens.size() != old_m) {
+    Reset();  // the basis was not exported from |from|
+    return unmatched;
   }
-  std::vector<BasisToken> out(new_count, BasisToken{BasisToken::Kind::kSlack, 0});
-  std::vector<char> filled(new_count, 0);
+  // Every position starts as its own row's slack; the positions of matched
+  // rows then take their carried tokens.
+  std::vector<BasisToken> out(new_m);
+  for (std::uint32_t r = 0; r < new_m; ++r) {
+    out[r] = BasisToken{BasisToken::Kind::kSlack, r};
+  }
   for (std::uint32_t p = 0; p < old_m; ++p) {
     const std::int32_t np = old_to_new[p];
     if (np < 0) {
-      continue;  // this position's row was removed; drop its token
-    }
-    if (static_cast<std::uint32_t>(np) >= new_count || filled[np]) {
-      Reset();  // malformed mapping (out of range or not injective)
-      return;
+      continue;  // this position's row found no match; drop its token
     }
     BasisToken t = tokens[p];
     if (t.kind != BasisToken::Kind::kStruct) {
-      if (t.id >= old_m) {
-        Reset();
-        return;
-      }
-      const std::int32_t nid = old_to_new[t.id];
-      if (nid < 0) {
-        // The referenced row was removed; fall back to the slack of the row
-        // now occupying this position. A duplicate against another token is
-        // caught by ImportBasis and falls through to a cold solve.
-        t = BasisToken{BasisToken::Kind::kSlack, static_cast<std::uint32_t>(np)};
-      } else {
-        t.id = static_cast<std::uint32_t>(nid);
-      }
+      // A token whose row found no match becomes the slack of the row its
+      // position moved to. A duplicate against another token is caught by
+      // ImportBasis and falls through to a cold solve.
+      const std::int32_t nid = t.id < old_m ? old_to_new[t.id] : -1;
+      t = nid < 0 ? BasisToken{BasisToken::Kind::kSlack, static_cast<std::uint32_t>(np)}
+                  : BasisToken{t.kind, static_cast<std::uint32_t>(nid)};
     }
     out[static_cast<std::uint32_t>(np)] = t;
-    filled[np] = 1;
-  }
-  // Rows with no surviving position (freshly inserted) enter with their own
-  // slack or artificial basic: a singleton column, block-triangular against
-  // the surviving basis, so refactorisation stays nonsingular.
-  for (std::uint32_t r = 0; r < new_count; ++r) {
-    if (!filled[r]) {
-      out[r] = BasisToken{BasisToken::Kind::kSlack, r};
-    }
   }
   tokens = std::move(out);
+  return unmatched;
 }
 
 namespace {
@@ -353,13 +360,13 @@ class RevisedSimplex {
   std::uint64_t eta_steps() const { return eta_steps_; }
 
  private:
-  const LinearProgram::Row& RowAt(std::uint32_t r) const {
-    const std::uint32_t base = static_cast<std::uint32_t>(lp_.rows.size());
-    return r < base ? lp_.rows[r] : (*extra_)[r - base];
+  LinearProgram::RowView RowAt(std::uint32_t r) const {
+    const std::uint32_t base = lp_.num_rows();
+    return r < base ? lp_.row(r) : (*extra_)[r - base].view();
   }
 
   void Build() {
-    const std::uint32_t base = static_cast<std::uint32_t>(lp_.rows.size());
+    const std::uint32_t base = lp_.num_rows();
     m_ = base + static_cast<std::uint32_t>(extra_ ? extra_->size() : 0);
     nvars_ = lp_.num_vars;
     slack_col_.assign(m_, -1);
@@ -367,7 +374,7 @@ class RevisedSimplex {
     sign_.assign(m_, 1);
     std::uint32_t extra_cols = 0;
     for (std::uint32_t r = 0; r < m_; ++r) {
-      const LinearProgram::Row& row = RowAt(r);
+      const LinearProgram::RowView row = RowAt(r);
       const bool neg = row.rhs < 0;
       sign_[r] = neg ? -1 : 1;
       if (row.type == LinearProgram::RowType::kLe) {
@@ -398,7 +405,7 @@ class RevisedSimplex {
     std::vector<double> scatter(ncols_, 0.0);
     std::vector<std::uint32_t> touched;
     for (std::uint32_t r = 0; r < m_; ++r) {
-      const LinearProgram::Row& row = RowAt(r);
+      const LinearProgram::RowView row = RowAt(r);
       const double s = sign_[r];
       touched.clear();
       for (std::size_t k = 0; k < row.idx.size(); ++k) {
@@ -1105,7 +1112,7 @@ class RevisedSimplex {
         case BasisToken::Kind::kSlack:
           if (t.id < m_) {
             // Equality rows carry no slack; a rebased token for a fresh kEq
-            // row (IlpWarmStart::RemapRows) resolves to the row's artificial
+            // row (IlpWarmStart::Rebase) resolves to the row's artificial
             // instead. Exported tokens always reference a real slack, so the
             // fallback only engages for synthetic rebased tokens.
             col = slack_col_[t.id] >= 0 ? slack_col_[t.id] : art_col_[t.id];

@@ -15,12 +15,18 @@
 // the pivot path decides which optimal solution (and worst-case trace) is
 // reported. IPET instances are network-flow shaped, so the relaxation is
 // almost always integral and branching is a rarely-exercised safety net.
+//
+// A LinearProgram holds its rows in one flat store. WcetAnalyzer rebuilds an
+// entry's program after an edit instead of patching it, and
+// IlpWarmStart::Rebase carries the last optimal basis onto the rebuild by
+// row content.
 
 #ifndef SRC_WCET_ILP_H_
 #define SRC_WCET_ILP_H_
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace pmk {
@@ -28,23 +34,51 @@ namespace pmk {
 struct LinearProgram {
   enum class RowType : std::uint8_t { kLe, kEq };
 
-  struct Row {
-    // Sparse coefficients: parallel (index, value) lists.
-    std::vector<std::uint32_t> idx;
-    std::vector<double> val;
+  // One row read in place: parallel (index, value) lists.
+  struct RowView {
+    std::span<const std::uint32_t> idx;
+    std::span<const double> val;
     double rhs = 0;
     RowType type = RowType::kLe;
   };
 
+  // One row, filled in place and appended by AddRow.
+  struct Row {
+    std::vector<std::uint32_t> idx;
+    std::vector<double> val;
+    double rhs = 0;
+    RowType type = RowType::kLe;
+
+    RowView view() const { return {idx, val, rhs, type}; }
+  };
+
   std::uint32_t num_vars = 0;
   std::vector<double> objective;  // maximize objective . x, x >= 0
-  std::vector<Row> rows;
+  // The rows in one CSR-style store: row r's coefficients are
+  // cols/vals[row_start[r], row_start[r + 1]).
+  std::vector<std::uint32_t> row_start{0};
+  std::vector<std::uint32_t> cols;
+  std::vector<double> vals;
+  std::vector<double> rhs;
+  std::vector<RowType> types;
 
   std::uint32_t AddVar(double obj_coeff = 0) {
     objective.push_back(obj_coeff);
     return num_vars++;
   }
-  void AddRow(Row row) { rows.push_back(std::move(row)); }
+  void AddRow(const Row& row) {
+    cols.insert(cols.end(), row.idx.begin(), row.idx.end());
+    vals.insert(vals.end(), row.val.begin(), row.val.end());
+    row_start.push_back(static_cast<std::uint32_t>(cols.size()));
+    rhs.push_back(row.rhs);
+    types.push_back(row.type);
+  }
+  std::uint32_t num_rows() const { return static_cast<std::uint32_t>(rhs.size()); }
+  RowView row(std::uint32_t r) const {
+    const std::uint32_t b = row_start[r];
+    const std::size_t n = row_start[r + 1] - b;
+    return {{cols.data() + b, n}, {vals.data() + b, n}, rhs[r], types[r]};
+  }
 };
 
 enum class SolveStatus : std::uint8_t {
@@ -85,19 +119,20 @@ class IlpWarmStart {
   bool valid() const;
   void Reset();  // forget the stored basis (forces the next solve cold)
 
-  // Rebases the stored basis across an in-place row edit described by
-  // |old_to_new|: entry r holds the new index of old row r, or -1 if that
-  // row was removed. |new_count| is the edited instance's row count; new
-  // rows (indices absent from the mapping) enter with their own slack or
-  // artificial basic — block-triangular against the surviving basis.
-  // Structural tokens pass through untouched; slack/artificial tokens are
-  // re-indexed through the mapping, and a token whose row was removed is
-  // substituted with its position's own slack. Without this, a row-count
-  // change leaves every later slack token pointing at the wrong row and the
-  // "warm" solve degenerates into near-cold repair. No-op when no basis is
-  // stored; a mapping that doesn't match the stored basis drops it (next
-  // solve runs cold).
-  void RemapRows(const std::vector<std::int32_t>& old_to_new, std::uint32_t new_count);
+  // Carries the stored basis, exported from a solve of |from|, onto |to|:
+  // a rebuild of the same program over the same variables whose rows may
+  // have been edited, inserted or removed. Rows are matched by content, in
+  // order: each row of |from| takes the next unmatched row of |to| with the
+  // same coefficients, right-hand side and type, and the rows of |to| it
+  // skips over are insertions. Structural tokens pass through untouched;
+  // slack/artificial tokens follow their row, a token whose row found no
+  // match becomes the slack of the row its position moved to, and a row of
+  // |to| no position moved to enters with its own slack or artificial basic
+  // (a singleton column, block-triangular against the carried basis). A
+  // stored basis that does not match |from|'s row count is dropped (the
+  // next solve runs cold). Returns the number of rows of |from| without a
+  // match in |to|, with or without a stored basis.
+  std::size_t Rebase(const LinearProgram& from, const LinearProgram& to);
 
  private:
   friend SolveResult SolveIlpWarm(const LinearProgram&, IlpWarmStart&, std::uint32_t);
@@ -106,8 +141,8 @@ class IlpWarmStart {
 };
 
 // SolveIlp, warm-restarting the root relaxation from |warm| when it holds a
-// basis: the stored basis is re-imported against the new instance (rows may
-// have been patched in place or LE rows appended at the end), refactorised,
+// basis: the stored basis is re-imported against the new instance (an edited
+// rebuild it was Rebase'd onto, or one with LE rows appended at the end), refactorised,
 // repaired to primal feasibility by a bounded dual-simplex loop, then
 // cleaned up by the primal. Import or numerical trouble, and any warm
 // relaxation (root or branch-and-bound child) that does not end optimal,

@@ -2,11 +2,12 @@
 // manual path constraints as an ILP whose optimum is the WCET (Section 5.2).
 //
 // Construction and solving are split so WcetAnalyzer (src/wcet/analysis.h)
-// can keep one IpetProgram per entry alive across kernel-IR edits: row
-// families whose inputs did not change are reused structurally, only the
-// dirtied families are re-emitted (PatchIpet*), and the solve is
-// warm-restarted from the previous optimal basis (SolveIpetProgramWarm).
-// RunIpet remains the one-shot wrapper: build everything, solve cold.
+// can warm-restart an entry's solve across kernel-IR edits. A program is a
+// pure function of its graph, costs, options and constraints, so an edit
+// rebuilds it whole (BuildIpetProgram); the previous optimal basis follows
+// the rows by content onto the rebuild (IlpWarmStart::Rebase) and the solve
+// restarts from it (SolveIpetProgramWarm). RunIpet remains the one-shot
+// wrapper: build everything, solve cold.
 
 #ifndef SRC_WCET_IPET_H_
 #define SRC_WCET_IPET_H_
@@ -48,44 +49,17 @@ struct IpetResult {
   std::vector<std::uint32_t> node_counts;  // per InlinedGraph node
 };
 
-// The materialised ILP plus the row-family boundaries the incremental
-// patchers need. Row layout (in order): flow-conservation + source rows
-// (pure CFG structure), loop-bound rows, path-end pin rows (structure),
-// preemption-point pin rows, absolute-execution-bound rows, manual rows.
-struct IpetProgram {
-  LinearProgram lp;
-  std::uint32_t flow_end = 0;     // flow rows + the source row
-  std::uint32_t loops_end = 0;    // then one row per bounded loop
-  std::uint32_t pathend_end = 0;  // then path-end pin rows
-  std::uint32_t preempt_end = 0;  // then preemption pin rows (irq mode)
-  std::uint32_t exec_end = 0;     // then absolute-exec-bound rows; manual
-                                  // rows run to lp.rows.size()
-};
+// The materialised ILP: one variable per InlinedGraph edge, whose objective
+// coefficient is the cost of entering the edge. Row order: flow conservation
+// at every node, the source row, loop-bound rows, path-end pin rows,
+// preemption-point pin rows (irq mode), absolute-execution-bound rows, then
+// the manual rows.
+using IpetProgram = LinearProgram;
 
-// Builds the full ILP for |graph| (identical row order to what RunIpet has
-// always emitted).
+// Builds the full ILP for |graph|.
 IpetProgram BuildIpetProgram(const InlinedGraph& graph, const CostResult& costs,
                              const IpetOptions& options,
                              const std::vector<ManualConstraint>& constraints);
-
-// Re-derives the per-edge objective coefficients from |costs|, leaving every
-// constraint row untouched. O(edges).
-void PatchIpetObjective(const InlinedGraph& graph, const CostResult& costs, IpetProgram& prog);
-
-// Re-emits the loop-bound row family from the graph's current loop bounds,
-// splicing it over the previous family (later families shift if the row
-// count changed). When |warm| is given, its stored basis is rebased across
-// the splice (IlpWarmStart::RemapRows) so the next solve still restarts
-// warm even when the family grew or shrank. Returns the number of rows that
-// actually differ.
-std::size_t PatchIpetLoopRows(const InlinedGraph& graph, IpetProgram& prog,
-                              IlpWarmStart* warm = nullptr);
-
-// Re-emits the preemption-pin and absolute-exec-bound families from the
-// blocks' current flags/bounds, rebasing |warm| across both splices when
-// given. Returns the number of rows that differ.
-std::size_t PatchIpetExtraRows(const InlinedGraph& graph, const IpetOptions& options,
-                               IpetProgram& prog, IlpWarmStart* warm = nullptr);
 
 // Reads the edge and node counts of an ILP solution of |graph|'s program.
 IpetResult ExtractIpetResult(const InlinedGraph& graph, const SolveResult& solution);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <utility>
+#include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/wcet/ilp.h"
@@ -265,6 +266,47 @@ TEST(IlpTest, WarmRestartCountsOneImport) {
   EXPECT_EQ(imports(), before);
   ASSERT_EQ(SolveIlpWarm(lp, warm).status, SolveStatus::kOptimal);
   EXPECT_EQ(imports(), before + 1);
+}
+
+TEST(IlpTest, RebaseCarriesTheBasisByRowContent) {
+  // A rebuild that drops the first row and inserts another in front keeps
+  // the other two rows' content; Rebase carries their tokens over, counts
+  // the one old row it could not carry, and the warm re-solve imports the
+  // carried basis and equals a cold solve. A stored basis that was not
+  // exported from |from| (another row count) is dropped.
+  const auto program = [](std::vector<LinearProgram::Row> rows) {
+    LinearProgram lp;
+    lp.AddVar(3.0);
+    lp.AddVar(5.0);
+    for (const LinearProgram::Row& row : rows) {
+      lp.AddRow(row);
+    }
+    return lp;
+  };
+  const LinearProgram a =
+      program({Le({0}, {1.0}, 4.0), Le({1}, {2.0}, 12.0), Le({0, 1}, {3.0, 2.0}, 18.0)});
+  const LinearProgram b =
+      program({Le({1}, {1.0}, 5.0), Le({1}, {2.0}, 12.0), Le({0, 1}, {3.0, 2.0}, 18.0)});
+  const auto imports = [] {
+    return obs::MetricsRegistry::Get().Snapshot().CounterValue("wcet.simplex.imports");
+  };
+  IlpWarmStart warm;
+  EXPECT_EQ(warm.Rebase(a, b), 1u);  // the count needs no stored basis
+  EXPECT_FALSE(warm.valid());
+  ASSERT_EQ(SolveIlpWarm(a, warm).status, SolveStatus::kOptimal);
+  EXPECT_EQ(warm.Rebase(a, b), 1u);
+  ASSERT_TRUE(warm.valid());
+  const std::uint64_t before = imports();
+  const SolveResult r = SolveIlpWarm(b, warm);
+  EXPECT_GT(imports(), before);
+  const SolveResult cold = SolveIlp(b);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_EQ(r.objective, cold.objective);
+  EXPECT_EQ(r.x, cold.x);
+
+  const LinearProgram c = program({Le({1}, {2.0}, 12.0), Le({0, 1}, {3.0, 2.0}, 18.0)});
+  EXPECT_EQ(warm.Rebase(c, b), 0u);
+  EXPECT_FALSE(warm.valid());
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 
 #include "src/engine/job_pool.h"
 #include "src/fault/campaign.h"
+#include "src/fault/scenario.h"
+#include "src/load/traffic.h"
 #include "src/obs/metrics.h"
 #include "src/obs/tail_observatory.h"
 #include "src/sim/latency.h"
@@ -200,6 +202,28 @@ TEST_F(MetricsTest, CampaignCsvIsByteIdenticalWithTelemetryOnAndOff) {
   const std::string bare = run_csv(false, nullptr);
   EXPECT_EQ(with_everything, bare);
   EXPECT_FALSE(observatory.Rows().empty());
+}
+
+// fault.invariant.checks counts each Kernel::CheckInvariants call where it
+// runs, whichever driver makes it: a traffic sweep audits every scenario
+// once at its end, and a fault run audits after each kernel exit and once
+// more after draining the lines it outlived.
+TEST_F(MetricsTest, InvariantAuditsAreCountedWhereTheyRun) {
+  const auto audits = [] {
+    return MetricsRegistry::Get().Snapshot().CounterValue("fault.invariant.checks");
+  };
+  load::TrafficOptions quick;  // traffic_workload --quick
+  quick.clients = 1000;
+  quick.run_cycles = 260'000;
+  std::uint64_t before = audits();
+  ASSERT_EQ(load::RunTrafficSweep(quick).results.size(), 12u);
+  EXPECT_EQ(audits() - before, 12u);
+
+  before = audits();
+  const RunRecord clean = RunWithInstance(MakeRetypeCase()(), InjectionPlan{});
+  ASSERT_TRUE(clean.ok());
+  ASSERT_EQ(clean.restarts, 0u);
+  EXPECT_EQ(audits() - before, 2u);
 }
 
 // ------------------------------------------------------ tail observatory

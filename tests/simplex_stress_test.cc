@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -329,13 +330,19 @@ struct KernelIpet {
   std::uint32_t edit_row = 0;
 };
 
-// The IPET program of |entry| as WcetAnalyzer builds it for |opts|.
-IpetProgram KernelIpetProgram(const KernelImage& img, const AnalysisOptions& opts,
-                              EntryPoint entry) {
+// The IPET program of |entry| as WcetAnalyzer builds it for |opts|, with its
+// edit row: flow rows (one per node) and the source row come first, then
+// the loop-bound rows.
+KernelIpet KernelIpetProgram(const KernelImage& img, const AnalysisOptions& opts,
+                             EntryPoint entry) {
   InlinedGraph graph(img.prog, AnalysisEntryFunc(img, entry));
   ComputeLoopBounds(graph);
   const CostResult costs = oracle::ComputeNodeCosts(graph, BuildCostModelOptions(img, opts));
-  return BuildIpetProgram(graph, costs, IpetOptions{opts.irq_pending}, opts.constraints);
+  const bool has_loop_row = std::any_of(graph.loops().begin(), graph.loops().end(),
+                                        [](const InlinedLoop& l) { return l.bound != 0; });
+  const std::uint32_t source_row = static_cast<std::uint32_t>(graph.nodes().size());
+  return {"", BuildIpetProgram(graph, costs, IpetOptions{opts.irq_pending}, opts.constraints),
+          has_loop_row ? source_row + 1 : source_row};
 }
 
 // Every kernel IPET program the analysis drivers solve: both kernels, L2
@@ -350,11 +357,10 @@ std::vector<KernelIpet> KernelIpetPrograms() {
         opts.l2_enabled = l2;
         opts.cache_pinning = pin;
         for (const EntryPoint e : kEntryPoints) {
-          IpetProgram prog = KernelIpetProgram(*img, opts, e);
-          out.push_back({std::string(after ? "after" : "before") + " l2=" + std::to_string(l2) +
-                             " pin=" + std::to_string(pin) + " " + EntryPointName(e),
-                         std::move(prog.lp),
-                         prog.loops_end > prog.flow_end ? prog.flow_end : prog.flow_end - 1});
+          out.push_back(KernelIpetProgram(*img, opts, e));
+          out.back().label = std::string(after ? "after" : "before") + " l2=" +
+                             std::to_string(l2) + " pin=" + std::to_string(pin) + " " +
+                             EntryPointName(e);
         }
       }
     }
@@ -499,7 +505,7 @@ TEST(SimplexStressTest, KernelIpetSolvesKeepTheirPinnedPath) {
     IlpWarmStart warm;
     ASSERT_EQ(SolveIlpWarm(k.lp, warm).status, SolveStatus::kOptimal);
     LinearProgram edited = k.lp;
-    edited.rows[k.edit_row].rhs += 1;
+    edited.rhs[k.edit_row] += 1;
     ExpectPinned(SolveIlpWarm(edited, warm), pins[i][1]);
   }
 }
@@ -541,8 +547,8 @@ TEST(SimplexStressTest, KernelIpetOptimaAreNotUnique) {
   std::vector<std::uint32_t> col(lp.num_vars);  // col[v] = v's new index
   std::iota(col.begin(), col.end(), 0u);
   shuffle(col);
-  std::vector<std::size_t> row_order(lp.rows.size());
-  std::iota(row_order.begin(), row_order.end(), std::size_t{0});
+  std::vector<std::uint32_t> row_order(lp.num_rows());
+  std::iota(row_order.begin(), row_order.end(), 0u);
   shuffle(row_order);
   LinearProgram perm;
   perm.num_vars = lp.num_vars;
@@ -550,12 +556,16 @@ TEST(SimplexStressTest, KernelIpetOptimaAreNotUnique) {
   for (std::uint32_t v = 0; v < lp.num_vars; ++v) {
     perm.objective[col[v]] = lp.objective[v];
   }
-  for (const std::size_t r : row_order) {
-    LinearProgram::Row row = lp.rows[r];
-    for (std::uint32_t& i : row.idx) {
-      i = col[i];
+  for (const std::uint32_t r : row_order) {
+    const LinearProgram::RowView view = lp.row(r);
+    LinearProgram::Row row;
+    for (const std::uint32_t i : view.idx) {
+      row.idx.push_back(col[i]);
     }
-    perm.AddRow(std::move(row));
+    row.val.assign(view.val.begin(), view.val.end());
+    row.rhs = view.rhs;
+    row.type = view.type;
+    perm.AddRow(row);
   }
   const SolveResult base = SolveIlp(lp);
   const SolveResult moved = SolveIlp(perm);

@@ -234,9 +234,9 @@ TEST(IncrementalWcet, WarmStartNeverChangesSolveStatus) {
 // Annotation edits move the loop-bound rows only of loops the bounded search
 // cannot bound, and the shipped kernels have none. With urt.more's loop-input
 // range removed, the Before kernel's retype clear loop falls back to its
-// annotation, so each annotation edit re-patches the loop rows in place
-// (PatchIpetLoopRows) and moves the syscall bound; the resident analyzer
-// must still match the oracle after every edit.
+// annotation, so each annotation edit changes a loop-bound row of the
+// rebuilt program and moves the syscall bound; the resident analyzer must
+// still match the oracle after every edit.
 TEST(IncrementalWcet, AnnotationBoundedLoopMatchesOracle) {
   const auto image = BuildKernelImage(KernelConfig::Before());
   Program& prog = image->prog;
@@ -281,12 +281,14 @@ TEST(IncrementalWcet, WarmStartsAfterMetadataEdits) {
   EXPECT_GT(warm_after, warm_before);
 }
 
-// The wcet.inc.* counters of one query's stage re-derivations, in the order
-// EditRederivesOnlyTheStagesItMoved lists its expected moves.
+// The counters of one query's stage re-derivations and of the solves they
+// ran, in the order EditRederivesOnlyTheStagesItMoved lists its expected
+// moves.
 constexpr const char* kStageCounters[] = {
-    "wcet.inc.graph.miss",   "wcet.inc.loopbound.miss", "wcet.inc.cost.miss",
-    "wcet.inc.ipet.miss",    "wcet.inc.rows_patched",   "wcet.inc.simplex.cold",
-    "wcet.inc.simplex.warm"};
+    "wcet.inc.graph.miss",   "wcet.inc.loopbound.miss",       "wcet.inc.cost.miss",
+    "wcet.inc.ipet.miss",    "wcet.inc.rows_patched",         "wcet.inc.simplex.cold",
+    "wcet.inc.simplex.warm", "wcet.simplex.pivots",           "wcet.simplex.refactorisations",
+    "wcet.simplex.imports",  "wcet.bb.nodes"};
 using StageCounts = std::array<std::uint64_t, std::size(kStageCounters)>;
 
 StageCounts ReadStageCounters() {
@@ -302,6 +304,9 @@ StageCounts ReadStageCounters() {
 // re-query moves the stage counters by an exact amount, so a stage that
 // re-runs needlessly (say the cost fixpoint on a preemption toggle, which
 // moves only IPET rows) fails here, where timing would only make it slower.
+// The solver's moves pin the warm pivot path: a stored basis carried onto
+// the wrong rows still reaches the same bound, but not in the same pivots,
+// refactorisations, imports and branch-and-bound nodes.
 TEST(IncrementalWcet, EditRederivesOnlyTheStagesItMoved) {
   const auto image = BuildKernelImage(KernelConfig::After());
   Program& prog = image->prog;
@@ -318,18 +323,27 @@ TEST(IncrementalWcet, EditRederivesOnlyTheStagesItMoved) {
     EditField field;
     std::uint64_t value;
     std::uint64_t revert;
-    // graph, loop bound, cost and IPET misses, rows patched, cold and warm
-    // simplex solves: the kStageCounters moves of the re-query.
+    // graph, loop bound, cost and IPET misses, rows of the previous program
+    // the rebuild no longer holds, cold and warm simplex solves, then
+    // pivots, refactorisations, imports and B&B nodes: the kStageCounters
+    // moves of the re-query.
     StageCounts moves;
   };
   const std::uint32_t annot = prog.block(more).loop_bound_annotation;
   const std::uint32_t bound = prog.block(deq).absolute_exec_bound;
   const Case cases[] = {
       {"urt.more annotation +1", more, EditField::kLoopBoundAnnotation, annot + 1u, annot,
-       {0, 1, 1, 1, 0, 0, 1}},
-      {"ptd.preempt off", preempt, EditField::kIsPreemptionPoint, 0, 1, {0, 0, 0, 1, 8, 0, 1}},
+       {0, 1, 1, 1, 0, 0, 1, 2, 0, 1, 1}},
+      {"ptd.preempt off", preempt, EditField::kIsPreemptionPoint, 0, 1,
+       {0, 0, 0, 1, 4, 0, 1, 8, 0, 1, 1}},
       {"eca.deq bound +1", deq, EditField::kAbsoluteExecBound, bound + 1u, bound,
-       {0, 1, 1, 1, 1, 0, 1}},
+       {0, 1, 1, 1, 1, 0, 1, 2, 0, 1, 1}},
+  };
+  const auto expect_moves = [](const StageCounts& before, const StageCounts& after,
+                               const StageCounts& moves) {
+    for (std::size_t i = 0; i < moves.size(); ++i) {
+      EXPECT_EQ(after[i] - before[i], moves[i]) << kStageCounters[i];
+    }
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
@@ -337,14 +351,25 @@ TEST(IncrementalWcet, EditRederivesOnlyTheStagesItMoved) {
     ASSERT_TRUE(resident.NotifyBlockEdited(c.block));
     const StageCounts before = ReadStageCounters();
     resident.InterruptResponseBound();
-    const StageCounts after = ReadStageCounters();
-    for (std::size_t i = 0; i < c.moves.size(); ++i) {
-      EXPECT_EQ(after[i] - before[i], c.moves[i]) << kStageCounters[i];
-    }
+    expect_moves(before, ReadStageCounters(), c.moves);
     wcet::ApplyEdit(prog, c.block, c.field, c.revert);
     resident.NotifyBlockEdited(c.block);
     EXPECT_EQ(resident.InterruptResponseBound(), pristine);
   }
+
+  // A fixed script of 16 cumulative edits of every kind, each re-queried:
+  // the summed moves pin the warm path across edits that grow and shrink
+  // the row families and re-solve from bases carried over many rebuilds.
+  SCOPED_TRACE("16-edit script");
+  std::mt19937 rng(21);
+  const StageCounts before = ReadStageCounters();
+  for (int step = 0; step < 16; ++step) {
+    const Edit e = RandomEdit(prog, rng);
+    wcet::ApplyEdit(prog, e.block, e.field, e.value);
+    resident.NotifyBlockEdited(e.block);
+    resident.InterruptResponseBound();
+  }
+  expect_moves(before, ReadStageCounters(), {0, 8, 8, 14, 16, 0, 14, 207, 0, 48, 48});
 }
 
 // ------------------------------------------------------------- service core

@@ -70,7 +70,7 @@ class Tableau {
   double Objective() { return At(m_, n_ - 1); }
 
   void Build() {
-    m_ = static_cast<std::uint32_t>(lp_.rows.size());
+    m_ = lp_.num_rows();
     // Columns: structural vars, then one slack/surplus per <= / >= row, then
     // artificials, then RHS. Normalize rhs >= 0 first.
     std::vector<int> slack_col(m_, -1);
@@ -78,7 +78,7 @@ class Tableau {
     std::vector<int> sign(m_, 1);
     std::uint32_t extra = 0;
     for (std::uint32_t r = 0; r < m_; ++r) {
-      const LinearProgram::Row& row = lp_.rows[r];
+      const LinearProgram::RowView row = lp_.row(r);
       const bool neg = row.rhs < 0;
       sign[r] = neg ? -1 : 1;
       if (row.type == LinearProgram::RowType::kLe) {
@@ -104,7 +104,7 @@ class Tableau {
     basis_.assign(m_, 0);
 
     for (std::uint32_t r = 0; r < m_; ++r) {
-      const LinearProgram::Row& row = lp_.rows[r];
+      const LinearProgram::RowView row = lp_.row(r);
       const double s = sign[r];
       for (std::size_t k = 0; k < row.idx.size(); ++k) {
         At(r, row.idx[k]) += s * row.val[k];
@@ -545,9 +545,9 @@ EntryResult WcetOracle::Analyze(EntryPoint entry) const {
     }
   }
   const CostResult costs = oracle::ComputeNodeCosts(graph, cost_opts_);
-  const IpetProgram prog =
+  const IpetProgram lp =
       BuildIpetProgram(graph, costs, IpetOptions{opts_.irq_pending}, opts_.constraints);
-  const IpetResult ipet = ExtractIpetResult(graph, oracle::SolveIlp(prog.lp));
+  const IpetResult ipet = ExtractIpetResult(graph, oracle::SolveIlp(lp));
   res.status = ipet.status;
   if (ipet.status == SolveStatus::kOptimal) {
     res.wcet = ipet.wcet;
