@@ -27,7 +27,9 @@ namespace pmk::engine {
 
 namespace {
 
-// Ceiling of the respawn backoff after repeated worker deaths.
+// Respawn backoff after a worker death: kBackoffBaseMs * 2^(deaths-1),
+// capped at kBackoffCapMs.
+constexpr std::uint64_t kBackoffBaseMs = 50;
 constexpr std::uint64_t kBackoffCapMs = 1'000;
 
 bool g_in_worker = false;
@@ -162,8 +164,8 @@ class ShardRun {
         if (hit.has_value()) {
           out_.payloads[i] = std::move(*hit);
           out_.completed[i] = 1;
-          ++out_.journal_hits;
-          out_.resumed = true;
+          ++out_.stats.journal_hits;
+          out_.stats.resumed = true;
         }
       }
     }
@@ -242,7 +244,7 @@ class ShardRun {
   // boundary to absorb an abort.
   void RunInProcess(const std::vector<std::uint32_t>& ordinals, bool fallback) {
     if (fallback) {
-      out_.used_fallback = true;
+      out_.stats.used_fallback = true;
       M().fallbacks.Inc();
     }
     struct Slot {
@@ -333,7 +335,7 @@ class ShardRun {
     w.deadline_ms = now + opts_.task_timeout_ms;
     w.started_ms = now;
     workers.push_back(std::move(w));
-    ++out_.workers_spawned;
+    ++out_.stats.workers_spawned;
     M().workers_spawned.Inc();
     return true;
   }
@@ -362,7 +364,7 @@ class ShardRun {
   // exponential backoff, quarantines repeat offenders.
   void HandleDeath(const Worker& w, std::uint64_t now, std::deque<Respawn>& respawns,
                    bool allow_retry) {
-    ++out_.worker_deaths;
+    ++out_.stats.worker_deaths;
     M().worker_deaths.Inc();
     for (const std::uint32_t ord : w.in_flight) {
       if (out_.completed[ord]) {
@@ -390,10 +392,10 @@ class ShardRun {
     if (remaining.empty()) {
       return;
     }
-    out_.retries += remaining.size();
+    out_.stats.retries += remaining.size();
     M().retries.Inc(remaining.size());
     const std::uint32_t deaths = ++shard_deaths_[w.shard];
-    std::uint64_t backoff = opts_.backoff_base_ms;
+    std::uint64_t backoff = kBackoffBaseMs;
     for (std::uint32_t i = 1; i < deaths && backoff < kBackoffCapMs; ++i) {
       backoff *= 2;
     }
@@ -505,7 +507,7 @@ class ShardRun {
         }
         // Partial spawn failure: run this shard's list degraded, keep the
         // workers that did launch.
-        out_.used_fallback = true;
+        out_.stats.used_fallback = true;
         M().fallbacks.Inc();
         RunInProcess(assignment[shard], /*fallback=*/false);
         continue;
@@ -534,7 +536,7 @@ class ShardRun {
           continue;
         }
         if (!Spawn(r.shard, still, now, workers)) {
-          out_.used_fallback = true;
+          out_.stats.used_fallback = true;
           M().fallbacks.Inc();
           RunInProcess(still, /*fallback=*/false);
         }
@@ -597,7 +599,7 @@ class ShardRun {
           dead = !clean;
         }
         if (!dead && !clean && after >= w.deadline_ms) {
-          ++out_.timeouts;
+          ++out_.stats.timeouts;
           M().timeouts.Inc();
           Kill(w);
           // Blame whatever is running; if the worker wedged between tasks,
@@ -658,22 +660,6 @@ bool ShardOutcome::AllCompleted() const {
   return true;
 }
 
-ShardStats ShardOutcome::Stats() const {
-  ShardStats s;
-  s.sharded = sharded;
-  s.tasks = payloads.size();
-  s.journal_hits = journal_hits;
-  s.retries = retries;
-  s.timeouts = timeouts;
-  s.worker_deaths = worker_deaths;
-  s.workers_spawned = workers_spawned;
-  s.quarantined = quarantined.size();
-  s.failed = failed.size();
-  s.used_fallback = used_fallback;
-  s.resumed = resumed;
-  return s;
-}
-
 std::string ShardStats::Summary() const {
   std::ostringstream os;
   os << "shard supervisor: tasks=" << tasks << " journal_hits=" << journal_hits
@@ -693,12 +679,15 @@ ShardSupervisor::ShardSupervisor(std::vector<ShardTask> tasks, ShardOptions opti
 
 ShardOutcome ShardSupervisor::Run() {
   ShardOutcome out;
-  out.sharded = opts_.shards > 0;
+  out.stats.sharded = opts_.shards > 0;
   ShardRun run(tasks_, opts_, out);
   run.Execute();
   std::sort(out.quarantined.begin(), out.quarantined.end());
   std::sort(out.failed.begin(), out.failed.end());
   out.failed.erase(std::unique(out.failed.begin(), out.failed.end()), out.failed.end());
+  out.stats.tasks = out.payloads.size();
+  out.stats.quarantined = out.quarantined.size();
+  out.stats.failed = out.failed.size();
   return out;
 }
 

@@ -66,9 +66,6 @@ struct ShardOptions {
   // Attempts per run before quarantine (the quarantine wave grants one more).
   std::uint32_t max_attempts = 2;
 
-  // Respawn backoff after a worker death: base * 2^(deaths-1), capped at 1 s.
-  std::uint32_t backoff_base_ms = 50;
-
   // Crash-safe journal directory; empty disables journaling. Results are
   // keyed by ResultJournal::Key(journal_digest, task.key, seed).
   std::string journal_dir;
@@ -88,14 +85,14 @@ struct ShardStats {
   bool sharded = false;  // ran under fork supervision (shards > 0)
   std::uint64_t tasks = 0;
   std::uint64_t journal_hits = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t worker_deaths = 0;
+  std::uint64_t retries = 0;        // runs re-queued after a worker death
+  std::uint64_t timeouts = 0;       // watchdog kills
+  std::uint64_t worker_deaths = 0;  // involuntary worker exits (kill, crash)
   std::uint64_t workers_spawned = 0;
   std::uint64_t quarantined = 0;
   std::uint64_t failed = 0;
-  bool used_fallback = false;
-  bool resumed = false;
+  bool used_fallback = false;  // degraded to in-process execution
+  bool resumed = false;        // journal pre-populated at least one result
 
   // One line: "shard supervisor: tasks=N journal_hits=N ... [fallback]
   // [resumed]".
@@ -113,17 +110,10 @@ struct ShardOutcome {
   std::vector<std::uint32_t> quarantined;
   std::vector<std::uint32_t> failed;
 
-  std::uint64_t journal_hits = 0;
-  std::uint64_t retries = 0;        // runs re-queued after a worker death
-  std::uint64_t timeouts = 0;       // watchdog kills
-  std::uint64_t worker_deaths = 0;  // involuntary worker exits (kill, crash)
-  std::uint64_t workers_spawned = 0;
-  bool sharded = false;        // ran under fork supervision (shards > 0)
-  bool used_fallback = false;  // degraded to in-process execution
-  bool resumed = false;        // journal pre-populated at least one result
+  // Counted as the run goes; tasks, quarantined and failed when it ends.
+  ShardStats stats;
 
   bool AllCompleted() const;
-  ShardStats Stats() const;
 };
 
 class ShardSupervisor {

@@ -574,7 +574,6 @@ CampaignReport RunCampaign(const CampaignConfig& config) {
   sopts.jobs_per_shard = config.jobs;
   sopts.task_timeout_ms = config.shard_timeout_ms;
   sopts.max_attempts = config.shard_max_attempts;
-  sopts.backoff_base_ms = config.shard_backoff_ms;
   sopts.journal_dir = config.journal_dir;
   sopts.journal_digest = CampaignContextDigest(config);
   sopts.seed = config.seed;
@@ -617,7 +616,7 @@ CampaignReport RunCampaign(const CampaignConfig& config) {
     report.results.push_back(r);
   }
 
-  report.shard = out.Stats();
+  report.shard = out.stats;
 
   // Telemetry + observatory feed: both consume the assembled report, after
   // every deterministic byte of it is fixed.

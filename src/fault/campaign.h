@@ -62,7 +62,6 @@ struct CampaignConfig {
   // Supervision knobs (see engine::ShardOptions).
   std::uint32_t shard_timeout_ms = 120'000;
   std::uint32_t shard_max_attempts = 2;
-  std::uint32_t shard_backoff_ms = 50;
 
   // Chaos/test hooks. poison_ordinal: that run ordinal calls abort() when
   // executing inside a shard worker (never in-process) — the supervisor must

@@ -309,7 +309,7 @@ TrafficReport RunTrafficSweep(const TrafficOptions& opts) {
     }
     report.results.push_back(DecodeTrafficResult(out.payloads[i]));
   }
-  report.shard = out.Stats();
+  report.shard = out.stats;
 
   // Telemetry feed — observer only, after every deterministic byte is fixed.
   std::uint64_t offered = 0, dropped = 0, processed = 0, served = 0;

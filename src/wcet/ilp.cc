@@ -148,12 +148,11 @@ obs::Counter& IncColdSolveCounter() {
 
 // A set of small indices (rows or etas) visited in ascending order without a
 // sort: one bit per index, plus the range of words that may hold a bit.
-// FTRAN and the refactorisation's numeric pass collect the rows a sparse
-// column fills in one, and visit them in the order a dense 0..m-1 sweep
-// would meet them. As a queue it pops its least or greatest member, so a
-// walk that only ever adds indices beyond the one it popped last visits each
-// once, in order: FTRAN and the numeric pass pop etas upwards, the
-// incremental dual BTRAN downwards.
+// FTRAN collects the rows a sparse column fills in one, and visits them in
+// the order a dense 0..m-1 sweep would meet them. As a queue it pops its
+// least or greatest member, so a walk that only ever adds indices beyond the
+// one it popped last visits each once, in order: FTRAN pops etas upwards,
+// the incremental dual BTRAN downwards.
 class IndexSet {
  public:
   static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
@@ -248,13 +247,16 @@ bool SameBits(double a, double b) {
 // (tests/wcet_oracle.h), so both walk the same vertex sequence (fp ties
 // aside); only the linear algebra differs.
 // The constraint matrix is stored once in CSR (the columns a row's dual
-// reaches) and CSC (pricing a column, FTRAN of an entering column); the basis
-// inverse is a product-form eta file refreshed by periodic refactorisation
-// (TryRefactorize). A pivot costs what it changed:
+// reaches) and CSC (pricing a column, FTRAN of a column); the basis inverse
+// is a product-form eta file refreshed by periodic refactorisation
+// (TryRefactorize). One FTRAN (FtranColumn) and one eta append (AppendEta)
+// serve both the pivots and the refactorisation, and one tableau row
+// (TableauRow) both the dual ratio test and DriveOutArtificials. A pivot
+// costs what it changed:
 //  - the entering column comes from a tournament tree over the reduced
 //    costs, replayed only at the columns a pivot re-priced;
 //  - FTRAN applies only the etas its nonzeros reach, found through per-row
-//    eta chains (FtranColumn);
+//    eta chains;
 //  - the duals are updated by an incremental BTRAN that recomputes only the
 //    steps whose inputs changed since the last pivot (UpdateDuals);
 //  - only the columns on rows whose dual moved are re-priced, and the ratio
@@ -268,7 +270,8 @@ bool SameBits(double a, double b) {
 // (ratio-test tie-break, pricing, extraction) keys off the basic variable id,
 // never the position index.
 //
-// Branch-and-bound children are solved warm: the parent's optimal basis is
+// Branch-and-bound children are solved warm: a child's program is the root
+// program with the node's bound rows appended, the parent's optimal basis is
 // exported as position-independent tokens ({structural var | slack of row r |
 // artificial of row r}), re-imported against the child's column numbering
 // with the new bound row's slack appended (block-triangular, hence
@@ -278,12 +281,7 @@ bool SameBits(double a, double b) {
 
 class RevisedSimplex {
  public:
-  // Solves lp with |extra| rows appended (without materialising the copy).
-  RevisedSimplex(const LinearProgram& lp, const std::vector<LinearProgram::Row>* extra)
-      : lp_(lp), extra_(extra) {
-    Build();
-  }
-  explicit RevisedSimplex(const LinearProgram& lp) : RevisedSimplex(lp, nullptr) {}
+  explicit RevisedSimplex(const LinearProgram& lp) : lp_(lp) { Build(); }
 
   SolveResult Solve() {
     if (num_artificial_ > 0) {
@@ -360,21 +358,15 @@ class RevisedSimplex {
   std::uint64_t eta_steps() const { return eta_steps_; }
 
  private:
-  LinearProgram::RowView RowAt(std::uint32_t r) const {
-    const std::uint32_t base = lp_.num_rows();
-    return r < base ? lp_.row(r) : (*extra_)[r - base].view();
-  }
-
   void Build() {
-    const std::uint32_t base = lp_.num_rows();
-    m_ = base + static_cast<std::uint32_t>(extra_ ? extra_->size() : 0);
+    m_ = lp_.num_rows();
     nvars_ = lp_.num_vars;
     slack_col_.assign(m_, -1);
     art_col_.assign(m_, -1);
     sign_.assign(m_, 1);
     std::uint32_t extra_cols = 0;
     for (std::uint32_t r = 0; r < m_; ++r) {
-      const LinearProgram::RowView row = RowAt(r);
+      const LinearProgram::RowView row = lp_.row(r);
       const bool neg = row.rhs < 0;
       sign_[r] = neg ? -1 : 1;
       if (row.type == LinearProgram::RowType::kLe) {
@@ -405,7 +397,7 @@ class RevisedSimplex {
     std::vector<double> scatter(ncols_, 0.0);
     std::vector<std::uint32_t> touched;
     for (std::uint32_t r = 0; r < m_; ++r) {
-      const LinearProgram::RowView row = RowAt(r);
+      const LinearProgram::RowView row = lp_.row(r);
       const double s = sign_[r];
       touched.clear();
       for (std::size_t k = 0; k < row.idx.size(); ++k) {
@@ -487,44 +479,47 @@ class RevisedSimplex {
     beta_ = b_;
   }
 
+  // Empties the eta file, and drops the dual slots and their links until
+  // the next full BTRAN (ComputeDuals) and LinkSlots rebuild them.
   void ClearEtas() {
-    eta_r_.clear();
-    eta_pivot_.clear();
-    eta_row_.clear();
-    eta_val_.clear();
-    eta_ptr_.assign(1, 0);
-    IndexEtas();
-  }
-
-  std::uint64_t EtaNnz() const { return eta_row_.size() + eta_r_.size(); }
-
-  // The eta file was replaced: rebuilds the per-row eta chains, and drops
-  // the dual slots and their links until the next full BTRAN
-  // (ComputeDuals) and LinkSlots rebuild them.
-  void IndexEtas() {
-    row_first_.assign(m_, kNone);
-    row_last_.assign(m_, kNone);
-    eta_next_.clear();
-    eta_prev_.clear();
-    for (std::uint32_t k = 0; k < eta_r_.size(); ++k) {
-      ChainEta(k);
-    }
+    etas_.Clear(m_);
     memo_valid_ = false;
     linked_ = 0;
   }
 
-  // Appends eta k to the chain of the etas that pivot on its row. The
-  // refactorisation emits one eta per row; each pivot appends one more.
-  void ChainEta(std::uint32_t k) {
-    const std::uint32_t r = eta_r_[k];
-    eta_prev_.push_back(row_last_[r]);
-    eta_next_.push_back(kNone);
-    if (row_last_[r] == kNone) {
-      row_first_[r] = k;
-    } else {
-      eta_next_[row_last_[r]] = k;
+  std::uint64_t EtaNnz() const { return etas_.row.size() + etas_.size(); }
+
+  // Appends the eta that pivots w_ on row p: pivot w_[p], and as off-row
+  // entries the other nonzeros of w_ in ascending row order. Chains it on
+  // row p and zeroes w_ and w_rows_. With |skip_identity| an exact identity
+  // (pivot 1, no off-row entry: the refactorisation's typical slack pivot)
+  // is not stored, as every FTRAN and BTRAN would apply it as a no-op.
+  void AppendEta(std::uint32_t p, bool skip_identity) {
+    const double pivot = w_[p];
+    const std::size_t start = etas_.row.size();
+    w_rows_.ForEach([&](std::uint32_t i) {
+      if (i != p && w_[i] != 0.0) {
+        etas_.row.push_back(i);
+        etas_.val.push_back(w_[i]);
+      }
+      w_[i] = 0.0;
+    });
+    w_rows_.Clear();
+    if (skip_identity && pivot == 1.0 && etas_.row.size() == start) {
+      return;
     }
-    row_last_[r] = k;
+    const std::uint32_t k = etas_.size();
+    etas_.r.push_back(p);
+    etas_.pivot.push_back(pivot);
+    etas_.ptr.push_back(static_cast<std::uint32_t>(etas_.row.size()));
+    etas_.prev.push_back(etas_.last[p]);
+    etas_.next.push_back(kNone);
+    if (etas_.last[p] == kNone) {
+      etas_.first[p] = k;
+    } else {
+      etas_.next[etas_.last[p]] = k;
+    }
+    etas_.last[p] = k;
   }
 
   // Installs the phase's costs, which moves every reduced cost: the one
@@ -593,41 +588,41 @@ class RevisedSimplex {
     return obj;
   }
 
-  // The eta file is a flat pool (struct-of-arrays): eta k pivots row
-  // eta_r_[k] with pivot value eta_pivot_[k]; its off-row entries live in
-  // eta_row_/eta_val_ over [eta_ptr_[k], eta_ptr_[k+1]). Flat storage keeps
-  // the FTRAN/BTRAN walks on contiguous memory and spares one heap
-  // allocation per eta on the pivot path.
+  // x = E_k^-1 x for eta k.
   void ApplyEta(std::size_t k, std::vector<double>& x) const {
-    const std::uint32_t r = eta_r_[k];
-    const double t = x[r] / eta_pivot_[k];
+    const std::uint32_t r = etas_.r[k];
+    const double t = x[r] / etas_.pivot[k];
     if (t != 0.0) {
-      for (std::uint32_t i = eta_ptr_[k]; i < eta_ptr_[k + 1]; ++i) {
-        x[eta_row_[i]] -= eta_val_[i] * t;
+      for (std::uint32_t i = etas_.ptr[k]; i < etas_.ptr[k + 1]; ++i) {
+        x[etas_.row[i]] -= etas_.val[i] * t;
       }
     }
     x[r] = t;
   }
 
-  // w_ = B^-1 A_col, applying only the etas whose pivot row is nonzero when
-  // their turn comes (Gilbert-Peierls, as in TryRefactorize's numeric pass).
-  // The first time a row is written, the first eta of its chain after the
-  // writing eta is queued; applying an eta queues the next one of its row.
-  // The queue pops them in eta order, each once. An eta whose row is still
-  // zero at its turn would only write a zero there, so every nonzero is the
-  // one the whole eta list computes. The rows written are recorded in
-  // w_rows_: w_ is zero outside it, so the ratio test and the eta build
-  // visit those rows, in ascending order, instead of all m.
-  void FtranColumn(std::uint32_t col) {
+  // w_ = B^-1 A_col over the eta file, applying only the etas whose pivot
+  // row is nonzero when their turn comes (Gilbert-Peierls); returns how many
+  // it applied. The first time a row is written, the first eta of its chain
+  // after the writing eta is queued; applying an eta queues the next one of
+  // its row. The queue pops them in eta order, each once. An eta whose row
+  // is still zero at its turn would only write a zero there, so every
+  // nonzero is the one the whole eta list computes. The rows written are
+  // recorded in w_rows_: w_ is zero outside it, so the ratio test and
+  // AppendEta visit those rows, in ascending order, instead of all m.
+  // AppendEta zeroes w_; a caller that appends no eta leaves it for the
+  // next call to clear. TryRefactorize runs it over the file it is
+  // building, to transform each basis column by the etas emitted so far.
+  std::uint32_t FtranColumn(std::uint32_t col) {
     w_rows_.ForEach([&](std::uint32_t i) { w_[i] = 0.0; });
     w_rows_.Clear();
-    queue_.Grow(static_cast<std::uint32_t>(eta_r_.size()));
+    queue_.Grow(etas_.size());
+    std::uint32_t applied = 0;
     // Row r is written just before eta |from| applies.
     const auto touch = [&](std::uint32_t r, std::uint32_t from) {
       if (w_rows_.Insert(r)) {
-        std::uint32_t k = row_first_[r];
+        std::uint32_t k = etas_.first[r];
         while (k != kNone && k < from) {
-          k = eta_next_[k];
+          k = etas_.next[k];
         }
         if (k != kNone) {
           queue_.Insert(k);
@@ -639,38 +634,55 @@ class RevisedSimplex {
       touch(col_row_[k], 0);
     }
     for (std::uint32_t k; (k = queue_.PopMin()) != IndexSet::kEmpty;) {
-      ++eta_steps_;
-      const std::uint32_t r = eta_r_[k];
-      const double t = w_[r] / eta_pivot_[k];
+      ++applied;
+      const std::uint32_t r = etas_.r[k];
+      const double t = w_[r] / etas_.pivot[k];
       if (t != 0.0) {
-        for (std::uint32_t i = eta_ptr_[k]; i < eta_ptr_[k + 1]; ++i) {
-          touch(eta_row_[i], k + 1);
-          w_[eta_row_[i]] -= eta_val_[i] * t;
+        for (std::uint32_t i = etas_.ptr[k]; i < etas_.ptr[k + 1]; ++i) {
+          touch(etas_.row[i], k + 1);
+          w_[etas_.row[i]] -= etas_.val[i] * t;
         }
       }
       w_[r] = t;
-      if (eta_next_[k] != kNone) {
-        queue_.Insert(eta_next_[k]);
+      if (etas_.next[k] != kNone) {
+        queue_.Insert(etas_.next[k]);
       }
     }
+    return applied;
   }
 
-  // y s.t. y = (B^-1)^T y_in; y is modified in place. Only for a row of
-  // B^-1 (rho_); the duals go through ComputeDuals and UpdateDuals.
-  void Btran(std::vector<double>& y) const {
-    for (std::size_t k = eta_r_.size(); k-- > 0;) {
-      double s = y[eta_r_[k]];
-      for (std::uint32_t i = eta_ptr_[k]; i < eta_ptr_[k + 1]; ++i) {
-        s -= eta_val_[i] * y[eta_row_[i]];
+  // alpha_[0, limit) = row p of B^-1 A: rho_ = B^-T e_p by a BTRAN over the
+  // whole eta file, then a CSR sweep over the rows where rho_ is nonzero.
+  // The duals go through ComputeDuals and UpdateDuals instead.
+  void TableauRow(std::uint32_t p, std::uint32_t limit) {
+    std::fill(rho_.begin(), rho_.end(), 0.0);
+    rho_[p] = 1.0;
+    for (std::uint32_t k = etas_.size(); k-- > 0;) {
+      double s = rho_[etas_.r[k]];
+      for (std::uint32_t i = etas_.ptr[k]; i < etas_.ptr[k + 1]; ++i) {
+        s -= etas_.val[i] * rho_[etas_.row[i]];
       }
-      y[eta_r_[k]] = s / eta_pivot_[k];
+      rho_[etas_.r[k]] = s / etas_.pivot[k];
+    }
+    std::fill_n(alpha_.begin(), limit, 0.0);
+    for (std::uint32_t r = 0; r < m_; ++r) {
+      const double yr = rho_[r];
+      if (yr == 0.0) {
+        continue;
+      }
+      for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+        const std::uint32_t c = row_col_[k];
+        if (c < limit) {
+          alpha_[c] += yr * row_val_[k];
+        }
+      }
     }
   }
 
   // ---- Duals: y = (B^-1)^T c_B, a BTRAN walked from the last eta down ----
   // Step k reads its pivot row and its off-row rows and writes its pivot
   // row. Every value the walk reads or writes sits in a slot: slot m + k
-  // holds row eta_r_[k] just above step k (its input c_B, or the output of
+  // holds row etas_.r[k] just above step k (its input c_B, or the output of
   // the next eta up its chain), and slot r holds row r below all its steps,
   // its dual. So step k reads slot m + k for its own row and writes the
   // slot of its row just below it (OutSlot); an off-row entry of step k
@@ -682,35 +694,35 @@ class RevisedSimplex {
   // a changed slot.
 
   std::uint32_t OutSlot(std::uint32_t k) const {
-    return eta_prev_[k] == kNone ? eta_r_[k] : m_ + eta_prev_[k];
+    return etas_.prev[k] == kNone ? etas_.r[k] : m_ + etas_.prev[k];
   }
 
   // The full walk, recording every slot. Run wherever the eta file or all
   // the costs changed: SetPhase, and the first pivot after a
   // refactorisation, an import or DriveOutArtificials.
   void ComputeDuals(std::vector<double>& y) {
-    slot_.resize(m_ + eta_r_.size());
+    slot_.resize(m_ + etas_.size());
     for (std::uint32_t p = 0; p < m_; ++p) {
-      y[p] = slot_[row_last_[p] == kNone ? p : m_ + row_last_[p]] = c_[basis_[p]];
+      y[p] = slot_[etas_.last[p] == kNone ? p : m_ + etas_.last[p]] = c_[basis_[p]];
     }
-    for (std::uint32_t k = static_cast<std::uint32_t>(eta_r_.size()); k-- > 0;) {
-      double s = y[eta_r_[k]];
-      for (std::uint32_t i = eta_ptr_[k]; i < eta_ptr_[k + 1]; ++i) {
-        s -= eta_val_[i] * y[eta_row_[i]];
+    for (std::uint32_t k = etas_.size(); k-- > 0;) {
+      double s = y[etas_.r[k]];
+      for (std::uint32_t i = etas_.ptr[k]; i < etas_.ptr[k + 1]; ++i) {
+        s -= etas_.val[i] * y[etas_.row[i]];
       }
-      y[eta_r_[k]] = slot_[OutSlot(k)] = s / eta_pivot_[k];
+      y[etas_.r[k]] = slot_[OutSlot(k)] = s / etas_.pivot[k];
     }
-    eta_steps_ += eta_r_.size();
+    eta_steps_ += etas_.size();
     memo_valid_ = true;
   }
 
   // Step k of the walk, with ComputeDuals' arithmetic in its order.
   double BtranStep(std::uint32_t k) const {
     double s = slot_[m_ + k];
-    for (std::uint32_t i = eta_ptr_[k]; i < eta_ptr_[k + 1]; ++i) {
-      s -= eta_val_[i] * slot_[readers_[i].src];
+    for (std::uint32_t i = etas_.ptr[k]; i < etas_.ptr[k + 1]; ++i) {
+      s -= etas_.val[i] * slot_[readers_[i].src];
     }
-    return s / eta_pivot_[k];
+    return s / etas_.pivot[k];
   }
 
   // Records, for each off-row entry of the etas not yet linked, the slot
@@ -725,34 +737,34 @@ class RevisedSimplex {
     if (linked_ == 0) {
       row_slot_.resize(m_);
       std::iota(row_slot_.begin(), row_slot_.end(), 0u);
-      first_reader_.assign(m_ + eta_r_.size(), kNone);
+      first_reader_.assign(m_ + etas_.size(), kNone);
     } else {
-      first_reader_.resize(m_ + eta_r_.size(), kNone);
+      first_reader_.resize(m_ + etas_.size(), kNone);
     }
-    readers_.resize(eta_row_.size());
-    for (std::uint32_t k = linked_; k < eta_r_.size(); ++k) {
-      for (std::uint32_t i = eta_ptr_[k]; i < eta_ptr_[k + 1]; ++i) {
-        const std::uint32_t slot = row_slot_[eta_row_[i]];
+    readers_.resize(etas_.row.size());
+    for (std::uint32_t k = linked_; k < etas_.size(); ++k) {
+      for (std::uint32_t i = etas_.ptr[k]; i < etas_.ptr[k + 1]; ++i) {
+        const std::uint32_t slot = row_slot_[etas_.row[i]];
         readers_[i] = Reader{slot, k, first_reader_[slot]};
         first_reader_[slot] = i;
       }
-      row_slot_[eta_r_[k]] = m_ + k;
+      row_slot_[etas_.r[k]] = m_ + k;
     }
-    linked_ = static_cast<std::uint32_t>(eta_r_.size());
+    linked_ = etas_.size();
   }
 
   // Step k wrote a value that differs from the last walk into slot |out|:
   // queue the steps that read it, off-row or (the next eta down k's row) as
-  // their own row. Without one, |out| is row eta_r_[k]'s dual, which
+  // their own row. Without one, |out| is row etas_.r[k]'s dual, which
   // changed.
   void Spread(std::uint32_t k, std::uint32_t out) {
     for (std::uint32_t i = first_reader_[out]; i != kNone; i = readers_[i].next) {
       queue_.Insert(readers_[i].eta);
     }
-    if (eta_prev_[k] != kNone) {
-      queue_.Insert(eta_prev_[k]);
+    if (etas_.prev[k] != kNone) {
+      queue_.Insert(etas_.prev[k]);
     } else {
-      changed_rows_.push_back(eta_r_[k]);
+      changed_rows_.push_back(etas_.r[k]);
     }
   }
 
@@ -765,7 +777,7 @@ class RevisedSimplex {
   // holds the rows whose dual moved.
   void UpdateDuals(std::uint32_t p) {
     LinkSlots();
-    const std::uint32_t top = static_cast<std::uint32_t>(eta_r_.size() - 1);
+    const std::uint32_t top = etas_.size() - 1;
     slot_.push_back(c_[basis_[p]]);  // slot m + top: row p's new input
     changed_rows_.clear();
     queue_.Grow(top + 1);
@@ -844,30 +856,20 @@ class RevisedSimplex {
     }
   }
 
+  // Pivots the column FtranColumn left in w_ into the basis at row p.
   void PivotStep(std::uint32_t p, std::uint32_t enter) {
-    eta_r_.push_back(p);
-    eta_pivot_.push_back(w_[p]);
-    w_rows_.ForEach([&](std::uint32_t i) {
-      if (i != p && w_[i] != 0.0) {
-        eta_row_.push_back(i);
-        eta_val_.push_back(w_[i]);
-      }
-    });
-    eta_ptr_.push_back(static_cast<std::uint32_t>(eta_row_.size()));
-    ChainEta(static_cast<std::uint32_t>(eta_r_.size() - 1));
+    AppendEta(p, /*skip_identity=*/false);
     in_basis_[basis_[p]] = 0;
     basis_[p] = enter;
     in_basis_[enter] = 1;
-    ApplyEta(eta_r_.size() - 1, beta_);
+    ApplyEta(etas_.size() - 1, beta_);
     if (++pivots_since_factor_ >= kRefactorEvery || EtaNnz() > 2 * nnz_ + 16 * m_) {
       if (TryRefactorize()) {
         RefactorCounter().Inc();
-        pivots_since_factor_ = 0;
-      } else {
-        // Keep appending etas; reset the counter so we do not retry every
-        // pivot against a basis that is refusing to factorise.
-        pivots_since_factor_ = 0;
       }
+      // On failure keep appending etas; the counter restarts either way so
+      // a basis that refuses to factorise is not retried every pivot.
+      pivots_since_factor_ = 0;
     }
   }
 
@@ -878,11 +880,11 @@ class RevisedSimplex {
   // column singleton bounds fill to the column's entries in already-pivoted
   // rows. Positions the peel cannot reach (the "bump") are ordered
   // sparsest-first and numerically partial-pivoted over whatever rows
-  // remain. The numeric pass builds each eta through a scatter workspace
-  // that visits only the rows the column actually touches, emitting off-row
-  // entries in ascending row order so the floating-point sums match a dense
-  // 0..m-1 sweep. Returns false (state untouched) if the basis looks
-  // singular.
+  // remain. The numeric pass is the pivot loop's own: FtranColumn
+  // transforms each column by the etas emitted so far and AppendEta emits
+  // its eta, leaving out exact identities. Returns false if the basis looks
+  // singular; the old eta file, its chains and the dual memo then stand as
+  // they were.
   bool TryRefactorize() {
     // ---- Symbolic pass: row adjacency of the basis matrix ----
     std::vector<std::uint32_t> radj_ptr(m_ + 1, 0);
@@ -998,100 +1000,47 @@ class RevisedSimplex {
     }
 
     // ---- Numeric pass ----
-    // Each column is transformed by the etas already emitted, but only the
-    // reachable ones: a queue of eta indices pops candidates in creation
-    // order, seeded from the column's structural rows and extended by the
-    // fill an applied eta introduces (Gilbert-Peierls reachability). Fill on
-    // a row whose eta is at or below the one being applied queues nothing:
-    // in sequential order that eta has had its turn and saw a zero, so the
-    // result is bit-identical to walking the whole eta list, and the queue
-    // pops each queued eta exactly once, in ascending order.
-    scratch_r_.clear();
-    scratch_pivot_.clear();
-    scratch_row_.clear();
-    scratch_val_.clear();
-    scratch_ptr_.assign(1, 0);
-    std::vector<std::uint32_t> new_basis(m_, 0);
-    std::vector<std::int64_t> eta_of_row(m_, -1);
-    // Emitting a column's eta clears its rows from the workspace again; a
-    // failed call leaves it dirty, and the next call starts by zeroing it.
-    std::vector<double>& w = wrk_w_;
-    IndexSet& touched = wrk_touched_;
-    w.assign(m_, 0.0);
-    touched.Reset(m_);
-    queue_.Grow(m_);  // one eta per row at most
-    const auto touch = [&](std::uint32_t r, std::int64_t last) {
-      if (touched.Insert(r) && eta_of_row[r] > last) {
-        queue_.Insert(static_cast<std::uint32_t>(eta_of_row[r]));
-      }
+    // The new file is built in etas_, so FtranColumn walks it; the old one
+    // waits in spare_ with its chains, and comes back if a pivot fails. The
+    // dual memo describes the old file until the new one is in place. The
+    // etas these FTRANs apply are not counted in eta_steps_, which counts
+    // the pivot loop's walks.
+    std::swap(etas_, spare_);
+    etas_.Clear(m_);
+    const auto fail = [this] {
+      std::swap(etas_, spare_);
+      return false;
     };
+    std::vector<std::uint32_t> new_basis(m_, 0);
     for (const std::uint32_t p : order) {
       const std::uint32_t col = basis_[p];
-      for (std::uint32_t k = col_ptr_[col]; k < col_ptr_[col + 1]; ++k) {
-        const std::uint32_t r = col_row_[k];
-        w[r] = col_val_[k];
-        touch(r, -1);
-      }
-      for (std::uint32_t k; (k = queue_.PopMin()) != IndexSet::kEmpty;) {
-        const std::uint32_t er = scratch_r_[k];
-        const double t = w[er] / scratch_pivot_[k];
-        if (t == 0.0) {
-          continue;
-        }
-        for (std::uint32_t i = scratch_ptr_[k]; i < scratch_ptr_[k + 1]; ++i) {
-          touch(scratch_row_[i], k);
-          w[scratch_row_[i]] -= scratch_val_[i] * t;
-        }
-        w[er] = t;
-      }
+      FtranColumn(col);
       std::int64_t pr = chosen_row[p];
       if (pr < 0) {
         double best = 1e-9;
-        touched.ForEach([&](std::uint32_t r) {
-          if (!row_done[r] && std::abs(w[r]) > best) {
-            best = std::abs(w[r]);
+        w_rows_.ForEach([&](std::uint32_t r) {
+          if (!row_done[r] && std::abs(w_[r]) > best) {
+            best = std::abs(w_[r]);
             pr = static_cast<std::int64_t>(r);
           }
         });
         if (pr < 0) {
-          return false;
+          return fail();
         }
         row_done[pr] = 1;
-      } else if (std::abs(w[pr]) <= 1e-9) {
-        return false;  // symbolic choice collapsed numerically
+      } else if (std::abs(w_[pr]) <= 1e-9) {
+        return fail();  // symbolic choice collapsed numerically
       }
-      const std::uint32_t er = static_cast<std::uint32_t>(pr);
-      const double pivot = w[er];
-      const std::size_t off_start = scratch_row_.size();
-      touched.ForEach([&](std::uint32_t i) {
-        if (i != er && w[i] != 0.0) {
-          scratch_row_.push_back(i);
-          scratch_val_.push_back(w[i]);
-        }
-        w[i] = 0.0;
-      });
-      touched.Clear();
-      new_basis[er] = col;
-      if (scratch_row_.size() == off_start && pivot == 1.0) {
-        continue;  // exact identity (typical slack pivot): no-op in every
-                   // FTRAN/BTRAN application, so don't store it at all
-      }
-      eta_of_row[er] = static_cast<std::int64_t>(scratch_r_.size());
-      scratch_r_.push_back(er);
-      scratch_pivot_.push_back(pivot);
-      scratch_ptr_.push_back(static_cast<std::uint32_t>(scratch_row_.size()));
+      new_basis[pr] = col;
+      AppendEta(static_cast<std::uint32_t>(pr), /*skip_identity=*/true);
     }
-    eta_r_.swap(scratch_r_);
-    eta_pivot_.swap(scratch_pivot_);
-    eta_ptr_.swap(scratch_ptr_);
-    eta_row_.swap(scratch_row_);
-    eta_val_.swap(scratch_val_);
     basis_ = std::move(new_basis);
     beta_ = b_;
-    for (std::size_t k = 0; k < eta_r_.size(); ++k) {
+    for (std::size_t k = 0; k < etas_.size(); ++k) {
       ApplyEta(k, beta_);
     }
-    IndexEtas();
+    memo_valid_ = false;  // the slots and their links describe the old file
+    linked_ = 0;
     return true;
   }
 
@@ -1193,7 +1142,7 @@ class RevisedSimplex {
         pivots_total_ += pivots;
         return SolveStatus::kOptimal;
       }
-      FtranColumn(static_cast<std::uint32_t>(enter));
+      eta_steps_ += FtranColumn(static_cast<std::uint32_t>(enter));
       std::int64_t leave = -1;
       double best_ratio = std::numeric_limits<double>::infinity();
       w_rows_.ForEach([&](std::uint32_t p) {
@@ -1241,25 +1190,8 @@ class RevisedSimplex {
         pivots_total_ += pivots;
         return SolveStatus::kOptimal;  // primal feasible
       }
-      // alpha = row p of B^-1 A.
-      std::fill(rho_.begin(), rho_.end(), 0.0);
-      rho_[static_cast<std::uint32_t>(p)] = 1.0;
-      Btran(rho_);
-      for (std::uint32_t c = 0; c < limit_; ++c) {
-        alpha_[c] = 0.0;
-      }
-      for (std::uint32_t r = 0; r < m_; ++r) {
-        const double yr = rho_[r];
-        if (yr == 0.0) {
-          continue;
-        }
-        for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-          const std::uint32_t c = row_col_[k];
-          if (c < limit_) {
-            alpha_[c] += yr * row_val_[k];
-          }
-        }
-      }
+      const std::uint32_t row = static_cast<std::uint32_t>(p);
+      TableauRow(row, limit_);
       std::int64_t enter = -1;
       double best_ratio = std::numeric_limits<double>::infinity();
       for (std::uint32_t c = 0; c < limit_; ++c) {
@@ -1279,12 +1211,11 @@ class RevisedSimplex {
         pivots_total_ += pivots;
         return SolveStatus::kInfeasible;  // negative basic, no fixing column
       }
-      FtranColumn(static_cast<std::uint32_t>(enter));
-      if (std::abs(w_[static_cast<std::uint32_t>(p)]) < 1e-11) {
+      eta_steps_ += FtranColumn(static_cast<std::uint32_t>(enter));
+      if (std::abs(w_[row]) < 1e-11) {
         pivots_total_ += pivots;
         return SolveStatus::kIterationLimit;
       }
-      const std::uint32_t row = static_cast<std::uint32_t>(p);
       const std::uint32_t left = basis_[row];
       PivotStep(row, static_cast<std::uint32_t>(enter));
       Reprice(static_cast<std::uint32_t>(enter), left, row);
@@ -1306,30 +1237,12 @@ class RevisedSimplex {
       if (p == m_) {
         continue;
       }
-      // Tableau row p: alpha_j = (B^-T e_p) . A_j.
-      std::fill(rho_.begin(), rho_.end(), 0.0);
-      rho_[p] = 1.0;
-      Btran(rho_);
-      for (std::uint32_t c = 0; c < art_base_; ++c) {
-        alpha_[c] = 0.0;
-      }
-      for (std::uint32_t r = 0; r < m_; ++r) {
-        const double yr = rho_[r];
-        if (yr == 0.0) {
-          continue;
-        }
-        for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-          const std::uint32_t c = row_col_[k];
-          if (c < art_base_) {
-            alpha_[c] += yr * row_val_[k];
-          }
-        }
-      }
+      TableauRow(p, art_base_);
       for (std::uint32_t c = 0; c < art_base_; ++c) {
         if (in_basis_[c] || std::abs(alpha_[c]) <= 1e-6) {
           continue;
         }
-        FtranColumn(c);
+        eta_steps_ += FtranColumn(c);
         if (std::abs(w_[p]) < 1e-9) {
           continue;
         }
@@ -1367,7 +1280,6 @@ class RevisedSimplex {
   static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
   const LinearProgram& lp_;
-  const std::vector<LinearProgram::Row>* extra_ = nullptr;
 
   std::uint32_t m_ = 0;
   std::uint32_t nvars_ = 0;
@@ -1391,20 +1303,38 @@ class RevisedSimplex {
   std::vector<std::uint32_t> basis_;
   std::vector<char> in_basis_;
   std::vector<double> beta_;
-  // Flat eta pool (see ApplyEta) plus reusable refactorisation scratch: the
-  // scratch arrays become the live pool by swap, so both sides keep their
-  // heap capacity across the many refactorisations of a long solve.
-  std::vector<std::uint32_t> eta_r_, eta_ptr_, eta_row_;
-  std::vector<double> eta_pivot_, eta_val_;
-  std::vector<std::uint32_t> scratch_r_, scratch_ptr_, scratch_row_;
-  std::vector<double> scratch_pivot_, scratch_val_;
-  std::vector<double> wrk_w_;
-  IndexSet wrk_touched_;
-  std::uint32_t pivots_since_factor_ = 0;
+  // The product-form eta file, a flat pool (struct-of-arrays) that keeps
+  // the FTRAN and BTRAN walks on contiguous memory and spares a heap
+  // allocation per eta. Eta k pivots row r[k] with pivot value pivot[k]; its
+  // off-row entries live in row/val over [ptr[k], ptr[k + 1]). Each eta is
+  // chained to the etas that pivot on its row: first and last per row, next
+  // and prev per eta, kNone ending a chain. A refactorisation appends at
+  // most one eta per row; each pivot appends one on its leaving row.
+  struct EtaFile {
+    std::vector<std::uint32_t> r, ptr, row;
+    std::vector<double> pivot, val;
+    std::vector<std::uint32_t> first, last, next, prev;
 
-  // Per-row eta chains (see ChainEta): the first and last eta on each row,
-  // and each eta's neighbours on its row; kNone ends a chain.
-  std::vector<std::uint32_t> row_first_, row_last_, eta_next_, eta_prev_;
+    std::uint32_t size() const { return static_cast<std::uint32_t>(r.size()); }
+
+    // Empties the file (B^-1 = I) for m rows, keeping the capacity.
+    void Clear(std::uint32_t m) {
+      r.clear();
+      pivot.clear();
+      row.clear();
+      val.clear();
+      next.clear();
+      prev.clear();
+      ptr.assign(1, 0);
+      first.assign(m, kNone);
+      last.assign(m, kNone);
+    }
+  };
+  // The live file, and the one the last refactorisation replaced: it
+  // becomes the next one's build space by swap, so both keep their heap
+  // capacity across the refactorisations of a long solve.
+  EtaFile etas_, spare_;
+  std::uint32_t pivots_since_factor_ = 0;
 
   std::vector<double> c_;
   // Duals and the reduced costs priced from them (rc_ is 0 on basic
@@ -1429,8 +1359,8 @@ class RevisedSimplex {
   std::vector<std::uint32_t> first_reader_, row_slot_;
   std::uint32_t linked_ = 0;
   std::vector<std::uint32_t> changed_rows_;
-  // The eta queue of FtranColumn and TryRefactorize (popped upwards) and of
-  // UpdateDuals (downwards); empty between walks.
+  // The eta queue of FtranColumn (popped upwards) and of UpdateDuals
+  // (downwards); empty between walks.
   IndexSet queue_;
   // Tournament tree over rc_ (see BuildTree): leaves_ leaves from index
   // leaves_, the root at 1.
@@ -1469,8 +1399,8 @@ SolveResult SolveIlpImpl(const LinearProgram& lp, std::uint32_t max_nodes,
   // branch-and-bound uses the same node order, branching variable choice and
   // pruning thresholds, so truncation behaviour is identical.
   struct Node {
-    std::vector<LinearProgram::Row> extra;
-    std::vector<BasisToken> warm;  // parent's optimal basis
+    std::vector<LinearProgram::Row> extra;  // bound rows the node adds to |lp|
+    std::vector<BasisToken> warm;           // parent's optimal basis
   };
   std::vector<Node> stack{Node{}};
   if (root_warm != nullptr && !root_warm->empty()) {
@@ -1483,6 +1413,7 @@ SolveResult SolveIlpImpl(const LinearProgram& lp, std::uint32_t max_nodes,
   std::uint64_t pivots_total = 0;
   std::uint64_t eta_steps = 0;
   bool hit_limit = false;
+  LinearProgram child;  // a child's program: |lp| plus its bound rows
 
   while (!stack.empty()) {
     if (++explored > max_nodes) {
@@ -1493,7 +1424,13 @@ SolveResult SolveIlpImpl(const LinearProgram& lp, std::uint32_t max_nodes,
     stack.pop_back();
     BbNodeCounter().Inc();
 
-    RevisedSimplex rs(lp, &node.extra);
+    if (!node.extra.empty()) {
+      child = lp;
+      for (const LinearProgram::Row& r : node.extra) {
+        child.AddRow(r);
+      }
+    }
+    RevisedSimplex rs(node.extra.empty() ? lp : child);
     if (!node.warm.empty()) {
       BbWarmStartCounter().Inc();
     }

@@ -48,8 +48,6 @@ struct LinearProgram {
     std::vector<double> val;
     double rhs = 0;
     RowType type = RowType::kLe;
-
-    RowView view() const { return {idx, val, rhs, type}; }
   };
 
   std::uint32_t num_vars = 0;

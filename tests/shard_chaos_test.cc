@@ -77,8 +77,8 @@ TEST_F(ShardChaosTest, InProcessReferencePath) {
   ShardOutcome out = ShardSupervisor(MakeTasks(11), opts).Run();
   ExpectPayloads(out, 11);
   EXPECT_TRUE(out.AllCompleted());
-  EXPECT_EQ(out.workers_spawned, 0u);
-  EXPECT_FALSE(out.used_fallback);
+  EXPECT_EQ(out.stats.workers_spawned, 0u);
+  EXPECT_FALSE(out.stats.used_fallback);
 }
 
 TEST_F(ShardChaosTest, ForkedShardsMatchReference) {
@@ -87,9 +87,9 @@ TEST_F(ShardChaosTest, ForkedShardsMatchReference) {
   ShardOutcome out = ShardSupervisor(MakeTasks(11), opts).Run();
   ExpectPayloads(out, 11);
   EXPECT_TRUE(out.AllCompleted());
-  EXPECT_GE(out.workers_spawned, 3u);
-  EXPECT_EQ(out.worker_deaths, 0u);
-  EXPECT_EQ(out.retries, 0u);
+  EXPECT_GE(out.stats.workers_spawned, 3u);
+  EXPECT_EQ(out.stats.worker_deaths, 0u);
+  EXPECT_EQ(out.stats.retries, 0u);
 }
 
 TEST_F(ShardChaosTest, WorkerNotInSupervisorProcess) {
@@ -116,14 +116,13 @@ TEST_F(ShardChaosTest, ChaosKillIsRetriedToCompletion) {
   ShardOptions opts;
   opts.shards = 3;
   opts.max_attempts = 4;  // plenty: the chaos kill is one-shot
-  opts.backoff_base_ms = 1;
   opts.chaos_kill_shard = 1;
   opts.chaos_kill_after_results = 1;
   ShardOutcome out = ShardSupervisor(MakeTasks(12), opts).Run();
   ExpectPayloads(out, 12);
   EXPECT_TRUE(out.AllCompleted());
-  EXPECT_GE(out.worker_deaths, 1u);
-  EXPECT_GE(out.retries, 1u);
+  EXPECT_GE(out.stats.worker_deaths, 1u);
+  EXPECT_GE(out.stats.retries, 1u);
   EXPECT_TRUE(out.quarantined.empty());
   EXPECT_TRUE(out.failed.empty());
 }
@@ -132,7 +131,6 @@ TEST_F(ShardChaosTest, PoisonRunIsQuarantinedOthersComplete) {
   ShardOptions opts;
   opts.shards = 3;
   opts.max_attempts = 2;
-  opts.backoff_base_ms = 1;
   ShardOutcome out = ShardSupervisor(MakeTasks(10, /*poison=*/4), opts).Run();
   ExpectPayloads(out, 10, /*skip=*/4);
   EXPECT_FALSE(out.completed[4]);
@@ -141,7 +139,7 @@ TEST_F(ShardChaosTest, PoisonRunIsQuarantinedOthersComplete) {
   ASSERT_EQ(out.failed.size(), 1u);
   EXPECT_EQ(out.failed[0], 4u);
   EXPECT_FALSE(out.AllCompleted());
-  EXPECT_GE(out.worker_deaths, opts.max_attempts);  // main wave + isolated attempt
+  EXPECT_GE(out.stats.worker_deaths, opts.max_attempts);  // main wave + isolated attempt
 }
 
 TEST_F(ShardChaosTest, HungWorkerIsKilledByWatchdog) {
@@ -149,7 +147,6 @@ TEST_F(ShardChaosTest, HungWorkerIsKilledByWatchdog) {
   opts.shards = 2;
   opts.task_timeout_ms = 200;
   opts.max_attempts = 2;
-  opts.backoff_base_ms = 1;
   std::vector<ShardTask> tasks = MakeTasks(6);
   tasks[3].execute = [] {
     if (ShardSupervisor::InWorker()) {
@@ -162,7 +159,7 @@ TEST_F(ShardChaosTest, HungWorkerIsKilledByWatchdog) {
   ShardOutcome out = ShardSupervisor(std::move(tasks), opts).Run();
   ExpectPayloads(out, 6, /*skip=*/3);
   EXPECT_FALSE(out.completed[3]);
-  EXPECT_GE(out.timeouts, 1u);
+  EXPECT_GE(out.stats.timeouts, 1u);
   ASSERT_EQ(out.quarantined.size(), 1u);
   EXPECT_EQ(out.quarantined[0], 3u);
   ASSERT_EQ(out.failed.size(), 1u);
@@ -179,17 +176,17 @@ TEST_F(ShardChaosTest, JournalResumeSkipsCompletedRuns) {
   {
     ShardOutcome first = ShardSupervisor(MakeTasks(8), opts).Run();
     ASSERT_TRUE(first.AllCompleted());
-    EXPECT_EQ(first.journal_hits, 0u);
-    EXPECT_FALSE(first.resumed);
+    EXPECT_EQ(first.stats.journal_hits, 0u);
+    EXPECT_FALSE(first.stats.resumed);
   }
   // Second supervisor over the same campaign: every run is a journal hit and
   // nothing forks.
   ShardOutcome second = ShardSupervisor(MakeTasks(8), opts).Run();
   ExpectPayloads(second, 8);
   EXPECT_TRUE(second.AllCompleted());
-  EXPECT_EQ(second.journal_hits, 8u);
-  EXPECT_TRUE(second.resumed);
-  EXPECT_EQ(second.workers_spawned, 0u);
+  EXPECT_EQ(second.stats.journal_hits, 8u);
+  EXPECT_TRUE(second.stats.resumed);
+  EXPECT_EQ(second.stats.workers_spawned, 0u);
 }
 
 TEST_F(ShardChaosTest, JournalResumeAfterPartialRun) {
@@ -211,9 +208,9 @@ TEST_F(ShardChaosTest, JournalResumeAfterPartialRun) {
   ShardOutcome out = ShardSupervisor(MakeTasks(9), opts).Run();
   ExpectPayloads(out, 9);
   EXPECT_TRUE(out.AllCompleted());
-  EXPECT_EQ(out.journal_hits, 4u);
-  EXPECT_TRUE(out.resumed);
-  EXPECT_GE(out.workers_spawned, 1u);
+  EXPECT_EQ(out.stats.journal_hits, 4u);
+  EXPECT_TRUE(out.stats.resumed);
+  EXPECT_GE(out.stats.workers_spawned, 1u);
 }
 
 // ---------------------------------------------------------------- campaign
@@ -260,7 +257,6 @@ TEST_F(ShardChaosTest, CampaignChaosKillMatchesGolden) {
   cfg.shards = 3;
   cfg.journal_dir = dir_;
   cfg.shard_max_attempts = 4;
-  cfg.shard_backoff_ms = 1;
   cfg.chaos_kill_shard = 1;
   cfg.chaos_kill_after_results = 2;
   const pmk::CampaignReport report = pmk::RunCampaign(cfg);
@@ -303,7 +299,6 @@ TEST_F(ShardChaosTest, CampaignPoisonRunIsQuarantinedAndReported) {
   pmk::CampaignConfig cfg = TestCampaignConfig();
   cfg.shards = 3;
   cfg.shard_max_attempts = 2;
-  cfg.shard_backoff_ms = 1;
   cfg.poison_ordinal = 5;
   const pmk::CampaignReport report = pmk::RunCampaign(cfg);
   EXPECT_EQ(report.shard.quarantined, 1u);

@@ -498,6 +498,9 @@ TEST(SimplexStressTest, KernelIpetSolvesKeepTheirPinnedPath) {
   };
   const std::vector<KernelIpet> programs = KernelIpetPrograms();
   ASSERT_EQ(programs.size(), std::size(pins));
+  const std::uint64_t steps = CounterValue("wcet.simplex.eta_steps");
+  const std::uint64_t refactorisations = CounterValue("wcet.simplex.refactorisations");
+  const std::uint64_t imports = CounterValue("wcet.simplex.imports");
   for (std::size_t i = 0; i < programs.size(); ++i) {
     const KernelIpet& k = programs[i];
     SCOPED_TRACE(k.label);
@@ -508,6 +511,14 @@ TEST(SimplexStressTest, KernelIpetSolvesKeepTheirPinnedPath) {
     edited.rhs[k.edit_row] += 1;
     ExpectPinned(SolveIlpWarm(edited, warm), pins[i][1]);
   }
+  // The work those solves took, pinned too: the same pivots can cost more.
+  // Eta steps grow when an eta file holds etas a walk need not apply (the
+  // refactorisation storing its identity etas does that and moves no pivot);
+  // refactorisations and imports count the eta files built. Recorded before
+  // the refactorisation's numeric pass became FtranColumn.
+  EXPECT_EQ(CounterValue("wcet.simplex.eta_steps") - steps, 290'652u);
+  EXPECT_EQ(CounterValue("wcet.simplex.refactorisations") - refactorisations, 184u);
+  EXPECT_EQ(CounterValue("wcet.simplex.imports") - imports, 56u);
 }
 
 TEST(SimplexStressTest, PivotEtaWorkStaysATenthOfTheFullWalk) {
