@@ -1,9 +1,8 @@
 #include "src/wcet/cost.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace pmk {
 
@@ -61,9 +60,14 @@ CostModelCache::CostModelCache(const Program& program, const CostModelOptions& o
     : program_(&program), opts_(opts) {
   opts_.Validate();
   const std::size_t n = program.num_blocks();
+  const std::uint32_t num_sets = opts_.NumSets();
   start_.assign(n + 1, 0);
   base_.assign(n, 0);
   worst_.assign(n, 0);
+  // Each line's id among the lines of its set in its L1, assigned as the
+  // line is first pooled.
+  std::unordered_map<Addr, std::uint16_t> line_ids[2];  // the L1I's, the L1D's
+  std::vector<std::uint16_t> lines_in_slot(2 * static_cast<std::size_t>(num_sets), 0);
   std::vector<LineAccess> acc;
   for (BlockId id = 0; id < n; ++id) {
     const Block& b = program.block(id);
@@ -75,8 +79,17 @@ CostModelCache::CostModelCache(const Program& program, const CostModelOptions& o
       if (IsPinned(opts_, a)) {
         continue;  // pinned lines always hit: drop them from every pass
       }
-      pool_.push_back(a);
-      worst += opts_.MissPenaltyFor(a.line);
+      const std::uint32_t slot = a.instruction ? a.set : a.set + num_sets;
+      const auto [it, fresh] = line_ids[a.instruction ? 0 : 1].try_emplace(a.line, kNoLine);
+      if (fresh) {
+        if (lines_in_slot[slot] == kMaxLineId) {
+          throw std::invalid_argument("cost model: more than 65,534 distinct lines in one cache set");
+        }
+        it->second = ++lines_in_slot[slot];
+      }
+      const Cycles miss = opts_.MissPenaltyFor(a.line);
+      pool_.push_back({slot, it->second, miss});
+      worst += miss;
     }
     worst_[id] = worst;
     start_[id + 1] = static_cast<std::uint32_t>(pool_.size());
@@ -84,18 +97,43 @@ CostModelCache::CostModelCache(const Program& program, const CostModelOptions& o
 }
 
 CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelCache& cache) {
-  const CostModelOptions& opts = cache.options();
+  constexpr std::uint16_t kNoLine = CostModelCache::kNoLine;
   const std::vector<NodeId>& order = g.QuasiTopoOrder();
-  const std::uint32_t num_sets = opts.NumSets();
   const std::size_t num_nodes = g.nodes().size();
+  const std::size_t num_loops = g.loops().size();
+  const std::size_t width = cache.state_width();
 
   // ---- Must-cache fixpoint ----
-  std::vector<AbstractState> in_states(num_nodes, AbstractState(num_sets));
-  std::vector<AbstractState> out_states(num_nodes, AbstractState(num_sets));
-  const auto apply = [&](BlockId bid, AbstractState& st) {
-    for (const LineAccess* a = cache.accesses_begin(bid); a != cache.accesses_end(bid); ++a) {
-      (a->instruction ? st.icache : st.dcache).Access(*a);
+  // One flat must-cache state per node, the one after the node executes:
+  // per set of each L1, the id of the line guaranteed resident. A node's
+  // in-state is the join of its reached predecessors' out-states, rebuilt in
+  // |scratch| whenever it is needed. Row num_nodes is the cold state every
+  // kernel entry starts from.
+  std::vector<std::uint16_t> states((num_nodes + 2) * width, kNoLine);
+  const std::uint16_t* const cold = &states[num_nodes * width];
+  std::uint16_t* const scratch = &states[(num_nodes + 1) * width];
+  std::vector<char> reached(num_nodes, 0);
+  const auto join_in = [&](NodeId n) {
+    bool first = true;
+    for (EdgeId eid : g.nodes()[n].in) {
+      const NodeId from = g.edges()[eid].from;
+      const std::uint16_t* pred = cold;
+      if (from != kNoNode) {
+        if (!reached[from]) {
+          continue;
+        }
+        pred = &states[from * width];
+      }
+      if (first) {
+        std::copy(pred, pred + width, scratch);
+        first = false;
+      } else {
+        for (std::size_t i = 0; i < width; ++i) {
+          scratch[i] = scratch[i] == pred[i] ? scratch[i] : kNoLine;
+        }
+      }
     }
+    return !first;  // false: no predecessor reached yet
   };
 
   // Worklist-driven chaotic iteration in quasi-topological sweeps: only nodes
@@ -119,39 +157,17 @@ CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelCache& cache) 
       if (++recomputes > kMaxRecomputes) {
         throw std::logic_error("must-cache analysis failed to converge");
       }
-      AbstractState st(num_sets);
-      bool first = true;
-      for (EdgeId eid : g.nodes()[n].in) {
-        const InlinedEdge& e = g.edges()[eid];
-        const AbstractState* pred = nullptr;
-        AbstractState cold(num_sets);
-        if (e.from == kNoNode) {
-          cold.reachable = true;  // kernel entry: cold caches
-          pred = &cold;
-        } else if (out_states[e.from].reachable) {
-          pred = &out_states[e.from];
-        } else {
-          continue;
-        }
-        if (first) {
-          st = *pred;
-          first = false;
-        } else {
-          st.icache.JoinWith(pred->icache);
-          st.dcache.JoinWith(pred->dcache);
-        }
-      }
-      if (first) {
+      if (!join_in(n)) {
         continue;  // unreachable so far
       }
-      st.reachable = true;
-      if (!(in_states[n] == st)) {
-        in_states[n] = st;
+      const BlockId bid = g.nodes()[n].block;
+      for (const PooledAccess* a = cache.accesses_begin(bid); a != cache.accesses_end(bid); ++a) {
+        scratch[a->slot] = a->id;
       }
-      AbstractState out = st;
-      apply(g.nodes()[n].block, out);
-      if (!(out_states[n] == out)) {
-        out_states[n] = std::move(out);
+      std::uint16_t* const out = &states[n * width];
+      if (!reached[n] || !std::equal(scratch, scratch + width, out)) {
+        std::copy(scratch, scratch + width, out);
+        reached[n] = 1;
         for (EdgeId eid : g.nodes()[n].out) {
           const InlinedEdge& e = g.edges()[eid];
           if (e.to != kNoNode) {
@@ -164,120 +180,115 @@ CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelCache& cache) 
   }
 
   // ---- Loop membership: containing loops per node, outermost first ----
-  std::vector<std::vector<int>> containing(num_nodes);
-  {
-    std::vector<std::size_t> by_size(g.loops().size());
-    for (std::size_t i = 0; i < by_size.size(); ++i) {
-      by_size[i] = i;
-    }
-    std::sort(by_size.begin(), by_size.end(), [&](std::size_t a, std::size_t b) {
-      return g.loops()[a].body.size() > g.loops()[b].body.size();
-    });
-    for (std::size_t li : by_size) {
-      for (NodeId n : g.loops()[li].body) {
-        containing[n].push_back(static_cast<int>(li));
-      }
+  // CSR: node n's loops are loop_list[loop_begin[n] .. loop_begin[n + 1]).
+  std::vector<std::uint32_t> by_size(num_loops);
+  for (std::uint32_t i = 0; i < num_loops; ++i) {
+    by_size[i] = i;
+  }
+  std::sort(by_size.begin(), by_size.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return g.loops()[a].body.size() > g.loops()[b].body.size();
+  });
+  std::vector<std::uint32_t> loop_begin(num_nodes + 1, 0);
+  for (const InlinedLoop& loop : g.loops()) {
+    for (NodeId n : loop.body) {
+      ++loop_begin[n + 1];
     }
   }
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    loop_begin[n + 1] += loop_begin[n];
+  }
+  std::vector<std::uint32_t> loop_list(loop_begin[num_nodes]);
+  for (std::uint32_t li : by_size) {
+    for (NodeId n : g.loops()[li].body) {
+      loop_list[loop_begin[n]++] = li;
+    }
+  }
+  for (std::size_t n = num_nodes; n > 0; --n) {
+    loop_begin[n] = loop_begin[n - 1];  // undo the fill's advance
+  }
+  loop_begin[0] = 0;
 
   // ---- Persistence: per loop, lines whose cache set is touched by exactly
   // one distinct line within the body (so they cannot be evicted while the
   // loop runs) ----
-  // Key: (loop, instruction?, set) -> distinct lines seen.
-  std::vector<std::map<std::uint32_t, Addr>> iset_line(g.loops().size());
-  std::vector<std::map<std::uint32_t, Addr>> dset_line(g.loops().size());
-  constexpr Addr kConflict = static_cast<Addr>(-2);
+  // persist[loop * width + slot]: the one line id the body touches there,
+  // kNoLine for none, kConflict for more than one.
+  constexpr std::uint16_t kConflict = CostModelCache::kMaxLineId + 1;
+  std::vector<std::uint16_t> persist(num_loops * width, kNoLine);
   for (NodeId n = 0; n < num_nodes; ++n) {
-    if (containing[n].empty()) {
-      continue;
-    }
     const BlockId bid = g.nodes()[n].block;
     // A node's accesses are registered in EVERY loop containing it, so an
     // inner-loop body also constrains persistence of the outer loop.
-    for (int lj : containing[n]) {
-      for (const LineAccess* a = cache.accesses_begin(bid); a != cache.accesses_end(bid); ++a) {
-        auto& m = (a->instruction ? iset_line : dset_line)[lj];
-        auto [it, inserted] = m.emplace(a->set, a->line);
-        if (!inserted && it->second != a->line) {
-          it->second = kConflict;
-        }
+    for (std::uint32_t k = loop_begin[n]; k < loop_begin[n + 1]; ++k) {
+      std::uint16_t* const row = &persist[loop_list[k] * width];
+      for (const PooledAccess* a = cache.accesses_begin(bid); a != cache.accesses_end(bid); ++a) {
+        std::uint16_t& seen = row[a->slot];
+        seen = seen == kNoLine || seen == a->id ? a->id : kConflict;
       }
     }
   }
-  const auto persistent_in = [&](int li, const LineAccess& a) {
-    const auto& m = (a.instruction ? iset_line : dset_line)[li];
-    const auto it = m.find(a.set);
-    return it != m.end() && it->second == a.line;
-  };
-  // The first-miss charge belongs to the OUTERMOST loop in which the line is
-  // persistent: re-entering an inner loop does not evict lines the outer
-  // loop also preserves.
-  const auto persistence_loop = [&](NodeId n, const LineAccess& a) -> int {
-    for (int li : containing[n]) {  // outermost first
-      if (persistent_in(li, a)) {
-        return li;
-      }
-    }
-    return -1;
-  };
 
   // ---- Per-node costs + per-loop first-miss charges ----
+  // The first-miss charge belongs to the OUTERMOST loop in which the line is
+  // persistent: re-entering an inner loop does not evict lines the outer
+  // loop also preserves. A loop has at most one persistent line per slot,
+  // so |charged| marks the lines already charged on its entry edges.
   CostResult res;
   res.node_costs.assign(num_nodes, 0);
   res.edge_extras.assign(g.edges().size(), 0);
-  std::vector<std::set<Addr>> loop_first_i(g.loops().size());
-  std::vector<std::set<Addr>> loop_first_d(g.loops().size());
-
+  std::vector<char> charged(num_loops * width, 0);
+  std::vector<Cycles> loop_extra(num_loops, 0);
   for (NodeId n = 0; n < num_nodes; ++n) {
-    if (!in_states[n].reachable) {
+    if (!reached[n]) {
       continue;
     }
+    join_in(n);
     const BlockId bid = g.nodes()[n].block;
     Cycles cost = cache.base_cost(bid);
-    AbstractState st = in_states[n];
-    for (const LineAccess* a = cache.accesses_begin(bid); a != cache.accesses_end(bid); ++a) {
-      const bool hit = (a->instruction ? st.icache : st.dcache).Access(*a);
+    for (const PooledAccess* a = cache.accesses_begin(bid); a != cache.accesses_end(bid); ++a) {
+      const bool hit = scratch[a->slot] == a->id;
+      scratch[a->slot] = a->id;
       if (hit) {
         continue;
       }
-      const int li = persistence_loop(n, *a);
-      if (li >= 0) {
-        // First-miss: charged once on that loop's entry edges.
-        (a->instruction ? loop_first_i : loop_first_d)[li].insert(a->line);
-      } else {
-        cost += opts.MissPenaltyFor(a->line);
+      std::uint32_t k = loop_begin[n];  // outermost first
+      while (k < loop_begin[n + 1] && persist[loop_list[k] * width + a->slot] != a->id) {
+        ++k;
+      }
+      if (k == loop_begin[n + 1]) {
+        cost += a->miss;
+        continue;
+      }
+      // First-miss: charged once on that loop's entry edges.
+      const std::uint32_t li = loop_list[k];
+      if (!charged[li * width + a->slot]) {
+        charged[li * width + a->slot] = 1;
+        loop_extra[li] += a->miss;
       }
     }
     res.node_costs[n] = cost;
   }
 
-  for (std::size_t li = 0; li < g.loops().size(); ++li) {
-    Cycles extra = 0;
-    for (Addr line : loop_first_i[li]) {
-      extra += opts.MissPenaltyFor(line);
-    }
-    for (Addr line : loop_first_d[li]) {
-      extra += opts.MissPenaltyFor(line);
-    }
-    if (extra == 0) {
+  for (std::size_t li = 0; li < num_loops; ++li) {
+    if (loop_extra[li] == 0) {
       continue;
     }
     for (EdgeId e : g.loops()[li].entries) {
-      res.edge_extras[e] += extra;
+      res.edge_extras[e] += loop_extra[li];
     }
   }
   return res;
 }
 
 Cycles EvaluateTraceCost(const CostModelCache& cache, const Trace& trace) {
-  const CostModelOptions& opts = cache.options();
-  AbstractState st(opts.NumSets());
+  std::vector<std::uint16_t> resident(cache.state_width(), CostModelCache::kNoLine);
   Cycles total = 0;
   for (BlockId bid : trace.blocks) {
     total += cache.base_cost(bid);
-    for (const LineAccess* a = cache.accesses_begin(bid); a != cache.accesses_end(bid); ++a) {
-      if (!(a->instruction ? st.icache : st.dcache).Access(*a)) {
-        total += opts.MissPenaltyFor(a->line);
+    for (const PooledAccess* a = cache.accesses_begin(bid); a != cache.accesses_end(bid); ++a) {
+      if (resident[a->slot] != a->id) {
+        resident[a->slot] = a->id;
+        total += a->miss;
       }
     }
   }

@@ -117,46 +117,13 @@ bool IsPinned(const CostModelOptions& opts, const LineAccess& a);
 // Fixed (cache-independent) cost of one block execution.
 Cycles BaseCost(const Block& b, const CostModelOptions& opts);
 
-// ---- The must-cache domain, shared by every pass over abstract caches ----
-
-// Abstract direct-mapped must-cache: per set, the line guaranteed resident.
-class MustCache {
- public:
-  static constexpr Addr kUnknownLine = static_cast<Addr>(-1);
-
-  explicit MustCache(std::uint32_t num_sets) : sets_(num_sets, kUnknownLine) {}
-
-  // Returns true if the access is a guaranteed hit; installs the line.
-  bool Access(const LineAccess& a) {
-    const bool hit = sets_[a.set] == a.line;
-    sets_[a.set] = a.line;
-    return hit;
-  }
-
-  void JoinWith(const MustCache& other) {
-    for (std::size_t i = 0; i < sets_.size(); ++i) {
-      if (sets_[i] != other.sets_[i]) {
-        sets_[i] = kUnknownLine;
-      }
-    }
-  }
-
-  bool operator==(const MustCache& other) const { return sets_ == other.sets_; }
-
- private:
-  std::vector<Addr> sets_;
-};
-
-struct AbstractState {
-  MustCache icache;
-  MustCache dcache;
-  bool reachable = false;
-
-  explicit AbstractState(std::uint32_t num_sets) : icache(num_sets), dcache(num_sets) {}
-
-  bool operator==(const AbstractState& o) const {
-    return reachable == o.reachable && icache == o.icache && dcache == o.dcache;
-  }
+// One statically-known, not way-locked line touch of a block, as the
+// must-cache passes read it. A must-cache state is one line id per set of
+// each L1: index |slot| holds the id of the line guaranteed resident there.
+struct PooledAccess {
+  std::uint32_t slot = 0;  // the line's set, plus NumSets() for the L1D
+  std::uint16_t id = 0;    // the line among the lines of its slot
+  Cycles miss = 0;         // MissPenaltyFor(line)
 };
 
 // Per-block cost-model state derived once from (program, options) and shared
@@ -166,15 +133,24 @@ struct AbstractState {
 // construction, so it is safe to share across the job pool's threads.
 class CostModelCache {
  public:
+  // Line ids number the distinct lines of each set of each L1 from 1 as
+  // they are pooled. 0 stands for "no line known resident"; ComputeNodeCosts
+  // keeps kMaxLineId + 1 for "more than one line in a loop".
+  static constexpr std::uint16_t kNoLine = 0;
+  static constexpr std::uint16_t kMaxLineId = 0xFFFE;
+
   // Throws std::invalid_argument for a machine |opts| cannot model
-  // (CostModelOptions::Validate).
+  // (CostModelOptions::Validate), and for a program with more than
+  // kMaxLineId distinct lines in one set of one L1.
   CostModelCache(const Program& program, const CostModelOptions& opts);
 
   const Program& program() const { return *program_; }
   const CostModelOptions& options() const { return opts_; }
+  // Entries of one must-cache state: the sets of the L1I, then the L1D's.
+  std::size_t state_width() const { return 2 * static_cast<std::size_t>(opts_.NumSets()); }
 
-  const LineAccess* accesses_begin(BlockId id) const { return pool_.data() + start_[id]; }
-  const LineAccess* accesses_end(BlockId id) const { return pool_.data() + start_[id + 1]; }
+  const PooledAccess* accesses_begin(BlockId id) const { return pool_.data() + start_[id]; }
+  const PooledAccess* accesses_end(BlockId id) const { return pool_.data() + start_[id + 1]; }
   Cycles base_cost(BlockId id) const { return base_[id]; }
   // Unconditional per-execution ceiling: every non-pinned access is assumed
   // to miss. Unlike must-cache node costs (which depend on the abstract cache
@@ -187,7 +163,7 @@ class CostModelCache {
   const Program* program_;
   CostModelOptions opts_;
   std::vector<std::uint32_t> start_;  // num_blocks + 1, CSR-style offsets
-  std::vector<LineAccess> pool_;
+  std::vector<PooledAccess> pool_;
   std::vector<Cycles> base_;
   std::vector<Cycles> worst_;
 };

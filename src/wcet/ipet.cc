@@ -1,8 +1,8 @@
 #include "src/wcet/ipet.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <list>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -215,46 +215,51 @@ Trace ExtractWorstTrace(const InlinedGraph& g, const IpetResult& result) {
     return Trace{};
   }
   // Hierholzer walk over the multigraph defined by the edge counts, from the
-  // entry node to the (unique) sink edge.
+  // entry node to the (unique) sink edge. Every node of the walk is followed
+  // by the sub-tour it starts: its first out-edges with counts left, taken
+  // until the sink or a node with none left. |pending| is the rest of the
+  // walk, its next node on top, so a sub-tour is spliced in by pushing it
+  // in reverse. Counts are only ever consumed, so each node's out-edge
+  // cursor never has to look back.
   std::vector<std::uint32_t> remaining = result.edge_counts;
-  std::vector<std::size_t> next_out(g.nodes().size(), 0);
-
-  std::list<NodeId> walk;
-  walk.push_back(g.entry_node());
-
-  const auto take_edge = [&](NodeId at) -> NodeId {
-    const auto& outs = g.nodes()[at].out;
-    for (std::size_t i = 0; i < outs.size(); ++i) {
-      const InlinedEdge& e = g.edges()[outs[i]];
-      if (remaining[e.id] > 0) {
-        remaining[e.id]--;
-        return e.to;  // kNoNode for the sink
-      }
-    }
-    return kNoNode;
-  };
-
-  // Hierholzer: build the primary path, then splice remaining cycles in at
-  // the first position that still has unused out-edges.
-  for (auto it = walk.begin(); it != walk.end(); ++it) {
-    NodeId at = *it;
-    const auto insert_pos = std::next(it);
-    while (true) {
-      const NodeId nxt = take_edge(at);
-      if (nxt == kNoNode) {
-        break;  // sink edge consumed or no edges left at this node
-      }
-      walk.insert(insert_pos, nxt);
-      at = nxt;
-    }
-  }
-
+  std::vector<std::uint32_t> next_out(g.nodes().size(), 0);
+  std::vector<NodeId> pending;
+  pending.reserve(total + 1);
   Trace t;
-  for (NodeId n : walk) {
-    t.blocks.push_back(g.nodes()[n].block);
+  t.blocks.reserve(total + 1);
+  // Every count but the source edge's is consumed by a connected solution.
+  std::uint64_t unconsumed = total - result.edge_counts[g.source_edge()];
+  pending.push_back(g.entry_node());
+  while (!pending.empty()) {
+    NodeId at = pending.back();
+    pending.pop_back();
+    t.blocks.push_back(g.nodes()[at].block);
+    const std::size_t sub_tour = pending.size();
+    while (true) {
+      const std::vector<EdgeId>& outs = g.nodes()[at].out;
+      std::uint32_t& i = next_out[at];
+      while (i < outs.size() && remaining[outs[i]] == 0) {
+        ++i;
+      }
+      if (i == outs.size()) {
+        break;  // no edges left at this node
+      }
+      const InlinedEdge& e = g.edges()[outs[i]];
+      remaining[e.id]--;
+      unconsumed--;
+      if (e.to == kNoNode) {
+        break;  // sink edge consumed
+      }
+      pending.push_back(e.to);
+      at = e.to;
+    }
+    std::reverse(pending.begin() + static_cast<std::ptrdiff_t>(sub_tour), pending.end());
   }
-  // Leftover edge counts indicate a disconnected solution (shouldn't happen
-  // with flow conservation); tolerate but flag via trace emptiness.
+  // Leftover edge counts mean a disconnected solution (flow conservation
+  // allows a cycle the path never reaches): no single trace realises it.
+  if (unconsumed != 0) {
+    return Trace{};
+  }
   return t;
 }
 

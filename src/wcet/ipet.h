@@ -78,7 +78,9 @@ IpetResult RunIpet(const InlinedGraph& graph, const CostResult& costs,
 
 // Reconstructs a concrete worst-case block trace from the ILP solution
 // (Hierholzer walk over the edge counts) — the paper's "converted the
-// solution to a concrete execution trace" step (Section 6).
+// solution to a concrete execution trace" step (Section 6). Empty for a
+// solution of more than 4 Mi block executions, and for one whose counts
+// the walk cannot consume whole (a cycle the path never reaches).
 Trace ExtractWorstTrace(const InlinedGraph& graph, const IpetResult& result);
 
 }  // namespace pmk

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <list>
 #include <map>
 #include <set>
 #include <sstream>
@@ -21,6 +22,47 @@ namespace {
 
 constexpr double kEps = 1e-7;
 constexpr std::uint64_t kMaxPivots = 200'000;
+
+// Abstract direct-mapped must-cache: per set, the line address guaranteed
+// resident (production numbers lines per set instead, src/wcet/cost.h).
+class MustCache {
+ public:
+  static constexpr Addr kUnknownLine = static_cast<Addr>(-1);
+
+  explicit MustCache(std::uint32_t num_sets) : sets_(num_sets, kUnknownLine) {}
+
+  // Returns true if the access is a guaranteed hit; installs the line.
+  bool Access(const LineAccess& a) {
+    const bool hit = sets_[a.set] == a.line;
+    sets_[a.set] = a.line;
+    return hit;
+  }
+
+  void JoinWith(const MustCache& other) {
+    for (std::size_t i = 0; i < sets_.size(); ++i) {
+      if (sets_[i] != other.sets_[i]) {
+        sets_[i] = kUnknownLine;
+      }
+    }
+  }
+
+  bool operator==(const MustCache& other) const { return sets_ == other.sets_; }
+
+ private:
+  std::vector<Addr> sets_;
+};
+
+struct AbstractState {
+  MustCache icache;
+  MustCache dcache;
+  bool reachable = false;
+
+  explicit AbstractState(std::uint32_t num_sets) : icache(num_sets), dcache(num_sets) {}
+
+  bool operator==(const AbstractState& o) const {
+    return reachable == o.reachable && icache == o.icache && dcache == o.dcache;
+  }
+};
 
 // Dense two-phase simplex over a row-major tableau: the seed solver. The
 // sparse revised simplex keeps its column layout, rhs normalization, pivot
@@ -526,6 +568,85 @@ CostResult ComputeNodeCosts(const InlinedGraph& g, const CostModelOptions& opts)
   return res;
 }
 
+Cycles EvaluateTraceCost(const Program& p, const CostModelOptions& opts, const Trace& trace) {
+  // The seed evaluator: every block's accesses collected, and the pin
+  // filter applied, on every visit.
+  AbstractState st(opts.NumSets());
+  Cycles total = 0;
+  for (BlockId bid : trace.blocks) {
+    const Block& b = p.block(bid);
+    total += BaseCost(b, opts);
+    std::vector<LineAccess> acc;
+    CollectAccesses(p, b, opts, acc);
+    for (const LineAccess& a : acc) {
+      if (!IsPinned(opts, a) && !(a.instruction ? st.icache : st.dcache).Access(a)) {
+        total += opts.MissPenaltyFor(a.line);
+      }
+    }
+  }
+  return total;
+}
+
+Trace ExtractWorstTrace(const InlinedGraph& g, const IpetResult& result) {
+  if (result.status != SolveStatus::kOptimal) {
+    throw std::logic_error("ExtractWorstTrace: no optimal solution");
+  }
+  constexpr std::uint64_t kMaxTraceBlocks = 4u << 20;
+  std::uint64_t total = 0;
+  for (const std::uint32_t c : result.edge_counts) {
+    total += c;
+  }
+  if (total > kMaxTraceBlocks) {
+    return Trace{};
+  }
+  // The seed walk: a linked list, each node's out-edges rescanned from the
+  // first on every step.
+  std::vector<std::uint32_t> remaining = result.edge_counts;
+
+  std::list<NodeId> walk;
+  walk.push_back(g.entry_node());
+
+  const auto take_edge = [&](NodeId at) -> NodeId {
+    const auto& outs = g.nodes()[at].out;
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      const InlinedEdge& e = g.edges()[outs[i]];
+      if (remaining[e.id] > 0) {
+        remaining[e.id]--;
+        return e.to;  // kNoNode for the sink
+      }
+    }
+    return kNoNode;
+  };
+
+  // Hierholzer: build the primary path, then splice remaining cycles in at
+  // the first position that still has unused out-edges.
+  for (auto it = walk.begin(); it != walk.end(); ++it) {
+    NodeId at = *it;
+    const auto insert_pos = std::next(it);
+    while (true) {
+      const NodeId nxt = take_edge(at);
+      if (nxt == kNoNode) {
+        break;  // sink edge consumed or no edges left at this node
+      }
+      walk.insert(insert_pos, nxt);
+      at = nxt;
+    }
+  }
+
+  // Any count left on an edge other than the source edge: a disconnected
+  // solution, which no trace realises.
+  for (EdgeId e = 0; e < remaining.size(); ++e) {
+    if (e != g.source_edge() && remaining[e] != 0) {
+      return Trace{};
+    }
+  }
+  Trace t;
+  for (NodeId n : walk) {
+    t.blocks.push_back(g.nodes()[n].block);
+  }
+  return t;
+}
+
 }  // namespace oracle
 
 WcetOracle::WcetOracle(const KernelImage& image, const AnalysisOptions& options)
@@ -552,29 +673,13 @@ EntryResult WcetOracle::Analyze(EntryPoint entry) const {
   if (ipet.status == SolveStatus::kOptimal) {
     res.wcet = ipet.wcet;
     res.micros = ClockSpec{}.ToMicros(ipet.wcet);
-    res.worst_trace = ExtractWorstTrace(graph, ipet);
+    res.worst_trace = oracle::ExtractWorstTrace(graph, ipet);
   }
   return res;
 }
 
 Cycles WcetOracle::EvaluateTrace(const Trace& trace) const {
-  // The seed evaluator: every block's accesses collected, and the pin
-  // filter applied, on every visit.
-  const Program& p = image_->prog;
-  AbstractState st(cost_opts_.NumSets());
-  Cycles total = 0;
-  for (BlockId bid : trace.blocks) {
-    const Block& b = p.block(bid);
-    total += BaseCost(b, cost_opts_);
-    std::vector<LineAccess> acc;
-    CollectAccesses(p, b, cost_opts_, acc);
-    for (const LineAccess& a : acc) {
-      if (!IsPinned(cost_opts_, a) && !(a.instruction ? st.icache : st.dcache).Access(a)) {
-        total += cost_opts_.MissPenaltyFor(a.line);
-      }
-    }
-  }
-  return total;
+  return oracle::EvaluateTraceCost(image_->prog, cost_opts_, trace);
 }
 
 Cycles WcetOracle::InterruptResponseBound() const {

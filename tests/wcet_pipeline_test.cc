@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "src/kernel/objects.h"
 #include "src/wcet/analysis.h"
@@ -186,6 +187,38 @@ TEST(CostModelTest, RefusesMachinesTheOneWayMustCacheCannotModel) {
   direct_mapped.size_bytes = 4096;
   EXPECT_THROW(SelectPinnedLines(*img, PinTarget::kL1I, direct_mapped, kL1PinnedWays),
                std::invalid_argument);
+}
+
+TEST(CostModelTest, RefusesProgramsPastTheLineIdRange) {
+  // One block touching |lines| data lines a 4 KiB way apart: all in one set,
+  // so each needs its own id there.
+  const auto sweep = [](std::uint32_t lines) {
+    auto prog = std::make_unique<Program>();
+    const FuncId fn = prog->AddFunction("sweep");
+    const SymId table = prog->AddSymbol("table", lines * 4096);
+    Block b;
+    b.name = "sweep";
+    b.is_return = true;
+    b.is_path_end = true;
+    for (std::uint32_t k = 0; k < lines; ++k) {
+      StaticAccess a;
+      a.region = StaticAccess::Region::kGlobal;
+      a.symbol = table;
+      a.offset = k * 4096;
+      b.static_accesses.push_back(a);
+    }
+    prog->AddBlock(fn, b);
+    prog->Layout();
+    return prog;
+  };
+  const auto full = sweep(CostModelCache::kMaxLineId);
+  EXPECT_NO_THROW(CostModelCache(*full, CostModelOptions{}).worst_case(0));
+  const auto past = sweep(CostModelCache::kMaxLineId + 1);
+  EXPECT_THROW(CostModelCache(*past, CostModelOptions{}), std::invalid_argument);
+  // Locked lines are never pooled, so they need no id.
+  CostModelOptions one_locked;
+  one_locked.pinned_dlines.insert(past->symbol(0).address);
+  EXPECT_NO_THROW(CostModelCache(*past, one_locked).worst_case(0));
 }
 
 TEST(CostModelTest, PinnedLinesCostNothing) {

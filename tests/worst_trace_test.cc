@@ -9,6 +9,7 @@
 #include <set>
 
 #include "src/wcet/analysis.h"
+#include "tests/wcet_oracle.h"
 
 namespace pmk {
 namespace {
@@ -106,6 +107,59 @@ TEST(WorstTraceTest, OversizedWorstPathIsElidedNotMaterialized) {
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_GT(r.wcet, 1'000'000'000u);
   EXPECT_TRUE(r.worst_trace.blocks.empty());
+}
+
+// e branches to a (then x) or to the loop h <-> body (then x). The hand-built
+// solution takes e -> a -> x and also puts one count on the loop's cycle,
+// which flow conservation allows but the path never reaches.
+TEST(WorstTraceTest, DisconnectedSolutionGivesNoTrace) {
+  Program prog;
+  const FuncId fn = prog.AddFunction("f");
+  const auto block = [&](const char* name, bool exit = false) {
+    Block b;
+    b.name = name;
+    b.instr_count = 2;
+    b.is_return = exit;
+    b.is_path_end = exit;
+    return prog.AddBlock(fn, b);
+  };
+  const BlockId e = block("e");
+  const BlockId a = block("a");
+  const BlockId h = block("h");
+  const BlockId body = block("body");
+  const BlockId x = block("x", true);
+  prog.AddEdge(e, a);
+  prog.AddEdge(e, h);
+  prog.AddEdge(a, x);
+  prog.AddEdge(h, x);
+  prog.AddEdge(h, body);
+  prog.AddEdge(body, h);
+  prog.Layout();
+  const InlinedGraph g(prog, fn);
+  IpetResult r;
+  r.status = SolveStatus::kOptimal;
+  r.edge_counts.assign(g.edges().size(), 0);
+  for (const InlinedEdge& edge : g.edges()) {
+    const BlockId from = edge.from == kNoNode ? kNoBlock : g.nodes()[edge.from].block;
+    const BlockId to = edge.to == kNoNode ? kNoBlock : g.nodes()[edge.to].block;
+    const bool on_path = edge.kind == InlinedEdge::Kind::kSource ||
+                         edge.kind == InlinedEdge::Kind::kSink || (from == e && to == a) ||
+                         (from == a && to == x);
+    r.edge_counts[edge.id] = on_path ? 1 : 0;
+  }
+  const std::vector<BlockId> path = {e, a, x};
+  EXPECT_EQ(ExtractWorstTrace(g, r).blocks, path);
+  EXPECT_EQ(oracle::ExtractWorstTrace(g, r).blocks, path);
+
+  for (const InlinedEdge& edge : g.edges()) {
+    if (edge.from != kNoNode && edge.to != kNoNode &&
+        ((g.nodes()[edge.from].block == h && g.nodes()[edge.to].block == body) ||
+         (g.nodes()[edge.from].block == body && g.nodes()[edge.to].block == h))) {
+      r.edge_counts[edge.id] = 1;
+    }
+  }
+  EXPECT_TRUE(ExtractWorstTrace(g, r).blocks.empty());
+  EXPECT_TRUE(oracle::ExtractWorstTrace(g, r).blocks.empty());
 }
 
 TEST(WorstTraceTest, BeforeKernelWorstPathIsTheObjectClear) {
