@@ -1,13 +1,17 @@
 #include "src/kernel/objects.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <iterator>
 #include <new>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include <sanitizer/asan_interface.h>
+
+#include "src/obs/metrics.h"
 
 namespace pmk {
 
@@ -163,7 +167,81 @@ void Destroy(KObject* obj) {
 // its own; the tail of a block too short for the next object stays unused.
 constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
 
+// Set when this thread's spare list is destroyed at thread exit. A bool has
+// no destructor, so a table that dies later in the exit (a thread_local built
+// before the list) can still read it, and then frees its blocks itself.
+thread_local bool spares_gone = false;
+
+obs::Counter& BlocksReused() {
+  static obs::Counter c("kernel.heap.blocks_reused");
+  return c;
+}
+
 }  // namespace
+
+// The blocks of the tables that died on this thread, oldest first.
+class ObjectTable::SpareList {
+ public:
+  SpareList() = default;
+  SpareList(const SpareList&) = delete;
+  SpareList& operator=(const SpareList&) = delete;
+  ~SpareList() { spares_gone = true; }
+
+  std::size_t bytes() const { return bytes_; }
+
+  // Keeps |b|, freeing the oldest spares to stay within the budget. A block
+  // larger than the whole budget is freed at once.
+  void Put(Block b) {
+    if (b.size > kSpareBytes) {
+      return;
+    }
+    while (count_ == kSpareBlocks || bytes_ + b.size > kSpareBytes) {
+      Pop(0);
+    }
+    ASAN_POISON_MEMORY_REGION(b.bytes.get(), b.size);
+    b.used = 0;
+    bytes_ += b.size;
+    blocks_[count_++] = std::move(b);
+  }
+
+  // The newest spare of at least |bytes| and at most twice that, if any.
+  std::optional<Block> Take(std::size_t bytes) {
+    for (std::size_t i = count_; i-- > 0;) {
+      if (blocks_[i].size >= bytes && blocks_[i].size - bytes <= bytes) {
+        Block b = Pop(i);
+        ASAN_UNPOISON_MEMORY_REGION(b.bytes.get(), b.size);
+        return b;
+      }
+    }
+    return std::nullopt;
+  }
+
+ private:
+  Block Pop(std::size_t i) {
+    Block b = std::move(blocks_[i]);
+    std::move(blocks_.begin() + i + 1, blocks_.begin() + count_, blocks_.begin() + i);
+    --count_;
+    bytes_ -= b.size;
+    return b;
+  }
+
+  std::array<Block, kSpareBlocks> blocks_;
+  std::size_t count_ = 0;
+  std::size_t bytes_ = 0;
+};
+
+ObjectTable::SpareList* ObjectTable::Spares() {
+  if (spares_gone) {
+    return nullptr;
+  }
+  thread_local SpareList list;
+  return &list;
+}
+
+std::size_t ObjectTable::SpareBytes() {
+  const SpareList* spares = Spares();
+  return spares != nullptr ? spares->bytes() : 0;
+}
 
 ObjectTable::~ObjectTable() {
   for (const Entry& e : objects_) {
@@ -172,9 +250,20 @@ ObjectTable::~ObjectTable() {
   for (const UntypedEntry& e : untypeds_) {
     Destroy(e.second.get());
   }
+  if (SpareList* spares = Spares(); spares != nullptr) {
+    for (Block& b : blocks_) {
+      spares->Put(std::move(b));
+    }
+  }
 }
 
 void ObjectTable::AddBlock(std::size_t bytes) {
+  SpareList* spares = Spares();
+  if (std::optional<Block> spare = spares != nullptr ? spares->Take(bytes) : std::nullopt) {
+    BlocksReused().Inc();
+    blocks_.push_back(std::move(*spare));
+    return;
+  }
   // new[] of std::byte leaves the bytes uninitialised: pages a block never
   // fills are never touched.
   blocks_.push_back({std::unique_ptr<std::byte[]>(new std::byte[bytes]), bytes, 0});
@@ -254,8 +343,9 @@ KObject* ObjectTable::Insert(ObjType type, Addr base, std::uint8_t size_bits) {
 void ObjectTable::Remove(Addr base) {
   memo_base_ = kNoMemo;
   memo_obj_ = nullptr;
-  // A removed object's bytes are never reused. Under ASan they are poisoned,
-  // so reading a removed object is reported as a use after delete would be.
+  // A removed object's bytes are not reused while the table lives. Under ASan
+  // they are poisoned, so reading a removed object is reported as a use after
+  // delete would be.
   const auto drop = [this](KObject* obj) {
     const std::size_t bytes = StorageBytes(obj->type);
     live_bytes_ -= bytes;

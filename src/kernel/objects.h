@@ -230,7 +230,12 @@ std::uint8_t ObjSizeBits(ObjType type, std::uint8_t user_bits, const KernelConfi
 // exactly one), in allocation order, and never moves them, so the raw
 // TcbObj*/CapSlot* links between objects stay valid for the table's
 // lifetime. Remove destroys an object in place; its bytes stay unused until
-// the table is destroyed. The index is a sorted, contiguous array of (base,
+// the table is destroyed. A dying table hands its blocks to the spare list of
+// the thread that destroys it (bounded by kSpareBlocks and kSpareBytes; the
+// oldest spares are freed first), and a table's next block is the newest
+// spare of at least the size it needs and at most twice that, so a thread
+// that forks and drops heaps over and over reuses warm pages. Spare blocks
+// are poisoned under ASan. The index is a sorted, contiguous array of (base,
 // object) entries, so Find and Get are a binary search. Untyped regions have
 // an index of their own, because the objects retyped from an untyped
 // legitimately share addresses with it (the first child starts at the
@@ -282,10 +287,17 @@ class ObjectTable {
     std::vector<Run> slots_;    // one per CNode, sorted by source address
   };
 
+  // Each thread's spare list holds at most this many blocks and bytes.
+  static constexpr std::size_t kSpareBlocks = 64;
+  static constexpr std::size_t kSpareBytes = std::size_t{8} << 20;
+
   ObjectTable() = default;
   ObjectTable(const ObjectTable&) = delete;
   ObjectTable& operator=(const ObjectTable&) = delete;
   ~ObjectTable();
+
+  // Bytes of the blocks in the calling thread's spare list.
+  static std::size_t SpareBytes();
 
   // Constructs a default |type| object spanning [base, base + 2^size_bits)
   // and indexes it. Throws std::logic_error on misalignment or overlap,
@@ -329,6 +341,9 @@ class ObjectTable {
     std::size_t size = 0;
     std::size_t used = 0;
   };
+  class SpareList;
+  // The calling thread's spare list; null once the thread's exit destroyed it.
+  static SpareList* Spares();
 
   // The first entry whose base is not below |base|. Branch-free: which half
   // a search step takes depends on the key, so a predicted branch would miss

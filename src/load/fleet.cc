@@ -109,30 +109,61 @@ Fleet BuildClientFleet(System& sys, const FleetSpec& spec) {
   return fleet;
 }
 
+namespace {
+
+// Looks addresses up in a table's sorted index with one forward walk, as long
+// as each address is at least the one before; an address below its
+// predecessor falls back to the table's binary search.
+class AscendingLookup {
+ public:
+  explicit AscendingLookup(const ObjectTable& objs)
+      : objs_(objs), next_(objs.objects().begin()) {}
+
+  // The object of struct T at |base|, or null (as ObjectTable::Get).
+  template <typename T>
+  T* Get(Addr base) {
+    if (base < last_) {
+      return objs_.Get<T>(base);
+    }
+    last_ = base;
+    const auto end = objs_.objects().end();
+    while (next_ != end && next_->first < base) {
+      ++next_;
+    }
+    return next_ != end && next_->first == base && next_->second->type == T::kType
+               ? static_cast<T*>(next_->second.get())
+               : nullptr;
+  }
+
+ private:
+  const ObjectTable& objs_;
+  std::vector<ObjectTable::Entry>::const_iterator next_;  // first entry not below last_
+  Addr last_ = 0;
+};
+
+template <typename T>
+void Resolve(AscendingLookup& lookup, const std::vector<Addr>& addrs, std::vector<T*>& out,
+             const char* missing) {
+  for (std::size_t i = 0; i < addrs.size(); ++i) {
+    out[i] = lookup.Get<T>(addrs[i]);
+    if (out[i] == nullptr) {
+      throw std::logic_error(missing);
+    }
+  }
+}
+
+}  // namespace
+
 Fleet ResolveFleet(System& sys, const Fleet& fleet) {
-  ObjectTable& objs = sys.kernel().objects();
   Fleet out = fleet;  // copies cptrs, addresses, partition shape
-  for (std::size_t i = 0; i < fleet.client_addrs.size(); ++i) {
-    out.clients[i] = objs.Get<TcbObj>(fleet.client_addrs[i]);
-    if (out.clients[i] == nullptr) {
-      throw std::logic_error("ResolveFleet: client TCB missing in clone");
-    }
-  }
-  for (std::size_t i = 0; i < fleet.server_addrs.size(); ++i) {
-    out.servers[i] = objs.Get<TcbObj>(fleet.server_addrs[i]);
-    if (out.servers[i] == nullptr) {
-      throw std::logic_error("ResolveFleet: server TCB missing in clone");
-    }
-  }
-  for (std::size_t i = 0; i < fleet.endpoint_addrs.size(); ++i) {
-    out.endpoints[i] = objs.Get<EndpointObj>(fleet.endpoint_addrs[i]);
-    if (out.endpoints[i] == nullptr) {
-      throw std::logic_error("ResolveFleet: endpoint missing in clone");
-    }
-  }
+  // In boot order, which is address order: endpoints, servers, then clients.
+  AscendingLookup lookup(sys.kernel().objects());
+  Resolve(lookup, fleet.endpoint_addrs, out.endpoints, "ResolveFleet: endpoint missing in clone");
+  Resolve(lookup, fleet.server_addrs, out.servers, "ResolveFleet: server TCB missing in clone");
+  Resolve(lookup, fleet.client_addrs, out.clients, "ResolveFleet: client TCB missing in clone");
   out.fleet_cnode = fleet.fleet_cnode_addr == 0
                         ? nullptr
-                        : objs.Get<CNodeObj>(fleet.fleet_cnode_addr);
+                        : sys.kernel().objects().Get<CNodeObj>(fleet.fleet_cnode_addr);
   return out;
 }
 

@@ -156,7 +156,12 @@ TrafficResult RunScenario(const engine::SystemCheckpoint& cp, const BootInfo& bo
   Runner runner(sys.get());
   runner.SetComputeSliceCycles(kComputeSlice);
   runner.SetDisturbance([&](Cycles now) { source.Tick(now, ring, sys->machine().irq()); });
-  runner.SetProgram(driver_tcb, {UserStep::Dynamic(driver.Program())});
+  // One step per program. The threads are bound in the order they booted
+  // (servers, clients, then the driver), which is their address order and so
+  // their order in the forked heap: each binding appends to the runner's
+  // index.
+  const std::size_t programs = fleet.servers.size() + fleet.clients.size() + 1;
+  runner.Reserve(programs, programs);
   for (std::size_t s = 0; s < fleet.servers.size(); ++s) {
     runner.SetProgram(fleet.servers[s],
                       {UserStep::Syscall(SysOp::kReplyRecv, fleet.ep_cptrs[s])});
@@ -173,6 +178,7 @@ TrafficResult RunScenario(const engine::SystemCheckpoint& cp, const BootInfo& bo
     runner.SetProgram(fleet.clients[i],
                       {UserStep::Dynamic([&c](System&) { return c.Next(); })});
   }
+  runner.SetProgram(driver_tcb, {UserStep::Dynamic(driver.Program())});
 
   sys->machine().timer().set_period(kTimerPeriod);
   sys->machine().timer().Restart(sys->machine().Now());

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
+#include <stdexcept>
 
 #include "src/obs/trace_sink.h"
 
@@ -21,16 +23,30 @@ ProgramIndex::const_iterator Lookup(const ProgramIndex& index, const TcbObj* t) 
 }  // namespace
 
 void Runner::SetProgram(TcbObj* t, std::vector<UserStep> program, bool loop) {
+  if (program.empty()) {
+    throw std::invalid_argument("Runner::SetProgram: a program needs at least one step");
+  }
   ThreadProgram p;
-  p.steps = std::move(program);
+  p.first = steps_.size();
+  p.count = program.size();
   p.loop = loop;
-  const auto it = Lookup(index_, t);
+  steps_.insert(steps_.end(), std::make_move_iterator(program.begin()),
+                std::make_move_iterator(program.end()));
+  const auto it = index_.empty() || std::less<const TcbObj*>()(index_.back().first, t)
+                      ? index_.end()
+                      : Lookup(index_, t);
   if (it != index_.end() && it->first == t) {
     programs_[it->second] = std::move(p);
     return;
   }
   index_.insert(it, {t, static_cast<std::uint32_t>(programs_.size())});
   programs_.push_back(std::move(p));
+}
+
+void Runner::Reserve(std::size_t programs, std::size_t steps) {
+  programs_.reserve(programs);
+  index_.reserve(programs);
+  steps_.reserve(steps);
 }
 
 Runner::ThreadProgram* Runner::Find(const TcbObj* t) {
@@ -118,7 +134,7 @@ std::uint64_t Runner::Run(Cycles duration) {
       continue;
     }
     ThreadProgram& p = *prog;
-    if (p.pc >= p.steps.size()) {
+    if (p.pc >= p.count) {
       if (!p.loop) {
         // Program finished: the thread yields forever.
         k.Syscall(SysOp::kYield, 0, SyscallArgs{});
@@ -129,7 +145,7 @@ std::uint64_t Runner::Run(Cycles duration) {
       }
       p.pc = 0;
     }
-    const UserStep* step = &p.steps[p.pc];
+    const UserStep* step = &steps_[p.first + p.pc];
     bool dynamic = false;
     if (step->kind == UserStep::Kind::kDynamic) {
       dynamic = true;
@@ -205,7 +221,7 @@ std::uint64_t Runner::Run(Cycles duration) {
     p.completed++;
     total_steps++;
     if (hook_) {
-      hook_(cur, dynamic ? p.pc : (p.pc == 0 ? p.steps.size() - 1 : p.pc - 1));
+      hook_(cur, dynamic ? p.pc : (p.pc == 0 ? p.count - 1 : p.pc - 1));
     }
   }
   return total_steps;

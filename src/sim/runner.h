@@ -71,9 +71,17 @@ class Runner {
  public:
   explicit Runner(System* sys) : sys_(sys) {}
 
-  // Installs |program| for |t|, replacing any program |t| had. When |loop| is
-  // set the program restarts from the beginning after its last step.
+  // Installs |program| for |t|, replacing any program |t| had (its steps and
+  // any step of it in flight are dropped). When |loop| is set the program
+  // restarts from the beginning after its last step. Throws
+  // std::invalid_argument on an empty |program|. May be called from a step
+  // hook during Run, but not from a generator: the generator's own step may
+  // move.
   void SetProgram(TcbObj* t, std::vector<UserStep> program, bool loop = true);
+
+  // Sizes the tables for |programs| bindings of |steps| steps in all, so
+  // binding that many makes no further allocation.
+  void Reserve(std::size_t programs, std::size_t steps);
 
   // Optional per-step hook, called after each completed step with the thread
   // and its step index (before advancing).
@@ -109,7 +117,8 @@ class Runner {
 
  private:
   struct ThreadProgram {
-    std::vector<UserStep> steps;
+    std::size_t first = 0;        // the program's steps: steps_[first, first + count)
+    std::size_t count = 0;
     bool loop = true;
     std::size_t pc = 0;           // next step
     std::uint64_t completed = 0;
@@ -132,10 +141,13 @@ class Runner {
 
   System* sys_;
   Cycles compute_slice_ = 0;  // 0 = atomic compute bursts (historical)
-  // One flat table: the programs in binding order, and an index sorted by
-  // thread pointer into them. The pointer order is only ever searched, never
-  // walked, so no modelled result depends on host addresses.
+  // One flat table: the programs in binding order, their steps in one pool
+  // (a re-bound thread's old steps stay there unused), and an index sorted
+  // by thread pointer into the programs. A binding above the highest bound
+  // thread appends to the index. The pointer order is only ever searched,
+  // never walked, so no modelled result depends on host addresses.
   std::vector<ThreadProgram> programs_;
+  std::vector<UserStep> steps_;
   std::vector<std::pair<const TcbObj*, std::uint32_t>> index_;
   std::function<void(TcbObj*, std::size_t)> hook_;
   std::function<void(Cycles)> disturbance_;

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -90,6 +92,63 @@ TEST(ClientFleetTest, ResolveFleetRebindsPointersInAClone) {
   }
   EXPECT_NE(resolved.fleet_cnode, fleet.fleet_cnode);
   EXPECT_EQ(resolved.fleet_cnode->base, fleet.fleet_cnode->base);
+}
+
+TEST(ClientFleetTest, ResolveFleetTakesAddressesInAnyOrder) {
+  // The fleet resolves with one walk while its addresses ascend; an address
+  // below its predecessor is looked up on its own.
+  System sys(KernelConfig::After(), EvalMachine(false));
+  FleetSpec spec;
+  spec.clients = 40;
+  spec.servers = 4;
+  Fleet fleet = BuildClientFleet(sys, spec);
+  std::reverse(fleet.endpoint_addrs.begin(), fleet.endpoint_addrs.end());
+  std::reverse(fleet.endpoints.begin(), fleet.endpoints.end());
+  for (std::size_t i = 0; i + 3 < fleet.clients.size(); i += 5) {
+    std::swap(fleet.client_addrs[i], fleet.client_addrs[i + 3]);
+    std::swap(fleet.clients[i], fleet.clients[i + 3]);
+  }
+  std::swap(fleet.server_addrs.front(), fleet.server_addrs.back());
+  std::swap(fleet.servers.front(), fleet.servers.back());
+
+  const auto clone = sys.Clone();
+  const Fleet resolved = ResolveFleet(*clone, fleet);
+  const auto same = [](const auto& copies, const auto& originals) {
+    ASSERT_EQ(copies.size(), originals.size());
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+      EXPECT_NE(copies[i], originals[i]);
+      EXPECT_EQ(copies[i]->base, originals[i]->base);
+      EXPECT_EQ(copies[i]->type, originals[i]->type);
+    }
+  };
+  same(resolved.endpoints, fleet.endpoints);
+  same(resolved.servers, fleet.servers);
+  same(resolved.clients, fleet.clients);
+}
+
+TEST(ClientFleetTest, ResolveFleetThrowsOnAMissingObject) {
+  System sys(KernelConfig::After(), EvalMachine(false));
+  FleetSpec spec;
+  spec.clients = 40;
+  spec.servers = 4;
+  const Fleet fleet = BuildClientFleet(sys, spec);
+  const auto clone = sys.Clone();
+  ASSERT_NO_THROW(ResolveFleet(*clone, fleet));
+
+  // No object starts inside a TCB, whether the walk or the lookup meets it.
+  Fleet inside = fleet;
+  inside.client_addrs[20] += 16;
+  EXPECT_THROW(ResolveFleet(*clone, inside), std::logic_error);
+  Fleet behind = fleet;
+  behind.client_addrs[20] = behind.client_addrs[0] + 16;
+  EXPECT_THROW(ResolveFleet(*clone, behind), std::logic_error);
+  // An endpoint is not a TCB.
+  Fleet endpoint = fleet;
+  endpoint.server_addrs[1] = fleet.endpoint_addrs[3];
+  EXPECT_THROW(ResolveFleet(*clone, endpoint), std::logic_error);
+  // A TCB the clone no longer holds.
+  clone->kernel().objects().Remove(fleet.client_addrs.back());
+  EXPECT_THROW(ResolveFleet(*clone, fleet), std::logic_error);
 }
 
 // A fresh journal directory for the running test, removed when it ends.
